@@ -1,39 +1,32 @@
 """Hot enumeration kernels.
 
-Three workloads dominate runtime: exhaustive assignment scans (the oracles),
-per-portal-tuple assignment scans (gadget cost tables), and the scan over all
-induced subgraphs behind the i* invariant.  Each kernel has a numba @njit
-build and a fallback (vectorized numpy for the assignment scans, plain Python
-for the subset scan).  The numba builds are used if numba imports and
-LHOM_NO_NUMBA is unset or 0, the fallbacks otherwise; using_numba() reports
-which.
+Two kinds of search dominate runtime.  Mixed-radix assignment scans (the
+oracles and the gadget cost tables) are vectorized with numpy.  Searches
+over the induced subgraphs H[S] of a target graph -- the split detector,
+the maximum incomparable set and the scan over all induced subgraphs
+behind the i* invariant -- work on bitmasks held in plain Python ints:
+nb[v] is the neighborhood of v (TargetGraph.nbhd, bit v set iff v has a
+loop), refl the mask of looped vertices and S the vertex mask of H[S].
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
 INF = np.int64(1) << 60
 
-_DISABLED = os.environ.get("LHOM_NO_NUMBA", "") not in ("", "0")
-
-if not _DISABLED:
-    try:
-        from numba import njit
-    except ImportError:
-        _DISABLED = True
-
-if _DISABLED:
-    def njit(*args, **kwargs):
-        if args and callable(args[0]):
-            return args[0]
-        return lambda f: f
+# assignment indices costed per numpy pass; bounds the temporaries
+_CHUNK = 1 << 18
 
 
 def using_numba() -> bool:
-    return not _DISABLED
+    """Always False: every kernel runs on numpy or plain Python ints.
+
+    The numba builds were removed because the plain builds give the same
+    results and numba is not needed to run the package; the function stays
+    because benchmark result files record which backend ran.
+    """
+    return False
 
 
 # ---------------------------------------------------------------------------
@@ -43,93 +36,29 @@ def using_numba() -> bool:
 # (or nh = deleted) for that digit.  base[j, d] is the digit's own cost.
 # adj is (nh+1) x (nh+1) with the deletion row/column all-True, so a deleted
 # endpoint never violates an edge.  In vd mode a violated edge kills the
-# assignment; in ed mode it costs 1.
+# assignment; in ed mode it costs 1.  Assignment index i enumerates the
+# digits with the leftmost variable most significant.
 
 
-def _scan_best_loop(radix, val, base, eu, ev, adj, ed_mode):
+def _arrays(radix, val, base, eu, ev, adj):
+    return (np.asarray(radix, dtype=np.int64),
+            np.asarray(val, dtype=np.int64),
+            np.asarray(base, dtype=np.int64),
+            np.asarray(eu, dtype=np.int64),
+            np.asarray(ev, dtype=np.int64),
+            np.asarray(adj, dtype=np.bool_))
+
+
+def _places(radix):
     nv = radix.shape[0]
-    m = eu.shape[0]
-    digits = np.zeros(nv, dtype=np.int64)
-    best = INF
-    best_digits = np.zeros(nv, dtype=np.int64)
-    total = np.int64(1)
-    for j in range(nv):
-        total *= radix[j]
-    count = np.int64(0)
-    while count < total:
-        cost = np.int64(0)
-        ok = True
-        for j in range(nv):
-            cost += base[j, digits[j]]
-        for e in range(m):
-            x = val[eu[e], digits[eu[e]]]
-            y = val[ev[e], digits[ev[e]]]
-            if not adj[x, y]:
-                if ed_mode:
-                    cost += 1
-                else:
-                    ok = False
-                    break
-        if ok and cost < best:
-            best = cost
-            for j in range(nv):
-                best_digits[j] = digits[j]
-        # odometer, rightmost digit fastest (leftmost most significant)
-        count += 1
-        for j in range(nv - 1, -1, -1):
-            digits[j] += 1
-            if digits[j] < radix[j]:
-                break
-            digits[j] = 0
-    return best, best_digits
-
-
-def _scan_table_loop(radix, val, base, eu, ev, adj, ed_mode, nportal):
-    nv = radix.shape[0]
-    m = eu.shape[0]
-    tsize = np.int64(1)
-    for j in range(nportal):
-        tsize *= radix[j]
-    out = np.full(tsize, INF, dtype=np.int64)
-    digits = np.zeros(nv, dtype=np.int64)
-    total = np.int64(1)
-    for j in range(nv):
-        total *= radix[j]
-    count = np.int64(0)
-    cell_stride = total // tsize if tsize > 0 else np.int64(1)
-    while count < total:
-        cost = np.int64(0)
-        ok = True
-        for j in range(nv):
-            cost += base[j, digits[j]]
-        for e in range(m):
-            x = val[eu[e], digits[eu[e]]]
-            y = val[ev[e], digits[ev[e]]]
-            if not adj[x, y]:
-                if ed_mode:
-                    cost += 1
-                else:
-                    ok = False
-                    break
-        if ok:
-            cell = count // cell_stride
-            if cost < out[cell]:
-                out[cell] = cost
-        count += 1
-        for j in range(nv - 1, -1, -1):
-            digits[j] += 1
-            if digits[j] < radix[j]:
-                break
-            digits[j] = 0
-    return out
-
-
-_scan_best_nb = njit(cache=True)(_scan_best_loop)
-_scan_table_nb = njit(cache=True)(_scan_table_loop)
+    place = np.ones(nv, dtype=np.int64)
+    for j in range(nv - 2, -1, -1):
+        place[j] = place[j + 1] * radix[j + 1]
+    return place
 
 
 def _chunk_costs(idx, radix, val, base, eu, ev, adj, ed_mode, place):
-    """Vectorized cost of a chunk of assignment indices (numpy fallback)."""
+    """Cost of each assignment index in idx (INF for vd violations)."""
     nv = radix.shape[0]
     digits = (idx[:, None] // place[None, :]) % radix[None, :]
     cost = base[np.arange(nv)[None, :], digits].sum(axis=1)
@@ -143,21 +72,21 @@ def _chunk_costs(idx, radix, val, base, eu, ev, adj, ed_mode, place):
     return cost
 
 
-def _places(radix):
-    nv = radix.shape[0]
-    place = np.ones(nv, dtype=np.int64)
-    for j in range(nv - 2, -1, -1):
-        place[j] = place[j + 1] * radix[j + 1]
-    return place
+def scan_best(radix, val, base, eu, ev, adj, ed_mode):
+    """Min-cost assignment over the full mixed-radix space.
 
-
-def _scan_best_np(radix, val, base, eu, ev, adj, ed_mode, chunk=1 << 18):
+    Returns (cost, digits); digits is the lexicographically first minimizer
+    (leftmost variable most significant).  cost == INF means no feasible
+    assignment (vd mode with every assignment violating some edge, or an
+    empty radix).
+    """
+    radix, val, base, eu, ev, adj = _arrays(radix, val, base, eu, ev, adj)
     total = int(np.prod(radix, dtype=np.int64)) if radix.size else 1
     place = _places(radix)
     best = INF
     best_idx = -1
-    for lo in range(0, total, chunk):
-        idx = np.arange(lo, min(lo + chunk, total), dtype=np.int64)
+    for lo in range(0, total, _CHUNK):
+        idx = np.arange(lo, min(lo + _CHUNK, total), dtype=np.int64)
         cost = _chunk_costs(idx, radix, val, base, eu, ev, adj, ed_mode,
                             place)
         j = int(np.argmin(cost))
@@ -169,328 +98,224 @@ def _scan_best_np(radix, val, base, eu, ev, adj, ed_mode, chunk=1 << 18):
     return best, (best_idx // place) % radix
 
 
-def _scan_table_np(radix, val, base, eu, ev, adj, ed_mode, nportal,
-                   chunk=1 << 18):
+def scan_table(radix, val, base, eu, ev, adj, ed_mode, nportal):
+    """Min cost per portal digit tuple; portals are variables 0..nportal-1."""
+    radix, val, base, eu, ev, adj = _arrays(radix, val, base, eu, ev, adj)
     total = int(np.prod(radix, dtype=np.int64)) if radix.size else 1
     tsize = int(np.prod(radix[:nportal], dtype=np.int64)) if nportal else 1
     stride = total // tsize
     place = _places(radix)
     out = np.full(tsize, INF, dtype=np.int64)
-    for lo in range(0, total, chunk):
-        idx = np.arange(lo, min(lo + chunk, total), dtype=np.int64)
+    for lo in range(0, total, _CHUNK):
+        idx = np.arange(lo, min(lo + _CHUNK, total), dtype=np.int64)
         cost = _chunk_costs(idx, radix, val, base, eu, ev, adj, ed_mode,
                             place)
         np.minimum.at(out, idx // stride, cost)
     return out
 
 
-def scan_best(radix, val, base, eu, ev, adj, ed_mode):
-    """Min-cost assignment over the full mixed-radix space.
-
-    Returns (cost, digits); digits is the lexicographically first minimizer
-    (leftmost variable most significant).  cost == INF means no feasible
-    assignment (vd mode with every assignment violating some edge, or an
-    empty radix).
-    """
-    args = (np.ascontiguousarray(radix, dtype=np.int64),
-            np.ascontiguousarray(val, dtype=np.int64),
-            np.ascontiguousarray(base, dtype=np.int64),
-            np.ascontiguousarray(eu, dtype=np.int64),
-            np.ascontiguousarray(ev, dtype=np.int64),
-            np.ascontiguousarray(adj, dtype=np.bool_),
-            ed_mode)
-    if _DISABLED:
-        return _scan_best_np(*args)
-    return _scan_best_nb(*args)
-
-
-def scan_table(radix, val, base, eu, ev, adj, ed_mode, nportal):
-    """Min cost per portal digit tuple; portals are variables 0..nportal-1."""
-    args = (np.ascontiguousarray(radix, dtype=np.int64),
-            np.ascontiguousarray(val, dtype=np.int64),
-            np.ascontiguousarray(base, dtype=np.int64),
-            np.ascontiguousarray(eu, dtype=np.int64),
-            np.ascontiguousarray(ev, dtype=np.int64),
-            np.ascontiguousarray(adj, dtype=np.bool_),
-            ed_mode, nportal)
-    if _DISABLED:
-        return _scan_table_np(*args)
-    return _scan_table_nb(*args)
-
-
 # ---------------------------------------------------------------------------
-# induced-subgraph scan for i*
+# bitmask searches on induced subgraphs H[S]
 #
-# Neighborhoods are int64 bitmasks; all of it is written against plain
-# integer ops so the same source compiles under numba and runs as the
-# fallback when numba is off.
+# Loops run over the set bits of a mask by peeling the lowest one:
+# low = t & -t is its bit, low.bit_length() - 1 its vertex.
 
 
-def _pop(x):
-    c = 0
-    while x:
-        x &= x - 1
-        c += 1
-    return c
+def find_split(nb, refl, S):
+    """A decomposition (A, B, C) of H[S] as three vertex masks, or None.
 
-
-def _low(x):
-    i = 0
-    while not (x >> i) & 1:
-        i += 1
-    return i
-
-
-_pop_nb = njit(cache=True)(_pop)
-_low_nb = njit(cache=True)(_low)
-
-
-def _make_decomposable(_pop, _low):
-    def decomposable(nb, refl, n, S):
-        R = refl & S
-        I = S & ~refl
-        # strong split = reflexive part is a clique, irreflexive part is
-        # an independent set
-        ss = True
-        t = R
+    A strong split graph (reflexive part a clique, irreflexive part an
+    independent set) splits off a universal or an isolated vertex if it
+    has one (the first in vertex order); otherwise B grows from the
+    maximal vertices and C from the irreflexive vertices with a non-edge
+    to B, alternately, and H[S] splits iff B | C misses a vertex.  Any
+    other graph grows A from its irreflexive edges and reflexive
+    non-edges, and splits iff A misses a vertex.
+    """
+    R = refl & S
+    I = S & ~refl
+    strong = True
+    t = S
+    while t and strong:
+        low = t & -t
+        t ^= low
+        v = low.bit_length() - 1
+        strong = nb[v] & R == R if low & R else not nb[v] & I
+    if not strong:
+        A = 0
+        t = S
         while t:
-            v = _low(t)
-            t &= t - 1
-            if (nb[v] & S) & R != R:
-                ss = False
-        t = I
-        while t:
-            v = _low(t)
-            t &= t - 1
-            if nb[v] & S & I:
-                ss = False
-        if not ss:
-            # grow A from irreflexive edges and reflexive non-edges
-            A = 0
-            t = I
-            while t:
-                v = _low(t)
-                t &= t - 1
-                if nb[v] & S & I:
-                    A |= 1 << v
-            t = R
-            while t:
-                v = _low(t)
-                t &= t - 1
-                miss = R & ~(nb[v] & S)
+            low = t & -t
+            t ^= low
+            v = low.bit_length() - 1
+            if low & R:
+                miss = R & ~nb[v]
                 if miss:
-                    A |= miss | (1 << v)
-            changed = True
-            while changed:
-                changed = False
-                t = I & ~A
-                while t:
-                    v = _low(t)
-                    t &= t - 1
-                    if nb[v] & S & A:
-                        A |= 1 << v
-                        changed = True
-                t = R & ~A
-                while t:
-                    v = _low(t)
-                    t &= t - 1
-                    if A & ~(nb[v] & S):
-                        A |= 1 << v
-                        changed = True
-            return A != S
-        # strong split case
-        if _pop(S) < 2:
-            return False
-        t = S
-        while t:
-            v = _low(t)
-            t &= t - 1
-            if nb[v] & S == S:   # universal: ({rest}, {v}, {})
-                return True
-            if nb[v] & S == 0:   # isolated: ({rest}, {}, {v})
-                return True
-        # B starts from the maximal vertices, then alternate the two rules
-        B = 0
-        t = S
-        while t:
-            v = _low(t)
-            t &= t - 1
-            mx = True
-            t2 = S & ~(1 << v)
-            while t2:
-                u = _low(t2)
-                t2 &= t2 - 1
-                gv = nb[v] & S
-                gu = nb[u] & S
-                if gv & ~gu == 0 and gv != gu:
-                    mx = False
-            if mx:
-                B |= 1 << v
-        C = 0
+                    A |= miss | low
+            elif nb[v] & I:
+                A |= low
         changed = True
         while changed:
             changed = False
-            t = I & ~B & ~C
+            t = S & ~A
             while t:
-                v = _low(t)
-                t &= t - 1
-                if B & ~(nb[v] & S):
-                    C |= 1 << v
+                low = t & -t
+                t ^= low
+                v = low.bit_length() - 1
+                # reflexive with a non-edge to A, irreflexive with an edge
+                if A & ~nb[v] if low & R else nb[v] & A:
+                    A |= low
                     changed = True
-            t = R & ~B
-            while t:
-                v = _low(t)
-                t &= t - 1
-                if nb[v] & S & C:
-                    B |= 1 << v
-                    changed = True
-        return (B | C) != S
-
-    return decomposable
-
-
-def _make_has_obstruction(_pop, _low):
-    def has_obstruction(nb, refl, n, S):
-        I = S & ~refl
-        t = I
+        if A == S:
+            return None
+        return A, R & ~A, I & ~A
+    if S.bit_count() < 2:
+        return None
+    t = S
+    while t:
+        low = t & -t
+        t ^= low
+        g = nb[low.bit_length() - 1] & S
+        if g == S:
+            return S ^ low, low, 0
+        if not g:
+            return S ^ low, 0, low
+    B = 0
+    t = S
+    while t:
+        low = t & -t
+        t ^= low
+        g = nb[low.bit_length() - 1] & S
+        t2 = S ^ low
+        while t2:
+            lu = t2 & -t2
+            t2 ^= lu
+            gu = nb[lu.bit_length() - 1] & S
+            if not g & ~gu and g != gu:
+                break
+        else:
+            B |= low
+    C = 0
+    changed = True
+    while changed:
+        changed = False
+        t = I & ~B & ~C
         while t:
-            v = _low(t)
-            t &= t - 1
-            if nb[v] & S & I:
-                return True      # irreflexive edge
-        # incomparable pairs under the induced neighborhoods
-        inc = np.zeros(n, dtype=np.int64)
-        t = S
+            low = t & -t
+            t ^= low
+            if B & ~nb[low.bit_length() - 1]:
+                C |= low
+                changed = True
+        t = R & ~B
         while t:
-            v = _low(t)
-            t &= t - 1
-            t2 = t
-            while t2:
-                u = _low(t2)
-                t2 &= t2 - 1
-                gv = nb[v] & S
-                gu = nb[u] & S
-                if gv & ~gu != 0 and gu & ~gv != 0:
-                    inc[v] |= 1 << u
-                    inc[u] |= 1 << v
-        t = S
-        while t:
-            a = _low(t)
-            t &= t - 1
-            t2 = t & inc[a]
-            while t2:
-                b = _low(t2)
-                t2 &= t2 - 1
-                t3 = t2 & inc[a] & inc[b]
-                while t3:
-                    c = _low(t3)
-                    t3 &= t3 - 1
-                    ga = nb[a] & S
-                    gb = nb[b] & S
-                    gc = nb[c] & S
-                    if (ga & ~gb & ~gc and gb & ~ga & ~gc
-                            and gc & ~ga & ~gb):
-                        return True   # private neighbors
-                    if (ga & gb & ~gc and ga & gc & ~gb
-                            and gb & gc & ~ga):
-                        return True   # co-private neighbors
-        return False
-
-    return has_obstruction
+            low = t & -t
+            t ^= low
+            if nb[low.bit_length() - 1] & C:
+                B |= low
+                changed = True
+    if B | C == S:
+        return None
+    return S & ~(B | C), B, C
 
 
-def _make_max_inc(_pop, _low):
-    def max_incomparable_masked(nb, n, S):
-        inc = np.zeros(n, dtype=np.int64)
-        t = S
-        while t:
-            v = _low(t)
-            t &= t - 1
-            t2 = t
-            while t2:
-                u = _low(t2)
-                t2 &= t2 - 1
-                gv = nb[v] & S
-                gu = nb[u] & S
-                if gv & ~gu != 0 and gu & ~gv != 0:
-                    inc[v] |= 1 << u
-                    inc[u] |= 1 << v
-        # branch and bound max clique in the incomparability graph
-        best = 1
-        cap = n * n + 2
-        st_cand = np.zeros(cap, dtype=np.int64)
-        st_size = np.zeros(cap, dtype=np.int64)
-        st_cand[0] = S
-        st_size[0] = 0
-        top = 1
-        while top > 0:
-            top -= 1
-            cand = st_cand[top]
-            size = st_size[top]
-            if size > best:
-                best = size
-            while cand:
-                if size + _pop(cand) <= best:
-                    break
-                v = _low(cand)
-                cand &= cand - 1
-                st_cand[top] = inc[v] & cand
-                st_size[top] = size + 1
-                top += 1
-        return best
-
-    return max_incomparable_masked
+def _incomparability(nb, S):
+    """inc[v] = mask of the vertices of S incomparable with v in H[S]."""
+    inc = [0] * len(nb)
+    t = S
+    while t:
+        low = t & -t
+        t ^= low
+        v = low.bit_length() - 1
+        g = nb[v] & S
+        t2 = t
+        while t2:
+            lu = t2 & -t2
+            t2 ^= lu
+            u = lu.bit_length() - 1
+            gu = nb[u] & S
+            if g & ~gu and gu & ~g:
+                inc[v] |= lu
+                inc[u] |= low
+    return inc
 
 
-def _make_scan(_pop, has_obstruction, decomposable, max_incomparable_masked):
-    def scan(nb, refl, n):
-        best = 0
-        best_mask = 0
-        full = (1 << n) - 1
-        for S in range(1, full + 1):
-            if _pop(S) <= best:
-                continue
-            if not has_obstruction(nb, refl, n, S):
-                continue
-            if decomposable(nb, refl, n, S):
-                continue
-            i = max_incomparable_masked(nb, n, S)
-            if i > best:
-                best = i
-                best_mask = S
-        return best, best_mask
+def max_incomparable_mask(nb, S):
+    """Maximum incomparable set of H[S] as (size, vertex mask).
 
-    return scan
+    Max clique of the incomparability graph by branch and bound; the first
+    maximum in lexicographic expansion order, so a lone vertex is the
+    lowest one of S.  (0, 0) for empty S.
+    """
+    inc = _incomparability(nb, S)
+    best = [1, S & -S] if S else [0, 0]
 
+    def expand(clique, size, cand):
+        if not cand:
+            if size > best[0]:
+                best[:] = size, clique
+            return
+        while cand and size + cand.bit_count() > best[0]:
+            low = cand & -cand
+            cand ^= low
+            expand(clique | low, size + 1,
+                   cand & inc[low.bit_length() - 1])
 
-_decomposable_py = _make_decomposable(_pop, _low)
-_has_obstruction_py = _make_has_obstruction(_pop, _low)
-_max_inc_py = _make_max_inc(_pop, _low)
-_scan_py = _make_scan(_pop, _has_obstruction_py, _decomposable_py, _max_inc_py)
-
-if not _DISABLED:
-    _decomposable_nb = njit(cache=True)(_make_decomposable(_pop_nb, _low_nb))
-    _has_obstruction_nb = njit(cache=True)(_make_has_obstruction(_pop_nb, _low_nb))
-    _max_inc_nb = njit(cache=True)(_make_max_inc(_pop_nb, _low_nb))
-    _scan_nb = njit(cache=True)(_make_scan(
-        _pop_nb, _has_obstruction_nb, _decomposable_nb, _max_inc_nb))
+    expand(0, 0, S)
+    return best[0], best[1]
 
 
-def subset_scan(nb, refl, n):
+def _has_obstruction(nb, refl, S):
+    """H[S] has an irreflexive edge, or a triple with private or co-private
+    neighbors (such a triple is pairwise incomparable)."""
+    I = S & ~refl
+    t = I
+    while t:
+        low = t & -t
+        t ^= low
+        if nb[low.bit_length() - 1] & I:
+            return True
+    inc = _incomparability(nb, S)
+    t = S
+    while t:
+        low = t & -t
+        t ^= low
+        a = low.bit_length() - 1
+        ga = nb[a] & S
+        t2 = t & inc[a]
+        while t2:
+            lb = t2 & -t2
+            t2 ^= lb
+            b = lb.bit_length() - 1
+            gb = nb[b] & S
+            t3 = t2 & inc[b]
+            while t3:
+                lc = t3 & -t3
+                t3 ^= lc
+                gc = nb[lc.bit_length() - 1] & S
+                if ga & ~gb & ~gc and gb & ~ga & ~gc and gc & ~ga & ~gb:
+                    return True   # private neighbors
+                if ga & gb & ~gc and ga & gc & ~gb and gb & gc & ~ga:
+                    return True   # co-private neighbors
+    return False
+
+
+def subset_scan(nb, refl):
     """Max i(H[S]) over undecomposable S containing an obstruction.
 
     Returns (best, subset_mask); (0, 0) if no subset qualifies.  The witness
     is the first qualifying subset (ascending mask order) at the max.
     """
-    nb = np.ascontiguousarray(nb, dtype=np.int64)
-    if _DISABLED:
-        return _scan_py(nb, refl, n)
-    return _scan_nb(nb, np.int64(refl), np.int64(n))
-
-
-def fast_decomposable(nb, refl, n, S) -> bool:
-    """Algorithmic decomposability test on the induced subgraph S."""
-    nb = np.ascontiguousarray(nb, dtype=np.int64)
-    if _DISABLED:
-        return _decomposable_py(nb, refl, n, S)
-    return bool(_decomposable_nb(nb, np.int64(refl), np.int64(n), np.int64(S)))
+    best = 0
+    best_mask = 0
+    for S in range(1, 1 << len(nb)):
+        if S.bit_count() <= best:
+            continue
+        if not _has_obstruction(nb, refl, S):
+            continue
+        if find_split(nb, refl, S) is not None:
+            continue
+        i = max_incomparable_mask(nb, S)[0]
+        if i > best:
+            best = i
+            best_mask = S
+    return best, best_mask

@@ -7,13 +7,11 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional
 
-import numpy as np
-
 from . import _kernels, oracle
 from .graphs import TargetGraph, bits, max_incomparable
 
-# brute-force decomposition search up to this many vertices, the
-# algorithmic detectors beyond
+# brute-force decomposition search up to this many vertices, the split
+# detector beyond
 EXHAUSTIVE_DECOMP_LIMIT = 12
 
 
@@ -129,22 +127,16 @@ def is_strong_split(h: TargetGraph) -> bool:
             and all(not h.has_edge(u, v) for u, v in combinations(irr, 2)))
 
 
-def _nb_array(h: TargetGraph) -> np.ndarray:
-    return np.array(h.nbhd, dtype=np.int64)
-
-
 def is_decomposable(h: TargetGraph) -> bool:
-    if h.n <= EXHAUSTIVE_DECOMP_LIMIT:
-        return oracle.oracle_decomposition(h) is not None
     full = (1 << h.n) - 1
-    return _kernels.fast_decomposable(_nb_array(h), h.reflexive_mask(), h.n, full)
+    return _kernels.find_split(h.nbhd, h.reflexive_mask(), full) is not None
 
 
 def find_decomposition(h: TargetGraph) -> Optional[Decomposition]:
     """A valid decomposition (A,B,C), or None.
 
     Brute-force 3-partition search (first in lexicographic order) for small
-    H; the split-detection algorithms take over beyond the bound.
+    H; the split detector takes over beyond the bound, its answer checked.
     """
     if h.n <= EXHAUSTIVE_DECOMP_LIMIT:
         found = oracle.oracle_decomposition(h)
@@ -152,86 +144,13 @@ def find_decomposition(h: TargetGraph) -> Optional[Decomposition]:
             return None
         a, b, c = found
         return Decomposition(tuple(a), tuple(b), tuple(c))
-    dec = _algorithmic_decomposition(h)
-    if dec is not None:
-        assert oracle.is_valid_decomposition(h, list(dec.a), list(dec.b),
-                                             list(dec.c))
+    split = _kernels.find_split(h.nbhd, h.reflexive_mask(), (1 << h.n) - 1)
+    if split is None:
+        return None
+    dec = Decomposition(*(tuple(bits(m)) for m in split))
+    if not oracle.is_valid_decomposition(h, dec.a, dec.b, dec.c):
+        raise AssertionError(f"split detector gave an invalid {dec}")
     return dec
-
-
-def decompose_strong_split(h: TargetGraph) -> Optional[Decomposition]:
-    """Split detection for strong split graphs without universal/isolated
-    vertices: grow B from the maximal vertices, C from irreflexive vertices
-    with a non-edge to B; decomposable iff B ∪ C misses something."""
-    assert is_strong_split(h)
-    maximal = []
-    for v in range(h.n):
-        if not any(h.nbhd[v] & ~h.nbhd[u] == 0 and h.nbhd[v] != h.nbhd[u]
-                   for u in range(h.n) if u != v):
-            maximal.append(v)
-    b = set(maximal)
-    c: set[int] = set()
-    changed = True
-    while changed:
-        changed = False
-        for v in range(h.n):
-            if v in b or v in c:
-                continue
-            if not h.has_loop(v) and any(not h.has_edge(v, u) for u in b):
-                c.add(v)
-                changed = True
-            elif h.has_loop(v) and any(h.has_edge(v, u) for u in c):
-                b.add(v)
-                changed = True
-    a = [v for v in range(h.n) if v not in b and v not in c]
-    if not a:
-        return None
-    return Decomposition(tuple(a), tuple(sorted(b)), tuple(sorted(c)))
-
-
-def decompose_non_strong_split(h: TargetGraph) -> Optional[Decomposition]:
-    """Split detection for non-strong-split graphs: grow A from irreflexive
-    edges and reflexive non-edges; decomposable iff A misses something."""
-    assert not is_strong_split(h)
-    a: set[int] = set()
-    for u, v in combinations(range(h.n), 2):
-        if h.has_edge(u, v) and not h.has_loop(u) and not h.has_loop(v):
-            a |= {u, v}
-        if not h.has_edge(u, v) and h.has_loop(u) and h.has_loop(v):
-            a |= {u, v}
-    changed = True
-    while changed:
-        changed = False
-        for v in range(h.n):
-            if v in a:
-                continue
-            if not h.has_loop(v) and any(h.has_edge(v, u) for u in a):
-                a.add(v)
-                changed = True
-            elif h.has_loop(v) and any(not h.has_edge(v, u) for u in a):
-                a.add(v)
-                changed = True
-    if len(a) == h.n:
-        return None
-    b = tuple(v for v in range(h.n) if v not in a and h.has_loop(v))
-    c = tuple(v for v in range(h.n) if v not in a and not h.has_loop(v))
-    return Decomposition(tuple(sorted(a)), b, c)
-
-
-def _algorithmic_decomposition(h: TargetGraph) -> Optional[Decomposition]:
-    if not is_strong_split(h):
-        return decompose_non_strong_split(h)
-    if h.n < 2:
-        return None
-    full = (1 << h.n) - 1
-    for v in range(h.n):
-        if h.nbhd[v] == full:   # universal
-            rest = tuple(u for u in range(h.n) if u != v)
-            return Decomposition(rest, (v,), ())
-        if h.nbhd[v] == 0:      # isolated (necessarily irreflexive)
-            rest = tuple(u for u in range(h.n) if u != v)
-            return Decomposition(rest, (), (v,))
-    return decompose_strong_split(h)
 
 
 def i_bullet(h: TargetGraph) -> tuple[int, Optional[list[int]]]:
@@ -239,9 +158,9 @@ def i_bullet(h: TargetGraph) -> tuple[int, Optional[list[int]]]:
     obstruction; 1 with no witness if H has no obstruction."""
     if find_obstruction(h) is None:
         return 1, None
-    best, mask = _kernels.subset_scan(_nb_array(h), h.reflexive_mask(), h.n)
+    best, mask = _kernels.subset_scan(h.nbhd, h.reflexive_mask())
     assert best >= 1 and mask
-    return int(best), sorted(bits(int(mask)))
+    return best, list(bits(mask))
 
 
 @dataclass

@@ -14,9 +14,9 @@ import random
 import sys
 
 from . import analysis, dpsolve, gadgets, oracle, polysolve, reductions
-from .graphs import (Infeasible, Instance, ParseError, TargetGraph,
-                     format_instance, format_target, max_incomparable,
-                     parse_instance, parse_target)
+from .graphs import (Infeasible, ParseError, format_instance, format_target,
+                     parse_instance, parse_target, random_instance,
+                     random_target)
 from .treewidth import build_td, core_to_td, parse_core, parse_td
 
 EXIT_OK = 0
@@ -177,26 +177,12 @@ def cmd_reduce(args) -> int:
     return EXIT_OK
 
 
-def _random_target(rng: random.Random, n: int) -> TargetGraph:
-    edges = [(u, v) for u in range(n) for v in range(u, n)
-             if rng.random() < 0.5]
-    return TargetGraph.from_edges(n, edges)
-
-
-def _random_instance(rng: random.Random, h: TargetGraph, n: int) -> Instance:
-    edges = [(u, v) for u in range(n) for v in range(u + 1, n)
-             if rng.random() < 0.4]
-    lists = [frozenset(rng.sample(range(h.n), rng.randint(1, h.n)))
-             for _ in range(n)]
-    return Instance(n, edges, lists)
-
-
 def cmd_selftest(args) -> int:
     rng = random.Random(args.seed)
     counts = {"vd": 0, "ed": 0, "ed_infeasible": 0, "roundtrip": 0}
     for _ in range(args.count):
-        h = _random_target(rng, rng.randint(1, 4))
-        inst = _random_instance(rng, h, rng.randint(1, 6))
+        h = random_target(rng, rng.randint(1, 4))
+        inst = random_instance(rng, h, rng.randint(1, 6))
         want = oracle.oracle_vd(h, inst)
         for solver in (dpsolve.solve_vd_dp, dpsolve.solve_vd_auto):
             got = solver(h, inst)

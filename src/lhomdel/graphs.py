@@ -11,6 +11,8 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
+from . import _kernels
+
 
 class ParseError(ValueError):
     pass
@@ -96,10 +98,6 @@ def bits(mask: int):
         mask ^= low
 
 
-def popcount(mask: int) -> int:
-    return mask.bit_count()
-
-
 @dataclass
 class Instance:
     """An instance graph G (simple, loopless) with per-vertex lists over V(H)."""
@@ -140,26 +138,28 @@ class Solution:
     stats: dict = field(default_factory=dict)
 
     def check(self, h: TargetGraph, inst: Instance) -> None:
-        """Assert that the recorded homomorphism is a valid witness."""
+        """Raise AssertionError unless the recorded homomorphism is a valid
+        witness.  The raises are explicit, so python -O keeps the check."""
         if self.mode == "vd":
             gone = set(self.deleted)
-            assert self.cost == len(gone)
-            for v in range(inst.n):
-                if v not in gone:
-                    assert v in self.hom and self.hom[v] in inst.lists[v]
-            for u, v in inst.edges:
-                if u in gone or v in gone:
-                    continue
-                assert h.has_edge(self.hom[u], self.hom[v])
+            mapped = [v for v in range(inst.n) if v not in gone]
+            kept = [(u, v) for u, v in inst.edges
+                    if u not in gone and v not in gone]
         else:
             gone = {(min(u, v), max(u, v)) for u, v in self.deleted}
-            assert self.cost == len(gone)
-            for v in range(inst.n):
-                assert v in self.hom and self.hom[v] in inst.lists[v]
-            for u, v in inst.edges:
-                if (min(u, v), max(u, v)) in gone:
-                    continue
-                assert h.has_edge(self.hom[u], self.hom[v])
+            mapped = range(inst.n)
+            kept = [(u, v) for u, v in inst.edges
+                    if (min(u, v), max(u, v)) not in gone]
+        if self.cost != len(gone):
+            raise AssertionError(
+                f"cost {self.cost} but {len(gone)} distinct deletions")
+        for v in mapped:
+            if v not in self.hom or self.hom[v] not in inst.lists[v]:
+                raise AssertionError(f"vertex {v} is not mapped into its list")
+        for u, v in kept:
+            if not h.has_edge(self.hom[u], self.hom[v]):
+                raise AssertionError(
+                    f"edge ({u}, {v}) is mapped onto a non-edge of H")
 
 
 INFEASIBLE = "infeasible"
@@ -186,17 +186,6 @@ def is_incomparable_set(h: TargetGraph, verts: Iterable[int]) -> bool:
     return all(incomparable(h, a, b) for a, b in combinations(vs, 2))
 
 
-def incomparability_masks(h: TargetGraph) -> list[int]:
-    """inc[v] = bitmask of vertices incomparable with v."""
-    inc = [0] * h.n
-    for u in range(h.n):
-        for v in range(u + 1, h.n):
-            if incomparable(h, u, v):
-                inc[u] |= 1 << v
-                inc[v] |= 1 << u
-    return inc
-
-
 def max_incomparable(h: TargetGraph) -> tuple[int, list[int]]:
     """Maximum-cardinality incomparable set: i(H) and a witness.
 
@@ -204,29 +193,8 @@ def max_incomparable(h: TargetGraph) -> tuple[int, list[int]]:
     small constant so exact search is fine.  Deterministic: the first maximum
     found in lexicographic expansion order.
     """
-    inc = incomparability_masks(h)
-    best_size = 0
-    best_mask = 0
-    if h.n:
-        best_size, best_mask = 1, 1  # vertex 0 alone
-
-    def expand(clique_mask: int, size: int, cand: int):
-        nonlocal best_size, best_mask
-        if size + popcount(cand) <= best_size:
-            return
-        if cand == 0:
-            if size > best_size:
-                best_size, best_mask = size, clique_mask
-            return
-        while cand:
-            if size + popcount(cand) <= best_size:
-                return
-            v = (cand & -cand).bit_length() - 1
-            cand &= cand - 1
-            expand(clique_mask | 1 << v, size + 1, cand & inc[v])
-
-    expand(0, 0, (1 << h.n) - 1)
-    return best_size, sorted(bits(best_mask))
+    size, mask = _kernels.max_incomparable_mask(h.nbhd, (1 << h.n) - 1)
+    return size, list(bits(mask))
 
 
 def reduce_list(h: TargetGraph, lst: frozenset[int]) -> frozenset[int]:
@@ -380,3 +348,29 @@ def format_instance(inst: Instance) -> str:
     if inst.budget is not None:
         lines.append(f"k {inst.budget}")
     return "\n".join(lines) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# seeded random targets and instances (selftest and the test suite)
+
+def random_target(rng, n: int, loop_p: float = 0.5,
+                  edge_p: float = 0.5) -> TargetGraph:
+    """Each loop with probability loop_p, each other edge with edge_p;
+    one draw per vertex pair (u <= v) in lexicographic order."""
+    edges = []
+    for u in range(n):
+        for v in range(u, n):
+            p = loop_p if u == v else edge_p
+            if rng.random() < p:
+                edges.append((u, v))
+    return TargetGraph.from_edges(n, edges)
+
+
+def random_instance(rng, h: TargetGraph, n: int,
+                    edge_p: float = 0.4) -> Instance:
+    """G(n, edge_p) with a random nonempty list over V(h) per vertex."""
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n)
+             if rng.random() < edge_p]
+    lists = [frozenset(rng.sample(range(h.n), rng.randint(1, h.n)))
+             for _ in range(n)]
+    return Instance(n, edges, lists)

@@ -1,8 +1,8 @@
-"""Named target-graph families used across the tests."""
+"""Named target-graph families used across the tests, plus the seeded random
+targets and instances of lhomdel.graphs."""
 
-import random
-
-from lhomdel.graphs import Instance, TargetGraph
+from lhomdel.graphs import (TargetGraph, random_instance,  # noqa: F401
+                            random_target)
 
 
 def loopless_k1():
@@ -89,24 +89,6 @@ def crossing_family(k):
         edges.append((x, r))
         edges.append((y, r))
     return TargetGraph.from_edges(2 * m + k + 2, edges)
-
-
-def random_target(rng, n, loop_p=0.5, edge_p=0.5):
-    edges = []
-    for u in range(n):
-        for v in range(u, n):
-            p = loop_p if u == v else edge_p
-            if rng.random() < p:
-                edges.append((u, v))
-    return TargetGraph.from_edges(n, edges)
-
-
-def random_instance(rng, h, n, edge_p=0.4):
-    edges = [(u, v) for u in range(n) for v in range(u + 1, n)
-             if rng.random() < edge_p]
-    lists = [frozenset(rng.sample(range(h.n), rng.randint(1, h.n)))
-             for _ in range(n)]
-    return Instance(n, edges, lists)
 
 
 DICHOTOMY_CORPUS = [

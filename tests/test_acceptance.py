@@ -5,8 +5,9 @@ from itertools import combinations
 
 import networkx as nx
 
-from lhomdel import analysis, dpsolve, gadgets, oracle, polysolve, reductions
-from lhomdel.graphs import Instance, TargetGraph, max_incomparable
+from lhomdel import (_kernels, analysis, dpsolve, gadgets, oracle, polysolve,
+                     reductions)
+from lhomdel.graphs import Instance, TargetGraph, bits, max_incomparable
 
 import families
 import test_reductions as rb  # classic brute-force oracles
@@ -87,27 +88,29 @@ def _random_strong_split(rng):
 def test_criterion_05_split_detectors_vs_bruteforce():
     rng = random.Random(105)
 
-    def check(h, dec):
+    def check(h):
         found = oracle.oracle_decomposition(h)
-        assert (dec is None) == (found is None)
-        if dec is not None:
-            assert oracle.is_valid_decomposition(
-                h, list(dec.a), list(dec.b), list(dec.c))
+        split = _kernels.find_split(h.nbhd, h.reflexive_mask(),
+                                    (1 << h.n) - 1)
+        assert (split is None) == (found is None)
+        if split is not None:
+            a, b, c = (list(bits(m)) for m in split)
+            assert oracle.is_valid_decomposition(h, a, b, c)
 
     strong = 0
     while strong < 100:
         h = _random_strong_split(rng)
         full = (1 << h.n) - 1
         if any(h.nbhd[v] in (full, 0) for v in range(h.n)):
-            continue  # universal/isolated handled by the dispatcher
-        check(h, analysis.decompose_strong_split(h))
+            continue  # universal/isolated: a one-vertex split, not grown
+        check(h)
         strong += 1
     non_strong = 0
     while non_strong < 100:
         h = families.random_target(rng, rng.randint(2, 8))
         if analysis.is_strong_split(h):
             continue
-        check(h, analysis.decompose_non_strong_split(h))
+        check(h)
         non_strong += 1
 
 

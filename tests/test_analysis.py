@@ -61,17 +61,21 @@ def test_witnesses_are_valid():
             _check_vd_witness(h, wit)
 
 
-def test_decomposition_detectors_vs_oracle():
-    rng = random.Random(22)
-    for _ in range(300):
-        h = families.random_target(rng, rng.randint(1, 7))
-        dec = analysis.find_decomposition(h)
-        found = oracle.oracle_decomposition(h)
-        assert (dec is None) == (found is None)
-        if dec is not None:
-            assert oracle.is_valid_decomposition(
-                h, list(dec.a), list(dec.b), list(dec.c))
-        assert analysis.is_decomposable(h) == (found is not None)
+def test_decomposition_detectors_vs_oracle(monkeypatch):
+    """Same 300 targets at the default limit, then at limit 0, which sends
+    every target through the split detector."""
+    for limit in (analysis.EXHAUSTIVE_DECOMP_LIMIT, 0):
+        monkeypatch.setattr(analysis, "EXHAUSTIVE_DECOMP_LIMIT", limit)
+        rng = random.Random(22)
+        for _ in range(300):
+            h = families.random_target(rng, rng.randint(1, 7))
+            dec = analysis.find_decomposition(h)
+            found = oracle.oracle_decomposition(h)
+            assert (dec is None) == (found is None), limit
+            if dec is not None:
+                assert oracle.is_valid_decomposition(
+                    h, list(dec.a), list(dec.b), list(dec.c)), limit
+            assert analysis.is_decomposable(h) == (found is not None), limit
 
 
 def test_i_bullet_bounds():

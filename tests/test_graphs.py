@@ -1,4 +1,8 @@
+import json
+import os
 import random
+import subprocess
+import sys
 from itertools import combinations
 
 import pytest
@@ -119,3 +123,40 @@ def test_instance_validation():
         Instance(2, [(0, 1), (1, 0)], [frozenset({0})] * 2)
     with pytest.raises(ValueError):
         Instance(2, [], [frozenset({0})])
+
+
+# Under python -O: two valid witnesses, then one corruption per check.
+_CHECK_UNDER_O = """\
+import json
+from lhomdel.graphs import Instance, Solution, TargetGraph
+h = TargetGraph.from_edges(2, [(0, 0), (1, 1)])  # two loops, no edge
+inst = Instance(2, [(0, 1)], [frozenset({0, 1}), frozenset({1})])
+cases = [
+    ("vd", 1, [1], {0: 0}),
+    ("ed", 1, [(1, 0)], {0: 0, 1: 1}),
+    ("vd", 0, [], {0: 0, 1: 1}),        # edge onto a non-edge
+    ("ed", 0, [], {0: 0, 1: 1}),        # edge onto a non-edge
+    ("vd", 2, [1], {0: 0}),             # cost != deletions
+    ("ed", 1, [(0, 1)], {0: 0, 1: 0}),  # vertex outside its list
+    ("vd", 1, [0], {}),                 # vertex left unmapped
+]
+raised = []
+for mode, cost, deleted, hom in cases:
+    try:
+        Solution(mode, cost, deleted, hom, "test").check(h, inst)
+        raised.append(False)
+    except AssertionError:
+        raised.append(True)
+print(json.dumps({"debug": __debug__, "raised": raised}))
+"""
+
+
+def test_check_survives_optimize_flag():
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    out = subprocess.run([sys.executable, "-O", "-c", _CHECK_UNDER_O],
+                         env=env, capture_output=True, text=True, check=True)
+    got = json.loads(out.stdout)
+    assert got["debug"] is False
+    assert got["raised"] == [False, False, True, True, True, True, True]

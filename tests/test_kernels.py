@@ -1,15 +1,12 @@
-import json
-import os
 import random
-import subprocess
-import sys
 
 import numpy as np
 
 from lhomdel import _kernels, oracle
-from lhomdel.graphs import Instance
 
 import families
+
+INF = _kernels.INF
 
 
 def _cases(seed, count):
@@ -22,65 +19,96 @@ def _cases(seed, count):
     return out
 
 
-# Run in a fresh interpreter: reports the backend _kernels picked, whether
-# numba imports there, and whether _kernels tried to import numba at all (a
-# meta-path watcher that finds nothing, so the switch is visible even where
-# numba is missing).
-_BACKEND_PROBE = """\
-import json, sys
-
-class Watch:
-    tried = False
-    def find_spec(self, name, path=None, target=None):
-        if name == "numba":
-            Watch.tried = True
-        return None
-
-sys.meta_path.insert(0, Watch())
-from lhomdel import _kernels
-tried = Watch.tried
-try:
-    import numba  # noqa: F401
-    importable = True
-except ImportError:
-    importable = False
-print(json.dumps({
-    "using_numba": _kernels.using_numba(),
-    "stub_njit": _kernels._scan_best_nb is _kernels._scan_best_loop,
-    "numba_importable": importable,
-    "tried_numba": tried,
-}))
-"""
+# Reference scans: one assignment at a time in odometer order (rightmost
+# digit fastest), the order in which the numpy scans index assignments.
 
 
-def _backend(switch):
-    env = dict(os.environ, LHOM_NO_NUMBA=switch)
-    out = subprocess.run([sys.executable, "-c", _BACKEND_PROBE], env=env,
-                         capture_output=True, text=True, check=True)
-    return json.loads(out.stdout)
+def _scan_best_loop(radix, val, base, eu, ev, adj, ed_mode):
+    nv = radix.shape[0]
+    m = eu.shape[0]
+    digits = np.zeros(nv, dtype=np.int64)
+    best = INF
+    best_digits = np.zeros(nv, dtype=np.int64)
+    total = np.int64(1)
+    for j in range(nv):
+        total *= radix[j]
+    count = np.int64(0)
+    while count < total:
+        cost = np.int64(0)
+        ok = True
+        for j in range(nv):
+            cost += base[j, digits[j]]
+        for e in range(m):
+            x = val[eu[e], digits[eu[e]]]
+            y = val[ev[e], digits[ev[e]]]
+            if not adj[x, y]:
+                if ed_mode:
+                    cost += 1
+                else:
+                    ok = False
+                    break
+        if ok and cost < best:
+            best = cost
+            for j in range(nv):
+                best_digits[j] = digits[j]
+        # odometer, rightmost digit fastest (leftmost most significant)
+        count += 1
+        for j in range(nv - 1, -1, -1):
+            digits[j] += 1
+            if digits[j] < radix[j]:
+                break
+            digits[j] = 0
+    return best, best_digits
 
 
-def test_numba_enabled_by_default():
-    """numba is used iff it imports and LHOM_NO_NUMBA is unset or 0."""
-    forced = _backend("1")
-    assert not forced["using_numba"]
-    assert forced["stub_njit"]
-    assert not forced["tried_numba"]
-    for switch in ("", "0"):
-        got = _backend(switch)
-        assert got["tried_numba"]
-        assert got["using_numba"] == got["numba_importable"]
-        assert got["stub_njit"] == (not got["using_numba"])
+def _scan_table_loop(radix, val, base, eu, ev, adj, ed_mode, nportal):
+    nv = radix.shape[0]
+    m = eu.shape[0]
+    tsize = np.int64(1)
+    for j in range(nportal):
+        tsize *= radix[j]
+    out = np.full(tsize, INF, dtype=np.int64)
+    digits = np.zeros(nv, dtype=np.int64)
+    total = np.int64(1)
+    for j in range(nv):
+        total *= radix[j]
+    count = np.int64(0)
+    cell_stride = total // tsize if tsize > 0 else np.int64(1)
+    while count < total:
+        cost = np.int64(0)
+        ok = True
+        for j in range(nv):
+            cost += base[j, digits[j]]
+        for e in range(m):
+            x = val[eu[e], digits[eu[e]]]
+            y = val[ev[e], digits[ev[e]]]
+            if not adj[x, y]:
+                if ed_mode:
+                    cost += 1
+                else:
+                    ok = False
+                    break
+        if ok:
+            cell = count // cell_stride
+            if cost < out[cell]:
+                out[cell] = cost
+        count += 1
+        for j in range(nv - 1, -1, -1):
+            digits[j] += 1
+            if digits[j] < radix[j]:
+                break
+            digits[j] = 0
+    return out
 
 
 def test_scan_best_paths_agree():
     for h, inst in _cases(11, 30):
         for mode, npr in (("vd", 0), ("ed", 0)):
             arrays = oracle._scan_arrays(h, inst, mode, npr)
-            cost_a, dig_a = _kernels._scan_best_loop(*arrays, mode == "ed")
-            cost_b, dig_b = _kernels._scan_best_np(*arrays, mode == "ed")
+            cost_a, dig_a = _scan_best_loop(*arrays, mode == "ed")
+            cost_b, dig_b = _kernels.scan_best(*arrays, mode == "ed")
             assert int(cost_a) == int(cost_b)
-            if int(cost_a) < int(_kernels.INF):
+            if int(cost_a) < int(INF):
                 assert list(dig_a) == list(dig_b)
 
 
@@ -89,33 +117,9 @@ def test_scan_table_paths_agree():
         npr = min(2, inst.n)
         for mode in ("vd", "ed"):
             arrays = oracle._scan_arrays(h, inst, mode, npr)
-            a = _kernels._scan_table_loop(*arrays, mode == "ed", npr)
-            b = _kernels._scan_table_np(*arrays, mode == "ed", npr)
+            a = _scan_table_loop(*arrays, mode == "ed", npr)
+            b = _kernels.scan_table(*arrays, mode == "ed", npr)
             assert np.array_equal(np.asarray(a), np.asarray(b))
-
-
-def _oracle_costs():
-    costs = []
-    for h, inst in _cases(13, 25):
-        costs.append(oracle.oracle_vd(h, inst).cost)
-        try:
-            costs.append(oracle.oracle_ed(h, inst).cost)
-        except Exception:
-            costs.append(-1)
-    return costs
-
-
-def test_pure_fallback_subprocess_matches():
-    """The no-numba code path must produce identical oracle results."""
-    here = _oracle_costs()
-    prog = ("import sys, json; sys.path.insert(0, %r); "
-            "import test_kernels; "
-            "print(json.dumps(test_kernels._oracle_costs()))"
-            % os.path.dirname(__file__))
-    env = dict(os.environ, LHOM_NO_NUMBA="1")
-    out = subprocess.run([sys.executable, "-c", prog], env=env,
-                         capture_output=True, text=True, check=True)
-    assert json.loads(out.stdout) == here
 
 
 def test_subset_scan_matches_python():
@@ -128,8 +132,7 @@ def test_subset_scan_matches_python():
         h = families.random_target(rng, rng.randint(3, 6))
         if analysis.find_obstruction(h) is None:
             continue
-        best, mask = _kernels.subset_scan(analysis._nb_array(h),
-                                          h.reflexive_mask(), h.n)
+        best, mask = _kernels.subset_scan(h.nbhd, h.reflexive_mask())
         want = 0
         for s in range(1, 1 << h.n):
             sub = h.induced(sorted(bits(s)))
