@@ -186,7 +186,10 @@ def cmd_selftest(args) -> int:
         want = oracle.oracle_vd(h, inst)
         for solver in (dpsolve.solve_vd_dp, dpsolve.solve_vd_auto):
             got = solver(h, inst)
-            assert got.cost == want.cost, "vd solver disagrees with oracle"
+            if got.cost != want.cost:
+                raise AssertionError(
+                    f"{solver.__name__} cost {got.cost} but the vd "
+                    f"oracle gives {want.cost}")
         counts["vd"] += 1
         try:
             want = oracle.oracle_ed(h, inst)
@@ -195,7 +198,10 @@ def cmd_selftest(args) -> int:
             continue
         for solver in (dpsolve.solve_ed_dp, dpsolve.solve_ed_auto):
             got = solver(h, inst)
-            assert got.cost == want.cost, "ed solver disagrees with oracle"
+            if got.cost != want.cost:
+                raise AssertionError(
+                    f"{solver.__name__} cost {got.cost} but the ed "
+                    f"oracle gives {want.cost}")
         counts["ed"] += 1
     for _ in range(max(1, args.count // 4)):
         n = rng.randint(2, 4)
@@ -203,8 +209,11 @@ def cmd_selftest(args) -> int:
                  if rng.random() < 0.5]
         c = reductions.ClassicInstance("vertex-cover", n, edges)
         h, inst = reductions.encode_classic(c)
-        assert oracle.oracle_vd(h, inst).cost == dpsolve.solve_vd_dp(
-            h, inst).cost
+        want, got = oracle.oracle_vd(h, inst), dpsolve.solve_vd_dp(h, inst)
+        if got.cost != want.cost:
+            raise AssertionError(
+                f"vertex cover: vd DP cost {got.cost} but the oracle gives "
+                f"{want.cost}")
         counts["roundtrip"] += 1
     _emit({"seed": args.seed, "count": args.count, "checks": counts,
            "ok": True})

@@ -4,8 +4,11 @@ dispatchers."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
+
+import numpy as np
 
 from . import analysis, polysolve
 from .graphs import (Infeasible, Instance, Solution, TargetGraph,
@@ -14,112 +17,134 @@ from .treewidth import TreeDecomposition, build_td, make_nice, validate_td
 
 DELETED = -1  # vertex-deletion state symbol
 INF = 1 << 60
+# Largest DP table (entries) a solve may allocate; 2^24 int64 entries take
+# 128 MiB, and a join holds two tables of its size.
+MAX_TABLE_ENTRIES = 1 << 24
+
+
+class TableTooLarge(ValueError):
+    """A bag's DP table would exceed MAX_TABLE_ENTRIES entries."""
 
 
 def _run_dp(h: TargetGraph, inst: Instance, td: TreeDecomposition, mode: str):
-    """Bottom-up DP; returns (cost, hom) with hom omitting deleted vertices.
+    """Bottom-up DP; returns (cost, hom, max_states) with hom omitting
+    deleted vertices.
 
-    States are tuples of images aligned with sorted(bag); VD adds the
-    DELETED symbol.  Each G edge is charged at its unique introduce-edge
-    node: VD kills states whose kept images are non-adjacent, ED pays 1.
+    Each node's table is an int64 array with one axis per vertex of
+    sorted(bag), indexed by position in the vertex's sorted list; VD adds
+    the DELETED symbol as the last index.  Entries >= INF are infeasible.
+    Each G edge is charged at its unique introduce-edge node: VD makes
+    states with kept non-adjacent images infeasible, ED pays 1.
+    max_states counts finite entries, the states a sparse table would hold.
     """
-    nodes = make_nice(td, inst.edges)
     base = max_incomparable(h)[0] + (1 if mode == "vd" else 0)
-    tables = []  # per node: {state: cost}
-    backs = []   # per node: {state: back info}
-    max_states = 0
+    choices = []
+    for v in range(inst.n):
+        lst = sorted(inst.lists[v])
+        if mode == "vd":
+            lst.append(DELETED)
+        elif not lst:
+            raise Infeasible(f"vertex {v} has an empty list")
+        if len(lst) > base:  # so no table exceeds base ** len(bag)
+            raise AssertionError(
+                f"list of vertex {v} has {len(lst)} states, above the "
+                f"bound {base}")
+        choices.append(lst)
+    for bag in td.bags:
+        size = math.prod(len(choices[v]) for v in bag)
+        if size > MAX_TABLE_ENTRIES:
+            raise TableTooLarge(
+                f"a bag of {len(bag)} vertices needs a table of {size} "
+                f"entries, above the cap of {MAX_TABLE_ENTRIES}")
+    nodes = make_nice(td, inst.edges)
+    # per-axis cost of each index: 1 for DELETED (VD), 0 otherwise
+    del_cost = [np.array([int(x == DELETED) for x in lst], dtype=np.int64)
+                for lst in choices]
+    penalties = {}  # (list u, list v) -> edge penalty matrix
+
+    def penalty(lu, lv):
+        key = (tuple(lu), tuple(lv))
+        if key not in penalties:
+            if mode == "vd":
+                bad = [[0 if a == DELETED or b == DELETED or h.has_edge(a, b)
+                        else INF for b in lv] for a in lu]
+            else:
+                bad = [[0 if h.has_edge(a, b) else 1 for b in lv] for a in lu]
+            penalties[key] = np.array(bad, dtype=np.int64)
+        return penalties[key]
+
+    def along(vec, at, ndim):
+        """vec reshaped to broadcast along axis `at` of an ndim array."""
+        shape = [1] * ndim
+        shape[at] = len(vec)
+        return vec.reshape(shape)
+
+    tables = [None] * len(nodes)
+    argmins = {}  # forget node -> index of the forgotten vertex's image
+    max_states = 1  # the leaf's table {(): 0}
     for idx, nd in enumerate(nodes):
         bag = sorted(nd.bag)
         if nd.kind == "leaf":
-            table, back = {(): 0}, {(): None}
+            table = np.zeros((), dtype=np.int64)
         elif nd.kind == "introduce":
             v = nd.payload
-            ci = nd.children[0]
+            child = tables[nd.children[0]]
             at = bag.index(v)
-            choices = sorted(inst.lists[v])
-            if mode == "vd":
-                choices = choices + [DELETED]
-            elif not choices:
-                raise Infeasible(f"vertex {v} has an empty list")
-            table, back = {}, {}
-            for cstate, ccost in tables[ci].items():
-                for img in choices:
-                    st = cstate[:at] + (img,) + cstate[at:]
-                    cost = ccost + (1 if img == DELETED else 0)
-                    if cost < table.get(st, INF):
-                        table[st] = cost
-                        back[st] = cstate
+            table = (child.reshape(child.shape[:at] + (1,) + child.shape[at:])
+                     + along(del_cost[v], at, len(bag)))
+            # only introduce nodes grow the number of finite entries
+            max_states = max(max_states, int(np.count_nonzero(child < INF))
+                             * len(choices[v]))
         elif nd.kind == "introduce_edge":
             u, v = nd.payload
             iu, iv = bag.index(u), bag.index(v)
-            ci = nd.children[0]
-            table, back = {}, {}
-            for cstate, ccost in tables[ci].items():
-                a, b = cstate[iu], cstate[iv]
-                if a == DELETED or b == DELETED or h.has_edge(a, b):
-                    table[cstate] = ccost
-                elif mode == "ed":
-                    table[cstate] = ccost + 1
-                else:
-                    continue  # kept non-adjacent images: infeasible in VD
-                back[cstate] = cstate
+            table = tables[nd.children[0]]
+            pen = penalty(choices[u], choices[v])
+            shape = [1] * len(bag)
+            shape[iu], shape[iv] = pen.shape  # iu < iv: payloads are sorted
+            table += pen.reshape(shape)
+            np.minimum(table, INF, out=table)
         elif nd.kind == "forget":
-            v = nd.payload
-            ci = nd.children[0]
-            at = sorted(nodes[ci].bag).index(v)
-            table, back = {}, {}
-            for cstate, ccost in tables[ci].items():
-                st = cstate[:at] + cstate[at + 1:]
-                if ccost < table.get(st, INF):
-                    table[st] = ccost
-                    back[st] = cstate
-        else:  # join
+            child = tables[nd.children[0]]
+            at = sorted(nodes[nd.children[0]].bag).index(nd.payload)
+            argmins[idx] = child.argmin(axis=at).astype(
+                np.min_scalar_type(len(choices[nd.payload]) - 1))
+            table = child.min(axis=at)
+        else:  # join: both children paid for the deleted bag vertices
             c1, c2 = nd.children
-            table, back = {}, {}
-            for st, cost1 in tables[c1].items():
-                cost2 = tables[c2].get(st)
-                if cost2 is None:
-                    continue
-                shared_del = sum(1 for x in st if x == DELETED)
-                cost = cost1 + cost2 - shared_del
-                if cost < table.get(st, INF):
-                    table[st] = cost
-                    back[st] = st
-        assert len(table) <= base ** len(bag)
-        max_states = max(max_states, len(table))
-        tables.append(table)
-        backs.append(back)
+            table = tables[c1]
+            table += tables[c2]
+            if mode == "vd":
+                for at, v in enumerate(bag):
+                    table -= along(del_cost[v], at, len(bag))
+            np.minimum(table, INF, out=table)
+        for c in nd.children:
+            tables[c] = None
+        tables[idx] = table
     root = len(nodes) - 1
-    if () not in tables[root]:
+    cost = int(tables[root][()])
+    if cost >= INF:
         raise Infeasible("no feasible assignment")
     # top-down traceback; a vertex's image is read off when it is forgotten
     hom = {}
     chosen = {root: ()}
-    order = list(range(root, -1, -1))
-    for idx in order:
+    for idx in range(root, -1, -1):
         nd = nodes[idx]
-        if idx not in chosen:
-            continue
-        st = chosen[idx]
-        prev = backs[idx][st]
+        st = chosen.pop(idx)
         if nd.kind == "forget":
-            cstate = prev
             v = nd.payload
             at = sorted(nodes[nd.children[0]].bag).index(v)
-            if cstate[at] != DELETED:
-                hom[v] = cstate[at]
-            chosen[nd.children[0]] = cstate
-        elif nd.kind in ("introduce", "introduce_edge"):
-            cb = prev
-            if nd.kind == "introduce_edge":
-                chosen[nd.children[0]] = cb
-            else:
-                chosen[nd.children[0]] = cb
-        elif nd.kind == "join":
-            chosen[nd.children[0]] = st
-            chosen[nd.children[1]] = st
-        # leaf: nothing below
-    return tables[root][()], hom, max_states
+            pick = int(argmins[idx][st])
+            if choices[v][pick] != DELETED:
+                hom[v] = choices[v][pick]
+            chosen[nd.children[0]] = st[:at] + (pick,) + st[at:]
+        elif nd.kind == "introduce":
+            at = sorted(nd.bag).index(nd.payload)
+            chosen[nd.children[0]] = st[:at] + st[at + 1:]
+        else:  # introduce-edge and join keep the state; leaf has no child
+            for c in nd.children:
+                chosen[c] = st
+    return cost, hom, max_states
 
 
 def solve_vd_dp(h: TargetGraph, inst: Instance,
@@ -147,7 +172,9 @@ def solve_ed_dp(h: TargetGraph, inst: Instance,
     cost, hom, max_states = _run_dp(h, red, td, "ed")
     deleted = sorted((u, v) for u, v in inst.edges
                      if not h.has_edge(hom[u], hom[v]))
-    assert len(deleted) == cost
+    if len(deleted) != cost:
+        raise AssertionError(
+            f"DP cost {cost} but the witness deletes {len(deleted)} edges")
     sol = Solution("ed", cost, deleted, hom, "dp",
                    {"width": width, "max_bag_states": max_states})
     sol.check(h, inst)
@@ -178,8 +205,9 @@ def split_by_decomposition(h: TargetGraph, dec: analysis.Decomposition,
     side = []
     for v in range(red.n):
         lst = red.lists[v]
-        assert lst <= a or lst <= b or lst <= c, \
-            f"reduced list of vertex {v} straddles the partition"
+        if not (lst <= a or lst <= b or lst <= c):
+            raise ValueError(
+                f"reduced list of vertex {v} straddles the partition")
         side.append("a" if lst <= a else "bc")
     verts_a = tuple(v for v in range(red.n) if side[v] == "a")
     verts_bc = tuple(v for v in range(red.n) if side[v] == "bc")
@@ -252,7 +280,10 @@ def solve_ed_auto(h: TargetGraph, inst: Instance,
     cost = sol_a.cost + sol_bc.cost + len(sp.forced)
     deleted = sorted(tuple(sorted((u, v))) for u, v in inst.edges
                      if not h.has_edge(hom[u], hom[v]))
-    assert len(deleted) == cost
+    if len(deleted) != cost:
+        raise AssertionError(
+            f"split cost {cost} but the merged witness deletes "
+            f"{len(deleted)} edges")
     sol = Solution("ed", cost, deleted, hom, "auto",
                    {"parts": 2, "forced": len(sp.forced)})
     sol.check(h, inst)

@@ -75,19 +75,36 @@ def _bfs_levels(net: FlowNetwork):
 
 
 def _dfs_push(net: FlowNetwork, level, it, u, limit):
-    if u == net.sink:
-        return limit
-    while it[u] < len(net._adj[u]):
-        i = net._adj[u][it[u]]
-        to, cap, flow = net._arcs[i]
-        if cap - flow > 0 and level.get(to, -1) == level[u] + 1:
-            pushed = _dfs_push(net, level, it, to, min(limit, cap - flow))
-            if pushed:
-                net._arcs[i][2] += pushed
-                net._arcs[i ^ 1][2] -= pushed
-                return pushed
-        it[u] += 1
-    return 0
+    """Push flow along one augmenting path of the level graph from u.
+
+    Depth-first with an explicit stack: arcs are tried in adjacency order
+    from it[node], and a node's pointer moves past an arc only once that
+    arc has led to a dead end."""
+    nodes, arcs, limits = [u], [], [limit]
+    while nodes[-1] != net.sink:
+        x = nodes[-1]
+        adj = net._adj[x]
+        while it[x] < len(adj):
+            i = adj[it[x]]
+            to, cap, flow = net._arcs[i]
+            if cap - flow > 0 and level.get(to, -1) == level[x] + 1:
+                nodes.append(to)
+                arcs.append(i)
+                limits.append(min(limits[-1], cap - flow))
+                break
+            it[x] += 1
+        else:  # dead end: retreat and skip the arc that led here
+            nodes.pop()
+            if not arcs:
+                return 0
+            arcs.pop()
+            limits.pop()
+            it[nodes[-1]] += 1
+    pushed = limits[-1]
+    for i in arcs:
+        net._arcs[i][2] += pushed
+        net._arcs[i ^ 1][2] -= pushed
+    return pushed
 
 
 def min_cut(net: FlowNetwork):

@@ -4,6 +4,7 @@ heuristic, exact by subset DP for small graphs)."""
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -57,8 +58,11 @@ def validate_td(g: Instance, td: TreeDecomposition) -> int:
                     stack.append(y)
         if len(seen) != nb or len(td.edges) != nb - 1:
             raise ValueError("bag graph is not a tree")
-    occ = {v: [i for i, bag in enumerate(td.bags) if v in bag]
-           for v in range(g.n)}
+    occ = [[] for _ in range(g.n)]
+    for i, bag in enumerate(td.bags):
+        for v in bag:
+            if 0 <= v < g.n:
+                occ[v].append(i)
     for v in range(g.n):
         if not occ[v]:
             raise ValueError(f"vertex {v} is in no bag")
@@ -74,7 +78,7 @@ def validate_td(g: Instance, td: TreeDecomposition) -> int:
         if seen != inside:
             raise ValueError(f"bags containing vertex {v} are disconnected")
     for u, v in g.edges:
-        if not any(u in bag and v in bag for bag in td.bags):
+        if not any(v in td.bags[i] for i in occ[u]):
             raise ValueError(f"edge ({u}, {v}) is in no bag")
     return td.width
 
@@ -107,33 +111,55 @@ def make_nice(td: TreeDecomposition, edges) -> list[NiceNode]:
         adj[a].append(b)
         adj[b].append(a)
 
-    def build(i, parent) -> int:
-        kids = [c for c in sorted(adj[i]) if c != parent]
-        bag = td.bags[i]
-        if not kids:
-            top = emit("leaf", frozenset(), None, [])
-            return chain_to(top, frozenset(), bag)
-        tops = [chain_to(build(c, i), td.bags[c], bag) for c in kids]
-        top = tops[0]
-        for other in tops[1:]:
-            top = emit("join", bag, None, [top, other])
-        return top
+    def build(root) -> int:
+        """Post-order over the tree from `root` (explicit stack): a bag's
+        subtrees are emitted in sorted child order, each followed by its
+        chain up to the bag, then the joins; returns the top node."""
+        seen = {root}
+        stack = [(root, iter(sorted(adj[root])), [])]  # bag, kids, tops
+        while True:
+            i, kids, tops = stack[-1]
+            c = next(kids, None)
+            if c is not None:
+                if c in seen:
+                    raise ValueError("bag graph is not a tree")
+                seen.add(c)
+                stack.append((c, iter([x for x in sorted(adj[c]) if x != i]),
+                               []))
+                continue
+            bag = td.bags[i]
+            if not tops:
+                top = chain_to(emit("leaf", frozenset(), None, []),
+                               frozenset(), bag)
+            else:
+                top = tops[0]
+                for other in tops[1:]:
+                    top = emit("join", bag, None, [top, other])
+            stack.pop()
+            if not stack:
+                return top
+            parent, _, parent_tops = stack[-1]
+            parent_tops.append(chain_to(top, bag, td.bags[parent]))
 
     if nb == 0:
         emit("leaf", frozenset(), None, [])
     else:
-        root = build(0, -1)
+        root = build(0)
         chain_to(root, td.bags[0], frozenset())
 
     # attach one introduce-edge node per G edge, above the first (post-order)
-    # node whose bag contains both endpoints
+    # node whose bag contains both endpoints; occ[v] lists, in increasing
+    # order, the nodes whose bag contains v
+    occ = {}
+    for i, nd in enumerate(nodes):
+        for v in nd.bag:
+            occ.setdefault(v, []).append(i)
     parent = {}
     for i, nd in enumerate(nodes):
         for c in nd.children:
             parent[c] = i
     for u, v in sorted(tuple(sorted(e)) for e in edges):
-        spot = next((i for i, nd in enumerate(nodes)
-                     if u in nd.bag and v in nd.bag), None)
+        spot = next((i for i in occ.get(u, ()) if v in nodes[i].bag), None)
         if spot is None:
             raise ValueError(f"edge ({u}, {v}) is in no bag")
         j = emit("introduce_edge", nodes[spot].bag, (u, v), [spot])
@@ -145,7 +171,8 @@ def make_nice(td: TreeDecomposition, edges) -> list[NiceNode]:
 
     # re-serialize in post-order so children always precede parents
     roots = [i for i in range(len(nodes)) if i not in parent]
-    assert len(roots) == 1
+    if len(roots) != 1:
+        raise AssertionError(f"nice form has {len(roots)} roots, not 1")
     order = []
     stack = [(roots[0], False)]
     while stack:
@@ -162,7 +189,8 @@ def make_nice(td: TreeDecomposition, edges) -> list[NiceNode]:
         nd = nodes[old]
         out.append(NiceNode(nd.kind, nd.bag, nd.payload,
                             [renum[c] for c in nd.children]))
-    assert out[-1].bag == frozenset()
+    if out[-1].bag:
+        raise AssertionError("nice form's root bag is not empty")
     return out
 
 
@@ -198,27 +226,59 @@ def _td_from_order(n, edges, order) -> TreeDecomposition:
     return TreeDecomposition(tuple(bags), tuple(tedges))
 
 
+def _bits(m):
+    """Indices of the set bits of m, lowest first."""
+    while m:
+        low = m & -m
+        yield low.bit_length() - 1
+        m ^= low
+
+
 def _min_fill_order(n, edges):
-    nbhd = {v: set() for v in range(n)}
+    """Min-fill elimination order, ties to the smallest vertex.
+
+    A heap holds (fill, v) with stale entries skipped.  Eliminating x
+    changes the fill only of x's live neighbours (they lose x and gain
+    each other) and of their neighbours (new edges among theirs), so
+    only those are recounted."""
+    nbhd = [0] * n  # bitmasks
     for u, v in edges:
         if u != v:
-            nbhd[u].add(v)
-            nbhd[v].add(u)
-    alive = set(range(n))
+            nbhd[u] |= 1 << v
+            nbhd[v] |= 1 << u
+    alive = (1 << n) - 1
+
+    def fill(v):
+        ns = nbhd[v] & alive
+        missing = 0  # ordered non-adjacent pairs, plus each a (a ∉ nbhd[a])
+        m = ns
+        while m:  # _bits inlined: this loop is the hot path
+            low = m & -m
+            missing += (ns & ~nbhd[low.bit_length() - 1]).bit_count()
+            m ^= low
+        return (missing - ns.bit_count()) // 2
+
+    fills = [fill(v) for v in range(n)]
+    heap = [(f, v) for v, f in enumerate(fills)]
+    heapq.heapify(heap)
     order = []
-    while alive:
-        best, best_fill = None, None
-        for v in sorted(alive):
-            ns = nbhd[v] & alive
-            fill = sum(1 for a in ns for b in ns
-                       if a < b and b not in nbhd[a])
-            if best_fill is None or fill < best_fill:
-                best, best_fill = v, fill
-        ns = nbhd[best] & alive
-        for a in ns:
-            nbhd[a].update(ns - {a})
-        alive.discard(best)
+    while heap:
+        f, best = heapq.heappop(heap)
+        if not alive >> best & 1 or f != fills[best]:
+            continue
+        alive &= ~(1 << best)
         order.append(best)
+        ns = nbhd[best] & alive
+        touched = ns
+        if f:  # fill edges among ns: their other neighbours change too
+            for a in _bits(ns):
+                nbhd[a] |= ns & ~(1 << a)
+                touched |= nbhd[a]
+        for w in _bits(touched & alive):
+            new = fill(w)
+            if new != fills[w]:
+                fills[w] = new
+                heapq.heappush(heap, (new, w))
     return order
 
 

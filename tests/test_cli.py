@@ -79,6 +79,31 @@ def test_poly_precondition_exit_code(tmp_path, capsys):
     assert json.loads(out)["error"] == "precondition"
 
 
+def test_table_cap_exit_code(tmp_path, capsys):
+    # K13 with full lists over the irreflexive triangle: min-fill's first
+    # bag holds all 13 vertices, a vd table of 4^13 entries
+    t = _write(tmp_path, "h.hg", format_target(families.irreflexive_kq(3)))
+    edges = [f"e {u} {v}" for u in range(1, 14) for v in range(u + 1, 14)]
+    i = _write(tmp_path, "g.lhi",
+               "\n".join([f"p lhom 13 {len(edges)}"] + edges) + "\n")
+    code, out = _run(capsys, ["solve", "vd", t, i, "--algo", "dp"])
+    assert code == cli.EXIT_PRECONDITION
+    assert json.loads(out)["error"] == "precondition"
+
+
+def test_long_path_poly_solve(tmp_path, capsys):
+    # two loops, no edge: a path from list {1} to list {2} loses one vertex;
+    # the flow search walks all 3000 vertices in one augmenting path
+    t = _write(tmp_path, "h.hg", "h 2\ne 1 1\ne 2 2\n")
+    n = 3000
+    lines = [f"p lhom {n} {n - 1}"] + [f"e {v} {v + 1}" for v in range(1, n)]
+    lines += ["l 1 1 1", f"l {n} 1 2"]
+    i = _write(tmp_path, "g.lhi", "\n".join(lines) + "\n")
+    code, out = _run(capsys, ["solve", "vd", t, i, "--algo", "poly"])
+    assert code == cli.EXIT_OK
+    assert json.loads(out)["opt"] == 1
+
+
 def test_infeasible_exit_code(tmp_path, capsys):
     t = _write(tmp_path, "h.hg", TARGET_RK2)
     i = _write(tmp_path, "g.lhi", "p lhom 1 0\nl 1 0\n")

@@ -1,10 +1,12 @@
 import random
+from itertools import combinations
 
 import pytest
 
 from lhomdel import analysis, dpsolve, oracle
-from lhomdel.graphs import Infeasible, Instance, max_incomparable
-from lhomdel.treewidth import build_td
+from lhomdel.graphs import (Infeasible, Instance, Solution, max_incomparable,
+                            reduce_lists)
+from lhomdel.treewidth import build_td, make_nice
 
 import families
 
@@ -78,3 +80,119 @@ def test_state_bounds_in_stats():
         assert sol.stats["max_bag_states"] <= (i + 1) ** (sol.stats["width"] + 1)
         sol = dpsolve.solve_ed_dp(h, inst)
         assert sol.stats["max_bag_states"] <= i ** (sol.stats["width"] + 1)
+
+
+# ---------------------------------------------------------------------------
+# reference: the sparse DP, one {state: cost} dict per nice node
+
+
+def _dict_dp(h, inst, td, mode):
+    """(cost, max_states) of the dict-of-tuples DP: states are tuples of
+    images aligned with sorted(bag), VD adds the DELETED symbol; every
+    state present has finite cost."""
+    nodes = make_nice(td, inst.edges)
+    tables = []
+    for nd in nodes:
+        bag = sorted(nd.bag)
+        if nd.kind == "leaf":
+            table = {(): 0}
+        elif nd.kind == "introduce":
+            at = bag.index(nd.payload)
+            choices = sorted(inst.lists[nd.payload])
+            if mode == "vd":
+                choices = choices + [dpsolve.DELETED]
+            elif not choices:
+                raise Infeasible(f"vertex {nd.payload} has an empty list")
+            table = {}
+            for cstate, ccost in tables[nd.children[0]].items():
+                for img in choices:
+                    st = cstate[:at] + (img,) + cstate[at:]
+                    cost = ccost + (1 if img == dpsolve.DELETED else 0)
+                    table[st] = min(cost, table.get(st, dpsolve.INF))
+        elif nd.kind == "introduce_edge":
+            iu, iv = (bag.index(x) for x in nd.payload)
+            table = {}
+            for cstate, ccost in tables[nd.children[0]].items():
+                a, b = cstate[iu], cstate[iv]
+                if dpsolve.DELETED in (a, b) or h.has_edge(a, b):
+                    table[cstate] = ccost
+                elif mode == "ed":
+                    table[cstate] = ccost + 1
+        elif nd.kind == "forget":
+            at = sorted(nodes[nd.children[0]].bag).index(nd.payload)
+            table = {}
+            for cstate, ccost in tables[nd.children[0]].items():
+                st = cstate[:at] + cstate[at + 1:]
+                table[st] = min(ccost, table.get(st, dpsolve.INF))
+        else:  # join
+            c1, c2 = (tables[c] for c in nd.children)
+            table = {st: cost1 + c2[st] - st.count(dpsolve.DELETED)
+                     for st, cost1 in c1.items() if st in c2}
+        tables.append(table)
+    if () not in tables[-1]:
+        raise Infeasible("no feasible assignment")
+    return tables[-1][()], max(len(t) for t in tables)
+
+
+def _grid(rows, cols, diagonals=False):
+    edges = []
+    for r in range(rows):
+        for c in range(cols):
+            v = r * cols + c
+            if c + 1 < cols:
+                edges.append((v, v + 1))
+            if r + 1 < rows:
+                edges.append((v, v + cols))
+            if diagonals and r + 1 < rows and c + 1 < cols:
+                edges.append((v, v + cols + 1))
+    return rows * cols, edges
+
+
+def _partial_ktree(rng, n, k, keep):
+    edges = set(combinations(range(k + 1), 2))
+    cliques = [tuple(range(k + 1))]
+    for v in range(k + 1, n):
+        base = rng.choice(cliques)
+        drop = rng.randrange(k + 1)
+        clique = base[:drop] + base[drop + 1:]
+        edges.update((u, v) for u in clique)
+        cliques.append(clique + (v,))
+    return n, sorted(e for e in edges if rng.random() < keep)
+
+
+def test_dense_dp_matches_dict_reference():
+    rng = random.Random(66)
+    targets = (families.irreflexive_kq(3), families.independent_reflexive(3),
+               families.reflexive_cycle(5))
+    graphs = [_grid(3, 7), _grid(4, 5), _grid(3, 6, True), _grid(4, 5, True),
+              _partial_ktree(rng, 14, 5, 0.7),
+              _partial_ktree(rng, 13, 6, 0.7)]
+    widths = set()
+    for n, edges in graphs:
+        for h in targets:
+            inst = Instance(n, edges, [
+                frozenset(rng.sample(range(h.n), rng.choice((1, 2, 3, 3))))
+                for _ in range(n)])
+            red = reduce_lists(h, inst)
+            td = build_td(red)
+            widths.add(td.width)
+            for mode in ("vd", "ed"):
+                cost, hom, states = dpsolve._run_dp(h, red, td, mode)
+                assert (cost, states) == _dict_dp(h, red, td, mode)
+                if mode == "vd":
+                    deleted = [v for v in range(n) if v not in hom]
+                else:
+                    deleted = [(u, v) for u, v in edges
+                               if not h.has_edge(hom[u], hom[v])]
+                Solution(mode, cost, deleted, hom, "dp").check(h, red)
+    assert widths == {3, 4, 5, 6}
+
+
+def test_long_grid_solves_without_recursion_error():
+    # 3 x 400 grid (1200 vertices): the nice form is far deeper than the
+    # interpreter's recursion limit
+    n, edges = _grid(3, 400)
+    h = families.irreflexive_kq(3)
+    sol = dpsolve.solve_vd_dp(h, Instance(n, edges, [frozenset(range(3))] * n))
+    assert sol.cost == 0 and sol.stats["width"] == 3
+

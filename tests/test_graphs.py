@@ -125,9 +125,12 @@ def test_instance_validation():
         Instance(2, [], [frozenset({0})])
 
 
-# Under python -O: two valid witnesses, then one corruption per check.
+# Under python -O: two valid witnesses, then one corruption per check;
+# last, a decomposition split that the instance's lists straddle.
 _CHECK_UNDER_O = """\
 import json
+from lhomdel.analysis import Decomposition
+from lhomdel.dpsolve import split_by_decomposition
 from lhomdel.graphs import Instance, Solution, TargetGraph
 h = TargetGraph.from_edges(2, [(0, 0), (1, 1)])  # two loops, no edge
 inst = Instance(2, [(0, 1)], [frozenset({0, 1}), frozenset({1})])
@@ -147,6 +150,11 @@ for mode, cost, deleted, hom in cases:
         raised.append(False)
     except AssertionError:
         raised.append(True)
+try:  # the list {0, 1} of vertex 0 straddles A = {0}, B = {1}
+    split_by_decomposition(h, Decomposition((0,), (1,), ()), inst)
+    raised.append(False)
+except ValueError:
+    raised.append(True)
 print(json.dumps({"debug": __debug__, "raised": raised}))
 """
 
@@ -159,4 +167,5 @@ def test_check_survives_optimize_flag():
                          env=env, capture_output=True, text=True, check=True)
     got = json.loads(out.stdout)
     assert got["debug"] is False
-    assert got["raised"] == [False, False, True, True, True, True, True]
+    assert got["raised"] == [False, False, True, True, True, True, True,
+                             True]

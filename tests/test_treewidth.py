@@ -7,7 +7,7 @@ from lhomdel.graphs import Instance, ParseError
 from lhomdel.treewidth import (HubCore, TreeDecomposition, build_td,
                                core_to_td, format_core, format_td, make_nice,
                                parse_core, parse_td, validate_core,
-                               validate_td, _td_from_order)
+                               validate_td, _min_fill_order, _td_from_order)
 
 
 def _random_graph(rng, n, p=0.4):
@@ -75,6 +75,9 @@ def test_make_nice_invariants():
                 edges_seen.append(tuple(sorted((u, v))))
         want = sorted(tuple(sorted(e)) for e in g.edges)
         assert sorted(edges_seen) == want  # each edge exactly once
+    with pytest.raises(ValueError):  # a cycle of bags
+        make_nice(TreeDecomposition((frozenset({0}),) * 3,
+                                    ((0, 1), (1, 2), (2, 0))), [])
 
 
 def test_td_roundtrip():
@@ -116,3 +119,37 @@ def test_core_to_td():
     td = core_to_td(g, core)
     assert validate_td(g, td) < len(core.q) + max(core.sigma, 1)
     assert td.bags[0] == frozenset(core.q)
+
+
+def _min_fill_order_rescan(n, edges):
+    """Reference min-fill: rescan every live vertex at every step."""
+    nbhd = {v: set() for v in range(n)}
+    for u, v in edges:
+        if u != v:
+            nbhd[u].add(v)
+            nbhd[v].add(u)
+    alive = set(range(n))
+    order = []
+    while alive:
+        best, best_fill = None, None
+        for v in sorted(alive):
+            ns = nbhd[v] & alive
+            fill = sum(1 for a in ns for b in ns
+                       if a < b and b not in nbhd[a])
+            if best_fill is None or fill < best_fill:
+                best, best_fill = v, fill
+        ns = nbhd[best] & alive
+        for a in ns:
+            nbhd[a].update(ns - {a})
+        alive.discard(best)
+        order.append(best)
+    return order
+
+
+def test_min_fill_order_matches_full_rescan():
+    rng = random.Random(54)
+    for n in (13, 20, 40, 80, 150, 300):
+        for _ in range(3):
+            g = _random_graph(rng, n, rng.choice((1.5, 3, 6)) / n)
+            assert _min_fill_order(n, g.edges) == \
+                _min_fill_order_rescan(n, g.edges)
