@@ -72,6 +72,19 @@ def _chunk_costs(idx, radix, val, base, eu, ev, adj, ed_mode, place):
     return cost
 
 
+def _chunks(radix, val, base, eu, ev, adj, ed_mode):
+    """(lo, cost) per chunk of consecutive assignment indices, in index
+    order; cost[k] is the cost of index lo + k.  Only lo and the costs
+    leave the generator, so a caller holds no index array of its own while
+    the next chunk is built."""
+    place = _places(radix)
+    total = int(np.prod(radix, dtype=np.int64))
+    for lo in range(0, total, _CHUNK):
+        idx = np.arange(lo, min(lo + _CHUNK, total), dtype=np.int64)
+        yield lo, _chunk_costs(idx, radix, val, base, eu, ev, adj, ed_mode,
+                               place)
+
+
 def scan_best(radix, val, base, eu, ev, adj, ed_mode):
     """Min-cost assignment over the full mixed-radix space.
 
@@ -81,36 +94,26 @@ def scan_best(radix, val, base, eu, ev, adj, ed_mode):
     empty radix).
     """
     radix, val, base, eu, ev, adj = _arrays(radix, val, base, eu, ev, adj)
-    total = int(np.prod(radix, dtype=np.int64)) if radix.size else 1
-    place = _places(radix)
     best = INF
     best_idx = -1
-    for lo in range(0, total, _CHUNK):
-        idx = np.arange(lo, min(lo + _CHUNK, total), dtype=np.int64)
-        cost = _chunk_costs(idx, radix, val, base, eu, ev, adj, ed_mode,
-                            place)
+    for lo, cost in _chunks(radix, val, base, eu, ev, adj, ed_mode):
         j = int(np.argmin(cost))
         if cost[j] < best:
-            best = np.int64(cost[j])
+            best = cost[j]
             best_idx = lo + j
     if best_idx < 0:
         return INF, np.zeros(radix.shape[0], dtype=np.int64)
-    return best, (best_idx // place) % radix
+    return best, (best_idx // _places(radix)) % radix
 
 
 def scan_table(radix, val, base, eu, ev, adj, ed_mode, nportal):
     """Min cost per portal digit tuple; portals are variables 0..nportal-1."""
     radix, val, base, eu, ev, adj = _arrays(radix, val, base, eu, ev, adj)
-    total = int(np.prod(radix, dtype=np.int64)) if radix.size else 1
-    tsize = int(np.prod(radix[:nportal], dtype=np.int64)) if nportal else 1
-    stride = total // tsize
-    place = _places(radix)
-    out = np.full(tsize, INF, dtype=np.int64)
-    for lo in range(0, total, _CHUNK):
-        idx = np.arange(lo, min(lo + _CHUNK, total), dtype=np.int64)
-        cost = _chunk_costs(idx, radix, val, base, eu, ev, adj, ed_mode,
-                            place)
-        np.minimum.at(out, idx // stride, cost)
+    out = np.full(int(np.prod(radix[:nportal], dtype=np.int64)), INF,
+                  dtype=np.int64)
+    stride = int(np.prod(radix[nportal:], dtype=np.int64))
+    for lo, cost in _chunks(radix, val, base, eu, ev, adj, ed_mode):
+        np.minimum.at(out, np.arange(lo, lo + cost.shape[0]) // stride, cost)
     return out
 
 

@@ -159,7 +159,10 @@ def i_bullet(h: TargetGraph) -> tuple[int, Optional[list[int]]]:
     if find_obstruction(h) is None:
         return 1, None
     best, mask = _kernels.subset_scan(h.nbhd, h.reflexive_mask())
-    assert best >= 1 and mask
+    if best < 1 or not mask:
+        raise AssertionError(
+            f"i* scan found no witness on a target with an obstruction "
+            f"(best {best}, mask {mask:#x})")
     return best, list(bits(mask))
 
 
@@ -201,19 +204,6 @@ def decomposition_tree(h: TargetGraph,
     children = [decomposition_tree(h, back(dec.a)),
                 decomposition_tree(h, tuple(sorted(back(dec.b) + back(dec.c))))]
     return DecompositionTreeNode(verts, dec_orig, children)
-
-
-def tree_leaf_bound(h: TargetGraph) -> int:
-    """Max i over undecomposable-with-obstruction tree leaves (1 if none).
-
-    Always ≤ i_bullet(h); equality is checked empirically, not assumed.
-    """
-    r = 1
-    for leaf in decomposition_tree(h).leaves():
-        sub = h.induced(leaf.vertices)
-        if find_obstruction(sub) is not None:
-            r = max(r, max_incomparable(sub)[0])
-    return r
 
 
 def classification_json(h: TargetGraph) -> dict:

@@ -3,7 +3,9 @@ gadgets, run problem reductions, and self-test against the oracles.
 
 All commands print deterministic JSON to stdout.  Exit codes: 0 success,
 1 infeasible (edge deletion with an empty list), 2 parse error,
-3 precondition violation.
+3 precondition violation, 4 internal error (a bug: any other exception,
+reported as {"error": "internal", "detail": "<Type>: <message>"}, with the
+traceback on stderr).
 """
 
 from __future__ import annotations
@@ -12,17 +14,19 @@ import argparse
 import json
 import random
 import sys
+import traceback
 
 from . import analysis, dpsolve, gadgets, oracle, polysolve, reductions
 from .graphs import (Infeasible, ParseError, format_instance, format_target,
                      parse_instance, parse_target, random_instance,
                      random_target)
-from .treewidth import build_td, core_to_td, parse_core, parse_td
+from .treewidth import core_to_td, parse_core, parse_td
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 1
 EXIT_PARSE = 2
 EXIT_PRECONDITION = 3
+EXIT_INTERNAL = 4
 
 
 class PreconditionError(Exception):
@@ -93,10 +97,6 @@ def cmd_solve(args) -> int:
         out["decision"] = sol.cost <= inst.budget
     _emit(out)
     return EXIT_OK
-
-
-def _one_indexed(verts) -> list:
-    return [v + 1 for v in sorted(verts)]
 
 
 def cmd_gadget(args) -> int:
@@ -283,6 +283,11 @@ def main(argv=None) -> int:
     except (PreconditionError, gadgets.GadgetError, ValueError) as exc:
         _emit({"error": "precondition", "detail": str(exc)})
         return EXIT_PRECONDITION
+    except Exception as exc:
+        traceback.print_exc()
+        _emit({"error": "internal",
+               "detail": f"{type(exc).__name__}: {exc}"})
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

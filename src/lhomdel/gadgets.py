@@ -18,8 +18,6 @@ from itertools import product
 from math import prod
 from typing import Optional
 
-import networkx as nx
-
 from . import _kernels, analysis
 from .graphs import (Instance, ParseError, TargetGraph, bits,
                      format_instance, incomparable, is_incomparable_set,
@@ -709,9 +707,12 @@ def _is_bad_pair(h: TargetGraph, pair) -> bool:
     return all(h.has_loop(x) for x in pa | pb)
 
 
-def build_aux(h: TargetGraph, variant: str = "full") -> nx.Graph:
+def build_aux(h: TargetGraph, variant: str = "full") -> dict:
     """Graph over incomparable pairs; edges join intersecting pairs.
-    Variants: full; star (reflexive-only pairs); good (non-bad pairs)."""
+    Variants: full; star (reflexive-only pairs); good (non-bad pairs).
+
+    Returned as an adjacency dict {pair: [intersecting pairs]}; keys and
+    neighbor lists follow incomparable_pairs order."""
     pairs = incomparable_pairs(h)
     if variant == "star":
         pairs = [p for p in pairs if all(h.has_loop(v) for v in p)]
@@ -719,13 +720,44 @@ def build_aux(h: TargetGraph, variant: str = "full") -> nx.Graph:
         pairs = [p for p in pairs if not _is_bad_pair(h, p)]
     elif variant != "full":
         raise ValueError("variant must be full, star, or good")
-    g = nx.Graph()
-    g.add_nodes_from(pairs)
-    for i, p in enumerate(pairs):
-        for q in pairs[i + 1:]:
-            if p & q:
-                g.add_edge(p, q)
-    return g
+    return {p: [q for q in pairs if q != p and p & q] for p in pairs}
+
+
+def _aux_path(aux: dict, s, t) -> Optional[list]:
+    """A shortest s-t path in an adjacency dict, or None if there is none.
+
+    Two-ended BFS: each step expands the smaller fringe (the forward one
+    on ties) and stops at the first vertex both searches have reached, so
+    the path returned among several shortest ones is fixed by the
+    neighbor-list order.
+    """
+    if s not in aux or t not in aux:
+        return None
+    if s == t:
+        return [s]
+    pred, succ = {s: None}, {t: None}  # parent in each search tree
+    fringe = [[s], [t]]
+    while fringe[0] and fringe[1]:
+        side = 0 if len(fringe[0]) <= len(fringe[1]) else 1
+        tree, other = (pred, succ) if side == 0 else (succ, pred)
+        level, fringe[side] = fringe[side], []
+        for v in level:
+            for w in aux[v]:
+                if w not in tree:
+                    tree[w] = v
+                    fringe[side].append(w)
+                if w in other:
+                    return _tree_path(pred, w)[::-1] + _tree_path(succ, w)[1:]
+    return None
+
+
+def _tree_path(tree: dict, w) -> list:
+    """w, its parent, and so on up to the root of a BFS tree."""
+    path = []
+    while w is not None:
+        path.append(w)
+        w = tree[w]
+    return path
 
 
 def _shift_gadget(h: TargetGraph, pair, reflexive_private: bool) -> tuple:
@@ -772,12 +804,10 @@ def _move_chain(h: TargetGraph, pair1, pair2) -> list:
         if any(len(rep.jmap[u]) != 1 for u in rep.jmap):
             rev = force_from_allow(h, rev)
         endchain.append(rev)
-    try:
-        nodes = nx.shortest_path(aux, start, end)
-    except (nx.NetworkXNoPath, nx.NodeNotFound) as exc:
+    nodes = _aux_path(aux, start, end)
+    if nodes is None:
         raise GadgetError(
-            f"pairs not connected in Aux-{variant}: is H undecomposable?"
-        ) from exc
+            f"pairs not connected in Aux-{variant}: is H undecomposable?")
     if len(nodes) == 1:
         chain.append(adjacent_pair_move(h, nodes[0], nodes[0]))
     for u, v in zip(nodes, nodes[1:]):

@@ -54,9 +54,6 @@ class TargetGraph:
     def is_reflexive(self) -> bool:
         return all(self.has_loop(v) for v in range(self.n))
 
-    def is_irreflexive(self) -> bool:
-        return not any(self.has_loop(v) for v in range(self.n))
-
     def reflexive_mask(self) -> int:
         m = 0
         for v in range(self.n):

@@ -135,7 +135,10 @@ def min_cut(net: FlowNetwork):
                 to, cap, _ = net._arcs[i]
                 if cap > 0 and to not in s_side:
                     cut.append((u, to, i))
-    assert sum(net._arcs[i][1] for _, _, i in cut) == value
+    cut_weight = sum(net._arcs[i][1] for _, _, i in cut)
+    if cut_weight != value:
+        raise AssertionError(
+            f"cut arcs weigh {cut_weight} but the flow value is {value}")
     if value >= net.unbreakable_weight():
         raise Uncuttable(f"min cut {value} reaches the unbreakable weight")
     return value, s_side, cut
@@ -164,8 +167,11 @@ def min_vertex_separator(n: int, arcs, s: int, t: int):
     for v in (s, t):
         net.add_arc(inn(v), out(v), "unbreakable")
     value, s_side, cut = min_cut(net)
-    assert all(a[0] == "in" and b[0] == "out" and a[1] == b[1]
-               for a, b, _ in cut)
+    if not all(a[0] == "in" and b[0] == "out" and a[1] == b[1]
+               for a, b, _ in cut):
+        raise AssertionError("min cut crosses an unbreakable arc")
     sep = {a[1] for a, _, _ in cut}
-    assert len(sep) == value
+    if len(sep) != value:
+        raise AssertionError(
+            f"separator has {len(sep)} vertices but the cut value is {value}")
     return value, sep

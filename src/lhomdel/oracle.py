@@ -66,7 +66,8 @@ def oracle_vd(h: TargetGraph, inst: Instance) -> Solution:
     radix, val, base, eu, ev, adj = _scan_arrays(h, inst, "vd")
     _check_bound(radix)
     cost, digits = _kernels.scan_best(radix, val, base, eu, ev, adj, False)
-    assert cost < _kernels.INF  # deleting everything is always feasible
+    if cost >= _kernels.INF:  # deleting everything is always feasible
+        raise AssertionError("vd scan found no feasible assignment")
     deleted = []
     hom = {}
     for v in range(inst.n):

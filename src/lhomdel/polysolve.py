@@ -99,7 +99,9 @@ def solve_vd_poly(h: TargetGraph, inst: Instance) -> Solution:
     for v in alive:
         ls = sorted(red.lists[v] & cover.left)
         rs = sorted(red.lists[v] & cover.right)
-        assert len(ls) <= 1 and len(rs) <= 1  # chain parts, reduced lists
+        if len(ls) > 1 or len(rs) > 1:  # chain parts, reduced lists
+            raise AssertionError(
+                f"reduced list of vertex {v} meets a cover part twice")
         if ls:
             lelem[v] = ls[0]
         if rs:
@@ -230,8 +232,10 @@ def rectangle_cover(m) -> RectangleCover:
     zeros = {(i + 1, j + 1) for i in range(rows) for j in range(cols)
              if not m[i][j]}
     c1, c2, c3 = rc.cells("r1"), rc.cells("r2"), rc.cells("r3")
-    assert not (c1 & c2) and not (c1 & c3) and not (c2 & c3)
-    assert c1 | c2 | c3 == zeros
+    if (c1 & c2) or (c1 & c3) or (c2 & c3):
+        raise AssertionError("rectangle cover parts overlap")
+    if c1 | c2 | c3 != zeros:
+        raise AssertionError("rectangle cover is not the zero set")
     return rc
 
 
@@ -326,7 +330,9 @@ def solve_ed_poly(h: TargetGraph, inst: Instance) -> Solution:
     deleted = [(u, w) for u, w in inst.edges
                if not h.has_edge(hom[u], hom[w])]
     # one unit arc per violated edge: the cut pays each deletion exactly once
-    assert len(deleted) == value
+    if len(deleted) != value:
+        raise AssertionError(
+            f"{len(deleted)} edges deleted but the cut value is {value}")
     sol = Solution("ed", value, deleted, hom, "poly", {"flow_value": value})
     sol.check(h, inst)
     return sol

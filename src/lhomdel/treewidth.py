@@ -61,8 +61,10 @@ def validate_td(g: Instance, td: TreeDecomposition) -> int:
     occ = [[] for _ in range(g.n)]
     for i, bag in enumerate(td.bags):
         for v in bag:
-            if 0 <= v < g.n:
-                occ[v].append(i)
+            if not 0 <= v < g.n:
+                raise ValueError(f"bag {i} names vertex {v}, outside the "
+                                 f"graph's {g.n} vertices")
+            occ[v].append(i)
     for v in range(g.n):
         if not occ[v]:
             raise ValueError(f"vertex {v} is in no bag")
@@ -340,9 +342,7 @@ def build_td(g: Instance) -> TreeDecomposition:
     """Heuristic min-fill order; exact elimination order for small graphs."""
     order = (_exact_order(g.n, g.edges) if 0 < g.n <= 12
              else _min_fill_order(g.n, g.edges))
-    td = _td_from_order(g.n, g.edges, order)
-    validate_td(g, td)
-    return td
+    return _td_from_order(g.n, g.edges, order)
 
 
 # ---------------------------------------------------------------------------
@@ -403,9 +403,10 @@ def core_to_td(g: Instance, core: HubCore) -> TreeDecomposition:
         bags.append(frozenset(core.q | comp))
     tedges = tuple((0, i) for i in range(1, len(bags)))
     td = TreeDecomposition(tuple(bags), tedges)
-    if g.n:
-        validate_td(g, td)
-        assert td.width < len(core.q) + max(core.sigma, 1)
+    bound = len(core.q) + max(core.sigma, 1)
+    if g.n and td.width >= bound:
+        raise AssertionError(
+            f"core decomposition has width {td.width}, not below {bound}")
     return td
 
 
@@ -433,7 +434,10 @@ def parse_td(text: str) -> TreeDecomposition:
             i = int(toks[1])
             if not 1 <= i <= nbags or i in bags:
                 raise ParseError(f"line {ln}: bad bag index {i}")
-            bags[i] = frozenset(int(t) - 1 for t in toks[2:])
+            bag = frozenset(int(t) - 1 for t in toks[2:])
+            if any(v < 0 for v in bag):
+                raise ParseError(f"line {ln}: vertex ids start at 1")
+            bags[i] = bag
         else:
             if len(toks) != 2:
                 raise ParseError(f"line {ln}: bad tree edge")

@@ -305,10 +305,10 @@ def test_criterion_10_aux_connectivity_and_moves():
         variant = "star" if analysis.is_strong_split(h) else "good"
         aux = gadgets.build_aux(h, variant)
         if len(aux) > 0:
-            assert nx.is_connected(aux)
+            assert nx.is_connected(nx.Graph(aux))
         targets += 1
         if moves < 50 and len(aux) >= 2:
-            nodes = sorted(aux.nodes, key=sorted)
+            nodes = sorted(aux, key=sorted)
             p1, p2 = rng.sample(nodes, 2)
             g = gadgets.move_between_pairs(h, p1, p2)
             rep = gadgets.move_report(h, g)

@@ -78,6 +78,16 @@ def test_decomposition_detectors_vs_oracle(monkeypatch):
             assert analysis.is_decomposable(h) == (found is not None), limit
 
 
+def _tree_leaf_bound(h):
+    """Max i over undecomposable-with-obstruction tree leaves (1 if none)."""
+    r = 1
+    for leaf in analysis.decomposition_tree(h).leaves():
+        sub = h.induced(leaf.vertices)
+        if analysis.find_obstruction(sub) is not None:
+            r = max(r, max_incomparable(sub)[0])
+    return r
+
+
 def test_i_bullet_bounds():
     rng = random.Random(23)
     for _ in range(60):
@@ -92,7 +102,7 @@ def test_i_bullet_bounds():
         assert analysis.find_obstruction(sub) is not None
         assert not analysis.is_decomposable(sub)
         assert max_incomparable(sub)[0] == ib
-        assert analysis.tree_leaf_bound(h) <= ib
+        assert _tree_leaf_bound(h) <= ib
 
 
 def test_decomposition_tree_partitions():

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 from lhomdel import cli
 from lhomdel.graphs import format_target
@@ -119,6 +122,54 @@ def test_parse_error_exit_codes(tmp_path, capsys):
     i = _write(tmp_path, "g.lhi", "p lhom 1 0\ne 1 1\n")
     code, out = _run(capsys, ["solve", "vd", t, i])
     assert code == cli.EXIT_PARSE
+
+
+def test_td_bag_vertex_above_range(tmp_path, capsys):
+    # a PACE bag naming vertex 4 of a 2-vertex instance
+    t = _write(tmp_path, "h.hg", TARGET_RK2)
+    i = _write(tmp_path, "g.lhi", "p lhom 2 1\ne 1 2\n")
+    td = _write(tmp_path, "g.td", "s td 1 3 2\nb 1 1 2 4\n")
+    code, out = _run(capsys, ["solve", "vd", t, i, "--td", td, "--algo",
+                              "dp"])
+    assert code == cli.EXIT_PRECONDITION
+    assert json.loads(out)["error"] == "precondition"
+
+
+def test_td_bag_vertex_zero(tmp_path, capsys):
+    # PACE vertex ids start at 1, so a bag naming vertex 0 is malformed
+    t = _write(tmp_path, "h.hg", TARGET_RK2)
+    i = _write(tmp_path, "g.lhi", "p lhom 2 1\ne 1 2\n")
+    td = _write(tmp_path, "g.td", "s td 1 3 2\nb 1 0 1 2\n")
+    code, out = _run(capsys, ["solve", "vd", t, i, "--td", td, "--algo",
+                              "dp"])
+    assert code == cli.EXIT_PARSE
+    assert json.loads(out)["error"] == "parse"
+
+
+def test_internal_error_exit_code(tmp_path, capsys, monkeypatch):
+    def crash(h, inst):
+        raise RuntimeError("solver bug")
+
+    monkeypatch.setitem(cli._SOLVERS, ("vd", "oracle"), crash)
+    t = _write(tmp_path, "h.hg", TARGET_RK2)
+    i = _write(tmp_path, "g.lhi", "p lhom 1 0\n")
+    code = cli.main(["solve", "vd", t, i, "--algo", "oracle"])
+    out, err = capsys.readouterr()
+    assert code == cli.EXIT_INTERNAL == 4
+    assert json.loads(out) == {"error": "internal",
+                               "detail": "RuntimeError: solver bug"}
+    assert "Traceback" in err and "RuntimeError: solver bug" in err
+
+
+def test_cli_import_does_not_load_networkx():
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, lhomdel.cli; print('networkx' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_gadget_command(tmp_path, capsys):

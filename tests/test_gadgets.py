@@ -1,6 +1,7 @@
 import random
 from itertools import product
 
+import networkx as nx
 import pytest
 
 from lhomdel import analysis, gadgets
@@ -179,11 +180,44 @@ def test_neq_on_irreflexive_edge():
 def test_aux_variants():
     h = families.independent_reflexive(3)
     full = gadgets.build_aux(h, "full")
-    assert set(full.nodes) == set(gadgets.incomparable_pairs(h))
-    import networkx as nx
-    assert nx.is_connected(gadgets.build_aux(h, "star"))
+    assert set(full) == set(gadgets.incomparable_pairs(h))
+    assert nx.is_connected(nx.Graph(gadgets.build_aux(h, "star")))
     with pytest.raises(ValueError):
         gadgets.build_aux(h, "bogus")
+
+
+def test_aux_path_matches_networkx():
+    # the reference graph is built as an nx.Graph over the pairs in
+    # incomparable_pairs order, so its adjacency order is that order too;
+    # with this seed a one-way BFS picks another shortest path on 8 pairs
+    rng = random.Random(63)
+    checked = 0
+    for _ in range(300):
+        h = families.random_target(rng, rng.randint(2, 10))
+        order = gadgets.incomparable_pairs(h)
+        for variant in ("full", "star", "good"):
+            aux = gadgets.build_aux(h, variant)
+            pairs = list(aux)
+            assert pairs == [p for p in order if p in aux]
+            ref = nx.Graph()
+            ref.add_nodes_from(pairs)
+            for i, p in enumerate(pairs):
+                for q in pairs[i + 1:]:
+                    if p & q:
+                        ref.add_edge(p, q)
+            assert all(aux[p] == list(ref.adj[p]) for p in pairs)
+            for s, t in product(pairs, repeat=2):
+                try:
+                    want = nx.shortest_path(ref, s, t)
+                except nx.NetworkXNoPath:
+                    want = None
+                assert gadgets._aux_path(aux, s, t) == want
+                checked += 1
+            missing = frozenset((h.n, h.n + 1))
+            for p in pairs[:1]:
+                assert gadgets._aux_path(aux, p, missing) is None
+                assert gadgets._aux_path(aux, missing, p) is None
+    assert checked > 200000
 
 
 def test_gadget_roundtrip():

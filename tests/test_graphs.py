@@ -126,9 +126,11 @@ def test_instance_validation():
 
 
 # Under python -O: two valid witnesses, then one corruption per check;
-# last, a decomposition split that the instance's lists straddle.
+# then a decomposition split that the instance's lists straddle; last,
+# the vd oracle given a scan that finds no feasible assignment.
 _CHECK_UNDER_O = """\
 import json
+from lhomdel import _kernels, oracle
 from lhomdel.analysis import Decomposition
 from lhomdel.dpsolve import split_by_decomposition
 from lhomdel.graphs import Instance, Solution, TargetGraph
@@ -155,6 +157,12 @@ try:  # the list {0, 1} of vertex 0 straddles A = {0}, B = {1}
     raised.append(False)
 except ValueError:
     raised.append(True)
+_kernels.scan_best = lambda *args: (_kernels.INF, None)
+try:
+    oracle.oracle_vd(h, inst)
+    raised.append(False)
+except AssertionError:
+    raised.append(True)
 print(json.dumps({"debug": __debug__, "raised": raised}))
 """
 
@@ -168,4 +176,4 @@ def test_check_survives_optimize_flag():
     got = json.loads(out.stdout)
     assert got["debug"] is False
     assert got["raised"] == [False, False, True, True, True, True, True,
-                             True]
+                             True, True]

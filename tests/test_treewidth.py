@@ -153,3 +153,4 @@ def test_min_fill_order_matches_full_rescan():
             g = _random_graph(rng, n, rng.choice((1.5, 3, 6)) / n)
             assert _min_fill_order(n, g.edges) == \
                 _min_fill_order_rescan(n, g.edges)
+            validate_td(g, build_td(g))
