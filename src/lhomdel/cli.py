@@ -99,8 +99,25 @@ def cmd_solve(args) -> int:
     return EXIT_OK
 
 
+# the arguments each gadget kind's builder takes
+_GADGET_ARGS = {"splitter": ("set", "vertex"), "matcher": ("pair",),
+                "translator": ("pair", "dest"),
+                "prohibitor": ("set", "vertex"), "s-prohibitor": ("set",),
+                "neq": ("pair",), "move": ("pair", "dest"),
+                "indicator": ("set", "dest")}
+
+
 def cmd_gadget(args) -> int:
     h = parse_target(_read(args.target))
+    for name in _GADGET_ARGS.get(args.kind, ()):
+        if getattr(args, name) is None:
+            raise PreconditionError(f"gadget {args.kind} needs --{name}")
+    ids = ((args.set or []) + (args.pair or []) + (args.dest or [])
+           + ([] if args.vertex is None else [args.vertex]))
+    for v in ids:
+        if not 1 <= v <= h.n:
+            raise PreconditionError(
+                f"vertex id {v} is outside 1..{h.n} of the target")
     s = frozenset(v - 1 for v in args.set) if args.set else None
     pair = tuple(v - 1 for v in args.pair) if args.pair else None
     dest = tuple(v - 1 for v in args.dest) if args.dest else None

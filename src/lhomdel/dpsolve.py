@@ -244,6 +244,8 @@ def split_by_decomposition(h: TargetGraph, dec: analysis.Decomposition,
 def solve_vd_auto(h: TargetGraph, inst: Instance,
                   td: Optional[TreeDecomposition] = None) -> Solution:
     if polysolve.classify_is_poly_vd(h):
+        if td is not None:  # unused here, but a bad file fails on every path
+            validate_td(inst, td)
         sol = polysolve.solve_vd_poly(h, inst)
     else:
         sol = solve_vd_dp(h, inst, td)
@@ -253,8 +255,11 @@ def solve_vd_auto(h: TargetGraph, inst: Instance,
 def solve_ed_auto(h: TargetGraph, inst: Instance,
                   td: Optional[TreeDecomposition] = None) -> Solution:
     """Poly solver when obstruction-free; otherwise split along a target
-    decomposition and recurse; DP only on undecomposable subtargets."""
+    decomposition and recurse; DP only on undecomposable subtargets.
+    A `td` goes to the DP; the other paths only validate it."""
     if analysis.classify_ed(h)[0] == "poly":
+        if td is not None:
+            validate_td(inst, td)
         inner = polysolve.solve_ed_poly(h, inst)
         sol = Solution("ed", inner.cost, inner.deleted, inner.hom, "auto",
                        inner.stats)
@@ -267,6 +272,8 @@ def solve_ed_auto(h: TargetGraph, inst: Instance,
                        inner.stats)
         sol.check(h, inst)
         return sol
+    if td is not None:
+        validate_td(inst, td)
     if any(not lst for lst in inst.lists):
         raise Infeasible("vertex with an empty list")
     sp = split_by_decomposition(h, dec, inst)

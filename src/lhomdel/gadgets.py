@@ -290,17 +290,7 @@ def _pair_context(h: TargetGraph, vp: int, wp: int,
 
 def _verify_matcher(h: TargetGraph, g: Gadget, p: int, q: int,
                     alpha: int) -> None:
-    ct = cost_table(h, g, "vd")
-    for a, b in product((p, q, X), repeat=2):
-        c = ct.table[(a, b)]
-        if (a, b) == (p, p):
-            if c <= alpha:
-                raise GadgetError("matcher fails to penalize (p,p)")
-        elif (a, b) == (q, q):
-            if c < alpha:
-                raise GadgetError("matcher base violated at (q,q)")
-        elif c != alpha:
-            raise GadgetError("matcher cost off the diagonal is not alpha")
+    _verify_matcher_table(cost_table(h, g, "vd").table, p, q, alpha)
 
 
 def _cycle_as(cycle, first: int, second: int):

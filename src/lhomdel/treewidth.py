@@ -8,7 +8,7 @@ import heapq
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .graphs import Instance, ParseError
+from .graphs import Instance, ParseError, bits
 
 
 @dataclass(frozen=True)
@@ -89,15 +89,23 @@ def make_nice(td: TreeDecomposition, edges) -> list[NiceNode]:
     """Rooted nice form: list of NiceNode in bottom-up (post-) order, root
     last with an empty bag.  Each edge of `edges` gets exactly one
     introduce-edge node, placed above the first node whose bag holds both
-    endpoints."""
+    endpoints.
+
+    That first node is always an introduce node (a leaf is empty, a forget
+    node shrinks its child's bag and a join repeats its children's), so
+    each edge is emitted right after the introduce node that completes it;
+    several edges completed at once go in reverse sorted order, the
+    later-sorted one lower."""
     nodes: list[NiceNode] = []
+    left = {tuple(sorted(e)) for e in edges}  # edges no bag has held yet
 
     def emit(kind, bag, payload, children):
         nodes.append(NiceNode(kind, frozenset(bag), payload, list(children)))
         return len(nodes) - 1
 
     def chain_to(top, have, want):
-        """Forget have∖want then introduce want∖have, one vertex per node."""
+        """Forget have∖want then introduce want∖have, one vertex per node,
+        each introduce followed by the edges it completes."""
         cur = set(have)
         for v in sorted(have - want):
             cur.discard(v)
@@ -105,6 +113,10 @@ def make_nice(td: TreeDecomposition, edges) -> list[NiceNode]:
         for v in sorted(want - have):
             cur.add(v)
             top = emit("introduce", cur, v, [top])
+            done = sorted({(min(v, w), max(v, w)) for w in cur} & left)
+            for e in reversed(done):
+                top = emit("introduce_edge", cur, e, [top])
+            left.difference_update(done)
         return top
 
     nb = len(td.bags)
@@ -148,52 +160,19 @@ def make_nice(td: TreeDecomposition, edges) -> list[NiceNode]:
     else:
         root = build(0)
         chain_to(root, td.bags[0], frozenset())
-
-    # attach one introduce-edge node per G edge, above the first (post-order)
-    # node whose bag contains both endpoints; occ[v] lists, in increasing
-    # order, the nodes whose bag contains v
-    occ = {}
-    for i, nd in enumerate(nodes):
-        for v in nd.bag:
-            occ.setdefault(v, []).append(i)
-    parent = {}
-    for i, nd in enumerate(nodes):
+    if left:
+        u, v = min(left)
+        raise ValueError(f"edge ({u}, {v}) is in no bag")
+    refs = [0] * len(nodes)
+    for nd in nodes:
         for c in nd.children:
-            parent[c] = i
-    for u, v in sorted(tuple(sorted(e)) for e in edges):
-        spot = next((i for i in occ.get(u, ()) if v in nodes[i].bag), None)
-        if spot is None:
-            raise ValueError(f"edge ({u}, {v}) is in no bag")
-        j = emit("introduce_edge", nodes[spot].bag, (u, v), [spot])
-        if spot in parent:
-            p = parent[spot]
-            nodes[p].children[nodes[p].children.index(spot)] = j
-            parent[j] = p
-        parent[spot] = j
-
-    # re-serialize in post-order so children always precede parents
-    roots = [i for i in range(len(nodes)) if i not in parent]
-    if len(roots) != 1:
-        raise AssertionError(f"nice form has {len(roots)} roots, not 1")
-    order = []
-    stack = [(roots[0], False)]
-    while stack:
-        i, done = stack.pop()
-        if done:
-            order.append(i)
-        else:
-            stack.append((i, True))
-            for c in nodes[i].children:
-                stack.append((c, False))
-    renum = {old: new for new, old in enumerate(order)}
-    out = []
-    for old in order:
-        nd = nodes[old]
-        out.append(NiceNode(nd.kind, nd.bag, nd.payload,
-                            [renum[c] for c in nd.children]))
-    if out[-1].bag:
+            refs[c] += 1
+    if any(r != 1 for r in refs[:-1]):
+        raise AssertionError("nice form is not one tree rooted at its "
+                             "last node")
+    if nodes[-1].bag:
         raise AssertionError("nice form's root bag is not empty")
-    return out
+    return nodes
 
 
 # ---------------------------------------------------------------------------
@@ -228,14 +207,6 @@ def _td_from_order(n, edges, order) -> TreeDecomposition:
     return TreeDecomposition(tuple(bags), tuple(tedges))
 
 
-def _bits(m):
-    """Indices of the set bits of m, lowest first."""
-    while m:
-        low = m & -m
-        yield low.bit_length() - 1
-        m ^= low
-
-
 def _min_fill_order(n, edges):
     """Min-fill elimination order, ties to the smallest vertex.
 
@@ -254,7 +225,7 @@ def _min_fill_order(n, edges):
         ns = nbhd[v] & alive
         missing = 0  # ordered non-adjacent pairs, plus each a (a ∉ nbhd[a])
         m = ns
-        while m:  # _bits inlined: this loop is the hot path
+        while m:  # bits() inlined: this loop is the hot path
             low = m & -m
             missing += (ns & ~nbhd[low.bit_length() - 1]).bit_count()
             m ^= low
@@ -273,10 +244,10 @@ def _min_fill_order(n, edges):
         ns = nbhd[best] & alive
         touched = ns
         if f:  # fill edges among ns: their other neighbours change too
-            for a in _bits(ns):
+            for a in bits(ns):
                 nbhd[a] |= ns & ~(1 << a)
                 touched |= nbhd[a]
-        for w in _bits(touched & alive):
+        for w in bits(touched & alive):
             new = fill(w)
             if new != fills[w]:
                 fills[w] = new
@@ -349,13 +320,16 @@ def build_td(g: Instance) -> TreeDecomposition:
 # hub cores
 
 
-def validate_core(g: Instance, core: HubCore) -> None:
+def validate_core(g: Instance, core: HubCore) -> list:
+    """Check the sigma and delta bounds; return the components of G − Q
+    as vertex lists, in order of their smallest vertex."""
     if not core.q <= set(range(g.n)):
         raise ValueError("core vertices out of range")
     adj = {v: set() for v in range(g.n)}
     for u, v in g.edges:
         adj[u].add(v)
         adj[v].add(u)
+    comps = []
     seen = set(core.q)
     for root in range(g.n):
         if root in seen:
@@ -376,31 +350,14 @@ def validate_core(g: Instance, core: HubCore) -> None:
         if len(touched) > core.delta:
             raise ValueError(
                 f"component with {len(touched)} core neighbors exceeds delta")
+        comps.append(comp)
+    return comps
 
 
 def core_to_td(g: Instance, core: HubCore) -> TreeDecomposition:
     """Star of bags: center Q, one leaf Q ∪ C_i per component of G−Q."""
-    validate_core(g, core)
-    adj = {v: set() for v in range(g.n)}
-    for u, v in g.edges:
-        adj[u].add(v)
-        adj[v].add(u)
-    bags = [frozenset(core.q)]
-    seen = set(core.q)
-    for root in range(g.n):
-        if root in seen:
-            continue
-        comp = {root}
-        seen.add(root)
-        stack = [root]
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if y not in seen and y not in core.q:
-                    seen.add(y)
-                    comp.add(y)
-                    stack.append(y)
-        bags.append(frozenset(core.q | comp))
+    bags = [frozenset(core.q)] + [core.q.union(comp)
+                                  for comp in validate_core(g, core)]
     tedges = tuple((0, i) for i in range(1, len(bags)))
     td = TreeDecomposition(tuple(bags), tedges)
     bound = len(core.q) + max(core.sigma, 1)
@@ -424,24 +381,29 @@ def parse_td(text: str) -> TreeDecomposition:
         if not line or line.startswith("c"):
             continue
         toks = line.split()
-        if toks[0] == "s":
-            if nbags is not None or toks[1] != "td" or len(toks) != 5:
-                raise ParseError(f"line {ln}: bad solution line")
-            nbags = int(toks[2])
-        elif toks[0] == "b":
-            if nbags is None:
-                raise ParseError(f"line {ln}: bag before solution line")
-            i = int(toks[1])
-            if not 1 <= i <= nbags or i in bags:
-                raise ParseError(f"line {ln}: bad bag index {i}")
-            bag = frozenset(int(t) - 1 for t in toks[2:])
-            if any(v < 0 for v in bag):
-                raise ParseError(f"line {ln}: vertex ids start at 1")
-            bags[i] = bag
-        else:
-            if len(toks) != 2:
-                raise ParseError(f"line {ln}: bad tree edge")
-            tedges.append((int(toks[0]) - 1, int(toks[1]) - 1))
+        try:
+            if toks[0] == "s":
+                if nbags is not None or len(toks) != 5 or toks[1] != "td":
+                    raise ParseError(f"line {ln}: bad solution line")
+                nbags = int(toks[2])
+            elif toks[0] == "b":
+                if nbags is None:
+                    raise ParseError(f"line {ln}: bag before solution line")
+                i = int(toks[1])
+                if not 1 <= i <= nbags or i in bags:
+                    raise ParseError(f"line {ln}: bad bag index {i}")
+                bag = frozenset(int(t) - 1 for t in toks[2:])
+                if any(v < 0 for v in bag):
+                    raise ParseError(f"line {ln}: vertex ids start at 1")
+                bags[i] = bag
+            else:
+                if len(toks) != 2:
+                    raise ParseError(f"line {ln}: bad tree edge")
+                tedges.append((int(toks[0]) - 1, int(toks[1]) - 1))
+        except ParseError:
+            raise
+        except (ValueError, IndexError):
+            raise ParseError(f"line {ln}: malformed line") from None
     if nbags is None:
         raise ParseError("missing solution line")
     return TreeDecomposition(
@@ -463,17 +425,23 @@ def parse_core(text: str) -> HubCore:
     """`q <p> <sigma> <delta>` followed by p vertex ids (1-indexed)."""
     toks = []
     header = None
-    for raw in text.splitlines():
+    for ln, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("c"):
             continue
         parts = line.split()
+        if header is None and (parts[0] != "q" or len(parts) != 4):
+            raise ParseError(f"line {ln}: bad core header")
+        try:
+            nums = [int(t) for t in (parts[1:] if header is None else parts)]
+        except ValueError:
+            raise ParseError(f"line {ln}: malformed line") from None
         if header is None:
-            if parts[0] != "q" or len(parts) != 4:
-                raise ParseError("bad core header")
-            header = tuple(int(t) for t in parts[1:])
+            header = tuple(nums)
+        elif min(nums) < 1:
+            raise ParseError(f"line {ln}: vertex ids start at 1")
         else:
-            toks.extend(int(t) - 1 for t in parts)
+            toks.extend(v - 1 for v in nums)
     if header is None:
         raise ParseError("missing core header")
     p, sigma, delta = header

@@ -223,3 +223,56 @@ def test_selftest_command(capsys):
     assert code == cli.EXIT_OK
     rep = json.loads(out)
     assert rep["ok"] is True and rep["checks"]["vd"] == 10
+
+
+def test_td_malformed_line_exit_code(tmp_path, capsys):
+    t = _write(tmp_path, "h.hg", TARGET_RK2)
+    i = _write(tmp_path, "g.lhi", "p lhom 2 1\ne 1 2\n")
+    for text in ("s td 1 2 2\nb 1 1 x\n", "s td 1 2 2\nb\n", "s\n"):
+        td = _write(tmp_path, "g.td", text)
+        code, out = _run(capsys, ["solve", "vd", t, i, "--td", td, "--algo",
+                                  "dp"])
+        assert code == cli.EXIT_PARSE
+        assert json.loads(out)["error"] == "parse"
+
+
+def test_td_validated_on_poly_path(tmp_path, capsys):
+    # the reflexive K2 takes the poly path, which does not use the
+    # decomposition; a bag naming vertex 5 of 2 is still refused
+    t = _write(tmp_path, "h.hg", TARGET_RK2)
+    i = _write(tmp_path, "g.lhi", "p lhom 2 1\ne 1 2\n")
+    td = _write(tmp_path, "g.td", "s td 1 3 2\nb 1 1 2 5\n")
+    for mode in ("vd", "ed"):
+        code, out = _run(capsys, ["solve", mode, t, i, "--td", td])
+        assert code == cli.EXIT_PRECONDITION
+        assert json.loads(out)["error"] == "precondition"
+
+
+def test_gadget_argument_errors(tmp_path, capsys):
+    t = _write(tmp_path, "h.hg",
+               format_target(families.independent_reflexive(3)))
+    for argv in (["splitter", t, "--vertex", "1"],  # no --set
+                 ["matcher", t],  # no --pair
+                 ["move", t, "--pair", "1", "3"],  # no --dest
+                 ["splitter", t, "--set", "1", "9", "--vertex", "1"],
+                 ["move", t, "--pair", "0", "1", "--dest", "2", "3"]):
+        code, out = _run(capsys, ["gadget"] + argv)
+        assert code == cli.EXIT_PRECONDITION, argv
+        assert json.loads(out)["error"] == "precondition"
+
+
+def test_long_ladder_dp_solve(tmp_path, capsys):
+    # a 2 x 5000 ladder (10^4 vertices, width 2) is bipartite, so full
+    # lists over the irreflexive triangle cost nothing in either mode
+    t = _write(tmp_path, "h.hg", format_target(families.irreflexive_kq(3)))
+    k = 5000
+    edges = [(c, c + k) for c in range(1, k + 1)]
+    edges += [(r + c, r + c + 1) for r in (0, k) for c in range(1, k)]
+    lines = [f"p lhom {2 * k} {len(edges)}"]
+    lines += [f"e {u} {v}" for u, v in edges]
+    i = _write(tmp_path, "g.lhi", "\n".join(lines) + "\n")
+    for mode in ("vd", "ed"):
+        code, out = _run(capsys, ["solve", mode, t, i])
+        assert code == cli.EXIT_OK
+        rep = json.loads(out)
+        assert rep["opt"] == 0 and rep["stats"]["width"] == 2

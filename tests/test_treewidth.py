@@ -75,6 +75,24 @@ def test_make_nice_invariants():
                 edges_seen.append(tuple(sorted((u, v))))
         want = sorted(tuple(sorted(e)) for e in g.edges)
         assert sorted(edges_seen) == want  # each edge exactly once
+        # every node but the root (the last) is the child of one node
+        refs = [0] * len(nodes)
+        for nd in nodes:
+            for c in nd.children:
+                refs[c] += 1
+        assert refs == [1] * (len(nodes) - 1) + [0]
+        # an edge sits above the lowest-index node, introduce-edge nodes
+        # aside, whose bag holds both of its ends
+        for nd in nodes:
+            if nd.kind != "introduce_edge":
+                continue
+            u, v = nd.payload
+            below = nd.children[0]
+            while nodes[below].kind == "introduce_edge":
+                below = nodes[below].children[0]
+            assert below == min(i for i, x in enumerate(nodes)
+                                if x.kind != "introduce_edge"
+                                and {u, v} <= x.bag)
     with pytest.raises(ValueError):  # a cycle of bags
         make_nice(TreeDecomposition((frozenset({0}),) * 3,
                                     ((0, 1), (1, 2), (2, 0))), [])
@@ -98,6 +116,19 @@ def test_td_parse_errors():
         parse_td("s td 1 1 1\nb 2 1")
     with pytest.raises(ParseError):
         parse_td("")
+    for text in ("s td 1 1 1\nb 1 1 x",  # non-integer vertex
+                 "s td 1 1 1\nb",  # truncated bag line
+                 "s",  # truncated solution line
+                 "s td x 1 1",  # non-integer bag count
+                 "s td 2 1 2\nb 1 1\nb 2 2\n1 y"):  # non-integer tree edge
+        with pytest.raises(ParseError, match="line"):
+            parse_td(text)
+    with pytest.raises(ParseError, match="line 2"):  # non-integer core id
+        parse_core("q 2 1 1\n1 x")
+    with pytest.raises(ParseError, match="line 1"):  # non-integer sigma
+        parse_core("q 2 s 1\n1 2")
+    with pytest.raises(ParseError, match="start at 1"):  # core id 0
+        parse_core("q 2 1 1\n0 1")
 
 
 def test_core_roundtrip_and_validation():
@@ -119,6 +150,9 @@ def test_core_to_td():
     td = core_to_td(g, core)
     assert validate_td(g, td) < len(core.q) + max(core.sigma, 1)
     assert td.bags[0] == frozenset(core.q)
+    # one leaf bag per component of G - Q, by smallest vertex
+    assert td.bags[1:] == (frozenset({0, 1, 3}), frozenset({0, 2, 3}),
+                           frozenset({0, 3, 4, 5}))
 
 
 def _min_fill_order_rescan(n, edges):
