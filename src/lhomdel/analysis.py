@@ -4,14 +4,16 @@ and the i* invariant."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from typing import Optional
 
 from . import _kernels, oracle
 from .graphs import TargetGraph, bits, max_incomparable
 
-# brute-force decomposition search up to this many vertices, the split
-# detector beyond
+# up to this many vertices find_decomposition returns the lexicographically
+# first decomposition (the one the recorded classify JSON holds); beyond it,
+# the split detector's, which can differ
 EXHAUSTIVE_DECOMP_LIMIT = 12
 
 
@@ -132,24 +134,81 @@ def is_decomposable(h: TargetGraph) -> bool:
     return _kernels.find_split(h.nbhd, h.reflexive_mask(), full) is not None
 
 
-def find_decomposition(h: TargetGraph) -> Optional[Decomposition]:
-    """A valid decomposition (A,B,C), or None.
+def _lex_first_split(h: TargetGraph):
+    """The first decomposition in oracle_decompositions order, as three
+    vertex masks (A, B, C), or None; polynomial time.
 
-    Brute-force 3-partition search (first in lexicographic order) for small
-    H; the split detector takes over beyond the bound, its answer checked.
+    Let x_v mean v ∈ A; otherwise a looped v goes to B and an irreflexive
+    one to C.  Every pair rule of is_valid_decomposition is then a unit
+    clause (non-adjacent looped pairs and adjacent irreflexive pairs go to
+    A) or an implication between a looped r and an irreflexive i (r ⇒ i
+    if adjacent, i ⇒ r if not).  So the valid A are the sets closed under
+    the implications that hold the forced vertices, other than ∅ and V(H).
+    Vertices are fixed in order, each put in A if a valid A still extends
+    the choices made.
+    """
+    n = h.n
+    full = (1 << n) - 1
+    refl = h.reflexive_mask()
+    irr = full & ~refl
+    reach = []  # reach[v]: the vertices that v ∈ A puts in A
+    forced = 0
+    for v in range(n):
+        nb = h.nbhd[v] & ~(1 << v)
+        if refl >> v & 1:
+            reach.append(1 << v | irr & nb)
+            unit = refl & ~nb & ~(1 << v)
+        else:
+            reach.append(1 << v | refl & ~nb)
+            unit = irr & nb
+        if unit:
+            forced |= 1 << v
+    for k in range(n):  # transitive closure
+        for v in range(n):
+            if reach[v] >> k & 1:
+                reach[v] |= reach[k]
+
+    def extends(a, out):
+        """Whether a valid A holds a (a closed set) and avoids out."""
+        if a & out:
+            return False
+        if a:
+            return a != full
+        return any(not reach[v] & out and reach[v] != full
+                   for v in bits(full & ~out))
+
+    a = out = 0
+    for v in bits(forced):
+        a |= reach[v]
+    if not extends(a, out):
+        return None
+    for v in range(n):
+        if a >> v & 1:
+            continue
+        if extends(a | reach[v], out):
+            a |= reach[v]
+        else:
+            out |= 1 << v
+    return a, refl & ~a, irr & ~a
+
+
+def find_decomposition(h: TargetGraph) -> Optional[Decomposition]:
+    """A valid decomposition (A,B,C), or None, its validity checked.
+
+    Up to EXHAUSTIVE_DECOMP_LIMIT vertices, the first one in lexicographic
+    order (oracle.oracle_decomposition's answer) by a polynomial search;
+    beyond it, the split detector's.
     """
     if h.n <= EXHAUSTIVE_DECOMP_LIMIT:
-        found = oracle.oracle_decomposition(h)
-        if found is None:
-            return None
-        a, b, c = found
-        return Decomposition(tuple(a), tuple(b), tuple(c))
-    split = _kernels.find_split(h.nbhd, h.reflexive_mask(), (1 << h.n) - 1)
+        split = _lex_first_split(h)
+    else:
+        split = _kernels.find_split(h.nbhd, h.reflexive_mask(),
+                                    (1 << h.n) - 1)
     if split is None:
         return None
     dec = Decomposition(*(tuple(bits(m)) for m in split))
     if not oracle.is_valid_decomposition(h, dec.a, dec.b, dec.c):
-        raise AssertionError(f"split detector gave an invalid {dec}")
+        raise AssertionError(f"decomposition search gave an invalid {dec}")
     return dec
 
 
@@ -166,11 +225,38 @@ def i_bullet(h: TargetGraph) -> tuple[int, Optional[list[int]]]:
     return best, list(bits(mask))
 
 
-@dataclass
 class DecompositionTreeNode:
-    vertices: tuple[int, ...]          # original H vertex ids
-    decomposition: Optional[Decomposition]  # in original ids
-    children: list
+    """A node of the split recursion: the subtarget H[vertices], its
+    decomposition and its children H[A] and H[B∪C].  The decomposition
+    and the children are found on first access, so a walk that stops
+    early searches only the nodes it reaches."""
+
+    def __init__(self, target: TargetGraph, vertices: tuple[int, ...]):
+        self.target = target      # H[vertices]; its vertex i is vertices[i]
+        self.vertices = vertices  # original H vertex ids
+
+    @cached_property
+    def local_decomposition(self) -> Optional[Decomposition]:
+        """The decomposition of self.target, in its own vertex ids."""
+        return find_decomposition(self.target)
+
+    @cached_property
+    def decomposition(self) -> Optional[Decomposition]:
+        """The decomposition in original ids."""
+        d = self.local_decomposition
+        if d is None:
+            return None
+        back = lambda t: tuple(self.vertices[i] for i in t)
+        return Decomposition(back(d.a), back(d.b), back(d.c))
+
+    @cached_property
+    def children(self) -> list:
+        d = self.local_decomposition
+        if d is None:
+            return []
+        return [DecompositionTreeNode(self.target.induced(part),
+                                      tuple(self.vertices[i] for i in part))
+                for part in (d.a, tuple(sorted(d.b + d.c)))]
 
     def leaves(self):
         if not self.children:
@@ -192,18 +278,11 @@ class DecompositionTreeNode:
 
 def decomposition_tree(h: TargetGraph,
                        verts: Optional[tuple[int, ...]] = None) -> DecompositionTreeNode:
-    """Recursively split H into H[A] and H[B∪C] until undecomposable."""
+    """Root of the recursion that splits H[verts] into H[A] and H[B∪C]
+    until undecomposable."""
     if verts is None:
         verts = tuple(range(h.n))
-    sub = h.induced(verts)
-    dec = find_decomposition(sub)
-    if dec is None:
-        return DecompositionTreeNode(verts, None, [])
-    back = lambda t: tuple(verts[i] for i in t)
-    dec_orig = Decomposition(back(dec.a), back(dec.b), back(dec.c))
-    children = [decomposition_tree(h, back(dec.a)),
-                decomposition_tree(h, tuple(sorted(back(dec.b) + back(dec.c))))]
-    return DecompositionTreeNode(verts, dec_orig, children)
+    return DecompositionTreeNode(h.induced(verts), tuple(verts))
 
 
 def classification_json(h: TargetGraph) -> dict:

@@ -254,9 +254,18 @@ def solve_vd_auto(h: TargetGraph, inst: Instance,
 
 def solve_ed_auto(h: TargetGraph, inst: Instance,
                   td: Optional[TreeDecomposition] = None) -> Solution:
-    """Poly solver when obstruction-free; otherwise split along a target
-    decomposition and recurse; DP only on undecomposable subtargets.
-    A `td` goes to the DP; the other paths only validate it."""
+    """Poly solver when obstruction-free; otherwise walk H's decomposition
+    tree, splitting along each node's decomposition, down to parts that
+    are obstruction-free (poly solver) or undecomposable (DP).
+    A `td` goes to a DP at the root; the other paths only validate it."""
+    return _solve_ed_node(h, inst, td, None)
+
+
+def _solve_ed_node(h: TargetGraph, inst: Instance,
+                   td: Optional[TreeDecomposition],
+                   node: Optional[analysis.DecompositionTreeNode]) -> Solution:
+    """solve_ed_auto on h, the target of `node`; at the root node is None,
+    and the tree is only built once h is known to be hard."""
     if analysis.classify_ed(h)[0] == "poly":
         if td is not None:
             validate_td(inst, td)
@@ -265,7 +274,9 @@ def solve_ed_auto(h: TargetGraph, inst: Instance,
                        inner.stats)
         sol.check(h, inst)
         return sol
-    dec = analysis.find_decomposition(h)
+    if node is None:
+        node = analysis.decomposition_tree(h)
+    dec = node.local_decomposition
     if dec is None:
         inner = solve_ed_dp(h, inst, td)
         sol = Solution("ed", inner.cost, inner.deleted, inner.hom, "auto",
@@ -277,8 +288,9 @@ def solve_ed_auto(h: TargetGraph, inst: Instance,
     if any(not lst for lst in inst.lists):
         raise Infeasible("vertex with an empty list")
     sp = split_by_decomposition(h, dec, inst)
-    sol_a = solve_ed_auto(h.induced(sp.target_a), sp.sub_a)
-    sol_bc = solve_ed_auto(h.induced(sp.target_bc), sp.sub_bc)
+    part_a, part_bc = node.children
+    sol_a = _solve_ed_node(part_a.target, sp.sub_a, None, part_a)
+    sol_bc = _solve_ed_node(part_bc.target, sp.sub_bc, None, part_bc)
     hom = {}
     for i, v in enumerate(sp.verts_a):
         hom[v] = sp.target_a[sol_a.hom[i]]

@@ -109,7 +109,8 @@ def oracle_decompositions(h: TargetGraph):
 
 
 def oracle_decomposition(h: TargetGraph):
-    """First valid decomposition, or None."""
+    """First valid decomposition, or None: the reference that
+    analysis.find_decomposition matches in polynomial time."""
     return next(oracle_decompositions(h), None)
 
 

@@ -80,7 +80,8 @@ def validate_td(g: Instance, td: TreeDecomposition) -> int:
         if seen != inside:
             raise ValueError(f"bags containing vertex {v} are disconnected")
     for u, v in g.edges:
-        if not any(v in td.bags[i] for i in occ[u]):
+        x, y = (u, v) if len(occ[u]) <= len(occ[v]) else (v, u)
+        if not any(y in td.bags[i] for i in occ[x]):  # scan the rarer end
             raise ValueError(f"edge ({u}, {v}) is in no bag")
     return td.width
 
@@ -213,7 +214,9 @@ def _min_fill_order(n, edges):
     A heap holds (fill, v) with stale entries skipped.  Eliminating x
     changes the fill only of x's live neighbours (they lose x and gain
     each other) and of their neighbours (new edges among theirs), so
-    only those are recounted."""
+    only those are recounted.  With fill 0, x's live neighbourhood is a
+    clique, so each neighbour's fill just drops by its missing pairs
+    with x: a leaf of a high-degree vertex costs no recount of it."""
     nbhd = [0] * n  # bitmasks
     for u, v in edges:
         if u != v:
@@ -248,7 +251,10 @@ def _min_fill_order(n, edges):
                 nbhd[a] |= ns & ~(1 << a)
                 touched |= nbhd[a]
         for w in bits(touched & alive):
-            new = fill(w)
+            if f:
+                new = fill(w)
+            else:  # ns is a clique: w only loses its missing pairs with best
+                new = fills[w] - (nbhd[w] & alive & ~nbhd[best]).bit_count()
             if new != fills[w]:
                 fills[w] = new
                 heapq.heappush(heap, (new, w))

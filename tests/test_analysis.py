@@ -1,7 +1,7 @@
 import random
 from itertools import combinations
 
-from lhomdel import analysis, oracle
+from lhomdel import analysis, dpsolve, oracle
 from lhomdel.graphs import max_incomparable
 
 import families
@@ -76,6 +76,59 @@ def test_decomposition_detectors_vs_oracle(monkeypatch):
                 assert oracle.is_valid_decomposition(
                     h, list(dec.a), list(dec.b), list(dec.c)), limit
             assert analysis.is_decomposable(h) == (found is not None), limit
+
+
+def test_find_decomposition_is_the_oracles():
+    """The polynomial search returns exactly the brute force's first
+    decomposition, which the recorded classify JSON depends on."""
+    rng = random.Random(25)
+    decomposable = 0
+    for _ in range(500):
+        h = families.random_target(rng, rng.randint(1, 10),
+                                   loop_p=rng.random(), edge_p=rng.random())
+        dec = analysis.find_decomposition(h)
+        got = None if dec is None else (list(dec.a), list(dec.b), list(dec.c))
+        assert got == oracle.oracle_decomposition(h), h.nbhd
+        decomposable += dec is not None
+    assert 100 < decomposable < 400
+
+
+def test_decomposition_tree_json_unchanged_under_oracle(monkeypatch):
+    rng = random.Random(26)
+    targets = [families.windowed_family(k) for k in (1, 2, 3)]
+    targets += [families.crossing_family(k) for k in (1, 2)]
+    targets += [families.random_target(rng, rng.randint(1, 8),
+                                       loop_p=rng.random(),
+                                       edge_p=rng.random())
+                for _ in range(100)]
+    want = [analysis.decomposition_tree(h).to_json() for h in targets]
+
+    def brute_force(h):
+        found = oracle.oracle_decomposition(h)
+        if found is None:
+            return None
+        return tuple(sum(1 << v for v in part) for part in found)
+
+    monkeypatch.setattr(analysis, "_lex_first_split", brute_force)
+    assert [analysis.decomposition_tree(h).to_json()
+            for h in targets] == want
+
+
+def test_no_runtime_path_runs_the_brute_force(monkeypatch):
+    def refuse(h):
+        raise AssertionError("3^n decomposition search called")
+
+    monkeypatch.setattr(oracle, "oracle_decomposition", refuse)
+    h = families.crossing_family(2)
+    assert h.n == 12
+    out = analysis.classification_json(h)
+    assert out["decomposition_tree"]["decomposition"] is not None
+    h = families.windowed_family(3)
+    rng = random.Random(27)
+    inst = families.random_instance(rng, h, 8)
+    sol = dpsolve.solve_ed_auto(h, inst)
+    assert sol.stats["parts"] == 2
+    sol.check(h, inst)
 
 
 def _tree_leaf_bound(h):

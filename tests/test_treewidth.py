@@ -180,11 +180,34 @@ def _min_fill_order_rescan(n, edges):
     return order
 
 
+def _star(leaves):
+    return Instance(leaves + 1, [(0, v) for v in range(1, leaves + 1)],
+                    [frozenset({0})] * (leaves + 1))
+
+
+def _broom(handle, bristles):
+    """A path 0..handle with `bristles` leaves on its last vertex."""
+    n = handle + 1 + bristles
+    edges = [(v, v + 1) for v in range(handle)]
+    edges += [(handle, v) for v in range(handle + 1, n)]
+    return Instance(n, edges, [frozenset({0})] * n)
+
+
 def test_min_fill_order_matches_full_rescan():
     rng = random.Random(54)
-    for n in (13, 20, 40, 80, 150, 300):
-        for _ in range(3):
-            g = _random_graph(rng, n, rng.choice((1.5, 3, 6)) / n)
-            assert _min_fill_order(n, g.edges) == \
-                _min_fill_order_rescan(n, g.edges)
-            validate_td(g, build_td(g))
+    graphs = [_random_graph(rng, n, rng.choice((1.5, 3, 6)) / n)
+              for n in (13, 20, 40, 80, 150, 300) for _ in range(3)]
+    graphs += [_star(40), _broom(10, 30), _broom(25, 5)]
+    for g in graphs:
+        assert _min_fill_order(g.n, g.edges) == \
+            _min_fill_order_rescan(g.n, g.edges)
+        validate_td(g, build_td(g))
+
+
+def test_build_td_on_a_large_star():
+    """Min-fill on a vertex of degree 10^4 (each leaf elimination used to
+    recount the centre's fill over all its live neighbours)."""
+    g = _star(10 ** 4)
+    td = build_td(g)
+    assert td.width == 1
+    assert validate_td(g, td) == 1
