@@ -1,12 +1,15 @@
 """Hot enumeration kernels.
 
-Two kinds of search dominate runtime.  Mixed-radix assignment scans (the
-oracles and the gadget cost tables) are vectorized with numpy.  Searches
-over the induced subgraphs H[S] of a target graph -- the split detector,
-the maximum incomparable set and the scan over all induced subgraphs
-behind the i* invariant -- work on bitmasks held in plain Python ints:
-nb[v] is the neighborhood of v (TargetGraph.nbhd, bit v set iff v has a
-loop), refl the mask of looped vertices and S the vertex mask of H[S].
+Two kinds of search dominate runtime.  Mixed-radix assignment scans,
+vectorized with numpy, serve only the brute-force oracles; gadget cost
+tables take the same encoding but come from min-plus variable elimination,
+which the gadgets' treewidth of 1-2 keeps small, so they never enumerate
+the assignments.  Searches over the induced subgraphs H[S] of a target
+graph -- the split detector, the maximum incomparable set and the scan
+over all induced subgraphs behind the i* invariant -- work on bitmasks
+held in plain Python ints: nb[v] is the neighborhood of v
+(TargetGraph.nbhd, bit v set iff v has a loop), refl the mask of looped
+vertices and S the vertex mask of H[S].
 """
 
 from __future__ import annotations
@@ -15,7 +18,8 @@ import numpy as np
 
 INF = np.int64(1) << 60
 
-# assignment indices costed per numpy pass; bounds the temporaries
+# assignment indices costed per numpy pass of scan_best; bounds the
+# temporaries
 _CHUNK = 1 << 18
 
 
@@ -30,14 +34,15 @@ def using_numba() -> bool:
 
 
 # ---------------------------------------------------------------------------
-# assignment scans
+# assignment scans and cost tables
 #
 # Variables 0..nv-1 each pick a digit < radix[j]; val[j, d] is the H-vertex
 # (or nh = deleted) for that digit.  base[j, d] is the digit's own cost.
-# adj is (nh+1) x (nh+1) with the deletion row/column all-True, so a deleted
-# endpoint never violates an edge.  In vd mode a violated edge kills the
-# assignment; in ed mode it costs 1.  Assignment index i enumerates the
-# digits with the leftmost variable most significant.
+# Edge e joins the distinct variables eu[e] and ev[e].  adj is (nh+1) x
+# (nh+1) with the deletion row/column all-True, so a deleted endpoint never
+# violates an edge.  In vd mode a violated edge kills the assignment; in ed
+# mode it costs 1.  Assignment index i enumerates the digits with the
+# leftmost variable most significant.
 
 
 def _arrays(radix, val, base, eu, ev, adj):
@@ -72,48 +77,84 @@ def _chunk_costs(idx, radix, val, base, eu, ev, adj, ed_mode, place):
     return cost
 
 
-def _chunks(radix, val, base, eu, ev, adj, ed_mode):
-    """(lo, cost) per chunk of consecutive assignment indices, in index
-    order; cost[k] is the cost of index lo + k.  Only lo and the costs
-    leave the generator, so a caller holds no index array of its own while
-    the next chunk is built."""
-    place = _places(radix)
-    total = int(np.prod(radix, dtype=np.int64))
-    for lo in range(0, total, _CHUNK):
-        idx = np.arange(lo, min(lo + _CHUNK, total), dtype=np.int64)
-        yield lo, _chunk_costs(idx, radix, val, base, eu, ev, adj, ed_mode,
-                               place)
-
-
 def scan_best(radix, val, base, eu, ev, adj, ed_mode):
     """Min-cost assignment over the full mixed-radix space.
 
     Returns (cost, digits); digits is the lexicographically first minimizer
     (leftmost variable most significant).  cost == INF means no feasible
     assignment (vd mode with every assignment violating some edge, or an
-    empty radix).
+    empty radix).  Assignments are costed _CHUNK consecutive indices at a
+    time, so the temporaries stay bounded however large the space is.
     """
     radix, val, base, eu, ev, adj = _arrays(radix, val, base, eu, ev, adj)
+    place = _places(radix)
+    total = int(np.prod(radix, dtype=np.int64))
     best = INF
     best_idx = -1
-    for lo, cost in _chunks(radix, val, base, eu, ev, adj, ed_mode):
+    for lo in range(0, total, _CHUNK):
+        idx = np.arange(lo, min(lo + _CHUNK, total), dtype=np.int64)
+        cost = _chunk_costs(idx, radix, val, base, eu, ev, adj, ed_mode,
+                            place)
         j = int(np.argmin(cost))
         if cost[j] < best:
             best = cost[j]
             best_idx = lo + j
     if best_idx < 0:
         return INF, np.zeros(radix.shape[0], dtype=np.int64)
-    return best, (best_idx // _places(radix)) % radix
+    return best, (best_idx // place) % radix
 
 
 def scan_table(radix, val, base, eu, ev, adj, ed_mode, nportal):
-    """Min cost per portal digit tuple; portals are variables 0..nportal-1."""
+    """Min cost per portal digit tuple; portals are variables 0..nportal-1.
+
+    Exact min-plus variable elimination.  The factors are one unary cost
+    per variable and one pair penalty per edge; the non-portal variables
+    are eliminated fewest neighbours first (lowest index on ties), each by
+    summing the factors that contain it and taking the min along its axis.
+    The portal factors that remain are summed and raveled with the
+    leftmost portal most significant.  A violated vd edge costs big, more
+    than any feasible assignment, and entries >= big become INF once at
+    the end, so no sum can overflow."""
     radix, val, base, eu, ev, adj = _arrays(radix, val, base, eu, ev, adj)
-    out = np.full(int(np.prod(radix[:nportal], dtype=np.int64)), INF,
-                  dtype=np.int64)
-    stride = int(np.prod(radix[nportal:], dtype=np.int64))
-    for lo, cost in _chunks(radix, val, base, eu, ev, adj, ed_mode):
-        np.minimum.at(out, np.arange(lo, lo + cost.shape[0]) // stride, cost)
+    nv = radix.shape[0]
+    if not radix.all():
+        return np.full(int(np.prod(radix[:nportal], dtype=np.int64)), INF,
+                       dtype=np.int64)
+    big = int(base.max(initial=0)) * nv + eu.shape[0] + 1
+    pen = np.where(adj, 0, 1 if ed_mode else big)
+    factors = [((j,), base[j, :radix[j]]) for j in range(nv)]
+    nbr = [set() for _ in range(nv)]
+    for u, v in zip(eu.tolist(), ev.tolist()):
+        u, v = min(u, v), max(u, v)
+        factors.append(((u, v), pen[val[u, :radix[u], None],
+                                    val[v, :radix[v]]]))
+        nbr[u].add(v)
+        nbr[v].add(u)
+    left = set(range(nportal, nv))
+    while left:
+        x = min(left, key=lambda v: (len(nbr[v]), v))
+        left.remove(x)
+        for u in nbr[x]:
+            nbr[u] |= nbr[x]
+            nbr[u] -= {u, x}
+        hit = [f for f in factors if x in f[0]]
+        factors = [f for f in factors if x not in f[0]]
+        # scopes stay sorted, so each factor lines up with the sorted union
+        # by a reshape that gives its missing variables length-1 axes
+        scope = sorted(set().union(*(s for s, _ in hit)))
+        acc = None
+        for s, t in hit:
+            t = t.reshape([int(radix[v]) if v in s else 1 for v in scope])
+            acc = t if acc is None else acc + t
+        factors.append((tuple(v for v in scope if v != x),
+                        acc.min(axis=scope.index(x))))
+    # only portal variables are left in the scopes
+    out = np.zeros([int(r) for r in radix[:nportal]], dtype=np.int64)
+    for s, t in factors:
+        out += t.reshape([int(radix[v]) if v in s else 1
+                          for v in range(nportal)])
+    out = out.ravel()
+    out[out >= big] = INF
     return out
 
 

@@ -270,7 +270,8 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--dest", type=int, nargs=2, help="destination pair")
     g.add_argument("--search-budget", type=int, default=6)
     g.add_argument("--verify", action="store_true",
-                   help="re-check the cost table by full enumeration")
+                   help="recompute the cost table from the gadget graph "
+                        "and compare")
     g.add_argument("--out", help="also write the gadget file here")
     g.set_defaults(func=cmd_gadget)
 

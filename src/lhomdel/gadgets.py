@@ -5,10 +5,10 @@ VD family: splitter / matcher / translator paths assembled into
 incomparable pairs, pendant cost shifts, normalization, composition,
 Aux-graph routing, indicators, and bounded synthesis of NEQ realizers.
 
-Small gadgets get exact cost tables by assignment enumeration; composed
-gadgets carry tables computed compositionally (min-plus at serial glue
-points, pointwise sums at parallel ones), cross-checked against
-enumeration in the tests.
+Small gadgets get exact cost tables from min-plus variable elimination
+over the gadget graph (_kernels.scan_table); composed gadgets carry tables
+computed compositionally (min-plus at serial glue points, pointwise sums
+at parallel ones), cross-checked against the elimination in the tests.
 """
 
 from __future__ import annotations
@@ -95,7 +95,15 @@ def path_gadget(lists) -> Gadget:
 
 def enumerate_cost_table(h: TargetGraph, gadget: Gadget, mode: str,
                          bound: int = ENUM_BOUND) -> dict:
-    """Exact table by assignment enumeration (portals first, then the rest)."""
+    """Exact table from the gadget graph alone (portals first, then the rest).
+
+    The table comes from _kernels.scan_table's variable elimination, not by
+    enumerating assignments.  The name stays because the benchmark tracer
+    wraps it by name, and gadgets with more than bound assignments still
+    raise GadgetError, because recorded `gadget --verify` outputs say "table
+    too large to enumerate" for them (every s-prohibitor of the benchmark
+    corpus).
+    """
     order = list(gadget.portals) + [v for v in range(gadget.n)
                                     if v not in gadget.portals]
     pos = {v: i for i, v in enumerate(order)}

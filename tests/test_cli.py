@@ -203,6 +203,17 @@ def test_gadget_roundtrip_file(tmp_path, capsys):
         assert f.read() == rep["gadget"]
 
 
+def test_gadget_verify_keeps_the_enumeration_bound(tmp_path, capsys):
+    # the s-prohibitor on three independent reflexive vertices has more
+    # than 10^7 assignments; recorded outputs hold this answer
+    t = _write(tmp_path, "h.hg",
+               format_target(families.independent_reflexive(3)))
+    code, out = _run(capsys, ["gadget", "s-prohibitor", t, "--set", "1",
+                              "2", "3", "--verify"])
+    assert code == cli.EXIT_OK
+    assert json.loads(out)["verified"] == "table too large to enumerate"
+
+
 def test_reduce_command(tmp_path, capsys):
     c = _write(tmp_path, "vc.cls", "p vertex-cover 3 2\ne 1 2\ne 2 3\nk 1\n")
     tgt = str(tmp_path / "h.hg")

@@ -1,10 +1,11 @@
 import random
 from itertools import product
+from math import prod
 
 import networkx as nx
 import pytest
 
-from lhomdel import analysis, gadgets
+from lhomdel import analysis, gadgets, graphs
 from lhomdel.graphs import max_incomparable
 
 import families
@@ -140,6 +141,17 @@ def test_move_between_pairs_forced_bijection():
         rep = gadgets.move_report(h, g)
         imgs = [rep.forced[u] for u in sorted(p1)]
         assert len(set(imgs)) == 2 and set(imgs) <= p2
+
+
+def test_large_move_table_matches_composition():
+    # 17 vertices and 7.9e6 assignments: far beyond a per-assignment scan
+    # in a unit test, while the compositional table is exact
+    h = graphs.random_target(random.Random("target_analysis:10:1"), 10)
+    g = gadgets.move_between_pairs(h, {0, 1}, {8, 9})
+    assert g.n == 17
+    assert prod(len(lst) for lst in g.lists) == 7_864_320
+    plain = gadgets.Gadget(g.n, g.edges, g.lists, g.portals)
+    assert gadgets.enumerate_cost_table(h, plain, "ed") == g.tables["ed"]
 
 
 def test_indicator():

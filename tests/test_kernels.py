@@ -112,6 +112,39 @@ def test_scan_best_paths_agree():
                 assert list(dig_a) == list(dig_b)
 
 
+def _table_arrays(rng, nv, edges, ed_mode):
+    """Scan arrays over nv variables and the given edges: radix 1..3,
+    digits valued in a random 3-vertex target (or deleted, in vd mode),
+    digit costs 0..2."""
+    nh = 3
+    size = nh if ed_mode else nh + 1
+    adj = np.zeros((size, size), dtype=np.bool_)
+    for x in range(size):
+        for y in range(x, size):
+            adj[x, y] = adj[y, x] = rng.random() < 0.5 or y == nh
+    radix = np.array([rng.randint(1, 3) for _ in range(nv)], dtype=np.int64)
+    val = np.array([[rng.randrange(size) for _ in range(3)]
+                    for _ in range(nv)], dtype=np.int64)
+    base = np.array([[rng.randint(0, 2) for _ in range(3)]
+                     for _ in range(nv)], dtype=np.int64)
+    eu = np.array([e[0] for e in edges], dtype=np.int64)
+    ev = np.array([e[1] for e in edges], dtype=np.int64)
+    return radix, val, base, eu, ev, adj
+
+
+def _shapes():
+    """(nv, edges): cycles, a 5-clique with an isolated sixth variable, a
+    path, edgeless instances and reversed edge ends."""
+    yield 0, []
+    yield 1, []
+    yield 3, []
+    for n in (3, 4, 5, 6):
+        yield n, [(v, (v + 1) % n) for v in range(n)]
+    yield 6, [(u, v) for u in range(5) for v in range(u + 1, 5)]
+    yield 5, [(v + 1, v) for v in range(4)]
+    yield 5, [(0, 4), (4, 2), (2, 1), (1, 3), (3, 0), (2, 0)]
+
+
 def test_scan_table_paths_agree():
     for h, inst in _cases(12, 20):
         npr = min(2, inst.n)
@@ -120,6 +153,31 @@ def test_scan_table_paths_agree():
             a = _scan_table_loop(*arrays, mode == "ed", npr)
             b = _kernels.scan_table(*arrays, mode == "ed", npr)
             assert np.array_equal(np.asarray(a), np.asarray(b))
+    rng = random.Random(15)
+    seen = set()
+    for nv, edges in _shapes():
+        for npr in range(min(3, nv) + 1):
+            for ed_mode in (False, True):
+                for _ in range(3):
+                    arrays = _table_arrays(rng, nv, edges, ed_mode)
+                    a = _scan_table_loop(*arrays, ed_mode, npr)
+                    b = _kernels.scan_table(*arrays, ed_mode, npr)
+                    assert b.dtype == np.int64
+                    assert np.array_equal(a, b), (nv, edges, npr, ed_mode)
+                    inf = bool((b == INF).any())
+                    assert not (ed_mode and inf)
+                    seen.add((npr == nv, 1 in arrays[0], ed_mode, inf))
+    # every kind of case above really occurs: portals only, radix 1,
+    # infeasible vd entries (exactly INF) and all-feasible tables
+    assert {(True, True, False, True), (False, True, False, True),
+            (False, True, True, False), (False, False, False, False)} <= seen
+    # an empty digit range leaves no feasible assignment at all
+    radix, *rest = _table_arrays(rng, 4, [(0, 1), (1, 2)], True)
+    radix[2] = 0
+    for npr in (0, 2, 3):
+        a = _scan_table_loop(radix, *rest, True, npr)
+        b = _kernels.scan_table(radix, *rest, True, npr)
+        assert np.array_equal(a, b)
 
 
 def test_subset_scan_matches_python():
