@@ -64,7 +64,7 @@ def cmd_solve(args) -> int:
     h = parse_target(_read(args.target))
     inst = parse_instance(_read(args.instance), h)
     if args.algo == "poly":
-        ok = (polysolve.classify_is_poly_vd(h) if args.mode == "vd"
+        ok = (analysis.classify_vd(h)[0] == "poly" if args.mode == "vd"
               else analysis.classify_ed(h)[0] == "poly")
         if not ok:
             raise PreconditionError(
@@ -147,7 +147,7 @@ def cmd_gadget(args) -> int:
         if g is None:
             raise PreconditionError(
                 "no inequality realizer found within the search budget")
-        report["base_cost"] = gadgets.cost_table(h, g, "ed").base
+        report["base_cost"] = gadgets.base_cost(gadgets.cost_table(h, g, "ed"))
     elif kind == "move":
         g = gadgets.move_between_pairs(h, frozenset(pair), frozenset(dest))
         rep = gadgets.move_report(h, g)

@@ -243,7 +243,7 @@ def split_by_decomposition(h: TargetGraph, dec: analysis.Decomposition,
 
 def solve_vd_auto(h: TargetGraph, inst: Instance,
                   td: Optional[TreeDecomposition] = None) -> Solution:
-    if polysolve.classify_is_poly_vd(h):
+    if analysis.classify_vd(h)[0] == "poly":
         if td is not None:  # unused here, but a bad file fails on every path
             validate_td(inst, td)
         sol = polysolve.solve_vd_poly(h, inst)

@@ -6,9 +6,11 @@ incomparable pairs, pendant cost shifts, normalization, composition,
 Aux-graph routing, indicators, and bounded synthesis of NEQ realizers.
 
 Small gadgets get exact cost tables from min-plus variable elimination
-over the gadget graph (_kernels.scan_table); composed gadgets carry tables
-computed compositionally (min-plus at serial glue points, pointwise sums
-at parallel ones), cross-checked against the elimination in the tests.
+over the gadget graph (_kernels.scan_table).  The glue operations compose
+tables: when both parts carry a table, serial_glue takes the min-plus
+product over the junction's values and parallel_glue the pointwise sum,
+so a glued gadget needs no elimination of its own.  The tests and
+`gadget --verify` cross-check composed tables against the elimination.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from . import _kernels, analysis
 from .graphs import (Instance, ParseError, TargetGraph, bits,
                      format_instance, incomparable, is_incomparable_set,
                      parse_instance)
+from .oracle import _scan_arrays
 
 X = -1  # deletion symbol in VD cost tables
 INF = int(_kernels.INF)
@@ -59,26 +62,7 @@ class Gadget:
 
 
 @dataclass
-class CostTable:
-    mode: str
-    portal_lists: tuple
-    table: dict  # portal-value tuple (X allowed in vd) -> cost
-
-    @property
-    def base(self) -> int:
-        return min(c for c in self.table.values() if c < INF)
-
-
-@dataclass
-class Realization:
-    relation: frozenset
-    k: int
-    omega: Optional[int] = None
-
-
-@dataclass
 class MoveReport:
-    gadget: Gadget
     jmap: dict          # input value -> frozenset of min-cost outputs
     forced: dict        # input value -> output, where forced
 
@@ -93,16 +77,15 @@ def path_gadget(lists) -> Gadget:
 # cost tables
 
 
-def enumerate_cost_table(h: TargetGraph, gadget: Gadget, mode: str,
-                         bound: int = ENUM_BOUND) -> dict:
+def enumerate_cost_table(h: TargetGraph, gadget: Gadget, mode: str) -> dict:
     """Exact table from the gadget graph alone (portals first, then the rest).
 
     The table comes from _kernels.scan_table's variable elimination, not by
     enumerating assignments.  The name stays because the benchmark tracer
-    wraps it by name, and gadgets with more than bound assignments still
-    raise GadgetError, because recorded `gadget --verify` outputs say "table
-    too large to enumerate" for them (every s-prohibitor of the benchmark
-    corpus).
+    wraps it by name, and gadgets with more than ENUM_BOUND assignments
+    still raise GadgetError, because recorded `gadget --verify` outputs say
+    "table too large to enumerate" for them (every s-prohibitor of the
+    benchmark corpus).
     """
     order = list(gadget.portals) + [v for v in range(gadget.n)
                                     if v not in gadget.portals]
@@ -111,10 +94,9 @@ def enumerate_cost_table(h: TargetGraph, gadget: Gadget, mode: str,
                     sorted(tuple(sorted((pos[u], pos[v])))
                            for u, v in gadget.edges),
                     [gadget.lists[v] for v in order], None)
-    from .oracle import _scan_arrays
     radix, val, base, eu, ev, adj = _scan_arrays(h, inst, mode,
                                                  len(gadget.portals))
-    if prod(int(r) for r in radix) > bound:
+    if prod(int(r) for r in radix) > ENUM_BOUND:
         raise GadgetError("gadget too large for exhaustive enumeration")
     flat = _kernels.scan_table(radix, val, base, eu, ev, adj,
                                mode == "ed", len(gadget.portals))
@@ -128,26 +110,50 @@ def enumerate_cost_table(h: TargetGraph, gadget: Gadget, mode: str,
     return table
 
 
-def cost_table(h: TargetGraph, gadget: Gadget, mode: str,
-               bound: int = ENUM_BOUND) -> CostTable:
+def cost_table(h: TargetGraph, gadget: Gadget, mode: str) -> dict:
+    """The gadget's cached table for mode (portal-value tuple, X allowed in
+    vd -> cost), computed by elimination on first use."""
     if mode not in ("vd", "ed"):
         raise ValueError("mode must be 'vd' or 'ed'")
     if mode not in gadget.tables:
-        gadget.tables[mode] = enumerate_cost_table(h, gadget, mode, bound)
-    return CostTable(mode, gadget.portal_lists(), dict(gadget.tables[mode]))
+        gadget.tables[mode] = enumerate_cost_table(h, gadget, mode)
+    return gadget.tables[mode]
+
+
+def base_cost(t: dict) -> int:
+    """Least finite cost of a table."""
+    return min(c for c in t.values() if c < INF)
+
+
+def _check_costs(t: dict, cells, alpha: int, what: str,
+                 above=(), at_least=()) -> None:
+    """Raise GadgetError unless t costs alpha on every cell, except that it
+    must cost more on the cells of `above` and at least alpha on those of
+    `at_least`."""
+    for cell in cells:
+        c = t[cell]
+        if cell in above:
+            ok, want = c > alpha, "above"
+        elif cell in at_least:
+            ok, want = c >= alpha, "at least"
+        else:
+            ok, want = c == alpha, "exactly"
+        if not ok:
+            raise GadgetError(f"{what} costs {c} at {cell}, "
+                              f"not {want} alpha = {alpha}")
 
 
 def verify_realizes(h: TargetGraph, gadget: Gadget, relation,
                     omega: Optional[int] = None, mode: str = "ed") -> bool:
     """True iff cost is constant k on the relation, > k (resp. = k+omega)
     off it, over tuples drawn from the portal lists."""
-    ct = cost_table(h, gadget, mode)
+    t = cost_table(h, gadget, mode)
     domain = list(product(*(sorted(lst) for lst in gadget.portal_lists())))
-    rel = {tuple(t) for t in relation}
+    rel = {tuple(r) for r in relation}
     if not rel:
         return False
-    on = [ct.table[t] for t in domain if t in rel]
-    off = [ct.table[t] for t in domain if t not in rel]
+    on = [t[key] for key in domain if key in rel]
+    off = [t[key] for key in domain if key not in rel]
     k = on[0]
     if any(c != k for c in on):
         return False
@@ -158,16 +164,16 @@ def verify_realizes(h: TargetGraph, gadget: Gadget, relation,
 
 def move_report(h: TargetGraph, gadget: Gadget) -> MoveReport:
     """Per-input minimum-cost reachable sets of a binary ED gadget."""
-    ct = cost_table(h, gadget, "ed")
+    t = cost_table(h, gadget, "ed")
     lin, lout = gadget.portal_lists()
     jmap, forced = {}, {}
     for u in sorted(lin):
-        row = {v: ct.table[(u, v)] for v in sorted(lout)}
+        row = {v: t[(u, v)] for v in sorted(lout)}
         m = min(row.values())
         jmap[u] = frozenset(v for v, c in row.items() if c == m)
         if len(jmap[u]) == 1:
             (forced[u],) = jmap[u]
-    return MoveReport(gadget, jmap, forced)
+    return MoveReport(jmap, forced)
 
 
 # ---------------------------------------------------------------------------
@@ -200,16 +206,34 @@ def _glue(g1: Gadget, g2: Gadget, ident: dict) -> tuple:
 
 
 def serial_glue(g1: Gadget, g2: Gadget) -> Gadget:
-    """Identify g1's second portal with g2's first."""
+    """Identify g1's second portal with g2's first.  Each table mode that
+    both carry composes by min-plus over the junction's values."""
     n, edges, lists, map2 = _glue(g1, g2, {g2.portals[0]: g1.portals[1]})
-    return Gadget(n, edges, lists, (g1.portals[0], map2[g2.portals[1]]))
+    g = Gadget(n, edges, lists, (g1.portals[0], map2[g2.portals[1]]))
+    junction = sorted(g1.lists[g1.portals[1]])
+    for mode in sorted(g1.tables.keys() & g2.tables.keys()):
+        g.tables[mode] = serial_table(
+            g1.tables[mode], g2.tables[mode],
+            junction + [X] if mode == "vd" else junction, mode)
+    return g
 
 
 def parallel_glue(g1: Gadget, g2: Gadget) -> Gadget:
-    """Identify both portal pairs."""
+    """Identify both portal pairs.  Each table mode that both carry
+    composes by a pointwise sum."""
     n, edges, lists, _ = _glue(g1, g2, {g2.portals[0]: g1.portals[0],
                                         g2.portals[1]: g1.portals[1]})
-    return Gadget(n, edges, lists, g1.portals)
+    g = Gadget(n, edges, lists, g1.portals)
+    for mode in sorted(g1.tables.keys() & g2.tables.keys()):
+        g.tables[mode] = parallel_table(g1.tables[mode], g2.tables[mode])
+    return g
+
+
+def _reversed(g: Gadget) -> Gadget:
+    """A binary gadget with its portals swapped and its tables transposed."""
+    return Gadget(g.n, g.edges, g.lists, g.portals[::-1],
+                  {mode: {key[::-1]: c for key, c in t.items()}
+                   for mode, t in g.tables.items()})
 
 
 def serial_table(t1: dict, t2: dict, junction, mode: str) -> dict:
@@ -270,15 +294,10 @@ def build_splitter(h: TargetGraph, s, v: int,
     mid = frozenset(range(h.n)) - _gamma(h, v)
     g = path_gadget([s, mid, {v}, {vp, wp}])
     g.meta = {"v": v, "w": w, "vp": vp, "wp": wp, "alpha": 1}
-    ct = cost_table(h, g, "vd")
-    hits = {(v, vp)} | {(u, p) for u in s - {v} for p in (vp, wp)}
-    for a in sorted(s):
-        for b in (vp, wp):
-            want = 1 if (a, b) in hits else 2
-            if ct.table[(a, b)] < want or ((a, b) in hits
-                                           and ct.table[(a, b)] != 1):
-                raise GadgetError("splitter verification failed")
-    if ct.base != 1:
+    t = cost_table(h, g, "vd")
+    _check_costs(t, product(sorted(s), (vp, wp)), 1, "splitter",
+                 above={(v, wp)})
+    if base_cost(t) != 1:
         raise GadgetError("splitter base cost is not 1")
     return g
 
@@ -296,9 +315,10 @@ def _pair_context(h: TargetGraph, vp: int, wp: int,
     raise GadgetError("no generating pair for the given private neighbors")
 
 
-def _verify_matcher(h: TargetGraph, g: Gadget, p: int, q: int,
-                    alpha: int) -> None:
-    _verify_matcher_table(cost_table(h, g, "vd").table, p, q, alpha)
+def _verify_matcher(t: dict, p: int, q: int, alpha: int) -> None:
+    """alpha off the diagonal, more at (p,p), at least alpha at (q,q)."""
+    _check_costs(t, product((p, q, X), repeat=2), alpha, "matcher",
+                 above={(p, p)}, at_least={(q, q)})
 
 
 def _cycle_as(cycle, first: int, second: int):
@@ -331,7 +351,7 @@ def _ab_matcher(h: TargetGraph, witness, p: int, q: int) -> Gadget:
     else:
         raise GadgetError(f"no (p,q)-matcher for witness kind {kind}")
     g.meta = {"alpha": alpha, "p": p, "q": q, "witness": kind}
-    _verify_matcher(h, g, p, q, alpha)
+    _verify_matcher(cost_table(h, g, "vd"), p, q, alpha)
     return g
 
 
@@ -364,18 +384,8 @@ def build_translator(h: TargetGraph, vp: int, wp: int, a: int, b: int,
             g = path_gadget([{vp, wp}, {w}, {vp}, {b}, {a}, {a, b}])
             orient, alpha, case = (a, b), 2, "c"
     c, d = orient
-    ct = cost_table(h, g, "vd")
-    for x in (vp, wp, X):
-        for y in (a, b, X):
-            cost = ct.table[(x, y)]
-            if (x, y) == (vp, d):
-                if cost <= alpha:
-                    raise GadgetError("translator fails to penalize (vp,d)")
-            elif (x, y) == (wp, c):
-                if cost < alpha:
-                    raise GadgetError("translator base violated")
-            elif cost != alpha:
-                raise GadgetError("translator cost is not alpha")
+    _check_costs(cost_table(h, g, "vd"), product((vp, wp, X), (a, b, X)),
+                 alpha, "translator", above={(vp, d)}, at_least={(wp, c)})
     g.meta = {"alpha": alpha, "orientation": orient, "case": case}
     return g, orient
 
@@ -408,7 +418,7 @@ def build_matcher(h: TargetGraph, vp: int, wp: int,
                                  {wp}, {vv, wv}, {vp, wp}])
                 alpha = 2
             g.meta = {"alpha": alpha, "p": vp, "q": wp}
-            _verify_matcher(h, g, vp, wp, alpha)
+            _verify_matcher(cost_table(h, g, "vd"), vp, wp, alpha)
             return g
         except GadgetError as exc:
             last_err = exc
@@ -425,36 +435,11 @@ def build_matcher(h: TargetGraph, vp: int, wp: int,
         a, b = verts[0], verts[2]
     tr, (c, d) = build_translator(h, vp, wp, a, b, v, w)
     mat = _ab_matcher(h, witness, c, d)
-    tr2 = Gadget(tr.n, tr.edges, tr.lists, tr.portals,
-                 {m: dict(t) for m, t in tr.tables.items()}, dict(tr.meta))
-    left = serial_glue(tr, mat)
-    rev2 = Gadget(tr2.n, tr2.edges, tr2.lists,
-                  (tr2.portals[1], tr2.portals[0]))
-    g = serial_glue(left, rev2)
-    t_tr = cost_table(h, tr, "vd").table
-    t_mat = cost_table(h, mat, "vd").table
-    t_rev = {(y, x): cst for (x, y), cst in t_tr.items()}
-    junction = (c, d, X)
-    t = serial_table(serial_table(t_tr, t_mat, junction, "vd"),
-                     t_rev, junction, "vd")
-    g.tables["vd"] = t
+    g = serial_glue(serial_glue(tr, mat), _reversed(tr))
     alpha = 2 * tr.meta["alpha"] + mat.meta["alpha"]
     g.meta = {"alpha": alpha, "p": vp, "q": wp}
-    _verify_matcher_table(t, vp, wp, alpha)
+    _verify_matcher(g.tables["vd"], vp, wp, alpha)
     return g
-
-
-def _verify_matcher_table(t: dict, p: int, q: int, alpha: int) -> None:
-    for a, b in product((p, q, X), repeat=2):
-        c = t[(a, b)]
-        if (a, b) == (p, p):
-            if c <= alpha:
-                raise GadgetError("matcher fails to penalize (p,p)")
-        elif (a, b) == (q, q):
-            if c < alpha:
-                raise GadgetError("matcher base violated at (q,q)")
-        elif c != alpha:
-            raise GadgetError("matcher cost off the diagonal is not alpha")
 
 
 def build_prohibitor(h: TargetGraph, s, v: int) -> Gadget:
@@ -484,27 +469,10 @@ def build_prohibitor(h: TargetGraph, s, v: int) -> Gadget:
             break
     if mat is None:
         raise last_err
-    vp, wp = spl.meta["vp"], spl.meta["wp"]
-    spl2 = Gadget(spl.n, spl.edges, spl.lists, spl.portals)
-    left = serial_glue(spl, mat)
-    g = serial_glue(left, Gadget(spl2.n, spl2.edges, spl2.lists,
-                                 (spl2.portals[1], spl2.portals[0])))
-    t_spl = cost_table(h, spl, "vd").table
-    t_mat = mat.tables["vd"]
-    t_rev = {(y, x): c for (x, y), c in t_spl.items()}
-    junction = (vp, wp, X) if vp < wp else (wp, vp, X)
-    t = serial_table(serial_table(t_spl, t_mat, junction, "vd"),
-                     t_rev, junction, "vd")
-    g.tables["vd"] = t
+    g = serial_glue(serial_glue(spl, mat), _reversed(spl))
     alpha = 2 * spl.meta["alpha"] + mat.meta["alpha"]
-    s = frozenset(s)
-    for a, b in product(sorted(s) + [X], repeat=2):
-        c = t[(a, b)]
-        if (a, b) == (v, v):
-            if c <= alpha:
-                raise GadgetError("prohibitor fails to penalize (v,v)")
-        elif c != alpha:
-            raise GadgetError("prohibitor cost is not alpha")
+    _check_costs(g.tables["vd"], product(sorted(s) + [X], repeat=2), alpha,
+                 "prohibitor", above={(v, v)})
     g.meta = {"alpha": alpha, "v": v, "s": s}
     return g
 
@@ -515,31 +483,17 @@ def build_s_prohibitor(h: TargetGraph, s) -> Gadget:
     s = frozenset(s)
     parts = [build_prohibitor(h, s, v) for v in sorted(s)]
     g = parts[0]
-    t = dict(g.tables["vd"])
     for other in parts[1:]:
         g = parallel_glue(g, other)
-        t = parallel_table(t, other.tables["vd"])
-    g.tables["vd"] = t
     alpha = sum(p.meta["alpha"] for p in parts)
-    for a, b in product(sorted(s) + [X], repeat=2):
-        c = t[(a, b)]
-        if a == b and a != X:
-            if c <= alpha:
-                raise GadgetError("S-prohibitor fails to penalize (v,v)")
-        elif c != alpha:
-            raise GadgetError("S-prohibitor cost is not alpha")
+    _check_costs(g.tables["vd"], product(sorted(s) + [X], repeat=2), alpha,
+                 "S-prohibitor", above={(u, u) for u in s})
     g.meta = {"alpha": alpha, "s": s}
     return g
 
 
 # ---------------------------------------------------------------------------
 # ED calculus: pendants, normalization, composition
-
-
-def _ed_table(h: TargetGraph, g: Gadget) -> dict:
-    if "ed" not in g.tables:
-        g.tables["ed"] = enumerate_cost_table(h, g, "ed")
-    return g.tables["ed"]
 
 
 def add_cost_pendants(h: TargetGraph, gadget: Gadget, portal_index: int,
@@ -553,7 +507,7 @@ def add_cost_pendants(h: TargetGraph, gadget: Gadget, portal_index: int,
     pend = frozenset(range(h.n)) - _gamma(h, a)
     if not pend:
         raise GadgetError("no pendant list available: Γ(a) = V(H)")
-    t = dict(_ed_table(h, gadget))
+    t = cost_table(h, gadget, "ed")
     lists = list(gadget.lists)
     edges = list(gadget.edges)
     n = gadget.n
@@ -570,7 +524,7 @@ def add_cost_pendants(h: TargetGraph, gadget: Gadget, portal_index: int,
 
 def normalize_move(h: TargetGraph, move: Gadget) -> Gadget:
     """Equalize row minima so the move realizes {(u,v): v in J(u)}."""
-    t = _ed_table(h, move)
+    t = cost_table(h, move, "ed")
     lin = sorted(move.lists[move.portals[0]])
     lout = sorted(move.lists[move.portals[1]])
     mins = {u: min(t[(u, v)] for v in lout) for u in lin}
@@ -579,29 +533,23 @@ def normalize_move(h: TargetGraph, move: Gadget) -> Gadget:
     for u in lin:
         if mins[u] < kstar:
             g = add_cost_pendants(h, g, 0, u, kstar - mins[u])
-    rel = {(u, v) for u in lin for v in lout
-           if t[(u, v)] == mins[u]}
     tn = g.tables["ed"]
-    k = min(tn.values())
-    for u in lin:
-        for v in lout:
-            ok = tn[(u, v)] == k if (u, v) in rel else tn[(u, v)] > k
-            if not ok:
-                raise GadgetError("normalization failed to realize the move")
+    _check_costs(tn, product(lin, lout), min(tn.values()), "normalized move",
+                 above={(u, v) for u in lin for v in lout
+                        if t[(u, v)] != mins[u]})
     g.meta = dict(move.meta)
     g.meta["normalized"] = True
     return g
 
 
 def compose_moves(h: TargetGraph, m1: Gadget, m2: Gadget) -> Gadget:
-    """Serial gluing of two normalized moves; tables compose by min-plus."""
+    """Serial gluing of two normalized moves.  Both tables are made first,
+    since the glue composes only tables that both parts carry."""
     if m1.lists[m1.portals[1]] != m2.lists[m2.portals[0]]:
         raise GadgetError("junction lists differ")
-    t1, t2 = _ed_table(h, m1), _ed_table(h, m2)
-    g = serial_glue(m1, m2)
-    junction = sorted(m1.lists[m1.portals[1]])
-    g.tables["ed"] = serial_table(t1, t2, junction, "ed")
-    return g
+    cost_table(h, m1, "ed")
+    cost_table(h, m2, "ed")
+    return serial_glue(m1, m2)
 
 
 def force_from_allow(h: TargetGraph, move: Gadget) -> Gadget:
@@ -636,11 +584,8 @@ def force_from_allow(h: TargetGraph, move: Gadget) -> Gadget:
         lists = list(g.lists) + [frozenset({ap, bp}), frozenset(lin)]
         edges += [(x, g.n), (g.n, g.n + 1), (g.n + 1, y)]
         g = Gadget(g.n + 2, tuple(edges), tuple(lists), g.portals)
-    t = _ed_table(h, g)
-    mirror = Gadget(g.n, g.edges, g.lists, g.portals)
-    doubled = parallel_glue(g, mirror)
-    doubled.tables["ed"] = parallel_table(t, t)
-    out = add_cost_pendants(h, doubled, 0, b, 1)
+    cost_table(h, g, "ed")  # so that parallel_glue doubles it
+    out = add_cost_pendants(h, parallel_glue(g, g), 0, b, 1)
     out = add_cost_pendants(h, out, 1, c, 1)
     rep2 = move_report(h, out)
     if rep2.forced.get(a) != c or rep2.forced.get(b) != d:
@@ -797,7 +742,7 @@ def _move_chain(h: TargetGraph, pair1, pair2) -> list:
     end = p2
     if not in_variant(p2):
         g, end = _shift_gadget(h, p2, reflexive_private=not strong)
-        rev = Gadget(g.n, g.edges, g.lists, (g.portals[1], g.portals[0]))
+        rev = _reversed(g)
         rep = move_report(h, rev)
         if any(len(rep.jmap[u]) != 1 for u in rep.jmap):
             rev = force_from_allow(h, rev)
@@ -871,18 +816,12 @@ def build_indicator(h: TargetGraph, s, a: int, b: int) -> tuple:
                 raise GadgetError("indicator submove is not forcing")
             moves.append(((x, y), m))
     # glue all submoves at the shared input portal
-    base_g = moves[0][1]
-    g = Gadget(base_g.n, base_g.edges, base_g.lists,
-               (base_g.portals[0], base_g.portals[1]))
-    out_portals = [g.portals[1]]
+    g = moves[0][1]
     for _, m in moves[1:]:
         n, edges, lists, map2 = _glue(g, m, {m.portals[0]: g.portals[0]})
-        out_portals.append(map2[m.portals[1]])
-        g = Gadget(n, edges, lists, (g.portals[0],) + tuple(out_portals))
-    portals = (g.portals[0],) + tuple(out_portals)
-    g = Gadget(g.n, g.edges, g.lists, portals)
+        g = Gadget(n, edges, lists, g.portals + (map2[m.portals[1]],))
     # joint table: submoves are independent given the shared input
-    tabs = [_ed_table(h, m) for _, m in moves]
+    tabs = [cost_table(h, m, "ed") for _, m in moves]
     joint = {}
     for u in s:
         for outs in product((a, b), repeat=len(moves)):
@@ -894,11 +833,8 @@ def build_indicator(h: TargetGraph, s, a: int, b: int) -> tuple:
         for outs in product((a, b), repeat=len(moves)):
             if all(o in r.jmap[u] for r, o in zip(reps, outs)):
                 relation.add((u,) + outs)
-    k = min(joint.values())
-    for key, c in joint.items():
-        ok = c == k if key in relation else c > k
-        if not ok:
-            raise GadgetError("indicator joint table does not realize I")
+    _check_costs(joint, joint, min(joint.values()), "indicator",
+                 above=joint.keys() - relation)
     for i, u in enumerate(s):
         iu = {key[1:] for key in relation if key[0] == u}
         if not iu:
@@ -982,9 +918,7 @@ def synthesize_neq(h: TargetGraph, a: int, b: int,
             ts = {k2: t[k2] + t[(k2[1], k2[0])] for k2 in t}
             if neq_ok(ts):
                 g1 = path_gadget(lists)
-                g2 = Gadget(g1.n, g1.edges, g1.lists,
-                            (g1.portals[1], g1.portals[0]))
-                g = parallel_glue(g1, g2)
+                g = parallel_glue(g1, _reversed(g1))
                 if verify_realizes(h, g, {(a, b), (b, a)}, omega=1):
                     return g
     return None

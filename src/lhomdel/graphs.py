@@ -24,7 +24,6 @@ class TargetGraph:
 
     n: int
     nbhd: tuple[int, ...]  # nbhd[v] = bitmask of Gamma(v), includes v iff loop
-    names: Optional[tuple[str, ...]] = None
 
     def __post_init__(self):
         if self.n < 1:
@@ -35,15 +34,14 @@ class TargetGraph:
                     raise ValueError("adjacency is not symmetric")
 
     @staticmethod
-    def from_edges(n: int, edges: Iterable[tuple[int, int]],
-                   names: Optional[Sequence[str]] = None) -> "TargetGraph":
+    def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> "TargetGraph":
         nb = [0] * n
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u},{v}) out of range")
             nb[u] |= 1 << v
             nb[v] |= 1 << u
-        return TargetGraph(n, tuple(nb), tuple(names) if names else None)
+        return TargetGraph(n, tuple(nb))
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.nbhd[u] >> v & 1)
@@ -78,13 +76,7 @@ class TargetGraph:
             for u in bits(self.nbhd[v]):
                 if u in pos:
                     nb[i] |= 1 << pos[u]
-        names = tuple(self.name_of(v) for v in verts)
-        return TargetGraph(len(verts), tuple(nb), names)
-
-    def name_of(self, v: int) -> str:
-        if self.names is not None:
-            return self.names[v]
-        return str(v + 1)
+        return TargetGraph(len(verts), tuple(nb))
 
 
 def bits(mask: int):
@@ -157,9 +149,6 @@ class Solution:
             if not h.has_edge(self.hom[u], self.hom[v]):
                 raise AssertionError(
                     f"edge ({u}, {v}) is mapped onto a non-edge of H")
-
-
-INFEASIBLE = "infeasible"
 
 
 class Infeasible(Exception):

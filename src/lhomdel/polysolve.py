@@ -17,7 +17,7 @@ from itertools import combinations, permutations
 from typing import Optional
 
 from . import analysis
-from .graphs import (Infeasible, Instance, Solution, TargetGraph, bits,
+from .graphs import (Infeasible, Instance, Solution, TargetGraph,
                      reduce_lists)
 from .mincut import FlowNetwork, min_cut, min_vertex_separator
 
@@ -44,7 +44,7 @@ def two_clique_cover(h: TargetGraph) -> TwoCliqueCover:
     searched (first valid in lexicographic flip order) since the chain
     condition can depend on them.
     """
-    if classify_is_poly_vd(h) is False:
+    if analysis.classify_vd(h)[0] != "poly":
         raise ValueError("target is not on the tractable side for VD")
     # complement components with a fixed 2-coloring each
     comp_colors = []
@@ -79,13 +79,9 @@ def two_clique_cover(h: TargetGraph) -> TwoCliqueCover:
     raise ValueError("no chain two-clique cover found")
 
 
-def classify_is_poly_vd(h: TargetGraph) -> bool:
-    return analysis.classify_vd(h)[0] == "poly"
-
-
 def solve_vd_poly(h: TargetGraph, inst: Instance) -> Solution:
     """Minimum vertex deletion via one min vertex separator."""
-    if not classify_is_poly_vd(h):
+    if analysis.classify_vd(h)[0] != "poly":
         raise ValueError("solve_vd_poly requires a Poly-classified target")
     cover = two_clique_cover(h)
     red = reduce_lists(h, inst)

@@ -274,7 +274,7 @@ def coloring_ed_to_lhomed(h: TargetGraph, g_n: int, g_edges, z: int,
     neq = {(u, v) for u in s for v in s if u != v}
     if not gadgets.verify_realizes(h, neq_gadget, neq, omega=1, mode="ed"):
         raise ValueError("gadget does not 1-realize inequality over S")
-    alpha = gadgets.cost_table(h, neq_gadget, "ed").base
+    alpha = gadgets.base_cost(gadgets.cost_table(h, neq_gadget, "ed"))
     inst = _substitute_edges(g_n, list(g_edges), neq_gadget, s)
     inst.budget = alpha * len(list(g_edges)) + z
     return inst, alpha

@@ -49,7 +49,7 @@ def test_criterion_03_solvers_match_oracle():
         want = oracle.oracle_vd(h, inst).cost
         assert dpsolve.solve_vd_dp(h, inst).cost == want
         assert dpsolve.solve_vd_auto(h, inst).cost == want
-        if polysolve.classify_is_poly_vd(h):
+        if analysis.classify_vd(h)[0] == "poly":
             assert polysolve.solve_vd_poly(h, inst).cost == want
             vd_poly += 1
         want = oracle.oracle_ed(h, inst).cost

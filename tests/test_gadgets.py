@@ -5,7 +5,7 @@ from math import prod
 import networkx as nx
 import pytest
 
-from lhomdel import analysis, gadgets, graphs
+from lhomdel import _kernels, analysis, gadgets, graphs, oracle
 from lhomdel.graphs import max_incomparable
 
 import families
@@ -17,8 +17,7 @@ def test_splitter_base_cost():
     h = families.independent_reflexive(3)
     g = gadgets.build_splitter(h, {0, 1, 2}, 0)
     assert g.meta["alpha"] == 1
-    ct = gadgets.cost_table(h, g, "vd")
-    assert ct.base == 1
+    assert gadgets.base_cost(gadgets.cost_table(h, g, "vd")) == 1
 
 
 def test_matcher_on_three_independent():
@@ -105,7 +104,7 @@ def test_prohibitor_on_reflexive_c4():
 def test_add_cost_pendants():
     h = families.independent_reflexive(3)
     g = gadgets.path_gadget([frozenset({0, 1}), frozenset({0, 1})])
-    t0 = dict(gadgets.cost_table(h, g, "ed").table)
+    t0 = dict(gadgets.cost_table(h, g, "ed"))
     g2 = gadgets.add_cost_pendants(h, g, 0, 0, 2)
     t2 = g2.tables["ed"]
     for key, c in t0.items():
@@ -120,7 +119,7 @@ def test_normalize_and_compose_moves():
                                                              {1, 2}))
     m2 = gadgets.normalize_move(h, gadgets.adjacent_pair_move(h, {1, 2},
                                                              {0, 2}))
-    t = gadgets._ed_table(h, m1)
+    t = gadgets.cost_table(h, m1, "ed")
     lin = sorted(m1.lists[m1.portals[0]])
     lout = sorted(m1.lists[m1.portals[1]])
     mins = {u: min(t[(u, v)] for v in lout) for u in lin}
@@ -141,6 +140,69 @@ def test_move_between_pairs_forced_bijection():
         rep = gadgets.move_report(h, g)
         imgs = [rep.forced[u] for u in sorted(p1)]
         assert len(set(imgs)) == 2 and set(imgs) <= p2
+
+
+def _eliminated(h, g, mode):
+    """g's cost table by variable elimination, with no bound on its size:
+    the variables are the portals, in order, then the other vertices."""
+    order = list(g.portals) + [v for v in range(g.n) if v not in g.portals]
+    pos = {v: i for i, v in enumerate(order)}
+    inst = graphs.Instance(g.n, sorted(tuple(sorted((pos[u], pos[v])))
+                                       for u, v in g.edges),
+                           [g.lists[v] for v in order])
+    arrays = oracle._scan_arrays(h, inst, mode, len(g.portals))
+    flat = _kernels.scan_table(*arrays, mode == "ed", len(g.portals))
+    axes = [sorted(g.lists[p]) + ([X] if mode == "vd" else [])
+            for p in g.portals]
+    return {key: int(c) for key, c in zip(product(*axes), flat)}
+
+
+def _reflexive_matcher(k):
+    # a reflexive target has no irreflexive vertex, so the matcher is
+    # translator + (a,b)-matcher + reversed translator
+    h = families.reflexive_cycle(k)
+    return h, gadgets.build_matcher(h, 0, 2), "vd"
+
+
+def _forced_pair_move():
+    h = families.independent_reflexive(3)
+    move = gadgets.path_gadget([{0, 1}, {0, 1}, {0, 2}])
+    out = gadgets.force_from_allow(h, move)
+    assert out is not move  # the move is doubled and padded, not kept
+    return h, out, "ed"
+
+
+def _three_way_s_prohibitor():
+    # 52 vertices: far above ENUM_BOUND, so `gadget --verify` cannot check
+    # this table; elimination on the series-parallel gadget still can
+    h = families.independent_reflexive(3)
+    return h, gadgets.build_s_prohibitor(h, {0, 1, 2}), "vd"
+
+
+@pytest.mark.parametrize("build", [
+    lambda: _reflexive_matcher(4),
+    lambda: _reflexive_matcher(5),
+    _forced_pair_move,
+    _three_way_s_prohibitor,
+], ids=["matcher-c4", "matcher-c5", "force-from-allow", "s-prohibitor"])
+def test_glued_tables_match_elimination(build):
+    h, g, mode = build()
+    assert mode in g.tables  # composed while gluing, not eliminated
+    assert g.tables[mode] == _eliminated(h, g, mode)
+
+
+def test_check_costs_relations():
+    t = {(0, 0): 3, (0, 1): 2, (1, 0): 2, (1, 1): 2}
+    cells = list(t)
+    gadgets._check_costs(t, cells, 2, "g", above={(0, 0)},
+                         at_least={(1, 1)})
+    with pytest.raises(gadgets.GadgetError):  # (0, 0) is not alpha
+        gadgets._check_costs(t, cells, 2, "g")
+    with pytest.raises(gadgets.GadgetError):  # (1, 1) is not above alpha
+        gadgets._check_costs(t, cells, 2, "g", above={(0, 0), (1, 1)})
+    with pytest.raises(gadgets.GadgetError):  # (0, 1) is below alpha
+        gadgets._check_costs(t, cells, 3, "g", above=(),
+                             at_least={(0, 0), (0, 1), (1, 0), (1, 1)})
 
 
 def test_large_move_table_matches_composition():
@@ -175,7 +237,7 @@ def test_neq_synthesis_worked_example():
     h = families.independent_reflexive(3)
     g = gadgets.synthesize_neq(h, 0, 1)
     assert g is not None
-    t = gadgets.cost_table(h, g, "ed").table
+    t = gadgets.cost_table(h, g, "ed")
     assert t[(0, 1)] == t[(1, 0)] == 3
     assert t[(0, 0)] == t[(1, 1)] == 4
     assert gadgets.verify_realizes(h, g, {(0, 1), (1, 0)}, omega=1)
@@ -184,7 +246,7 @@ def test_neq_synthesis_worked_example():
 def test_neq_on_irreflexive_edge():
     h = families.irreflexive_kq(2)
     g = gadgets.synthesize_neq(h, 0, 1)
-    t = gadgets.cost_table(h, g, "ed").table
+    t = gadgets.cost_table(h, g, "ed")
     assert t[(0, 1)] == t[(1, 0)] == 0
     assert t[(0, 0)] == t[(1, 1)] == 1
 

@@ -33,7 +33,7 @@ def test_two_clique_cover():
     done = 0
     while done < 40:
         h = families.random_target(rng, rng.randint(1, 6), loop_p=1.0)
-        if not polysolve.classify_is_poly_vd(h):
+        if analysis.classify_vd(h)[0] != "poly":
             continue
         cover = polysolve.two_clique_cover(h)
         assert cover.left | cover.right == set(range(h.n))
@@ -48,7 +48,7 @@ def test_vd_poly_vs_oracle():
     done = 0
     while done < 80:
         h = families.random_target(rng, rng.randint(1, 5), loop_p=1.0)
-        if not polysolve.classify_is_poly_vd(h):
+        if analysis.classify_vd(h)[0] != "poly":
             continue
         inst = families.random_instance(rng, h, rng.randint(1, 8))
         sol = polysolve.solve_vd_poly(h, inst)  # self-checks the witness
