@@ -284,6 +284,8 @@ def parse_instance(text: str, h: TargetGraph) -> Instance:
                 if len(tok) != 4 or tok[1] != "lhom":
                     raise ParseError(f"line {lineno}: malformed header")
                 n, m = int(tok[2]), int(tok[3])
+                if n < 0 or m < 0:
+                    raise ParseError(f"line {lineno}: negative count")
             elif tok[0] == "e":
                 if n is None:
                     raise ParseError(f"line {lineno}: edge before header")
@@ -315,6 +317,8 @@ def parse_instance(text: str, h: TargetGraph) -> Instance:
                     raise ParseError(f"line {lineno}: negative budget")
             else:
                 raise ParseError(f"line {lineno}: unknown line {tok[0]!r}")
+        except ParseError:
+            raise
         except (ValueError, IndexError):
             raise ParseError(f"line {lineno}: malformed line") from None
     if n is None:

@@ -1,177 +1,122 @@
 """Integer max-flow / min-cut with unbreakable arcs, plus minimum vertex
 separators via node splitting.
 
-Dinic-style blocking flow; desk-scale networks only.  "Unbreakable" arcs get
-capacity UNBREAKABLE(net) = (number of unit arcs) + 1, strictly above any cut
-made of unit arcs, so they are never severed by a minimum cut.
+Networks have nodes 0..n-1 and arcs (u, v, unit).  A unit arc has
+capacity 1; an unbreakable arc gets (number of unit arcs) + 1, strictly
+above any cut made of unit arcs, so a minimum cut never severs it.
+Dinic-style blocking flow over flat residual lists; desk-scale networks
+only.  The source side returned is the set of nodes reachable from s in
+the final residual network: the least source side of a minimum cut, the
+same for every maximum flow.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
 
 
 class Uncuttable(Exception):
     """Every s-t cut would need to sever an unbreakable arc."""
 
 
-@dataclass
-class FlowNetwork:
-    """Directed network; parallel arcs allowed.  Nodes are hashable keys."""
-
-    source: object
-    sink: object
-    _arcs: list = field(default_factory=list)   # [to, cap, flow] per dir
-    _adj: dict = field(default_factory=dict)    # node -> arc indices
-    _unit_arcs: int = 0
-    _unbreakable: list = field(default_factory=list)  # indices awaiting cap
-
-    def __post_init__(self):
-        if self.source == self.sink:
-            raise ValueError("source and sink must differ")
-        self._adj.setdefault(self.source, [])
-        self._adj.setdefault(self.sink, [])
-
-    def add_arc(self, u, v, cap) -> int:
-        """cap is a positive int or the string 'unbreakable'."""
-        self._adj.setdefault(u, [])
-        self._adj.setdefault(v, [])
-        i = len(self._arcs)
-        if cap == "unbreakable":
-            self._arcs.append([v, 0, 0])
-            self._unbreakable.append(i)
-        else:
-            if not isinstance(cap, int) or cap < 1:
-                raise ValueError("capacity must be a positive integer")
-            self._arcs.append([v, cap, 0])
-            if cap == 1:
-                self._unit_arcs += 1
-        self._arcs.append([u, 0, 0])  # residual twin
-        self._adj[u].append(i)
-        self._adj[v].append(i + 1)
-        return i
-
-    def unbreakable_weight(self) -> int:
-        return self._unit_arcs + 1
-
-    def _freeze(self):
-        w = self.unbreakable_weight()
-        for i in self._unbreakable:
-            self._arcs[i][1] = w
-
-
-def _bfs_levels(net: FlowNetwork):
-    level = {net.source: 0}
-    q = deque([net.source])
+def _levels(adj, head, cap, s):
+    level = [-1] * len(adj)
+    level[s] = 0
+    q = deque([s])
     while q:
         u = q.popleft()
-        for i in net._adj[u]:
-            to, cap, flow = net._arcs[i]
-            if cap - flow > 0 and to not in level:
-                level[to] = level[u] + 1
-                q.append(to)
+        nxt = level[u] + 1
+        for i in adj[u]:
+            v = head[i]
+            if cap[i] and level[v] < 0:
+                level[v] = nxt
+                q.append(v)
     return level
 
 
-def _dfs_push(net: FlowNetwork, level, it, u, limit):
-    """Push flow along one augmenting path of the level graph from u.
+def _augment(adj, head, cap, level, it, s, t):
+    """Push flow along one augmenting path of the level graph from s.
 
     Depth-first with an explicit stack: arcs are tried in adjacency order
     from it[node], and a node's pointer moves past an arc only once that
     arc has led to a dead end."""
-    nodes, arcs, limits = [u], [], [limit]
-    while nodes[-1] != net.sink:
+    nodes, path = [s], []
+    while nodes[-1] != t:
         x = nodes[-1]
-        adj = net._adj[x]
-        while it[x] < len(adj):
-            i = adj[it[x]]
-            to, cap, flow = net._arcs[i]
-            if cap - flow > 0 and level.get(to, -1) == level[x] + 1:
-                nodes.append(to)
-                arcs.append(i)
-                limits.append(min(limits[-1], cap - flow))
+        ax, want = adj[x], level[x] + 1
+        while it[x] < len(ax):
+            i = ax[it[x]]
+            if cap[i] and level[head[i]] == want:
+                nodes.append(head[i])
+                path.append(i)
                 break
             it[x] += 1
         else:  # dead end: retreat and skip the arc that led here
             nodes.pop()
-            if not arcs:
+            if not path:
                 return 0
-            arcs.pop()
-            limits.pop()
+            path.pop()
             it[nodes[-1]] += 1
-    pushed = limits[-1]
-    for i in arcs:
-        net._arcs[i][2] += pushed
-        net._arcs[i ^ 1][2] -= pushed
+    pushed = min(cap[i] for i in path)
+    for i in path:
+        cap[i] -= pushed
+        cap[i ^ 1] += pushed
     return pushed
 
 
-def min_cut(net: FlowNetwork):
-    """(value, s_side, cut_arcs); cut_arcs as (u, v, arc_index) triples.
+def min_cut(n: int, arcs, s: int, t: int):
+    """Minimum s-t cut of the network on nodes 0..n-1.
 
-    Raises Uncuttable if the minimum cut severs an unbreakable arc (value
-    >= unbreakable weight).
+    arcs: iterable of (u, v, unit); parallel arcs allowed.  Returns
+    (value, s_side) with s_side[v] true iff v is on the source side.
+    Raises Uncuttable if the minimum cut severs an unbreakable arc.
     """
-    net._freeze()
+    if s == t:
+        raise ValueError("source and sink must differ")
+    arcs = list(arcs)
+    heavy = sum(1 for _, _, unit in arcs if unit) + 1
+    adj = [[] for _ in range(n)]
+    head, cap = [], []   # arc 2k is arcs[k], arc 2k+1 its residual twin
+    for u, v, unit in arcs:
+        adj[u].append(len(head))
+        adj[v].append(len(head) + 1)
+        head += (v, u)
+        cap += (1 if unit else heavy, 0)
     value = 0
     while True:
-        level = _bfs_levels(net)
-        if net.sink not in level:
+        level = _levels(adj, head, cap, s)
+        if level[t] < 0:
             break
-        it = {u: 0 for u in net._adj}
-        while True:
-            pushed = _dfs_push(net, level, it, net.source, 1 << 60)
-            if not pushed:
-                break
+        it = [0] * n
+        while pushed := _augment(adj, head, cap, level, it, s, t):
             value += pushed
-    s_side = set(_bfs_levels(net))
-    cut = []
-    for u in net._adj:
-        if u not in s_side:
-            continue
-        for i in net._adj[u]:
-            if i % 2 == 0:  # forward arcs only
-                to, cap, _ = net._arcs[i]
-                if cap > 0 and to not in s_side:
-                    cut.append((u, to, i))
-    cut_weight = sum(net._arcs[i][1] for _, _, i in cut)
-    if cut_weight != value:
+    s_side = [lv >= 0 for lv in level]
+    cut = [unit for u, v, unit in arcs if s_side[u] and not s_side[v]]
+    weight = sum(1 if unit else heavy for unit in cut)
+    if weight != value:
         raise AssertionError(
-            f"cut arcs weigh {cut_weight} but the flow value is {value}")
-    if value >= net.unbreakable_weight():
+            f"cut arcs weigh {weight} but the flow value is {value}")
+    if value >= heavy:
         raise Uncuttable(f"min cut {value} reaches the unbreakable weight")
-    return value, s_side, cut
+    if not all(cut):
+        raise AssertionError("min cut crosses an unbreakable arc")
+    return value, s_side
 
 
 def min_vertex_separator(n: int, arcs, s: int, t: int):
     """Minimum s-t vertex separator in a digraph on 0..n-1.
 
     arcs: iterable of (u, v).  s and t are not deletable.  Node splitting:
-    each vertex becomes in->out with a unit arc; original arcs unbreakable.
-    Returns (value, separator set).
+    vertex v becomes in-node 2v -> out-node 2v+1 with a unit arc; original
+    arcs are unbreakable.  Returns (value, separator, reach), where reach
+    is the set of vertices reachable from s in the digraph minus the
+    separator: exactly those whose out-node is on the source side.
     """
-    def inn(v):
-        return ("in", v)
-
-    def out(v):
-        return ("out", v)
-
-    net = FlowNetwork(out(s), inn(t))
-    for v in range(n):
-        if v not in (s, t):
-            net.add_arc(inn(v), out(v), 1)
-    for u, v in arcs:
-        net.add_arc(out(u), inn(v), "unbreakable")
-    # s and t are not deletable: fuse their in/out sides
-    for v in (s, t):
-        net.add_arc(inn(v), out(v), "unbreakable")
-    value, s_side, cut = min_cut(net)
-    if not all(a[0] == "in" and b[0] == "out" and a[1] == b[1]
-               for a, b, _ in cut):
-        raise AssertionError("min cut crosses an unbreakable arc")
-    sep = {a[1] for a, _, _ in cut}
+    net = [(2 * v, 2 * v + 1, v not in (s, t)) for v in range(n)]
+    net += [(2 * u + 1, 2 * v, False) for u, v in arcs]
+    value, side = min_cut(2 * n, net, 2 * s + 1, 2 * t)
+    sep = {v for v in range(n) if side[2 * v] and not side[2 * v + 1]}
     if len(sep) != value:
         raise AssertionError(
             f"separator has {len(sep)} vertices but the cut value is {value}")
-    return value, sep
+    return value, sep, {v for v in range(n) if side[2 * v + 1]}

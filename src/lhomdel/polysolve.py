@@ -19,7 +19,7 @@ from typing import Optional
 from . import analysis
 from .graphs import (Infeasible, Instance, Solution, TargetGraph,
                      reduce_lists)
-from .mincut import FlowNetwork, min_cut, min_vertex_separator
+from .mincut import min_cut, min_vertex_separator
 
 
 @dataclass(frozen=True)
@@ -114,20 +114,9 @@ def solve_vd_poly(h: TargetGraph, inst: Instance) -> Solution:
         for x, y in ((u, v), (v, u)):
             if x in lelem and y in relem and not h.has_edge(lelem[x], relem[y]):
                 arcs.append((pos[x], pos[y]))
-    value, sep = min_vertex_separator(n + 2, arcs, s, t)
+    value, sep, reach = min_vertex_separator(n + 2, arcs, s, t)
     deleted = forced + sorted(alive[i] for i in sep)
-    # side assignment: reachable from s avoiding the separator -> left clique
-    adj = {i: [] for i in range(n + 2)}
-    for a, b in arcs:
-        adj[a].append(b)
-    reach = {s}
-    stack = [s]
-    while stack:
-        x = stack.pop()
-        for y in adj[x]:
-            if y not in reach and y not in sep and y != t:
-                reach.add(y)
-                stack.append(y)
+    # reachable from s avoiding the separator -> left clique
     hom = {}
     for v in alive:
         if pos[v] in sep:
@@ -293,36 +282,36 @@ def solve_ed_poly(h: TargetGraph, inst: Instance) -> Solution:
         raise Infeasible("vertex with an empty list")
     red = reduce_lists(h, inst)
     orders = staircase_orders(h, red.lists)
-    net = FlowNetwork("s", "t")
     order_of = [orders[frozenset(red.lists[v])] for v in range(inst.n)]
-
-    def p(v, i):
-        return ("p", v, i)
-
-    for v in range(inst.n):
-        ln = len(order_of[v])
-        for i in range(1, ln + 1):
-            net.add_arc(p(v, i - 1), p(v, i), "unbreakable")
-        net.add_arc(p(v, 0), "t", "unbreakable")
-        net.add_arc("s", p(v, ln), "unbreakable")
+    # node base[v] + i is on the source side iff v maps to one of the first
+    # i elements of its order
+    base = [0]
+    for order in order_of:
+        base.append(base[-1] + len(order) + 1)
+    s, t = base[-1], base[-1] + 1
+    arcs = []
+    for v, order in enumerate(order_of):
+        b, ln = base[v], len(order)
+        arcs += [(b + i - 1, b + i, False) for i in range(1, ln + 1)]
+        arcs += [(b, t, False), (s, b + ln, False)]
     for u, w in inst.edges:
         v, w = (u, w) if u < w else (w, u)
         rc = rectangle_cover(interaction_matrix(h, order_of[v], order_of[w]))
         if rc.r1 is not None:
             _, rhi, clo, _ = rc.r1   # bottom-left corner (rhi, clo)
-            net.add_arc(p(v, rhi), p(w, clo - 1), 1)
+            arcs.append((base[v] + rhi, base[w] + clo - 1, True))
         if rc.r3 is not None:
             rlo, _, _, chi = rc.r3   # top-right corner (rlo, chi)
-            net.add_arc(p(w, chi), p(v, rlo - 1), 1)
+            arcs.append((base[w] + chi, base[v] + rlo - 1, True))
         if rc.r2 is not None:
             rlo, rhi, _, _ = rc.r2
-            net.add_arc(p(v, rhi), p(v, rlo - 1), 1)
-    value, s_side, _ = min_cut(net)
+            arcs.append((base[v] + rhi, base[v] + rlo - 1, True))
+    value, s_side = min_cut(t + 1, arcs, s, t)
     hom = {}
-    for v in range(inst.n):
-        trans = next(i for i in range(1, len(order_of[v]) + 1)
-                     if p(v, i) in s_side)
-        hom[v] = order_of[v][trans - 1]
+    for v, order in enumerate(order_of):
+        trans = next(i for i in range(1, len(order) + 1)
+                     if s_side[base[v] + i])
+        hom[v] = order[trans - 1]
     deleted = [(u, w) for u, w in inst.edges
                if not h.has_edge(hom[u], hom[w])]
     # one unit arc per violated edge: the cut pays each deletion exactly once

@@ -391,7 +391,10 @@ def parse_td(text: str) -> TreeDecomposition:
             if toks[0] == "s":
                 if nbags is not None or len(toks) != 5 or toks[1] != "td":
                     raise ParseError(f"line {ln}: bad solution line")
-                nbags = int(toks[2])
+                counts = [int(t) for t in toks[2:]]
+                if min(counts) < 0:
+                    raise ParseError(f"line {ln}: negative count")
+                nbags = counts[0]
             elif toks[0] == "b":
                 if nbags is None:
                     raise ParseError(f"line {ln}: bag before solution line")

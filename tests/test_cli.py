@@ -122,6 +122,17 @@ def test_parse_error_exit_codes(tmp_path, capsys):
     i = _write(tmp_path, "g.lhi", "p lhom 1 0\ne 1 1\n")
     code, out = _run(capsys, ["solve", "vd", t, i])
     assert code == cli.EXIT_PARSE
+    # negative header counts are malformed input, not a failed precondition
+    i = _write(tmp_path, "g.lhi", "p lhom -1 0\n")
+    code, out = _run(capsys, ["solve", "vd", t, i])
+    assert code == cli.EXIT_PARSE
+    assert json.loads(out)["detail"] == "line 1: negative count"
+    i = _write(tmp_path, "g.lhi", "p lhom 2 1\ne 1 2\n")
+    td = _write(tmp_path, "g.td", "s td -1 2 2\n")
+    code, out = _run(capsys, ["solve", "vd", t, i, "--td", td, "--algo",
+                              "dp"])
+    assert code == cli.EXIT_PARSE
+    assert json.loads(out)["detail"] == "line 1: negative count"
 
 
 def test_td_bag_vertex_above_range(tmp_path, capsys):

@@ -179,12 +179,26 @@ def _three_way_s_prohibitor():
     return h, gadgets.build_s_prohibitor(h, {0, 1, 2}), "vd"
 
 
+def _junction_deleted_path():
+    # 0, 1, 2 pairwise non-adjacent: keeping both ends forces the junction
+    # out, so the minimum at (0, 2) is the one that charges its deletion
+    h = families.independent_reflexive(3)
+    parts = [gadgets.path_gadget(lists) for lists in ([{0}, {1}], [{1}, {2}])]
+    for part in parts:
+        gadgets.cost_table(h, part, "vd")
+    g = gadgets.serial_glue(*parts)
+    assert g.tables["vd"][(0, 2)] == 1
+    return h, g, "vd"
+
+
 @pytest.mark.parametrize("build", [
     lambda: _reflexive_matcher(4),
     lambda: _reflexive_matcher(5),
     _forced_pair_move,
     _three_way_s_prohibitor,
-], ids=["matcher-c4", "matcher-c5", "force-from-allow", "s-prohibitor"])
+    _junction_deleted_path,
+], ids=["matcher-c4", "matcher-c5", "force-from-allow", "s-prohibitor",
+        "vd-junction-deleted"])
 def test_glued_tables_match_elimination(build):
     h, g, mode = build()
     assert mode in g.tables  # composed while gluing, not eliminated
