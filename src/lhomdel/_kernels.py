@@ -1,22 +1,22 @@
 """Hot enumeration kernels.
 
-Two kinds of search dominate runtime.  Mixed-radix assignment scans,
-vectorized with numpy, serve only the brute-force oracles; gadget cost
-tables take the same encoding but come from min-plus variable elimination,
-which the gadgets' treewidth of 1-2 keeps small, so they never enumerate
-the assignments.  Searches over the induced subgraphs H[S] of a target
-graph -- the split detector, the maximum incomparable set and the scan
-over all induced subgraphs behind the i* invariant -- work on bitmasks
-held in plain Python ints: nb[v] is the neighborhood of v
+Two kinds of search dominate runtime.  Searches over the induced subgraphs
+H[S] of a target graph -- the split detector, the maximum incomparable set
+and the scan over all induced subgraphs behind the i* invariant -- work on
+bitmasks held in plain Python ints: nb[v] is the neighborhood of v
 (TargetGraph.nbhd, bit v set iff v has a loop), refl the mask of looped
-vertices and S the vertex mask of H[S].
+vertices and S the vertex mask of H[S].  They serve classify and the
+polynomial solvers, which never load numpy.  Mixed-radix assignment scans
+(scan_best), vectorized with numpy, serve only the brute-force oracles;
+gadget cost tables (scan_table) take the same encoding but come from
+min-plus variable elimination over numpy factors, which the gadgets'
+treewidth of 1-2 keeps small, so they never enumerate the assignments.
+The numpy functions import it when called.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
-INF = np.int64(1) << 60
+INF = 1 << 60
 
 # assignment indices costed per numpy pass of scan_best; bounds the
 # temporaries
@@ -46,6 +46,8 @@ def using_numba() -> bool:
 
 
 def _arrays(radix, val, base, eu, ev, adj):
+    import numpy as np
+
     return (np.asarray(radix, dtype=np.int64),
             np.asarray(val, dtype=np.int64),
             np.asarray(base, dtype=np.int64),
@@ -55,6 +57,8 @@ def _arrays(radix, val, base, eu, ev, adj):
 
 
 def _places(radix):
+    import numpy as np
+
     nv = radix.shape[0]
     place = np.ones(nv, dtype=np.int64)
     for j in range(nv - 2, -1, -1):
@@ -64,6 +68,8 @@ def _places(radix):
 
 def _chunk_costs(idx, radix, val, base, eu, ev, adj, ed_mode, place):
     """Cost of each assignment index in idx (INF for vd violations)."""
+    import numpy as np
+
     nv = radix.shape[0]
     digits = (idx[:, None] // place[None, :]) % radix[None, :]
     cost = base[np.arange(nv)[None, :], digits].sum(axis=1)
@@ -86,6 +92,8 @@ def scan_best(radix, val, base, eu, ev, adj, ed_mode):
     empty radix).  Assignments are costed _CHUNK consecutive indices at a
     time, so the temporaries stay bounded however large the space is.
     """
+    import numpy as np
+
     radix, val, base, eu, ev, adj = _arrays(radix, val, base, eu, ev, adj)
     place = _places(radix)
     total = int(np.prod(radix, dtype=np.int64))
@@ -115,6 +123,8 @@ def scan_table(radix, val, base, eu, ev, adj, ed_mode, nportal):
     leftmost portal most significant.  A violated vd edge costs big, more
     than any feasible assignment, and entries >= big become INF once at
     the end, so no sum can overflow."""
+    import numpy as np
+
     radix, val, base, eu, ev, adj = _arrays(radix, val, base, eu, ev, adj)
     nv = radix.shape[0]
     if not radix.all():

@@ -71,7 +71,7 @@ def cmd_solve(args) -> int:
                 "polynomial solver requires a polynomial-case target")
     td = None
     if args.td is not None:
-        td = parse_td(_read(args.td))
+        td = parse_td(_read(args.td), inst.n)
     elif args.core is not None:
         core = parse_core(_read(args.core))
         td = core_to_td(inst, core)

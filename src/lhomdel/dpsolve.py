@@ -8,15 +8,13 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
-from . import analysis, polysolve
+from . import _kernels, analysis, polysolve
 from .graphs import (Infeasible, Instance, Solution, TargetGraph,
                      max_incomparable, reduce_lists)
 from .treewidth import TreeDecomposition, build_td, make_nice, validate_td
 
 DELETED = -1  # vertex-deletion state symbol
-INF = 1 << 60
+INF = _kernels.INF
 # Largest DP table (entries) a solve may allocate; 2^24 int64 entries take
 # 128 MiB, and a join holds two tables of its size.
 MAX_TABLE_ENTRIES = 1 << 24
@@ -37,6 +35,8 @@ def _run_dp(h: TargetGraph, inst: Instance, td: TreeDecomposition, mode: str):
     states with kept non-adjacent images infeasible, ED pays 1.
     max_states counts finite entries, the states a sparse table would hold.
     """
+    import numpy as np
+
     base = max_incomparable(h)[0] + (1 if mode == "vd" else 0)
     choices = []
     for v in range(inst.n):

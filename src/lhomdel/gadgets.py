@@ -27,7 +27,7 @@ from .graphs import (Instance, ParseError, TargetGraph, bits,
 from .oracle import _scan_arrays
 
 X = -1  # deletion symbol in VD cost tables
-INF = int(_kernels.INF)
+INF = _kernels.INF
 ENUM_BOUND = 10 ** 7
 
 

@@ -9,15 +9,15 @@ from __future__ import annotations
 from itertools import product
 from math import prod
 
-import numpy as np
-
 from . import _kernels
 from .graphs import Infeasible, Instance, Solution, TargetGraph
 
 ENUM_BOUND = 10 ** 8
 
 
-def _adj_matrix(h: TargetGraph, with_deleted: bool) -> np.ndarray:
+def _adj_matrix(h: TargetGraph, with_deleted: bool):
+    import numpy as np
+
     n = h.n + 1 if with_deleted else h.n
     adj = np.zeros((n, n), dtype=np.bool_)
     for u in range(h.n):
@@ -37,6 +37,8 @@ def _scan_arrays(h: TargetGraph, inst: Instance, mode: str,
     symbol last.  The first free_portals variables get deletion cost 0
     (gadget portals: their deletion is never charged to the gadget).
     """
+    import numpy as np
+
     vd = mode == "vd"
     radix = np.array([len(inst.lists[v]) + (1 if vd else 0)
                       for v in range(inst.n)], dtype=np.int64)

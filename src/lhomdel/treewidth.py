@@ -377,9 +377,15 @@ def core_to_td(g: Instance, core: HubCore) -> TreeDecomposition:
 # file formats
 
 
-def parse_td(text: str) -> TreeDecomposition:
-    """PACE format: `s td <#bags> <width+1> <n>`, `b <i> <v...>`, edges."""
-    nbags = None
+def parse_td(text: str, n: Optional[int] = None) -> TreeDecomposition:
+    """PACE format: `s td <#bags> <width+1> <n>`, `b <i> <v...>`, edges.
+
+    The header must match the file: every announced bag needs a `b` line,
+    and width+1 must be the size of the largest bag (0 with no bags), or
+    ParseError.  n, if given, is the instance's vertex count; a header
+    naming another count raises ValueError, like a bag vertex out of range.
+    """
+    counts = None
     bags = {}
     tedges = []
     for ln, raw in enumerate(text.splitlines(), 1):
@@ -389,17 +395,17 @@ def parse_td(text: str) -> TreeDecomposition:
         toks = line.split()
         try:
             if toks[0] == "s":
-                if nbags is not None or len(toks) != 5 or toks[1] != "td":
+                if counts is not None or len(toks) != 5 or toks[1] != "td":
                     raise ParseError(f"line {ln}: bad solution line")
                 counts = [int(t) for t in toks[2:]]
                 if min(counts) < 0:
                     raise ParseError(f"line {ln}: negative count")
-                nbags = counts[0]
+                head = ln
             elif toks[0] == "b":
-                if nbags is None:
+                if counts is None:
                     raise ParseError(f"line {ln}: bag before solution line")
                 i = int(toks[1])
-                if not 1 <= i <= nbags or i in bags:
+                if not 1 <= i <= counts[0] or i in bags:
                     raise ParseError(f"line {ln}: bad bag index {i}")
                 bag = frozenset(int(t) - 1 for t in toks[2:])
                 if any(v < 0 for v in bag):
@@ -413,15 +419,30 @@ def parse_td(text: str) -> TreeDecomposition:
             raise
         except (ValueError, IndexError):
             raise ParseError(f"line {ln}: malformed line") from None
-    if nbags is None:
+    if counts is None:
         raise ParseError("missing solution line")
-    return TreeDecomposition(
-        tuple(bags.get(i, frozenset()) for i in range(1, nbags + 1)),
-        tuple(tedges))
+    nbags, size, header_n = counts
+    for i in range(1, nbags + 1):
+        if i not in bags:
+            raise ParseError(f"line {head}: bag {i} has no b line")
+    td = TreeDecomposition(tuple(bags[i] for i in range(1, nbags + 1)),
+                           tuple(tedges))
+    largest = _largest_bag(td)
+    if size != largest:
+        raise ParseError(f"line {head}: width+1 is {size}, but the largest "
+                         f"bag has {largest} vertices")
+    if n is not None and header_n != n:
+        raise ValueError(f"the decomposition is for {header_n} vertices, "
+                         f"the instance has {n}")
+    return td
+
+
+def _largest_bag(td: TreeDecomposition) -> int:
+    return max((len(b) for b in td.bags), default=0)
 
 
 def format_td(td: TreeDecomposition, n: int) -> str:
-    lines = [f"s td {len(td.bags)} {td.width + 1} {n}"]
+    lines = [f"s td {len(td.bags)} {_largest_bag(td)} {n}"]
     for i, bag in enumerate(td.bags, 1):
         lines.append(" ".join(["b", str(i)] + [str(v + 1)
                                                for v in sorted(bag)]))

@@ -146,6 +146,45 @@ def test_td_bag_vertex_above_range(tmp_path, capsys):
     assert json.loads(out)["error"] == "precondition"
 
 
+def test_td_header_must_match_the_file(tmp_path, capsys):
+    t = _write(tmp_path, "h.hg", TARGET_RK2)
+    i = _write(tmp_path, "g.lhi", "p lhom 2 1\ne 1 2\n")
+    for text, detail in (
+            # width+1 of 9 against a largest bag of 2
+            ("s td 1 9 2\nb 1 1 2\n",
+             "line 1: width+1 is 9, but the largest bag has 2 vertices"),
+            ("s td 1 1 2\nb 1 1 2\n",
+             "line 1: width+1 is 1, but the largest bag has 2 vertices"),
+            # bag 2 is announced but never given
+            ("s td 2 2 2\nb 1 1 2\n", "line 1: bag 2 has no b line")):
+        td = _write(tmp_path, "g.td", text)
+        for algo in ("dp", "auto"):
+            code, out = _run(capsys, ["solve", "vd", t, i, "--td", td,
+                                      "--algo", algo])
+            assert code == cli.EXIT_PARSE
+            assert json.loads(out) == {"error": "parse", "detail": detail}
+
+
+def test_td_header_vertex_count_must_match_the_instance(tmp_path, capsys):
+    t = _write(tmp_path, "h.hg", TARGET_RK2)
+    i = _write(tmp_path, "g.lhi", "p lhom 2 1\ne 1 2\n")
+    for n in (1, 3, 99):
+        td = _write(tmp_path, "g.td", f"s td 1 2 {n}\nb 1 1 2\n")
+        for mode in ("vd", "ed"):
+            code, out = _run(capsys, ["solve", mode, t, i, "--td", td,
+                                      "--algo", "dp"])
+            assert code == cli.EXIT_PRECONDITION
+            assert json.loads(out) == {
+                "error": "precondition",
+                "detail": f"the decomposition is for {n} vertices, the "
+                          f"instance has 2"}
+    td = _write(tmp_path, "g.td", "s td 1 2 2\nb 1 1 2\n")
+    code, out = _run(capsys, ["solve", "vd", t, i, "--td", td, "--algo",
+                              "dp"])
+    assert code == cli.EXIT_OK
+    assert json.loads(out)["stats"]["width"] == 1
+
+
 def test_td_bag_vertex_zero(tmp_path, capsys):
     # PACE vertex ids start at 1, so a bag naming vertex 0 is malformed
     t = _write(tmp_path, "h.hg", TARGET_RK2)
@@ -181,6 +220,33 @@ def test_cli_import_does_not_load_networkx():
          "import sys, lhomdel.cli; print('networkx' in sys.modules)"],
         env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+_NUMPY_PATHS = """
+import contextlib, io, sys
+from lhomdel import cli
+t, i = sys.argv[1:]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main(["classify", t]),
+             cli.main(["solve", "vd", t, i, "--algo", "auto"]),
+             cli.main(["solve", "ed", t, i, "--algo", "auto"])]
+    before = "numpy" in sys.modules
+    codes.append(cli.main(["solve", "vd", t, i, "--algo", "dp"]))
+print(codes, before, "numpy" in sys.modules)
+"""
+
+
+def test_classify_and_poly_solves_do_not_load_numpy(tmp_path):
+    # a reflexive clique is polynomial in both modes, so classify and both
+    # auto solves run on plain ints; only the DP needs numpy
+    t = _write(tmp_path, "h.hg", format_target(families.reflexive_clique(3)))
+    i = _write(tmp_path, "g.lhi", INSTANCE)
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    out = subprocess.run([sys.executable, "-c", _NUMPY_PATHS, t, i],
+                         env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[0, 0, 0, 0] False True"
 
 
 def test_gadget_command(tmp_path, capsys):

@@ -107,6 +107,9 @@ def test_td_roundtrip():
         assert back.bags == td.bags
         assert sorted(back.edges) == sorted(td.edges)
         validate_td(g, back)
+    # zero bags: width+1 is 0, and format_td writes what parse_td accepts
+    empty = TreeDecomposition((), ())
+    assert parse_td(format_td(empty, 0), 0) == empty
 
 
 def test_td_parse_errors():
@@ -120,9 +123,16 @@ def test_td_parse_errors():
                  "s td 1 1 1\nb",  # truncated bag line
                  "s",  # truncated solution line
                  "s td x 1 1",  # non-integer bag count
-                 "s td 2 1 2\nb 1 1\nb 2 2\n1 y"):  # non-integer tree edge
+                 "s td 2 1 2\nb 1 1\nb 2 2\n1 y",  # non-integer tree edge
+                 "s td 1 3 2\nb 1 1 2",  # width+1 above the largest bag
+                 "s td 0 1 0",  # width+1 of 1 with no bags
+                 "s td 2 2 2\nb 2 1 2\n1 2"):  # bag 1 has no b line
         with pytest.raises(ParseError, match="line"):
             parse_td(text)
+    # a header vertex count other than the instance's is a precondition
+    with pytest.raises(ValueError, match="for 3 vertices") as err:
+        parse_td("s td 1 2 3\nb 1 1 2", 2)
+    assert not isinstance(err.value, ParseError)
     with pytest.raises(ParseError, match="line 2"):  # non-integer core id
         parse_core("q 2 1 1\n1 x")
     with pytest.raises(ParseError, match="line 1"):  # non-integer sigma
