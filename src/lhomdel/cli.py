@@ -63,12 +63,6 @@ _SOLVERS = {
 def cmd_solve(args) -> int:
     h = parse_target(_read(args.target))
     inst = parse_instance(_read(args.instance), h)
-    if args.algo == "poly":
-        ok = (analysis.classify_vd(h)[0] == "poly" if args.mode == "vd"
-              else analysis.classify_ed(h)[0] == "poly")
-        if not ok:
-            raise PreconditionError(
-                "polynomial solver requires a polynomial-case target")
     td = None
     if args.td is not None:
         td = parse_td(_read(args.td), inst.n)

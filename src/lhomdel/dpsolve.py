@@ -5,7 +5,7 @@ dispatchers."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from . import _kernels, analysis, polysolve
@@ -43,8 +43,6 @@ def _run_dp(h: TargetGraph, inst: Instance, td: TreeDecomposition, mode: str):
         lst = sorted(inst.lists[v])
         if mode == "vd":
             lst.append(DELETED)
-        elif not lst:
-            raise Infeasible(f"vertex {v} has an empty list")
         if len(lst) > base:  # so no table exceeds base ** len(bag)
             raise AssertionError(
                 f"list of vertex {v} has {len(lst)} states, above the "
@@ -147,38 +145,34 @@ def _run_dp(h: TargetGraph, inst: Instance, td: TreeDecomposition, mode: str):
     return cost, hom, max_states
 
 
-def solve_vd_dp(h: TargetGraph, inst: Instance,
-                td: Optional[TreeDecomposition] = None) -> Solution:
-    red = reduce_lists(h, inst)
-    if td is None:
-        td = build_td(red)
-    width = validate_td(red, td)
-    cost, hom, max_states = _run_dp(h, red, td, "vd")
-    deleted = sorted(v for v in range(inst.n) if v not in hom)
-    sol = Solution("vd", cost, deleted, hom, "dp",
-                   {"width": width, "max_bag_states": max_states})
-    sol.check(h, inst)
-    return sol
-
-
-def solve_ed_dp(h: TargetGraph, inst: Instance,
-                td: Optional[TreeDecomposition] = None) -> Solution:
-    if any(not lst for lst in inst.lists):
+def _solve_dp(h: TargetGraph, inst: Instance,
+              td: Optional[TreeDecomposition], mode: str) -> Solution:
+    if mode == "ed" and any(not lst for lst in inst.lists):
         raise Infeasible("vertex with an empty list")
     red = reduce_lists(h, inst)
     if td is None:
         td = build_td(red)
     width = validate_td(red, td)
-    cost, hom, max_states = _run_dp(h, red, td, "ed")
-    deleted = sorted((u, v) for u, v in inst.edges
-                     if not h.has_edge(hom[u], hom[v]))
-    if len(deleted) != cost:
-        raise AssertionError(
-            f"DP cost {cost} but the witness deletes {len(deleted)} edges")
-    sol = Solution("ed", cost, deleted, hom, "dp",
+    cost, hom, max_states = _run_dp(h, red, td, mode)
+    if mode == "vd":
+        deleted = sorted(v for v in range(inst.n) if v not in hom)
+    else:
+        deleted = sorted((u, v) for u, v in inst.edges
+                         if not h.has_edge(hom[u], hom[v]))
+    sol = Solution(mode, cost, deleted, hom, "dp",
                    {"width": width, "max_bag_states": max_states})
     sol.check(h, inst)
     return sol
+
+
+def solve_vd_dp(h: TargetGraph, inst: Instance,
+                td: Optional[TreeDecomposition] = None) -> Solution:
+    return _solve_dp(h, inst, td, "vd")
+
+
+def solve_ed_dp(h: TargetGraph, inst: Instance,
+                td: Optional[TreeDecomposition] = None) -> Solution:
+    return _solve_dp(h, inst, td, "ed")
 
 
 # ---------------------------------------------------------------------------
@@ -246,10 +240,8 @@ def solve_vd_auto(h: TargetGraph, inst: Instance,
     if analysis.classify_vd(h)[0] == "poly":
         if td is not None:  # unused here, but a bad file fails on every path
             validate_td(inst, td)
-        sol = polysolve.solve_vd_poly(h, inst)
-    else:
-        sol = solve_vd_dp(h, inst, td)
-    return Solution("vd", sol.cost, sol.deleted, sol.hom, "auto", sol.stats)
+        return replace(polysolve.solve_vd_poly(h, inst), algorithm="auto")
+    return replace(solve_vd_dp(h, inst, td), algorithm="auto")
 
 
 def solve_ed_auto(h: TargetGraph, inst: Instance,
@@ -258,31 +250,24 @@ def solve_ed_auto(h: TargetGraph, inst: Instance,
     tree, splitting along each node's decomposition, down to parts that
     are obstruction-free (poly solver) or undecomposable (DP).
     A `td` goes to a DP at the root; the other paths only validate it."""
-    return _solve_ed_node(h, inst, td, None)
+    return replace(_solve_ed_node(h, inst, td, None), algorithm="auto")
 
 
 def _solve_ed_node(h: TargetGraph, inst: Instance,
                    td: Optional[TreeDecomposition],
                    node: Optional[analysis.DecompositionTreeNode]) -> Solution:
     """solve_ed_auto on h, the target of `node`; at the root node is None,
-    and the tree is only built once h is known to be hard."""
+    and the tree is only built once h is known to be hard.  Every solution
+    returned has been checked against (h, inst)."""
     if analysis.classify_ed(h)[0] == "poly":
         if td is not None:
             validate_td(inst, td)
-        inner = polysolve.solve_ed_poly(h, inst)
-        sol = Solution("ed", inner.cost, inner.deleted, inner.hom, "auto",
-                       inner.stats)
-        sol.check(h, inst)
-        return sol
+        return polysolve.solve_ed_poly(h, inst)
     if node is None:
         node = analysis.decomposition_tree(h)
     dec = node.local_decomposition
     if dec is None:
-        inner = solve_ed_dp(h, inst, td)
-        sol = Solution("ed", inner.cost, inner.deleted, inner.hom, "auto",
-                       inner.stats)
-        sol.check(h, inst)
-        return sol
+        return solve_ed_dp(h, inst, td)
     if td is not None:
         validate_td(inst, td)
     if any(not lst for lst in inst.lists):
@@ -296,14 +281,9 @@ def _solve_ed_node(h: TargetGraph, inst: Instance,
         hom[v] = sp.target_a[sol_a.hom[i]]
     for i, v in enumerate(sp.verts_bc):
         hom[v] = sp.target_bc[sol_bc.hom[i]]
-    cost = sol_a.cost + sol_bc.cost + len(sp.forced)
     deleted = sorted(tuple(sorted((u, v))) for u, v in inst.edges
                      if not h.has_edge(hom[u], hom[v]))
-    if len(deleted) != cost:
-        raise AssertionError(
-            f"split cost {cost} but the merged witness deletes "
-            f"{len(deleted)} edges")
-    sol = Solution("ed", cost, deleted, hom, "auto",
-                   {"parts": 2, "forced": len(sp.forced)})
+    sol = Solution("ed", sol_a.cost + sol_bc.cost + len(sp.forced), deleted,
+                   hom, "auto", {"parts": 2, "forced": len(sp.forced)})
     sol.check(h, inst)
     return sol

@@ -59,13 +59,10 @@ class TargetGraph:
                 m |= 1 << v
         return m
 
-    def edges(self, with_loops: bool = True):
+    def edges(self):
         for u in range(self.n):
             for v in bits(self.nbhd[u] >> u << u):
-                if u == v and not with_loops:
-                    continue
-                if v >= u:
-                    yield (u, v)
+                yield (u, v)
 
     def induced(self, verts: Sequence[int]) -> "TargetGraph":
         """Induced subgraph; vertex i of the result is verts[i]."""
@@ -112,9 +109,6 @@ class Instance:
 
     def copy(self) -> "Instance":
         return Instance(self.n, list(self.edges), list(self.lists), self.budget)
-
-    def degree(self, v: int) -> int:
-        return sum(1 for e in self.edges if v in e)
 
 
 @dataclass
@@ -289,6 +283,8 @@ def parse_instance(text: str, h: TargetGraph) -> Instance:
             elif tok[0] == "e":
                 if n is None:
                     raise ParseError(f"line {lineno}: edge before header")
+                if len(tok) != 3:
+                    raise ParseError(f"line {lineno}: malformed edge")
                 u, v = int(tok[1]), int(tok[2])
                 if not (1 <= u <= n and 1 <= v <= n):
                     raise ParseError(f"line {lineno}: edge out of range")
@@ -312,6 +308,8 @@ def parse_instance(text: str, h: TargetGraph) -> Instance:
                     raise ParseError(f"line {lineno}: list element out of range")
                 lists[v - 1] = frozenset(x - 1 for x in elems)
             elif tok[0] == "k":
+                if len(tok) != 2:
+                    raise ParseError(f"line {lineno}: malformed budget")
                 budget = int(tok[1])
                 if budget < 0:
                     raise ParseError(f"line {lineno}: negative budget")

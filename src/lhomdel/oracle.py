@@ -63,40 +63,38 @@ def _check_bound(radix) -> None:
         raise ValueError("instance too large for exhaustive enumeration")
 
 
-def oracle_vd(h: TargetGraph, inst: Instance) -> Solution:
-    """Exhaustive minimum vertex-deletion solution."""
-    radix, val, base, eu, ev, adj = _scan_arrays(h, inst, "vd")
+def _oracle(h: TargetGraph, inst: Instance, mode: str) -> Solution:
+    """Exhaustive minimum deletion solution in either mode."""
+    ed = mode == "ed"
+    if ed and any(not lst for lst in inst.lists):
+        raise Infeasible("vertex with an empty list")
+    radix, val, base, eu, ev, adj = _scan_arrays(h, inst, mode)
     _check_bound(radix)
-    cost, digits = _kernels.scan_best(radix, val, base, eu, ev, adj, False)
+    cost, digits = _kernels.scan_best(radix, val, base, eu, ev, adj, ed)
     if cost >= _kernels.INF:  # deleting everything is always feasible
-        raise AssertionError("vd scan found no feasible assignment")
-    deleted = []
+        raise AssertionError(f"{mode} scan found no feasible assignment")
     hom = {}
     for v in range(inst.n):
         lst = sorted(inst.lists[v])
         d = int(digits[v])
-        if d == len(lst):
-            deleted.append(v)
-        else:
+        if d < len(lst):  # d == len(lst) is the vd deletion symbol
             hom[v] = lst[d]
-    sol = Solution("vd", int(cost), deleted, hom, "oracle")
+    if ed:
+        deleted = [(u, v) for u, v in inst.edges
+                   if not h.has_edge(hom[u], hom[v])]
+    else:
+        deleted = [v for v in range(inst.n) if v not in hom]
+    sol = Solution(mode, int(cost), deleted, hom, "oracle")
     sol.check(h, inst)
     return sol
+
+
+def oracle_vd(h: TargetGraph, inst: Instance) -> Solution:
+    return _oracle(h, inst, "vd")
 
 
 def oracle_ed(h: TargetGraph, inst: Instance) -> Solution:
-    """Exhaustive minimum edge-deletion solution."""
-    if any(not lst for lst in inst.lists):
-        raise Infeasible("vertex with an empty list")
-    radix, val, base, eu, ev, adj = _scan_arrays(h, inst, "ed")
-    _check_bound(radix)
-    cost, digits = _kernels.scan_best(radix, val, base, eu, ev, adj, True)
-    hom = {v: sorted(inst.lists[v])[int(digits[v])] for v in range(inst.n)}
-    deleted = [(u, v) for u, v in inst.edges
-               if not h.has_edge(hom[u], hom[v])]
-    sol = Solution("ed", int(cost), deleted, hom, "oracle")
-    sol.check(h, inst)
-    return sol
+    return _oracle(h, inst, "ed")
 
 
 def oracle_decompositions(h: TargetGraph):

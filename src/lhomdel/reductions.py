@@ -178,14 +178,17 @@ def decode_to_edge_multiway(h: TargetGraph, inst: Instance):
     terminals = tuple(range(inst.n, inst.n + k))
     nxt = inst.n + k
     offset = 0
+    deg = [0] * inst.n
+    for u, v in inst.edges:
+        deg[u] += 1
+        deg[v] += 1
     for v in range(inst.n):
-        d = inst.degree(v)
         for t in sorted(inst.lists[v]):
-            for _ in range(d):
+            for _ in range(deg[v]):
                 edges.append((v, nxt))
                 edges.append((nxt, inst.n + t))
                 nxt += 1
-        offset += d * (len(inst.lists[v]) - 1)
+        offset += deg[v] * (len(inst.lists[v]) - 1)
     return ClassicInstance("edge-multiway", nxt, edges,
                            terminals=terminals), offset
 
@@ -292,6 +295,11 @@ def pipeline_core(core: HubCore, gadget_size: int) -> HubCore:
 # file format
 
 
+# tokens per record, the record letter included
+_CLASSIC_TOKENS = {"p": 4, "e": 3, "t": 2, "s": 2, "l": 2, "r": 2, "q": 2,
+                   "k": 2}
+
+
 def parse_classic(text: str) -> ClassicInstance:
     """`p <kind> <n> <m>` header; `e u v` edges; `t v` terminals (the sink
     for st-min-cut); `s v` source; `l v`/`r v` annotated sides; `q`/`k`
@@ -307,6 +315,8 @@ def parse_classic(text: str) -> ClassicInstance:
         if not line or line.startswith("c"):
             continue
         tok = line.split()
+        if len(tok) != _CLASSIC_TOKENS.get(tok[0], len(tok)):
+            raise ParseError(f"line {lineno}: malformed line")
         try:
             if tok[0] == "p":
                 if kind is not None:

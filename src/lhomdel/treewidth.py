@@ -18,7 +18,7 @@ class TreeDecomposition:
 
     @property
     def width(self) -> int:
-        return max((len(b) for b in self.bags), default=1) - 1
+        return max((len(b) - 1 for b in self.bags if b), default=0)
 
 
 @dataclass

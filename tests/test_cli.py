@@ -3,7 +3,7 @@ import os
 import subprocess
 import sys
 
-from lhomdel import cli
+from lhomdel import analysis, cli, dpsolve, polysolve
 from lhomdel.graphs import format_target
 
 import families
@@ -77,9 +77,12 @@ def test_solve_algorithms_agree(tmp_path, capsys):
 def test_poly_precondition_exit_code(tmp_path, capsys):
     t = _write(tmp_path, "h.hg", TARGET_C5)  # np-hard target
     i = _write(tmp_path, "g.lhi", "p lhom 1 0\n")
-    code, out = _run(capsys, ["solve", "vd", t, i, "--algo", "poly"])
-    assert code == cli.EXIT_PRECONDITION
-    assert json.loads(out)["error"] == "precondition"
+    for mode in ("vd", "ed"):
+        code, out = _run(capsys, ["solve", mode, t, i, "--algo", "poly"])
+        assert code == cli.EXIT_PRECONDITION
+        rep = json.loads(out)
+        assert rep["error"] == "precondition"
+        assert "requires a Poly-classified target" in rep["detail"]
 
 
 def test_table_cap_exit_code(tmp_path, capsys):
@@ -113,6 +116,38 @@ def test_infeasible_exit_code(tmp_path, capsys):
     code, out = _run(capsys, ["solve", "ed", t, i])
     assert code == cli.EXIT_INFEASIBLE
     assert json.loads(out)["error"] == "infeasible"
+
+
+def test_infeasible_exit_code_on_the_split_path(tmp_path, capsys,
+                                                monkeypatch):
+    # the windowed target is hard and decomposable, so auto splits it
+    h = families.windowed_family(2)
+    assert analysis.decomposition_tree(h).local_decomposition is not None
+
+    def unreached(*args):
+        raise AssertionError("the split path should refuse the instance")
+
+    monkeypatch.setattr(dpsolve, "solve_ed_dp", unreached)
+    monkeypatch.setattr(polysolve, "solve_ed_poly", unreached)
+    t = _write(tmp_path, "h.hg", format_target(h))
+    i = _write(tmp_path, "g.lhi", "p lhom 3 2\ne 1 2\ne 2 3\nl 2 0\n")
+    code, out = _run(capsys, ["solve", "ed", t, i])
+    assert code == cli.EXIT_INFEASIBLE
+    assert json.loads(out)["error"] == "infeasible"
+
+
+def test_empty_instance_has_width_zero(tmp_path, capsys):
+    # one empty bag (built) and no bag at all (given) both have width 0
+    t = _write(tmp_path, "h.hg", TARGET_C5)
+    i = _write(tmp_path, "g.lhi", "p lhom 0 0\n")
+    td = _write(tmp_path, "g.td", "s td 0 0 0\n")
+    widths = []
+    for extra in ([], ["--td", td]):
+        code, out = _run(capsys, ["solve", "vd", t, i, "--algo", "dp"]
+                         + extra)
+        assert code == cli.EXIT_OK
+        widths.append(json.loads(out)["stats"]["width"])
+    assert widths == [0, 0]
 
 
 def test_parse_error_exit_codes(tmp_path, capsys):

@@ -53,6 +53,22 @@ def test_ed_infeasible_on_empty_list():
     assert dpsolve.solve_vd_dp(h, inst).cost == 1
 
 
+@pytest.mark.parametrize("h", [families.reflexive_path(3),  # poly case
+                               families.irreflexive_kq(3)])  # undecomposable
+def test_ed_auto_checks_its_witness_once(h, monkeypatch):
+    checked = []
+    check = Solution.check
+
+    def counting_check(sol, *args):
+        checked.append(sol.algorithm)
+        check(sol, *args)
+
+    monkeypatch.setattr(Solution, "check", counting_check)
+    inst = Instance(3, [(0, 1), (1, 2)], [frozenset(range(h.n))] * 3)
+    assert dpsolve.solve_ed_auto(h, inst).algorithm == "auto"
+    assert len(checked) == 1
+
+
 def test_split_matches_direct_dp():
     rng = random.Random(64)
     done = 0

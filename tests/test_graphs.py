@@ -109,6 +109,8 @@ def test_target_parse_errors(text):
     "p lhom 1 0\nl 1 2 1",       # list length mismatch
     "p lhom 1 0\nl 1 1 9",       # list element out of range
     "p lhom 1 0\nk -1",          # negative budget
+    "p lhom 2 1\ne 1 2 7",       # extra token on an edge
+    "p lhom 1 0\nk 3 junk",      # extra token on the budget
 ])
 def test_instance_parse_errors(text):
     h = families.reflexive_clique(2)

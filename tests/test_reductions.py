@@ -4,7 +4,7 @@ from itertools import combinations, product
 import pytest
 
 from lhomdel import dpsolve, gadgets, oracle, reductions
-from lhomdel.graphs import Instance
+from lhomdel.graphs import Instance, ParseError
 from lhomdel.treewidth import HubCore
 
 import families
@@ -344,3 +344,14 @@ def test_classic_validation():
         reductions.ClassicInstance("edge-multiway", 2, [])
     with pytest.raises(ValueError):
         reductions.ClassicInstance("coloring-vd", 2, [])
+
+
+@pytest.mark.parametrize("text", [
+    "p vertex-cover 2 1 9\ne 1 2\n",    # extra token on the header
+    "p vertex-cover 2 1\ne 1 2 5\n",    # extra token on an edge
+    "p vertex-cover 2 1\ne 1 2\nk 1 2\n",  # extra token on the budget
+    "p vertex-cover 2 1\ne 1\n",        # missing token on an edge
+])
+def test_classic_parse_errors(text):
+    with pytest.raises(ParseError):
+        reductions.parse_classic(text)
