@@ -7,6 +7,7 @@ the enumeration kernels cheap.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Iterable, Optional, Sequence
@@ -107,9 +108,6 @@ class Instance:
         if len(self.lists) != self.n:
             raise ValueError("need one list per vertex")
 
-    def copy(self) -> "Instance":
-        return Instance(self.n, list(self.edges), list(self.lists), self.budget)
-
 
 @dataclass
 class Solution:
@@ -198,8 +196,21 @@ def reduce_list(h: TargetGraph, lst: frozenset[int]) -> frozenset[int]:
 
 
 def reduce_lists(h: TargetGraph, inst: Instance) -> Instance:
-    out = inst.copy()
-    out.lists = [reduce_list(h, lst) for lst in inst.lists]
+    """inst with every list reduced; each distinct list is reduced once.
+
+    copy.copy skips __post_init__: inst's edges were checked when it was
+    built, and the reduced lists are as many as inst's.
+    """
+    reduced: dict[frozenset[int], frozenset[int]] = {}
+    lists = []
+    for lst in inst.lists:
+        red = reduced.get(lst)
+        if red is None:
+            red = reduced[lst] = reduce_list(h, lst)
+        lists.append(red)
+    out = copy.copy(inst)
+    out.edges = list(inst.edges)
+    out.lists = lists
     return out
 
 
@@ -259,11 +270,14 @@ def format_target(h: TargetGraph) -> str:
 def parse_instance(text: str, h: TargetGraph) -> Instance:
     """Parse the .lhi instance format.
 
-    Vertices with no `l` line get the full list V(H).
+    Vertices with no `l` line get the full list V(H).  A second `l` line
+    for a vertex, or a second `k` line, is a parse error.  Lines with the
+    same element tokens share one checked frozenset.
     """
     n = m = None
     edges: list[tuple[int, int]] = []
     lists: dict[int, frozenset[int]] = {}
+    checked: dict[tuple[str, ...], frozenset[int]] = {}
     budget = None
     seen = set()
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -303,16 +317,26 @@ def parse_instance(text: str, h: TargetGraph) -> Instance:
                     raise ParseError(f"line {lineno}: vertex out of range")
                 if len(tok) != 3 + k:
                     raise ParseError(f"line {lineno}: list length mismatch")
-                elems = [int(x) for x in tok[3:]]
-                if any(not 1 <= x <= h.n for x in elems):
-                    raise ParseError(f"line {lineno}: list element out of range")
-                lists[v - 1] = frozenset(x - 1 for x in elems)
+                key = tuple(tok[3:])
+                lst = checked.get(key)
+                if lst is None:
+                    elems = [int(x) for x in key]
+                    if any(not 1 <= x <= h.n for x in elems):
+                        raise ParseError(
+                            f"line {lineno}: list element out of range")
+                    lst = checked[key] = frozenset(x - 1 for x in elems)
+                if v - 1 in lists:
+                    raise ParseError(f"line {lineno}: duplicate list")
+                lists[v - 1] = lst
             elif tok[0] == "k":
                 if len(tok) != 2:
                     raise ParseError(f"line {lineno}: malformed budget")
-                budget = int(tok[1])
-                if budget < 0:
+                value = int(tok[1])
+                if value < 0:
                     raise ParseError(f"line {lineno}: negative budget")
+                if budget is not None:
+                    raise ParseError(f"line {lineno}: duplicate budget")
+                budget = value
             else:
                 raise ParseError(f"line {lineno}: unknown line {tok[0]!r}")
         except ParseError:

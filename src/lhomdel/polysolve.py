@@ -8,6 +8,12 @@ ED: obstruction-free targets; each distinct reduced list gets a staircase
 order, interaction matrices decompose into at most three zero rectangles,
 and one min cut over per-vertex paths pays exactly one unit per deleted
 edge.
+
+Work that depends only on a list or on a pair of orders is done once per
+distinct key within a solve: each distinct list is reduced once (and, for
+VD, split between the two cliques once), and each distinct pair of
+staircase orders gets one interaction matrix and one rectangle cover,
+however many vertices and edges share it.
 """
 
 from __future__ import annotations
@@ -92,12 +98,17 @@ def solve_vd_poly(h: TargetGraph, inst: Instance) -> Solution:
     s, t = n, n + 1
     lelem: dict[int, int] = {}
     relem: dict[int, int] = {}
+    parts: dict[frozenset, tuple[list, list]] = {}  # one split per list
     for v in alive:
-        ls = sorted(red.lists[v] & cover.left)
-        rs = sorted(red.lists[v] & cover.right)
-        if len(ls) > 1 or len(rs) > 1:  # chain parts, reduced lists
-            raise AssertionError(
-                f"reduced list of vertex {v} meets a cover part twice")
+        lst = red.lists[v]
+        if lst not in parts:
+            ls = sorted(lst & cover.left)
+            rs = sorted(lst & cover.right)
+            if len(ls) > 1 or len(rs) > 1:  # chain parts, reduced lists
+                raise AssertionError(
+                    f"reduced list of vertex {v} meets a cover part twice")
+            parts[lst] = ls, rs
+        ls, rs = parts[lst]
         if ls:
             lelem[v] = ls[0]
         if rs:
@@ -294,9 +305,13 @@ def solve_ed_poly(h: TargetGraph, inst: Instance) -> Solution:
         b, ln = base[v], len(order)
         arcs += [(b + i - 1, b + i, False) for i in range(1, ln + 1)]
         arcs += [(b, t, False), (s, b + ln, False)]
+    covers: dict[tuple, RectangleCover] = {}  # one per pair of orders
     for u, w in inst.edges:
         v, w = (u, w) if u < w else (w, u)
-        rc = rectangle_cover(interaction_matrix(h, order_of[v], order_of[w]))
+        key = order_of[v], order_of[w]
+        rc = covers.get(key)
+        if rc is None:
+            rc = covers[key] = rectangle_cover(interaction_matrix(h, *key))
         if rc.r1 is not None:
             _, rhi, clo, _ = rc.r1   # bottom-left corner (rhi, clo)
             arcs.append((base[v] + rhi, base[w] + clo - 1, True))

@@ -170,6 +170,20 @@ def test_parse_error_exit_codes(tmp_path, capsys):
     assert json.loads(out)["detail"] == "line 1: negative count"
 
 
+def test_repeated_record_exit_code(tmp_path, capsys):
+    # a second `l` line for a vertex, or a second `k` line, is refused
+    # with its line number instead of replacing the first
+    t = _write(tmp_path, "h.hg", TARGET_RK2)
+    for text, detail in (
+            ("p lhom 1 0\nl 1 1 1\nl 1 1 2\n", "line 3: duplicate list"),
+            ("p lhom 1 0\nk 1\nk 5\n", "line 3: duplicate budget")):
+        i = _write(tmp_path, "g.lhi", text)
+        for mode in ("vd", "ed"):
+            code, out = _run(capsys, ["solve", mode, t, i])
+            assert code == cli.EXIT_PARSE
+            assert json.loads(out)["detail"] == detail
+
+
 def test_td_bag_vertex_above_range(tmp_path, capsys):
     # a PACE bag naming vertex 4 of a 2-vertex instance
     t = _write(tmp_path, "h.hg", TARGET_RK2)

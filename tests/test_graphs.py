@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lhomdel import graphs
 from lhomdel.graphs import (Instance, ParseError, TargetGraph, dominates,
                             format_instance, format_target, incomparable,
                             is_incomparable_set, max_incomparable,
@@ -111,11 +112,45 @@ def test_target_parse_errors(text):
     "p lhom 1 0\nk -1",          # negative budget
     "p lhom 2 1\ne 1 2 7",       # extra token on an edge
     "p lhom 1 0\nk 3 junk",      # extra token on the budget
+    "p lhom 1 0\nl 1 1 1\nl 1 1 2",  # second list for a vertex
+    "p lhom 1 0\nl 1 1 1\nl 1 1 1",  # second list, same tokens
+    "p lhom 1 0\nk 1\nk 5",       # second budget
 ])
 def test_instance_parse_errors(text):
     h = families.reflexive_clique(2)
     with pytest.raises(ParseError):
         parse_instance(text, h)
+
+
+def test_repeated_list_tokens_share_one_set():
+    h = families.reflexive_clique(2)
+    inst = parse_instance("p lhom 3 0\nl 1 2 1 2\nl 2 1 2\nl 3 2 1 2\n", h)
+    assert inst.lists == [frozenset({0, 1}), frozenset({1}),
+                          frozenset({0, 1})]
+    assert inst.lists[0] is inst.lists[2]
+    # a list that fails its check is refused on its own line, also after
+    # a valid list that shares its prefix
+    text = "p lhom 3 0\nl 1 2 1 2\nl 2 2 1 3\nl 3 2 1 3\n"
+    with pytest.raises(ParseError, match="^line 3: list element out of range"):
+        parse_instance(text, h)
+
+
+def test_reduce_lists_once_per_distinct_list(monkeypatch):
+    h = families.reflexive_path(4)
+    pool = [frozenset({0, 3}), frozenset({0, 1, 3}), frozenset({1, 2})]
+    inst = Instance(30, [], [pool[v % 3] for v in range(30)])
+    calls = []
+
+    def counted(h, lst):
+        calls.append(lst)
+        return reduce_list(h, lst)
+
+    monkeypatch.setattr(graphs, "reduce_list", counted)
+    red = reduce_lists(h, inst)
+    assert sorted(calls, key=sorted) == sorted(pool, key=sorted)
+    assert red.lists == [reduce_list(h, lst) for lst in inst.lists]
+    assert red.edges == inst.edges and red.edges is not inst.edges
+    assert inst.lists == [pool[v % 3] for v in range(30)]
 
 
 def test_instance_validation():

@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from lhomdel import analysis, oracle, polysolve
-from lhomdel.graphs import Instance
+from lhomdel import analysis, dpsolve, graphs, oracle, polysolve
+from lhomdel.graphs import Instance, reduce_list
 
 import families
 
@@ -86,3 +86,63 @@ def test_vd_poly_forced_deletions():
     inst = Instance(2, [(0, 1)], [frozenset(), frozenset({0})])
     sol = polysolve.solve_vd_poly(h, inst)
     assert sol.cost == 1 and sol.deleted == [0]
+
+
+def _few_list_instance(rng, h, n, k):
+    """G(n, 0.4) whose lists are drawn from k random nonempty sets."""
+    pool = [frozenset(rng.sample(range(h.n), rng.randint(1, h.n)))
+            for _ in range(k)]
+    inst = families.random_instance(rng, h, n)
+    inst.lists = [rng.choice(pool) for _ in range(n)]
+    return inst
+
+
+def test_poly_vs_oracle_with_few_distinct_lists():
+    rng = random.Random(44)
+    done = {"vd": 0, "ed": 0}
+    while min(done.values()) < 60:
+        h = families.random_target(rng, rng.randint(2, 5))
+        for mode, classify, solve, ref in (
+                ("vd", analysis.classify_vd, polysolve.solve_vd_poly,
+                 oracle.oracle_vd),
+                ("ed", analysis.classify_ed, polysolve.solve_ed_poly,
+                 oracle.oracle_ed)):
+            if classify(h)[0] != "poly":
+                continue
+            inst = _few_list_instance(rng, h, rng.randint(2, 8),
+                                      rng.randint(1, 3))
+            assert solve(h, inst).cost == ref(h, inst).cost
+            done[mode] += 1
+
+
+def test_ed_poly_works_once_per_distinct_key(monkeypatch):
+    # a long path whose lists cycle through three sets: one reduction per
+    # distinct list and one rectangle cover per distinct pair of orders,
+    # not one per vertex and per edge
+    h = families.reflexive_path(4)
+    pool = [frozenset({0, 3}), frozenset({0, 1, 3}), frozenset({1, 2})]
+    n = 300
+    inst = Instance(n, [(v, v + 1) for v in range(n - 1)],
+                    [pool[v % 3] for v in range(n)])
+    counts = {"reduce_list": 0, "rectangle_cover": 0}
+    cover = polysolve.rectangle_cover
+
+    def counted_reduce(h, lst):
+        counts["reduce_list"] += 1
+        return reduce_list(h, lst)
+
+    def counted_cover(m):
+        counts["rectangle_cover"] += 1
+        return cover(m)
+
+    monkeypatch.setattr(graphs, "reduce_list", counted_reduce)
+    monkeypatch.setattr(polysolve, "rectangle_cover", counted_cover)
+    sol = polysolve.solve_ed_poly(h, inst)
+    assert counts["reduce_list"] == len(pool)
+    red = [reduce_list(h, lst) for lst in pool]
+    orders = polysolve.staircase_orders(h, red)
+    keys = {(orders[red[v % 3]], orders[red[(v + 1) % 3]])
+            for v in range(n - 1)}
+    assert counts["rectangle_cover"] == len(keys) == 3
+    monkeypatch.undo()
+    assert sol.cost == dpsolve.solve_ed_dp(h, inst).cost
