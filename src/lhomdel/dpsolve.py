@@ -31,8 +31,10 @@ def _run_dp(h: TargetGraph, inst: Instance, td: TreeDecomposition, mode: str):
     Each node's table is an int64 array with one axis per vertex of
     sorted(bag), indexed by position in the vertex's sorted list; VD adds
     the DELETED symbol as the last index.  Entries >= INF are infeasible.
-    Each G edge is charged at its unique introduce-edge node: VD makes
-    states with kept non-adjacent images infeasible, ED pays 1.
+    Each cost is charged once, at one kind of node.  A G edge is charged
+    at the introduce node that completes it: VD makes states with kept
+    non-adjacent images infeasible, ED pays 1.  A VD deletion is charged
+    where its vertex is forgotten; a join just adds its children.
     max_states counts finite entries, the states a sparse table would hold.
     """
     import numpy as np
@@ -55,9 +57,6 @@ def _run_dp(h: TargetGraph, inst: Instance, td: TreeDecomposition, mode: str):
                 f"a bag of {len(bag)} vertices needs a table of {size} "
                 f"entries, above the cap of {MAX_TABLE_ENTRIES}")
     nodes = make_nice(td, inst.edges)
-    # per-axis cost of each index: 1 for DELETED (VD), 0 otherwise
-    del_cost = [np.array([int(x == DELETED) for x in lst], dtype=np.int64)
-                for lst in choices]
     penalties = {}  # (list u, list v) -> edge penalty matrix
 
     def penalty(lu, lv):
@@ -71,12 +70,6 @@ def _run_dp(h: TargetGraph, inst: Instance, td: TreeDecomposition, mode: str):
             penalties[key] = np.array(bad, dtype=np.int64)
         return penalties[key]
 
-    def along(vec, at, ndim):
-        """vec reshaped to broadcast along axis `at` of an ndim array."""
-        shape = [1] * ndim
-        shape[at] = len(vec)
-        return vec.reshape(shape)
-
     tables = [None] * len(nodes)
     argmins = {}  # forget node -> index of the forgotten vertex's image
     max_states = 1  # the leaf's table {(): 0}
@@ -88,33 +81,31 @@ def _run_dp(h: TargetGraph, inst: Instance, td: TreeDecomposition, mode: str):
             v = nd.payload
             child = tables[nd.children[0]]
             at = bag.index(v)
-            table = (child.reshape(child.shape[:at] + (1,) + child.shape[at:])
-                     + along(del_cost[v], at, len(bag)))
             # only introduce nodes grow the number of finite entries
             max_states = max(max_states, int(np.count_nonzero(child < INF))
                              * len(choices[v]))
-        elif nd.kind == "introduce_edge":
-            u, v = nd.payload
-            iu, iv = bag.index(u), bag.index(v)
-            table = tables[nd.children[0]]
-            pen = penalty(choices[u], choices[v])
-            shape = [1] * len(bag)
-            shape[iu], shape[iv] = pen.shape  # iu < iv: payloads are sorted
-            table += pen.reshape(shape)
-            np.minimum(table, INF, out=table)
+            table = np.repeat(np.expand_dims(child, at), len(choices[v]),
+                              axis=at)
+            for u, w in nd.edges:
+                pen = penalty(choices[u], choices[w])
+                shape = [1] * len(bag)
+                shape[bag.index(u)], shape[bag.index(w)] = pen.shape  # u < w
+                table += pen.reshape(shape)
+                # per edge: a sum of several INF penalties overflows int64
+                np.minimum(table, INF, out=table)
         elif nd.kind == "forget":
+            v = nd.payload
             child = tables[nd.children[0]]
-            at = sorted(nodes[nd.children[0]].bag).index(nd.payload)
+            at = sorted(nodes[nd.children[0]].bag).index(v)
+            if mode == "vd":  # DELETED is the last index on v's axis
+                child[(slice(None),) * at + (-1,)] += 1
             argmins[idx] = child.argmin(axis=at).astype(
-                np.min_scalar_type(len(choices[nd.payload]) - 1))
+                np.min_scalar_type(len(choices[v]) - 1))
             table = child.min(axis=at)
-        else:  # join: both children paid for the deleted bag vertices
+        else:  # join
             c1, c2 = nd.children
             table = tables[c1]
             table += tables[c2]
-            if mode == "vd":
-                for at, v in enumerate(bag):
-                    table -= along(del_cost[v], at, len(bag))
             np.minimum(table, INF, out=table)
         for c in nd.children:
             tables[c] = None
@@ -139,7 +130,7 @@ def _run_dp(h: TargetGraph, inst: Instance, td: TreeDecomposition, mode: str):
         elif nd.kind == "introduce":
             at = sorted(nd.bag).index(nd.payload)
             chosen[nd.children[0]] = st[:at] + st[at + 1:]
-        else:  # introduce-edge and join keep the state; leaf has no child
+        else:  # a join keeps the state; a leaf has no child
             for c in nd.children:
                 chosen[c] = st
     return cost, hom, max_states
@@ -257,13 +248,16 @@ def _solve_ed_node(h: TargetGraph, inst: Instance,
                    td: Optional[TreeDecomposition],
                    node: Optional[analysis.DecompositionTreeNode]) -> Solution:
     """solve_ed_auto on h, the target of `node`; at the root node is None,
-    and the tree is only built once h is known to be hard.  Every solution
-    returned has been checked against (h, inst)."""
+    and the tree is only built once h is known to be hard.  The poly and
+    DP solvers check their own solutions.  A merged one is checked against
+    (h, inst) at the root only: each inner merge's hom and cost are
+    composed into the root's, so the root's check covers them."""
+    root = node is None
     if analysis.classify_ed(h)[0] == "poly":
         if td is not None:
             validate_td(inst, td)
         return polysolve.solve_ed_poly(h, inst)
-    if node is None:
+    if root:
         node = analysis.decomposition_tree(h)
     dec = node.local_decomposition
     if dec is None:
@@ -285,5 +279,6 @@ def _solve_ed_node(h: TargetGraph, inst: Instance,
                      if not h.has_edge(hom[u], hom[v]))
     sol = Solution("ed", sol_a.cost + sol_bc.cost + len(sp.forced), deleted,
                    hom, "auto", {"parts": 2, "forced": len(sp.forced)})
-    sol.check(h, inst)
+    if root:
+        sol.check(h, inst)
     return sol

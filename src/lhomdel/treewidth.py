@@ -1,6 +1,7 @@
-"""Tree decompositions: validation, nice form with explicit introduce-edge
-nodes, PACE-format I/O, hub cores, and elimination-order builders (min-fill
-heuristic, exact by subset DP for small graphs)."""
+"""Tree decompositions: validation, nice form (each G edge listed at the
+introduce node that completes it), PACE-format I/O, hub cores, and
+elimination-order builders (min-fill heuristic, exact by subset DP for
+small graphs)."""
 
 from __future__ import annotations
 
@@ -23,10 +24,11 @@ class TreeDecomposition:
 
 @dataclass
 class NiceNode:
-    kind: str  # "leaf" | "introduce" | "introduce_edge" | "forget" | "join"
+    kind: str  # "leaf" | "introduce" | "forget" | "join"
     bag: frozenset
-    payload: object  # vertex, edge, or None
+    payload: object  # introduced or forgotten vertex, or None
     children: list = field(default_factory=list)
+    edges: tuple = ()  # introduce: the sorted G edges it completes
 
 
 @dataclass(frozen=True)
@@ -88,35 +90,31 @@ def validate_td(g: Instance, td: TreeDecomposition) -> int:
 
 def make_nice(td: TreeDecomposition, edges) -> list[NiceNode]:
     """Rooted nice form: list of NiceNode in bottom-up (post-) order, root
-    last with an empty bag.  Each edge of `edges` gets exactly one
-    introduce-edge node, placed above the first node whose bag holds both
-    endpoints.
+    last with an empty bag.  Each edge of `edges` is listed, in the sorted
+    `edges` of one node, at the first node whose bag holds both endpoints.
 
     That first node is always an introduce node (a leaf is empty, a forget
-    node shrinks its child's bag and a join repeats its children's), so
-    each edge is emitted right after the introduce node that completes it;
-    several edges completed at once go in reverse sorted order, the
-    later-sorted one lower."""
+    node shrinks its child's bag and a join repeats its children's), and
+    the vertex it introduces is one end of each edge it lists."""
     nodes: list[NiceNode] = []
     left = {tuple(sorted(e)) for e in edges}  # edges no bag has held yet
 
-    def emit(kind, bag, payload, children):
-        nodes.append(NiceNode(kind, frozenset(bag), payload, list(children)))
+    def emit(kind, bag, payload, children, done=()):
+        nodes.append(NiceNode(kind, frozenset(bag), payload, list(children),
+                              done))
         return len(nodes) - 1
 
     def chain_to(top, have, want):
         """Forget have∖want then introduce want∖have, one vertex per node,
-        each introduce followed by the edges it completes."""
+        each introduce listing the edges it completes."""
         cur = set(have)
         for v in sorted(have - want):
             cur.discard(v)
             top = emit("forget", cur, v, [top])
         for v in sorted(want - have):
             cur.add(v)
-            top = emit("introduce", cur, v, [top])
             done = sorted({(min(v, w), max(v, w)) for w in cur} & left)
-            for e in reversed(done):
-                top = emit("introduce_edge", cur, e, [top])
+            top = emit("introduce", cur, v, [top], tuple(done))
             left.difference_update(done)
         return top
 

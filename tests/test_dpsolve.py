@@ -53,20 +53,44 @@ def test_ed_infeasible_on_empty_list():
     assert dpsolve.solve_vd_dp(h, inst).cost == 1
 
 
-@pytest.mark.parametrize("h", [families.reflexive_path(3),  # poly case
-                               families.irreflexive_kq(3)])  # undecomposable
-def test_ed_auto_checks_its_witness_once(h, monkeypatch):
-    checked = []
+@pytest.fixture
+def checked(monkeypatch):
+    """The algorithm of each solution that Solution.check is called on."""
+    seen = []
     check = Solution.check
 
     def counting_check(sol, *args):
-        checked.append(sol.algorithm)
+        seen.append(sol.algorithm)
         check(sol, *args)
 
     monkeypatch.setattr(Solution, "check", counting_check)
+    return seen
+
+
+@pytest.mark.parametrize("h", [families.reflexive_path(3),  # poly case
+                               families.irreflexive_kq(3)])  # undecomposable
+def test_ed_auto_checks_its_witness_once(h, checked):
     inst = Instance(3, [(0, 1), (1, 2)], [frozenset(range(h.n))] * 3)
     assert dpsolve.solve_ed_auto(h, inst).algorithm == "auto"
     assert len(checked) == 1
+
+
+def test_ed_split_checks_only_the_root_merge(checked):
+    # the inner merges are composed into the root's witness; each part's
+    # poly or DP solver still checks its own
+    rng = random.Random(67)
+    h = families.windowed_family(3)
+    splits = 0
+    for _ in range(10):
+        inst = families.random_instance(rng, h, rng.randint(4, 9))
+        checked.clear()
+        sol = dpsolve.solve_ed_auto(h, inst)
+        if "parts" in sol.stats:
+            splits += 1
+            assert checked.count("auto") == 1
+            assert len(checked) > 1  # the parts were checked too
+        assert sol.cost == dpsolve.solve_ed_dp(h, inst).cost
+    assert splits
 
 
 def test_split_matches_direct_dp():
@@ -105,9 +129,11 @@ def test_state_bounds_in_stats():
 def _dict_dp(h, inst, td, mode):
     """(cost, max_states) of the dict-of-tuples DP: states are tuples of
     images aligned with sorted(bag), VD adds the DELETED symbol; every
-    state present has finite cost."""
+    state present has finite cost.  Unlike _run_dp, a deletion is charged
+    where its vertex is introduced and subtracted again at each join."""
     nodes = make_nice(td, inst.edges)
     tables = []
+    most = 1  # the leaf's; forgets and joins never grow a table
     for nd in nodes:
         bag = sorted(nd.bag)
         if nd.kind == "leaf":
@@ -125,15 +151,17 @@ def _dict_dp(h, inst, td, mode):
                     st = cstate[:at] + (img,) + cstate[at:]
                     cost = ccost + (1 if img == dpsolve.DELETED else 0)
                     table[st] = min(cost, table.get(st, dpsolve.INF))
-        elif nd.kind == "introduce_edge":
-            iu, iv = (bag.index(x) for x in nd.payload)
-            table = {}
-            for cstate, ccost in tables[nd.children[0]].items():
-                a, b = cstate[iu], cstate[iv]
-                if dpsolve.DELETED in (a, b) or h.has_edge(a, b):
-                    table[cstate] = ccost
-                elif mode == "ed":
-                    table[cstate] = ccost + 1
+            most = max(most, len(table))  # before any edge removes states
+            for edge in nd.edges:
+                iu, iv = (bag.index(x) for x in edge)
+                kept = {}
+                for st, cost in table.items():
+                    a, b = st[iu], st[iv]
+                    if dpsolve.DELETED in (a, b) or h.has_edge(a, b):
+                        kept[st] = cost
+                    elif mode == "ed":
+                        kept[st] = cost + 1
+                table = kept
         elif nd.kind == "forget":
             at = sorted(nodes[nd.children[0]].bag).index(nd.payload)
             table = {}
@@ -147,7 +175,7 @@ def _dict_dp(h, inst, td, mode):
         tables.append(table)
     if () not in tables[-1]:
         raise Infeasible("no feasible assignment")
-    return tables[-1][()], max(len(t) for t in tables)
+    return tables[-1][()], most
 
 
 def _grid(rows, cols, diagonals=False):
@@ -202,6 +230,18 @@ def test_dense_dp_matches_dict_reference():
                                if not h.has_edge(hom[u], hom[v])]
                 Solution(mode, cost, deleted, hom, "dp").check(h, red)
     assert widths == {3, 4, 5, 6}
+
+
+def test_vd_clique_clips_each_edge_penalty():
+    # K12 over three independent reflexive vertices, vertex v listed at
+    # v mod 3: the one 12-vertex bag's last introduce completes 11 edges,
+    # up to 8 of them violated, and 8 INF penalties overflow int64
+    h = families.independent_reflexive(3)
+    n = 12
+    inst = Instance(n, list(combinations(range(n), 2)),
+                    [frozenset({v % 3}) for v in range(n)])
+    sol = dpsolve.solve_vd_dp(h, inst)
+    assert sol.cost == oracle.oracle_vd(h, inst).cost == 8
 
 
 def test_long_grid_solves_without_recursion_error():

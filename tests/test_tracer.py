@@ -54,4 +54,5 @@ def test_traced_ops_yield_metrics(monkeypatch, tmp_path):
     assert list(m) == list(tracer.LAYER_METRICS)
     assert m["mincut.calls"] > 0 and m["mincut.flow_total"] > 0
     assert m["dpsolve.calls"] > 0 and m["dpsolve.max_bag_states"] > 0
+    assert m["treewidth.nice_nodes"] > 0
     assert m["analysis.find_decomposition_calls"] > 0

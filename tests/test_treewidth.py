@@ -54,25 +54,29 @@ def test_make_nice_invariants():
         for i, nd in enumerate(nodes):
             for c in nd.children:
                 assert c < i  # post-order: children precede parents
+            if nd.kind != "introduce":
+                assert nd.edges == ()  # only introduce nodes carry edges
             if nd.kind == "leaf":
                 assert nd.bag == frozenset() and not nd.children
             elif nd.kind == "introduce":
                 child = nodes[nd.children[0]]
                 assert nd.bag == child.bag | {nd.payload}
                 assert nd.payload not in child.bag
+                assert list(nd.edges) == sorted(nd.edges)
+                for u, v in nd.edges:
+                    assert u < v and nd.payload in (u, v)
+                    # the first node in post-order whose bag holds both ends
+                    assert i == min(j for j, x in enumerate(nodes)
+                                    if {u, v} <= x.bag)
+                    edges_seen.append((u, v))
             elif nd.kind == "forget":
                 child = nodes[nd.children[0]]
                 assert nd.bag == child.bag - {nd.payload}
                 assert nd.payload in child.bag
-            elif nd.kind == "join":
+            else:
+                assert nd.kind == "join"
                 c1, c2 = nd.children
                 assert nodes[c1].bag == nodes[c2].bag == nd.bag
-            else:
-                assert nd.kind == "introduce_edge"
-                u, v = nd.payload
-                assert u in nd.bag and v in nd.bag
-                assert nd.bag == nodes[nd.children[0]].bag
-                edges_seen.append(tuple(sorted((u, v))))
         want = sorted(tuple(sorted(e)) for e in g.edges)
         assert sorted(edges_seen) == want  # each edge exactly once
         # every node but the root (the last) is the child of one node
@@ -81,18 +85,6 @@ def test_make_nice_invariants():
             for c in nd.children:
                 refs[c] += 1
         assert refs == [1] * (len(nodes) - 1) + [0]
-        # an edge sits above the lowest-index node, introduce-edge nodes
-        # aside, whose bag holds both of its ends
-        for nd in nodes:
-            if nd.kind != "introduce_edge":
-                continue
-            u, v = nd.payload
-            below = nd.children[0]
-            while nodes[below].kind == "introduce_edge":
-                below = nodes[below].children[0]
-            assert below == min(i for i, x in enumerate(nodes)
-                                if x.kind != "introduce_edge"
-                                and {u, v} <= x.bag)
     with pytest.raises(ValueError):  # a cycle of bags
         make_nice(TreeDecomposition((frozenset({0}),) * 3,
                                     ((0, 1), (1, 2), (2, 0))), [])
