@@ -1,12 +1,13 @@
 """Hot enumeration kernels.
 
 Two kinds of search dominate runtime.  Searches over the induced subgraphs
-H[S] of a target graph -- the split detector, the maximum incomparable set
-and the scan over all induced subgraphs behind the i* invariant -- work on
-bitmasks held in plain Python ints: nb[v] is the neighborhood of v
-(TargetGraph.nbhd, bit v set iff v has a loop), refl the mask of looped
-vertices and S the vertex mask of H[S].  They serve classify and the
-polynomial solvers, which never load numpy.  Mixed-radix assignment scans
+H[S] of a target graph -- the split detector, the obstruction test and the
+maximum incomparable set -- work on bitmasks held in plain Python ints:
+nb[v] is the neighborhood of v (TargetGraph.nbhd, bit v set iff v has a
+loop), refl the mask of looped vertices and S the vertex mask of H[S].
+They serve classify and the polynomial solvers, which never load numpy;
+subset_scan, which computes the i* invariant over all 2^n induced
+subgraphs, is the tests' reference only.  Mixed-radix assignment scans
 (scan_best), vectorized with numpy, serve only the brute-force oracles;
 gadget cost tables (scan_table) take the same encoding but come from
 min-plus variable elimination over numpy factors, which the gadgets'
@@ -358,6 +359,9 @@ def subset_scan(nb, refl):
 
     Returns (best, subset_mask); (0, 0) if no subset qualifies.  The witness
     is the first qualifying subset (ascending mask order) at the max.
+    Exponential: analysis.i_bullet finds the same answer from split-tree
+    leaves, and this scan is the tests' reference for it.  It stays here
+    while the benchmark's tracer still wraps it by name (ROADMAP item 2).
     """
     best = 0
     best_mask = 0

@@ -214,15 +214,60 @@ def find_decomposition(h: TargetGraph) -> Optional[Decomposition]:
 
 def i_bullet(h: TargetGraph) -> tuple[int, Optional[list[int]]]:
     """Max i(H') over undecomposable induced subgraphs containing an
-    obstruction; 1 with no witness if H has no obstruction."""
+    obstruction, with the least such vertex mask at the max; 1 with no
+    witness if H has no obstruction.
+
+    Decompositions are hereditary: a valid (A, B, C) of H[X] restricts to
+    one of every induced subgraph that meets both A and B∪C.  So each
+    undecomposable H[S] lies inside one leaf L of the split tree of any
+    H[X] ⊇ H[S], and, as i is monotone and obstructions are closed upward,
+    the value is the max i(L) over the leaves L with an obstruction.  The
+    witness is fixed from the highest vertex b down, starting from X = V(H)
+    and R = ∅: b leaves X if a leaf L of the tree of H[X−b] with R ⊆ L has
+    an obstruction and i(L) = i*, since some qualifying S with R ⊆ S ⊆ X−b
+    exists exactly then; otherwise b joins R.  At the end X = R, the least
+    qualifying mask.  The cost is n + 1 split trees and one i(L) per
+    distinct leaf.
+    """
     if find_obstruction(h) is None:
         return 1, None
-    best, mask = _kernels.subset_scan(h.nbhd, h.reflexive_mask())
-    if best < 1 or not mask:
+    nb, refl = h.nbhd, h.reflexive_mask()
+    full = (1 << h.n) - 1
+    leaf_i = {}  # leaf mask -> i(H[L]) if H[L] has an obstruction, else 0
+
+    def leaves(S):
+        stack = [S]
+        while stack:
+            S = stack.pop()
+            split = _kernels.find_split(nb, refl, S)
+            if split is None:
+                if S not in leaf_i:
+                    leaf_i[S] = (
+                        _kernels.max_incomparable_mask(nb, S)[0]
+                        if _kernels._has_obstruction(nb, refl, S) else 0)
+                yield S
+            else:
+                a, b, c = split
+                stack += (b | c, a)
+
+    best = max(leaf_i[L] for L in leaves(full))
+    if best < 1:
         raise AssertionError(
-            f"i* scan found no witness on a target with an obstruction "
-            f"(best {best}, mask {mask:#x})")
-    return best, list(bits(mask))
+            "i* leaf walk found no witness on a target with an obstruction")
+    X, R = full, 0
+    for b in range(h.n - 1, -1, -1):
+        if any(not R & ~L and leaf_i[L] == best
+               for L in leaves(X & ~(1 << b))):
+            X &= ~(1 << b)
+        else:
+            R |= 1 << b
+    if (_kernels.find_split(nb, refl, R) is not None
+            or not _kernels._has_obstruction(nb, refl, R)
+            or _kernels.max_incomparable_mask(nb, R)[0] != best):
+        raise AssertionError(
+            f"i* witness {R:#x} is decomposable, has no obstruction or "
+            f"misses i* = {best}")
+    return best, list(bits(R))
 
 
 class DecompositionTreeNode:

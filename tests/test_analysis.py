@@ -1,8 +1,10 @@
 import random
 from itertools import combinations
 
-from lhomdel import analysis, dpsolve, oracle
-from lhomdel.graphs import max_incomparable
+import pytest
+
+from lhomdel import _kernels, analysis, dpsolve, oracle
+from lhomdel.graphs import bits, max_incomparable
 
 import families
 
@@ -144,7 +146,7 @@ def _tree_leaf_bound(h):
 def test_i_bullet_bounds():
     rng = random.Random(23)
     for _ in range(60):
-        h = families.random_target(rng, rng.randint(1, 6))
+        h = families.random_target(rng, rng.randint(1, 10))
         ib, wit = analysis.i_bullet(h)
         i, _ = max_incomparable(h)
         if analysis.find_obstruction(h) is None:
@@ -155,7 +157,64 @@ def test_i_bullet_bounds():
         assert analysis.find_obstruction(sub) is not None
         assert not analysis.is_decomposable(sub)
         assert max_incomparable(sub)[0] == ib
-        assert _tree_leaf_bound(h) <= ib
+        assert _tree_leaf_bound(h) == ib
+
+
+def _scan_reference(h):
+    """i_bullet's answer by the scan over all 2^n vertex subsets."""
+    if analysis.find_obstruction(h) is None:
+        return 1, None
+    best, mask = _kernels.subset_scan(h.nbhd, h.reflexive_mask())
+    return best, list(bits(mask))
+
+
+def test_i_bullet_matches_subset_scan():
+    """Same value and same (least) witness mask as the reference scan."""
+    rng = random.Random(28)
+    targets = [families.random_target(rng, rng.randint(1, 12),
+                                      loop_p=rng.random(),
+                                      edge_p=rng.random())
+               for _ in range(300)]
+    targets += [families.windowed_family(k) for k in (2, 3, 4)]
+    targets += [families.crossing_family(k) for k in (2, 3)]
+    targets += [families.reflexive_cycle(q) for q in (6, 7, 8)]
+    targets += [h for _, h, _, _ in families.DICHOTOMY_CORPUS]
+    hard = 0
+    for h in targets:
+        got = analysis.i_bullet(h)
+        assert got == _scan_reference(h), h.nbhd
+        hard += got[1] is not None
+    assert 100 < hard < len(targets)
+
+
+@pytest.mark.parametrize("h, want", [(families.crossing_family(10), 2),
+                                     (families.windowed_family(10), 3)])
+def test_i_bullet_on_targets_the_scan_cannot_finish(h, want):
+    assert h.n >= 32
+    ib, wit = analysis.i_bullet(h)
+    assert ib == want
+    sub = h.induced(wit)
+    assert analysis.find_obstruction(sub) is not None
+    assert not analysis.is_decomposable(sub)
+    assert max_incomparable(sub)[0] == ib
+
+
+def test_i_bullet_rejects_a_witness_that_fails_its_check(monkeypatch):
+    """Each leaf's i is computed once; a second answer for the same mask
+    can only come from the final check of the witness, here a wrong one."""
+    real = _kernels.max_incomparable_mask
+    asked = set()
+
+    def wrong_on_repeat(nb, S):
+        size, mask = real(nb, S)
+        if S in asked:
+            return size + 1, mask
+        asked.add(S)
+        return size, mask
+
+    monkeypatch.setattr(_kernels, "max_incomparable_mask", wrong_on_repeat)
+    with pytest.raises(AssertionError, match="misses i"):
+        analysis.i_bullet(families.reflexive_cycle(4))
 
 
 def test_decomposition_tree_partitions():
