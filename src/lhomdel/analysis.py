@@ -247,8 +247,7 @@ def i_bullet(h: TargetGraph) -> tuple[int, Optional[list[int]]]:
                         if _kernels._has_obstruction(nb, refl, S) else 0)
                 yield S
             else:
-                a, b, c = split
-                stack += (b | c, a)
+                stack += (split[1] | split[2], split[0])
 
     best = max(leaf_i[L] for L in leaves(full))
     if best < 1:

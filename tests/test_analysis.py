@@ -143,6 +143,15 @@ def _tree_leaf_bound(h):
     return r
 
 
+def _check_i_bullet_witness(h, ib, wit):
+    """The witness induces an undecomposable subgraph with an obstruction
+    and with i equal to the value."""
+    sub = h.induced(wit)
+    assert analysis.find_obstruction(sub) is not None
+    assert not analysis.is_decomposable(sub)
+    assert max_incomparable(sub)[0] == ib
+
+
 def test_i_bullet_bounds():
     rng = random.Random(23)
     for _ in range(60):
@@ -153,10 +162,7 @@ def test_i_bullet_bounds():
             assert ib == 1 and wit is None
             continue
         assert 1 <= ib <= max(i, 1)
-        sub = h.induced(wit)
-        assert analysis.find_obstruction(sub) is not None
-        assert not analysis.is_decomposable(sub)
-        assert max_incomparable(sub)[0] == ib
+        _check_i_bullet_witness(h, ib, wit)
         assert _tree_leaf_bound(h) == ib
 
 
@@ -188,15 +194,13 @@ def test_i_bullet_matches_subset_scan():
 
 
 @pytest.mark.parametrize("h, want", [(families.crossing_family(10), 2),
-                                     (families.windowed_family(10), 3)])
+                                     (families.windowed_family(10), 3)],
+                         ids=["crossing10", "windowed10"])
 def test_i_bullet_on_targets_the_scan_cannot_finish(h, want):
     assert h.n >= 32
     ib, wit = analysis.i_bullet(h)
     assert ib == want
-    sub = h.induced(wit)
-    assert analysis.find_obstruction(sub) is not None
-    assert not analysis.is_decomposable(sub)
-    assert max_incomparable(sub)[0] == ib
+    _check_i_bullet_witness(h, ib, wit)
 
 
 def test_i_bullet_rejects_a_witness_that_fails_its_check(monkeypatch):
