@@ -2,10 +2,11 @@
 gadgets, run problem reductions, and self-test against the oracles.
 
 All commands print deterministic JSON to stdout.  Exit codes: 0 success,
-1 infeasible (edge deletion with an empty list), 2 parse error,
-3 precondition violation, 4 internal error (a bug: any other exception,
-reported as {"error": "internal", "detail": "<Type>: <message>"}, with the
-traceback on stderr).
+1 infeasible (edge deletion with an empty list), 2 parse error (also an
+input file that cannot be read or decoded), 3 precondition violation (also
+an output file that cannot be written), 4 internal error (a bug: any other
+exception, reported as {"error": "internal", "detail": "<Type>:
+<message>"}, with the traceback on stderr).
 """
 
 from __future__ import annotations
@@ -38,8 +39,25 @@ def _emit(obj) -> None:
 
 
 def _read(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as f:
-        return f.read()
+    """An input file's text.  A file that cannot be opened, read or decoded
+    as UTF-8 is a parse error (exit 2) whose detail names the path."""
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            return f.read()
+    except OSError as exc:
+        raise ParseError(str(exc)) from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: {exc}") from None
+
+
+def _write(path: str, text: str) -> None:
+    """Write an output file; one that cannot be written is a precondition
+    violation (exit 3)."""
+    try:
+        with open(path, "w", encoding="utf-8") as f:
+            f.write(text)
+    except OSError as exc:
+        raise PreconditionError(str(exc)) from None
 
 
 def cmd_classify(args) -> int:
@@ -77,20 +95,41 @@ def cmd_solve(args) -> int:
             raise PreconditionError(
                 "tree decompositions only apply to the dp/auto algorithms")
         sol = solver(h, inst)
-    out = {
-        "mode": sol.mode,
-        "opt": sol.cost,
-        "deleted": ([v + 1 for v in sol.deleted] if sol.mode == "vd"
-                    else [[u + 1, v + 1] for u, v in sol.deleted]),
-        "homomorphism": {str(v + 1): img + 1
-                         for v, img in sorted(sol.hom.items())},
-        "algorithm": sol.algorithm,
-        "stats": sol.stats,
-    }
-    if inst.budget is not None:
-        out["decision"] = sol.cost <= inst.budget
-    _emit(out)
+    sys.stdout.write(_solution_json(sol, inst.budget) + "\n")
     return EXIT_OK
+
+
+def _json_block(open_: str, items: list[str], close: str) -> str:
+    """A top-level value's items as json.dumps(indent=2) lays them out."""
+    if not items:
+        return open_ + close
+    return f"{open_}\n    " + ",\n    ".join(items) + f"\n  {close}"
+
+
+def _solution_json(sol, budget) -> str:
+    """The solve report, byte for byte as json.dumps(report, sort_keys=True,
+    indent=2) gives it.  `indent` sends json.dumps to its pure-Python
+    encoder, so the two values that grow with the instance, `deleted` and
+    `homomorphism`, are written here; the rest goes through json.dumps.
+    Homomorphism keys are strings, so they sort as strings ("10" < "2")."""
+    out = {"mode": sol.mode, "opt": sol.cost, "deleted": 0,
+           "homomorphism": 0, "algorithm": sol.algorithm,
+           "stats": sol.stats}
+    if budget is not None:
+        out["decision"] = sol.cost <= budget
+    if sol.mode == "vd":
+        deleted = [str(v + 1) for v in sol.deleted]
+    else:
+        deleted = [f"[\n      {u + 1},\n      {v + 1}\n    ]"
+                   for u, v in sol.deleted]
+    # `"` sorts below every digit, so the items sort as their keys do
+    hom = sorted(f'"{v + 1}": {img + 1}' for v, img in sol.hom.items())
+    # the placeholders are top-level keys, the only ones indented by two
+    text = json.dumps(out, sort_keys=True, indent=2)
+    text = text.replace('\n  "deleted": 0,', '\n  "deleted": '
+                        + _json_block("[", deleted, "]") + ",", 1)
+    return text.replace('\n  "homomorphism": 0,', '\n  "homomorphism": '
+                        + _json_block("{", hom, "}") + ",", 1)
 
 
 # the arguments each gadget kind's builder takes
@@ -166,8 +205,7 @@ def cmd_gadget(args) -> int:
         except gadgets.GadgetError:
             report["verified"] = "table too large to enumerate"
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as f:
-            f.write(text)
+        _write(args.out, text)
     _emit(report)
     return EXIT_OK
 
@@ -178,11 +216,9 @@ def cmd_reduce(args) -> int:
     target_text = format_target(h)
     instance_text = format_instance(inst)
     if args.target_out:
-        with open(args.target_out, "w", encoding="utf-8") as f:
-            f.write(target_text)
+        _write(args.target_out, target_text)
     if args.instance_out:
-        with open(args.instance_out, "w", encoding="utf-8") as f:
-            f.write(instance_text)
+        _write(args.instance_out, instance_text)
     _emit({"kind": classic.kind, "target": target_text,
            "instance": instance_text})
     return EXIT_OK
@@ -282,14 +318,19 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+# built once per process: parse_args keeps no state in the parser, and
+# building it costs far more than a parse
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except Infeasible as exc:
         _emit({"error": "infeasible", "detail": str(exc)})
         return EXIT_INFEASIBLE
-    except (ParseError, FileNotFoundError) as exc:
+    except ParseError as exc:
         _emit({"error": "parse", "detail": str(exc)})
         return EXIT_PARSE
     except (PreconditionError, gadgets.GadgetError, ValueError) as exc:

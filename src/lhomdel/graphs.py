@@ -273,6 +273,10 @@ def parse_instance(text: str, h: TargetGraph) -> Instance:
     Vertices with no `l` line get the full list V(H).  A second `l` line
     for a vertex, or a second `k` line, is a parse error.  Lines with the
     same element tokens share one checked frozenset.
+
+    The line-numbered checks here are the only ones the returned Instance
+    gets: it is built without Instance.__post_init__, whose edge checks
+    (range, loops, parallel edges) and list count these checks cover.
     """
     n = m = None
     edges: list[tuple[int, int]] = []
@@ -348,7 +352,10 @@ def parse_instance(text: str, h: TargetGraph) -> Instance:
     if m is not None and m != len(edges):
         raise ParseError(f"header announces {m} edges, found {len(edges)}")
     full = frozenset(range(h.n))
-    return Instance(n, edges, [lists.get(v, full) for v in range(n)], budget)
+    inst = Instance.__new__(Instance)
+    inst.n, inst.edges, inst.budget = n, edges, budget
+    inst.lists = [lists.get(v, full) for v in range(n)]
+    return inst
 
 
 def format_instance(inst: Instance) -> str:

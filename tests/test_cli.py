@@ -1,10 +1,11 @@
 import json
 import os
+import random
 import subprocess
 import sys
 
 from lhomdel import analysis, cli, dpsolve, polysolve
-from lhomdel.graphs import format_target
+from lhomdel.graphs import format_instance, format_target, parse_instance
 
 import families
 
@@ -168,6 +169,118 @@ def test_parse_error_exit_codes(tmp_path, capsys):
                               "dp"])
     assert code == cli.EXIT_PARSE
     assert json.loads(out)["detail"] == "line 1: negative count"
+
+
+def test_malformed_edge_lines_exit_code(tmp_path, capsys):
+    # parse_instance is the only edge check of a parsed instance
+    t = _write(tmp_path, "h.hg", TARGET_RK2)
+    for text, detail in (
+            ("p lhom 2 1\ne 1 3\n", "line 2: edge out of range"),
+            ("p lhom 2 1\ne 0 1\n", "line 2: edge out of range"),
+            ("p lhom 2 1\ne 2 2\n", "line 2: loops not allowed"),
+            ("p lhom 2 2\ne 1 2\nc x\ne 2 1\n", "line 4: parallel edge"),
+            ("p lhom 2 1\ne 1 x\n", "line 2: malformed line"),
+            ("p lhom 2 1\ne 1\n", "line 2: malformed edge"),
+            ("e 1 2\np lhom 2 1\n", "line 1: edge before header")):
+        i = _write(tmp_path, "g.lhi", text)
+        for mode in ("vd", "ed"):
+            code, out = _run(capsys, ["solve", mode, t, i])
+            assert code == cli.EXIT_PARSE
+            assert json.loads(out) == {"error": "parse", "detail": detail}
+
+
+def test_unreadable_files_exit_codes(tmp_path, capsys):
+    # an input that cannot be read or decoded is a parse error, like a
+    # missing one; an output that cannot be written is a precondition
+    t = _write(tmp_path, "h.hg",
+               format_target(families.independent_reflexive(3)))
+    missing = str(tmp_path / "missing.hg")
+    code, out = _run(capsys, ["classify", missing])
+    assert code == cli.EXIT_PARSE
+    assert json.loads(out)["detail"] == \
+        f"[Errno 2] No such file or directory: '{missing}'"
+    code, out = _run(capsys, ["classify", str(tmp_path)])
+    assert code == cli.EXIT_PARSE
+    assert "Is a directory" in json.loads(out)["detail"]
+    i = tmp_path / "g.lhi"
+    i.write_bytes(b"p lhom 1 0\nc \xff\n")
+    code, out = _run(capsys, ["solve", "vd", t, str(i)])
+    assert code == cli.EXIT_PARSE
+    assert "can't decode byte 0xff" in json.loads(out)["detail"]
+    c = _write(tmp_path, "vc.cls", "p vertex-cover 2 1\ne 1 2\nk 1\n")
+    for argv in (["gadget", "s-prohibitor", t, "--set", "1", "2",
+                  "--out", str(tmp_path)],
+                 ["reduce", c, "--target-out", str(tmp_path)],
+                 ["reduce", c, "--instance-out", str(tmp_path)]):
+        code, out = _run(capsys, argv)
+        assert code == cli.EXIT_PRECONDITION, argv
+        assert "Is a directory" in json.loads(out)["detail"]
+
+
+def test_reused_parser_keeps_no_state(tmp_path, capsys):
+    # main() parses every call with one parser; nothing of a call's
+    # options may reach the next
+    t = _write(tmp_path, "h.hg",
+               format_target(families.independent_reflexive(3)))
+    code, out = _run(capsys, ["gadget", "splitter", t, "--set", "1", "2",
+                              "--vertex", "1"])
+    assert code == cli.EXIT_OK
+    code, out = _run(capsys, ["gadget", "splitter", t, "--vertex", "1"])
+    assert code == cli.EXIT_PRECONDITION
+    assert json.loads(out)["detail"] == "gadget splitter needs --set"
+    # one bag of all four path vertices has width 3; min-fill finds 1
+    t = _write(tmp_path, "c5.hg", TARGET_C5)
+    i = _write(tmp_path, "g.lhi", "p lhom 4 3\ne 1 2\ne 2 3\ne 3 4\n")
+    td = _write(tmp_path, "g.td", "s td 1 4 4\nb 1 1 2 3 4\n")
+    widths = []
+    for extra in (["--td", td], []):
+        code, out = _run(capsys, ["solve", "vd", t, i, "--algo", "dp"]
+                         + extra)
+        assert code == cli.EXIT_OK
+        widths.append(json.loads(out)["stats"]["width"])
+    assert widths == [3, 1]
+
+
+def _report_by_json_dumps(sol, budget):
+    """The solve report as json.dumps(indent=2) writes the whole of it."""
+    out = {"mode": sol.mode, "opt": sol.cost,
+           "deleted": ([v + 1 for v in sol.deleted] if sol.mode == "vd"
+                       else [[u + 1, v + 1] for u, v in sol.deleted]),
+           "homomorphism": {str(v + 1): img + 1 for v, img in sol.hom.items()},
+           "algorithm": sol.algorithm, "stats": sol.stats}
+    if budget is not None:
+        out["decision"] = sol.cost <= budget
+    return json.dumps(out, sort_keys=True, indent=2) + "\n"
+
+
+def test_solve_output_matches_json_dumps(tmp_path, capsys):
+    # the reflexive K3 takes the poly path, the reflexive C5 the DP, and
+    # windowed2 in ed the split; 10-16 vertices order "10" before "2"
+    rng = random.Random(17)
+    seen = set()
+    for name, h in (("k3", families.reflexive_clique(3)),
+                    ("c5", families.reflexive_cycle(5)),
+                    ("w2", families.windowed_family(2))):
+        t = _write(tmp_path, f"{name}.hg", format_target(h))
+        insts = [families.random_instance(rng, h, rng.randint(10, 16))
+                 for _ in range(4)]
+        insts[0].lists = [frozenset(range(h.n))] * insts[0].n
+        insts.append(parse_instance("p lhom 0 0\n", h))
+        for k, inst in enumerate(insts):
+            inst.budget = rng.choice([None, rng.randint(0, 6)])
+            i = _write(tmp_path, f"{name}-{k}.lhi", format_instance(inst))
+            for mode in ("vd", "ed"):
+                code, out = _run(capsys, ["solve", mode, t, i])
+                assert code == cli.EXIT_OK
+                sol = cli._SOLVERS[(mode, "auto")](h, inst)
+                assert out == _report_by_json_dumps(sol, inst.budget)
+                seen.add((mode, tuple(sorted(sol.stats)), bool(sol.deleted),
+                          len(sol.hom) >= 10, inst.budget is None))
+    assert {s[1] for s in seen} == {("flow_value",), ("forced", "parts"),
+                                    ("max_bag_states", "width")}
+    for mode in ("vd", "ed"):
+        for flag in (2, 3, 4):
+            assert {s[flag] for s in seen if s[0] == mode} == {False, True}
 
 
 def test_repeated_record_exit_code(tmp_path, capsys):

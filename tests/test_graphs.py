@@ -160,6 +160,29 @@ def test_instance_validation():
         Instance(2, [(0, 1), (1, 0)], [frozenset({0})] * 2)
     with pytest.raises(ValueError):
         Instance(2, [], [frozenset({0})])
+    with pytest.raises(ValueError):
+        Instance(2, [(0, 2)], [frozenset({0})] * 2)
+
+
+def test_parse_instance_checks_edges_once(monkeypatch):
+    # parse_instance's own line-numbered checks replace __post_init__'s;
+    # a direct Instance(...) is still checked
+    calls = []
+    post_init = Instance.__post_init__
+
+    def counted(self):
+        calls.append(self.n)
+        post_init(self)
+
+    monkeypatch.setattr(Instance, "__post_init__", counted)
+    h = families.reflexive_clique(2)
+    inst = parse_instance("p lhom 3 2\ne 1 2\ne 3 2\nl 1 1 2\nk 4\n", h)
+    assert calls == []
+    assert (inst.n, inst.edges, inst.lists, inst.budget) == (
+        3, [(0, 1), (2, 1)], [frozenset({1}), frozenset({0, 1}),
+                              frozenset({0, 1})], 4)
+    Instance(1, [], [frozenset({0})])
+    assert calls == [1]
 
 
 # Under python -O: two valid witnesses, then one corruption per check;
