@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 import traceback
@@ -215,10 +216,17 @@ def cmd_reduce(args) -> int:
     h, inst = reductions.encode_classic(classic)
     target_text = format_target(h)
     instance_text = format_instance(inst)
+    created = False  # a target file that this call made
     if args.target_out:
+        created = not os.path.exists(args.target_out)
         _write(args.target_out, target_text)
     if args.instance_out:
-        _write(args.instance_out, instance_text)
+        try:
+            _write(args.instance_out, instance_text)
+        except PreconditionError:  # a failed reduce leaves no new file
+            if created:
+                os.remove(args.target_out)
+            raise
     _emit({"kind": classic.kind, "target": target_text,
            "instance": instance_text})
     return EXIT_OK

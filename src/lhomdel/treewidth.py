@@ -209,106 +209,122 @@ def _td_from_order(n, edges, order) -> TreeDecomposition:
 def _min_fill_order(n, edges):
     """Min-fill elimination order, ties to the smallest vertex.
 
-    A heap holds (fill, v) with stale entries skipped.  Eliminating x
-    changes the fill only of x's live neighbours (they lose x and gain
-    each other) and of their neighbours (new edges among theirs), so
-    only those are recounted.  With fill 0, x's live neighbourhood is a
-    clique, so each neighbour's fill just drops by its missing pairs
-    with x: a leaf of a high-degree vertex costs no recount of it."""
-    nbhd = [0] * n  # bitmasks
+    A heap holds (fill, v) with stale entries skipped.  Each live vertex's
+    fill count (non-adjacent pairs among its live neighbours) is kept
+    current, one update per fill edge, with N(.) the live neighbourhoods:
+    eliminating x lowers each neighbour w's count by |N(w)∖N[x]|, the
+    pairs it had with x; adding a fill edge ab then lowers the count of
+    each common neighbour of a and b by 1 and raises a's by |N(a)∖N[b]|
+    and b's by |N(b)∖N[a]|, the pairs the new neighbour brings."""
+    nbhd = [0] * n  # bitmasks of live neighbours
     for u, v in edges:
         if u != v:
             nbhd[u] |= 1 << v
             nbhd[v] |= 1 << u
-    alive = (1 << n) - 1
 
     def fill(v):
-        ns = nbhd[v] & alive
-        missing = 0  # ordered non-adjacent pairs, plus each a (a ∉ nbhd[a])
+        ns = nbhd[v]
+        d = ns.bit_count()
+        linked = 0  # ordered adjacent pairs in ns
         m = ns
         while m:  # bits() inlined: this loop is the hot path
             low = m & -m
-            missing += (ns & ~nbhd[low.bit_length() - 1]).bit_count()
+            linked += (ns & nbhd[low.bit_length() - 1]).bit_count()
             m ^= low
-        return (missing - ns.bit_count()) // 2
+        return (d * (d - 1) - linked) // 2
 
     fills = [fill(v) for v in range(n)]
     heap = [(f, v) for v, f in enumerate(fills)]
     heapq.heapify(heap)
+    dead = [False] * n
     order = []
     while heap:
-        f, best = heapq.heappop(heap)
-        if not alive >> best & 1 or f != fills[best]:
+        f, x = heapq.heappop(heap)
+        if dead[x] or f != fills[x]:
             continue
-        alive &= ~(1 << best)
-        order.append(best)
-        ns = nbhd[best] & alive
-        touched = ns
-        if f:  # fill edges among ns: their other neighbours change too
+        dead[x] = True
+        order.append(x)
+        ns = nbhd[x]
+        old = {}  # vertex -> its fill before this step
+        xbit = 1 << x
+        for w in bits(ns):
+            old[w] = fills[w]
+            nw = nbhd[w] = nbhd[w] ^ xbit
+            fills[w] -= nw.bit_count() - (nw & ns).bit_count()
+        if f:  # add the fill edges among ns
             for a in bits(ns):
-                nbhd[a] |= ns & ~(1 << a)
-                touched |= nbhd[a]
-        for w in bits(touched & alive):
-            if f:
-                new = fill(w)
-            else:  # ns is a clique: w only loses its missing pairs with best
-                new = fills[w] - (nbhd[w] & alive & ~nbhd[best]).bit_count()
-            if new != fills[w]:
-                fills[w] = new
-                heapq.heappush(heap, (new, w))
+                for b in bits(ns & ~nbhd[a] & ~((2 << a) - 1)):  # b > a
+                    na, nb = nbhd[a], nbhd[b]
+                    common = na & nb
+                    for c in bits(common):
+                        if c not in old:
+                            old[c] = fills[c]
+                        fills[c] -= 1
+                    k = common.bit_count()
+                    fills[a] += na.bit_count() - k
+                    fills[b] += nb.bit_count() - k
+                    nbhd[a] = na | 1 << b
+                    nbhd[b] = nb | 1 << a
+        for w, was in old.items():
+            if fills[w] != was:
+                heapq.heappush(heap, (fills[w], w))
     return order
 
 
 def _exact_order(n, edges):
-    """Optimal elimination order by DP over vertex subsets (n <= ~13)."""
+    """Optimal elimination order by DP over vertex subsets (n ≤ 12, the
+    cut-off build_td uses).
+
+    The recurrence of Bodlaender, Fomin, Koster, Kratsch and Thilikos
+    ("On exact algorithms for treewidth", TALG 2012): best(S) = min over
+    v in S of max(best(S∖v), Q(S∖v, v)), ties to the smallest v, where
+    Q(S∖v, v) counts the vertices outside S reachable from v through
+    S∖v.  That closure is v's component C in G[S], so Q(S∖v, v) =
+    |N(C)∖S|, and one component pass over G[S] gives Q for all of S."""
     nbhd = [0] * n
     for u, v in edges:
         if u != v:
             nbhd[u] |= 1 << v
             nbhd[v] |= 1 << u
 
-    def q(s, v):
-        # neighbors of v outside s reachable through s (component closure)
-        comp = 1 << v
-        frontier = nbhd[v] & s
-        while frontier:
-            comp |= frontier
-            nxt = 0
-            m = frontier
-            while m:
-                w = (m & -m).bit_length() - 1
-                m &= m - 1
-                nxt |= nbhd[w]
-            frontier = nxt & s & ~comp
-        reach = 0
-        m = comp
-        while m:
-            w = (m & -m).bit_length() - 1
-            m &= m - 1
-            reach |= nbhd[w]
-        return bin(reach & ~s & ~(1 << v)).count("1")
-
     full = (1 << n) - 1
-    best = {0: 0}
-    pick = {}
+    best = [0] * (full + 1)
+    pick = [0] * (full + 1)
     for s in range(1, full + 1):
-        b, ch = None, None
-        m = s
-        while m:
-            v = (m & -m).bit_length() - 1
-            m &= m - 1
-            rest = s & ~(1 << v)
-            cand = max(best[rest], q(rest, v))
-            if b is None or cand < b or (cand == b and v < ch):
-                b, ch = cand, v
+        b, ch = n, 0  # b: above any width; ch: v's bit
+        left = s
+        while left:  # one component C of G[s] per turn
+            comp = frontier = left & -left
+            reach = 0
+            while frontier:
+                nxt = 0
+                m = frontier
+                while m:
+                    low = m & -m
+                    nxt |= nbhd[low.bit_length() - 1]
+                    m ^= low
+                reach |= nxt
+                frontier = nxt & s & ~comp
+                comp |= frontier
+            left &= ~comp
+            q = (reach & ~s).bit_count()
+            m = comp
+            while m:
+                low = m & -m
+                m ^= low
+                cand = best[s ^ low]
+                if cand < q:
+                    cand = q
+                if cand < b or (cand == b and low < ch):
+                    b, ch = cand, low
         best[s] = b
         pick[s] = ch
     order = []
     s = full
     while s:
-        v = pick[s]
-        order.append(v)
-        s &= ~(1 << v)
+        low = pick[s]
+        order.append(low.bit_length() - 1)
+        s ^= low
     order.reverse()
     return order
 

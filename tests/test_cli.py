@@ -468,6 +468,24 @@ def test_reduce_command(tmp_path, capsys):
     assert rep["opt"] == 1 and rep["decision"] is True
 
 
+def test_failed_reduce_leaves_no_output_file(tmp_path, capsys):
+    # the target file is written first; when the instance file then cannot
+    # be written, the target file goes too
+    c = _write(tmp_path, "vc.cls", "p vertex-cover 2 1\ne 1 2\nk 1\n")
+    tgt = tmp_path / "h.hg"
+    code, out = _run(capsys, ["reduce", c, "--target-out", str(tgt),
+                              "--instance-out", str(tmp_path)])
+    assert code == cli.EXIT_PRECONDITION
+    assert "Is a directory" in json.loads(out)["detail"]
+    assert not tgt.exists()
+    # a target file that was there before is not removed
+    tgt.write_text("old")
+    code, out = _run(capsys, ["reduce", c, "--target-out", str(tgt),
+                              "--instance-out", str(tmp_path)])
+    assert code == cli.EXIT_PRECONDITION
+    assert tgt.exists()
+
+
 def test_selftest_command(capsys):
     code, out = _run(capsys, ["selftest", "--seed", "3", "--count", "10"])
     assert code == cli.EXIT_OK

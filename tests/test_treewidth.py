@@ -1,5 +1,6 @@
+import hashlib
 import random
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -7,13 +8,45 @@ from lhomdel.graphs import Instance, ParseError
 from lhomdel.treewidth import (HubCore, TreeDecomposition, build_td,
                                core_to_td, format_core, format_td, make_nice,
                                parse_core, parse_td, validate_core,
-                               validate_td, _min_fill_order, _td_from_order)
+                               validate_td, _exact_order, _min_fill_order,
+                               _td_from_order)
 
 
 def _random_graph(rng, n, p=0.4):
     edges = [(u, v) for u in range(n) for v in range(u + 1, n)
              if rng.random() < p]
     return Instance(n, edges, [frozenset({0})] * n)
+
+
+def _grid(rows, cols, diagonals=False):
+    """rows x cols grid; with `diagonals`, each square gets the diagonal
+    from its top-left to its bottom-right corner."""
+    n = rows * cols
+    edges = []
+    for v in range(n):
+        r, c = divmod(v, cols)
+        if c + 1 < cols:
+            edges.append((v, v + 1))
+        if r + 1 < rows:
+            edges.append((v, v + cols))
+            if diagonals and c + 1 < cols:
+                edges.append((v, v + cols + 1))
+    return Instance(n, edges, [frozenset({0})] * n)
+
+
+def _partial_ktree(rng, n, k, keep=0.7):
+    """A random k-tree on n > k vertices (each new vertex joins a random
+    k-subset of an existing (k+1)-clique), each edge kept with
+    probability `keep`: treewidth at most k."""
+    edges = set(combinations(range(k + 1), 2))
+    cliques = [tuple(range(k + 1))]
+    for v in range(k + 1, n):
+        base = list(rng.choice(cliques))
+        del base[rng.randrange(k + 1)]
+        edges.update((u, v) for u in base)
+        cliques.append(tuple(base) + (v,))
+    kept = sorted(e for e in edges if rng.random() < keep)
+    return Instance(n, kept, [frozenset({0})] * n)
 
 
 def test_validate_td_rejects_bad_decompositions():
@@ -170,8 +203,8 @@ def _min_fill_order_rescan(n, edges):
         best, best_fill = None, None
         for v in sorted(alive):
             ns = nbhd[v] & alive
-            fill = sum(1 for a in ns for b in ns
-                       if a < b and b not in nbhd[a])
+            # each non-adjacent pair of ns, counted from both ends
+            fill = sum(len(ns - nbhd[a] - {a}) for a in ns) // 2
             if best_fill is None or fill < best_fill:
                 best, best_fill = v, fill
         ns = nbhd[best] & alive
@@ -200,6 +233,11 @@ def test_min_fill_order_matches_full_rescan():
     graphs = [_random_graph(rng, n, rng.choice((1.5, 3, 6)) / n)
               for n in (13, 20, 40, 80, 150, 300) for _ in range(3)]
     graphs += [_star(40), _broom(10, 30), _broom(25, 5)]
+    # dense fill: partial k-trees and triangulated grids make many fill
+    # edges per elimination, each with common neighbours to update
+    graphs += [_partial_ktree(rng, rng.randint(50, 100), k, keep)
+               for k in (5, 6, 7) for keep in (0.5, 0.7, 0.9)]
+    graphs += [_grid(5, 20, diagonals=True), _grid(20, 5, diagonals=True)]
     for g in graphs:
         assert _min_fill_order(g.n, g.edges) == \
             _min_fill_order_rescan(g.n, g.edges)
@@ -213,3 +251,84 @@ def test_build_td_on_a_large_star():
     td = build_td(g)
     assert td.width == 1
     assert validate_td(g, td) == 1
+
+
+def _exact_order_bfs(n, edges):
+    """Reference exact order: the same subset recurrence with Q(S∖v, v)
+    found by its own search from v through S∖v, for every pair (S, v)."""
+    nbhd = [0] * n
+    for u, v in edges:
+        nbhd[u] |= 1 << v
+        nbhd[v] |= 1 << u
+
+    def q(s, v):
+        comp = 1 << v
+        frontier = nbhd[v] & s
+        while frontier:
+            comp |= frontier
+            nxt = 0
+            for w in range(n):
+                if frontier >> w & 1:
+                    nxt |= nbhd[w]
+            frontier = nxt & s & ~comp
+        reach = 0
+        for w in range(n):
+            if comp >> w & 1:
+                reach |= nbhd[w]
+        return bin(reach & ~s & ~(1 << v)).count("1")
+
+    best = {0: 0}
+    pick = {}
+    for s in range(1, 1 << n):
+        b, ch = None, None
+        for v in range(n):
+            if s >> v & 1:
+                rest = s & ~(1 << v)
+                cand = max(best[rest], q(rest, v))
+                if b is None or cand < b:
+                    b, ch = cand, v
+        best[s] = b
+        pick[s] = ch
+    order = []
+    s = (1 << n) - 1
+    while s:
+        order.append(pick[s])
+        s &= ~(1 << pick[s])
+    return order[::-1]
+
+
+def test_exact_order_matches_per_vertex_search():
+    rng = random.Random(55)
+    for n in range(13):
+        graphs = [_random_graph(rng, n, p) for p in (0, 0.15, 0.3, 0.6, 1)]
+        # disconnected: two random halves with no edge between them
+        a = n // 2
+        left = _random_graph(rng, a, 0.5).edges
+        right = [(u + a, v + a)
+                 for u, v in _random_graph(rng, n - a, 0.5).edges]
+        graphs.append(Instance(n, left + right, [frozenset({0})] * n))
+        for g in graphs:
+            assert _exact_order(g.n, g.edges) == \
+                _exact_order_bfs(g.n, g.edges), (n, g.edges)
+
+
+def test_build_td_outputs_are_pinned():
+    """SHA-256 of format_td(build_td(g)): any change to the elimination
+    orders, and so to the widths and witnesses, shows here."""
+    graphs = {
+        "grid6x18": (_grid(6, 18),
+                     "0e074f7dafa8803ed0fe62f07bdd478c"
+                     "7cc9428a6af36979c0fe3c1bbbc22462"),
+        "ktree6": (_partial_ktree(random.Random(61), 100, 6),
+                   "06bc65deb9b33c4c3141d903628c36ad"
+                   "4306fdff9125ff4ac790d9d324bd7aa5"),
+        "random12": (_random_graph(random.Random(62), 12, 0.4),
+                     "44904b3336b5db009507cf438c51d426"
+                     "d0dbacbe64ffa26081879e13b77cab8c"),
+        "random11": (_random_graph(random.Random(63), 11, 0.3),
+                     "609a791c7f29ae51b84492283150beca"
+                     "bd1abaadbdc5c6a278ea3b22602a2105"),
+    }
+    for name, (g, want) in graphs.items():
+        text = format_td(build_td(g), g.n)
+        assert hashlib.sha256(text.encode()).hexdigest() == want, name
