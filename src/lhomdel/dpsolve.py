@@ -31,25 +31,29 @@ def _run_dp(h: TargetGraph, inst: Instance, td: TreeDecomposition, mode: str):
     Each node's table is an int64 array with one axis per vertex of
     sorted(bag), indexed by position in the vertex's sorted list; VD adds
     the DELETED symbol as the last index.  Entries >= INF are infeasible.
-    Each cost is charged once, at one kind of node.  A G edge is charged
-    at the introduce node that completes it: VD makes states with kept
-    non-adjacent images infeasible, ED pays 1.  A VD deletion is charged
-    where its vertex is forgotten; a join just adds its children.
-    max_states counts finite entries, the states a sparse table would hold.
+    Each cost is charged once, at one kind of node.  An introduce node
+    adds the G edges it completes as one penalty over their ends' axes:
+    in VD an edge makes states with kept non-adjacent images infeasible,
+    and the penalty, like every VD sum, is clamped at INF; in ED an edge
+    pays 1.  A VD deletion is charged where its vertex is forgotten; a
+    join just adds its children.  ED tables never hold INF (an entry
+    counts deleted edges), so ED clamps nothing.  max_states counts
+    finite entries, the states a sparse table would hold.
     """
     import numpy as np
 
-    base = max_incomparable(h)[0] + (1 if mode == "vd" else 0)
+    vd = mode == "vd"
+    base = max_incomparable(h)[0] + (1 if vd else 0)
     choices = []
     for v in range(inst.n):
         lst = sorted(inst.lists[v])
-        if mode == "vd":
+        if vd:
             lst.append(DELETED)
         if len(lst) > base:  # so no table exceeds base ** len(bag)
             raise AssertionError(
                 f"list of vertex {v} has {len(lst)} states, above the "
                 f"bound {base}")
-        choices.append(lst)
+        choices.append(tuple(lst))
     for bag in td.bags:
         size = math.prod(len(choices[v]) for v in bag)
         if size > MAX_TABLE_ENTRIES:
@@ -59,54 +63,72 @@ def _run_dp(h: TargetGraph, inst: Instance, td: TreeDecomposition, mode: str):
     nodes = make_nice(td, inst.edges)
     penalties = {}  # (list u, list v) -> edge penalty matrix
 
-    def penalty(lu, lv):
-        key = (tuple(lu), tuple(lv))
-        if key not in penalties:
-            if mode == "vd":
-                bad = [[0 if a == DELETED or b == DELETED or h.has_edge(a, b)
-                        else INF for b in lv] for a in lu]
-            else:
-                bad = [[0 if h.has_edge(a, b) else 1 for b in lv] for a in lu]
-            penalties[key] = np.array(bad, dtype=np.int64)
-        return penalties[key]
+    def new_penalty(lu, lv):
+        if vd:
+            bad = [[0 if a == DELETED or b == DELETED or h.has_edge(a, b)
+                    else INF for b in lv] for a in lu]
+        else:
+            bad = [[0 if h.has_edge(a, b) else 1 for b in lv] for a in lu]
+        penalties[lu, lv] = pen = np.array(bad, dtype=np.int64)
+        return pen
 
+    # two edges' penalties combined: VD's are 0 or INF, so their maximum
+    # is their sum clamped at INF, and no sum of INFs can overflow int64
+    combine = np.maximum if vd else np.add
+    pick_type = np.min_scalar_type(base - 1)  # holds any list index
+    # axis of an introduced or forgotten vertex in sorted(bag ∪ {v})
+    axes = [0] * len(nodes)
     tables = [None] * len(nodes)
     argmins = {}  # forget node -> index of the forgotten vertex's image
     max_states = 1  # the leaf's table {(): 0}
     for idx, nd in enumerate(nodes):
-        bag = sorted(nd.bag)
-        if nd.kind == "leaf":
+        kind = nd.kind
+        if kind == "leaf":
             table = np.zeros((), dtype=np.int64)
-        elif nd.kind == "introduce":
+        elif kind == "introduce":
             v = nd.payload
             child = tables[nd.children[0]]
-            at = bag.index(v)
-            # only introduce nodes grow the number of finite entries
-            max_states = max(max_states, int(np.count_nonzero(child < INF))
-                             * len(choices[v]))
-            table = np.repeat(np.expand_dims(child, at), len(choices[v]),
-                              axis=at)
-            for u, w in nd.edges:
-                pen = penalty(choices[u], choices[w])
-                shape = [1] * len(bag)
-                shape[bag.index(u)], shape[bag.index(w)] = pen.shape  # u < w
-                table += pen.reshape(shape)
-                # per edge: a sum of several INF penalties overflows int64
-                np.minimum(table, INF, out=table)
-        elif nd.kind == "forget":
+            bag = sorted(nd.bag)
+            at = axes[idx] = bag.index(v)
+            k = len(choices[v])
+            # only introduce nodes grow the number of finite entries, to
+            # at most child.size * k
+            if child.size * k > max_states:
+                finite = (int(np.count_nonzero(child < INF)) if vd
+                          else child.size)
+                max_states = max(max_states, finite * k)
+            shape = child.shape[:at] + (1,) + child.shape[at:]
+            if not nd.edges:
+                table = child.reshape(shape).repeat(k, at)
+            else:
+                pen = None
+                for u, w in nd.edges:
+                    cu, cw = choices[u], choices[w]
+                    p = penalties.get((cu, cw))
+                    if p is None:
+                        p = new_penalty(cu, cw)
+                    ps = [1] * len(bag)
+                    ps[bag.index(u)], ps[bag.index(w)] = p.shape  # u < w
+                    p = p.reshape(ps)
+                    pen = p if pen is None else combine(pen, p)
+                table = child.reshape(shape) + pen
+                if vd:  # the child is at most INF plus the deletions
+                    # charged since its last clamp, the penalty INF
+                    np.minimum(table, INF, out=table)
+        elif kind == "forget":
             v = nd.payload
             child = tables[nd.children[0]]
-            at = sorted(nodes[nd.children[0]].bag).index(v)
-            if mode == "vd":  # DELETED is the last index on v's axis
+            at = axes[idx] = sorted(nodes[nd.children[0]].bag).index(v)
+            if vd:  # DELETED is the last index on v's axis
                 child[(slice(None),) * at + (-1,)] += 1
-            argmins[idx] = child.argmin(axis=at).astype(
-                np.min_scalar_type(len(choices[v]) - 1))
+            argmins[idx] = child.argmin(axis=at).astype(pick_type)
             table = child.min(axis=at)
         else:  # join
             c1, c2 = nd.children
             table = tables[c1]
             table += tables[c2]
-            np.minimum(table, INF, out=table)
+            if vd:
+                np.minimum(table, INF, out=table)
         for c in nd.children:
             tables[c] = None
         tables[idx] = table
@@ -120,15 +142,14 @@ def _run_dp(h: TargetGraph, inst: Instance, td: TreeDecomposition, mode: str):
     for idx in range(root, -1, -1):
         nd = nodes[idx]
         st = chosen.pop(idx)
+        at = axes[idx]
         if nd.kind == "forget":
             v = nd.payload
-            at = sorted(nodes[nd.children[0]].bag).index(v)
             pick = int(argmins[idx][st])
             if choices[v][pick] != DELETED:
                 hom[v] = choices[v][pick]
             chosen[nd.children[0]] = st[:at] + (pick,) + st[at:]
         elif nd.kind == "introduce":
-            at = sorted(nd.bag).index(nd.payload)
             chosen[nd.children[0]] = st[:at] + st[at + 1:]
         else:  # a join keeps the state; a leaf has no child
             for c in nd.children:

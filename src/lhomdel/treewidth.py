@@ -97,11 +97,13 @@ def make_nice(td: TreeDecomposition, edges) -> list[NiceNode]:
     node shrinks its child's bag and a join repeats its children's), and
     the vertex it introduces is one end of each edge it lists."""
     nodes: list[NiceNode] = []
-    left = {tuple(sorted(e)) for e in edges}  # edges no bag has held yet
+    pending = {}  # vertex -> its neighbours no bag has held it with yet
+    for u, w in edges:
+        pending.setdefault(u, set()).add(w)
+        pending.setdefault(w, set()).add(u)
 
     def emit(kind, bag, payload, children, done=()):
-        nodes.append(NiceNode(kind, frozenset(bag), payload, list(children),
-                              done))
+        nodes.append(NiceNode(kind, frozenset(bag), payload, children, done))
         return len(nodes) - 1
 
     def chain_to(top, have, want):
@@ -113,9 +115,18 @@ def make_nice(td: TreeDecomposition, edges) -> list[NiceNode]:
             top = emit("forget", cur, v, [top])
         for v in sorted(want - have):
             cur.add(v)
-            done = sorted({(min(v, w), max(v, w)) for w in cur} & left)
-            top = emit("introduce", cur, v, [top], tuple(done))
-            left.difference_update(done)
+            done = ()
+            nbrs = pending.get(v)
+            if nbrs:
+                hit = nbrs & cur
+                if hit:
+                    nbrs -= hit
+                    for w in hit:
+                        pending[w].discard(v)
+                    # sorted by the other end is sorted: every edge holds v
+                    done = tuple((w, v) if w < v else (v, w)
+                                 for w in sorted(hit))
+            top = emit("introduce", cur, v, [top], done)
         return top
 
     nb = len(td.bags)
@@ -159,6 +170,7 @@ def make_nice(td: TreeDecomposition, edges) -> list[NiceNode]:
     else:
         root = build(0)
         chain_to(root, td.bags[0], frozenset())
+    left = [(u, w) for u, nbrs in pending.items() for w in nbrs if u <= w]
     if left:
         u, v = min(left)
         raise ValueError(f"edge ({u}, {v}) is in no bag")
@@ -196,9 +208,9 @@ def _td_from_order(n, edges, order) -> TreeDecomposition:
             nbhd[a].discard(a)
     tedges = []
     for v in order:
-        later = sorted(bags[link[v]] - {v}, key=lambda w: pos[w])
-        if later:
-            tedges.append((link[v], link[later[0]]))
+        later = bags[link[v]] - {v}
+        if later:  # the parent is the bag of the next of them eliminated
+            tedges.append((link[v], link[min(later, key=pos.__getitem__)]))
         elif link[v] + 1 < len(bags):
             tedges.append((link[v], link[v] + 1))
     if not bags:

@@ -1,5 +1,8 @@
-"""Named target-graph families used across the tests, plus the seeded random
-targets and instances of lhomdel.graphs."""
+"""Named target-graph families used across the tests, the seeded random
+targets and instances of lhomdel.graphs, and instance graphs of bounded
+treewidth as (n, edges)."""
+
+from itertools import combinations
 
 from lhomdel.graphs import (TargetGraph, random_instance,  # noqa: F401
                             random_target)
@@ -103,3 +106,33 @@ DICHOTOMY_CORPUS = [
     ("3-independent-reflexive", independent_reflexive(3), "np-hard",
      "np-hard"),
 ]
+
+
+def grid(rows, cols, diagonals=False):
+    """rows x cols grid; with `diagonals`, each square gets the diagonal
+    from its top-left to its bottom-right corner."""
+    n = rows * cols
+    edges = []
+    for v in range(n):
+        r, c = divmod(v, cols)
+        if c + 1 < cols:
+            edges.append((v, v + 1))
+        if r + 1 < rows:
+            edges.append((v, v + cols))
+            if diagonals and c + 1 < cols:
+                edges.append((v, v + cols + 1))
+    return n, edges
+
+
+def partial_ktree(rng, n, k, keep=0.7):
+    """A random k-tree on n > k vertices (each new vertex joins a random
+    k-subset of an existing (k+1)-clique), each edge kept with
+    probability `keep`: treewidth at most k."""
+    edges = set(combinations(range(k + 1), 2))
+    cliques = [tuple(range(k + 1))]
+    for v in range(k + 1, n):
+        base = list(rng.choice(cliques))
+        del base[rng.randrange(k + 1)]
+        edges.update((u, v) for u in base)
+        cliques.append(tuple(base) + (v,))
+    return n, sorted(e for e in edges if rng.random() < keep)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import random
@@ -5,7 +6,8 @@ import subprocess
 import sys
 
 from lhomdel import analysis, cli, dpsolve, polysolve
-from lhomdel.graphs import format_instance, format_target, parse_instance
+from lhomdel.graphs import (Instance, format_instance, format_target,
+                            parse_instance)
 
 import families
 
@@ -281,6 +283,58 @@ def test_solve_output_matches_json_dumps(tmp_path, capsys):
     for mode in ("vd", "ed"):
         for flag in (2, 3, 4):
             assert {s[flag] for s in seen if s[0] == mode} == {False, True}
+
+
+# SHA-256 of `solve <mode> ... --algo dp` stdout on four fixed instances
+# of width 4-6: any change to the optimum, to the witness chosen among
+# tied optima or to stats.max_bag_states shows here
+DP_OUTPUT_SHA256 = {
+    ("k3-grid5x8", "vd"):
+        "c13e2ed47462faa91efe31e1d6ff9cb6f35e566666b0357dd150fd8fbc89ec85",
+    ("k3-grid5x8", "ed"):
+        "db2e03e93797d49f07ed708df43c0401873b750c71a2dc90985908398be57ed3",
+    ("indep3-ktree5", "vd"):
+        "df33f739d542afbf41c4f69b76f37b109c8ac4e9865d810f926a47aaa93d15de",
+    ("indep3-ktree5", "ed"):
+        "661f1f9ac033454eb35dbb2b99c8332aa17008702a2014d6841b74d273a01f2c",
+    ("c5-trigrid4x10", "vd"):
+        "66fb202a91c9330dbcf7550532f031359591a4d808e655daf8fbfadde44af7c4",
+    ("c5-trigrid4x10", "ed"):
+        "8f1998c5836d4c83c7f20301f7de976b7bd2a459fc279c870e605d3e73bcdb69",
+    ("k3-ktree6", "vd"):
+        "04d7706cc15e3f3db50ba50eb0e243e8ea8c8ed3bfb0e133c678c0c54fb51bbd",
+    ("k3-ktree6", "ed"):
+        "51c133a3ecd78c30902bf796803f72984661afb740aae30978cd376959d26b4f",
+}
+
+
+def test_dp_solve_outputs_are_pinned(tmp_path, capsys):
+    rng = random.Random(19)
+    cases = {
+        "k3-grid5x8": (families.irreflexive_kq(3), families.grid(5, 8)),
+        "indep3-ktree5": (families.independent_reflexive(3),
+                          families.partial_ktree(rng, 40, 5)),
+        "c5-trigrid4x10": (families.reflexive_cycle(5),
+                           families.grid(4, 10, True)),
+        "k3-ktree6": (families.irreflexive_kq(3),
+                      families.partial_ktree(rng, 36, 6)),
+    }
+    widths = set()
+    for name, (h, (n, edges)) in cases.items():
+        lists_rng = random.Random(name)
+        inst = Instance(n, edges, [
+            frozenset(lists_rng.sample(range(h.n),
+                                       lists_rng.choice((1, 2, 2, 3))))
+            for _ in range(n)])
+        t = _write(tmp_path, f"{name}.hg", format_target(h))
+        i = _write(tmp_path, f"{name}.lhi", format_instance(inst))
+        for mode in ("vd", "ed"):
+            code, out = _run(capsys, ["solve", mode, t, i, "--algo", "dp"])
+            assert code == cli.EXIT_OK
+            widths.add(json.loads(out)["stats"]["width"])
+            digest = hashlib.sha256(out.encode()).hexdigest()
+            assert digest == DP_OUTPUT_SHA256[name, mode], (name, mode)
+    assert widths == {4, 5, 6}
 
 
 def test_repeated_record_exit_code(tmp_path, capsys):

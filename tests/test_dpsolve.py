@@ -178,39 +178,101 @@ def _dict_dp(h, inst, td, mode):
     return tables[-1][()], most
 
 
-def _grid(rows, cols, diagonals=False):
-    edges = []
-    for r in range(rows):
-        for c in range(cols):
-            v = r * cols + c
-            if c + 1 < cols:
-                edges.append((v, v + 1))
-            if r + 1 < rows:
-                edges.append((v, v + cols))
-            if diagonals and r + 1 < rows and c + 1 < cols:
-                edges.append((v, v + cols + 1))
-    return rows * cols, edges
+# ---------------------------------------------------------------------------
+# reference: the dense DP with one broadcast, add and clamp per edge
 
 
-def _partial_ktree(rng, n, k, keep):
-    edges = set(combinations(range(k + 1), 2))
-    cliques = [tuple(range(k + 1))]
-    for v in range(k + 1, n):
-        base = rng.choice(cliques)
-        drop = rng.randrange(k + 1)
-        clique = base[:drop] + base[drop + 1:]
-        edges.update((u, v) for u in clique)
-        cliques.append(clique + (v,))
-    return n, sorted(e for e in edges if rng.random() < keep)
+def _per_edge_dp(h, inst, td, mode):
+    """(cost, hom, max_states) of _run_dp's dense DP done one edge at a
+    time: an introduce node repeats its child along the new axis, then
+    adds each edge's penalty to the whole table and clamps it at INF;
+    every introduce node counts its child's finite entries, every node
+    sorts its bag again, and no table is freed."""
+    import numpy as np
+
+    INF, DELETED = dpsolve.INF, dpsolve.DELETED
+    choices = []
+    for v in range(inst.n):
+        lst = sorted(inst.lists[v])
+        if mode == "vd":
+            lst.append(DELETED)
+        choices.append(lst)
+
+    def penalty(lu, lv):
+        if mode == "vd":
+            bad = [[0 if a == DELETED or b == DELETED or h.has_edge(a, b)
+                    else INF for b in lv] for a in lu]
+        else:
+            bad = [[0 if h.has_edge(a, b) else 1 for b in lv] for a in lu]
+        return np.array(bad, dtype=np.int64)
+
+    nodes = make_nice(td, inst.edges)
+    tables = []
+    argmins = {}
+    max_states = 1
+    for idx, nd in enumerate(nodes):
+        bag = sorted(nd.bag)
+        if nd.kind == "leaf":
+            table = np.zeros((), dtype=np.int64)
+        elif nd.kind == "introduce":
+            v = nd.payload
+            child = tables[nd.children[0]]
+            at = bag.index(v)
+            max_states = max(max_states, int(np.count_nonzero(child < INF))
+                             * len(choices[v]))
+            table = np.repeat(np.expand_dims(child, at), len(choices[v]),
+                              axis=at)
+            for u, w in nd.edges:
+                pen = penalty(choices[u], choices[w])
+                shape = [1] * len(bag)
+                shape[bag.index(u)], shape[bag.index(w)] = pen.shape
+                table += pen.reshape(shape)
+                np.minimum(table, INF, out=table)
+        elif nd.kind == "forget":
+            v = nd.payload
+            child = tables[nd.children[0]].copy()
+            at = sorted(nodes[nd.children[0]].bag).index(v)
+            if mode == "vd":
+                child[(slice(None),) * at + (-1,)] += 1
+            argmins[idx] = child.argmin(axis=at)
+            table = child.min(axis=at)
+        else:
+            c1, c2 = nd.children
+            table = np.minimum(tables[c1] + tables[c2], INF)
+        tables.append(table)
+    root = len(nodes) - 1
+    cost = int(tables[root][()])
+    if cost >= INF:
+        raise Infeasible("no feasible assignment")
+    hom = {}
+    chosen = {root: ()}
+    for idx in range(root, -1, -1):
+        nd = nodes[idx]
+        st = chosen.pop(idx)
+        if nd.kind == "forget":
+            v = nd.payload
+            at = sorted(nodes[nd.children[0]].bag).index(v)
+            pick = int(argmins[idx][st])
+            if choices[v][pick] != DELETED:
+                hom[v] = choices[v][pick]
+            chosen[nd.children[0]] = st[:at] + (pick,) + st[at:]
+        elif nd.kind == "introduce":
+            at = sorted(nd.bag).index(nd.payload)
+            chosen[nd.children[0]] = st[:at] + st[at + 1:]
+        else:
+            for c in nd.children:
+                chosen[c] = st
+    return cost, hom, max_states
 
 
 def test_dense_dp_matches_dict_reference():
     rng = random.Random(66)
     targets = (families.irreflexive_kq(3), families.independent_reflexive(3),
                families.reflexive_cycle(5))
-    graphs = [_grid(3, 7), _grid(4, 5), _grid(3, 6, True), _grid(4, 5, True),
-              _partial_ktree(rng, 14, 5, 0.7),
-              _partial_ktree(rng, 13, 6, 0.7)]
+    graphs = [families.grid(3, 7), families.grid(4, 5),
+              families.grid(3, 6, True), families.grid(4, 5, True),
+              families.partial_ktree(rng, 14, 5, 0.7),
+              families.partial_ktree(rng, 13, 6, 0.7)]
     widths = set()
     for n, edges in graphs:
         for h in targets:
@@ -223,6 +285,8 @@ def test_dense_dp_matches_dict_reference():
             for mode in ("vd", "ed"):
                 cost, hom, states = dpsolve._run_dp(h, red, td, mode)
                 assert (cost, states) == _dict_dp(h, red, td, mode)
+                assert (cost, hom, states) == \
+                    _per_edge_dp(h, red, td, mode)  # witness ties too
                 if mode == "vd":
                     deleted = [v for v in range(n) if v not in hom]
                 else:
@@ -242,12 +306,48 @@ def test_vd_clique_clips_each_edge_penalty():
                     [frozenset({v % 3}) for v in range(n)])
     sol = dpsolve.solve_vd_dp(h, inst)
     assert sol.cost == oracle.oracle_vd(h, inst).cost == 8
+    td = build_td(inst)
+    for mode in ("vd", "ed"):
+        assert dpsolve._run_dp(h, inst, td, mode) == \
+            _per_edge_dp(h, inst, td, mode)
+
+
+def test_dense_dp_matches_per_edge_reference():
+    # seeded random instances with lists of 1-3 vertices, on random,
+    # grid and partial k-tree graphs, over random and named targets
+    rng = random.Random(68)
+    named = (families.irreflexive_kq(3), families.independent_reflexive(3),
+             families.reflexive_cycle(5), families.windowed_family(2))
+    widths = set()
+    for trial in range(80):
+        h = (rng.choice(named) if trial % 2
+             else families.random_target(rng, rng.randint(2, 6)))
+        if trial % 3 == 0:
+            g = families.random_instance(rng, h, rng.randint(1, 12),
+                                         rng.choice((0.2, 0.5, 0.8)))
+            n, edges = g.n, g.edges
+        elif trial % 3 == 1:
+            n, edges = families.grid(rng.randint(1, 4), rng.randint(1, 6),
+                                     rng.random() < 0.5)
+        else:
+            n, edges = families.partial_ktree(rng, rng.randint(6, 14),
+                                              rng.randint(2, 5))
+        inst = Instance(n, edges, [
+            frozenset(rng.sample(range(h.n), rng.randint(1, min(3, h.n))))
+            for _ in range(n)])
+        red = reduce_lists(h, inst)
+        td = build_td(red)
+        widths.add(td.width)
+        for mode in ("vd", "ed"):
+            assert dpsolve._run_dp(h, red, td, mode) == \
+                _per_edge_dp(h, red, td, mode), (trial, mode)
+    assert max(widths) >= 5
 
 
 def test_long_grid_solves_without_recursion_error():
     # 3 x 400 grid (1200 vertices): the nice form is far deeper than the
     # interpreter's recursion limit
-    n, edges = _grid(3, 400)
+    n, edges = families.grid(3, 400)
     h = families.irreflexive_kq(3)
     sol = dpsolve.solve_vd_dp(h, Instance(n, edges, [frozenset(range(3))] * n))
     assert sol.cost == 0 and sol.stats["width"] == 3

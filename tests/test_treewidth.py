@@ -1,6 +1,6 @@
 import hashlib
 import random
-from itertools import combinations, permutations
+from itertools import permutations
 
 import pytest
 
@@ -11,6 +11,8 @@ from lhomdel.treewidth import (HubCore, TreeDecomposition, build_td,
                                validate_td, _exact_order, _min_fill_order,
                                _td_from_order)
 
+import families
+
 
 def _random_graph(rng, n, p=0.4):
     edges = [(u, v) for u in range(n) for v in range(u + 1, n)
@@ -19,34 +21,13 @@ def _random_graph(rng, n, p=0.4):
 
 
 def _grid(rows, cols, diagonals=False):
-    """rows x cols grid; with `diagonals`, each square gets the diagonal
-    from its top-left to its bottom-right corner."""
-    n = rows * cols
-    edges = []
-    for v in range(n):
-        r, c = divmod(v, cols)
-        if c + 1 < cols:
-            edges.append((v, v + 1))
-        if r + 1 < rows:
-            edges.append((v, v + cols))
-            if diagonals and c + 1 < cols:
-                edges.append((v, v + cols + 1))
+    n, edges = families.grid(rows, cols, diagonals)
     return Instance(n, edges, [frozenset({0})] * n)
 
 
 def _partial_ktree(rng, n, k, keep=0.7):
-    """A random k-tree on n > k vertices (each new vertex joins a random
-    k-subset of an existing (k+1)-clique), each edge kept with
-    probability `keep`: treewidth at most k."""
-    edges = set(combinations(range(k + 1), 2))
-    cliques = [tuple(range(k + 1))]
-    for v in range(k + 1, n):
-        base = list(rng.choice(cliques))
-        del base[rng.randrange(k + 1)]
-        edges.update((u, v) for u in base)
-        cliques.append(tuple(base) + (v,))
-    kept = sorted(e for e in edges if rng.random() < keep)
-    return Instance(n, kept, [frozenset({0})] * n)
+    n, edges = families.partial_ktree(rng, n, k, keep)
+    return Instance(n, edges, [frozenset({0})] * n)
 
 
 def test_validate_td_rejects_bad_decompositions():
@@ -121,6 +102,20 @@ def test_make_nice_invariants():
     with pytest.raises(ValueError):  # a cycle of bags
         make_nice(TreeDecomposition((frozenset({0}),) * 3,
                                     ((0, 1), (1, 2), (2, 0))), [])
+
+
+def test_make_nice_names_the_least_edge_in_no_bag():
+    # validate_td reports a missing edge first on every solve path, so
+    # make_nice's own check is reached only by a direct call; the bags
+    # {0,1}-{1,2}-{2,3} miss (0, 2) and (1, 3), given in either order
+    td = TreeDecomposition(
+        (frozenset({0, 1}), frozenset({1, 2}), frozenset({2, 3})),
+        ((0, 1), (1, 2)))
+    edges = [(0, 1), (3, 1), (1, 2), (2, 0), (2, 3)]
+    for given in (edges, edges[::-1]):
+        with pytest.raises(ValueError, match=r"^edge \(0, 2\) is in no bag$"):
+            make_nice(td, given)
+    make_nice(td, [(0, 1), (2, 1), (3, 2)])  # the held edges alone pass
 
 
 def test_td_roundtrip():
