@@ -1,10 +1,13 @@
 """Hot enumeration kernels.
 
 Two kinds of search dominate runtime.  Searches over the induced subgraphs
-H[S] of a target graph -- the split detector, the obstruction test and the
-maximum incomparable set -- work on bitmasks held in plain Python ints:
-nb[v] is the neighborhood of v (TargetGraph.nbhd, bit v set iff v has a
-loop), refl the mask of looped vertices and S the vertex mask of H[S].
+H[S] of a target graph -- the strong-split test, the split detector, the
+first obstruction and the maximum incomparable set -- work on bitmasks
+held in plain Python ints: nb[v] is the neighborhood of v
+(TargetGraph.nbhd, bit v set iff v has a loop), refl the mask of looped
+vertices and S the vertex mask of H[S].  Each is the package's only
+implementation of its test: analysis and graphs call them on the whole
+target (S = every vertex), and analysis.i_bullet on split-tree leaves.
 They serve classify and the polynomial solvers, which never load numpy;
 subset_scan, which computes the i* invariant over all 2^n induced
 subgraphs, is the tests' reference only.  Mixed-radix assignment scans
@@ -176,6 +179,21 @@ def scan_table(radix, val, base, eu, ev, adj, ed_mode, nportal):
 # low = t & -t is its bit, low.bit_length() - 1 its vertex.
 
 
+def is_strong_split(nb, refl, S):
+    """H[S]'s reflexive part is a clique and its irreflexive part an
+    independent set."""
+    R = refl & S
+    I = S & ~refl
+    t = S
+    while t:
+        low = t & -t
+        t ^= low
+        g = nb[low.bit_length() - 1]
+        if g & R != R if low & R else g & I:
+            return False
+    return True
+
+
 def find_split(nb, refl, S):
     """A decomposition (A, B, C) of H[S] as three vertex masks, or None.
 
@@ -189,14 +207,7 @@ def find_split(nb, refl, S):
     """
     R = refl & S
     I = S & ~refl
-    strong = True
-    t = S
-    while t and strong:
-        low = t & -t
-        t ^= low
-        v = low.bit_length() - 1
-        strong = nb[v] & R == R if low & R else not nb[v] & I
-    if not strong:
+    if not is_strong_split(nb, refl, S):
         A = 0
         t = S
         while t:
@@ -319,16 +330,24 @@ def max_incomparable_mask(nb, S):
     return best[0], best[1]
 
 
-def _has_obstruction(nb, refl, S):
-    """H[S] has an irreflexive edge, or a triple with private or co-private
-    neighbors (such a triple is pairwise incomparable)."""
+def _lowest(masks):
+    return tuple((m & -m).bit_length() - 1 for m in masks)
+
+
+def first_obstruction(nb, refl, S):
+    """H[S]'s lexicographically first obstruction as (kind, vertices,
+    witnesses), or None: irreflexive edges first, then triples, each tried
+    for private neighbours (one per member) before co-private ones (one
+    per pair, in pair order); each witness is the lowest qualifying vertex
+    of S.  Both kinds of triple are pairwise incomparable."""
     I = S & ~refl
     t = I
     while t:
         low = t & -t
         t ^= low
-        if nb[low.bit_length() - 1] & I:
-            return True
+        m = nb[low.bit_length() - 1] & I
+        if m:  # the first such u: its partners all lie above it
+            return "irreflexive_edge", _lowest((low, m)), ()
     inc = _incomparability(nb, S)
     t = S
     while t:
@@ -346,12 +365,15 @@ def _has_obstruction(nb, refl, S):
             while t3:
                 lc = t3 & -t3
                 t3 ^= lc
-                gc = nb[lc.bit_length() - 1] & S
-                if ga & ~gb & ~gc and gb & ~ga & ~gc and gc & ~ga & ~gb:
-                    return True   # private neighbors
-                if ga & gb & ~gc and ga & gc & ~gb and gb & gc & ~ga:
-                    return True   # co-private neighbors
-    return False
+                c = lc.bit_length() - 1
+                gc = nb[c] & S
+                private = (ga & ~gb & ~gc, gb & ~ga & ~gc, gc & ~ga & ~gb)
+                if all(private):
+                    return "private_triple", (a, b, c), _lowest(private)
+                co = (ga & gb & ~gc, ga & gc & ~gb, gb & gc & ~ga)
+                if all(co):
+                    return "co_private_triple", (a, b, c), _lowest(co)
+    return None
 
 
 def subset_scan(nb, refl):
@@ -368,7 +390,7 @@ def subset_scan(nb, refl):
     for S in range(1, 1 << len(nb)):
         if S.bit_count() <= best:
             continue
-        if not _has_obstruction(nb, refl, S):
+        if first_obstruction(nb, refl, S) is None:
             continue
         if find_split(nb, refl, S) is not None:
             continue

@@ -37,46 +37,11 @@ class VDWitness:
     vertices: tuple[int, ...]
 
 
-def _private_witnesses(h: TargetGraph, triple) -> Optional[tuple[int, ...]]:
-    """For each member, the lowest-index vertex adjacent to it alone."""
-    out = []
-    for i, v in enumerate(triple):
-        others = [u for j, u in enumerate(triple) if j != i]
-        mask = h.nbhd[v] & ~h.nbhd[others[0]] & ~h.nbhd[others[1]]
-        # mask is Gamma(v) minus the others' neighborhoods: adjacent to v,
-        # to neither other member
-        if not mask:
-            return None
-        out.append(next(bits(mask)))
-    return tuple(out)
-
-
-def _co_private_witnesses(h: TargetGraph, triple) -> Optional[tuple[int, ...]]:
-    """For each pair, the lowest-index vertex adjacent to exactly that pair."""
-    out = []
-    for i, j in combinations(range(3), 2):
-        k = 3 - i - j
-        mask = h.nbhd[triple[i]] & h.nbhd[triple[j]] & ~h.nbhd[triple[k]]
-        if not mask:
-            return None
-        out.append(next(bits(mask)))
-    return tuple(out)
-
-
 def find_obstruction(h: TargetGraph) -> Optional[Obstruction]:
     """Lexicographically first LHomED hardness witness, or None."""
-    for u in range(h.n):
-        for v in range(u + 1, h.n):
-            if h.has_edge(u, v) and not h.has_loop(u) and not h.has_loop(v):
-                return Obstruction("irreflexive_edge", (u, v), ())
-    for triple in combinations(range(h.n), 3):
-        w = _private_witnesses(h, triple)
-        if w is not None:
-            return Obstruction("private_triple", triple, w)
-        w = _co_private_witnesses(h, triple)
-        if w is not None:
-            return Obstruction("co_private_triple", triple, w)
-    return None
+    found = _kernels.first_obstruction(h.nbhd, h.reflexive_mask(),
+                                       (1 << h.n) - 1)
+    return None if found is None else Obstruction(*found)
 
 
 def classify_ed(h: TargetGraph):
@@ -123,10 +88,8 @@ def classify_vd(h: TargetGraph):
 
 def is_strong_split(h: TargetGraph) -> bool:
     """Reflexive part a clique and irreflexive part an independent set."""
-    refl = [v for v in range(h.n) if h.has_loop(v)]
-    irr = [v for v in range(h.n) if not h.has_loop(v)]
-    return (all(h.has_edge(u, v) for u, v in combinations(refl, 2))
-            and all(not h.has_edge(u, v) for u, v in combinations(irr, 2)))
+    return _kernels.is_strong_split(h.nbhd, h.reflexive_mask(),
+                                    (1 << h.n) - 1)
 
 
 def is_decomposable(h: TargetGraph) -> bool:
@@ -244,7 +207,8 @@ def i_bullet(h: TargetGraph) -> tuple[int, Optional[list[int]]]:
                 if S not in leaf_i:
                     leaf_i[S] = (
                         _kernels.max_incomparable_mask(nb, S)[0]
-                        if _kernels._has_obstruction(nb, refl, S) else 0)
+                        if _kernels.first_obstruction(nb, refl, S) is not None
+                        else 0)
                 yield S
             else:
                 stack += (split[1] | split[2], split[0])
@@ -261,7 +225,7 @@ def i_bullet(h: TargetGraph) -> tuple[int, Optional[list[int]]]:
         else:
             R |= 1 << b
     if (_kernels.find_split(nb, refl, R) is not None
-            or not _kernels._has_obstruction(nb, refl, R)
+            or _kernels.first_obstruction(nb, refl, R) is None
             or _kernels.max_incomparable_mask(nb, R)[0] != best):
         raise AssertionError(
             f"i* witness {R:#x} is decomposable, has no obstruction or "

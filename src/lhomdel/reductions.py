@@ -17,6 +17,14 @@ KINDS = ("vertex-cover", "max-cut", "oct", "st-min-cut", "edge-multiway",
          "vertex-multiway", "coloring-vd", "coloring-ed")
 
 
+class _EdgeError(ValueError):
+    """A bad or parallel edge (`what`), at `index` in the edge list."""
+
+    def __init__(self, what: str, index: int, edge):
+        super().__init__(f"{what} edge ({edge[0]},{edge[1]})")
+        self.what, self.index = what, index
+
+
 @dataclass
 class ClassicInstance:
     kind: str
@@ -34,12 +42,12 @@ class ClassicInstance:
         if self.kind not in KINDS:
             raise ValueError(f"unknown problem kind {self.kind!r}")
         seen = set()
-        for u, v in self.edges:
+        for i, (u, v) in enumerate(self.edges):
             if u == v or not (0 <= u < self.n and 0 <= v < self.n):
-                raise ValueError(f"bad edge ({u},{v})")
+                raise _EdgeError("bad", i, (u, v))
             key = (min(u, v), max(u, v))
             if key in seen:
-                raise ValueError(f"parallel edge ({u},{v})")
+                raise _EdgeError("parallel", i, (u, v))
             seen.add(key)
         if len(set(self.terminals)) != len(self.terminals):
             raise ValueError("terminals must be distinct")
@@ -303,9 +311,10 @@ _CLASSIC_TOKENS = {"p": 4, "e": 3, "t": 2, "s": 2, "l": 2, "r": 2, "q": 2,
 def parse_classic(text: str) -> ClassicInstance:
     """`p <kind> <n> <m>` header; `e u v` edges; `t v` terminals (the sink
     for st-min-cut); `s v` source; `l v`/`r v` annotated sides; `q`/`k`
-    value lines.  1-indexed."""
+    value lines.  1-indexed; a bad edge is named as written, with its line."""
     kind = n = m = None
     edges = []
+    edge_lines = []
     terminals = []
     source = sink = None
     left, right = [], []
@@ -327,6 +336,7 @@ def parse_classic(text: str) -> ClassicInstance:
             elif tok[0] == "e":
                 u, v = int(tok[1]) - 1, int(tok[2]) - 1
                 edges.append((u, v))
+                edge_lines.append(lineno)
             elif tok[0] == "t":
                 if kind == "st-min-cut":
                     sink = int(tok[1]) - 1
@@ -354,6 +364,10 @@ def parse_classic(text: str) -> ClassicInstance:
         return ClassicInstance(kind, n, edges, terminals=tuple(terminals),
                                source=source, sink=sink, left=tuple(left),
                                right=tuple(right), q=q, budget=budget)
+    except _EdgeError as exc:
+        u, v = edges[exc.index]
+        raise ParseError(f"line {edge_lines[exc.index]}: {exc.what} edge "
+                         f"({u + 1},{v + 1})") from None
     except ValueError as exc:
         raise ParseError(str(exc)) from None
 

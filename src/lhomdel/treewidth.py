@@ -39,11 +39,11 @@ class HubCore:
 
 
 def validate_td(g: Instance, td: TreeDecomposition) -> int:
-    """Return the width, or raise ValueError naming a violating vertex/edge."""
+    """Return the width, or raise ValueError naming a fault by file ids."""
     nb = len(td.bags)
     for a, b in td.edges:
         if not (0 <= a < nb and 0 <= b < nb):
-            raise ValueError(f"tree edge ({a}, {b}) out of range")
+            raise ValueError(f"tree edge ({a + 1}, {b + 1}) out of range")
     # tree shape: connected and acyclic
     adj = {i: [] for i in range(nb)}
     for a, b in td.edges:
@@ -64,12 +64,12 @@ def validate_td(g: Instance, td: TreeDecomposition) -> int:
     for i, bag in enumerate(td.bags):
         for v in bag:
             if not 0 <= v < g.n:
-                raise ValueError(f"bag {i} names vertex {v}, outside the "
-                                 f"graph's {g.n} vertices")
+                raise ValueError(f"bag {i + 1} names vertex {v + 1}, outside "
+                                 f"the graph's {g.n} vertices")
             occ[v].append(i)
     for v in range(g.n):
         if not occ[v]:
-            raise ValueError(f"vertex {v} is in no bag")
+            raise ValueError(f"vertex {v + 1} is in no bag")
         inside = set(occ[v])
         seen = {occ[v][0]}
         stack = [occ[v][0]]
@@ -80,11 +80,11 @@ def validate_td(g: Instance, td: TreeDecomposition) -> int:
                     seen.add(y)
                     stack.append(y)
         if seen != inside:
-            raise ValueError(f"bags containing vertex {v} are disconnected")
+            raise ValueError(f"bags containing vertex {v + 1} are disconnected")
     for u, v in g.edges:
         x, y = (u, v) if len(occ[u]) <= len(occ[v]) else (v, u)
         if not any(y in td.bags[i] for i in occ[x]):  # scan the rarer end
-            raise ValueError(f"edge ({u}, {v}) is in no bag")
+            raise ValueError(f"edge ({u + 1}, {v + 1}) is in no bag")
     return td.width
 
 
@@ -190,36 +190,9 @@ def make_nice(td: TreeDecomposition, edges) -> list[NiceNode]:
 # builders: elimination orders -> tree decompositions
 
 
-def _td_from_order(n, edges, order) -> TreeDecomposition:
-    nbhd = {v: set() for v in range(n)}
-    for u, v in edges:
-        if u != v:
-            nbhd[u].add(v)
-            nbhd[v].add(u)
-    pos = {v: i for i, v in enumerate(order)}
-    bags = []
-    link = {}  # eliminated vertex -> its bag index
-    for v in order:
-        later = {w for w in nbhd[v] if pos[w] > pos[v]}
-        bags.append(frozenset({v} | later))
-        link[v] = len(bags) - 1
-        for a in later:  # fill-in
-            nbhd[a].update(later - {a})
-            nbhd[a].discard(a)
-    tedges = []
-    for v in order:
-        later = bags[link[v]] - {v}
-        if later:  # the parent is the bag of the next of them eliminated
-            tedges.append((link[v], link[min(later, key=pos.__getitem__)]))
-        elif link[v] + 1 < len(bags):
-            tedges.append((link[v], link[v] + 1))
-    if not bags:
-        bags = [frozenset()]
-    return TreeDecomposition(tuple(bags), tuple(tedges))
-
-
 def _min_fill_order(n, edges):
-    """Min-fill elimination order, ties to the smallest vertex.
+    """Min-fill elimination order, ties to the smallest vertex, and each
+    vertex's later neighbours as a mask indexed by vertex.
 
     A heap holds (fill, v) with stale entries skipped.  Each live vertex's
     fill count (non-adjacent pairs among its live neighbours) is kept
@@ -227,7 +200,9 @@ def _min_fill_order(n, edges):
     eliminating x lowers each neighbour w's count by |N(w)∖N[x]|, the
     pairs it had with x; adding a fill edge ab then lowers the count of
     each common neighbour of a and b by 1 and raises a's by |N(a)∖N[b]|
-    and b's by |N(b)∖N[a]|, the pairs the new neighbour brings."""
+    and b's by |N(b)∖N[a]|, the pairs the new neighbour brings.  An
+    eliminated vertex's mask is never touched again, so it ends as its
+    later neighbours."""
     nbhd = [0] * n  # bitmasks of live neighbours
     for u, v in edges:
         if u != v:
@@ -280,7 +255,7 @@ def _min_fill_order(n, edges):
         for w, was in old.items():
             if fills[w] != was:
                 heapq.heappush(heap, (fills[w], w))
-    return order
+    return order, nbhd
 
 
 def _exact_order(n, edges):
@@ -292,7 +267,9 @@ def _exact_order(n, edges):
     v in S of max(best(S∖v), Q(S∖v, v)), ties to the smallest v, where
     Q(S∖v, v) counts the vertices outside S reachable from v through
     S∖v.  That closure is v's component C in G[S], so Q(S∖v, v) =
-    |N(C)∖S|, and one component pass over G[S] gives Q for all of S."""
+    |N(C)∖S|, and one component pass over G[S] gives Q for all of S.
+    N(C)∖S is also v's later neighbours, which are returned by vertex
+    with the order, as _min_fill_order returns them."""
     nbhd = [0] * n
     for u, v in edges:
         if u != v:
@@ -301,9 +278,9 @@ def _exact_order(n, edges):
 
     full = (1 << n) - 1
     best = [0] * (full + 1)
-    pick = [0] * (full + 1)
+    bag = [0] * (full + 1)  # picked v's bit | N(C)∖S, which lies outside s
     for s in range(1, full + 1):
-        b, ch = n, 0  # b: above any width; ch: v's bit
+        b, ch, up = n, 0, 0  # b: above any width; ch: v's bit
         left = s
         while left:  # one component C of G[s] per turn
             comp = frontier = left & -left
@@ -319,7 +296,8 @@ def _exact_order(n, edges):
                 frontier = nxt & s & ~comp
                 comp |= frontier
             left &= ~comp
-            q = (reach & ~s).bit_count()
+            out = reach & ~s
+            q = out.bit_count()
             m = comp
             while m:
                 low = m & -m
@@ -328,24 +306,42 @@ def _exact_order(n, edges):
                 if cand < q:
                     cand = q
                 if cand < b or (cand == b and low < ch):
-                    b, ch = cand, low
+                    b, ch, up = cand, low, out
         best[s] = b
-        pick[s] = ch
-    order = []
+        bag[s] = ch | up
+    order, later = [], [0] * n
     s = full
     while s:
-        low = pick[s]
+        low = bag[s] & s
         order.append(low.bit_length() - 1)
+        later[order[-1]] = bag[s] ^ low
         s ^= low
     order.reverse()
-    return order
+    return order, later
+
+
+def _link(order, later) -> TreeDecomposition:
+    """Bag i is order[i] with its later neighbours; its parent is the bag
+    of the first of them eliminated, or bag i + 1 if it has none (the
+    next component's first bag)."""
+    pos = [0] * len(order)
+    for i, x in enumerate(order):
+        pos[x] = i
+    bags, tedges = [], []
+    for i, x in enumerate(order):
+        ws = list(bits(later[x]))
+        bags.append(frozenset(ws + [x]))
+        if ws:
+            tedges.append((i, min([pos[w] for w in ws])))
+        elif i + 1 < len(order):
+            tedges.append((i, i + 1))
+    return TreeDecomposition(tuple(bags) or (frozenset(),), tuple(tedges))
 
 
 def build_td(g: Instance) -> TreeDecomposition:
     """Heuristic min-fill order; exact elimination order for small graphs."""
-    order = (_exact_order(g.n, g.edges) if 0 < g.n <= 12
-             else _min_fill_order(g.n, g.edges))
-    return _td_from_order(g.n, g.edges, order)
+    return _link(*(_exact_order(g.n, g.edges) if 0 < g.n <= 12
+                   else _min_fill_order(g.n, g.edges)))
 
 
 # ---------------------------------------------------------------------------
@@ -441,6 +437,8 @@ def parse_td(text: str, n: Optional[int] = None) -> TreeDecomposition:
                 if len(toks) != 2:
                     raise ParseError(f"line {ln}: bad tree edge")
                 tedges.append((int(toks[0]) - 1, int(toks[1]) - 1))
+                if min(tedges[-1]) < 0:
+                    raise ParseError(f"line {ln}: bag ids start at 1")
         except ParseError:
             raise
         except (ValueError, IndexError):

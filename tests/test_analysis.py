@@ -35,6 +35,80 @@ def _check_obstruction(h, ob):
             assert not h.has_edge(w, vs[k])
 
 
+def _obstruction_by_triple_loop(h):
+    """Reference obstruction search: every vertex pair, then every triple
+    in combinations order, private before co-private, each witness the
+    lowest qualifying vertex."""
+    for u in range(h.n):
+        for v in range(u + 1, h.n):
+            if h.has_edge(u, v) and not h.has_loop(u) and not h.has_loop(v):
+                return "irreflexive_edge", (u, v), ()
+    for triple in combinations(range(h.n), 3):
+        g = [h.nbhd[v] for v in triple]
+        private = [g[i] & ~g[(i + 1) % 3] & ~g[(i + 2) % 3]
+                   for i in range(3)]
+        if all(private):
+            return "private_triple", triple, tuple(
+                next(bits(m)) for m in private)
+        co = [g[i] & g[j] & ~g[3 - i - j]
+              for i, j in combinations(range(3), 2)]
+        if all(co):
+            return "co_private_triple", triple, tuple(
+                next(bits(m)) for m in co)
+    return None
+
+
+def test_obstruction_search_matches_the_triple_loop():
+    """Same (kind, vertices, witnesses) as the reference loop, on whole
+    targets and on induced subgraphs given as vertex masks."""
+    rng = random.Random(29)
+    targets = [families.random_target(rng, rng.randint(1, 16),
+                                      loop_p=rng.choice((0.5, 0.8, 0.95,
+                                                         rng.random())),
+                                      edge_p=rng.random())
+               for _ in range(3000)]
+    targets += [families.windowed_family(k) for k in (2, 3, 4)]
+    targets += [families.crossing_family(k) for k in (2, 3)]
+    targets += [families.reflexive_cycle(q) for q in (6, 7, 8)]
+    targets += [h for _, h, _, _ in families.DICHOTOMY_CORPUS]
+    kinds = {None: 0, "irreflexive_edge": 0, "private_triple": 0,
+             "co_private_triple": 0}
+    for h in targets:
+        want = _obstruction_by_triple_loop(h)
+        ob = analysis.find_obstruction(h)
+        got = None if ob is None else (ob.kind, ob.vertices, ob.witnesses)
+        assert got == want, h.nbhd
+        kinds[None if want is None else want[0]] += 1
+        # an induced subgraph keeps its vertices' order, so its first
+        # obstruction is the relabelled mask search's
+        S = rng.getrandbits(h.n) | 1 << rng.randrange(h.n)
+        verts = list(bits(S))
+        want = _obstruction_by_triple_loop(h.induced(verts))
+        got = _kernels.first_obstruction(h.nbhd, h.reflexive_mask(), S)
+        if want is not None:
+            kind, vs, ws = want
+            want = (kind, tuple(verts[v] for v in vs),
+                    tuple(verts[w] for w in ws))
+        assert got == want, (h.nbhd, S)
+    assert min(kinds.values()) > 100, kinds
+
+
+def test_strong_split_test_matches_the_pairwise_definition():
+    rng = random.Random(30)
+    strong = 0
+    for _ in range(600):
+        h = families.random_target(rng, rng.randint(1, 7),
+                                   loop_p=rng.random(),
+                                   edge_p=rng.choice((0.1, 0.5, 0.9)))
+        refl = [v for v in range(h.n) if h.has_loop(v)]
+        irr = [v for v in range(h.n) if not h.has_loop(v)]
+        want = (all(h.has_edge(u, v) for u, v in combinations(refl, 2))
+                and not any(h.has_edge(u, v) for u, v in combinations(irr, 2)))
+        assert analysis.is_strong_split(h) == want, h.nbhd
+        strong += want
+    assert 100 < strong < 500
+
+
 def _check_vd_witness(h, wit):
     vs = wit.vertices
     if wit.kind == "irreflexive_vertex":

@@ -337,6 +337,57 @@ def test_dp_solve_outputs_are_pinned(tmp_path, capsys):
     assert widths == {4, 5, 6}
 
 
+# SHA-256 of `lhomdel classify` stdout; the random targets (13-16
+# vertices) take their decomposition trees from the split detector
+CLASSIFY_SHA256 = {
+    "windowed2":
+        "7b75d1efe1829b09334306ac62ed12aa497f6957e2178a4dbbe8aba795ff124f",
+    "windowed3":
+        "f9092204fb46833a6b61b651f5208cbe1f27663cbaa80b5379108fccc6232012",
+    "windowed4":
+        "bfd0742676c955e6f5d27884ae76de918aa1d691e1a51a7e13d07e3219576915",
+    "crossing2":
+        "7f04fba16b64d6db6d9531ee2344771214d9dd4fc3779289fada3803b0dabef7",
+    "crossing3":
+        "db4f3bb42d6519f670a0e04369cf912fdbf7b5318a83b2599c4dff87bb8b3081",
+    "refl-cycle6":
+        "2d50bd71da4bbf3bdbc15e2319138243d5be73325fad65b58c339994d2aeed90",
+    "refl-cycle7":
+        "e3d5b7a44003e431aba500574dced3995d8f29acbf5d165d0dccce79e755d597",
+    "refl-cycle8":
+        "453cf6e32ff57772afb8cf1b2d72fd8a4d4664973047c096f9008e81d6b6cc30",
+    "random13":
+        "987c66ec419fa540fd679e9799ed8c6d8e696005402e34b5933dcf9d5b36eccf",
+    "random14":
+        "b1314065ac445524fe0a23737a4a61f674c129ce98a6000095c0a7815f5bc6cf",
+    "random15":
+        "fe0e3c66ed8eadf27c0082b27a6dee8984f93e74a2b8d1ca17cd52ced1e13dbd",
+    "random16":
+        "b543445e0e3fdb5ac9597359166a5d6a9bcb564b07b221bde1cc626504c3bb7b",
+}
+
+
+def test_classify_outputs_are_pinned(tmp_path, capsys):
+    """Any change to an obstruction, its witnesses, i*, its witness or a
+    decomposition tree shows here."""
+    targets = {f"windowed{k}": families.windowed_family(k) for k in (2, 3, 4)}
+    targets |= {f"crossing{k}": families.crossing_family(k) for k in (2, 3)}
+    targets |= {f"refl-cycle{q}": families.reflexive_cycle(q)
+                for q in (6, 7, 8)}
+    # an irreflexive edge, a private and two co-private obstructions;
+    # trees two or three levels deep
+    for n, loop_p, edge_p, s in ((13, 0.8, 0.8, 2), (14, 0.5, 0.2, 0),
+                                 (15, 0.8, 0.8, 0), (16, 0.5, 0.2, 1)):
+        targets[f"random{n}"] = families.random_target(
+            random.Random(f"classify:{n}:{s}"), n, loop_p, edge_p)
+    for name, h in targets.items():
+        t = _write(tmp_path, f"{name}.hg", format_target(h))
+        code, out = _run(capsys, ["classify", t])
+        assert code == cli.EXIT_OK
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == CLASSIFY_SHA256[name], name
+
+
 def test_repeated_record_exit_code(tmp_path, capsys):
     # a second `l` line for a vertex, or a second `k` line, is refused
     # with its line number instead of replacing the first
@@ -410,6 +461,38 @@ def test_td_bag_vertex_zero(tmp_path, capsys):
                               "dp"])
     assert code == cli.EXIT_PARSE
     assert json.loads(out)["error"] == "parse"
+
+
+def test_td_errors_name_file_ids(tmp_path, capsys):
+    # the path 1-2-3; every detail names bags, vertices and edges as the
+    # decomposition file does, from 1
+    t = _write(tmp_path, "h.hg", TARGET_RK2)
+    i = _write(tmp_path, "g.lhi", "p lhom 3 2\ne 1 2\ne 2 3\n")
+    for text, detail in (
+            ("s td 2 2 3\nb 1 1 2\nb 2 2 9\n1 2\n",
+             "bag 2 names vertex 9, outside the graph's 3 vertices"),
+            ("s td 2 2 3\nb 1 1 2\nb 2 2 3\n1 3\n",
+             "tree edge (1, 3) out of range"),
+            ("s td 1 2 3\nb 1 1 2\n", "vertex 3 is in no bag"),
+            ("s td 2 2 3\nb 1 1 2\nb 2 3\n1 2\n",
+             "edge (2, 3) is in no bag"),
+            ("s td 3 2 3\nb 1 1 2\nb 2 2 3\nb 3 1\n1 2\n2 3\n",
+             "bags containing vertex 1 are disconnected")):
+        td = _write(tmp_path, "g.td", text)
+        for algo in ("auto", "dp"):
+            code, out = _run(capsys, ["solve", "vd", t, i, "--td", td,
+                                      "--algo", algo])
+            assert code == cli.EXIT_PRECONDITION, (text, algo)
+            assert json.loads(out) == {"error": "precondition",
+                                       "detail": detail}
+    # a tree-edge endpoint below 1 is malformed, as a bag vertex below 1 is
+    for line in ("0 1", "1 0", "-1 2"):
+        td = _write(tmp_path, "g.td",
+                    f"s td 2 2 3\nb 1 1 2\nb 2 2 3\n{line}\n")
+        code, out = _run(capsys, ["solve", "vd", t, i, "--td", td])
+        assert code == cli.EXIT_PARSE
+        assert json.loads(out) == {"error": "parse",
+                                   "detail": "line 4: bag ids start at 1"}
 
 
 def test_internal_error_exit_code(tmp_path, capsys, monkeypatch):
@@ -520,6 +603,18 @@ def test_reduce_command(tmp_path, capsys):
     assert code == cli.EXIT_OK
     rep = json.loads(out)
     assert rep["opt"] == 1 and rep["decision"] is True
+
+
+def test_reduce_edge_errors_name_the_file_line(tmp_path, capsys):
+    for text, detail in (
+            ("p vertex-cover 3 2\ne 1 2\ne 1 4\n", "line 3: bad edge (1,4)"),
+            ("p vertex-cover 3 2\ne 1 2\nc x\ne 2 1\n",
+             "line 4: parallel edge (2,1)"),
+            ("p vertex-cover 3 2\ne 1 2\ne 3 3\n", "line 3: bad edge (3,3)")):
+        c = _write(tmp_path, "g.cls", text)
+        code, out = _run(capsys, ["reduce", c])
+        assert code == cli.EXIT_PARSE
+        assert json.loads(out) == {"error": "parse", "detail": detail}
 
 
 def test_failed_reduce_leaves_no_output_file(tmp_path, capsys):

@@ -8,8 +8,8 @@ from lhomdel.graphs import Instance, ParseError
 from lhomdel.treewidth import (HubCore, TreeDecomposition, build_td,
                                core_to_td, format_core, format_td, make_nice,
                                parse_core, parse_td, validate_core,
-                               validate_td, _exact_order, _min_fill_order,
-                               _td_from_order)
+                               validate_td, _exact_order, _link,
+                               _min_fill_order)
 
 import families
 
@@ -28,6 +28,36 @@ def _grid(rows, cols, diagonals=False):
 def _partial_ktree(rng, n, k, keep=0.7):
     n, edges = families.partial_ktree(rng, n, k, keep)
     return Instance(n, edges, [frozenset({0})] * n)
+
+
+def _td_from_order(n, edges, order) -> TreeDecomposition:
+    """Reference decomposition of an elimination order: plays the
+    elimination game again on set neighbourhoods, adding the fill-in."""
+    nbhd = {v: set() for v in range(n)}
+    for u, v in edges:
+        if u != v:
+            nbhd[u].add(v)
+            nbhd[v].add(u)
+    pos = {v: i for i, v in enumerate(order)}
+    bags = []
+    link = {}  # eliminated vertex -> its bag index
+    for v in order:
+        later = {w for w in nbhd[v] if pos[w] > pos[v]}
+        bags.append(frozenset({v} | later))
+        link[v] = len(bags) - 1
+        for a in later:  # fill-in
+            nbhd[a].update(later - {a})
+            nbhd[a].discard(a)
+    tedges = []
+    for v in order:
+        later = bags[link[v]] - {v}
+        if later:  # the parent is the bag of the next of them eliminated
+            tedges.append((link[v], link[min(later, key=pos.__getitem__)]))
+        elif link[v] + 1 < len(bags):
+            tedges.append((link[v], link[v] + 1))
+    if not bags:
+        bags = [frozenset()]
+    return TreeDecomposition(tuple(bags), tuple(tedges))
 
 
 def test_validate_td_rejects_bad_decompositions():
@@ -234,7 +264,7 @@ def test_min_fill_order_matches_full_rescan():
                for k in (5, 6, 7) for keep in (0.5, 0.7, 0.9)]
     graphs += [_grid(5, 20, diagonals=True), _grid(20, 5, diagonals=True)]
     for g in graphs:
-        assert _min_fill_order(g.n, g.edges) == \
+        assert _min_fill_order(g.n, g.edges)[0] == \
             _min_fill_order_rescan(g.n, g.edges)
         validate_td(g, build_td(g))
 
@@ -303,8 +333,34 @@ def test_exact_order_matches_per_vertex_search():
                  for u, v in _random_graph(rng, n - a, 0.5).edges]
         graphs.append(Instance(n, left + right, [frozenset({0})] * n))
         for g in graphs:
-            assert _exact_order(g.n, g.edges) == \
+            assert _exact_order(g.n, g.edges)[0] == \
                 _exact_order_bfs(g.n, g.edges), (n, g.edges)
+
+
+def test_linked_bags_match_the_fill_in_reference():
+    """Each builder's later-neighbour masks, linked, give the decomposition
+    that replaying the elimination game on its order gives."""
+    rng = random.Random(56)
+    graphs = [Instance(0, [], [])]
+    for n in range(1, 15):
+        graphs += [_random_graph(rng, n, p) for p in (0, 0.2, 0.4, 0.7, 1)]
+        # isolated vertices and disconnected parts
+        a = rng.randint(0, n)
+        left = _random_graph(rng, a, 0.5).edges
+        right = [(u + a, v + a)
+                 for u, v in _random_graph(rng, n - a, 0.6).edges
+                 if rng.random() < 0.8]
+        graphs.append(Instance(n, left + right, [frozenset({0})] * n))
+    ladder = _grid(3, 334)
+    for g in graphs + [ladder]:
+        builders = (_min_fill_order,) + ((_exact_order,) if g.n <= 12 else ())
+        for builder in builders:
+            order, later = builder(g.n, g.edges)
+            want = _td_from_order(g.n, g.edges, order)
+            assert _link(order, later) == want, (builder.__name__, g.edges)
+        # build_td takes the exact order on 1..12 vertices, min-fill beyond
+        assert build_td(g) == want
+        validate_td(g, want)
 
 
 def test_build_td_outputs_are_pinned():
