@@ -10,17 +10,20 @@ implementation of its test: analysis and graphs call them on the whole
 target (S = every vertex), and analysis.i_bullet on split-tree leaves.
 They serve classify and the polynomial solvers, which never load numpy;
 subset_scan, which computes the i* invariant over all 2^n induced
-subgraphs, is the tests' reference only.  Mixed-radix assignment scans
-(scan_best), vectorized with numpy, serve only the brute-force oracles;
-gadget cost tables (scan_table) take the same encoding but come from
-min-plus variable elimination over numpy factors, which the gadgets'
-treewidth of 1-2 keeps small, so they never enumerate the assignments.
-The numpy functions import it when called.
+subgraphs, is the tests' reference only.
+
+Min-plus over lists has one state encoding: a vertex's sorted list, with
+DELETED last in vd mode.  edge_penalty, an edge's cost matrix over two
+state tuples, serves the tree-decomposition DP (dpsolve) and scan_table,
+the gadget cost tables by bucket elimination.  scan_best, a mixed-radix
+assignment scan, serves only the brute-force oracles.  The numpy
+functions import it when called.
 """
 
 from __future__ import annotations
 
 INF = 1 << 60
+DELETED = -1  # the vd state of a deleted vertex, last in its state tuple
 
 # assignment indices costed per numpy pass of scan_best; bounds the
 # temporaries
@@ -38,7 +41,7 @@ def using_numba() -> bool:
 
 
 # ---------------------------------------------------------------------------
-# assignment scans and cost tables
+# assignment scans (the oracles' brute force)
 #
 # Variables 0..nv-1 each pick a digit < radix[j]; val[j, d] is the H-vertex
 # (or nh = deleted) for that digit.  base[j, d] is the digit's own cost.
@@ -116,59 +119,69 @@ def scan_best(radix, val, base, eu, ev, adj, ed_mode):
     return best, (best_idx // place) % radix
 
 
-def scan_table(radix, val, base, eu, ev, adj, ed_mode, nportal):
-    """Min cost per portal digit tuple; portals are variables 0..nportal-1.
+# ---------------------------------------------------------------------------
+# edge penalties and cost tables over state tuples
 
-    Exact min-plus variable elimination.  The factors are one unary cost
-    per variable and one pair penalty per edge; the non-portal variables
-    are eliminated fewest neighbours first (lowest index on ties), each by
-    summing the factors that contain it and taking the min along its axis.
-    The portal factors that remain are summed and raveled with the
-    leftmost portal most significant.  A violated vd edge costs big, more
-    than any feasible assignment, and entries >= big become INF once at
-    the end, so no sum can overflow."""
+
+def edge_penalty(nb, lu, lv, bad):
+    """One instance edge's cost matrix over the states lu x lv: entry
+    (i, j) is 0 if lu[i] and lv[j] are adjacent in the target (nb[a] is
+    a's neighbourhood mask) or either is DELETED, and bad otherwise."""
     import numpy as np
 
-    radix, val, base, eu, ev, adj = _arrays(radix, val, base, eu, ev, adj)
-    nv = radix.shape[0]
-    if not radix.all():
-        return np.full(int(np.prod(radix[:nportal], dtype=np.int64)), INF,
-                       dtype=np.int64)
-    big = int(base.max(initial=0)) * nv + eu.shape[0] + 1
-    pen = np.where(adj, 0, 1 if ed_mode else big)
-    factors = [((j,), base[j, :radix[j]]) for j in range(nv)]
-    nbr = [set() for _ in range(nv)]
-    for u, v in zip(eu.tolist(), ev.tolist()):
+    return np.array([[0 if a == DELETED or b == DELETED or nb[a] >> b & 1
+                      else bad for b in lv] for a in lu], dtype=np.int64)
+
+
+def scan_table(nb, states, edges, nportal, vd, order):
+    """Min cost per portal state tuple; portals are variables 0..nportal-1.
+
+    states[j] is variable j's tuple of target vertices, in vd mode with
+    DELETED last; deleting a non-portal costs 1, a portal nothing.  A
+    violated edge costs 1 in ed mode and kills the assignment in vd mode.
+    Exact min-plus bucket elimination (Dechter 1999) in `order`, which
+    lists every non-portal once: each edge penalty goes to the bucket of
+    its first variable in the order; a bucket sums its factors, charges
+    the vd deletion of its variable x and takes the min along x's axis,
+    and the result goes to the bucket of its next variable.  The factors
+    left over the portals are summed and raveled with the leftmost portal
+    most significant.  A violated vd edge costs big, more than any
+    feasible assignment, and entries >= big become INF once at the end,
+    so no sum can overflow."""
+    import numpy as np
+
+    big = len(states) + 1
+    pos = {x: i for i, x in enumerate(order)}
+    buckets = [[] for _ in order]
+    rest = []  # factors over portals only
+
+    def place(scope, t):
+        first = min((pos[v] for v in scope if v in pos), default=None)
+        (rest if first is None else buckets[first]).append((scope, t))
+
+    for u, v in edges:
         u, v = min(u, v), max(u, v)
-        factors.append(((u, v), pen[val[u, :radix[u], None],
-                                    val[v, :radix[v]]]))
-        nbr[u].add(v)
-        nbr[v].add(u)
-    left = set(range(nportal, nv))
-    while left:
-        x = min(left, key=lambda v: (len(nbr[v]), v))
-        left.remove(x)
-        for u in nbr[x]:
-            nbr[u] |= nbr[x]
-            nbr[u] -= {u, x}
-        hit = [f for f in factors if x in f[0]]
-        factors = [f for f in factors if x not in f[0]]
+        place((u, v), edge_penalty(nb, states[u], states[v],
+                                   big if vd else 1))
+    for x, hit in zip(order, buckets):
+        if not hit:  # x has no edges left: keeping it costs nothing
+            continue
         # scopes stay sorted, so each factor lines up with the sorted union
         # by a reshape that gives its missing variables length-1 axes
         scope = sorted(set().union(*(s for s, _ in hit)))
-        acc = None
-        for s, t in hit:
-            t = t.reshape([int(radix[v]) if v in s else 1 for v in scope])
-            acc = t if acc is None else acc + t
-        factors.append((tuple(v for v in scope if v != x),
-                        acc.min(axis=scope.index(x))))
-    # only portal variables are left in the scopes
-    out = np.zeros([int(r) for r in radix[:nportal]], dtype=np.int64)
-    for s, t in factors:
-        out += t.reshape([int(radix[v]) if v in s else 1
+        acc = sum(t.reshape([len(states[v]) if v in s else 1 for v in scope])
+                  for s, t in hit)
+        at = scope.index(x)
+        if vd:  # DELETED is the last index on x's axis
+            acc[(slice(None),) * at + (-1,)] += 1
+        place(tuple(v for v in scope if v != x), acc.min(axis=at))
+    out = np.zeros([len(states[v]) for v in range(nportal)], dtype=np.int64)
+    for s, t in rest:
+        out += t.reshape([len(states[v]) if v in s else 1
                           for v in range(nportal)])
     out = out.ravel()
-    out[out >= big] = INF
+    if vd:
+        out[out >= big] = INF
     return out
 
 

@@ -133,17 +133,58 @@ def _solution_json(sol, budget) -> str:
                         + _json_block("{", hom, "}") + ",", 1)
 
 
-# the arguments each gadget kind's builder takes
-_GADGET_ARGS = {"splitter": ("set", "vertex"), "matcher": ("pair",),
-                "translator": ("pair", "dest"),
-                "prohibitor": ("set", "vertex"), "s-prohibitor": ("set",),
-                "neq": ("pair",), "move": ("pair", "dest"),
-                "indicator": ("set", "dest")}
+def _alpha(g):
+    return g, {"base_cost": g.meta["alpha"]}
+
+
+def _translator(h, a):
+    g, orient = gadgets.build_translator(h, *a.pair, *a.dest)
+    return g, {"base_cost": g.meta["alpha"],
+               "orientation": [orient[0] + 1, orient[1] + 1]}
+
+
+def _neq(h, a):
+    g = gadgets.synthesize_neq(h, *a.pair, budget=a.search_budget)
+    if g is None:
+        raise PreconditionError(
+            "no inequality realizer found within the search budget")
+    return g, {"base_cost": gadgets.base_cost(gadgets.cost_table(h, g, "ed"))}
+
+
+def _move(h, a):
+    g = gadgets.move_between_pairs(h, frozenset(a.pair), frozenset(a.dest))
+    rep = gadgets.move_report(h, g)
+    return g, {"forced": {str(u + 1): v + 1
+                          for u, v in sorted(rep.forced.items())}}
+
+
+def _indicator(h, a):
+    g, relation = gadgets.build_indicator(h, a.set, *a.dest)
+    return g, {"relation_size": len(relation)}
+
+
+# gadget kind -> (the arguments its builder needs, the mode --verify
+# checks, the builder: (target, 0-based arguments) -> (gadget, report))
+_GADGETS = {
+    "splitter": (("set", "vertex"), "vd", lambda h, a: _alpha(
+        gadgets.build_splitter(h, a.set, a.vertex))),
+    "matcher": (("pair",), "vd", lambda h, a: _alpha(
+        gadgets.build_matcher(h, *a.pair))),
+    "translator": (("pair", "dest"), "vd", _translator),
+    "prohibitor": (("set", "vertex"), "vd", lambda h, a: _alpha(
+        gadgets.build_prohibitor(h, a.set, a.vertex))),
+    "s-prohibitor": (("set",), "vd", lambda h, a: _alpha(
+        gadgets.build_s_prohibitor(h, a.set))),
+    "neq": (("pair",), "ed", _neq),
+    "move": (("pair", "dest"), "ed", _move),
+    "indicator": (("set", "dest"), "ed", _indicator),
+}
 
 
 def cmd_gadget(args) -> int:
     h = parse_target(_read(args.target))
-    for name in _GADGET_ARGS.get(args.kind, ()):
+    need, mode, build = _GADGETS[args.kind]
+    for name in need:
         if getattr(args, name) is None:
             raise PreconditionError(f"gadget {args.kind} needs --{name}")
     ids = ((args.set or []) + (args.pair or []) + (args.dest or [])
@@ -152,52 +193,18 @@ def cmd_gadget(args) -> int:
         if not 1 <= v <= h.n:
             raise PreconditionError(
                 f"vertex id {v} is outside 1..{h.n} of the target")
-    s = frozenset(v - 1 for v in args.set) if args.set else None
-    pair = tuple(v - 1 for v in args.pair) if args.pair else None
-    dest = tuple(v - 1 for v in args.dest) if args.dest else None
-    vertex = args.vertex - 1 if args.vertex is not None else None
-    kind = args.kind
-    report = {"kind": kind}
-    if kind == "splitter":
-        g = gadgets.build_splitter(h, s, vertex)
-        report["base_cost"] = g.meta["alpha"]
-    elif kind == "matcher":
-        g = gadgets.build_matcher(h, pair[0], pair[1])
-        report["base_cost"] = g.meta["alpha"]
-    elif kind == "translator":
-        g, orient = gadgets.build_translator(h, pair[0], pair[1],
-                                             dest[0], dest[1])
-        report["base_cost"] = g.meta["alpha"]
-        report["orientation"] = [orient[0] + 1, orient[1] + 1]
-    elif kind == "prohibitor":
-        g = gadgets.build_prohibitor(h, s, vertex)
-        report["base_cost"] = g.meta["alpha"]
-    elif kind == "s-prohibitor":
-        g = gadgets.build_s_prohibitor(h, s)
-        report["base_cost"] = g.meta["alpha"]
-    elif kind == "neq":
-        g = gadgets.synthesize_neq(h, pair[0], pair[1],
-                                   budget=args.search_budget)
-        if g is None:
-            raise PreconditionError(
-                "no inequality realizer found within the search budget")
-        report["base_cost"] = gadgets.base_cost(gadgets.cost_table(h, g, "ed"))
-    elif kind == "move":
-        g = gadgets.move_between_pairs(h, frozenset(pair), frozenset(dest))
-        rep = gadgets.move_report(h, g)
-        report["forced"] = {str(u + 1): v + 1
-                            for u, v in sorted(rep.forced.items())}
-    elif kind == "indicator":
-        g, relation = gadgets.build_indicator(h, s, dest[0], dest[1])
-        report["relation_size"] = len(relation)
-    else:
-        raise PreconditionError(f"unknown gadget kind {kind!r}")
+    a = argparse.Namespace(
+        set=frozenset(v - 1 for v in args.set) if args.set else None,
+        pair=tuple(v - 1 for v in args.pair) if args.pair else None,
+        dest=tuple(v - 1 for v in args.dest) if args.dest else None,
+        vertex=args.vertex - 1 if args.vertex is not None else None,
+        search_budget=args.search_budget)
+    g, report = build(h, a)
+    report["kind"] = args.kind
     text = gadgets.format_gadget(g)
     report["gadget"] = text
     report["vertices"] = g.n
     if args.verify:
-        mode = "vd" if kind in ("splitter", "matcher", "translator",
-                                "prohibitor", "s-prohibitor") else "ed"
         try:
             table = gadgets.enumerate_cost_table(h, gadgets.Gadget(
                 g.n, g.edges, g.lists, g.portals), mode)
@@ -297,9 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(func=cmd_solve)
 
     g = sub.add_parser("gadget", help="construct and verify a gadget")
-    g.add_argument("kind", choices=("splitter", "matcher", "translator",
-                                    "prohibitor", "s-prohibitor", "neq",
-                                    "move", "indicator"))
+    g.add_argument("kind", choices=tuple(_GADGETS))
     g.add_argument("target")
     g.add_argument("--set", type=int, nargs="+",
                    help="vertex set S (1-indexed)")

@@ -8,13 +8,12 @@ import math
 from dataclasses import dataclass, replace
 from typing import Optional
 
-from . import _kernels, analysis, polysolve
+from . import analysis, polysolve
+from ._kernels import DELETED, INF, edge_penalty
 from .graphs import (Infeasible, Instance, Solution, TargetGraph,
-                     max_incomparable, reduce_lists)
+                     is_incomparable_set, reduce_lists)
 from .treewidth import TreeDecomposition, build_td, make_nice, validate_td
 
-DELETED = -1  # vertex-deletion state symbol
-INF = _kernels.INF
 # Largest DP table (entries) a solve may allocate; 2^24 int64 entries take
 # 128 MiB, and a join holds two tables of its size.
 MAX_TABLE_ENTRIES = 1 << 24
@@ -43,17 +42,14 @@ def _run_dp(h: TargetGraph, inst: Instance, td: TreeDecomposition, mode: str):
     import numpy as np
 
     vd = mode == "vd"
-    base = max_incomparable(h)[0] + (1 if vd else 0)
-    choices = []
-    for v in range(inst.n):
-        lst = sorted(inst.lists[v])
-        if vd:
-            lst.append(DELETED)
-        if len(lst) > base:  # so no table exceeds base ** len(bag)
-            raise AssertionError(
-                f"list of vertex {v} has {len(lst)} states, above the "
-                f"bound {base}")
-        choices.append(tuple(lst))
+    # a pairwise incomparable list has at most i(H) members, so no table
+    # exceeds (i(H) + vd) ** len(bag); each distinct list is checked once
+    states = {}
+    for lst in set(inst.lists):
+        if not is_incomparable_set(h, lst):
+            raise AssertionError(f"list {sorted(lst)} is not incomparable")
+        states[lst] = tuple(sorted(lst)) + ((DELETED,) if vd else ())
+    choices = [states[lst] for lst in inst.lists]
     for bag in td.bags:
         size = math.prod(len(choices[v]) for v in bag)
         if size > MAX_TABLE_ENTRIES:
@@ -62,20 +58,11 @@ def _run_dp(h: TargetGraph, inst: Instance, td: TreeDecomposition, mode: str):
                 f"entries, above the cap of {MAX_TABLE_ENTRIES}")
     nodes = make_nice(td, inst.edges)
     penalties = {}  # (list u, list v) -> edge penalty matrix
-
-    def new_penalty(lu, lv):
-        if vd:
-            bad = [[0 if a == DELETED or b == DELETED or h.has_edge(a, b)
-                    else INF for b in lv] for a in lu]
-        else:
-            bad = [[0 if h.has_edge(a, b) else 1 for b in lv] for a in lu]
-        penalties[lu, lv] = pen = np.array(bad, dtype=np.int64)
-        return pen
-
     # two edges' penalties combined: VD's are 0 or INF, so their maximum
     # is their sum clamped at INF, and no sum of INFs can overflow int64
     combine = np.maximum if vd else np.add
-    pick_type = np.min_scalar_type(base - 1)  # holds any list index
+    longest = max(map(len, states.values()), default=1)
+    pick_type = np.min_scalar_type(longest - 1)  # holds any list index
     # axis of an introduced or forgotten vertex in sorted(bag ∪ {v})
     axes = [0] * len(nodes)
     tables = [None] * len(nodes)
@@ -106,7 +93,8 @@ def _run_dp(h: TargetGraph, inst: Instance, td: TreeDecomposition, mode: str):
                     cu, cw = choices[u], choices[w]
                     p = penalties.get((cu, cw))
                     if p is None:
-                        p = new_penalty(cu, cw)
+                        p = penalties[cu, cw] = edge_penalty(
+                            h.nbhd, cu, cw, INF if vd else 1)
                     ps = [1] * len(bag)
                     ps[bag.index(u)], ps[bag.index(w)] = p.shape  # u < w
                     p = p.reshape(ps)

@@ -5,8 +5,8 @@ VD family: splitter / matcher / translator paths assembled into
 incomparable pairs, pendant cost shifts, normalization, composition,
 Aux-graph routing, indicators, and bounded synthesis of NEQ realizers.
 
-Small gadgets get exact cost tables from min-plus variable elimination
-over the gadget graph (_kernels.scan_table).  The glue operations compose
+Small gadgets get exact cost tables from min-plus bucket elimination over
+the gadget's own lists (_kernels.scan_table).  The glue operations compose
 tables: when both parts carry a table, serial_glue takes the min-plus
 product over the junction's values and parallel_glue the pointwise sum,
 so a glued gadget needs no elimination of its own.  The tests and
@@ -21,13 +21,12 @@ from math import prod
 from typing import Optional
 
 from . import _kernels, analysis
+from ._kernels import DELETED, INF
 from .graphs import (Instance, ParseError, TargetGraph, bits,
                      format_instance, incomparable, is_incomparable_set,
                      parse_instance)
-from .oracle import _scan_arrays
+from .treewidth import _min_fill_order
 
-X = -1  # deletion symbol in VD cost tables
-INF = _kernels.INF
 ENUM_BOUND = 10 ** 7
 
 
@@ -50,15 +49,18 @@ class Gadget:
         for p in self.portals:
             if not 0 <= p < self.n:
                 raise GadgetError("portal out of range")
+        if len(self.lists) != self.n:
+            raise GadgetError("need one list per gadget vertex")
         if any(not lst for lst in self.lists):
             raise GadgetError("every gadget list must be nonempty")
+        pairs = {(min(e), max(e)) for e in self.edges}
+        if len(pairs) < len(self.edges) or any(
+                not 0 <= u < v < self.n for u, v in pairs):
+            raise GadgetError("gadget edges must join two distinct vertices "
+                              "in range, at most once")
 
     def portal_lists(self):
         return tuple(self.lists[p] for p in self.portals)
-
-    def to_instance(self) -> Instance:
-        return Instance(self.n, sorted(tuple(sorted(e)) for e in self.edges),
-                        list(self.lists), None)
 
 
 @dataclass
@@ -78,41 +80,32 @@ def path_gadget(lists) -> Gadget:
 
 
 def enumerate_cost_table(h: TargetGraph, gadget: Gadget, mode: str) -> dict:
-    """Exact table from the gadget graph alone (portals first, then the rest).
+    """Exact table from the gadget graph alone, by bucket elimination over
+    its lists (portals first) in the DP's min-fill order, portals skipped.
 
-    The table comes from _kernels.scan_table's variable elimination, not by
-    enumerating assignments.  The name stays because the benchmark tracer
-    wraps it by name, and gadgets with more than ENUM_BOUND assignments
-    still raise GadgetError, because recorded `gadget --verify` outputs say
-    "table too large to enumerate" for them (every s-prohibitor of the
-    benchmark corpus).
+    The name stays because the benchmark tracer wraps it by name, and
+    gadgets with more than ENUM_BOUND assignments still raise GadgetError,
+    because recorded `gadget --verify` outputs say "table too large to
+    enumerate" for them (every s-prohibitor of the benchmark corpus).
     """
+    vd = mode == "vd"
+    nportal = len(gadget.portals)
     order = list(gadget.portals) + [v for v in range(gadget.n)
                                     if v not in gadget.portals]
     pos = {v: i for i, v in enumerate(order)}
-    inst = Instance(gadget.n,
-                    sorted(tuple(sorted((pos[u], pos[v])))
-                           for u, v in gadget.edges),
-                    [gadget.lists[v] for v in order], None)
-    radix, val, base, eu, ev, adj = _scan_arrays(h, inst, mode,
-                                                 len(gadget.portals))
-    if prod(int(r) for r in radix) > ENUM_BOUND:
+    states = [tuple(sorted(gadget.lists[v])) + ((DELETED,) if vd else ())
+              for v in order]
+    if prod(len(st) for st in states) > ENUM_BOUND:
         raise GadgetError("gadget too large for exhaustive enumeration")
-    flat = _kernels.scan_table(radix, val, base, eu, ev, adj,
-                               mode == "ed", len(gadget.portals))
-    axes = []
-    for p in gadget.portals:
-        vals = sorted(gadget.lists[p])
-        axes.append(vals + [X] if mode == "vd" else vals)
-    table = {}
-    for i, key in enumerate(product(*axes)):
-        table[key] = int(flat[i])
-    return table
+    edges = [(pos[u], pos[v]) for u, v in gadget.edges]
+    elim = [v for v in _min_fill_order(gadget.n, edges)[0] if v >= nportal]
+    flat = _kernels.scan_table(h.nbhd, states, edges, nportal, vd, elim)
+    return dict(zip(product(*states[:nportal]), flat.tolist()))
 
 
 def cost_table(h: TargetGraph, gadget: Gadget, mode: str) -> dict:
-    """The gadget's cached table for mode (portal-value tuple, X allowed in
-    vd -> cost), computed by elimination on first use."""
+    """The gadget's cached table for mode (portal-value tuple, DELETED
+    allowed in vd -> cost), computed by elimination on first use."""
     if mode not in ("vd", "ed"):
         raise ValueError("mode must be 'vd' or 'ed'")
     if mode not in gadget.tables:
@@ -214,7 +207,7 @@ def serial_glue(g1: Gadget, g2: Gadget) -> Gadget:
     for mode in sorted(g1.tables.keys() & g2.tables.keys()):
         g.tables[mode] = serial_table(
             g1.tables[mode], g2.tables[mode],
-            junction + [X] if mode == "vd" else junction, mode)
+            junction + [DELETED] if mode == "vd" else junction, mode)
     return g
 
 
@@ -247,7 +240,7 @@ def serial_table(t1: dict, t2: dict, junction, mode: str) -> dict:
             best = INF
             for c in junction:
                 cost = t1[(a, c)] + t2[(c, b)]
-                if mode == "vd" and c == X:
+                if mode == "vd" and c == DELETED:
                     cost += 1
                 best = min(best, cost)
             out[(a, b)] = min(best, INF)
@@ -317,7 +310,7 @@ def _pair_context(h: TargetGraph, vp: int, wp: int,
 
 def _verify_matcher(t: dict, p: int, q: int, alpha: int) -> None:
     """alpha off the diagonal, more at (p,p), at least alpha at (q,q)."""
-    _check_costs(t, product((p, q, X), repeat=2), alpha, "matcher",
+    _check_costs(t, product((p, q, DELETED), repeat=2), alpha, "matcher",
                  above={(p, p)}, at_least={(q, q)})
 
 
@@ -384,7 +377,8 @@ def build_translator(h: TargetGraph, vp: int, wp: int, a: int, b: int,
             g = path_gadget([{vp, wp}, {w}, {vp}, {b}, {a}, {a, b}])
             orient, alpha, case = (a, b), 2, "c"
     c, d = orient
-    _check_costs(cost_table(h, g, "vd"), product((vp, wp, X), (a, b, X)),
+    _check_costs(cost_table(h, g, "vd"),
+                 product((vp, wp, DELETED), (a, b, DELETED)),
                  alpha, "translator", above={(vp, d)}, at_least={(wp, c)})
     g.meta = {"alpha": alpha, "orientation": orient, "case": case}
     return g, orient
@@ -471,8 +465,8 @@ def build_prohibitor(h: TargetGraph, s, v: int) -> Gadget:
         raise last_err
     g = serial_glue(serial_glue(spl, mat), _reversed(spl))
     alpha = 2 * spl.meta["alpha"] + mat.meta["alpha"]
-    _check_costs(g.tables["vd"], product(sorted(s) + [X], repeat=2), alpha,
-                 "prohibitor", above={(v, v)})
+    _check_costs(g.tables["vd"], product(sorted(s) + [DELETED], repeat=2),
+                 alpha, "prohibitor", above={(v, v)})
     g.meta = {"alpha": alpha, "v": v, "s": s}
     return g
 
@@ -486,8 +480,8 @@ def build_s_prohibitor(h: TargetGraph, s) -> Gadget:
     for other in parts[1:]:
         g = parallel_glue(g, other)
     alpha = sum(p.meta["alpha"] for p in parts)
-    _check_costs(g.tables["vd"], product(sorted(s) + [X], repeat=2), alpha,
-                 "S-prohibitor", above={(u, u) for u in s})
+    _check_costs(g.tables["vd"], product(sorted(s) + [DELETED], repeat=2),
+                 alpha, "S-prohibitor", above={(u, u) for u in s})
     g.meta = {"alpha": alpha, "s": s}
     return g
 
@@ -929,7 +923,8 @@ def synthesize_neq(h: TargetGraph, a: int, b: int,
 
 
 def format_gadget(g: Gadget) -> str:
-    body = format_instance(g.to_instance())
+    body = format_instance(Instance(
+        g.n, sorted(tuple(sorted(e)) for e in g.edges), list(g.lists)))
     return body + "portal " + " ".join(str(p + 1) for p in g.portals) + "\n"
 
 

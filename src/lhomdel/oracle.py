@@ -15,27 +15,12 @@ from .graphs import Infeasible, Instance, Solution, TargetGraph
 ENUM_BOUND = 10 ** 8
 
 
-def _adj_matrix(h: TargetGraph, with_deleted: bool):
-    import numpy as np
-
-    n = h.n + 1 if with_deleted else h.n
-    adj = np.zeros((n, n), dtype=np.bool_)
-    for u in range(h.n):
-        for v in range(h.n):
-            adj[u, v] = h.has_edge(u, v)
-    if with_deleted:
-        adj[h.n, :] = True
-        adj[:, h.n] = True
-    return adj
-
-
-def _scan_arrays(h: TargetGraph, inst: Instance, mode: str,
-                 free_portals: int = 0):
-    """Mixed-radix encoding of an instance for the enumeration kernels.
+def _scan_arrays(h: TargetGraph, inst: Instance, mode: str):
+    """Mixed-radix encoding of an instance for the oracles' scan_best.
 
     Variable j's digits enumerate sorted(L(j)) and, in vd mode, the deletion
-    symbol last.  The first free_portals variables get deletion cost 0
-    (gadget portals: their deletion is never charged to the gadget).
+    symbol h.n last, at cost 1.  The adjacency matrix is h's, in vd mode
+    with an all-True row and column for h.n.
     """
     import numpy as np
 
@@ -51,11 +36,14 @@ def _scan_arrays(h: TargetGraph, inst: Instance, mode: str,
             val[v, d] = x
         if vd:
             val[v, len(lst)] = h.n
-            if v >= free_portals:
-                base[v, len(lst)] = 1
+            base[v, len(lst)] = 1
     eu = np.array([e[0] for e in inst.edges], dtype=np.int64)
     ev = np.array([e[1] for e in inst.edges], dtype=np.int64)
-    return radix, val, base, eu, ev, _adj_matrix(h, vd)
+    size = h.n + 1 if vd else h.n
+    adj = np.ones((size, size), dtype=np.bool_)
+    adj[:h.n, :h.n] = [[h.has_edge(u, v) for v in range(h.n)]
+                       for u in range(h.n)]
+    return radix, val, base, eu, ev, adj
 
 
 def _check_bound(radix) -> None:

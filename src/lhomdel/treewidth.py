@@ -403,13 +403,15 @@ def parse_td(text: str, n: Optional[int] = None) -> TreeDecomposition:
     """PACE format: `s td <#bags> <width+1> <n>`, `b <i> <v...>`, edges.
 
     The header must match the file: every announced bag needs a `b` line,
-    and width+1 must be the size of the largest bag (0 with no bags), or
-    ParseError.  n, if given, is the instance's vertex count; a header
-    naming another count raises ValueError, like a bag vertex out of range.
+    every tree edge must join announced bags, and width+1 must be the size
+    of the largest bag (0 with no bags), or ParseError.  n, if given, is
+    the instance's vertex count; a header naming another count raises
+    ValueError, like a bag vertex out of range.
     """
     counts = None
     bags = {}
     tedges = []
+    tlines = []  # the line of each tree edge
     for ln, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("c"):
@@ -437,6 +439,7 @@ def parse_td(text: str, n: Optional[int] = None) -> TreeDecomposition:
                 if len(toks) != 2:
                     raise ParseError(f"line {ln}: bad tree edge")
                 tedges.append((int(toks[0]) - 1, int(toks[1]) - 1))
+                tlines.append(ln)
                 if min(tedges[-1]) < 0:
                     raise ParseError(f"line {ln}: bag ids start at 1")
         except ParseError:
@@ -449,6 +452,10 @@ def parse_td(text: str, n: Optional[int] = None) -> TreeDecomposition:
     for i in range(1, nbags + 1):
         if i not in bags:
             raise ParseError(f"line {head}: bag {i} has no b line")
+    for ln, e in zip(tlines, tedges):
+        if max(e) >= nbags:
+            raise ParseError(f"line {ln}: tree edge names bag {max(e) + 1}, "
+                             f"but there are {nbags} bags")
     td = TreeDecomposition(tuple(bags[i] for i in range(1, nbags + 1)),
                            tuple(tedges))
     largest = _largest_bag(td)

@@ -3,9 +3,9 @@ from itertools import combinations
 
 import pytest
 
-from lhomdel import analysis, dpsolve, oracle
-from lhomdel.graphs import (Infeasible, Instance, Solution, max_incomparable,
-                            reduce_lists)
+from lhomdel import _kernels, analysis, dpsolve, oracle
+from lhomdel.graphs import (Infeasible, Instance, Solution, TargetGraph,
+                            max_incomparable, reduce_lists)
 from lhomdel.treewidth import build_td, make_nice
 
 import families
@@ -120,6 +120,26 @@ def test_state_bounds_in_stats():
         assert sol.stats["max_bag_states"] <= (i + 1) ** (sol.stats["width"] + 1)
         sol = dpsolve.solve_ed_dp(h, inst)
         assert sol.stats["max_bag_states"] <= i ** (sol.stats["width"] + 1)
+
+
+def test_dp_does_not_compute_i_of_h(monkeypatch):
+    # the state bound follows from each reduced list being pairwise
+    # incomparable, so the DP never runs the branch and bound for i(H),
+    # which took 2 s on this 56-vertex target: 22 vertices, each joined
+    # to an interval of a 34-vertex edgeless pool
+    def no_i_of_h(nb, S):
+        raise AssertionError("i(H) computed")
+
+    monkeypatch.setattr(_kernels, "max_incomparable_mask", no_i_of_h)
+    rng = random.Random(120)
+    edges = []
+    for v in range(22):
+        a, b = sorted((rng.randrange(34), rng.randrange(34)))
+        edges += [(v, 22 + p) for p in range(a, b + 1)]
+    h = TargetGraph.from_edges(56, edges)
+    inst = Instance(2, [(0, 1)], [frozenset({0}), frozenset({22})])
+    for solve in (dpsolve.solve_vd_dp, dpsolve.solve_ed_dp):
+        assert solve(h, inst).cost == 1
 
 
 # ---------------------------------------------------------------------------

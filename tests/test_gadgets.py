@@ -5,12 +5,12 @@ from math import prod
 import networkx as nx
 import pytest
 
-from lhomdel import _kernels, analysis, gadgets, graphs, oracle
+from lhomdel import _kernels, analysis, gadgets, graphs
 from lhomdel.graphs import max_incomparable
 
 import families
 
-X = gadgets.X
+X = _kernels.DELETED
 
 
 def test_splitter_base_cost():
@@ -143,18 +143,19 @@ def test_move_between_pairs_forced_bijection():
 
 
 def _eliminated(h, g, mode):
-    """g's cost table by variable elimination, with no bound on its size:
-    the variables are the portals, in order, then the other vertices."""
+    """g's cost table by bucket elimination, with no bound on its size:
+    the variables are the portals, in order, then the other vertices,
+    eliminated in vertex order rather than enumerate_cost_table's
+    min-fill order."""
     order = list(g.portals) + [v for v in range(g.n) if v not in g.portals]
     pos = {v: i for i, v in enumerate(order)}
-    inst = graphs.Instance(g.n, sorted(tuple(sorted((pos[u], pos[v])))
-                                       for u, v in g.edges),
-                           [g.lists[v] for v in order])
-    arrays = oracle._scan_arrays(h, inst, mode, len(g.portals))
-    flat = _kernels.scan_table(*arrays, mode == "ed", len(g.portals))
-    axes = [sorted(g.lists[p]) + ([X] if mode == "vd" else [])
-            for p in g.portals]
-    return {key: int(c) for key, c in zip(product(*axes), flat)}
+    states = [tuple(sorted(g.lists[v])) + ((X,) if mode == "vd" else ())
+              for v in order]
+    npr = len(g.portals)
+    flat = _kernels.scan_table(h.nbhd, states,
+                               [(pos[u], pos[v]) for u, v in g.edges], npr,
+                               mode == "vd", range(npr, g.n))
+    return {key: int(c) for key, c in zip(product(*states[:npr]), flat)}
 
 
 def _reflexive_matcher(k):

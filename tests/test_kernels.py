@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import numpy as np
 
@@ -61,50 +62,27 @@ def _scan_best_loop(radix, val, base, eu, ev, adj, ed_mode):
     return best, best_digits
 
 
-def _scan_table_loop(radix, val, base, eu, ev, adj, ed_mode, nportal):
-    nv = radix.shape[0]
-    m = eu.shape[0]
-    tsize = np.int64(1)
-    for j in range(nportal):
-        tsize *= radix[j]
-    out = np.full(tsize, INF, dtype=np.int64)
-    digits = np.zeros(nv, dtype=np.int64)
-    total = np.int64(1)
-    for j in range(nv):
-        total *= radix[j]
-    count = np.int64(0)
-    cell_stride = total // tsize if tsize > 0 else np.int64(1)
-    while count < total:
-        cost = np.int64(0)
-        ok = True
-        for j in range(nv):
-            cost += base[j, digits[j]]
-        for e in range(m):
-            x = val[eu[e], digits[eu[e]]]
-            y = val[ev[e], digits[ev[e]]]
-            if not adj[x, y]:
-                if ed_mode:
-                    cost += 1
-                else:
-                    ok = False
-                    break
-        if ok:
-            cell = count // cell_stride
-            if cost < out[cell]:
-                out[cell] = cost
-        count += 1
-        for j in range(nv - 1, -1, -1):
-            digits[j] += 1
-            if digits[j] < radix[j]:
-                break
-            digits[j] = 0
-    return out
+def _scan_table_loop(nb, states, edges, nportal, vd):
+    """Min cost per portal state tuple by brute force over
+    product(*states), the cells in product order of the portals."""
+    D = _kernels.DELETED
+    out = {}
+    for assign in product(*states):
+        cost = sum(x == D for x in assign[nportal:])
+        for u, v in edges:
+            a, b = assign[u], assign[v]
+            if not (a == D or b == D or nb[a] >> b & 1):
+                cost += INF if vd else 1
+        key = assign[:nportal]
+        out[key] = min(out.get(key, INF), cost, INF)
+    return np.array([out[key] for key in product(*states[:nportal])],
+                    dtype=np.int64)
 
 
 def test_scan_best_paths_agree():
     for h, inst in _cases(11, 30):
-        for mode, npr in (("vd", 0), ("ed", 0)):
-            arrays = oracle._scan_arrays(h, inst, mode, npr)
+        for mode in ("vd", "ed"):
+            arrays = oracle._scan_arrays(h, inst, mode)
             cost_a, dig_a = _scan_best_loop(*arrays, mode == "ed")
             cost_b, dig_b = _kernels.scan_best(*arrays, mode == "ed")
             assert int(cost_a) == int(cost_b)
@@ -112,24 +90,19 @@ def test_scan_best_paths_agree():
                 assert list(dig_a) == list(dig_b)
 
 
-def _table_arrays(rng, nv, edges, ed_mode):
-    """Scan arrays over nv variables and the given edges: radix 1..3,
-    digits valued in a random 3-vertex target (or deleted, in vd mode),
-    digit costs 0..2."""
-    nh = 3
-    size = nh if ed_mode else nh + 1
-    adj = np.zeros((size, size), dtype=np.bool_)
-    for x in range(size):
-        for y in range(x, size):
-            adj[x, y] = adj[y, x] = rng.random() < 0.5 or y == nh
-    radix = np.array([rng.randint(1, 3) for _ in range(nv)], dtype=np.int64)
-    val = np.array([[rng.randrange(size) for _ in range(3)]
-                    for _ in range(nv)], dtype=np.int64)
-    base = np.array([[rng.randint(0, 2) for _ in range(3)]
-                     for _ in range(nv)], dtype=np.int64)
-    eu = np.array([e[0] for e in edges], dtype=np.int64)
-    ev = np.array([e[1] for e in edges], dtype=np.int64)
-    return radix, val, base, eu, ev, adj
+def _table_states(rng, nv, vd):
+    """A random 3-vertex target's neighbourhood masks (loops allowed) and
+    a state tuple per variable: a sorted list of 1-3 target vertices, and
+    DELETED last in vd mode."""
+    nb = [0] * 3
+    for x in range(3):
+        for y in range(x, 3):
+            if rng.random() < 0.5:
+                nb[x] |= 1 << y
+                nb[y] |= 1 << x
+    states = [tuple(sorted(rng.sample(range(3), rng.randint(1, 3))))
+              + ((_kernels.DELETED,) if vd else ()) for _ in range(nv)]
+    return nb, states
 
 
 def _shapes():
@@ -145,39 +118,48 @@ def _shapes():
     yield 5, [(0, 4), (4, 2), (2, 1), (1, 3), (3, 0), (2, 0)]
 
 
+def _states(inst, vd):
+    return [tuple(sorted(lst)) + ((_kernels.DELETED,) if vd else ())
+            for lst in inst.lists]
+
+
 def test_scan_table_paths_agree():
+    """Bucket elimination matches the brute force in any order of the
+    non-portals."""
+    rng = random.Random(12)
     for h, inst in _cases(12, 20):
         npr = min(2, inst.n)
-        for mode in ("vd", "ed"):
-            arrays = oracle._scan_arrays(h, inst, mode, npr)
-            a = _scan_table_loop(*arrays, mode == "ed", npr)
-            b = _kernels.scan_table(*arrays, mode == "ed", npr)
-            assert np.array_equal(np.asarray(a), np.asarray(b))
+        order = list(range(npr, inst.n))
+        rng.shuffle(order)
+        for vd in (True, False):
+            if not vd and not all(inst.lists):
+                continue  # ed instances need nonempty lists
+            states = _states(inst, vd)
+            a = _scan_table_loop(h.nbhd, states, inst.edges, npr, vd)
+            b = _kernels.scan_table(h.nbhd, states, inst.edges, npr, vd,
+                                    order)
+            assert np.array_equal(a, b)
     rng = random.Random(15)
     seen = set()
     for nv, edges in _shapes():
         for npr in range(min(3, nv) + 1):
-            for ed_mode in (False, True):
+            for vd in (True, False):
                 for _ in range(3):
-                    arrays = _table_arrays(rng, nv, edges, ed_mode)
-                    a = _scan_table_loop(*arrays, ed_mode, npr)
-                    b = _kernels.scan_table(*arrays, ed_mode, npr)
+                    nb, states = _table_states(rng, nv, vd)
+                    order = list(range(npr, nv))
+                    rng.shuffle(order)
+                    a = _scan_table_loop(nb, states, edges, npr, vd)
+                    b = _kernels.scan_table(nb, states, edges, npr, vd,
+                                            order)
                     assert b.dtype == np.int64
-                    assert np.array_equal(a, b), (nv, edges, npr, ed_mode)
+                    assert np.array_equal(a, b), (nv, edges, npr, vd)
                     inf = bool((b == INF).any())
-                    assert not (ed_mode and inf)
-                    seen.add((npr == nv, 1 in arrays[0], ed_mode, inf))
-    # every kind of case above really occurs: portals only, radix 1,
-    # infeasible vd entries (exactly INF) and all-feasible tables
-    assert {(True, True, False, True), (False, True, False, True),
-            (False, True, True, False), (False, False, False, False)} <= seen
-    # an empty digit range leaves no feasible assignment at all
-    radix, *rest = _table_arrays(rng, 4, [(0, 1), (1, 2)], True)
-    radix[2] = 0
-    for npr in (0, 2, 3):
-        a = _scan_table_loop(radix, *rest, True, npr)
-        b = _kernels.scan_table(radix, *rest, True, npr)
-        assert np.array_equal(a, b)
+                    assert not (inf and not vd)
+                    seen.add((npr == nv, vd, inf))
+    # every kind of case above really occurs: portals only, infeasible vd
+    # entries (exactly INF) and all-feasible tables
+    assert {(True, True, True), (False, True, True), (False, True, False),
+            (False, False, False), (True, False, False)} <= seen
 
 
 def test_subset_scan_matches_python():
