@@ -4,9 +4,10 @@ gadgets, run problem reductions, and self-test against the oracles.
 All commands print deterministic JSON to stdout.  Exit codes: 0 success,
 1 infeasible (edge deletion with an empty list), 2 parse error (also an
 input file that cannot be read or decoded), 3 precondition violation (also
-an output file that cannot be written), 4 internal error (a bug: any other
-exception, reported as {"error": "internal", "detail": "<Type>:
-<message>"}, with the traceback on stderr).
+an output file that cannot be written, and a MemoryError, reported with
+the detail "out of memory"), 4 internal error (a bug: any other exception,
+reported as {"error": "internal", "detail": "<Type>: <message>"}, with the
+traceback on stderr).
 """
 
 from __future__ import annotations
@@ -348,6 +349,9 @@ def main(argv=None) -> int:
         return EXIT_PARSE
     except (PreconditionError, gadgets.GadgetError, ValueError) as exc:
         _emit({"error": "precondition", "detail": str(exc)})
+        return EXIT_PRECONDITION
+    except MemoryError:  # an input too large for this process's memory
+        _emit({"error": "precondition", "detail": "out of memory"})
         return EXIT_PRECONDITION
     except Exception as exc:
         traceback.print_exc()

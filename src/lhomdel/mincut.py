@@ -5,9 +5,11 @@ Networks have nodes 0..n-1 and arcs (u, v, unit).  A unit arc has
 capacity 1; an unbreakable arc gets (number of unit arcs) + 1, strictly
 above any cut made of unit arcs, so a minimum cut never severs it.
 Dinic-style blocking flow over flat residual lists; desk-scale networks
-only.  The source side returned is the set of nodes reachable from s in
-the final residual network: the least source side of a minimum cut, the
-same for every maximum flow.
+only.  Each phase's BFS stops once it labels t, so neither it nor the
+augmenting search looks past t's level.  The last BFS, which cannot reach
+t, labels everything s reaches in the final residual network: that is the
+source side returned, the least source side of a minimum cut, the same for
+every maximum flow.
 """
 
 from __future__ import annotations
@@ -19,7 +21,11 @@ class Uncuttable(Exception):
     """Every s-t cut would need to sever an unbreakable arc."""
 
 
-def _levels(adj, head, cap, s):
+def _levels(adj, head, cap, s, t):
+    """BFS levels in the residual network, up to the moment t is labelled:
+    every node below t's level is labelled by then, and an augmenting path
+    of the level graph never passes t's level.  If t is unreachable, every
+    node s reaches is labelled."""
     level = [-1] * len(adj)
     level[s] = 0
     q = deque([s])
@@ -30,6 +36,8 @@ def _levels(adj, head, cap, s):
             v = head[i]
             if cap[i] and level[v] < 0:
                 level[v] = nxt
+                if v == t:
+                    return level
                 q.append(v)
     return level
 
@@ -84,7 +92,7 @@ def min_cut(n: int, arcs, s: int, t: int):
         cap += (1 if unit else heavy, 0)
     value = 0
     while True:
-        level = _levels(adj, head, cap, s)
+        level = _levels(adj, head, cap, s, t)
         if level[t] < 0:
             break
         it = [0] * n

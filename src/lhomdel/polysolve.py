@@ -7,7 +7,10 @@ min vertex separator decides which clique each G-vertex maps into.
 ED: obstruction-free targets; each distinct reduced list gets a staircase
 order, interaction matrices decompose into at most three zero rectangles,
 and one min cut over per-vertex paths pays exactly one unit per deleted
-edge.
+edge.  A vertex's path runs over the positions 0..len of its order; every
+finite cut puts position 0 on the sink side and the last position on the
+source side, so these are t and s themselves and only the positions in
+between get nodes (a vertex with a one-element list gets none).
 
 Work that depends only on a list or on a pair of orders is done once per
 distinct key within a solve: each distinct list is reduced once (and, for
@@ -294,17 +297,21 @@ def solve_ed_poly(h: TargetGraph, inst: Instance) -> Solution:
     red = reduce_lists(h, inst)
     orders = staircase_orders(h, red.lists)
     order_of = [orders[frozenset(red.lists[v])] for v in range(inst.n)]
-    # node base[v] + i is on the source side iff v maps to one of the first
-    # i elements of its order
-    base = [0]
-    for order in order_of:
-        base.append(base[-1] + len(order) + 1)
-    s, t = base[-1], base[-1] + 1
+    # position i of v's order (0..len) is on the source side iff v maps to
+    # one of the first i elements of its order, and unbreakable arcs run
+    # from position i - 1 to i.  So position 0 is always on the sink side
+    # and position len always on the source side: node[v][0] is t and
+    # node[v][len] is s, and only positions 1..len-1 get nodes of their own
+    s, t = 0, 1
+    node, n = [], 2
     arcs = []
-    for v, order in enumerate(order_of):
-        b, ln = base[v], len(order)
-        arcs += [(b + i - 1, b + i, False) for i in range(1, ln + 1)]
-        arcs += [(b, t, False), (s, b + ln, False)]
+    for order in order_of:
+        ln = len(order)
+        node.append([t, *range(n, n + ln - 1), s])
+        arcs += [(x, x + 1, False) for x in range(n, n + ln - 2)]
+        n += ln - 1
+    # a corner arc runs from a position >= 1 to one below its order's
+    # length, so none leaves t, enters s or becomes a loop
     covers: dict[tuple, RectangleCover] = {}  # one per pair of orders
     for u, w in inst.edges:
         v, w = (u, w) if u < w else (w, u)
@@ -314,18 +321,18 @@ def solve_ed_poly(h: TargetGraph, inst: Instance) -> Solution:
             rc = covers[key] = rectangle_cover(interaction_matrix(h, *key))
         if rc.r1 is not None:
             _, rhi, clo, _ = rc.r1   # bottom-left corner (rhi, clo)
-            arcs.append((base[v] + rhi, base[w] + clo - 1, True))
+            arcs.append((node[v][rhi], node[w][clo - 1], True))
         if rc.r3 is not None:
             rlo, _, _, chi = rc.r3   # top-right corner (rlo, chi)
-            arcs.append((base[w] + chi, base[v] + rlo - 1, True))
+            arcs.append((node[w][chi], node[v][rlo - 1], True))
         if rc.r2 is not None:
             rlo, rhi, _, _ = rc.r2
-            arcs.append((base[v] + rhi, base[v] + rlo - 1, True))
-    value, s_side = min_cut(t + 1, arcs, s, t)
+            arcs.append((node[v][rhi], node[v][rlo - 1], True))
+    value, s_side = min_cut(n, arcs, s, t)
     hom = {}
     for v, order in enumerate(order_of):
         trans = next(i for i in range(1, len(order) + 1)
-                     if s_side[base[v] + i])
+                     if s_side[node[v][i]])
         hom[v] = order[trans - 1]
     deleted = [(u, w) for u, w in inst.edges
                if not h.has_edge(hom[u], hom[w])]

@@ -1,11 +1,12 @@
 """Named target-graph families used across the tests, the seeded random
-targets and instances of lhomdel.graphs, and instance graphs of bounded
-treewidth as (n, edges)."""
+targets and instances of lhomdel.graphs, instance graphs of bounded
+treewidth as (n, edges), and seeded cut instances for the poly solvers."""
 
+import random
 from itertools import combinations
 
-from lhomdel.graphs import (TargetGraph, random_instance,  # noqa: F401
-                            random_target)
+from lhomdel.graphs import (Instance, TargetGraph,  # noqa: F401
+                            random_instance, random_target)
 
 
 def loopless_k1():
@@ -136,3 +137,87 @@ def partial_ktree(rng, n, k, keep=0.7):
         edges.update((u, v) for u in base)
         cliques.append(tuple(base) + (v,))
     return n, sorted(e for e in edges if rng.random() < keep)
+
+
+def sparse_graph(rng, n, extra):
+    """A random recursive tree on n vertices plus `extra` random chords."""
+    edges = {(rng.randrange(v), v) for v in range(1, n)}
+    size = len(edges) + extra
+    while len(edges) < size:
+        edges.add(tuple(sorted(rng.sample(range(n), 2))))
+    return n, sorted(edges)
+
+
+def terminals(rng, g):
+    """Two distinct non-adjacent vertices of g."""
+    n, edges = g
+    while True:
+        s, t = rng.sample(range(n), 2)
+        if (min(s, t), max(s, t)) not in edges:
+            return s, t
+
+
+def ladder_with_terminals(cols):
+    """A 3 x cols grid plus s joined to its first column and t to its last:
+    every s-t cut, by edges or by inner vertices, has 3 elements."""
+    n, edges = grid(3, cols)
+    s, t = n, n + 1
+    edges = edges + [(r * cols, s) for r in range(3)]
+    edges += [(r * cols + cols - 1, t) for r in range(3)]
+    return (n + 2, sorted(edges)), s, t
+
+
+def st_cut_instance(g, s, t):
+    """Edge deletion over two independent loops: the optimum is the
+    minimum s-t edge cut of g."""
+    n, edges = g
+    lists = [frozenset({0, 1})] * n
+    lists[s], lists[t] = frozenset({0}), frozenset({1})
+    return Instance(n, edges, lists)
+
+
+def vertex_multiway_instance(g, s, t):
+    """Vertex deletion over two independent loops: the optimum is the
+    minimum s-t vertex cut of g with s and t undeletable.  The terminals
+    are removed and each of their neighbours gets 1 + min(deg s, deg t)
+    pendant copies of its terminal: more than a minimum cut has vertices,
+    since the neighbours of either terminal form a cut."""
+    n, edges = g
+    keep = [v for v in range(n) if v not in (s, t)]
+    pos = {v: i for i, v in enumerate(keep)}
+    out = [(pos[u], pos[v]) for u, v in edges if u in pos and v in pos]
+    lists = [frozenset({0, 1})] * len(keep)
+    copies = 1 + min(sum(x in e for e in edges) for x in (s, t))
+    for label, term in ((0, s), (1, t)):
+        for u, v in edges:
+            if term in (u, v):
+                w = pos[u if v == term else v]
+                for _ in range(copies):
+                    out.append((w, len(lists)))
+                    lists.append(frozenset({label}))
+    return Instance(len(lists), out, lists)
+
+
+def poly_cut_cases(n):
+    """Seeded instances of about n vertices for the poly solvers, as
+    {(name, mode): (target, instance)}: an s-t edge cut and a vertex
+    multiway cut on sparse graphs over two loops, a random tree with random
+    lists over the reflexive P4 in both modes, and both cuts of a 3-row
+    ladder with terminals."""
+    two, p4 = independent_reflexive(2), reflexive_path(4)
+    rng = random.Random(f"poly-cuts:{n}")
+    cases = {}
+    g = sparse_graph(rng, n, n // 4)
+    cases["stcut", "ed"] = two, st_cut_instance(g, *terminals(rng, g))
+    g = sparse_graph(rng, n, n // 4)
+    cases["multiway", "vd"] = two, vertex_multiway_instance(
+        g, *terminals(rng, g))
+    tree = sparse_graph(rng, n, 0)[1]
+    lists = [frozenset(rng.sample(range(4), rng.choice((1, 2, 3, 4))))
+             for _ in range(n)]
+    for mode in ("vd", "ed"):
+        cases["p4tree", mode] = p4, Instance(n, tree, lists)
+    g, s, t = ladder_with_terminals(n // 3)
+    cases["ladder", "ed"] = two, st_cut_instance(g, s, t)
+    cases["ladder", "vd"] = two, vertex_multiway_instance(g, s, t)
+    return cases

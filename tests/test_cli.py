@@ -337,6 +337,37 @@ def test_dp_solve_outputs_are_pinned(tmp_path, capsys):
     assert widths == {4, 5, 6}
 
 
+# SHA-256 of `lhomdel solve <mode> --algo poly` stdout on
+# families.poly_cut_cases(400): any change to a flow network that moves a
+# minimum cut, its least source side or a witness shows here
+POLY_OUTPUT_SHA256 = {
+    ("stcut", "ed"):
+        "798cfbddbf1bb879e574fe2b13a4ab4da6790ddc7eb252aaf8f7443315a365de",
+    ("multiway", "vd"):
+        "45252486d5010728e9d884b3de82f8c6ac49792a5d57915ac36d2eaa7e40eb9f",
+    ("p4tree", "vd"):
+        "d8178cb85cccc1f50be45369060cc0f44756dc9786d7e6a90f53f821c4c97e84",
+    ("p4tree", "ed"):
+        "a5a5bf2f2c1220dbb83b4dc2175a68fad7c14ad1c7e172c0960b6c8f36eadfff",
+    ("ladder", "ed"):
+        "9c4c20b6fd548a722d5d5998edfadebfd4df59d8735078139a6c4e84b0e82b65",
+    ("ladder", "vd"):
+        "4516eb83cfe211b1f3343f2d5c6cc224d61be8ae5ed3183facd15690832b77f7",
+}
+
+
+def test_poly_solve_outputs_are_pinned(tmp_path, capsys):
+    cases = families.poly_cut_cases(400)
+    assert set(cases) == set(POLY_OUTPUT_SHA256)
+    for (name, mode), (h, inst) in cases.items():
+        t = _write(tmp_path, f"{name}-{mode}.hg", format_target(h))
+        i = _write(tmp_path, f"{name}-{mode}.lhi", format_instance(inst))
+        code, out = _run(capsys, ["solve", mode, t, i, "--algo", "poly"])
+        assert code == cli.EXIT_OK
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == POLY_OUTPUT_SHA256[name, mode], (name, mode)
+
+
 # SHA-256 of `lhomdel classify` stdout; the random targets (13-16
 # vertices) take their decomposition trees from the split detector
 CLASSIFY_SHA256 = {
@@ -567,6 +598,34 @@ def test_internal_error_exit_code(tmp_path, capsys, monkeypatch):
     assert json.loads(out) == {"error": "internal",
                                "detail": "RuntimeError: solver bug"}
     assert "Traceback" in err and "RuntimeError: solver bug" in err
+
+
+_UNDER_MEMORY_LIMIT = """
+import resource, sys
+from lhomdel import cli
+# the address space the interpreter holds now, plus 64 MiB
+pages = int(open("/proc/self/statm").read().split()[0])
+limit = pages * resource.getpagesize() + (64 << 20)
+resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+def test_memory_error_exit_code(tmp_path):
+    # a header announcing 10^9 vertices makes the parser allocate one list
+    # entry per vertex; under an address-space limit set in the child only,
+    # the MemoryError exits 3, not 4
+    t = _write(tmp_path, "h.hg", TARGET_RK2)
+    i = _write(tmp_path, "g.lhi", "p lhom 1000000000 0\n")
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    out = subprocess.run(
+        [sys.executable, "-c", _UNDER_MEMORY_LIMIT, "solve", "vd", t, i],
+        env=env, capture_output=True, text=True)
+    assert out.returncode == cli.EXIT_PRECONDITION == 3, out.stderr
+    assert json.loads(out.stdout) == {"error": "precondition",
+                                      "detail": "out of memory"}
 
 
 def test_cli_import_does_not_load_networkx():

@@ -1,9 +1,13 @@
 import random
+from collections import deque
 from itertools import combinations
 
 import pytest
 
+from lhomdel import mincut, polysolve
 from lhomdel.mincut import Uncuttable, min_cut, min_vertex_separator
+
+import families
 
 
 def _crossing(arcs, side):
@@ -122,3 +126,104 @@ def test_separator_side_is_reachability():
             continue
         assert reach == _reach(n, arcs, s, sep)
         assert t not in reach and not reach & sep
+
+
+def _full_bfs_min_cut(n, arcs, s, t):
+    """Dinic whose every BFS labels the whole residual reach of s: the
+    reference min_cut's stopping BFS must agree with."""
+    heavy = sum(unit for *_, unit in arcs) + 1
+    adj = [[] for _ in range(n)]
+    head, cap = [], []
+    for u, v, unit in arcs:
+        adj[u].append(len(head))
+        adj[v].append(len(head) + 1)
+        head += (v, u)
+        cap += (1 if unit else heavy, 0)
+
+    def levels():
+        level = [-1] * n
+        level[s] = 0
+        q = deque([s])
+        while q:
+            u = q.popleft()
+            for i in adj[u]:
+                if cap[i] and level[head[i]] < 0:
+                    level[head[i]] = level[u] + 1
+                    q.append(head[i])
+        return level
+
+    value = 0
+    while (level := levels())[t] >= 0:
+        it = [0] * n
+        while True:  # one augmenting path per pass, depth first
+            nodes, path = [s], []
+            while nodes and nodes[-1] != t:
+                x = nodes[-1]
+                if it[x] == len(adj[x]):
+                    nodes.pop()
+                    if path:
+                        path.pop()
+                        it[nodes[-1]] += 1
+                    continue
+                i = adj[x][it[x]]
+                if cap[i] and level[head[i]] == level[x] + 1:
+                    nodes.append(head[i])
+                    path.append(i)
+                else:
+                    it[x] += 1
+            if not nodes:
+                break
+            pushed = min(cap[i] for i in path)
+            for i in path:
+                cap[i] -= pushed
+                cap[i ^ 1] += pushed
+            value += pushed
+    if value >= heavy:
+        raise Uncuttable
+    return value, [lv >= 0 for lv in level]
+
+
+def _outcome(cut, n, arcs, s, t):
+    try:
+        return cut(n, arcs, s, t)
+    except Uncuttable:
+        return "uncuttable"
+
+
+def test_min_cut_matches_full_bfs_reference(monkeypatch):
+    rng = random.Random(22)
+    nets = []
+    for _ in range(150):
+        n = rng.randint(20, 400)
+        unit_p = rng.choice((0.6, 0.9, 1.0))
+        arcs = []
+        for _ in range(rng.randint(n, 4 * n)):
+            u, v = rng.sample(range(n), 2)
+            arcs.append((u, v, rng.random() < unit_p))
+        s, t = rng.sample(range(n), 2)
+        if rng.random() < 0.2:  # an unbreakable s-t path: uncuttable
+            path = [s] + rng.sample(range(n), 3) + [t]
+            arcs += [(u, v, False) for u, v in zip(path, path[1:]) if u != v]
+        nets.append((n, arcs, s, t))
+    # the networks both poly solvers build on seeded sparse instances
+    cut = mincut.min_cut
+
+    def captured(n, arcs, s, t):
+        nets.append((n, list(arcs), s, t))
+        return cut(n, arcs, s, t)
+
+    monkeypatch.setattr(mincut, "min_cut", captured)
+    monkeypatch.setattr(polysolve, "min_cut", captured)
+    for size in (60, 150, 300):
+        for (_, mode), (h, inst) in families.poly_cut_cases(size).items():
+            solve = (polysolve.solve_vd_poly if mode == "vd"
+                     else polysolve.solve_ed_poly)
+            solve(h, inst)
+    monkeypatch.undo()
+    assert len(nets) == 150 + 3 * 6
+    outcomes = []
+    for n, arcs, s, t in nets:
+        want = _outcome(_full_bfs_min_cut, n, arcs, s, t)
+        assert _outcome(min_cut, n, arcs, s, t) == want
+        outcomes.append(want == "uncuttable")
+    assert 10 <= sum(outcomes) <= len(nets) - 10

@@ -146,3 +146,37 @@ def test_ed_poly_works_once_per_distinct_key(monkeypatch):
     assert counts["rectangle_cover"] == len(keys) == 3
     monkeypatch.undo()
     assert sol.cost == dpsolve.solve_ed_dp(h, inst).cost
+
+
+def test_ed_network_has_nodes_for_free_positions_only(monkeypatch):
+    # position 0 of a vertex's order is t and its last position is s, so
+    # a vertex gets len(order) - 1 nodes and a one-element list none; the
+    # only unit arcs are the cover's corner arcs
+    cut = polysolve.min_cut
+    nets = []
+
+    def captured(n, arcs, s, t):
+        nets.append((n, list(arcs), s, t))
+        return cut(n, arcs, s, t)
+
+    monkeypatch.setattr(polysolve, "min_cut", captured)
+    cases = families.poly_cut_cases(120)
+    for name in ("p4tree", "stcut"):
+        h, inst = cases[name, "ed"]
+        sol = polysolve.solve_ed_poly(h, inst)
+        (n, arcs, s, t), = nets
+        nets.clear()
+        red = graphs.reduce_lists(h, inst)
+        orders = polysolve.staircase_orders(h, red.lists)
+        order_of = [orders[frozenset(lst)] for lst in red.lists]
+        assert any(len(order) == 1 for order in order_of), name
+        assert n == 2 + sum(len(order) - 1 for order in order_of), name
+        assert {s, t} <= set(range(n)) and s != t
+        assert all(u != t and v != s and u != v for u, v, _ in arcs), name
+        corners = 0
+        for u, w in inst.edges:
+            rc = polysolve.rectangle_cover(polysolve.interaction_matrix(
+                h, order_of[min(u, w)], order_of[max(u, w)]))
+            corners += sum(r is not None for r in (rc.r1, rc.r2, rc.r3))
+        assert sum(unit for *_, unit in arcs) == corners, name
+        assert sol.stats["flow_value"] == sol.cost
