@@ -81,6 +81,9 @@ _SOLVERS = {
 
 
 def cmd_solve(args) -> int:
+    if args.td is not None and args.core is not None:
+        raise PreconditionError(
+            "--td and --core both give a tree decomposition; pass one")
     h = parse_target(_read(args.target))
     inst = parse_instance(_read(args.instance), h)
     td = None

@@ -19,6 +19,24 @@ class ParseError(ValueError):
     pass
 
 
+# The most vertices a file header may announce.  Each parser checks its
+# header's count before it allocates anything per vertex; README gives the
+# memory that the largest accepted inputs take.
+MAX_INSTANCE_VERTICES = 10 ** 6  # `p lhom` and classic `p <kind>` headers
+MAX_TARGET_VERTICES = 1000  # `h` headers
+
+
+class TooManyVertices(ValueError):
+    """A header announces more vertices than its cap: a precondition
+    violation (CLI exit 3), not a parse error."""
+
+
+def check_vertex_count(lineno: int, n: int, cap: int) -> None:
+    if n > cap:
+        raise TooManyVertices(f"line {lineno}: the header announces {n} "
+                              f"vertices, above the cap of {cap}")
+
+
 @dataclass(frozen=True)
 class TargetGraph:
     """The fixed target graph H.  adj(v, v) being true denotes a loop."""
@@ -238,6 +256,7 @@ def parse_target(text: str) -> TargetGraph:
                 raise ParseError(f"line {lineno}: malformed header") from None
             if n < 1:
                 raise ParseError(f"line {lineno}: vertex count must be >= 1")
+            check_vertex_count(lineno, n, MAX_TARGET_VERTICES)
         elif tok[0] == "e":
             if n is None:
                 raise ParseError(f"line {lineno}: edge before header")
@@ -298,6 +317,7 @@ def parse_instance(text: str, h: TargetGraph) -> Instance:
                 n, m = int(tok[2]), int(tok[3])
                 if n < 0 or m < 0:
                     raise ParseError(f"line {lineno}: negative count")
+                check_vertex_count(lineno, n, MAX_INSTANCE_VERTICES)
             elif tok[0] == "e":
                 if n is None:
                     raise ParseError(f"line {lineno}: edge before header")
@@ -343,7 +363,7 @@ def parse_instance(text: str, h: TargetGraph) -> Instance:
                 budget = value
             else:
                 raise ParseError(f"line {lineno}: unknown line {tok[0]!r}")
-        except ParseError:
+        except (ParseError, TooManyVertices):
             raise
         except (ValueError, IndexError):
             raise ParseError(f"line {lineno}: malformed line") from None

@@ -9,8 +9,9 @@ from math import comb
 from typing import Optional
 
 from . import gadgets
-from .graphs import (Infeasible, Instance, ParseError, TargetGraph,
-                     max_incomparable)
+from .graphs import (MAX_INSTANCE_VERTICES, Infeasible, Instance,
+                     ParseError, TargetGraph, TooManyVertices,
+                     check_vertex_count, max_incomparable)
 from .treewidth import HubCore
 
 KINDS = ("vertex-cover", "max-cut", "oct", "st-min-cut", "edge-multiway",
@@ -331,6 +332,8 @@ def parse_classic(text: str) -> ClassicInstance:
                 if kind is not None:
                     raise ParseError(f"line {lineno}: duplicate header")
                 kind, n, m = tok[1], int(tok[2]), int(tok[3])
+                # n becomes the encoded instance's vertex count
+                check_vertex_count(lineno, n, MAX_INSTANCE_VERTICES)
             elif kind is None:
                 raise ParseError(f"line {lineno}: data before header")
             elif tok[0] == "e":
@@ -354,6 +357,8 @@ def parse_classic(text: str) -> ClassicInstance:
                 budget = int(tok[1])
             else:
                 raise ParseError(f"line {lineno}: unknown line {tok[0]!r}")
+        except TooManyVertices:
+            raise
         except (ValueError, IndexError):
             raise ParseError(f"line {lineno}: malformed line") from None
     if kind is None:

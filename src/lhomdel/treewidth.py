@@ -1,7 +1,6 @@
 """Tree decompositions: validation, nice form (each G edge listed at the
-introduce node that completes it), PACE-format I/O, hub cores, and
-elimination-order builders (min-fill heuristic, exact by subset DP for
-small graphs)."""
+introduce node that completes it), PACE-format I/O, hub cores, and one
+elimination-order builder (min-fill, ties to the smallest vertex)."""
 
 from __future__ import annotations
 
@@ -187,7 +186,7 @@ def make_nice(td: TreeDecomposition, edges) -> list[NiceNode]:
 
 
 # ---------------------------------------------------------------------------
-# builders: elimination orders -> tree decompositions
+# builder: the min-fill elimination order -> tree decomposition
 
 
 def _min_fill_order(n, edges):
@@ -258,68 +257,6 @@ def _min_fill_order(n, edges):
     return order, nbhd
 
 
-def _exact_order(n, edges):
-    """Optimal elimination order by DP over vertex subsets (n ≤ 12, the
-    cut-off build_td uses).
-
-    The recurrence of Bodlaender, Fomin, Koster, Kratsch and Thilikos
-    ("On exact algorithms for treewidth", TALG 2012): best(S) = min over
-    v in S of max(best(S∖v), Q(S∖v, v)), ties to the smallest v, where
-    Q(S∖v, v) counts the vertices outside S reachable from v through
-    S∖v.  That closure is v's component C in G[S], so Q(S∖v, v) =
-    |N(C)∖S|, and one component pass over G[S] gives Q for all of S.
-    N(C)∖S is also v's later neighbours, which are returned by vertex
-    with the order, as _min_fill_order returns them."""
-    nbhd = [0] * n
-    for u, v in edges:
-        if u != v:
-            nbhd[u] |= 1 << v
-            nbhd[v] |= 1 << u
-
-    full = (1 << n) - 1
-    best = [0] * (full + 1)
-    bag = [0] * (full + 1)  # picked v's bit | N(C)∖S, which lies outside s
-    for s in range(1, full + 1):
-        b, ch, up = n, 0, 0  # b: above any width; ch: v's bit
-        left = s
-        while left:  # one component C of G[s] per turn
-            comp = frontier = left & -left
-            reach = 0
-            while frontier:
-                nxt = 0
-                m = frontier
-                while m:
-                    low = m & -m
-                    nxt |= nbhd[low.bit_length() - 1]
-                    m ^= low
-                reach |= nxt
-                frontier = nxt & s & ~comp
-                comp |= frontier
-            left &= ~comp
-            out = reach & ~s
-            q = out.bit_count()
-            m = comp
-            while m:
-                low = m & -m
-                m ^= low
-                cand = best[s ^ low]
-                if cand < q:
-                    cand = q
-                if cand < b or (cand == b and low < ch):
-                    b, ch, up = cand, low, out
-        best[s] = b
-        bag[s] = ch | up
-    order, later = [], [0] * n
-    s = full
-    while s:
-        low = bag[s] & s
-        order.append(low.bit_length() - 1)
-        later[order[-1]] = bag[s] ^ low
-        s ^= low
-    order.reverse()
-    return order, later
-
-
 def _link(order, later) -> TreeDecomposition:
     """Bag i is order[i] with its later neighbours; its parent is the bag
     of the first of them eliminated, or bag i + 1 if it has none (the
@@ -339,9 +276,9 @@ def _link(order, later) -> TreeDecomposition:
 
 
 def build_td(g: Instance) -> TreeDecomposition:
-    """Heuristic min-fill order; exact elimination order for small graphs."""
-    return _link(*(_exact_order(g.n, g.edges) if 0 < g.n <= 12
-                   else _min_fill_order(g.n, g.edges)))
+    """The decomposition of the min-fill order, ties to the smallest
+    vertex: a heuristic, so its width may exceed the treewidth."""
+    return _link(*_min_fill_order(g.n, g.edges))
 
 
 # ---------------------------------------------------------------------------

@@ -4,10 +4,13 @@ import os
 import random
 import subprocess
 import sys
+import time
 
 from lhomdel import analysis, cli, dpsolve, polysolve
-from lhomdel.graphs import (Instance, format_instance, format_target,
-                            parse_instance)
+from lhomdel.graphs import (MAX_INSTANCE_VERTICES, MAX_TARGET_VERTICES,
+                            Instance, format_instance, format_target,
+                            parse_instance, parse_target)
+from lhomdel.reductions import parse_classic
 
 import families
 
@@ -368,6 +371,69 @@ def test_poly_solve_outputs_are_pinned(tmp_path, capsys):
         assert digest == POLY_OUTPUT_SHA256[name, mode], (name, mode)
 
 
+# SHA-256 of `lhomdel solve ed --algo auto` stdout on seeded partial 3-
+# and 4-trees (20-60 vertices, lists of size 1-3) over three decomposable
+# targets: the split leaves DP parts of at most 12 vertices, so any change
+# to their decompositions that moves a witness shows here
+SPLIT_OUTPUT_SHA256 = {
+    ("windowed2", 0):
+        "5f41c717ffcba776252059503c26d9004f4c872fa4e6533adae9818c5c00e277",
+    ("windowed2", 1):
+        "73036ed24fd51353664bf8f3401aaf2a50354209220575d841dbaf5bd6613f31",
+    ("windowed2", 2):
+        "389c6fe98b2fd76b905eb7da5e08235d77a2c1e20a87be4894777db1a989b4b8",
+    ("windowed2", 3):
+        "f003869bcfcb783bbd116877184511870ef9a6b03d9f712aceaccd832d30fc74",
+    ("windowed3", 0):
+        "542e02d8e82e7954b7cf71fddae7261d23180885705f1458ce4633669fd19ba3",
+    ("windowed3", 1):
+        "a5b98cbd98af56839cee69ec1599da82d76877ca7f1a547565f64acdea0c5300",
+    ("windowed3", 4):
+        "12b2664cb49684423f41e15d8e3662d32ebb0e3c93914cc9a4edc674891132ad",
+    ("windowed3", 5):
+        "0f6446f15f80f54d7c13c301fe5e354e3d8c431009f31e401c28828d9c94db3b",
+    ("crossing2", 0):
+        "ef18b5540b6eb701f20eff19154cf05718a2fb734b0c03d635a9b811b20b7c21",
+    ("crossing2", 1):
+        "2e9db38fb5e19da6271a2a452b39c9a777d8aaa586f6a03db7739a3067d9abaf",
+    ("crossing2", 2):
+        "512d6f0004d295c4a51eaabe3190b874d904eae158aa437b1138cd991e233cd6",
+    ("crossing2", 3):
+        "e4c35ffa355ef676d33363765bbc7e1f1c05cdfd3d71ca90c41a10e04b38ec43",
+}
+
+
+def test_ed_split_solve_outputs_are_pinned(tmp_path, capsys, monkeypatch):
+    parts = []  # vertex count of each DP part the split reaches
+    dp = dpsolve.solve_ed_dp
+
+    def recorded(h, inst, td=None):
+        parts.append(inst.n)
+        return dp(h, inst, td)
+
+    monkeypatch.setattr(dpsolve, "solve_ed_dp", recorded)
+    targets = {"windowed2": families.windowed_family(2),
+               "windowed3": families.windowed_family(3),
+               "crossing2": families.crossing_family(2)}
+    for (name, i), want in SPLIT_OUTPUT_SHA256.items():
+        h = targets[name]
+        rng = random.Random(f"split-pin:{name}:{i}")
+        n, edges = families.partial_ktree(rng, rng.randint(20, 60),
+                                          rng.choice((3, 4)), 0.6)
+        inst = Instance(n, edges, [
+            frozenset(rng.sample(range(h.n), rng.randint(1, 3)))
+            for _ in range(n)])
+        t = _write(tmp_path, f"{name}.hg", format_target(h))
+        g = _write(tmp_path, f"{name}-{i}.lhi", format_instance(inst))
+        parts.clear()
+        code, out = _run(capsys, ["solve", "ed", t, g, "--algo", "auto"])
+        assert code == cli.EXIT_OK
+        assert parts and max(parts) <= 12, (name, i, parts)
+        assert json.loads(out)["stats"]["parts"] == 2
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == want, (name, i)
+
+
 # SHA-256 of `lhomdel classify` stdout; the random targets (13-16
 # vertices) take their decomposition trees from the split detector
 CLASSIFY_SHA256 = {
@@ -612,11 +678,12 @@ sys.exit(cli.main(sys.argv[1:]))
 
 
 def test_memory_error_exit_code(tmp_path):
-    # a header announcing 10^9 vertices makes the parser allocate one list
-    # entry per vertex; under an address-space limit set in the child only,
-    # the MemoryError exits 3, not 4
-    t = _write(tmp_path, "h.hg", TARGET_RK2)
-    i = _write(tmp_path, "g.lhi", "p lhom 1000000000 0\n")
+    # a one-line instance at the vertex cap passes the header check, and
+    # its DP solve over a one-vertex target needs far more than 64 MiB;
+    # under an address-space limit set in the child only, the MemoryError
+    # exits 3, not 4
+    t = _write(tmp_path, "h.hg", "h 1\n")
+    i = _write(tmp_path, "g.lhi", f"p lhom {MAX_INSTANCE_VERTICES} 0\n")
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
@@ -626,6 +693,57 @@ def test_memory_error_exit_code(tmp_path):
     assert out.returncode == cli.EXIT_PRECONDITION == 3, out.stderr
     assert json.loads(out.stdout) == {"error": "precondition",
                                       "detail": "out of memory"}
+
+
+def test_header_counts_above_the_caps_exit_3(tmp_path, capsys):
+    # each parser checks its header's count before it allocates anything
+    # per vertex, so these one-line files are refused at once, with no
+    # memory limit; a count at each cap still parses
+    big = 10 ** 9
+    t = _write(tmp_path, "h.hg", TARGET_RK2)
+    i = _write(tmp_path, "g.lhi", "p lhom 1 0\n")
+    huge_t = _write(tmp_path, "huge.hg", f"h {big}\n")
+    huge_i = _write(tmp_path, "huge.lhi", f"p lhom {big} 0\n")
+    huge_c = _write(tmp_path, "huge.cls", f"p vertex-cover {big} 0\n")
+    for argv, cap in ((["solve", "vd", t, huge_i], MAX_INSTANCE_VERTICES),
+                      (["classify", huge_t], MAX_TARGET_VERTICES),
+                      (["solve", "ed", huge_t, i], MAX_TARGET_VERTICES),
+                      (["reduce", huge_c], MAX_INSTANCE_VERTICES)):
+        start = time.perf_counter()
+        code, out = _run(capsys, argv)
+        assert time.perf_counter() - start < 1.0, argv
+        assert code == cli.EXIT_PRECONDITION, argv
+        assert json.loads(out) == {
+            "error": "precondition",
+            "detail": f"line 1: the header announces {big} vertices, above "
+                      f"the cap of {cap}"}
+    h = parse_target(f"h {MAX_TARGET_VERTICES}\n")
+    assert h.n == MAX_TARGET_VERTICES
+    assert parse_instance(f"p lhom {MAX_INSTANCE_VERTICES} 0\n", h).n \
+        == MAX_INSTANCE_VERTICES
+    assert parse_classic(f"p vertex-cover {MAX_INSTANCE_VERTICES} 0\n").n \
+        == MAX_INSTANCE_VERTICES
+
+
+def test_td_and_core_together_are_refused(tmp_path, capsys):
+    # both name the decomposition, so neither is dropped: the pair exits 3
+    # before either file is read, even where each alone would pass
+    t = _write(tmp_path, "h.hg", TARGET_RK2)
+    i = _write(tmp_path, "g.lhi", "p lhom 2 1\ne 1 2\n")
+    td = _write(tmp_path, "g.td", "s td 1 2 2\nb 1 1 2\n")
+    for core_text in ("q 1 1 1\n1\n", "q 1 1 1\n9\n"):
+        core = _write(tmp_path, "g.core", core_text)
+        for algo in ("auto", "dp"):
+            code, out = _run(capsys, ["solve", "vd", t, i, "--td", td,
+                                      "--core", core, "--algo", algo])
+            assert code == cli.EXIT_PRECONDITION
+            assert json.loads(out) == {
+                "error": "precondition",
+                "detail": "--td and --core both give a tree decomposition; "
+                          "pass one"}
+    # the core naming vertex 9 of 2 is refused when given alone
+    code, out = _run(capsys, ["solve", "vd", t, i, "--core", core])
+    assert code == cli.EXIT_PRECONDITION
 
 
 def test_cli_import_does_not_load_networkx():

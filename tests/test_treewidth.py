@@ -8,8 +8,7 @@ from lhomdel.graphs import Instance, ParseError
 from lhomdel.treewidth import (HubCore, TreeDecomposition, build_td,
                                core_to_td, format_core, format_td, make_nice,
                                parse_core, parse_td, validate_core,
-                               validate_td, _exact_order, _link,
-                               _min_fill_order)
+                               validate_td, _link, _min_fill_order)
 
 import families
 
@@ -278,67 +277,8 @@ def test_build_td_on_a_large_star():
     assert validate_td(g, td) == 1
 
 
-def _exact_order_bfs(n, edges):
-    """Reference exact order: the same subset recurrence with Q(S∖v, v)
-    found by its own search from v through S∖v, for every pair (S, v)."""
-    nbhd = [0] * n
-    for u, v in edges:
-        nbhd[u] |= 1 << v
-        nbhd[v] |= 1 << u
-
-    def q(s, v):
-        comp = 1 << v
-        frontier = nbhd[v] & s
-        while frontier:
-            comp |= frontier
-            nxt = 0
-            for w in range(n):
-                if frontier >> w & 1:
-                    nxt |= nbhd[w]
-            frontier = nxt & s & ~comp
-        reach = 0
-        for w in range(n):
-            if comp >> w & 1:
-                reach |= nbhd[w]
-        return bin(reach & ~s & ~(1 << v)).count("1")
-
-    best = {0: 0}
-    pick = {}
-    for s in range(1, 1 << n):
-        b, ch = None, None
-        for v in range(n):
-            if s >> v & 1:
-                rest = s & ~(1 << v)
-                cand = max(best[rest], q(rest, v))
-                if b is None or cand < b:
-                    b, ch = cand, v
-        best[s] = b
-        pick[s] = ch
-    order = []
-    s = (1 << n) - 1
-    while s:
-        order.append(pick[s])
-        s &= ~(1 << pick[s])
-    return order[::-1]
-
-
-def test_exact_order_matches_per_vertex_search():
-    rng = random.Random(55)
-    for n in range(13):
-        graphs = [_random_graph(rng, n, p) for p in (0, 0.15, 0.3, 0.6, 1)]
-        # disconnected: two random halves with no edge between them
-        a = n // 2
-        left = _random_graph(rng, a, 0.5).edges
-        right = [(u + a, v + a)
-                 for u, v in _random_graph(rng, n - a, 0.5).edges]
-        graphs.append(Instance(n, left + right, [frozenset({0})] * n))
-        for g in graphs:
-            assert _exact_order(g.n, g.edges)[0] == \
-                _exact_order_bfs(g.n, g.edges), (n, g.edges)
-
-
 def test_linked_bags_match_the_fill_in_reference():
-    """Each builder's later-neighbour masks, linked, give the decomposition
+    """The min-fill later-neighbour masks, linked, give the decomposition
     that replaying the elimination game on its order gives."""
     rng = random.Random(56)
     graphs = [Instance(0, [], [])]
@@ -353,13 +293,9 @@ def test_linked_bags_match_the_fill_in_reference():
         graphs.append(Instance(n, left + right, [frozenset({0})] * n))
     ladder = _grid(3, 334)
     for g in graphs + [ladder]:
-        builders = (_min_fill_order,) + ((_exact_order,) if g.n <= 12 else ())
-        for builder in builders:
-            order, later = builder(g.n, g.edges)
-            want = _td_from_order(g.n, g.edges, order)
-            assert _link(order, later) == want, (builder.__name__, g.edges)
-        # build_td takes the exact order on 1..12 vertices, min-fill beyond
-        assert build_td(g) == want
+        order, later = _min_fill_order(g.n, g.edges)
+        want = _td_from_order(g.n, g.edges, order)
+        assert build_td(g) == _link(order, later) == want, g.edges
         validate_td(g, want)
 
 
@@ -374,11 +310,11 @@ def test_build_td_outputs_are_pinned():
                    "06bc65deb9b33c4c3141d903628c36ad"
                    "4306fdff9125ff4ac790d9d324bd7aa5"),
         "random12": (_random_graph(random.Random(62), 12, 0.4),
-                     "44904b3336b5db009507cf438c51d426"
-                     "d0dbacbe64ffa26081879e13b77cab8c"),
+                     "55e024388a7243f0dabf9cbe15342e8c"
+                     "7359edddff31f92fd99673efd4a4a4c3"),
         "random11": (_random_graph(random.Random(63), 11, 0.3),
-                     "609a791c7f29ae51b84492283150beca"
-                     "bd1abaadbdc5c6a278ea3b22602a2105"),
+                     "d494700a7aae9247a047c028a9e39b19"
+                     "4da79bdd22c10b6780b2815f2247b827"),
     }
     for name, (g, want) in graphs.items():
         text = format_td(build_td(g), g.n)
