@@ -304,21 +304,11 @@ def parse_instance(text: str, h: TargetGraph) -> Instance:
     budget = None
     seen = set()
     for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
+        tok = raw.split()
+        if not tok or tok[0][0] == "c":
             continue
-        tok = line.split()
         try:
-            if tok[0] == "p":
-                if n is not None:
-                    raise ParseError(f"line {lineno}: duplicate header")
-                if len(tok) != 4 or tok[1] != "lhom":
-                    raise ParseError(f"line {lineno}: malformed header")
-                n, m = int(tok[2]), int(tok[3])
-                if n < 0 or m < 0:
-                    raise ParseError(f"line {lineno}: negative count")
-                check_vertex_count(lineno, n, MAX_INSTANCE_VERTICES)
-            elif tok[0] == "e":
+            if tok[0] == "e":
                 if n is None:
                     raise ParseError(f"line {lineno}: edge before header")
                 if len(tok) != 3:
@@ -328,7 +318,7 @@ def parse_instance(text: str, h: TargetGraph) -> Instance:
                     raise ParseError(f"line {lineno}: edge out of range")
                 if u == v:
                     raise ParseError(f"line {lineno}: loops not allowed")
-                key = (min(u, v), max(u, v))
+                key = u * (n + 1) + v if u < v else v * (n + 1) + u
                 if key in seen:
                     raise ParseError(f"line {lineno}: parallel edge")
                 seen.add(key)
@@ -352,6 +342,15 @@ def parse_instance(text: str, h: TargetGraph) -> Instance:
                 if v - 1 in lists:
                     raise ParseError(f"line {lineno}: duplicate list")
                 lists[v - 1] = lst
+            elif tok[0] == "p":
+                if n is not None:
+                    raise ParseError(f"line {lineno}: duplicate header")
+                if len(tok) != 4 or tok[1] != "lhom":
+                    raise ParseError(f"line {lineno}: malformed header")
+                n, m = int(tok[2]), int(tok[3])
+                if n < 0 or m < 0:
+                    raise ParseError(f"line {lineno}: negative count")
+                check_vertex_count(lineno, n, MAX_INSTANCE_VERTICES)
             elif tok[0] == "k":
                 if len(tok) != 2:
                     raise ParseError(f"line {lineno}: malformed budget")

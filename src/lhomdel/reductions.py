@@ -357,7 +357,7 @@ def parse_classic(text: str) -> ClassicInstance:
                 budget = int(tok[1])
             else:
                 raise ParseError(f"line {lineno}: unknown line {tok[0]!r}")
-        except TooManyVertices:
+        except (ParseError, TooManyVertices):
             raise
         except (ValueError, IndexError):
             raise ParseError(f"line {lineno}: malformed line") from None

@@ -194,6 +194,46 @@ def test_malformed_edge_lines_exit_code(tmp_path, capsys):
             assert json.loads(out) == {"error": "parse", "detail": detail}
 
 
+# one malformed .lhi file per parse_instance message, with the exit code and
+# detail of `solve` on it, as recorded before the parse loop was reordered
+LHI_ERRORS = (
+    ("p lhom 2 0\np lhom 2 0\n", 2, "line 2: duplicate header"),
+    ("p lhom 2\n", 2, "line 1: malformed header"),
+    ("p lhm 2 0\n", 2, "line 1: malformed header"),
+    ("p lhom 2 -1\n", 2, "line 1: negative count"),
+    ("p lhom 2000000 0\n", 3, "line 1: the header announces 2000000 "
+                              "vertices, above the cap of 1000000"),
+    ("e 1 2\np lhom 2 1\n", 2, "line 1: edge before header"),
+    ("p lhom 2 1\ne 1\n", 2, "line 2: malformed edge"),
+    ("p lhom 2 1\ne 1 3\n", 2, "line 2: edge out of range"),
+    ("p lhom 2 1\ne 2 2\n", 2, "line 2: loops not allowed"),
+    ("p lhom 3 2\ne 1 2\ne 2 1\n", 2, "line 3: parallel edge"),
+    ("l 1 1 1\np lhom 2 0\n", 2, "line 1: list before header"),
+    ("p lhom 2 0\nl 3 1 1\n", 2, "line 2: vertex out of range"),
+    ("p lhom 2 0\nl 1 2 1\n", 2, "line 2: list length mismatch"),
+    ("p lhom 2 0\nl 1 1 3\n", 2, "line 2: list element out of range"),
+    ("p lhom 2 0\nl 1 1 1\nl 1 1 2\n", 2, "line 3: duplicate list"),
+    ("p lhom 2 0\nk\n", 2, "line 2: malformed budget"),
+    ("p lhom 2 0\nk -1\n", 2, "line 2: negative budget"),
+    ("p lhom 2 0\nk 1\nk 1\n", 2, "line 3: duplicate budget"),
+    ("p lhom 2 0\nx 1\n", 2, "line 2: unknown line 'x'"),
+    ("p lhom 2 1\ne 1 x\n", 2, "line 2: malformed line"),
+    ("p lhom 2 0\nl 1\n", 2, "line 2: malformed line"),
+    ("c a comment only\n", 2, "missing `p lhom` header"),
+    ("p lhom 2 2\ne 1 2\n", 2, "header announces 2 edges, found 1"),
+    ("  c indented\n\t\ncx 1\n  p lhom 2 0 \n \tE 1 2\n", 2,
+     "line 5: unknown line 'E'"),
+)
+
+
+def test_instance_parse_errors_are_pinned(tmp_path, capsys):
+    t = _write(tmp_path, "h.hg", TARGET_RK2)
+    for text, code, detail in LHI_ERRORS:
+        i = _write(tmp_path, "g.lhi", text)
+        got, out = _run(capsys, ["solve", "vd", t, i])
+        assert (got, json.loads(out)["detail"]) == (code, detail), text
+
+
 def test_unreadable_files_exit_codes(tmp_path, capsys):
     # an input that cannot be read or decoded is a parse error, like a
     # missing one; an output that cannot be written is a precondition
@@ -847,6 +887,19 @@ def test_reduce_edge_errors_name_the_file_line(tmp_path, capsys):
             ("p vertex-cover 3 2\ne 1 2\nc x\ne 2 1\n",
              "line 4: parallel edge (2,1)"),
             ("p vertex-cover 3 2\ne 1 2\ne 3 3\n", "line 3: bad edge (3,3)")):
+        c = _write(tmp_path, "g.cls", text)
+        code, out = _run(capsys, ["reduce", c])
+        assert code == cli.EXIT_PARSE
+        assert json.loads(out) == {"error": "parse", "detail": detail}
+
+
+def test_reduce_record_errors_keep_their_detail(tmp_path, capsys):
+    # parse_classic's own messages are not turned into "malformed line"
+    for text, detail in (
+            ("p vertex-cover 2 1\np vertex-cover 2 1\n",
+             "line 2: duplicate header"),
+            ("e 1 2\np vertex-cover 2 1\n", "line 1: data before header"),
+            ("p vertex-cover 2 1\nx 1\n", "line 2: unknown line 'x'")):
         c = _write(tmp_path, "g.cls", text)
         code, out = _run(capsys, ["reduce", c])
         assert code == cli.EXIT_PARSE

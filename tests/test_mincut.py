@@ -128,9 +128,10 @@ def test_separator_side_is_reachability():
         assert t not in reach and not reach & sep
 
 
-def _full_bfs_min_cut(n, arcs, s, t):
+def _full_bfs_min_cut(n, arcs, s, t, phases=None):
     """Dinic whose every BFS labels the whole residual reach of s: the
-    reference min_cut's stopping BFS must agree with."""
+    reference min_cut's two-ended BFS must agree with.  Each BFS appends
+    to phases, if given."""
     heavy = sum(unit for *_, unit in arcs) + 1
     adj = [[] for _ in range(n)]
     head, cap = [], []
@@ -141,6 +142,8 @@ def _full_bfs_min_cut(n, arcs, s, t):
         cap += (1 if unit else heavy, 0)
 
     def levels():
+        if phases is not None:
+            phases.append(1)
         level = [-1] * n
         level[s] = 0
         q = deque([s])
@@ -227,3 +230,57 @@ def test_min_cut_matches_full_bfs_reference(monkeypatch):
         assert _outcome(min_cut, n, arcs, s, t) == want
         outcomes.append(want == "uncuttable")
     assert 10 <= sum(outcomes) <= len(nets) - 10
+
+
+def _reference_networks():
+    """The networks of test_min_cut_matches_full_bfs_reference: random ones,
+    then those both poly solvers build on seeded sparse instances."""
+    rng = random.Random(22)
+    nets = []
+    for _ in range(150):
+        n = rng.randint(20, 400)
+        unit_p = rng.choice((0.6, 0.9, 1.0))
+        arcs = []
+        for _ in range(rng.randint(n, 4 * n)):
+            u, v = rng.sample(range(n), 2)
+            arcs.append((u, v, rng.random() < unit_p))
+        s, t = rng.sample(range(n), 2)
+        if rng.random() < 0.2:
+            path = [s] + rng.sample(range(n), 3) + [t]
+            arcs += [(u, v, False) for u, v in zip(path, path[1:]) if u != v]
+        nets.append((n, arcs, s, t))
+    cut = mincut.min_cut
+
+    def captured(n, arcs, s, t):
+        nets.append((n, list(arcs), s, t))
+        return cut(n, arcs, s, t)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mincut, "min_cut", captured)
+        mp.setattr(polysolve, "min_cut", captured)
+        for size in (60, 150, 300):
+            for (_, mode), (h, inst) in families.poly_cut_cases(size).items():
+                solve = (polysolve.solve_vd_poly if mode == "vd"
+                         else polysolve.solve_ed_poly)
+                solve(h, inst)
+    return nets
+
+
+def test_min_cut_takes_as_many_phases_as_full_bfs_reference(monkeypatch):
+    # a level graph that missed some shortest augmenting paths would still
+    # give the right cut, only after more phases
+    nets = _reference_networks()
+    assert len(nets) == 150 + 3 * 6
+    levels, calls = mincut._levels, []
+
+    def counted(*args):
+        calls.append(1)
+        return levels(*args)
+
+    monkeypatch.setattr(mincut, "_levels", counted)
+    for n, arcs, s, t in nets:
+        phases = []
+        _outcome(lambda *net: _full_bfs_min_cut(*net, phases), n, arcs, s, t)
+        calls.clear()
+        _outcome(min_cut, n, arcs, s, t)
+        assert len(calls) == len(phases) > 0

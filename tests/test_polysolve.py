@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from lhomdel import analysis, dpsolve, graphs, oracle, polysolve
+from lhomdel import analysis, dpsolve, graphs, mincut, oracle, polysolve
 from lhomdel.graphs import Instance, reduce_list
 
 import families
@@ -180,3 +180,38 @@ def test_ed_network_has_nodes_for_free_positions_only(monkeypatch):
             corners += sum(r is not None for r in (rc.r1, rc.r2, rc.r3))
         assert sum(unit for *_, unit in arcs) == corners, name
         assert sol.stats["flow_value"] == sol.cost
+
+
+def test_vd_network_has_no_nodes_that_every_cut_fixes(monkeypatch):
+    # the source is the in-node of a vertex with an arc from s and the sink
+    # the out-node of one with an arc to t; a vertex on no arc has no node
+    sep, cut = polysolve.min_vertex_separator, mincut.min_cut
+    digraphs, nets = [], []
+
+    def captured_sep(n, arcs, s, t):
+        digraphs.append((n, list(arcs), s, t))
+        return sep(n, arcs, s, t)
+
+    def captured_cut(n, arcs, s, t):
+        nets.append((n, list(arcs), s, t))
+        return cut(n, arcs, s, t)
+
+    monkeypatch.setattr(polysolve, "min_vertex_separator", captured_sep)
+    monkeypatch.setattr(mincut, "min_cut", captured_cut)
+    cases = families.poly_cut_cases(120)
+    for name in ("p4tree", "multiway"):
+        h, inst = cases[name, "vd"]
+        sol = polysolve.solve_vd_poly(h, inst)
+        (n, arcs, s, t), = digraphs
+        (nodes, net, source, sink), = nets
+        digraphs.clear()
+        nets.clear()
+        on_arc = {x for arc in arcs for x in arc} - {s, t}
+        fed = {v for u, v in arcs if u == s}
+        drained = {u for u, v in arcs if v == t}
+        assert fed and drained and not fed & drained, name
+        assert nodes == 2 + 2 * len(on_arc) - len(fed) - len(drained), name
+        assert {source, sink} == {0, 1}, name
+        assert all(v != source and u != sink for u, v, _ in net), name
+        assert sol.stats["flow_value"] + sum(
+            not lst for lst in graphs.reduce_lists(h, inst).lists) == sol.cost
