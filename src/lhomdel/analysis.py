@@ -65,15 +65,70 @@ def _induced_cycle(h: TargetGraph, size: int) -> Optional[tuple[int, ...]]:
     return None
 
 
+@dataclass(frozen=True)
+class TwoCliqueCover:
+    left: frozenset[int]
+    right: frozenset[int]
+
+
+def _is_chain_clique(h: TargetGraph, part) -> bool:
+    for u, v in combinations(part, 2):
+        if not h.has_edge(u, v):
+            return False
+        if h.nbhd[u] & ~h.nbhd[v] and h.nbhd[v] & ~h.nbhd[u]:
+            return False  # incomparable pair inside a part
+    return True
+
+
+def two_clique_cover(h: TargetGraph) -> Optional[TwoCliqueCover]:
+    """Partition of V(H) into two cliques with chain neighborhoods each,
+    or None; it exists exactly when LHomVD(H) is polynomial.
+
+    None if H is not reflexive.  Otherwise the loop-stripped complement is
+    2-colored once, each component's least vertex on the left, and the
+    result is None if the coloring meets an odd cycle or a color class is
+    not a chain clique.  No other coloring needs a try: if H is
+    VD-tractable, its complement is bipartite and 2K2-free (an induced C4
+    in H is a 2K2 in the complement), so at most one complement component
+    has an edge and every other vertex is universal in H, which fits
+    either class.  So the first coloring is valid exactly when any is.
+    """
+    full = (1 << h.n) - 1
+    if h.reflexive_mask() != full:
+        return None
+    color = [None] * h.n
+    for root in range(h.n):
+        if color[root] is not None:
+            continue
+        color[root] = 0
+        stack = [root]
+        while stack:
+            u = stack.pop()
+            for v in bits(full & ~h.nbhd[u]):  # complement neighbors
+                if color[v] is None:
+                    color[v] = 1 - color[u]
+                    stack.append(v)
+                elif color[v] == color[u]:
+                    return None  # odd cycle
+    parts = [frozenset(v for v in range(h.n) if color[v] == c) for c in (0, 1)]
+    if not all(_is_chain_clique(h, part) for part in parts):
+        return None
+    return TwoCliqueCover(*parts)
+
+
 def classify_vd(h: TargetGraph):
     """("poly", None) or ("np-hard", VDWitness).
 
     Hard iff H has an irreflexive vertex, three pairwise non-adjacent
-    vertices, or an induced reflexive C4 or C5.
+    vertices, or an induced reflexive C4 or C5; poly iff H has a chain
+    two-clique cover.  Only a target without a cover runs the search for
+    the triple, then the C4, then the C5 that is its witness.
     """
     for v in range(h.n):
         if not h.has_loop(v):
             return ("np-hard", VDWitness("irreflexive_vertex", (v,)))
+    if two_clique_cover(h) is not None:
+        return ("poly", None)
     for triple in combinations(range(h.n), 3):
         if all(not h.has_edge(u, v) for u, v in combinations(triple, 2)):
             return ("np-hard", VDWitness("three_independent", triple))
@@ -83,7 +138,8 @@ def classify_vd(h: TargetGraph):
     c5 = _induced_cycle(h, 5)
     if c5 is not None:
         return ("np-hard", VDWitness("induced_c5", c5))
-    return ("poly", None)
+    raise AssertionError(
+        "target has no chain two-clique cover and no VD hardness witness")
 
 
 def is_strong_split(h: TargetGraph) -> bool:
@@ -266,13 +322,6 @@ class DecompositionTreeNode:
                                       tuple(self.vertices[i] for i in part))
                 for part in (d.a, tuple(sorted(d.b + d.c)))]
 
-    def leaves(self):
-        if not self.children:
-            yield self
-        else:
-            for ch in self.children:
-                yield from ch.leaves()
-
     def to_json(self):
         d = None
         if self.decomposition is not None:
@@ -284,13 +333,10 @@ class DecompositionTreeNode:
                 "children": [ch.to_json() for ch in self.children]}
 
 
-def decomposition_tree(h: TargetGraph,
-                       verts: Optional[tuple[int, ...]] = None) -> DecompositionTreeNode:
-    """Root of the recursion that splits H[verts] into H[A] and H[B∪C]
-    until undecomposable."""
-    if verts is None:
-        verts = tuple(range(h.n))
-    return DecompositionTreeNode(h.induced(verts), tuple(verts))
+def decomposition_tree(h: TargetGraph) -> DecompositionTreeNode:
+    """Root of the recursion that splits H into H[A] and H[B∪C] until
+    undecomposable."""
+    return DecompositionTreeNode(h, tuple(range(h.n)))
 
 
 def classification_json(h: TargetGraph) -> dict:

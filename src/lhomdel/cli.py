@@ -286,6 +286,13 @@ def cmd_selftest(args) -> int:
     return EXIT_OK
 
 
+def non_negative_int(text: str) -> int:
+    """argparse type of a count option."""
+    if int(text) < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="lhomdel",
@@ -315,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--vertex", type=int, help="distinguished vertex of S")
     g.add_argument("--pair", type=int, nargs=2, help="source pair")
     g.add_argument("--dest", type=int, nargs=2, help="destination pair")
-    g.add_argument("--search-budget", type=int, default=6)
+    g.add_argument("--search-budget", type=non_negative_int, default=6)
     g.add_argument("--verify", action="store_true",
                    help="recompute the cost table from the gadget graph "
                         "and compare")
@@ -330,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     t = sub.add_parser("selftest", help="random solver-vs-oracle checks")
     t.add_argument("--seed", type=int, default=0)
-    t.add_argument("--count", type=int, default=50)
+    t.add_argument("--count", type=non_negative_int, default=50)
     t.set_defaults(func=cmd_selftest)
     return p
 

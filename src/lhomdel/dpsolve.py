@@ -237,7 +237,7 @@ def split_by_decomposition(h: TargetGraph, dec: analysis.Decomposition,
 
 def solve_vd_auto(h: TargetGraph, inst: Instance,
                   td: Optional[TreeDecomposition] = None) -> Solution:
-    if analysis.classify_vd(h)[0] == "poly":
+    if analysis.two_clique_cover(h) is not None:
         if td is not None:  # unused here, but a bad file fails on every path
             validate_td(inst, td)
         return replace(polysolve.solve_vd_poly(h, inst), algorithm="auto")

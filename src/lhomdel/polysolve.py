@@ -1,8 +1,9 @@
 """Polynomial-time solvers for targets on the tractable side of each
 dichotomy.
 
-VD: reflexive targets coverable by two comparability-chain cliques; one
-min vertex separator decides which clique each G-vertex maps into.
+VD: reflexive targets coverable by two comparability-chain cliques
+(analysis.two_clique_cover, whose existence is the VD dichotomy); one min
+vertex separator decides which clique each G-vertex maps into.
 
 ED: obstruction-free targets; each distinct reduced list gets a staircase
 order, interaction matrices decompose into at most three zero rectangles,
@@ -22,7 +23,7 @@ however many vertices and edges share it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import permutations
 from typing import Optional
 
 from . import analysis
@@ -31,68 +32,11 @@ from .graphs import (Infeasible, Instance, Solution, TargetGraph,
 from .mincut import min_cut, min_vertex_separator
 
 
-@dataclass(frozen=True)
-class TwoCliqueCover:
-    left: frozenset[int]
-    right: frozenset[int]
-
-
-def _is_chain_clique(h: TargetGraph, part) -> bool:
-    for u, v in combinations(part, 2):
-        if not h.has_edge(u, v):
-            return False
-        if h.nbhd[u] & ~h.nbhd[v] and h.nbhd[v] & ~h.nbhd[u]:
-            return False  # incomparable pair inside a part
-    return True
-
-
-def two_clique_cover(h: TargetGraph) -> TwoCliqueCover:
-    """Partition V(H) into two cliques with chain neighborhoods each.
-
-    2-colors the loop-stripped complement; component orientations are
-    searched (first valid in lexicographic flip order) since the chain
-    condition can depend on them.
-    """
-    if analysis.classify_vd(h)[0] != "poly":
-        raise ValueError("target is not on the tractable side for VD")
-    # complement components with a fixed 2-coloring each
-    comp_colors = []
-    seen = set()
-    for root in range(h.n):
-        if root in seen:
-            continue
-        color = {root: 0}
-        stack = [root]
-        members = [root]
-        while stack:
-            u = stack.pop()
-            for v in range(h.n):
-                if v != u and not h.has_edge(u, v):  # complement edge
-                    if v not in color:
-                        color[v] = 1 - color[u]
-                        members.append(v)
-                        stack.append(v)
-                    elif color[v] == color[u]:
-                        raise ValueError("complement is not bipartite")
-        seen.update(members)
-        comp_colors.append(color)
-    ncomp = len(comp_colors)
-    for flips in range(1 << ncomp):
-        left, right = set(), set()
-        for c, color in enumerate(comp_colors):
-            flip = flips >> c & 1
-            for v, col in color.items():
-                (left if col ^ flip == 0 else right).add(v)
-        if _is_chain_clique(h, left) and _is_chain_clique(h, right):
-            return TwoCliqueCover(frozenset(left), frozenset(right))
-    raise ValueError("no chain two-clique cover found")
-
-
 def solve_vd_poly(h: TargetGraph, inst: Instance) -> Solution:
     """Minimum vertex deletion via one min vertex separator."""
-    if analysis.classify_vd(h)[0] != "poly":
+    cover = analysis.two_clique_cover(h)
+    if cover is None:
         raise ValueError("solve_vd_poly requires a Poly-classified target")
-    cover = two_clique_cover(h)
     red = reduce_lists(h, inst)
     forced = [v for v in range(inst.n) if not red.lists[v]]
     alive = [v for v in range(inst.n) if red.lists[v]]

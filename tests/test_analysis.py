@@ -1,10 +1,11 @@
 import random
+import time
 from itertools import combinations
 
 import pytest
 
-from lhomdel import _kernels, analysis, dpsolve, oracle
-from lhomdel.graphs import bits, max_incomparable
+from lhomdel import _kernels, analysis, dpsolve, oracle, polysolve
+from lhomdel.graphs import TargetGraph, bits, max_incomparable
 
 import families
 
@@ -125,6 +126,133 @@ def _check_vd_witness(h, wit):
                 assert h.has_edge(u, vs[j]) == want
 
 
+def _vd_hard_by_search(h):
+    """Whether H has an irreflexive vertex, three independent vertices or
+    an induced C4 or C5, by plain search: on 3 vertices every degree 0,
+    on 4 or 5 every degree 2 (the only 2-regular graphs there are C4 and
+    C5)."""
+    if any(not h.has_loop(v) for v in range(h.n)):
+        return True
+    for k, deg in ((3, 0), (4, 2), (5, 2)):
+        for sub in combinations(range(h.n), k):
+            if all(sum(h.has_edge(u, v) for u in sub if u != v) == deg
+                   for v in sub):
+                return True
+    return False
+
+
+def _co_chain_target(rng, n):
+    """A reflexive target covered by two chain cliques: the two sides are
+    cliques and the i-th left vertex sees the first t_i right ones, with t
+    non-decreasing; 40% of them get one or two vertex pairs flipped."""
+    vs = rng.sample(range(n), n)
+    a = rng.randint(0, n)
+    left, right = vs[:a], vs[a:]
+    edges = {(v, v) for v in range(n)}
+    for side in (left, right):
+        edges |= {tuple(sorted(e)) for e in combinations(side, 2)}
+    for u, t in zip(left, sorted(rng.randint(0, len(right)) for _ in left)):
+        edges |= {tuple(sorted((u, w))) for w in right[:t]}
+    if n >= 2 and rng.random() < 0.4:
+        for _ in range(rng.randint(1, 2)):
+            edges ^= {tuple(sorted(rng.sample(range(n), 2)))}
+    return TargetGraph.from_edges(n, sorted(edges))
+
+
+def _vd_targets():
+    rng = random.Random(26)
+    for _ in range(400):
+        yield families.random_target(rng, rng.randint(1, 9), loop_p=1.0,
+                                     edge_p=rng.random())
+    for _ in range(300):
+        yield _co_chain_target(rng, rng.randint(1, 14))
+    for _ in range(100):  # a co-chain target with one loop missing
+        h = _co_chain_target(rng, rng.randint(1, 8))
+        v = rng.randrange(h.n)
+        yield TargetGraph(h.n, tuple(nb & ~(1 << u) if u == v else nb
+                                     for u, nb in enumerate(h.nbhd)))
+
+
+def test_vd_verdict_is_the_two_clique_cover():
+    poly = 0
+    for h in _vd_targets():
+        hard = _vd_hard_by_search(h)
+        cls, wit = analysis.classify_vd(h)
+        assert cls == ("np-hard" if hard else "poly"), h.nbhd
+        cover = analysis.two_clique_cover(h)
+        if hard:
+            _check_vd_witness(h, wit)
+            assert cover is None, h.nbhd
+            continue
+        poly += 1
+        assert cover.left | cover.right == set(range(h.n))
+        assert not cover.left & cover.right
+        for part in (cover.left, cover.right):
+            for u, v in combinations(part, 2):
+                assert h.has_edge(u, v)
+                assert not (h.nbhd[u] & ~h.nbhd[v]
+                            and h.nbhd[v] & ~h.nbhd[u]), h.nbhd
+    assert 200 < poly < 600
+
+
+def _late_c5(n):
+    """n - 5 universal vertices, then a C5; all reflexive.  Its only VD
+    witness is the C5 on the last five vertices."""
+    edges = [(u, v) for u in range(n - 5) for v in range(u, n)]
+    edges += [(v, v) for v in range(n - 5, n)]
+    edges += [(n - 5 + i, n - 5 + (i + 1) % 5) for i in range(5)]
+    return TargetGraph.from_edges(n, edges)
+
+
+def test_vd_decisions_skip_the_witness_search(monkeypatch):
+    calls = {"cycle": 0, "classify": 0}
+    cycle, classify = analysis._induced_cycle, analysis.classify_vd
+
+    def counted_cycle(*args):
+        calls["cycle"] += 1
+        return cycle(*args)
+
+    def counted_classify(*args):
+        calls["classify"] += 1
+        return classify(*args)
+
+    monkeypatch.setattr(analysis, "_induced_cycle", counted_cycle)
+    poly = [families.reflexive_clique(5), families.reflexive_path(3),
+            families.reflexive_cycle(3)]
+    for h in poly:
+        assert analysis.classify_vd(h)[0] == "poly"
+    assert calls["cycle"] == 0
+    assert analysis.classify_vd(_late_c5(8))[0] == "np-hard"
+    assert calls["cycle"] == 2  # the C4 search, then the C5 search
+
+    calls["cycle"] = 0
+    monkeypatch.setattr(analysis, "classify_vd", counted_classify)
+    rng = random.Random(27)
+    hard = [_late_c5(8), families.reflexive_cycle(4),
+            families.independent_reflexive(3), families.loopless_k1()]
+    for h in poly + hard:
+        inst = families.random_instance(rng, h, 4)
+        dpsolve.solve_vd_auto(h, inst)
+        if h in poly:
+            polysolve.solve_vd_poly(h, inst)
+        else:
+            with pytest.raises(ValueError):
+                polysolve.solve_vd_poly(h, inst)
+    assert calls == {"cycle": 0, "classify": 0}
+
+
+def test_vd_decisions_on_large_targets_are_fast():
+    # loose bounds: the former triple, C4 and C5 searches took seconds here
+    t0 = time.perf_counter()
+    assert analysis.classify_vd(families.reflexive_clique(40))[0] == "poly"
+    assert time.perf_counter() - t0 < 1
+    h = _late_c5(40)
+    inst = families.Instance(2, [(0, 1)], [frozenset(range(40))] * 2)
+    t0 = time.perf_counter()
+    assert dpsolve.solve_vd_auto(h, inst).cost == 0
+    assert time.perf_counter() - t0 < 1
+
+
 def test_witnesses_are_valid():
     rng = random.Random(21)
     for _ in range(200):
@@ -207,10 +335,16 @@ def test_no_runtime_path_runs_the_brute_force(monkeypatch):
     sol.check(h, inst)
 
 
+def _tree_leaves(node):
+    if not node.children:
+        return [node]
+    return [leaf for ch in node.children for leaf in _tree_leaves(ch)]
+
+
 def _tree_leaf_bound(h):
     """Max i over undecomposable-with-obstruction tree leaves (1 if none)."""
     r = 1
-    for leaf in analysis.decomposition_tree(h).leaves():
+    for leaf in _tree_leaves(analysis.decomposition_tree(h)):
         sub = h.induced(leaf.vertices)
         if analysis.find_obstruction(sub) is not None:
             r = max(r, max_incomparable(sub)[0])
@@ -301,8 +435,7 @@ def test_decomposition_tree_partitions():
         h = families.random_target(rng, rng.randint(1, 6))
         tree = analysis.decomposition_tree(h)
         assert sorted(tree.vertices) == list(range(h.n))
-        leaves = list(tree.leaves())
-        for leaf in leaves:
+        for leaf in _tree_leaves(tree):
             assert not analysis.is_decomposable(h.induced(leaf.vertices))
 
         def walk(node):

@@ -6,6 +6,8 @@ import subprocess
 import sys
 import time
 
+import pytest
+
 from lhomdel import analysis, cli, dpsolve, polysolve
 from lhomdel.graphs import (MAX_INSTANCE_VERTICES, MAX_TARGET_VERTICES,
                             Instance, format_instance, format_target,
@@ -929,6 +931,18 @@ def test_selftest_command(capsys):
     assert code == cli.EXIT_OK
     rep = json.loads(out)
     assert rep["ok"] is True and rep["checks"]["vd"] == 10
+
+
+def test_negative_counts_are_usage_errors(tmp_path, capsys):
+    t = _write(tmp_path, "h.hg", TARGET_RK2)
+    for argv in (["selftest", "--count", "-3"],
+                 ["gadget", "neq", t, "--pair", "1", "2",
+                  "--search-budget", "-1"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and "must be >= 0" in captured.err, argv
 
 
 def test_td_malformed_line_exit_code(tmp_path, capsys):

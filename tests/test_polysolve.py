@@ -35,11 +35,11 @@ def test_two_clique_cover():
         h = families.random_target(rng, rng.randint(1, 6), loop_p=1.0)
         if analysis.classify_vd(h)[0] != "poly":
             continue
-        cover = polysolve.two_clique_cover(h)
+        cover = analysis.two_clique_cover(h)
         assert cover.left | cover.right == set(range(h.n))
         assert not cover.left & cover.right
-        assert polysolve._is_chain_clique(h, cover.left)
-        assert polysolve._is_chain_clique(h, cover.right)
+        assert analysis._is_chain_clique(h, cover.left)
+        assert analysis._is_chain_clique(h, cover.right)
         done += 1
 
 
