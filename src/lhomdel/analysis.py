@@ -4,7 +4,6 @@ and the i* invariant."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import combinations
 from typing import Optional
 
@@ -153,37 +152,37 @@ def is_decomposable(h: TargetGraph) -> bool:
     return _kernels.find_split(h.nbhd, h.reflexive_mask(), full) is not None
 
 
-def _lex_first_split(h: TargetGraph):
-    """The first decomposition in oracle_decompositions order, as three
-    vertex masks (A, B, C), or None; polynomial time.
+def _lex_first_split(nb, refl, S):
+    """The first decomposition of H[S] in oracle_decompositions order (on
+    H[S] with its vertices in ascending order), as three vertex masks
+    (A, B, C), or None; polynomial time.
 
     Let x_v mean v ∈ A; otherwise a looped v goes to B and an irreflexive
     one to C.  Every pair rule of is_valid_decomposition is then a unit
     clause (non-adjacent looped pairs and adjacent irreflexive pairs go to
     A) or an implication between a looped r and an irreflexive i (r ⇒ i
     if adjacent, i ⇒ r if not).  So the valid A are the sets closed under
-    the implications that hold the forced vertices, other than ∅ and V(H).
+    the implications that hold the forced vertices, other than ∅ and S.
     Vertices are fixed in order, each put in A if a valid A still extends
     the choices made.
     """
-    n = h.n
-    full = (1 << n) - 1
-    refl = h.reflexive_mask()
-    irr = full & ~refl
-    reach = []  # reach[v]: the vertices that v ∈ A puts in A
+    refl &= S
+    irr = S & ~refl
+    verts = list(bits(S))
+    reach = {}  # reach[v]: the vertices that v ∈ A puts in A
     forced = 0
-    for v in range(n):
-        nb = h.nbhd[v] & ~(1 << v)
+    for v in verts:
+        nb_v = nb[v] & S & ~(1 << v)
         if refl >> v & 1:
-            reach.append(1 << v | irr & nb)
-            unit = refl & ~nb & ~(1 << v)
+            reach[v] = 1 << v | irr & nb_v
+            unit = refl & ~nb_v & ~(1 << v)
         else:
-            reach.append(1 << v | refl & ~nb)
-            unit = irr & nb
+            reach[v] = 1 << v | refl & ~nb_v
+            unit = irr & nb_v
         if unit:
             forced |= 1 << v
-    for k in range(n):  # transitive closure
-        for v in range(n):
+    for k in verts:  # transitive closure
+        for v in verts:
             if reach[v] >> k & 1:
                 reach[v] |= reach[k]
 
@@ -192,16 +191,16 @@ def _lex_first_split(h: TargetGraph):
         if a & out:
             return False
         if a:
-            return a != full
-        return any(not reach[v] & out and reach[v] != full
-                   for v in bits(full & ~out))
+            return a != S
+        return any(not reach[v] & out and reach[v] != S
+                   for v in bits(S & ~out))
 
     a = out = 0
     for v in bits(forced):
         a |= reach[v]
     if not extends(a, out):
         return None
-    for v in range(n):
+    for v in verts:
         if a >> v & 1:
             continue
         if extends(a | reach[v], out):
@@ -211,18 +210,20 @@ def _lex_first_split(h: TargetGraph):
     return a, refl & ~a, irr & ~a
 
 
-def find_decomposition(h: TargetGraph) -> Optional[Decomposition]:
-    """A valid decomposition (A,B,C), or None, its validity checked.
+def find_decomposition(h: TargetGraph,
+                       S: Optional[int] = None) -> Optional[Decomposition]:
+    """A valid decomposition (A,B,C) of H[S] in H's vertex ids, or None,
+    its validity checked; S is a vertex mask, every vertex by default.
 
-    Up to EXHAUSTIVE_DECOMP_LIMIT vertices, the first one in lexicographic
-    order (oracle.oracle_decomposition's answer) by a polynomial search;
-    beyond it, the split detector's.
+    Up to EXHAUSTIVE_DECOMP_LIMIT vertices in S, the first one in
+    lexicographic order (oracle.oracle_decomposition's answer on H[S]) by
+    a polynomial search; beyond it, the split detector's.
     """
-    if h.n <= EXHAUSTIVE_DECOMP_LIMIT:
-        split = _lex_first_split(h)
-    else:
-        split = _kernels.find_split(h.nbhd, h.reflexive_mask(),
-                                    (1 << h.n) - 1)
+    if S is None:
+        S = (1 << h.n) - 1
+    search = (_lex_first_split if S.bit_count() <= EXHAUSTIVE_DECOMP_LIMIT
+              else _kernels.find_split)
+    split = search(h.nbhd, h.reflexive_mask(), S)
     if split is None:
         return None
     dec = Decomposition(*(tuple(bits(m)) for m in split))
@@ -289,54 +290,26 @@ def i_bullet(h: TargetGraph) -> tuple[int, Optional[list[int]]]:
     return best, list(bits(R))
 
 
-class DecompositionTreeNode:
-    """A node of the split recursion: the subtarget H[vertices], its
-    decomposition and its children H[A] and H[B∪C].  The decomposition
-    and the children are found on first access, so a walk that stops
-    early searches only the nodes it reaches."""
-
-    def __init__(self, target: TargetGraph, vertices: tuple[int, ...]):
-        self.target = target      # H[vertices]; its vertex i is vertices[i]
-        self.vertices = vertices  # original H vertex ids
-
-    @cached_property
-    def local_decomposition(self) -> Optional[Decomposition]:
-        """The decomposition of self.target, in its own vertex ids."""
-        return find_decomposition(self.target)
-
-    @cached_property
-    def decomposition(self) -> Optional[Decomposition]:
-        """The decomposition in original ids."""
-        d = self.local_decomposition
-        if d is None:
-            return None
-        back = lambda t: tuple(self.vertices[i] for i in t)
-        return Decomposition(back(d.a), back(d.b), back(d.c))
-
-    @cached_property
-    def children(self) -> list:
-        d = self.local_decomposition
-        if d is None:
-            return []
-        return [DecompositionTreeNode(self.target.induced(part),
-                                      tuple(self.vertices[i] for i in part))
-                for part in (d.a, tuple(sorted(d.b + d.c)))]
-
-    def to_json(self):
-        d = None
-        if self.decomposition is not None:
-            d = {"a": [v + 1 for v in self.decomposition.a],
-                 "b": [v + 1 for v in self.decomposition.b],
-                 "c": [v + 1 for v in self.decomposition.c]}
-        return {"vertices": [v + 1 for v in self.vertices],
-                "decomposition": d,
-                "children": [ch.to_json() for ch in self.children]}
-
-
-def decomposition_tree(h: TargetGraph) -> DecompositionTreeNode:
-    """Root of the recursion that splits H into H[A] and H[B∪C] until
-    undecomposable."""
-    return DecompositionTreeNode(h, tuple(range(h.n)))
+def decomposition_tree(h: TargetGraph) -> dict:
+    """The split of H[S] into H[A] and H[B∪C] until undecomposable, from
+    S = V(H), as `classify` prints it: each node's vertices, decomposition
+    (None at a leaf) and children, in 1-based ids.  Nodes are vertex masks
+    of H, walked with a stack: no target copy and no recursion limit."""
+    root = {}
+    stack = [(root, (1 << h.n) - 1)]
+    while stack:
+        node, S = stack.pop()
+        dec = find_decomposition(h, S)
+        node["vertices"] = [v + 1 for v in bits(S)]
+        node["decomposition"] = None if dec is None else {
+            k: [v + 1 for v in part]
+            for k, part in zip("abc", (dec.a, dec.b, dec.c))}
+        node["children"] = [] if dec is None else [{}, {}]
+        if dec is not None:
+            a, bc = node["children"]
+            stack += ((bc, sum(1 << v for v in dec.b + dec.c)),
+                      (a, sum(1 << v for v in dec.a)))
+    return root
 
 
 def classification_json(h: TargetGraph) -> dict:
@@ -356,6 +329,6 @@ def classification_json(h: TargetGraph) -> dict:
         "i": i,
         "i_bullet": ib,
         "i_bullet_witness": None if ibw is None else [v + 1 for v in ibw],
-        "decomposition_tree": decomposition_tree(h).to_json(),
+        "decomposition_tree": decomposition_tree(h),
     }
     return out

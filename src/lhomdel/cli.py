@@ -63,9 +63,55 @@ def _write(path: str, text: str) -> None:
 
 
 def cmd_classify(args) -> int:
+    """The classification as json.dumps(report, sort_keys=True, indent=2)
+    gives it.  _write_tree writes the decomposition tree, whose text grows
+    as the cube of the target on a path-like tree; json.dumps the rest."""
     h = parse_target(_read(args.target))
-    _emit(analysis.classification_json(h))
+    out = analysis.classification_json(h)
+    tree, out["decomposition_tree"] = out["decomposition_tree"], 0
+    # the placeholder is a top-level key, the only one indented by two
+    head, _, tail = json.dumps(out, sort_keys=True, indent=2).partition(
+        '\n  "decomposition_tree": 0')
+    sys.stdout.write(head + '\n  "decomposition_tree": ')
+    _write_tree(sys.stdout.write, tree, 1)
+    sys.stdout.write(tail + "\n")
     return EXIT_OK
+
+
+def _node_rest(node: dict, lv: int) -> str:
+    """A tree node's text after its children, at nesting `lv`."""
+    dec = node["decomposition"]
+    if dec is not None:
+        dec = _json_block("{", [
+            f'"{k}": ' + _json_block("[", [*map(str, dec[k])], "]", lv + 2)
+            for k in "abc"], "}", lv + 1)
+    i1 = "\n" + "  " * (lv + 1)
+    vertices = _json_block("[", [*map(str, node["vertices"])], "]", lv + 1)
+    return (f',{i1}"decomposition": {"null" if dec is None else dec},'
+            f'{i1}"vertices": {vertices}\n' + "  " * lv + "}")
+
+
+def _write_tree(write, tree: dict, level: int) -> None:
+    """Write a decomposition tree (analysis.decomposition_tree) at nesting
+    `level` as json.dumps(sort_keys=True, indent=2) lays it out.  A stack
+    replaces json.dumps's recursion, which fails at about 500 levels, and
+    a node's closing text is made when it is written, so the text held at
+    once is one node's, not one per open ancestor."""
+    stack = [(tree, level, "")]  # (node, nesting, text before it)
+    while stack:
+        node, lv, before = stack.pop()
+        i1 = "\n" + "  " * (lv + 1)
+        kids = node["children"]
+        if before is None:  # its children are written
+            write(i1 + "]" + _node_rest(node, lv))
+        elif not kids:
+            write(before + "{" + i1 + '"children": []' + _node_rest(node, lv))
+        else:
+            i2 = i1 + "  "
+            write(before + "{" + i1 + '"children": [' + i2)
+            stack.append((node, lv, None))
+            stack += [(ch, lv + 2, "," + i2) for ch in reversed(kids[1:])]
+            stack.append((kids[0], lv + 2, ""))
 
 
 _SOLVERS = {
@@ -104,11 +150,15 @@ def cmd_solve(args) -> int:
     return EXIT_OK
 
 
-def _json_block(open_: str, items: list[str], close: str) -> str:
-    """A top-level value's items as json.dumps(indent=2) lays them out."""
+def _json_block(open_: str, items: list[str], close: str,
+                level: int = 1) -> str:
+    """The items of a value at nesting `level` (1: a top-level value) as
+    json.dumps(indent=2) lays them out."""
     if not items:
         return open_ + close
-    return f"{open_}\n    " + ",\n    ".join(items) + f"\n  {close}"
+    inner = "\n" + "  " * (level + 1)
+    return (open_ + inner + ("," + inner).join(items) + "\n" + "  " * level
+            + close)
 
 
 def _solution_json(sol, budget) -> str:

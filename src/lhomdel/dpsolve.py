@@ -1,6 +1,6 @@
 """Dynamic programming over nice tree decompositions for both deletion
-modes, the decomposition-splitting recursion for ED, and the auto
-dispatchers."""
+modes, the decomposition-splitting recursion for ED over vertex masks of
+the target, and the auto dispatchers."""
 
 from __future__ import annotations
 
@@ -181,13 +181,12 @@ def solve_ed_dp(h: TargetGraph, inst: Instance,
 
 @dataclass(frozen=True)
 class Split:
+    """The two sides of a split instance, their lists in H's vertex ids."""
     forced: tuple           # G edges always deleted (A–C pairs)
-    sub_a: Instance         # over H[A]
-    sub_bc: Instance        # over H[B∪C]
+    sub_a: Instance         # lists inside A
+    sub_bc: Instance        # lists inside B∪C
     verts_a: tuple          # sub_a index -> G vertex
     verts_bc: tuple
-    target_a: tuple         # H[A] index -> H vertex
-    target_bc: tuple
 
 
 def split_by_decomposition(h: TargetGraph, dec: analysis.Decomposition,
@@ -207,10 +206,6 @@ def split_by_decomposition(h: TargetGraph, dec: analysis.Decomposition,
     verts_bc = tuple(v for v in range(red.n) if side[v] == "bc")
     pos_a = {v: i for i, v in enumerate(verts_a)}
     pos_bc = {v: i for i, v in enumerate(verts_bc)}
-    target_a = tuple(sorted(a))
-    target_bc = tuple(sorted(b | c))
-    tpos_a = {x: i for i, x in enumerate(target_a)}
-    tpos_bc = {x: i for i, x in enumerate(target_bc)}
     ea, ebc, forced = [], [], []
     for u, v in red.edges:
         if side[u] == side[v]:
@@ -223,16 +218,11 @@ def split_by_decomposition(h: TargetGraph, dec: analysis.Decomposition,
             if red.lists[y] <= c:
                 forced.append(tuple(sorted((u, v))))
             # A–B pairs are always compatible (full join): drop the edge
-    sub_a = Instance(len(verts_a),
-                     sorted(tuple(sorted(e)) for e in ea),
-                     [frozenset(tpos_a[x] for x in red.lists[v])
-                      for v in verts_a], None)
-    sub_bc = Instance(len(verts_bc),
-                      sorted(tuple(sorted(e)) for e in ebc),
-                      [frozenset(tpos_bc[x] for x in red.lists[v])
-                       for v in verts_bc], None)
-    return Split(tuple(sorted(forced)), sub_a, sub_bc,
-                 verts_a, verts_bc, target_a, target_bc)
+    sub_a = Instance(len(verts_a), sorted(tuple(sorted(e)) for e in ea),
+                     [red.lists[v] for v in verts_a], None)
+    sub_bc = Instance(len(verts_bc), sorted(tuple(sorted(e)) for e in ebc),
+                      [red.lists[v] for v in verts_bc], None)
+    return Split(tuple(sorted(forced)), sub_a, sub_bc, verts_a, verts_bc)
 
 
 def solve_vd_auto(h: TargetGraph, inst: Instance,
@@ -246,44 +236,40 @@ def solve_vd_auto(h: TargetGraph, inst: Instance,
 
 def solve_ed_auto(h: TargetGraph, inst: Instance,
                   td: Optional[TreeDecomposition] = None) -> Solution:
-    """Poly solver when obstruction-free; otherwise walk H's decomposition
-    tree, splitting along each node's decomposition, down to parts that
-    are obstruction-free (poly solver) or undecomposable (DP).
+    """Poly solver when obstruction-free; otherwise split along H's
+    decomposition tree down to parts that are obstruction-free (poly
+    solver) or undecomposable (DP).  A part is a vertex mask S of H,
+    solved over h.restricted(S), so every part keeps H's vertex ids.
     A `td` goes to a DP at the root; the other paths only validate it."""
-    return replace(_solve_ed_node(h, inst, td, None), algorithm="auto")
+    return replace(_solve_ed_part(h, (1 << h.n) - 1, inst, td),
+                   algorithm="auto")
 
 
-def _solve_ed_node(h: TargetGraph, inst: Instance,
-                   td: Optional[TreeDecomposition],
-                   node: Optional[analysis.DecompositionTreeNode]) -> Solution:
-    """solve_ed_auto on h, the target of `node`; at the root node is None,
-    and the tree is only built once h is known to be hard.  The poly and
-    DP solvers check their own solutions.  A merged one is checked against
-    (h, inst) at the root only: each inner merge's hom and cost are
-    composed into the root's, so the root's check covers them."""
-    root = node is None
-    if analysis.classify_ed(h)[0] == "poly":
+def _solve_ed_part(h: TargetGraph, S: int, inst: Instance,
+                   td: Optional[TreeDecomposition]) -> Solution:
+    """solve_ed_auto on the part H[S] of h.  The poly and DP solvers check
+    their own solutions.  A merged one is checked against (h, inst) at the
+    root only: each inner merge's hom and cost are composed into the
+    root's, so the root's check covers them."""
+    root = S == (1 << h.n) - 1
+    part = h if root else h.restricted(S)
+    if analysis.classify_ed(part)[0] == "poly":
         if td is not None:
             validate_td(inst, td)
-        return polysolve.solve_ed_poly(h, inst)
-    if root:
-        node = analysis.decomposition_tree(h)
-    dec = node.local_decomposition
+        return polysolve.solve_ed_poly(part, inst)
+    dec = analysis.find_decomposition(h, S)
     if dec is None:
-        return solve_ed_dp(h, inst, td)
+        return solve_ed_dp(part, inst, td)
     if td is not None:
         validate_td(inst, td)
     if any(not lst for lst in inst.lists):
         raise Infeasible("vertex with an empty list")
-    sp = split_by_decomposition(h, dec, inst)
-    part_a, part_bc = node.children
-    sol_a = _solve_ed_node(part_a.target, sp.sub_a, None, part_a)
-    sol_bc = _solve_ed_node(part_bc.target, sp.sub_bc, None, part_bc)
-    hom = {}
-    for i, v in enumerate(sp.verts_a):
-        hom[v] = sp.target_a[sol_a.hom[i]]
-    for i, v in enumerate(sp.verts_bc):
-        hom[v] = sp.target_bc[sol_bc.hom[i]]
+    sp = split_by_decomposition(part, dec, inst)
+    sol_a = _solve_ed_part(h, sum(1 << v for v in dec.a), sp.sub_a, None)
+    sol_bc = _solve_ed_part(h, sum(1 << v for v in dec.b + dec.c),
+                            sp.sub_bc, None)
+    hom = {v: sol_a.hom[i] for i, v in enumerate(sp.verts_a)}
+    hom.update((v, sol_bc.hom[i]) for i, v in enumerate(sp.verts_bc))
     deleted = sorted(tuple(sorted((u, v))) for u, v in inst.edges
                      if not h.has_edge(hom[u], hom[v]))
     sol = Solution("ed", sol_a.cost + sol_bc.cost + len(sp.forced), deleted,

@@ -10,7 +10,7 @@ from __future__ import annotations
 import copy
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 from . import _kernels
 
@@ -72,27 +72,18 @@ class TargetGraph:
         return all(self.has_loop(v) for v in range(self.n))
 
     def reflexive_mask(self) -> int:
-        m = 0
-        for v in range(self.n):
-            if self.has_loop(v):
-                m |= 1 << v
-        return m
+        return sum(1 << v for v, m in enumerate(self.nbhd) if m >> v & 1)
 
     def edges(self):
         for u in range(self.n):
             for v in bits(self.nbhd[u] >> u << u):
                 yield (u, v)
 
-    def induced(self, verts: Sequence[int]) -> "TargetGraph":
-        """Induced subgraph; vertex i of the result is verts[i]."""
-        verts = list(verts)
-        pos = {v: i for i, v in enumerate(verts)}
-        nb = [0] * len(verts)
-        for i, v in enumerate(verts):
-            for u in bits(self.nbhd[v]):
-                if u in pos:
-                    nb[i] |= 1 << pos[u]
-        return TargetGraph(len(verts), tuple(nb))
+    def restricted(self, S: int) -> "TargetGraph":
+        """H[S] in H's vertex ids: a vertex outside the mask S keeps its
+        id, with no edge and no loop."""
+        return TargetGraph(self.n, tuple(
+            m & S if S >> v & 1 else 0 for v, m in enumerate(self.nbhd)))
 
 
 def bits(mask: int):

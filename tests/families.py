@@ -5,8 +5,22 @@ treewidth as (n, edges), and seeded cut instances for the poly solvers."""
 import random
 from itertools import combinations
 
-from lhomdel.graphs import (Instance, TargetGraph,  # noqa: F401
+from lhomdel.graphs import (Instance, TargetGraph, bits,  # noqa: F401
                             random_instance, random_target)
+
+
+def induced(h, verts):
+    """H[verts] as a target of its own; vertex i of the result is
+    verts[i].  The solvers work on vertex masks of H (TargetGraph
+    .restricted); this copy is the tests' reference."""
+    verts = list(verts)
+    pos = {v: i for i, v in enumerate(verts)}
+    nb = [0] * len(verts)
+    for i, v in enumerate(verts):
+        for u in bits(h.nbhd[v]):
+            if u in pos:
+                nb[i] |= 1 << pos[u]
+    return TargetGraph(len(verts), tuple(nb))
 
 
 def loopless_k1():

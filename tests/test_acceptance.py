@@ -132,8 +132,8 @@ def test_criterion_06_dp_state_bounds():
                 i ** (sol.stats["width"] + 1)
         else:
             sp = dpsolve.split_by_decomposition(h, dec, inst)
-            for sub_h, sub in ((h.induced(sp.target_a), sp.sub_a),
-                               (h.induced(sp.target_bc), sp.sub_bc)):
+            for part, sub in ((dec.a, sp.sub_a), (dec.b + dec.c, sp.sub_bc)):
+                sub_h = h.restricted(sum(1 << v for v in part))
                 if not sub.n:
                     continue
                 sub_i = max_incomparable(sub_h)[0]
@@ -286,8 +286,9 @@ def test_criterion_09_split_then_solve_matches_dp():
         want = dpsolve.solve_ed_dp(h, inst).cost
         sp = dpsolve.split_by_decomposition(h, dec, inst)
         cost = len(sp.forced)
-        cost += dpsolve.solve_ed_dp(h.induced(sp.target_a), sp.sub_a).cost
-        cost += dpsolve.solve_ed_dp(h.induced(sp.target_bc), sp.sub_bc).cost
+        for part, sub in ((dec.a, sp.sub_a), (dec.b + dec.c, sp.sub_bc)):
+            sub_h = h.restricted(sum(1 << v for v in part))
+            cost += dpsolve.solve_ed_dp(sub_h, sub).cost
         assert cost == want
         assert dpsolve.solve_ed_auto(h, inst).cost == want
         done += 1

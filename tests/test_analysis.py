@@ -84,7 +84,7 @@ def test_obstruction_search_matches_the_triple_loop():
         # obstruction is the relabelled mask search's
         S = rng.getrandbits(h.n) | 1 << rng.randrange(h.n)
         verts = list(bits(S))
-        want = _obstruction_by_triple_loop(h.induced(verts))
+        want = _obstruction_by_triple_loop(families.induced(h, verts))
         got = _kernels.first_obstruction(h.nbhd, h.reflexive_mask(), S)
         if want is not None:
             kind, vs, ws = want
@@ -305,17 +305,18 @@ def test_decomposition_tree_json_unchanged_under_oracle(monkeypatch):
                                        loop_p=rng.random(),
                                        edge_p=rng.random())
                 for _ in range(100)]
-    want = [analysis.decomposition_tree(h).to_json() for h in targets]
+    want = [analysis.decomposition_tree(h) for h in targets]
 
-    def brute_force(h):
-        found = oracle.oracle_decomposition(h)
+    def brute_force(nb, refl, S):
+        verts = list(bits(S))
+        found = oracle.oracle_decomposition(
+            families.induced(TargetGraph(len(nb), nb), verts))
         if found is None:
             return None
-        return tuple(sum(1 << v for v in part) for part in found)
+        return tuple(sum(1 << verts[i] for i in part) for part in found)
 
     monkeypatch.setattr(analysis, "_lex_first_split", brute_force)
-    assert [analysis.decomposition_tree(h).to_json()
-            for h in targets] == want
+    assert [analysis.decomposition_tree(h) for h in targets] == want
 
 
 def test_no_runtime_path_runs_the_brute_force(monkeypatch):
@@ -335,17 +336,63 @@ def test_no_runtime_path_runs_the_brute_force(monkeypatch):
     sol.check(h, inst)
 
 
-def _tree_leaves(node):
-    if not node.children:
-        return [node]
-    return [leaf for ch in node.children for leaf in _tree_leaves(ch)]
+def test_split_trees_copy_no_target(monkeypatch):
+    """Every split-tree node is a vertex mask of the parsed target: the
+    classification builds no TargetGraph, and an ED auto solve builds at
+    most one, h.restricted(S), per part it visits."""
+    built = []
+    check = TargetGraph.__post_init__
+
+    def counted(self):
+        built.append(self.n)
+        check(self)
+
+    targets = [families.windowed_family(k) for k in (2, 3)]
+    targets += [families.crossing_family(2), families.reflexive_clique(30),
+                TargetGraph(30, (0,) * 30)]
+    monkeypatch.setattr(TargetGraph, "__post_init__", counted)
+    for h in targets:
+        out = analysis.classification_json(h)
+        assert out["decomposition_tree"]["decomposition"] is not None
+    assert built == []
+    parts = []
+    solve_part = dpsolve._solve_ed_part
+
+    def counted_part(h, S, inst, td):
+        parts.append(S)
+        return solve_part(h, S, inst, td)
+
+    monkeypatch.setattr(dpsolve, "_solve_ed_part", counted_part)
+    h = families.windowed_family(3)
+    rng = random.Random(31)
+    for _ in range(5):
+        inst = families.random_instance(rng, h, 8)
+        del built[:], parts[:]
+        sol = dpsolve.solve_ed_auto(h, inst)
+        assert sol.stats["parts"] == 2
+        assert len(parts) > 2 and len(built) <= len(parts), (built, parts)
+
+
+def _tree_nodes(tree):
+    """Every node of a decomposition tree, each once."""
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack += node["children"]
+
+
+def _leaf_targets(h):
+    """H[L] for each leaf L of H's decomposition tree."""
+    return [families.induced(h, [v - 1 for v in node["vertices"]])
+            for node in _tree_nodes(analysis.decomposition_tree(h))
+            if not node["children"]]
 
 
 def _tree_leaf_bound(h):
     """Max i over undecomposable-with-obstruction tree leaves (1 if none)."""
     r = 1
-    for leaf in _tree_leaves(analysis.decomposition_tree(h)):
-        sub = h.induced(leaf.vertices)
+    for sub in _leaf_targets(h):
         if analysis.find_obstruction(sub) is not None:
             r = max(r, max_incomparable(sub)[0])
     return r
@@ -354,7 +401,7 @@ def _tree_leaf_bound(h):
 def _check_i_bullet_witness(h, ib, wit):
     """The witness induces an undecomposable subgraph with an obstruction
     and with i equal to the value."""
-    sub = h.induced(wit)
+    sub = families.induced(h, wit)
     assert analysis.find_obstruction(sub) is not None
     assert not analysis.is_decomposable(sub)
     assert max_incomparable(sub)[0] == ib
@@ -434,21 +481,17 @@ def test_decomposition_tree_partitions():
     for _ in range(40):
         h = families.random_target(rng, rng.randint(1, 6))
         tree = analysis.decomposition_tree(h)
-        assert sorted(tree.vertices) == list(range(h.n))
-        for leaf in _tree_leaves(tree):
-            assert not analysis.is_decomposable(h.induced(leaf.vertices))
-
-        def walk(node):
-            if node.decomposition is None:
-                assert not node.children
-                return
-            d = node.decomposition
-            assert sorted(d.a + d.b + d.c) == sorted(node.vertices)
-            assert len(node.children) == 2
-            for ch in node.children:
-                walk(ch)
-
-        walk(tree)
+        assert tree["vertices"] == list(range(1, h.n + 1))
+        for sub in _leaf_targets(h):
+            assert not analysis.is_decomposable(sub)
+        for node in _tree_nodes(tree):
+            d = node["decomposition"]
+            if d is None:
+                assert not node["children"]
+                continue
+            assert sorted(d["a"] + d["b"] + d["c"]) == node["vertices"]
+            assert [ch["vertices"] for ch in node["children"]] == [
+                d["a"], sorted(d["b"] + d["c"])]
 
 
 def test_classification_json_shape():

@@ -10,8 +10,8 @@ import pytest
 
 from lhomdel import analysis, cli, dpsolve, polysolve
 from lhomdel.graphs import (MAX_INSTANCE_VERTICES, MAX_TARGET_VERTICES,
-                            Instance, format_instance, format_target,
-                            parse_instance, parse_target)
+                            Instance, TargetGraph, format_instance,
+                            format_target, parse_instance, parse_target)
 from lhomdel.reductions import parse_classic
 
 import families
@@ -130,7 +130,7 @@ def test_infeasible_exit_code_on_the_split_path(tmp_path, capsys,
                                                 monkeypatch):
     # the windowed target is hard and decomposable, so auto splits it
     h = families.windowed_family(2)
-    assert analysis.decomposition_tree(h).local_decomposition is not None
+    assert analysis.find_decomposition(h) is not None
 
     def unreached(*args):
         raise AssertionError("the split path should refuse the instance")
@@ -527,6 +527,50 @@ def test_classify_outputs_are_pinned(tmp_path, capsys):
         assert digest == CLASSIFY_SHA256[name], name
 
 
+def test_classify_writer_is_json_dumps(tmp_path, capsys):
+    """cmd_classify writes the tree itself; its stdout is json.dumps's on
+    the families corpus and on random targets."""
+    rng = random.Random(30)
+    targets = [h for _, h, _, _ in families.DICHOTOMY_CORPUS]
+    targets += [families.windowed_family(k) for k in (1, 2, 3)]
+    targets += [families.crossing_family(k) for k in (1, 2)]
+    targets += [families.random_target(rng, rng.randint(1, 16),
+                                       loop_p=rng.random(),
+                                       edge_p=rng.random())
+                for _ in range(200)]
+    for h in targets:
+        t = _write(tmp_path, "h.hg", format_target(h))
+        code, out = _run(capsys, ["classify", t])
+        assert code == cli.EXIT_OK
+        assert out == json.dumps(analysis.classification_json(h),
+                                 sort_keys=True, indent=2) + "\n", h.nbhd
+
+
+def test_tree_writer_has_no_depth_limit():
+    """A tree 600 levels deep, beyond json.dumps's recursion, written at
+    every nesting json.dumps would give it."""
+    tree = node = {}
+    for d in range(1, 601):
+        leaf = {"vertices": [d], "decomposition": None, "children": []}
+        node.update(vertices=[d, d + 1],
+                    decomposition={"a": [d + 1], "b": [], "c": [d]},
+                    children=[{}, leaf])
+        node = node["children"][0]
+    node.update(vertices=[601], decomposition=None, children=[])
+    with pytest.raises(RecursionError):
+        json.dumps(tree, sort_keys=True, indent=2)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(10000)
+    try:
+        want = json.dumps(tree, sort_keys=True, indent=2)
+    finally:
+        sys.setrecursionlimit(limit)
+    chunks = []
+    cli._write_tree(chunks.append, tree, 0)
+    assert "".join(chunks) == want
+    assert len(chunks) > 2 * 600  # written node by node
+
+
 # SHA-256 of `lhomdel gadget <kind> ... --verify` stdout on four corpus
 # targets: each s-prohibitor's table is too large to verify, each move's
 # is recomputed by elimination (the random target's has 17 vertices and
@@ -735,6 +779,34 @@ def test_memory_error_exit_code(tmp_path):
     assert out.returncode == cli.EXIT_PRECONDITION == 3, out.stderr
     assert json.loads(out.stdout) == {"error": "precondition",
                                       "detail": "out of memory"}
+
+
+# size-ladder rungs: `classify` in a child process under the address-space
+# limit above, stdout to /dev/null, with a wall-time bound
+CLASSIFY_RUNGS = {
+    "reflexive-K400": (families.reflexive_clique(400), 5.0),
+    "edgeless-600": (TargetGraph(600, (0,) * 600), 10.0),
+}
+
+
+@pytest.mark.parametrize("name", list(CLASSIFY_RUNGS))
+def test_classify_size_ladder(tmp_path, name):
+    # each tree is one level per vertex, and its JSON grows as the cube of
+    # the target (307 MB for the edgeless 600), so the tree must be built
+    # without copies or recursion and written as it goes
+    h, seconds = CLASSIFY_RUNGS[name]
+    t = _write(tmp_path, "h.hg", format_target(h))
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    start = time.perf_counter()
+    out = subprocess.run(
+        [sys.executable, "-c", _UNDER_MEMORY_LIMIT, "classify", t],
+        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+        text=True)
+    elapsed = time.perf_counter() - start
+    assert out.returncode == cli.EXIT_OK, out.stderr
+    assert elapsed < seconds, elapsed
 
 
 def test_header_counts_above_the_caps_exit_3(tmp_path, capsys):

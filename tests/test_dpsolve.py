@@ -103,8 +103,10 @@ def test_split_matches_direct_dp():
             continue
         inst = families.random_instance(rng, h, rng.randint(1, 7))
         sp = dpsolve.split_by_decomposition(h, dec, inst)
-        cost_a = dpsolve.solve_ed_dp(h.induced(sp.target_a), sp.sub_a).cost
-        cost_bc = dpsolve.solve_ed_dp(h.induced(sp.target_bc), sp.sub_bc).cost
+        cost_a = dpsolve.solve_ed_dp(
+            h.restricted(sum(1 << v for v in dec.a)), sp.sub_a).cost
+        cost_bc = dpsolve.solve_ed_dp(
+            h.restricted(sum(1 << v for v in dec.b + dec.c)), sp.sub_bc).cost
         total = cost_a + cost_bc + len(sp.forced)
         assert total == dpsolve.solve_ed_dp(h, inst).cost
         done += 1

@@ -175,14 +175,14 @@ def test_subset_scan_matches_python():
         best, mask = _kernels.subset_scan(h.nbhd, h.reflexive_mask())
         want = 0
         for s in range(1, 1 << h.n):
-            sub = h.induced(sorted(bits(s)))
+            sub = families.induced(h, sorted(bits(s)))
             if analysis.find_obstruction(sub) is None:
                 continue
             if oracle.oracle_decomposition(sub) is not None:
                 continue
             want = max(want, max_incomparable(sub)[0])
         assert int(best) == want
-        sub = h.induced(sorted(bits(int(mask))))
+        sub = families.induced(h, sorted(bits(int(mask))))
         assert analysis.find_obstruction(sub) is not None
         assert oracle.oracle_decomposition(sub) is None
         assert max_incomparable(sub)[0] == want
