@@ -210,10 +210,11 @@ def _lex_first_split(nb, refl, S):
     return a, refl & ~a, irr & ~a
 
 
-def find_decomposition(h: TargetGraph,
-                       S: Optional[int] = None) -> Optional[Decomposition]:
+def find_decomposition(h: TargetGraph, S: Optional[int] = None,
+                       refl: Optional[int] = None) -> Optional[Decomposition]:
     """A valid decomposition (A,B,C) of H[S] in H's vertex ids, or None,
     its validity checked; S is a vertex mask, every vertex by default.
+    refl is h.reflexive_mask(), for a caller that asks about many masks.
 
     Up to EXHAUSTIVE_DECOMP_LIMIT vertices in S, the first one in
     lexicographic order (oracle.oracle_decomposition's answer on H[S]) by
@@ -223,7 +224,9 @@ def find_decomposition(h: TargetGraph,
         S = (1 << h.n) - 1
     search = (_lex_first_split if S.bit_count() <= EXHAUSTIVE_DECOMP_LIMIT
               else _kernels.find_split)
-    split = search(h.nbhd, h.reflexive_mask(), S)
+    if refl is None:
+        refl = h.reflexive_mask()
+    split = search(h.nbhd, refl, S)
     if split is None:
         return None
     dec = Decomposition(*(tuple(bits(m)) for m in split))
@@ -297,9 +300,10 @@ def decomposition_tree(h: TargetGraph) -> dict:
     of H, walked with a stack: no target copy and no recursion limit."""
     root = {}
     stack = [(root, (1 << h.n) - 1)]
+    refl = h.reflexive_mask()
     while stack:
         node, S = stack.pop()
-        dec = find_decomposition(h, S)
+        dec = find_decomposition(h, S, refl)
         node["vertices"] = [v + 1 for v in bits(S)]
         node["decomposition"] = None if dec is None else {
             k: [v + 1 for v in part]

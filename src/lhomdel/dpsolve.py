@@ -31,13 +31,17 @@ def _run_dp(h: TargetGraph, inst: Instance, td: TreeDecomposition, mode: str):
     sorted(bag), indexed by position in the vertex's sorted list; VD adds
     the DELETED symbol as the last index.  Entries >= INF are infeasible.
     Each cost is charged once, at one kind of node.  An introduce node
-    adds the G edges it completes as one penalty over their ends' axes:
-    in VD an edge makes states with kept non-adjacent images infeasible,
-    and the penalty, like every VD sum, is clamped at INF; in ED an edge
-    pays 1.  A VD deletion is charged where its vertex is forgotten; a
-    join just adds its children.  ED tables never hold INF (an entry
-    counts deleted edges), so ED clamps nothing.  max_states counts
-    finite entries, the states a sparse table would hold.
+    gives its child's table a size-1 axis per payload vertex, broadcast
+    into one new table, and adds the penalty of each G edge it completes
+    over the edge's ends' axes: in VD an edge makes states with kept
+    non-adjacent images infeasible, and the result, like every VD sum, is
+    clamped at INF; in ED an edge pays 1.  A VD deletion is charged where
+    its vertex is forgotten; a join just adds its children.  ED tables
+    never hold INF (an entry counts deleted edges), so ED clamps nothing.
+    max_states counts finite entries, the states a sparse table would
+    hold, of the tables that introducing each payload vertex by vertex
+    would build, each before its edges' penalties.  The witness is read
+    off top-down, at the forget nodes alone.
     """
     import numpy as np
 
@@ -58,13 +62,11 @@ def _run_dp(h: TargetGraph, inst: Instance, td: TreeDecomposition, mode: str):
                 f"entries, above the cap of {MAX_TABLE_ENTRIES}")
     nodes = make_nice(td, inst.edges)
     penalties = {}  # (list u, list v) -> edge penalty matrix
-    # two edges' penalties combined: VD's are 0 or INF, so their maximum
-    # is their sum clamped at INF, and no sum of INFs can overflow int64
-    combine = np.maximum if vd else np.add
+    # an edge penalty applied to a table: VD's are 0 or INF, so on a
+    # table clamped at INF their maximum is their sum clamped at INF
+    apply = np.maximum if vd else np.add
     longest = max(map(len, states.values()), default=1)
     pick_type = np.min_scalar_type(longest - 1)  # holds any list index
-    # axis of an introduced or forgotten vertex in sorted(bag ∪ {v})
-    axes = [0] * len(nodes)
     tables = [None] * len(nodes)
     argmins = {}  # forget node -> index of the forgotten vertex's image
     max_states = 1  # the leaf's table {(): 0}
@@ -73,40 +75,47 @@ def _run_dp(h: TargetGraph, inst: Instance, td: TreeDecomposition, mode: str):
         if kind == "leaf":
             table = np.zeros((), dtype=np.int64)
         elif kind == "introduce":
-            v = nd.payload
+            new = nd.payload
             child = tables[nd.children[0]]
             bag = sorted(nd.bag)
-            at = axes[idx] = bag.index(v)
-            k = len(choices[v])
-            # only introduce nodes grow the number of finite entries, to
-            # at most child.size * k
-            if child.size * k > max_states:
-                finite = (int(np.count_nonzero(child < INF)) if vd
-                          else child.size)
-                max_states = max(max_states, finite * k)
-            shape = child.shape[:at] + (1,) + child.shape[at:]
-            if not nd.edges:
-                table = child.reshape(shape).repeat(k, at)
+            full = [len(choices[v]) for v in bag]
+            shape = [1 if v in new else k for v, k in zip(bag, full)]
+            table = np.empty(full, dtype=np.int64)
+            if vd and nd.edges:  # the child is at most INF plus the
+                # deletions charged since its last clamp; clamped, each
+                # 0/INF penalty is applied by a maximum: no sum overflows
+                np.minimum(child.reshape(shape), INF, out=table)
             else:
-                pen = None
-                for u, w in nd.edges:
-                    cu, cw = choices[u], choices[w]
-                    p = penalties.get((cu, cw))
-                    if p is None:
-                        p = penalties[cu, cw] = edge_penalty(
-                            h.nbhd, cu, cw, INF if vd else 1)
-                    ps = [1] * len(bag)
-                    ps[bag.index(u)], ps[bag.index(w)] = p.shape  # u < w
-                    p = p.reshape(ps)
-                    pen = p if pen is None else combine(pen, p)
-                table = child.reshape(shape) + pen
-                if vd:  # the child is at most INF plus the deletions
-                    # charged since its last clamp, the penalty INF
-                    np.minimum(table, INF, out=table)
+                table[...] = child.reshape(shape)
+            for u, w in nd.edges:
+                cu, cw = choices[u], choices[w]
+                p = penalties.get((cu, cw))
+                if p is None:  # one matrix per pair of lists, either way
+                    q = penalties.get((cw, cu))
+                    p = penalties[cu, cw] = q.T if q is not None else \
+                        edge_penalty(h.nbhd, cu, cw, INF if vd else 1)
+                ps = [1] * len(bag)
+                ps[bag.index(u)], ps[bag.index(w)] = p.shape  # u < w
+                apply(table, p.reshape(ps), out=table)
+            # introduced one at a time, new[j] would meet `size` entries;
+            # in vd the finite ones are the child's, or this table's at
+            # DELETED on new[j:] (no edge penalizes a deleted vertex)
+            size = child.size
+            for j, v in enumerate(new):
+                k = len(choices[v])
+                if size * k > max_states:  # else they cannot raise it
+                    finite = size
+                    if vd:
+                        before = child if not j else table[tuple(
+                            [-1 if x in new[j:] else slice(None)
+                             for x in bag])]
+                        finite = int(np.count_nonzero(before < INF))
+                    max_states = max(max_states, finite * k)
+                size *= k
         elif kind == "forget":
             v = nd.payload
             child = tables[nd.children[0]]
-            at = axes[idx] = sorted(nodes[nd.children[0]].bag).index(v)
+            at = sorted(nodes[nd.children[0]].bag).index(v)
             if vd:  # DELETED is the last index on v's axis
                 child[(slice(None),) * at + (-1,)] += 1
             argmins[idx] = child.argmin(axis=at).astype(pick_type)
@@ -124,24 +133,18 @@ def _run_dp(h: TargetGraph, inst: Instance, td: TreeDecomposition, mode: str):
     cost = int(tables[root][()])
     if cost >= INF:
         raise Infeasible("no feasible assignment")
-    # top-down traceback; a vertex's image is read off when it is forgotten
+    # top-down traceback: a vertex's image is picked where it is forgotten,
+    # below the nodes that forget the rest of that node's bag
     hom = {}
-    chosen = {root: ()}
+    pick = {}
     for idx in range(root, -1, -1):
         nd = nodes[idx]
-        st = chosen.pop(idx)
-        at = axes[idx]
         if nd.kind == "forget":
             v = nd.payload
-            pick = int(argmins[idx][st])
-            if choices[v][pick] != DELETED:
-                hom[v] = choices[v][pick]
-            chosen[nd.children[0]] = st[:at] + (pick,) + st[at:]
-        elif nd.kind == "introduce":
-            chosen[nd.children[0]] = st[:at] + st[at + 1:]
-        else:  # a join keeps the state; a leaf has no child
-            for c in nd.children:
-                chosen[c] = st
+            p = pick[v] = int(argmins[idx][tuple(
+                [pick[x] for x in sorted(nd.bag)])])
+            if choices[v][p] != DELETED:
+                hom[v] = choices[v][p]
     return cost, hom, max_states
 
 
@@ -256,7 +259,7 @@ def _solve_ed_part(h: TargetGraph, S: int, inst: Instance,
     if analysis.classify_ed(part)[0] == "poly":
         if td is not None:
             validate_td(inst, td)
-        return polysolve.solve_ed_poly(part, inst)
+        return polysolve.solve_ed_poly(part, inst, classified=True)
     dec = analysis.find_decomposition(h, S)
     if dec is None:
         return solve_ed_dp(part, inst, td)

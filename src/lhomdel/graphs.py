@@ -81,9 +81,13 @@ class TargetGraph:
 
     def restricted(self, S: int) -> "TargetGraph":
         """H[S] in H's vertex ids: a vertex outside the mask S keeps its
-        id, with no edge and no loop."""
-        return TargetGraph(self.n, tuple(
+        id, with no edge and no loop.  H[S] is symmetric because H is, so
+        the constructor's O(|E|) symmetry check is skipped."""
+        sub = object.__new__(TargetGraph)
+        object.__setattr__(sub, "n", self.n)
+        object.__setattr__(sub, "nbhd", tuple(
             m & S if S >> v & 1 else 0 for v, m in enumerate(self.nbhd)))
+        return sub
 
 
 def bits(mask: int):

@@ -232,9 +232,11 @@ def staircase_orders(h: TargetGraph, lists) -> dict[frozenset, tuple]:
     return dict(zip(distinct, chosen))
 
 
-def solve_ed_poly(h: TargetGraph, inst: Instance) -> Solution:
-    """Minimum edge deletion via one min cut over per-vertex paths."""
-    if analysis.classify_ed(h)[0] != "poly":
+def solve_ed_poly(h: TargetGraph, inst: Instance,
+                  classified: bool = False) -> Solution:
+    """Minimum edge deletion via one min cut over per-vertex paths;
+    `classified` says the caller has already found h Poly-classified."""
+    if not classified and analysis.classify_ed(h)[0] != "poly":
         raise ValueError("solve_ed_poly requires a Poly-classified target")
     if any(not lst for lst in inst.lists):
         raise Infeasible("vertex with an empty list")

@@ -25,7 +25,7 @@ class TreeDecomposition:
 class NiceNode:
     kind: str  # "leaf" | "introduce" | "forget" | "join"
     bag: frozenset
-    payload: object  # introduced or forgotten vertex, or None
+    payload: object  # forgotten vertex, tuple of introduced ones, or None
     children: list = field(default_factory=list)
     edges: tuple = ()  # introduce: the sorted G edges it completes
 
@@ -38,7 +38,13 @@ class HubCore:
 
 
 def validate_td(g: Instance, td: TreeDecomposition) -> int:
-    """Return the width, or raise ValueError naming a fault by file ids."""
+    """Return the width, or raise ValueError naming a fault by file ids.
+
+    With the bag tree rooted at bag 0, the bags holding a vertex are
+    connected exactly when just one of them, its top, has no parent
+    holding it.  Two connected sets of bags then meet exactly when one's
+    top is in the other, so an edge uv is in a bag exactly when u is in
+    v's top bag or v in u's."""
     nb = len(td.bags)
     for a, b in td.edges:
         if not (0 <= a < nb and 0 <= b < nb):
@@ -48,6 +54,7 @@ def validate_td(g: Instance, td: TreeDecomposition) -> int:
     for a, b in td.edges:
         adj[a].append(b)
         adj[b].append(a)
+    parent = [None] * nb
     if nb:
         seen = {0}
         stack = [0]
@@ -56,45 +63,43 @@ def validate_td(g: Instance, td: TreeDecomposition) -> int:
             for y in adj[x]:
                 if y not in seen:
                     seen.add(y)
+                    parent[y] = x
                     stack.append(y)
         if len(seen) != nb or len(td.edges) != nb - 1:
             raise ValueError("bag graph is not a tree")
-    occ = [[] for _ in range(g.n)]
+    top = [None] * g.n  # v's top bag; -1 once v has two
     for i, bag in enumerate(td.bags):
+        up = () if parent[i] is None else td.bags[parent[i]]
         for v in bag:
             if not 0 <= v < g.n:
                 raise ValueError(f"bag {i + 1} names vertex {v + 1}, outside "
                                  f"the graph's {g.n} vertices")
-            occ[v].append(i)
+            if v not in up:
+                top[v] = i if top[v] is None else -1
     for v in range(g.n):
-        if not occ[v]:
+        if top[v] is None:
             raise ValueError(f"vertex {v + 1} is in no bag")
-        inside = set(occ[v])
-        seen = {occ[v][0]}
-        stack = [occ[v][0]]
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if y in inside and y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        if seen != inside:
+        if top[v] < 0:
             raise ValueError(f"bags containing vertex {v + 1} are disconnected")
     for u, v in g.edges:
-        x, y = (u, v) if len(occ[u]) <= len(occ[v]) else (v, u)
-        if not any(y in td.bags[i] for i in occ[x]):  # scan the rarer end
+        if u not in td.bags[top[v]] and v not in td.bags[top[u]]:
             raise ValueError(f"edge ({u + 1}, {v + 1}) is in no bag")
     return td.width
 
 
 def make_nice(td: TreeDecomposition, edges) -> list[NiceNode]:
     """Rooted nice form: list of NiceNode in bottom-up (post-) order, root
-    last with an empty bag.  Each edge of `edges` is listed, in the sorted
-    `edges` of one node, at the first node whose bag holds both endpoints.
+    last with an empty bag.  A forget node drops one vertex; an introduce
+    node adds every vertex its bag has and its child's lacks, and no
+    introduce node's child is another.  Its payload lists them bottom-up,
+    ascending within each decomposition edge (or leaf bag) they enter on:
+    the order in which a one-vertex-per-node form would introduce them.
+    Each edge of `edges` is listed, in the sorted `edges` of one node, at
+    the first node whose bag holds both endpoints.
 
     That first node is always an introduce node (a leaf is empty, a forget
     node shrinks its child's bag and a join repeats its children's), and
-    the vertex it introduces is one end of each edge it lists."""
+    one end of each edge it lists is in its payload."""
     nodes: list[NiceNode] = []
     pending = {}  # vertex -> its neighbours no bag has held it with yet
     for u, w in edges:
@@ -106,26 +111,33 @@ def make_nice(td: TreeDecomposition, edges) -> list[NiceNode]:
         return len(nodes) - 1
 
     def chain_to(top, have, want):
-        """Forget have∖want then introduce want∖have, one vertex per node,
-        each introduce listing the edges it completes."""
+        """Forget have∖want one vertex per node, then introduce want∖have,
+        ascending, in one node listing every edge it completes."""
         cur = set(have)
         for v in sorted(have - want):
             cur.discard(v)
             top = emit("forget", cur, v, [top])
-        for v in sorted(want - have):
-            cur.add(v)
-            done = ()
-            nbrs = pending.get(v)
-            if nbrs:
-                hit = nbrs & cur
-                if hit:
-                    nbrs -= hit
-                    for w in hit:
-                        pending[w].discard(v)
-                    # sorted by the other end is sorted: every edge holds v
-                    done = tuple((w, v) if w < v else (v, w)
-                                 for w in sorted(hit))
-            top = emit("introduce", cur, v, [top], done)
+        new = sorted(want - have)
+        if new:
+            cur.update(new)
+            done = []
+            for v in new:
+                nbrs = pending.get(v)
+                if nbrs:
+                    hit = nbrs & cur
+                    if hit:
+                        nbrs -= hit
+                        for w in hit:
+                            pending[w].discard(v)
+                        done += [(w, v) if w < v else (v, w) for w in hit]
+            new, kids = tuple(new), [top]
+            if top == len(nodes) - 1 and nodes[top].kind == "introduce":
+                # nothing was forgotten: extend the introduce node below,
+                # its vertices first, so that none is another's child
+                prev = nodes.pop()
+                new, kids = prev.payload + new, prev.children
+                done += prev.edges
+            top = emit("introduce", cur, new, kids, tuple(sorted(done)))
         return top
 
     nb = len(td.bags)

@@ -373,6 +373,43 @@ def test_split_trees_copy_no_target(monkeypatch):
         assert len(parts) > 2 and len(built) <= len(parts), (built, parts)
 
 
+def test_decomposition_tree_computes_the_reflexive_mask_once(monkeypatch):
+    # reflexive K_n splits down to its 2n - 1 singletons' tree nodes
+    calls = []
+    mask = TargetGraph.reflexive_mask
+
+    def counted(self):
+        calls.append(self.n)
+        return mask(self)
+
+    monkeypatch.setattr(TargetGraph, "reflexive_mask", counted)
+    h = families.reflexive_clique(40)
+    tree = analysis.decomposition_tree(h)
+    assert sum(1 for _ in _tree_nodes(tree)) == 79
+    assert calls == [40]
+
+
+def test_ed_split_classifies_each_part_once(monkeypatch):
+    # an obstruction-free part goes to the poly solver with its verdict
+    seen = []
+    classify = analysis.classify_ed
+
+    def counted(h):
+        seen.append(h.nbhd)
+        return classify(h)
+
+    monkeypatch.setattr(analysis, "classify_ed", counted)
+    h = families.windowed_family(3)
+    rng = random.Random(32)
+    for _ in range(5):
+        del seen[:]
+        inst = families.random_instance(rng, h, 8)
+        assert dpsolve.solve_ed_auto(h, inst).stats["parts"] == 2
+        assert len(seen) > 2 and len(set(seen)) == len(seen), seen
+    with pytest.raises(ValueError):  # a direct call still checks
+        polysolve.solve_ed_poly(h, inst)
+
+
 def _tree_nodes(tree):
     """Every node of a decomposition tree, each once."""
     stack = [tree]

@@ -148,6 +148,11 @@ def test_dp_does_not_compute_i_of_h(monkeypatch):
 # reference: the sparse DP, one {state: cost} dict per nice node
 
 
+def _later_end(edge, payload):
+    """The end of an introduced edge that comes later in the payload."""
+    return max((v for v in edge if v in payload), key=payload.index)
+
+
 def _dict_dp(h, inst, td, mode):
     """(cost, max_states) of the dict-of-tuples DP: states are tuples of
     images aligned with sorted(bag), VD adds the DELETED symbol; every
@@ -157,33 +162,42 @@ def _dict_dp(h, inst, td, mode):
     tables = []
     most = 1  # the leaf's; forgets and joins never grow a table
     for nd in nodes:
-        bag = sorted(nd.bag)
         if nd.kind == "leaf":
             table = {(): 0}
         elif nd.kind == "introduce":
-            at = bag.index(nd.payload)
-            choices = sorted(inst.lists[nd.payload])
-            if mode == "vd":
-                choices = choices + [dpsolve.DELETED]
-            elif not choices:
-                raise Infeasible(f"vertex {nd.payload} has an empty list")
-            table = {}
-            for cstate, ccost in tables[nd.children[0]].items():
-                for img in choices:
-                    st = cstate[:at] + (img,) + cstate[at:]
-                    cost = ccost + (1 if img == dpsolve.DELETED else 0)
-                    table[st] = min(cost, table.get(st, dpsolve.INF))
-            most = max(most, len(table))  # before any edge removes states
-            for edge in nd.edges:
-                iu, iv = (bag.index(x) for x in edge)
-                kept = {}
-                for st, cost in table.items():
-                    a, b = st[iu], st[iv]
-                    if dpsolve.DELETED in (a, b) or h.has_edge(a, b):
-                        kept[st] = cost
-                    elif mode == "ed":
-                        kept[st] = cost + 1
-                table = kept
+            # one vertex at a time, in payload order; each applies the
+            # edges whose later end in the payload it is
+            table = tables[nd.children[0]]
+            cur = set(nodes[nd.children[0]].bag)
+            for x in nd.payload:
+                cur.add(x)
+                bag = sorted(cur)
+                at = bag.index(x)
+                choices = sorted(inst.lists[x])
+                if mode == "vd":
+                    choices = choices + [dpsolve.DELETED]
+                elif not choices:
+                    raise Infeasible(f"vertex {x} has an empty list")
+                grown = {}
+                for cstate, ccost in table.items():
+                    for img in choices:
+                        st = cstate[:at] + (img,) + cstate[at:]
+                        cost = ccost + (1 if img == dpsolve.DELETED else 0)
+                        grown[st] = min(cost, grown.get(st, dpsolve.INF))
+                table = grown
+                most = max(most, len(table))  # before x's edges
+                for edge in nd.edges:
+                    if _later_end(edge, nd.payload) != x:
+                        continue
+                    iu, iv = (bag.index(y) for y in edge)
+                    kept = {}
+                    for st, cost in table.items():
+                        a, b = st[iu], st[iv]
+                        if dpsolve.DELETED in (a, b) or h.has_edge(a, b):
+                            kept[st] = cost
+                        elif mode == "ed":
+                            kept[st] = cost + 1
+                    table = kept
         elif nd.kind == "forget":
             at = sorted(nodes[nd.children[0]].bag).index(nd.payload)
             table = {}
@@ -205,11 +219,12 @@ def _dict_dp(h, inst, td, mode):
 
 
 def _per_edge_dp(h, inst, td, mode):
-    """(cost, hom, max_states) of _run_dp's dense DP done one edge at a
-    time: an introduce node repeats its child along the new axis, then
-    adds each edge's penalty to the whole table and clamps it at INF;
-    every introduce node counts its child's finite entries, every node
-    sorts its bag again, and no table is freed."""
+    """(cost, hom, max_states) of _run_dp's dense DP done one vertex and
+    one edge at a time: an introduce node adds its payload vertex by
+    vertex, in payload order, each time counting the table's finite entries,
+    repeating it along the new axis, then adding the penalty of each edge
+    whose later end the vertex is to the whole table and clamping it at
+    INF; every node sorts its bag again, and no table is freed."""
     import numpy as np
 
     INF, DELETED = dpsolve.INF, dpsolve.DELETED
@@ -233,23 +248,29 @@ def _per_edge_dp(h, inst, td, mode):
     argmins = {}
     max_states = 1
     for idx, nd in enumerate(nodes):
-        bag = sorted(nd.bag)
         if nd.kind == "leaf":
             table = np.zeros((), dtype=np.int64)
         elif nd.kind == "introduce":
-            v = nd.payload
-            child = tables[nd.children[0]]
-            at = bag.index(v)
-            max_states = max(max_states, int(np.count_nonzero(child < INF))
-                             * len(choices[v]))
-            table = np.repeat(np.expand_dims(child, at), len(choices[v]),
-                              axis=at)
-            for u, w in nd.edges:
-                pen = penalty(choices[u], choices[w])
-                shape = [1] * len(bag)
-                shape[bag.index(u)], shape[bag.index(w)] = pen.shape
-                table += pen.reshape(shape)
-                np.minimum(table, INF, out=table)
+            # one vertex at a time, in payload order; each applies the
+            # edges whose later end in the payload it is
+            table = tables[nd.children[0]]
+            cur = set(nodes[nd.children[0]].bag)
+            for x in nd.payload:
+                cur.add(x)
+                bag = sorted(cur)
+                at = bag.index(x)
+                max_states = max(max_states, int(np.count_nonzero(
+                    table < INF)) * len(choices[x]))
+                table = np.repeat(np.expand_dims(table, at), len(choices[x]),
+                                  axis=at)
+                for u, w in nd.edges:
+                    if _later_end((u, w), nd.payload) != x:
+                        continue
+                    pen = penalty(choices[u], choices[w])
+                    shape = [1] * len(bag)
+                    shape[bag.index(u)], shape[bag.index(w)] = pen.shape
+                    table += pen.reshape(shape)
+                    np.minimum(table, INF, out=table)
         elif nd.kind == "forget":
             v = nd.payload
             child = tables[nd.children[0]].copy()
@@ -279,8 +300,8 @@ def _per_edge_dp(h, inst, td, mode):
                 hom[v] = choices[v][pick]
             chosen[nd.children[0]] = st[:at] + (pick,) + st[at:]
         elif nd.kind == "introduce":
-            at = sorted(nd.bag).index(nd.payload)
-            chosen[nd.children[0]] = st[:at] + st[at + 1:]
+            chosen[nd.children[0]] = tuple(
+                x for v, x in zip(sorted(nd.bag), st) if v not in nd.payload)
         else:
             for c in nd.children:
                 chosen[c] = st

@@ -185,6 +185,31 @@ def test_parse_instance_checks_edges_once(monkeypatch):
     assert calls == [1]
 
 
+def test_restricted_parts_are_induced_subgraphs(monkeypatch):
+    # restricted() skips the constructor's symmetry check; each part is
+    # still symmetric and is the target of H's edges inside the mask
+    checks = []
+    post_init = TargetGraph.__post_init__
+
+    def counted(self):
+        checks.append(self.n)
+        post_init(self)
+
+    monkeypatch.setattr(TargetGraph, "__post_init__", counted)
+    rng = random.Random(77)
+    for _ in range(200):
+        h = families.random_target(rng, rng.randint(1, 9))
+        S = rng.getrandbits(h.n)
+        del checks[:]
+        part = h.restricted(S)
+        assert checks == []
+        assert all(part.has_edge(u, v) == part.has_edge(v, u)
+                   for u in range(h.n) for v in range(h.n))
+        want = TargetGraph.from_edges(h.n, [
+            (u, v) for u, v in h.edges() if S >> u & 1 and S >> v & 1])
+        assert part == want
+
+
 # Under python -O: two valid witnesses, then one corruption per check;
 # then a decomposition split that the instance's lists straddle; last,
 # the vd oracle given a scan that finds no feasible assignment.

@@ -1,5 +1,6 @@
 import hashlib
 import random
+import re
 from itertools import permutations
 
 import pytest
@@ -75,6 +76,97 @@ def test_validate_td_rejects_bad_decompositions():
             (frozenset({0, 1, 2}), frozenset({0, 1, 2})), ()))
 
 
+def _validate_td_per_vertex(g, td):
+    """Reference validate_td: searches each vertex's bags for connectivity
+    on its own; the same checks and messages, in the same order."""
+    nb = len(td.bags)
+    for a, b in td.edges:
+        if not (0 <= a < nb and 0 <= b < nb):
+            raise ValueError(f"tree edge ({a + 1}, {b + 1}) out of range")
+    adj = {i: [] for i in range(nb)}
+    for a, b in td.edges:
+        adj[a].append(b)
+        adj[b].append(a)
+
+    def reach(start, inside):
+        seen, stack = {start}, [start]
+        while stack:
+            for y in adj[stack.pop()]:
+                if y in inside and y not in seen:
+                    seen.add(y)
+                    stack.append(y)
+        return seen
+
+    if nb and (len(reach(0, set(range(nb)))) != nb
+               or len(td.edges) != nb - 1):
+        raise ValueError("bag graph is not a tree")
+    occ = [[] for _ in range(g.n)]
+    for i, bag in enumerate(td.bags):
+        for v in bag:
+            if not 0 <= v < g.n:
+                raise ValueError(f"bag {i + 1} names vertex {v + 1}, outside "
+                                 f"the graph's {g.n} vertices")
+            occ[v].append(i)
+    for v in range(g.n):
+        if not occ[v]:
+            raise ValueError(f"vertex {v + 1} is in no bag")
+        if reach(occ[v][0], set(occ[v])) != set(occ[v]):
+            raise ValueError(
+                f"bags containing vertex {v + 1} are disconnected")
+    for u, v in g.edges:
+        if not any({u, v} <= bag for bag in td.bags):
+            raise ValueError(f"edge ({u + 1}, {v + 1}) is in no bag")
+    return td.width
+
+
+def _outcome(validate, g, td):
+    try:
+        return validate(g, td)
+    except ValueError as e:
+        return str(e)
+
+
+def test_validate_td_matches_the_per_vertex_search():
+    # randomly mutated decompositions: a dropped vertex, a moved
+    # occurrence, an extra tree edge, a vertex out of range
+    rng = random.Random(55)
+    faults = set()
+    for trial in range(300):
+        if trial % 3 == 0:
+            g = _random_graph(rng, rng.randint(1, 12), rng.random())
+        elif trial % 3 == 1:
+            g = _grid(rng.randint(1, 4), rng.randint(1, 6), trial % 2 == 0)
+        else:
+            g = _partial_ktree(rng, rng.randint(6, 16), rng.randint(1, 4))
+        td = build_td(g)
+        bags = [set(b) for b in td.bags]
+        tedges = list(td.edges)
+        for _ in range(rng.randint(0, 3)):
+            i = rng.randrange(len(bags))
+            kind = rng.randrange(4)
+            if kind == 0 and bags[i]:
+                bags[i].discard(rng.choice(sorted(bags[i])))
+            elif kind == 1 and bags[i]:
+                v = rng.choice(sorted(bags[i]))
+                bags[i].discard(v)
+                bags[rng.randrange(len(bags))].add(v)
+            elif kind == 2:
+                tedges.insert(rng.randint(0, len(tedges)),
+                              (i, rng.randrange(len(bags))))
+            elif kind == 3:
+                bags[i].add(g.n + rng.randrange(2))
+        bad = TreeDecomposition(tuple(map(frozenset, bags)), tuple(tedges))
+        want = _outcome(_validate_td_per_vertex, g, bad)
+        assert _outcome(validate_td, g, bad) == want, trial
+        faults.add("width" if isinstance(want, int)
+                   else re.sub(r"\d+", "#", want))
+    assert faults == {
+        "width", "bag graph is not a tree", "vertex # is in no bag",
+        "bag # names vertex #, outside the graph's # vertices",
+        "bags containing vertex # are disconnected",
+        "edge (#, #) is in no bag"}
+
+
 def test_build_td_is_exact_on_small_graphs():
     rng = random.Random(51)
     for _ in range(25):
@@ -103,11 +195,13 @@ def test_make_nice_invariants():
                 assert nd.bag == frozenset() and not nd.children
             elif nd.kind == "introduce":
                 child = nodes[nd.children[0]]
-                assert nd.bag == child.bag | {nd.payload}
-                assert nd.payload not in child.bag
+                assert child.kind != "introduce"
+                assert nd.payload and len(set(nd.payload)) == len(nd.payload)
+                assert nd.bag == child.bag | set(nd.payload)
+                assert child.bag.isdisjoint(nd.payload)
                 assert list(nd.edges) == sorted(nd.edges)
                 for u, v in nd.edges:
-                    assert u < v and nd.payload in (u, v)
+                    assert u < v and {u, v} & set(nd.payload)
                     # the first node in post-order whose bag holds both ends
                     assert i == min(j for j, x in enumerate(nodes)
                                     if {u, v} <= x.bag)
@@ -131,6 +225,15 @@ def test_make_nice_invariants():
     with pytest.raises(ValueError):  # a cycle of bags
         make_nice(TreeDecomposition((frozenset({0}),) * 3,
                                     ((0, 1), (1, 2), (2, 0))), [])
+
+
+def test_make_nice_node_counts_are_pinned():
+    # at most one introduce node per decomposition edge and leaf
+    g = _grid(6, 18)
+    assert len(make_nice(build_td(g), g.edges)) == 331
+    g = _partial_ktree(random.Random(54), 100, 6)
+    td = build_td(g)
+    assert td.width == 6 and len(make_nice(td, g.edges)) == 359
 
 
 def test_make_nice_names_the_least_edge_in_no_bag():
