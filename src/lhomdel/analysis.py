@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional
 
-from . import _kernels, oracle
+from . import _kernels
 from .graphs import TargetGraph, bits, max_incomparable
 
 # up to this many vertices find_decomposition returns the lexicographically
@@ -230,9 +230,33 @@ def find_decomposition(h: TargetGraph, S: Optional[int] = None,
     if split is None:
         return None
     dec = Decomposition(*(tuple(bits(m)) for m in split))
-    if not oracle.is_valid_decomposition(h, dec.a, dec.b, dec.c):
+    if not is_valid_decomposition(h, dec.a, dec.b, dec.c):
         raise AssertionError(f"decomposition search gave an invalid {dec}")
     return dec
+
+
+def is_valid_decomposition(h: TargetGraph, a, b, c) -> bool:
+    """(A,B,C): A nonempty, B a reflexive clique fully joined to A, C an
+    irreflexive independent set with no edges to A, B or C nonempty."""
+    if not a or not (b or c):
+        return False
+    for u in b:
+        for v in b:
+            if not h.has_edge(u, v):  # u == v checks the loop
+                return False
+        for v in a:
+            if not h.has_edge(u, v):
+                return False
+    for u in c:
+        if h.has_loop(u):
+            return False
+        for v in c:
+            if u != v and h.has_edge(u, v):
+                return False
+        for v in a:
+            if h.has_edge(u, v):
+                return False
+    return True
 
 
 def i_bullet(h: TargetGraph) -> tuple[int, Optional[list[int]]]:

@@ -1,23 +1,25 @@
 """Command-line interface: classify targets, solve instances, emit verified
 gadgets, run problem reductions, and self-test against the oracles.
 
-All commands print deterministic JSON to stdout.  Exit codes: 0 success,
-1 infeasible (edge deletion with an empty list), 2 parse error (also an
-input file that cannot be read or decoded), 3 precondition violation (also
-an output file that cannot be written, and a MemoryError, reported with
-the detail "out of memory"), 4 internal error (a bug: any other exception,
-reported as {"error": "internal", "detail": "<Type>: <message>"}, with the
-traceback on stderr).
+All commands print deterministic JSON to stdout through one writer,
+_emit, laid out as json.dumps(sort_keys=True, indent=2) lays it out; no
+report has a depth limit, and none is held whole as text.  Exit codes:
+0 success, 1 infeasible (edge deletion with an empty list), 2 parse error
+(also an input file that cannot be read or decoded), 3 precondition
+violation (also an output file that cannot be written, and a MemoryError,
+reported with the detail "out of memory"), 4 internal error (a bug: any
+other exception, reported as {"error": "internal", "detail": "<Type>:
+<message>"}, with the traceback on stderr).
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import random
 import sys
 import traceback
+from json.encoder import encode_basestring_ascii as _json_str
 
 from . import analysis, dpsolve, gadgets, oracle, polysolve, reductions
 from .graphs import (Infeasible, ParseError, format_instance, format_target,
@@ -36,8 +38,77 @@ class PreconditionError(Exception):
     pass
 
 
+_NESTED = frozenset((dict, list))
+_INT = frozenset((int,))
+
+
 def _emit(obj) -> None:
-    sys.stdout.write(json.dumps(obj, sort_keys=True, indent=2) + "\n")
+    """Write a report, built from dicts with str keys, lists, str, int, bool
+    and None, to stdout as json.dumps(obj, sort_keys=True, indent=2) + "\\n"
+    lays it out.  A stack replaces json.dumps's recursion, which fails at
+    about 500 levels, and the text is written one list or dict element at
+    a time, a list or dict holding neither in one write: a classify tree's
+    text grows as the cube of the target and is never held whole."""
+    write = sys.stdout.write
+    stack = ["\n", (obj, 0, "")]  # (value, nesting, text before it) or text
+    while stack:
+        top = stack.pop()
+        if type(top) is str:
+            write(top)
+            continue
+        value, lv, before = top
+        if type(value) is list:
+            keys, vals, open_, close = None, value, "[", "]"
+        elif type(value) is dict:
+            keys = sorted(value)
+            vals = [*map(value.__getitem__, keys)]
+            open_, close = "{", "}"
+        else:
+            write(before + _scalar(value))
+            continue
+        if not vals:
+            write(before + open_ + close)
+            continue
+        nl = "\n" + "  " * (lv + 1)
+        close = "\n" + "  " * lv + close
+        kinds = set(map(type, vals))
+        if kinds.isdisjoint(_NESTED):
+            write(before + open_ + nl + _flat(keys, vals, kinds, "," + nl)
+                  + close)
+            continue
+        write(before + open_)
+        stack.append(close)
+        for i in range(len(vals) - 1, -1, -1):
+            key = "" if keys is None else _json_str(keys[i]) + ": "
+            stack.append((vals[i], lv + 1, ("," if i else "") + nl + key))
+
+
+def _scalar(v) -> str:
+    """A str, int, bool or None as json.dumps writes it."""
+    if type(v) is str:
+        return _json_str(v)
+    if type(v) is int:
+        return int.__repr__(v)
+    if v is None:
+        return "null"
+    if type(v) is bool:
+        return "true" if v else "false"
+    raise TypeError(f"{type(v).__name__} is not a report value")
+
+
+def _flat(keys, vals, kinds, sep) -> str:
+    """The elements of a list (keys None) or of a dict (its sorted keys)
+    holding no list or dict, joined by sep.  All-int values skip the
+    per-value call: %d and int.__repr__ write an int as json.dumps does."""
+    if keys is None:
+        return sep.join(map(int.__repr__ if kinds == _INT else _scalar,
+                            vals))
+    # one %-format writes a dict's items, keys and values interleaved
+    fmt, texts = (("%s: %d", vals) if kinds == _INT
+                  else ("%s: %s", [*map(_scalar, vals)]))
+    args = [None] * (2 * len(vals))
+    args[::2], args[1::2] = map(_json_str, keys), texts
+    return ((fmt + sep) * len(vals))[:-len(sep)] % tuple(args)
 
 
 def _read(path: str) -> str:
@@ -63,55 +134,8 @@ def _write(path: str, text: str) -> None:
 
 
 def cmd_classify(args) -> int:
-    """The classification as json.dumps(report, sort_keys=True, indent=2)
-    gives it.  _write_tree writes the decomposition tree, whose text grows
-    as the cube of the target on a path-like tree; json.dumps the rest."""
-    h = parse_target(_read(args.target))
-    out = analysis.classification_json(h)
-    tree, out["decomposition_tree"] = out["decomposition_tree"], 0
-    # the placeholder is a top-level key, the only one indented by two
-    head, _, tail = json.dumps(out, sort_keys=True, indent=2).partition(
-        '\n  "decomposition_tree": 0')
-    sys.stdout.write(head + '\n  "decomposition_tree": ')
-    _write_tree(sys.stdout.write, tree, 1)
-    sys.stdout.write(tail + "\n")
+    _emit(analysis.classification_json(parse_target(_read(args.target))))
     return EXIT_OK
-
-
-def _node_rest(node: dict, lv: int) -> str:
-    """A tree node's text after its children, at nesting `lv`."""
-    dec = node["decomposition"]
-    if dec is not None:
-        dec = _json_block("{", [
-            f'"{k}": ' + _json_block("[", [*map(str, dec[k])], "]", lv + 2)
-            for k in "abc"], "}", lv + 1)
-    i1 = "\n" + "  " * (lv + 1)
-    vertices = _json_block("[", [*map(str, node["vertices"])], "]", lv + 1)
-    return (f',{i1}"decomposition": {"null" if dec is None else dec},'
-            f'{i1}"vertices": {vertices}\n' + "  " * lv + "}")
-
-
-def _write_tree(write, tree: dict, level: int) -> None:
-    """Write a decomposition tree (analysis.decomposition_tree) at nesting
-    `level` as json.dumps(sort_keys=True, indent=2) lays it out.  A stack
-    replaces json.dumps's recursion, which fails at about 500 levels, and
-    a node's closing text is made when it is written, so the text held at
-    once is one node's, not one per open ancestor."""
-    stack = [(tree, level, "")]  # (node, nesting, text before it)
-    while stack:
-        node, lv, before = stack.pop()
-        i1 = "\n" + "  " * (lv + 1)
-        kids = node["children"]
-        if before is None:  # its children are written
-            write(i1 + "]" + _node_rest(node, lv))
-        elif not kids:
-            write(before + "{" + i1 + '"children": []' + _node_rest(node, lv))
-        else:
-            i2 = i1 + "  "
-            write(before + "{" + i1 + '"children": [' + i2)
-            stack.append((node, lv, None))
-            stack += [(ch, lv + 2, "," + i2) for ch in reversed(kids[1:])]
-            stack.append((kids[0], lv + 2, ""))
 
 
 _SOLVERS = {
@@ -146,45 +170,17 @@ def cmd_solve(args) -> int:
             raise PreconditionError(
                 "tree decompositions only apply to the dp/auto algorithms")
         sol = solver(h, inst)
-    sys.stdout.write(_solution_json(sol, inst.budget) + "\n")
+    out = {"mode": sol.mode, "opt": sol.cost,
+           "deleted": ([v + 1 for v in sol.deleted] if sol.mode == "vd"
+                       else [[u + 1, v + 1] for u, v in sol.deleted]),
+           # JSON keys are strings, and sort as strings: "10" before "2"
+           "homomorphism": {str(v + 1): img + 1
+                            for v, img in sol.hom.items()},
+           "algorithm": sol.algorithm, "stats": sol.stats}
+    if inst.budget is not None:
+        out["decision"] = sol.cost <= inst.budget
+    _emit(out)
     return EXIT_OK
-
-
-def _json_block(open_: str, items: list[str], close: str,
-                level: int = 1) -> str:
-    """The items of a value at nesting `level` (1: a top-level value) as
-    json.dumps(indent=2) lays them out."""
-    if not items:
-        return open_ + close
-    inner = "\n" + "  " * (level + 1)
-    return (open_ + inner + ("," + inner).join(items) + "\n" + "  " * level
-            + close)
-
-
-def _solution_json(sol, budget) -> str:
-    """The solve report, byte for byte as json.dumps(report, sort_keys=True,
-    indent=2) gives it.  `indent` sends json.dumps to its pure-Python
-    encoder, so the two values that grow with the instance, `deleted` and
-    `homomorphism`, are written here; the rest goes through json.dumps.
-    Homomorphism keys are strings, so they sort as strings ("10" < "2")."""
-    out = {"mode": sol.mode, "opt": sol.cost, "deleted": 0,
-           "homomorphism": 0, "algorithm": sol.algorithm,
-           "stats": sol.stats}
-    if budget is not None:
-        out["decision"] = sol.cost <= budget
-    if sol.mode == "vd":
-        deleted = [str(v + 1) for v in sol.deleted]
-    else:
-        deleted = [f"[\n      {u + 1},\n      {v + 1}\n    ]"
-                   for u, v in sol.deleted]
-    # `"` sorts below every digit, so the items sort as their keys do
-    hom = sorted(f'"{v + 1}": {img + 1}' for v, img in sol.hom.items())
-    # the placeholders are top-level keys, the only ones indented by two
-    text = json.dumps(out, sort_keys=True, indent=2)
-    text = text.replace('\n  "deleted": 0,', '\n  "deleted": '
-                        + _json_block("[", deleted, "]") + ",", 1)
-    return text.replace('\n  "homomorphism": 0,', '\n  "homomorphism": '
-                        + _json_block("{", hom, "}") + ",", 1)
 
 
 def _alpha(g):

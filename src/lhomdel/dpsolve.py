@@ -119,7 +119,9 @@ def _run_dp(h: TargetGraph, inst: Instance, td: TreeDecomposition, mode: str):
             if vd:  # DELETED is the last index on v's axis
                 child[(slice(None),) * at + (-1,)] += 1
             argmins[idx] = child.argmin(axis=at).astype(pick_type)
-            table = child.min(axis=at)
+            # an array even once the bag is empty (min gives a scalar
+            # there), as a join adds into its first child's table in place
+            table = np.asarray(child.min(axis=at))
         else:  # join
             c1, c2 = nd.children
             table = tables[c1]

@@ -22,9 +22,8 @@ from typing import Optional
 
 from . import _kernels, analysis
 from ._kernels import DELETED, INF
-from .graphs import (Instance, ParseError, TargetGraph, bits,
-                     format_instance, incomparable, is_incomparable_set,
-                     parse_instance)
+from .graphs import (Instance, TargetGraph, bits, format_instance,
+                     incomparable, is_incomparable_set)
 from .treewidth import _min_fill_order
 
 ENUM_BOUND = 10 ** 7
@@ -927,13 +926,3 @@ def format_gadget(g: Gadget) -> str:
         g.n, sorted(tuple(sorted(e)) for e in g.edges), list(g.lists)))
     return body + "portal " + " ".join(str(p + 1) for p in g.portals) + "\n"
 
-
-def parse_gadget(text: str, h: TargetGraph) -> Gadget:
-    lines = text.splitlines()
-    portal_lines = [ln for ln in lines if ln.strip().startswith("portal")]
-    if len(portal_lines) != 1:
-        raise ParseError("gadget needs exactly one portal line")
-    rest = "\n".join(ln for ln in lines if not ln.strip().startswith("portal"))
-    inst = parse_instance(rest, h)
-    portals = tuple(int(t) - 1 for t in portal_lines[0].split()[1:])
-    return Gadget(inst.n, tuple(inst.edges), tuple(inst.lists), portals)

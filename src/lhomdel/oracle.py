@@ -10,6 +10,7 @@ from itertools import product
 from math import prod
 
 from . import _kernels
+from .analysis import is_valid_decomposition
 from .graphs import Infeasible, Instance, Solution, TargetGraph
 
 ENUM_BOUND = 10 ** 8
@@ -101,26 +102,3 @@ def oracle_decomposition(h: TargetGraph):
     analysis.find_decomposition matches in polynomial time."""
     return next(oracle_decompositions(h), None)
 
-
-def is_valid_decomposition(h: TargetGraph, a, b, c) -> bool:
-    """(A,B,C): A nonempty, B a reflexive clique fully joined to A, C an
-    irreflexive independent set with no edges to A, B or C nonempty."""
-    if not a or not (b or c):
-        return False
-    for u in b:
-        for v in b:
-            if not h.has_edge(u, v):  # u == v checks the loop
-                return False
-        for v in a:
-            if not h.has_edge(u, v):
-                return False
-    for u in c:
-        if h.has_loop(u):
-            return False
-        for v in c:
-            if u != v and h.has_edge(u, v):
-                return False
-        for v in a:
-            if h.has_edge(u, v):
-                return False
-    return True

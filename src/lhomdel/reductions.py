@@ -52,9 +52,12 @@ class ClassicInstance:
             seen.add(key)
         if len(set(self.terminals)) != len(self.terminals):
             raise ValueError("terminals must be distinct")
-        for t in self.terminals:
-            if not 0 <= t < self.n:
-                raise ValueError("terminal out of range")
+        for what, ids in (("terminal", self.terminals),
+                          ("source", (self.source,)), ("sink", (self.sink,)),
+                          ("annotated vertex", self.left + self.right)):
+            for v in ids:
+                if v is not None and not 0 <= v < self.n:
+                    raise ValueError(f"{what} out of range")
         if self.kind == "st-min-cut":
             if self.source is None or self.sink is None \
                     or self.source == self.sink:
@@ -378,6 +381,8 @@ def parse_classic(text: str) -> ClassicInstance:
 
 
 def format_classic(c: ClassicInstance) -> str:
+    """The text parse_classic reads.  No command writes one, but it stays
+    beside parse_classic as the writer of the format `reduce` reads."""
     lines = [f"p {c.kind} {c.n} {len(c.edges)}"]
     lines += [f"e {u + 1} {v + 1}" for u, v in c.edges]
     if c.source is not None:

@@ -422,6 +422,8 @@ def _largest_bag(td: TreeDecomposition) -> int:
 
 
 def format_td(td: TreeDecomposition, n: int) -> str:
+    """The PACE text parse_td reads.  No command writes one, but it stays
+    beside parse_td as the writer of the format `solve --td` reads."""
     lines = [f"s td {len(td.bags)} {_largest_bag(td)} {n}"]
     for i, bag in enumerate(td.bags, 1):
         lines.append(" ".join(["b", str(i)] + [str(v + 1)
@@ -461,6 +463,8 @@ def parse_core(text: str) -> HubCore:
 
 
 def format_core(core: HubCore) -> str:
+    """The text parse_core reads.  No command writes one, but it stays
+    beside parse_core as the writer of the format `solve --core` reads."""
     body = " ".join(str(v + 1) for v in sorted(core.q))
     out = f"q {len(core.q)} {core.sigma} {core.delta}\n"
     return out + (body + "\n" if body else "")

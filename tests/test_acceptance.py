@@ -95,7 +95,7 @@ def test_criterion_05_split_detectors_vs_bruteforce():
         assert (split is None) == (found is None)
         if split is not None:
             a, b, c = (list(bits(m)) for m in split)
-            assert oracle.is_valid_decomposition(h, a, b, c)
+            assert analysis.is_valid_decomposition(h, a, b, c)
 
     strong = 0
     while strong < 100:

@@ -277,7 +277,7 @@ def test_decomposition_detectors_vs_oracle(monkeypatch):
             found = oracle.oracle_decomposition(h)
             assert (dec is None) == (found is None), limit
             if dec is not None:
-                assert oracle.is_valid_decomposition(
+                assert analysis.is_valid_decomposition(
                     h, list(dec.a), list(dec.b), list(dec.c)), limit
             assert analysis.is_decomposable(h) == (found is not None), limit
 

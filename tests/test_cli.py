@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 import time
+import types
 
 import pytest
 
@@ -546,9 +547,9 @@ def test_classify_writer_is_json_dumps(tmp_path, capsys):
                                  sort_keys=True, indent=2) + "\n", h.nbhd
 
 
-def test_tree_writer_has_no_depth_limit():
-    """A tree 600 levels deep, beyond json.dumps's recursion, written at
-    every nesting json.dumps would give it."""
+def test_tree_writer_has_no_depth_limit(monkeypatch):
+    """A tree 600 levels deep, beyond json.dumps's recursion, written as
+    json.dumps would write it."""
     tree = node = {}
     for d in range(1, 601):
         leaf = {"vertices": [d], "decomposition": None, "children": []}
@@ -566,9 +567,47 @@ def test_tree_writer_has_no_depth_limit():
     finally:
         sys.setrecursionlimit(limit)
     chunks = []
-    cli._write_tree(chunks.append, tree, 0)
-    assert "".join(chunks) == want
+    monkeypatch.setattr(sys, "stdout", types.SimpleNamespace(
+        write=chunks.append))
+    cli._emit(tree)
+    assert "".join(chunks) == want + "\n"
     assert len(chunks) > 2 * 600  # written node by node
+
+
+# what the writer must escape or order as json.dumps does: quotes,
+# backslashes, control characters, non-ASCII and astral text, and digit
+# keys, which sort as strings ("10" before "2")
+WRITER_KEYS = ["", "a", "b c", 'say "x"', "back\\slash", "tab\tnew\nline",
+               "\x00\x1f\x7f", "é", "日本", "\U0001d11e", "10", "2", "-1"]
+WRITER_SCALARS = [None, True, False, 0, 1, -1, 7, 2 ** 63, 2 ** 64,
+                  2 ** 64 + 1, -(2 ** 70), 10 ** 40] + WRITER_KEYS
+
+
+def _random_value(rng, depth):
+    """A random report value: dicts, lists (empty ones too) and scalars,
+    the containers at most four deep; some containers hold ints only."""
+    r = rng.random()
+    if depth == 4 or r < 0.35:
+        return rng.choice(WRITER_SCALARS)
+    size = rng.choice([0, 1, 2, 3, 5, 12])
+    if r < 0.45:
+        return [rng.randint(-9, 2 ** 65) for _ in range(size)]
+    if r < 0.55:
+        return {str(rng.randint(0, 30)): rng.randint(-9, 9)
+                for _ in range(size)}
+    if r < 0.8:
+        return [_random_value(rng, depth + 1) for _ in range(size)]
+    return {rng.choice(WRITER_KEYS): _random_value(rng, depth + 1)
+            for _ in range(size)}
+
+
+def test_writer_is_json_dumps_on_random_values(capsys):
+    rng = random.Random(28)
+    for _ in range(3000):
+        value = _random_value(rng, 0)
+        cli._emit(value)
+        assert capsys.readouterr().out == json.dumps(
+            value, sort_keys=True, indent=2) + "\n", value
 
 
 # SHA-256 of `lhomdel gadget <kind> ... --verify` stdout on four corpus
@@ -977,6 +1016,23 @@ def test_reduce_record_errors_keep_their_detail(tmp_path, capsys):
         c = _write(tmp_path, "g.cls", text)
         code, out = _run(capsys, ["reduce", c])
         assert code == cli.EXIT_PARSE
+        assert json.loads(out) == {"error": "parse", "detail": detail}
+
+
+def test_reduce_ids_out_of_range_are_parse_errors(tmp_path, capsys):
+    # a source, sink, terminal or annotated vertex outside 1..n: id 0
+    # would index the last vertex's list, and n + 1 past the end
+    for text, detail in (
+            ("p st-min-cut 3 1\ne 1 2\ns 5\nt 1\n", "source out of range"),
+            ("p st-min-cut 3 1\ne 1 2\ns 0\nt 1\n", "source out of range"),
+            ("p st-min-cut 3 1\ne 1 2\ns 1\nt 4\n", "sink out of range"),
+            ("p edge-multiway 3 1\ne 1 2\nt 1\nt 0\n",
+             "terminal out of range"),
+            ("p max-cut 3 1\ne 1 2\nl 7\n", "annotated vertex out of range"),
+            ("p oct 3 1\ne 1 2\nr 0\n", "annotated vertex out of range")):
+        c = _write(tmp_path, "g.cls", text)
+        code, out = _run(capsys, ["reduce", c])
+        assert code == cli.EXIT_PARSE, text
         assert json.loads(out) == {"error": "parse", "detail": detail}
 
 

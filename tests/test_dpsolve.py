@@ -6,7 +6,7 @@ import pytest
 from lhomdel import _kernels, analysis, dpsolve, oracle
 from lhomdel.graphs import (Infeasible, Instance, Solution, TargetGraph,
                             max_incomparable, reduce_lists)
-from lhomdel.treewidth import build_td, make_nice
+from lhomdel.treewidth import TreeDecomposition, build_td, make_nice
 
 import families
 
@@ -40,6 +40,22 @@ def test_explicit_td_accepted():
         dpsolve.solve_vd_dp(h, inst).cost
     assert dpsolve.solve_ed_dp(h, inst, td).cost == \
         dpsolve.solve_ed_dp(h, inst).cost
+
+
+def test_empty_join_bag():
+    # the star of an empty hub core over a disconnected instance: the join
+    # bag is empty, so each child's table has lost every axis
+    rng = random.Random(64)
+    for _ in range(40):
+        h = families.random_target(rng, rng.randint(1, 4))
+        inst = families.random_instance(rng, h, rng.randint(2, 5), 0.0)
+        td = TreeDecomposition(
+            (frozenset(),) + tuple(frozenset((v,)) for v in range(inst.n)),
+            tuple((0, v + 1) for v in range(inst.n)))
+        assert dpsolve.solve_vd_dp(h, inst, td).cost == \
+            oracle.oracle_vd(h, inst).cost
+        assert dpsolve.solve_ed_dp(h, inst, td).cost == \
+            oracle.oracle_ed(h, inst).cost
 
 
 def test_ed_infeasible_on_empty_list():

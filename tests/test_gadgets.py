@@ -309,10 +309,24 @@ def test_aux_path_matches_networkx():
     assert checked > 200000
 
 
+def parse_gadget(text: str, h) -> gadgets.Gadget:
+    """The inverse of gadgets.format_gadget: an instance file plus one
+    `portal` line."""
+    lines = text.splitlines()
+    portal_lines = [ln for ln in lines if ln.strip().startswith("portal")]
+    if len(portal_lines) != 1:
+        raise graphs.ParseError("gadget needs exactly one portal line")
+    rest = "\n".join(ln for ln in lines if not ln.strip().startswith("portal"))
+    inst = graphs.parse_instance(rest, h)
+    portals = tuple(int(t) - 1 for t in portal_lines[0].split()[1:])
+    return gadgets.Gadget(inst.n, tuple(inst.edges), tuple(inst.lists),
+                          portals)
+
+
 def test_gadget_roundtrip():
     h = families.independent_reflexive(3)
     g = gadgets.build_splitter(h, {0, 1, 2}, 0)
-    back = gadgets.parse_gadget(gadgets.format_gadget(g), h)
+    back = parse_gadget(gadgets.format_gadget(g), h)
     assert (back.n, tuple(sorted(back.edges)), back.lists, back.portals) == \
         (g.n, tuple(sorted(tuple(sorted(e)) for e in g.edges)), g.lists,
          g.portals)
