@@ -326,21 +326,22 @@ def max_incomparable_mask(nb, S):
     lowest one of S.  (0, 0) for empty S.
     """
     inc = _incomparability(nb, S)
-    best = [1, S & -S] if S else [0, 0]
-
-    def expand(clique, size, cand):
-        if not cand:
-            if size > best[0]:
-                best[:] = size, clique
-            return
-        while cand and size + cand.bit_count() > best[0]:
+    best = (1, S & -S) if S else (0, 0)
+    stack = [[0, 0, S]]  # per open clique: it, its size, candidates left
+    while stack:
+        top = stack[-1]
+        clique, size, cand = top
+        if cand and size + cand.bit_count() > best[0]:
             low = cand & -cand
-            cand ^= low
-            expand(clique | low, size + 1,
-                   cand & inc[low.bit_length() - 1])
-
-    expand(0, 0, S)
-    return best[0], best[1]
+            top[2] = cand = cand ^ low
+            sub = cand & inc[low.bit_length() - 1]
+            if sub:
+                stack.append([clique | low, size + 1, sub])
+            elif size + 1 > best[0]:  # a leaf of the search
+                best = size + 1, clique | low
+        else:
+            stack.pop()
+    return best
 
 
 def _lowest(masks):

@@ -216,19 +216,18 @@ def staircase_orders(h: TargetGraph, lists) -> dict[frozenset, tuple]:
                     return False
         return True
 
-    def search(idx) -> bool:
-        if idx == len(distinct):
-            return True
-        for p in candidates[idx]:
-            if compatible(p):
-                chosen.append(p)
-                if search(idx + 1):
-                    return True
-                chosen.pop()
-        return False
-
-    if not search(0):
-        raise ValueError("joint staircase order search failed")
+    tries = []  # per list chosen or being tried: its candidates left
+    while len(chosen) < len(distinct):
+        if len(tries) == len(chosen):
+            tries.append(iter(candidates[len(chosen)]))
+        p = next(filter(compatible, tries[-1]), None)
+        if p is not None:
+            chosen.append(p)
+        elif chosen:  # back up to the previous list's next candidate
+            tries.pop()
+            chosen.pop()
+        else:
+            raise ValueError("joint staircase order search failed")
     return dict(zip(distinct, chosen))
 
 

@@ -14,8 +14,13 @@ from .graphs import (MAX_INSTANCE_VERTICES, Infeasible, Instance,
                      check_vertex_count, max_incomparable)
 from .treewidth import HubCore
 
-KINDS = ("vertex-cover", "max-cut", "oct", "st-min-cut", "edge-multiway",
-         "vertex-multiway", "coloring-vd", "coloring-ed")
+# each problem kind, with the record letters its files hold besides `p`,
+# `e` and `k`
+_CLASSIC_READS = {"vertex-cover": "", "max-cut": "lr", "oct": "lr",
+                  "st-min-cut": "st", "edge-multiway": "t",
+                  "vertex-multiway": "t", "coloring-vd": "q",
+                  "coloring-ed": "q"}
+KINDS = tuple(_CLASSIC_READS)
 
 
 class _EdgeError(ValueError):
@@ -315,14 +320,15 @@ _CLASSIC_TOKENS = {"p": 4, "e": 3, "t": 2, "s": 2, "l": 2, "r": 2, "q": 2,
 def parse_classic(text: str) -> ClassicInstance:
     """`p <kind> <n> <m>` header; `e u v` edges; `t v` terminals (the sink
     for st-min-cut); `s v` source; `l v`/`r v` annotated sides; `q`/`k`
-    value lines.  1-indexed; a bad edge is named as written, with its line."""
+    value lines.  1-indexed; a bad edge is named as written, with its line.
+    A line the kind does not read, or a second line of a value read once,
+    is an error."""
     kind = n = m = None
     edges = []
     edge_lines = []
     terminals = []
-    source = sink = None
     left, right = [], []
-    q = budget = None
+    once = {}  # s, q, k and st-min-cut's t: letter -> value
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("c"):
@@ -335,29 +341,31 @@ def parse_classic(text: str) -> ClassicInstance:
                 if kind is not None:
                     raise ParseError(f"line {lineno}: duplicate header")
                 kind, n, m = tok[1], int(tok[2]), int(tok[3])
+                if kind not in _CLASSIC_READS:
+                    raise ParseError(f"line {lineno}: unknown problem kind "
+                                     f"{kind!r}")
                 # n becomes the encoded instance's vertex count
                 check_vertex_count(lineno, n, MAX_INSTANCE_VERTICES)
             elif kind is None:
                 raise ParseError(f"line {lineno}: data before header")
+            elif tok[0] in _CLASSIC_TOKENS \
+                    and tok[0] not in "ek" + _CLASSIC_READS[kind]:
+                raise ParseError(f"line {lineno}: a {kind} file has no "
+                                 f"{tok[0]!r} lines")
+            elif tok[0] in once:
+                raise ParseError(f"line {lineno}: repeated {tok[0]!r} line")
             elif tok[0] == "e":
                 u, v = int(tok[1]) - 1, int(tok[2]) - 1
                 edges.append((u, v))
                 edge_lines.append(lineno)
-            elif tok[0] == "t":
-                if kind == "st-min-cut":
-                    sink = int(tok[1]) - 1
-                else:
-                    terminals.append(int(tok[1]) - 1)
-            elif tok[0] == "s":
-                source = int(tok[1]) - 1
+            elif tok[0] == "t" and kind != "st-min-cut":
+                terminals.append(int(tok[1]) - 1)
             elif tok[0] == "l":
                 left.append(int(tok[1]) - 1)
             elif tok[0] == "r":
                 right.append(int(tok[1]) - 1)
-            elif tok[0] == "q":
-                q = int(tok[1])
-            elif tok[0] == "k":
-                budget = int(tok[1])
+            elif tok[0] in _CLASSIC_TOKENS:  # s, q, k or st-min-cut's t
+                once[tok[0]] = int(tok[1])
             else:
                 raise ParseError(f"line {lineno}: unknown line {tok[0]!r}")
         except (ParseError, TooManyVertices):
@@ -368,10 +376,12 @@ def parse_classic(text: str) -> ClassicInstance:
         raise ParseError("missing `p` header")
     if m != len(edges):
         raise ParseError(f"header announces {m} edges, found {len(edges)}")
+    source, sink = (once[x] - 1 if x in once else None for x in "st")
     try:
         return ClassicInstance(kind, n, edges, terminals=tuple(terminals),
                                source=source, sink=sink, left=tuple(left),
-                               right=tuple(right), q=q, budget=budget)
+                               right=tuple(right), q=once.get("q"),
+                               budget=once.get("k"))
     except _EdgeError as exc:
         u, v = edges[exc.index]
         raise ParseError(f"line {edge_lines[exc.index]}: {exc.what} edge "

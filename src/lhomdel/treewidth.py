@@ -8,7 +8,7 @@ import heapq
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .graphs import Instance, ParseError, bits
+from .graphs import Instance, ParseError
 
 
 @dataclass(frozen=True)
@@ -203,7 +203,7 @@ def make_nice(td: TreeDecomposition, edges) -> list[NiceNode]:
 
 def _min_fill_order(n, edges):
     """Min-fill elimination order, ties to the smallest vertex, and each
-    vertex's later neighbours as a mask indexed by vertex.
+    vertex's later neighbours as a set.
 
     A heap holds (fill, v) with stale entries skipped.  Each live vertex's
     fill count (non-adjacent pairs among its live neighbours) is kept
@@ -212,23 +212,18 @@ def _min_fill_order(n, edges):
     pairs it had with x; adding a fill edge ab then lowers the count of
     each common neighbour of a and b by 1 and raises a's by |N(a)∖N[b]|
     and b's by |N(b)∖N[a]|, the pairs the new neighbour brings.  An
-    eliminated vertex's mask is never touched again, so it ends as its
+    eliminated vertex's set is never touched again, so it ends as its
     later neighbours."""
-    nbhd = [0] * n  # bitmasks of live neighbours
+    nbhd = [set() for _ in range(n)]  # live neighbours
     for u, v in edges:
         if u != v:
-            nbhd[u] |= 1 << v
-            nbhd[v] |= 1 << u
+            nbhd[u].add(v)
+            nbhd[v].add(u)
 
     def fill(v):
         ns = nbhd[v]
-        d = ns.bit_count()
-        linked = 0  # ordered adjacent pairs in ns
-        m = ns
-        while m:  # bits() inlined: this loop is the hot path
-            low = m & -m
-            linked += (ns & nbhd[low.bit_length() - 1]).bit_count()
-            m ^= low
+        d = len(ns)
+        linked = sum([len(ns & nbhd[w]) for w in ns])  # ordered pairs
         return (d * (d - 1) - linked) // 2
 
     fills = [fill(v) for v in range(n)]
@@ -244,25 +239,27 @@ def _min_fill_order(n, edges):
         order.append(x)
         ns = nbhd[x]
         old = {}  # vertex -> its fill before this step
-        xbit = 1 << x
-        for w in bits(ns):
+        for w in ns:
             old[w] = fills[w]
-            nw = nbhd[w] = nbhd[w] ^ xbit
-            fills[w] -= nw.bit_count() - (nw & ns).bit_count()
+            nw = nbhd[w]
+            nw.discard(x)
+            fills[w] -= len(nw) - len(nw & ns)
         if f:  # add the fill edges among ns
-            for a in bits(ns):
-                for b in bits(ns & ~nbhd[a] & ~((2 << a) - 1)):  # b > a
+            rest = set(ns)
+            for a in ns:
+                rest.discard(a)  # each pair once
+                for b in rest - nbhd[a]:
                     na, nb = nbhd[a], nbhd[b]
                     common = na & nb
-                    for c in bits(common):
+                    for c in common:
                         if c not in old:
                             old[c] = fills[c]
                         fills[c] -= 1
-                    k = common.bit_count()
-                    fills[a] += na.bit_count() - k
-                    fills[b] += nb.bit_count() - k
-                    nbhd[a] = na | 1 << b
-                    nbhd[b] = nb | 1 << a
+                    k = len(common)
+                    fills[a] += len(na) - k
+                    fills[b] += len(nb) - k
+                    na.add(b)
+                    nb.add(a)
         for w, was in old.items():
             if fills[w] != was:
                 heapq.heappush(heap, (fills[w], w))
@@ -278,8 +275,8 @@ def _link(order, later) -> TreeDecomposition:
         pos[x] = i
     bags, tedges = [], []
     for i, x in enumerate(order):
-        ws = list(bits(later[x]))
-        bags.append(frozenset(ws + [x]))
+        ws = later[x]
+        bags.append(frozenset([x, *ws]))
         if ws:
             tedges.append((i, min([pos[w] for w in ws])))
         elif i + 1 < len(order):

@@ -848,6 +848,25 @@ def test_classify_size_ladder(tmp_path, name):
     assert elapsed < seconds, elapsed
 
 
+def test_poly_solve_of_1000_singleton_lists(tmp_path):
+    # 1000 distinct lists over the edgeless h 1000: the staircase-order
+    # search goes one list deeper per level, so it must not recurse
+    n = 1000
+    t = _write(tmp_path, "h.hg", f"h {n}\n")
+    i = _write(tmp_path, "g.lhi", f"p lhom {n} 0\n" + "".join(
+        f"l {v} 1 {v}\n" for v in range(1, n + 1)))
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    out = subprocess.run(
+        [sys.executable, "-c", _UNDER_MEMORY_LIMIT, "solve", "ed", t, i],
+        env=env, capture_output=True, text=True)
+    assert out.returncode == cli.EXIT_OK, out.stderr
+    rep = json.loads(out.stdout)
+    assert rep["opt"] == 0 and rep["stats"] == {"flow_value": 0}  # poly
+    assert rep["homomorphism"] == {str(v): v for v in range(1, n + 1)}
+
+
 def test_header_counts_above_the_caps_exit_3(tmp_path, capsys):
     # each parser checks its header's count before it allocates anything
     # per vertex, so these one-line files are refused at once, with no
@@ -1030,6 +1049,24 @@ def test_reduce_ids_out_of_range_are_parse_errors(tmp_path, capsys):
              "terminal out of range"),
             ("p max-cut 3 1\ne 1 2\nl 7\n", "annotated vertex out of range"),
             ("p oct 3 1\ne 1 2\nr 0\n", "annotated vertex out of range")):
+        c = _write(tmp_path, "g.cls", text)
+        code, out = _run(capsys, ["reduce", c])
+        assert code == cli.EXIT_PARSE, text
+        assert json.loads(out) == {"error": "parse", "detail": detail}
+
+
+def test_reduce_unread_and_repeated_lines_are_parse_errors(tmp_path,
+                                                          capsys):
+    # these used to encode with exit 0: the second `t` replaced the sink,
+    # and the unread lines were dropped
+    for text, detail in (
+            ("p st-min-cut 3 1\ne 1 2\ns 1\nt 2\nt 3\n",
+             "line 5: repeated 't' line"),
+            ("p vertex-cover 3 1\ne 1 2\nk 1\nt 2\n",
+             "line 4: a vertex-cover file has no 't' lines"),
+            ("p max-cut 3 1\ne 1 2\nl 1\nq 4\n",
+             "line 4: a max-cut file has no 'q' lines"),
+            ("p nope 3 1\ne 1 2\n", "line 1: unknown problem kind 'nope'")):
         c = _write(tmp_path, "g.cls", text)
         code, out = _run(capsys, ["reduce", c])
         assert code == cli.EXIT_PARSE, text

@@ -62,6 +62,14 @@ def test_max_incomparable_vs_bruteforce(h):
     assert size == best
 
 
+def test_max_incomparable_of_a_1000_vertex_target_returns():
+    # every pair of this target is incomparable, so the branch and bound
+    # extends one clique a member at a time, 1000 deep
+    h = families.random_target(random.Random(1), 1000)
+    size, wit = max_incomparable(h)
+    assert size == 1000 and wit == list(range(1000))
+
+
 def test_target_roundtrip():
     rng = random.Random(7)
     for _ in range(25):

@@ -351,6 +351,21 @@ def test_classic_validation():
     "p vertex-cover 2 1\ne 1 2 5\n",    # extra token on an edge
     "p vertex-cover 2 1\ne 1 2\nk 1 2\n",  # extra token on the budget
     "p vertex-cover 2 1\ne 1\n",        # missing token on an edge
+    # a second line of a value read once
+    "p st-min-cut 3 1\ne 1 2\ns 1\nt 2\nt 3\n",
+    "p st-min-cut 3 1\ne 1 2\ns 1\ns 3\nt 2\n",
+    "p coloring-vd 2 1\ne 1 2\nq 3\nq 3\n",
+    "p vertex-cover 2 1\ne 1 2\nk 1\nk 2\n",
+    # a line the kind does not read
+    "p vertex-cover 3 1\ne 1 2\nt 2\n",
+    "p vertex-cover 3 1\ne 1 2\ns 1\n",
+    "p vertex-cover 3 1\ne 1 2\nl 3\n",
+    "p vertex-cover 3 1\ne 1 2\nr 3\n",
+    "p vertex-cover 3 1\ne 1 2\nq 4\n",
+    "p max-cut 3 1\ne 1 2\nt 3\n",
+    "p st-min-cut 3 1\ne 1 2\ns 1\nt 2\nl 3\n",
+    "p edge-multiway 3 1\ne 1 2\nt 1\ns 2\n",
+    "p coloring-ed 3 1\ne 1 2\nq 3\nr 1\n",
 ])
 def test_classic_parse_errors(text):
     with pytest.raises(ParseError):

@@ -1,6 +1,10 @@
 import hashlib
+import os
 import random
 import re
+import subprocess
+import sys
+import time
 from itertools import permutations
 
 import pytest
@@ -422,3 +426,34 @@ def test_build_td_outputs_are_pinned():
     for name, (g, want) in graphs.items():
         text = format_td(build_td(g), g.n)
         assert hashlib.sha256(text.encode()).hexdigest() == want, name
+
+
+_BUILD_TD_OF_A_TREE = """
+import random, resource
+from lhomdel.graphs import Instance
+from lhomdel.treewidth import build_td
+n = 10 ** 5
+rng = random.Random(1)
+g = Instance(n, [(rng.randrange(v), v) for v in range(1, n)],
+             [frozenset({0})] * n)
+# the address space the interpreter holds now, plus 256 MiB
+pages = int(open("/proc/self/statm").read().split()[0])
+limit = pages * resource.getpagesize() + (256 << 20)
+resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+assert build_td(g).width == 1
+"""
+
+
+def test_build_td_of_a_large_tree_size_ladder():
+    """Min-fill on a 10^5-vertex random recursive tree, in a child process
+    under an address-space limit: n-bit neighbourhood masks would need
+    hundreds of MB here, sets take a few tens."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    start = time.perf_counter()
+    out = subprocess.run([sys.executable, "-c", _BUILD_TD_OF_A_TREE],
+                         env=env, capture_output=True, text=True)
+    elapsed = time.perf_counter() - start
+    assert out.returncode == 0, out.stderr
+    assert elapsed < 5.0, elapsed
