@@ -135,11 +135,11 @@ def _check_costs(t: dict, cells, alpha: int, what: str,
                               f"not {want} alpha = {alpha}")
 
 
-def verify_realizes(h: TargetGraph, gadget: Gadget, relation,
-                    omega: Optional[int] = None, mode: str = "ed") -> bool:
-    """True iff cost is constant k on the relation, > k (resp. = k+omega)
-    off it, over tuples drawn from the portal lists."""
-    t = cost_table(h, gadget, mode)
+def verify_realizes(h: TargetGraph, gadget: Gadget, relation) -> bool:
+    """True iff the gadget 1-realizes the relation in ED mode: its cost is
+    a constant k on the relation and k + 1 off it, over tuples drawn from
+    the portal lists."""
+    t = cost_table(h, gadget, "ed")
     domain = list(product(*(sorted(lst) for lst in gadget.portal_lists())))
     rel = {tuple(r) for r in relation}
     if not rel:
@@ -147,11 +147,7 @@ def verify_realizes(h: TargetGraph, gadget: Gadget, relation,
     on = [t[key] for key in domain if key in rel]
     off = [t[key] for key in domain if key not in rel]
     k = on[0]
-    if any(c != k for c in on):
-        return False
-    if omega is None:
-        return all(c > k for c in off)
-    return all(c == k + omega for c in off)
+    return all(c == k for c in on) and all(c == k + 1 for c in off)
 
 
 def move_report(h: TargetGraph, gadget: Gadget) -> MoveReport:
@@ -254,8 +250,19 @@ def parallel_table(t1: dict, t2: dict) -> dict:
 # VD family: splitter, matcher, translator, prohibitors
 
 
-def _gamma(h: TargetGraph, v: int) -> set:
-    return set(bits(h.nbhd[v]))
+def _private(h: TargetGraph, v: int, w: int) -> int:
+    """The mask of Γ(v) ∖ Γ(w): v's private neighbors against w."""
+    return h.nbhd[v] & ~h.nbhd[w]
+
+
+def _low(mask: int) -> int:
+    """The least vertex of a nonempty vertex mask."""
+    return (mask & -mask).bit_length() - 1
+
+
+def _outside(h: TargetGraph, v: int) -> frozenset:
+    """V(H) ∖ Γ(v)."""
+    return frozenset(bits(~h.nbhd[v] & ((1 << h.n) - 1)))
 
 
 def _check_incomparable(h: TargetGraph, s) -> None:
@@ -280,11 +287,10 @@ def build_splitter(h: TargetGraph, s, v: int,
     if w is None:
         w = min(s - {v})
     if vp is None:
-        vp = min(_gamma(h, v) - _gamma(h, w))
+        vp = _low(_private(h, v, w))
     if wp is None:
-        wp = min(_gamma(h, w) - _gamma(h, v))
-    mid = frozenset(range(h.n)) - _gamma(h, v)
-    g = path_gadget([s, mid, {v}, {vp, wp}])
+        wp = _low(_private(h, w, v))
+    g = path_gadget([s, _outside(h, v), {v}, {vp, wp}])
     g.meta = {"v": v, "w": w, "vp": vp, "wp": wp, "alpha": 1}
     t = cost_table(h, g, "vd")
     _check_costs(t, product(sorted(s), (vp, wp)), 1, "splitter",
@@ -296,15 +302,15 @@ def build_splitter(h: TargetGraph, s, v: int,
 
 def _pair_context(h: TargetGraph, vp: int, wp: int,
                   v: Optional[int], w: Optional[int]) -> tuple:
-    """Find (v, w) with vp in Γ(v)∖Γ(w) and wp in Γ(w)∖Γ(v)."""
+    """The first (v, w) with vp in Γ(v)∖Γ(w) and wp in Γ(w)∖Γ(v).  The
+    conditions on v and on w are independent: v ranges over Γ(vp)∖Γ(wp)
+    and w over Γ(wp)∖Γ(vp)."""
     if v is not None and w is not None:
         return v, w
-    for cv in range(h.n):
-        for cw in range(h.n):
-            if (vp in _gamma(h, cv) and vp not in _gamma(h, cw)
-                    and wp in _gamma(h, cw) and wp not in _gamma(h, cv)):
-                return cv, cw
-    raise GadgetError("no generating pair for the given private neighbors")
+    vs, ws = _private(h, vp, wp), _private(h, wp, vp)
+    if not vs or not ws:
+        raise GadgetError("no generating pair for the given private neighbors")
+    return _low(vs), _low(ws)
 
 
 def _verify_matcher(t: dict, p: int, q: int, alpha: int) -> None:
@@ -360,16 +366,15 @@ def build_translator(h: TargetGraph, vp: int, wp: int, a: int, b: int,
     if h.has_edge(a, b):
         raise GadgetError("translator destination pair must be non-adjacent")
     v, w = _pair_context(h, vp, wp, v, w)
-    ga, gb = _gamma(h, a), _gamma(h, b)
-    if vp in ga:
-        if w in gb:
+    if h.has_edge(a, vp):
+        if h.has_edge(b, w):
             g = path_gadget([{vp, wp}, {a, w}, {a, b}])
             orient, alpha, case = (a, b), 0, "a"
         else:
             g = path_gadget([{vp, wp}, {w}, {b}, {a, b}])
             orient, alpha, case = (b, a), 1, "d"
     else:
-        if vp in gb:
+        if h.has_edge(b, vp):
             g = path_gadget([{vp, wp}, {w}, {vp}, {a, b}])
             orient, alpha, case = (b, a), 1, "b"
         else:
@@ -395,14 +400,13 @@ def build_matcher(h: TargetGraph, vp: int, wp: int,
     irr = [i for i in range(h.n) if not h.has_loop(i)]
     last_err = None
     for i in irr:
-        gi = _gamma(h, i)
         try:
-            if vp in gi and wp in gi:
+            if h.has_edge(i, vp) and h.has_edge(i, wp):
                 _, wv = _pair_context(h, vp, wp, v, w)
                 g = path_gadget([{vp, wp}, {wv, i}, {i}, {i},
                                  {wv, i}, {vp, wp}])
                 alpha = 1
-            elif wp in gi:
+            elif h.has_edge(i, wp):
                 g = path_gadget([{vp, wp}, {i}, {i}, {vp, wp}])
                 alpha = 1
             else:
@@ -443,24 +447,17 @@ def build_prohibitor(h: TargetGraph, s, v: int) -> Gadget:
     combination whose matcher verifies.
     """
     s = frozenset(s)
-    spl = mat = None
     last_err = GadgetError("no candidate choices")
-    for w in sorted(s - {v}):
-        for vp in sorted(_gamma(h, v) - _gamma(h, w)):
-            for wp in sorted(_gamma(h, w) - _gamma(h, v)):
-                try:
-                    spl = build_splitter(h, s, v, w, vp, wp)
-                    mat = build_matcher(h, vp, wp, v, w)
-                except GadgetError as exc:
-                    spl = mat = None
-                    last_err = exc
-                    continue
-                break
-            if mat is not None:
-                break
-        if mat is not None:
+    for w, vp, wp in ((w, vp, wp) for w in sorted(s - {v})
+                      for vp in bits(_private(h, v, w))
+                      for wp in bits(_private(h, w, v))):
+        try:
+            spl = build_splitter(h, s, v, w, vp, wp)
+            mat = build_matcher(h, vp, wp, v, w)
             break
-    if mat is None:
+        except GadgetError as exc:
+            last_err = exc
+    else:
         raise last_err
     g = serial_glue(serial_glue(spl, mat), _reversed(spl))
     alpha = 2 * spl.meta["alpha"] + mat.meta["alpha"]
@@ -497,7 +494,7 @@ def add_cost_pendants(h: TargetGraph, gadget: Gadget, portal_index: int,
     if a not in gadget.lists[p]:
         raise GadgetError("a must be in the portal's list")
     _check_incomparable(h, gadget.lists[p])
-    pend = frozenset(range(h.n)) - _gamma(h, a)
+    pend = _outside(h, a)
     if not pend:
         raise GadgetError("no pendant list available: Γ(a) = V(H)")
     t = cost_table(h, gadget, "ed")
@@ -571,8 +568,7 @@ def force_from_allow(h: TargetGraph, move: Gadget) -> Gadget:
     x, y = g.portals
     pe = tuple(sorted((x, y)))
     if pe in {tuple(sorted(e)) for e in g.edges}:
-        ap = min(_gamma(h, a) - _gamma(h, b))
-        bp = min(_gamma(h, b) - _gamma(h, a))
+        ap, bp = _low(_private(h, a, b)), _low(_private(h, b, a))
         edges = [e for e in g.edges if tuple(sorted(e)) != pe]
         lists = list(g.lists) + [frozenset({ap, bp}), frozenset(lin)]
         edges += [(x, g.n), (g.n, g.n + 1), (g.n + 1, y)]
@@ -594,21 +590,17 @@ def adjacent_pair_move(h: TargetGraph, pair1, pair2) -> Gadget:
     shared = sorted(p1 & p2)
     if not shared:
         raise GadgetError("pairs must intersect")
-    a = shared[0]
-    b = min(p1 - {a}) if p1 != {a} else a
-    c = min(p2 - {a}) if p2 != {a} else a
     if len(p1) != 2 or len(p2) != 2:
         raise GadgetError("need 2-vertex pairs")
-    bp = min(_gamma(h, b) - _gamma(h, a))
-    cp = min(_gamma(h, c) - _gamma(h, a))
-    free = _gamma(h, a) - (_gamma(h, b) | _gamma(h, c))
+    a = shared[0]
+    (b,), (c,) = p1 - {a}, p2 - {a}
+    bp, cp = _low(_private(h, b, a)), _low(_private(h, c, a))
+    free = _private(h, a, b) & _private(h, a, c)
     if free:
-        ap = min(free)
-        g = path_gadget([p1, {ap, bp}, p2])
+        g = path_gadget([p1, {_low(free), bp}, p2])
         g = _ensure_forced(h, g, {a: a, b: c})
     else:
-        ap = min(_gamma(h, a) - _gamma(h, b))
-        app = min(_gamma(h, a) - _gamma(h, c))
+        ap, app = _low(_private(h, a, b)), _low(_private(h, a, c))
         g = path_gadget([p1, {ap, bp}, {c, b}, {cp, app}, p2])
         g = _ensure_forced(h, g, {a: c, b: a})
     return g
@@ -634,13 +626,18 @@ def incomparable_pairs(h: TargetGraph):
             if incomparable(h, u, v)]
 
 
-def _is_bad_pair(h: TargetGraph, pair) -> bool:
+def _in_variant(h: TargetGraph, pair, variant: str) -> bool:
+    """Whether an incomparable pair is a vertex of Aux-variant.  star keeps
+    the pairs of two reflexive vertices; good drops the bad pairs: two
+    non-adjacent irreflexive vertices whose private neighbors (Γ(a) xor
+    Γ(b)) are all reflexive."""
     a, b = sorted(pair)
-    if h.has_loop(a) or h.has_loop(b) or h.has_edge(a, b):
-        return False
-    pa = _gamma(h, a) - _gamma(h, b)
-    pb = _gamma(h, b) - _gamma(h, a)
-    return all(h.has_loop(x) for x in pa | pb)
+    if variant == "star":
+        return h.has_loop(a) and h.has_loop(b)
+    if variant == "full" or h.has_loop(a) or h.has_loop(b) \
+            or h.has_edge(a, b):
+        return True
+    return not all(h.has_loop(x) for x in bits(h.nbhd[a] ^ h.nbhd[b]))
 
 
 def build_aux(h: TargetGraph, variant: str = "full") -> dict:
@@ -649,13 +646,9 @@ def build_aux(h: TargetGraph, variant: str = "full") -> dict:
 
     Returned as an adjacency dict {pair: [intersecting pairs]}; keys and
     neighbor lists follow incomparable_pairs order."""
-    pairs = incomparable_pairs(h)
-    if variant == "star":
-        pairs = [p for p in pairs if all(h.has_loop(v) for v in p)]
-    elif variant == "good":
-        pairs = [p for p in pairs if not _is_bad_pair(h, p)]
-    elif variant != "full":
+    if variant not in ("full", "star", "good"):
         raise ValueError("variant must be full, star, or good")
+    pairs = [p for p in incomparable_pairs(h) if _in_variant(h, p, variant)]
     return {p: [q for q in pairs if q != p and p & q] for p in pairs}
 
 
@@ -700,11 +693,10 @@ def _shift_gadget(h: TargetGraph, pair, reflexive_private: bool) -> tuple:
     """Path {a,b} - {a',b'} forcing each element to a private neighbor;
     returns (gadget, new pair)."""
     a, b = sorted(pair)
-    pa = _gamma(h, a) - _gamma(h, b)
-    pb = _gamma(h, b) - _gamma(h, a)
+    pa = _private(h, a, b)
     if reflexive_private:
-        pa = {x for x in pa if h.has_loop(x)}
-    ap, bp = min(pa), min(pb)
+        pa &= h.reflexive_mask()
+    ap, bp = _low(pa), _low(_private(h, b, a))
     g = path_gadget([{a, b}, {ap, bp}])
     rep = move_report(h, g)
     if rep.forced.get(a) != ap or rep.forced.get(b) != bp:
@@ -720,26 +712,16 @@ def _move_chain(h: TargetGraph, pair1, pair2) -> list:
     strong = analysis.is_strong_split(h)
     variant = "star" if strong else "good"
     aux = build_aux(h, variant)
-
-    def in_variant(p):
-        if variant == "star":
-            return all(h.has_loop(v) for v in p)
-        return not _is_bad_pair(h, p)
-
-    chain = []
-    start = p1
-    if not in_variant(p1):
+    chain, start, end, endchain = [], p1, p2, []
+    if not _in_variant(h, p1, variant):
         g, start = _shift_gadget(h, p1, reflexive_private=not strong)
         chain.append(g)
-    endchain = []
-    end = p2
-    if not in_variant(p2):
+    if not _in_variant(h, p2, variant):
+        # the shift's one edge forces a->a' and b->b', so its ED table is 0
+        # at (a, a') and (b, b') and 1 at (a, b') and (b, a'): reversed, it
+        # forces a'->a and b'->b
         g, end = _shift_gadget(h, p2, reflexive_private=not strong)
-        rev = _reversed(g)
-        rep = move_report(h, rev)
-        if any(len(rep.jmap[u]) != 1 for u in rep.jmap):
-            rev = force_from_allow(h, rev)
-        endchain.append(rev)
+        endchain.append(_reversed(g))
     nodes = _aux_path(aux, start, end)
     if nodes is None:
         raise GadgetError(
@@ -751,12 +733,18 @@ def _move_chain(h: TargetGraph, pair1, pair2) -> list:
     return chain + endchain
 
 
+def _compose_chain(h: TargetGraph, chain) -> Gadget:
+    """The moves of a chain, each normalized, glued in series."""
+    parts = [normalize_move(h, m) for m in chain]
+    g = parts[0]
+    for m in parts[1:]:
+        g = compose_moves(h, g, m)
+    return g
+
+
 def move_between_pairs(h: TargetGraph, pair1, pair2) -> Gadget:
     """Composed move forcing a bijection from pair1 onto pair2."""
-    chain = [normalize_move(h, m) for m in _move_chain(h, pair1, pair2)]
-    g = chain[0]
-    for m in chain[1:]:
-        g = compose_moves(h, g, m)
+    g = _compose_chain(h, _move_chain(h, pair1, pair2))
     rep = move_report(h, g)
     vals = [rep.jmap[u] for u in sorted(frozenset(pair1))]
     if (any(len(s) != 1 for s in vals) or vals[0] == vals[1]
@@ -789,38 +777,33 @@ def build_indicator(h: TargetGraph, s, a: int, b: int) -> tuple:
     s = sorted(frozenset(s))
     if len(s) < 2:
         raise GadgetError("need |S| >= 2")
-    moves = []
+    moves, reps = [], []
     for x in s:
         for y in s:
             if x == y:
                 continue
             chain = _move_chain(h, frozenset((x, y)), frozenset((a, b)))
-            first = chain[0]
-            if first.lists[first.portals[0]] != frozenset(s):
-                first = relax_input_list(h, first, frozenset(s))
-            parts = [normalize_move(h, m) for m in [first] + chain[1:]]
-            m = parts[0]
-            for nxt in parts[1:]:
-                m = compose_moves(h, m, nxt)
-            m = normalize_move(h, m)
+            if chain[0].lists[chain[0].portals[0]] != frozenset(s):
+                chain[0] = relax_input_list(h, chain[0], frozenset(s))
+            m = normalize_move(h, _compose_chain(h, chain))
             rep = move_report(h, m)
             if (len(rep.jmap[x]) != 1 or len(rep.jmap[y]) != 1
                     or rep.jmap[x] == rep.jmap[y]):
                 raise GadgetError("indicator submove is not forcing")
-            moves.append(((x, y), m))
+            moves.append(m)
+            reps.append(rep)
     # glue all submoves at the shared input portal
-    g = moves[0][1]
-    for _, m in moves[1:]:
+    g = moves[0]
+    for m in moves[1:]:
         n, edges, lists, map2 = _glue(g, m, {m.portals[0]: g.portals[0]})
         g = Gadget(n, edges, lists, g.portals + (map2[m.portals[1]],))
     # joint table: submoves are independent given the shared input
-    tabs = [cost_table(h, m, "ed") for _, m in moves]
+    tabs = [cost_table(h, m, "ed") for m in moves]
     joint = {}
     for u in s:
         for outs in product((a, b), repeat=len(moves)):
             joint[(u,) + outs] = sum(t[(u, o)] for t, o in zip(tabs, outs))
     g.tables["ed"] = joint
-    reps = [move_report(h, m) for _, m in moves]
     relation = set()
     for u in s:
         for outs in product((a, b), repeat=len(moves)):
@@ -844,18 +827,16 @@ def build_indicator(h: TargetGraph, s, a: int, b: int) -> tuple:
 # NEQ synthesis
 
 
-def _path_close(state, lst, adj, cap):
+def _path_close(state, lst, nbhd, cap):
+    """Each cost vector over V(H) extended by one path vertex with list
+    lst: the vertex takes v at the least entry over Γ(v), or at the least
+    entry anywhere plus one (the edge deleted), capped."""
     out = []
     for vec in state:
-        new = [cap] * len(adj)
-        for v in sorted(lst):
-            best = cap
-            for u, cu in enumerate(vec):
-                if cu >= cap:
-                    continue
-                cand = cu + (0 if adj[u][v] else 1)
-                best = min(best, cand)
-            new[v] = min(best, cap)
+        new = [cap] * len(vec)
+        step = min(min(vec) + 1, cap)
+        for v in lst:
+            new[v] = min([step] + [vec[u] for u in bits(nbhd[v])])
         out.append(tuple(new))
     return tuple(out)
 
@@ -868,10 +849,9 @@ def synthesize_neq(h: TargetGraph, a: int, b: int,
     obs = analysis.find_obstruction(h)
     if obs is None or not {a, b} <= set(obs.vertices):
         raise GadgetError("{a,b} must lie inside an obstruction")
-    adj = [[h.has_edge(u, v) for v in range(h.n)] for u in range(h.n)]
     if h.has_edge(a, b) and not h.has_loop(a) and not h.has_loop(b):
         g = path_gadget([{a, b}, {a, b}])
-        if verify_realizes(h, g, {(a, b), (b, a)}, omega=1):
+        if verify_realizes(h, g, {(a, b), (b, a)}):
             return g
     pool = sorted(set(obs.vertices) | set(obs.witnesses))
     cands = [frozenset({u}) for u in pool] + \
@@ -892,12 +872,12 @@ def synthesize_neq(h: TargetGraph, a: int, b: int,
         for state in sorted(frontier):
             path = frontier[state]
             for lst in cands:
-                ns = _path_close(state, lst, adj, cap)
+                ns = _path_close(state, lst, h.nbhd, cap)
                 if ns not in nxt:
                     nxt[ns] = path + [lst]
         frontier = nxt
         for state in sorted(frontier):
-            closed = _path_close(state, frozenset({a, b}), adj, cap)
+            closed = _path_close(state, frozenset({a, b}), h.nbhd, cap)
             t = {(a, x): closed[0][x] for x in (a, b)}
             t.update({(b, x): closed[1][x] for x in (a, b)})
             if max(t.values()) >= cap:
@@ -906,13 +886,13 @@ def synthesize_neq(h: TargetGraph, a: int, b: int,
                     [frozenset({a, b})]
             if neq_ok(t):
                 g = path_gadget(lists)
-                if verify_realizes(h, g, {(a, b), (b, a)}, omega=1):
+                if verify_realizes(h, g, {(a, b), (b, a)}):
                     return g
             ts = {k2: t[k2] + t[(k2[1], k2[0])] for k2 in t}
             if neq_ok(ts):
                 g1 = path_gadget(lists)
                 g = parallel_glue(g1, _reversed(g1))
-                if verify_realizes(h, g, {(a, b), (b, a)}, omega=1):
+                if verify_realizes(h, g, {(a, b), (b, a)}):
                     return g
     return None
 

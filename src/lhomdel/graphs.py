@@ -53,6 +53,18 @@ class TargetGraph:
                     raise ValueError("adjacency is not symmetric")
 
     @staticmethod
+    def from_masks(n: int, nbhd) -> "TargetGraph":
+        """The target over masks that are symmetric by construction (each
+        edge set both of its bits), without the constructor's O(|E|)
+        symmetry pass."""
+        if n < 1:
+            raise ValueError("target graph needs at least one vertex")
+        h = object.__new__(TargetGraph)
+        object.__setattr__(h, "n", n)
+        object.__setattr__(h, "nbhd", tuple(nbhd))
+        return h
+
+    @staticmethod
     def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> "TargetGraph":
         nb = [0] * n
         for u, v in edges:
@@ -60,7 +72,7 @@ class TargetGraph:
                 raise ValueError(f"edge ({u},{v}) out of range")
             nb[u] |= 1 << v
             nb[v] |= 1 << u
-        return TargetGraph(n, tuple(nb))
+        return TargetGraph.from_masks(n, nb)
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.nbhd[u] >> v & 1)
@@ -81,13 +93,9 @@ class TargetGraph:
 
     def restricted(self, S: int) -> "TargetGraph":
         """H[S] in H's vertex ids: a vertex outside the mask S keeps its
-        id, with no edge and no loop.  H[S] is symmetric because H is, so
-        the constructor's O(|E|) symmetry check is skipped."""
-        sub = object.__new__(TargetGraph)
-        object.__setattr__(sub, "n", self.n)
-        object.__setattr__(sub, "nbhd", tuple(
+        id, with no edge and no loop.  H[S] is symmetric because H is."""
+        return TargetGraph.from_masks(self.n, (
             m & S if S >> v & 1 else 0 for v, m in enumerate(self.nbhd)))
-        return sub
 
 
 def bits(mask: int):
@@ -231,10 +239,10 @@ def reduce_lists(h: TargetGraph, inst: Instance) -> Instance:
 # file formats
 
 def parse_target(text: str) -> TargetGraph:
-    """Parse the .hg target format: `c` comments, `h <n>`, `e <u> <v>`."""
+    """Parse the .hg target format: `c` comments, `h <n>`, `e <u> <v>`.
+    Each edge sets its two bits of the masks as it is read; a repeated
+    edge finds its bit already set."""
     n = None
-    edges = []
-    seen = set()
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("c"):
@@ -252,6 +260,7 @@ def parse_target(text: str) -> TargetGraph:
             if n < 1:
                 raise ParseError(f"line {lineno}: vertex count must be >= 1")
             check_vertex_count(lineno, n, MAX_TARGET_VERTICES)
+            nb = [0] * n
         elif tok[0] == "e":
             if n is None:
                 raise ParseError(f"line {lineno}: edge before header")
@@ -263,16 +272,15 @@ def parse_target(text: str) -> TargetGraph:
                 raise ParseError(f"line {lineno}: malformed edge") from None
             if not (1 <= u <= n and 1 <= v <= n):
                 raise ParseError(f"line {lineno}: edge ({u},{v}) out of range")
-            key = (min(u, v), max(u, v))
-            if key in seen:
+            if nb[u - 1] >> (v - 1) & 1:
                 raise ParseError(f"line {lineno}: duplicate edge ({u},{v})")
-            seen.add(key)
-            edges.append((u - 1, v - 1))
+            nb[u - 1] |= 1 << (v - 1)
+            nb[v - 1] |= 1 << (u - 1)
         else:
             raise ParseError(f"line {lineno}: unknown line {tok[0]!r}")
     if n is None:
         raise ParseError("missing `h` header")
-    return TargetGraph.from_edges(n, edges)
+    return TargetGraph.from_masks(n, nb)
 
 
 def format_target(h: TargetGraph) -> str:
@@ -347,6 +355,8 @@ def parse_instance(text: str, h: TargetGraph) -> Instance:
                     raise ParseError(f"line {lineno}: negative count")
                 check_vertex_count(lineno, n, MAX_INSTANCE_VERTICES)
             elif tok[0] == "k":
+                if n is None:
+                    raise ParseError(f"line {lineno}: budget before header")
                 if len(tok) != 2:
                     raise ParseError(f"line {lineno}: malformed budget")
                 value = int(tok[1])

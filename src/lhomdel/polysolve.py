@@ -197,24 +197,28 @@ def _per_vertex_types_ok(h: TargetGraph, order) -> bool:
 def staircase_orders(h: TargetGraph, lists) -> dict[frozenset, tuple]:
     """One order per distinct list, jointly satisfying all pairwise
     staircase constraints; backtracking, first solution in lexicographic
-    order."""
+    order.
+
+    Each unordered pair of orders is tested once: a matrix is a staircase
+    exactly when its transpose is.  A one-vertex order is compatible with
+    every order that passed the per-vertex check, which every order of at
+    most two vertices passes."""
     distinct = sorted({frozenset(lst) for lst in lists if lst},
                       key=lambda f: sorted(f))
     candidates = []
     for lst in distinct:
         perms = [p for p in permutations(sorted(lst))
-                 if _per_vertex_types_ok(h, p)]
+                 if len(p) <= 2 or _per_vertex_types_ok(h, p)]
         if not perms:
             raise ValueError(f"no staircase order for list {sorted(lst)}")
         candidates.append(perms)
     chosen: list[tuple] = []
 
     def compatible(new_order) -> bool:
-        for other in chosen + [new_order]:
-            for a, b in ((new_order, other), (other, new_order)):
-                if staircase_params(interaction_matrix(h, a, b)) is None:
-                    return False
-        return True
+        return len(new_order) == 1 or all(
+            len(other) == 1 or staircase_params(
+                interaction_matrix(h, new_order, other)) is not None
+            for other in chosen + [new_order])
 
     tries = []  # per list chosen or being tried: its candidates left
     while len(chosen) < len(distinct):

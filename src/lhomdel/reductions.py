@@ -121,30 +121,40 @@ def encode_classic(c: ClassicInstance):
 
 def _encode_vertex_multiway(c: ClassicInstance):
     """Each terminal becomes |V(G)| degree-1 copies per neighbor, making it
-    effectively undeletable; copies carry the singleton list."""
+    effectively undeletable; copies carry the singleton list.
+
+    One pass over the edges collects each terminal's neighbors, so the
+    encoding's |V ∖ T| + n·Σ_t deg(t) vertices are counted before any is
+    built; above MAX_INSTANCE_VERTICES it is refused, as an oversized
+    header is."""
     k = len(c.terminals)
     h = TargetGraph.from_edges(k, [(i, i) for i in range(k)])
-    tset = set(c.terminals)
     tindex = {t: i for i, t in enumerate(c.terminals)}
+    nbrs = {t: [] for t in c.terminals}
+    inner = []  # the edges between non-terminals
     for u, v in c.edges:
-        if u in tset and v in tset:
+        if u in tindex and v in tindex:
             raise ValueError("adjacent terminals cannot be separated")
-    keep = [v for v in range(c.n) if v not in tset]
+        if u in tindex:
+            nbrs[u].append(v)
+        elif v in tindex:
+            nbrs[v].append(u)
+        else:
+            inner.append((u, v))
+    keep = [v for v in range(c.n) if v not in tindex]
+    size = len(keep) + c.n * sum(map(len, nbrs.values()))
+    if size > MAX_INSTANCE_VERTICES:
+        raise TooManyVertices(f"the vertex-multiway encoding has {size} "
+                              f"vertices, above the cap of "
+                              f"{MAX_INSTANCE_VERTICES}")
     pos = {v: i for i, v in enumerate(keep)}
-    edges = [(pos[u], pos[v]) for u, v in c.edges
-             if u not in tset and v not in tset]
-    full = frozenset(range(k))
-    lists = [full] * len(keep)
-    nxt = len(keep)
+    edges = [(pos[u], pos[v]) for u, v in inner]
+    lists = [frozenset(range(k))] * len(keep)
     for t in c.terminals:
-        nbrs = sorted(u for e in c.edges if t in e
-                      for u in e if u != t)
-        for w in nbrs:
-            for _ in range(c.n):
-                lists.append(frozenset((tindex[t],)))
-                edges.append((pos[w], nxt))
-                nxt += 1
-    return h, Instance(nxt, edges, lists, c.budget)
+        for w in sorted(nbrs[t]):
+            edges += [(pos[w], len(lists) + i) for i in range(c.n)]
+            lists += [frozenset((tindex[t],))] * c.n
+    return h, Instance(len(lists), edges, lists, c.budget)
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +302,7 @@ def coloring_ed_to_lhomed(h: TargetGraph, g_n: int, g_edges, z: int,
     if neq_gadget.lists[neq_gadget.portals[1]] != s:
         raise ValueError("portal lists of the inequality gadget differ")
     neq = {(u, v) for u in s for v in s if u != v}
-    if not gadgets.verify_realizes(h, neq_gadget, neq, omega=1, mode="ed"):
+    if not gadgets.verify_realizes(h, neq_gadget, neq):
         raise ValueError("gadget does not 1-realize inequality over S")
     alpha = gadgets.base_cost(gadgets.cost_table(h, neq_gadget, "ed"))
     inst = _substitute_edges(g_n, list(g_edges), neq_gadget, s)
@@ -344,6 +354,8 @@ def parse_classic(text: str) -> ClassicInstance:
                 if kind not in _CLASSIC_READS:
                     raise ParseError(f"line {lineno}: unknown problem kind "
                                      f"{kind!r}")
+                if n < 0 or m < 0:
+                    raise ParseError(f"line {lineno}: negative count")
                 # n becomes the encoded instance's vertex count
                 check_vertex_count(lineno, n, MAX_INSTANCE_VERTICES)
             elif kind is None:

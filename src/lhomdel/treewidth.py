@@ -382,6 +382,9 @@ def parse_td(text: str, n: Optional[int] = None) -> TreeDecomposition:
                     raise ParseError(f"line {ln}: vertex ids start at 1")
                 bags[i] = bag
             else:
+                if counts is None:
+                    raise ParseError(
+                        f"line {ln}: tree edge before solution line")
                 if len(toks) != 2:
                     raise ParseError(f"line {ln}: bad tree edge")
                 tedges.append((int(toks[0]) - 1, int(toks[1]) - 1))

@@ -177,6 +177,10 @@ def test_parse_error_exit_codes(tmp_path, capsys):
                               "dp"])
     assert code == cli.EXIT_PARSE
     assert json.loads(out)["detail"] == "line 1: negative count"
+    c = _write(tmp_path, "g.cls", "p vertex-cover -1 0\n")
+    code, out = _run(capsys, ["reduce", c])
+    assert code == cli.EXIT_PARSE
+    assert json.loads(out)["detail"] == "line 1: negative count"
 
 
 def test_malformed_edge_lines_exit_code(tmp_path, capsys):
@@ -219,6 +223,7 @@ LHI_ERRORS = (
     ("p lhom 2 0\nk\n", 2, "line 2: malformed budget"),
     ("p lhom 2 0\nk -1\n", 2, "line 2: negative budget"),
     ("p lhom 2 0\nk 1\nk 1\n", 2, "line 3: duplicate budget"),
+    ("k 3\np lhom 1 0\n", 2, "line 1: budget before header"),
     ("p lhom 2 0\nx 1\n", 2, "line 2: unknown line 'x'"),
     ("p lhom 2 1\ne 1 x\n", 2, "line 2: malformed line"),
     ("p lhom 2 0\nl 1\n", 2, "line 2: malformed line"),
@@ -610,10 +615,13 @@ def test_writer_is_json_dumps_on_random_values(capsys):
             value, sort_keys=True, indent=2) + "\n", value
 
 
-# SHA-256 of `lhomdel gadget <kind> ... --verify` stdout on four corpus
-# targets: each s-prohibitor's table is too large to verify, each move's
-# is recomputed by elimination (the random target's has 17 vertices and
-# 7.9e6 assignments)
+# SHA-256 of `lhomdel gadget <kind> ... --verify` stdout on five targets:
+# each s-prohibitor's table is too large to verify, each move's is
+# recomputed by elimination (the random-10-1 one has 17 vertices and
+# 7.9e6 assignments).  The other kinds take each builder's routes: the
+# reflexive matcher (translator, (a,b)-matcher, reversed translator), the
+# irreflexive one, NEQ's path search, and an indicator of 49 vertices
+# whose submoves compose chains of moves
 GADGET_VERIFY_SHA256 = {
     ("windowed2", "s-prohibitor --set 6 7 8"):
         "e7ee701a8d02dc4a287b5dd039e822fcbeff76806c2c23d9ff326d6d34f1eb94",
@@ -631,6 +639,20 @@ GADGET_VERIFY_SHA256 = {
         "3ae7fe401f120ff977c94b6af0c4ecf4dc7274c3fac673ddba417efddfc4054e",
     ("random-10-1", "move --pair 1 2 --dest 9 10"):
         "8e41bc3fb8bedccc72fa1ab7cd88c2d549321a52c49fab02cfab96ddd073be45",
+    ("refl-cycle6", "splitter --set 1 3 5 --vertex 1"):
+        "b1504b1d50fecf1f85e836166b0c0632ee5b0ee792299b50db702ebec8bbb2a3",
+    ("refl-cycle6", "matcher --pair 1 3"):
+        "e7b439442edc6ef654dd45fc9cf3dac2e6e5b621898c9da8009f404d823df75b",
+    ("refl-cycle6", "translator --pair 1 3 --dest 2 5"):
+        "20e21c5abf2bdd9664e7949203674a64373a95319370cf01d9f259e572e40652",
+    ("refl-cycle6", "neq --pair 1 3"):
+        "55d81805d65fb81147ae40d412e13a1285cb9737df173a479fe3621affd8aac3",
+    ("windowed2", "matcher --pair 6 7"):
+        "9693306aa7a617008ce4cb4016529530c592629c0cdf9cecffab3f47ebd311d5",
+    ("windowed2", "prohibitor --set 6 7 8 --vertex 7"):
+        "5ba8079bca4bea89353ac950c74b13280b3ce5ee4b73ef5d4ae9fbfbcf3e7410",
+    ("random-7-0", "indicator --set 1 2 3 --dest 6 7"):
+        "9d4a1ce99c16b75cadc57fe119307b967d83d9310ab925e85c1e94d5510495b7",
 }
 
 
@@ -641,13 +663,14 @@ def test_gadget_verify_outputs_are_pinned(tmp_path, capsys):
                "crossing2": families.crossing_family(2),
                "refl-cycle6": families.reflexive_cycle(6),
                "random-10-1": families.random_target(
-                   random.Random("target_analysis:10:1"), 10)}
+                   random.Random("target_analysis:10:1"), 10),
+               "random-7-0": families.random_target(random.Random(0), 7)}
     for (name, args), want in GADGET_VERIFY_SHA256.items():
         t = _write(tmp_path, f"{name}.hg", format_target(targets[name]))
         kind, *rest = args.split()
         code, out = _run(capsys, ["gadget", kind, t] + rest + ["--verify"])
         assert code == cli.EXIT_OK
-        if kind == "move":
+        if kind in ("move", "prohibitor"):
             assert json.loads(out)["verified"] is True
         assert hashlib.sha256(out.encode()).hexdigest() == want, (name, kind)
 
@@ -759,14 +782,17 @@ def test_td_errors_name_file_ids(tmp_path, capsys):
 
 def test_td_tree_edge_above_bag_count(tmp_path, capsys):
     # a tree edge naming bag 3 of 2 is malformed, as a b line for bag 3 is;
-    # the detail names the line, wherever the edge stands in the file
+    # the detail names the line, wherever the edge stands after the
+    # solution line (before it, the edge itself is the error)
     t = _write(tmp_path, "h.hg", TARGET_RK2)
     i = _write(tmp_path, "g.lhi", "p lhom 3 2\ne 1 2\ne 2 3\n")
     above = "tree edge names bag 3, but there are 2 bags"
     for text, detail in (
             ("s td 2 2 3\nb 1 1 2\nb 2 2 3\n1 3\n", f"line 4: {above}"),
             ("s td 2 2 3\nb 1 1 2\nb 2 2 3\n3 2\n", f"line 4: {above}"),
-            ("1 3\ns td 2 2 3\nb 1 1 2\nb 2 2 3\n", f"line 1: {above}"),
+            ("s td 2 2 3\n1 3\nb 1 1 2\nb 2 2 3\n", f"line 2: {above}"),
+            ("1 3\ns td 2 2 3\nb 1 1 2\nb 2 2 3\n",
+             "line 1: tree edge before solution line"),
             ("s td 2 2 3\nb 1 1 2\nb 3 2 3\n", "line 3: bad bag index 3")):
         td = _write(tmp_path, "g.td", text)
         for algo in ("auto", "dp"):
@@ -802,6 +828,24 @@ sys.exit(cli.main(sys.argv[1:]))
 """
 
 
+def _python(*args, **kw):
+    """(completed process, wall seconds) of a child `python <args>` that
+    imports lhomdel from this checkout; stdout and stderr are captured
+    as text unless kw redirects them."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    kw = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE} | kw
+    start = time.perf_counter()
+    out = subprocess.run([sys.executable, *args], env=env, text=True, **kw)
+    return out, time.perf_counter() - start
+
+
+def _under_memory_limit(*argv, **kw):
+    """_python running `lhomdel <argv>` under the address-space limit."""
+    return _python("-c", _UNDER_MEMORY_LIMIT, *argv, **kw)
+
+
 def test_memory_error_exit_code(tmp_path):
     # a one-line instance at the vertex cap passes the header check, and
     # its DP solve over a one-vertex target needs far more than 64 MiB;
@@ -809,12 +853,7 @@ def test_memory_error_exit_code(tmp_path):
     # exits 3, not 4
     t = _write(tmp_path, "h.hg", "h 1\n")
     i = _write(tmp_path, "g.lhi", f"p lhom {MAX_INSTANCE_VERTICES} 0\n")
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    out = subprocess.run(
-        [sys.executable, "-c", _UNDER_MEMORY_LIMIT, "solve", "vd", t, i],
-        env=env, capture_output=True, text=True)
+    out, _ = _under_memory_limit("solve", "vd", t, i)
     assert out.returncode == cli.EXIT_PRECONDITION == 3, out.stderr
     assert json.loads(out.stdout) == {"error": "precondition",
                                       "detail": "out of memory"}
@@ -835,33 +874,23 @@ def test_classify_size_ladder(tmp_path, name):
     # without copies or recursion and written as it goes
     h, seconds = CLASSIFY_RUNGS[name]
     t = _write(tmp_path, "h.hg", format_target(h))
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    start = time.perf_counter()
-    out = subprocess.run(
-        [sys.executable, "-c", _UNDER_MEMORY_LIMIT, "classify", t],
-        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
-        text=True)
-    elapsed = time.perf_counter() - start
+    out, elapsed = _under_memory_limit("classify", t,
+                                       stdout=subprocess.DEVNULL)
     assert out.returncode == cli.EXIT_OK, out.stderr
     assert elapsed < seconds, elapsed
 
 
 def test_poly_solve_of_1000_singleton_lists(tmp_path):
     # 1000 distinct lists over the edgeless h 1000: the staircase-order
-    # search goes one list deeper per level, so it must not recurse
+    # search goes one list deeper per level, so it must not recurse, and
+    # one-vertex orders need no pair test, so it must not take k^2 of them
     n = 1000
     t = _write(tmp_path, "h.hg", f"h {n}\n")
     i = _write(tmp_path, "g.lhi", f"p lhom {n} 0\n" + "".join(
         f"l {v} 1 {v}\n" for v in range(1, n + 1)))
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    out = subprocess.run(
-        [sys.executable, "-c", _UNDER_MEMORY_LIMIT, "solve", "ed", t, i],
-        env=env, capture_output=True, text=True)
+    out, elapsed = _under_memory_limit("solve", "ed", t, i)
     assert out.returncode == cli.EXIT_OK, out.stderr
+    assert elapsed < 2.0, elapsed
     rep = json.loads(out.stdout)
     assert rep["opt"] == 0 and rep["stats"] == {"flow_value": 0}  # poly
     assert rep["homomorphism"] == {str(v): v for v in range(1, n + 1)}
@@ -919,13 +948,8 @@ def test_td_and_core_together_are_refused(tmp_path, capsys):
 
 
 def test_cli_import_does_not_load_networkx():
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    out = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, lhomdel.cli; print('networkx' in sys.modules)"],
-        env=env, capture_output=True, text=True, check=True)
+    out, _ = _python("-c", "import sys, lhomdel.cli; "
+                     "print('networkx' in sys.modules)", check=True)
     assert out.stdout.strip() == "False"
 
 
@@ -948,11 +972,7 @@ def test_classify_and_poly_solves_do_not_load_numpy(tmp_path):
     # auto solves run on plain ints; only the DP needs numpy
     t = _write(tmp_path, "h.hg", format_target(families.reflexive_clique(3)))
     i = _write(tmp_path, "g.lhi", INSTANCE)
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    out = subprocess.run([sys.executable, "-c", _NUMPY_PATHS, t, i],
-                         env=env, capture_output=True, text=True, check=True)
+    out, _ = _python("-c", _NUMPY_PATHS, t, i, check=True)
     assert out.stdout.strip() == "[0, 0, 0, 0] False True"
 
 
@@ -1071,6 +1091,23 @@ def test_reduce_unread_and_repeated_lines_are_parse_errors(tmp_path,
         code, out = _run(capsys, ["reduce", c])
         assert code == cli.EXIT_PARSE, text
         assert json.loads(out) == {"error": "parse", "detail": detail}
+
+
+def test_reduce_refuses_an_encoding_above_the_cap(tmp_path):
+    # a star on vertices 1..20000 and the isolated vertex 20001, the centre
+    # and 20001 the terminals: the encoding has 19999 + 20001 * 19999
+    # vertices, counted and refused before any is built
+    n = 20001
+    c = _write(tmp_path, "star.cls", f"p vertex-multiway {n} {n - 2}\n"
+               + "".join(f"e 1 {v}\n" for v in range(2, n))
+               + f"t 1\nt {n}\n")
+    out, elapsed = _under_memory_limit("reduce", c)
+    assert out.returncode == cli.EXIT_PRECONDITION, out.stderr
+    assert json.loads(out.stdout) == {
+        "error": "precondition",
+        "detail": f"the vertex-multiway encoding has {19999 + n * 19999} "
+                  f"vertices, above the cap of {MAX_INSTANCE_VERTICES}"}
+    assert elapsed < 2.0, elapsed
 
 
 def test_failed_reduce_leaves_no_output_file(tmp_path, capsys):

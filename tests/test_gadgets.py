@@ -1,4 +1,5 @@
 import random
+import time
 from itertools import product
 from math import prod
 
@@ -60,6 +61,31 @@ def test_translator_preconditions():
     h = families.reflexive_clique(3)
     with pytest.raises(gadgets.GadgetError):  # adjacent destination
         gadgets.build_translator(h, 0, 1, 0, 1)
+
+
+def test_pair_context_is_two_mask_operations():
+    # vertices 2..199 form a reflexive clique, plus the edges 0-199 and
+    # 1-198; a search over vertex pairs took seconds here
+    n = 200
+    h = graphs.TargetGraph.from_edges(
+        n, [(u, v) for u in range(2, n) for v in range(u, n)]
+        + [(0, 199), (1, 198)])
+    start = time.perf_counter()
+    assert gadgets._pair_context(h, 0, 1, None, None) == (199, 198)
+    assert time.perf_counter() - start < 0.01
+    # the first pair in (v, w) order of the search it replaces
+    rng = random.Random(5)
+    for _ in range(300):
+        h = families.random_target(rng, rng.randint(2, 7))
+        vp, wp = rng.sample(range(h.n), 2)
+        want = next(((v, w) for v in range(h.n) for w in range(h.n)
+                     if h.has_edge(v, vp) and not h.has_edge(w, vp)
+                     and h.has_edge(w, wp) and not h.has_edge(v, wp)), None)
+        if want is None:
+            with pytest.raises(gadgets.GadgetError):
+                gadgets._pair_context(h, vp, wp, None, None)
+        else:
+            assert gadgets._pair_context(h, vp, wp, None, None) == want
 
 
 def test_prohibitor_contract():
@@ -173,6 +199,16 @@ def _forced_pair_move():
     return h, out, "ed"
 
 
+def test_force_from_allow_detours_a_portal_edge():
+    # the move is one edge between its portals; it forces 0->0 and
+    # allows 1->2, and the portal edge becomes a two-vertex detour
+    h = families.independent_reflexive(3)
+    g = gadgets.force_from_allow(h, gadgets.path_gadget([{0, 1}, {0, 2}]))
+    assert g.n == 8
+    assert gadgets.move_report(h, g).forced == {0: 0, 1: 2}
+    assert g.tables["ed"] == _eliminated(h, g, "ed")
+
+
 def _three_way_s_prohibitor():
     # 52 vertices: far above ENUM_BOUND, so `gadget --verify` cannot check
     # this table; elimination on the series-parallel gadget still can
@@ -255,7 +291,7 @@ def test_neq_synthesis_worked_example():
     t = gadgets.cost_table(h, g, "ed")
     assert t[(0, 1)] == t[(1, 0)] == 3
     assert t[(0, 0)] == t[(1, 1)] == 4
-    assert gadgets.verify_realizes(h, g, {(0, 1), (1, 0)}, omega=1)
+    assert gadgets.verify_realizes(h, g, {(0, 1), (1, 0)})
 
 
 def test_neq_on_irreflexive_edge():

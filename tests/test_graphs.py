@@ -77,6 +77,19 @@ def test_target_roundtrip():
         assert parse_target(format_target(h)).nbhd == h.nbhd
 
 
+def test_dense_target_parses_into_masks():
+    # reflexive K1000 as text: 500,501 lines, each setting two mask bits
+    n = 1000
+    edges = [(u, v) for u in range(n) for v in range(u, n)]
+    h = parse_target(f"h {n}\n" + "".join(f"e {u + 1} {v + 1}\n"
+                                          for u, v in edges))
+    assert h == TargetGraph.from_edges(n, edges)
+    assert parse_target("h 2\ne 2 2\ne 2 1\n").nbhd == (0b10, 0b11)
+    # masks a caller gives are still checked
+    with pytest.raises(ValueError, match="not symmetric"):
+        TargetGraph(2, (0b10, 0))
+
+
 def test_instance_roundtrip():
     rng = random.Random(8)
     for _ in range(25):
@@ -102,6 +115,7 @@ def test_reduce_lists_keeps_structure():
     "e 1 2\nh 3",            # edge before header
     "h 2\ne 1 3",            # out of range
     "h 2\ne 1 2\ne 2 1",     # duplicate edge
+    "h 2\ne 2 2\ne 2 2",     # duplicate loop
     "h 2\nx 1",              # unknown line
 ])
 def test_target_parse_errors(text):

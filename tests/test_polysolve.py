@@ -1,4 +1,5 @@
 import random
+from itertools import permutations, product
 
 import pytest
 
@@ -15,6 +16,58 @@ def test_staircase_params_units():
     assert polysolve.staircase_params([[1, 0], [1, 1]]) is not None
     # anti-diagonal ones are not a staircase
     assert polysolve.staircase_params([[0, 1], [1, 0]]) is None
+
+
+def _staircase_case(seed):
+    """An obstruction-free target and two to five lists of up to four of
+    its vertices, unreduced, so that some orders fail the per-vertex
+    check and some list sets have no joint order."""
+    rng = random.Random(seed)
+    while True:
+        h = families.random_target(rng, rng.randint(3, 6),
+                                   loop_p=rng.random(), edge_p=rng.random())
+        if analysis.classify_ed(h)[0] == "poly":
+            break
+    return h, [frozenset(rng.sample(range(h.n), rng.randint(1, min(4, h.n))))
+               for _ in range(rng.randint(2, 5))]
+
+
+def test_staircase_orders_match_an_exhaustive_joint_search():
+    # the reference tests every permutation against every vertex and each
+    # pair of orders, an order with itself too, in both directions; seeds
+    # 1817, 5449 and 5832 make the backtracking back up to an earlier list
+    backed_up = failed_per_vertex = 0
+    for seed in list(range(150)) + [1817, 5449, 5832]:
+        h, lists = _staircase_case(seed)
+        distinct = sorted(set(lists), key=sorted)
+        cands = [[p for p in permutations(sorted(lst))
+                  if polysolve._per_vertex_types_ok(h, p)]
+                 for lst in distinct]
+        failed_per_vertex += sum(len(c) < len(list(permutations(lst)))
+                                 for c, lst in zip(cands, distinct))
+
+        def fits(a, b):
+            return all(polysolve.staircase_params(
+                polysolve.interaction_matrix(h, x, y)) is not None
+                       for x, y in ((a, b), (b, a)))
+
+        want = next((dict(zip(distinct, tup)) for tup in product(*cands)
+                     if all(fits(a, b) for i, a in enumerate(tup)
+                            for b in tup[i:])), None)
+        if want is None:
+            with pytest.raises(ValueError):
+                polysolve.staircase_orders(h, lists)
+            continue
+        assert polysolve.staircase_orders(h, lists) == want, seed
+        greedy = []  # each list's first order that fits the ones before
+        for c in cands:
+            p = next((p for p in c if all(fits(p, q) for q in greedy + [p])),
+                     None)
+            if p is None:
+                break
+            greedy.append(p)
+        backed_up += greedy != [want[lst] for lst in distinct]
+    assert backed_up >= 3 and failed_per_vertex > 0
 
 
 def test_rectangle_cover_partition():

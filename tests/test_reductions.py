@@ -366,6 +366,7 @@ def test_classic_validation():
     "p st-min-cut 3 1\ne 1 2\ns 1\nt 2\nl 3\n",
     "p edge-multiway 3 1\ne 1 2\nt 1\ns 2\n",
     "p coloring-ed 3 1\ne 1 2\nq 3\nr 1\n",
+    "p vertex-cover -1 0\n",  # a negative vertex count
 ])
 def test_classic_parse_errors(text):
     with pytest.raises(ParseError):

@@ -275,6 +275,9 @@ def test_td_parse_errors():
         parse_td("s td 1 1 1\nb 2 1")
     with pytest.raises(ParseError):
         parse_td("")
+    with pytest.raises(ParseError,
+                       match="line 1: tree edge before solution line"):
+        parse_td("1 2\ns td 2 1 2\nb 1 1\nb 2 2")
     for text in ("s td 1 1 1\nb 1 1 x",  # non-integer vertex
                  "s td 1 1 1\nb",  # truncated bag line
                  "s",  # truncated solution line
