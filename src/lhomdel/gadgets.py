@@ -4,6 +4,8 @@ VD family: splitter / matcher / translator paths assembled into
 (v,S)-prohibitors and S-prohibitors.  ED family: moves between
 incomparable pairs, pendant cost shifts, normalization, composition,
 Aux-graph routing, indicators, and bounded synthesis of NEQ realizers.
+Aux is searched as the line graph of the pair graph P on V(H), from P's
+incidence lists, so it is never built.
 
 Small gadgets get exact cost tables from min-plus bucket elimination over
 the gadget's own lists (_kernels.scan_table).  The glue operations compose
@@ -626,67 +628,72 @@ def incomparable_pairs(h: TargetGraph):
             if incomparable(h, u, v)]
 
 
-def _in_variant(h: TargetGraph, pair, variant: str) -> bool:
-    """Whether an incomparable pair is a vertex of Aux-variant.  star keeps
-    the pairs of two reflexive vertices; good drops the bad pairs: two
-    non-adjacent irreflexive vertices whose private neighbors (Γ(a) xor
-    Γ(b)) are all reflexive."""
-    a, b = sorted(pair)
+def _in_variant(h: TargetGraph, variant: str, refl: int, a: int,
+                b: int) -> bool:
+    """Whether the incomparable pair {a, b} is a vertex of Aux-variant;
+    refl is h.reflexive_mask().  star keeps the pairs of two reflexive
+    vertices; good drops the bad pairs: two non-adjacent irreflexive
+    vertices whose private neighbors (Γ(a) xor Γ(b)) are all reflexive."""
     if variant == "star":
         return h.has_loop(a) and h.has_loop(b)
-    if variant == "full" or h.has_loop(a) or h.has_loop(b) \
-            or h.has_edge(a, b):
-        return True
-    return not all(h.has_loop(x) for x in bits(h.nbhd[a] ^ h.nbhd[b]))
+    return bool(h.has_loop(a) or h.has_loop(b) or h.has_edge(a, b)
+                or (h.nbhd[a] ^ h.nbhd[b]) & ~refl)
 
 
-def build_aux(h: TargetGraph, variant: str = "full") -> dict:
-    """Graph over incomparable pairs; edges join intersecting pairs.
-    Variants: full; star (reflexive-only pairs); good (non-bad pairs).
+def pair_graph(h: TargetGraph, variant: str) -> list:
+    """The graph P on V(H) whose edges are the pairs of Aux-variant (star
+    or good), Aux being P's line graph, as incidence lists: at[v] holds
+    the key a·n + b of each pair {a, b} at v, a < b, in ascending order,
+    which is incomparable_pairs order."""
+    n, refl = h.n, h.reflexive_mask()
+    at = [[] for _ in range(n)]
+    for a in range(n):
+        for b in range(a + 1, n):
+            if incomparable(h, a, b) and _in_variant(h, variant, refl, a, b):
+                at[a].append(a * n + b)
+                at[b].append(a * n + b)
+    return at
 
-    Returned as an adjacency dict {pair: [intersecting pairs]}; keys and
-    neighbor lists follow incomparable_pairs order."""
-    if variant not in ("full", "star", "good"):
-        raise ValueError("variant must be full, star, or good")
-    pairs = [p for p in incomparable_pairs(h) if _in_variant(h, p, variant)]
-    return {p: [q for q in pairs if q != p and p & q] for p in pairs}
 
-
-def _aux_path(aux: dict, s, t) -> Optional[list]:
-    """A shortest s-t path in an adjacency dict, or None if there is none.
+def _aux_path(at: list, s, t) -> Optional[list]:
+    """A shortest s-t path in Aux, given as pair_graph's incidence lists
+    at, or None if there is none.
 
     Two-ended BFS: each step expands the smaller fringe (the forward one
-    on ties) and stops at the first vertex both searches have reached, so
-    the path returned among several shortest ones is fixed by the
-    neighbor-list order.
+    on ties) and stops at the first pair both searches have reached, so
+    the path returned among several shortest ones is fixed by the order
+    of a pair's neighbors: the merge of the lists at its two ends, which
+    holds the pair itself too (so s = t meets at once).  Each list is
+    scanned once: a pair both sides label ends the search, so once one
+    side has labelled every pair at x, the other side's first pair at x
+    ends it, and a second scan of at[x] by the same side would do nothing.
     """
-    if s not in aux or t not in aux:
+    n = len(at)
+    (a, b), (c, d) = sorted(s), sorted(t)
+    s, t = a * n + b, c * n + d
+    if b >= n or d >= n or s not in at[a] or t not in at[c]:
         return None
-    if s == t:
-        return [s]
     pred, succ = {s: None}, {t: None}  # parent in each search tree
-    fringe = [[s], [t]]
+    fringe, scanned = [[s], [t]], set()
     while fringe[0] and fringe[1]:
         side = 0 if len(fringe[0]) <= len(fringe[1]) else 1
         tree, other = (pred, succ) if side == 0 else (succ, pred)
         level, fringe[side] = fringe[side], []
         for v in level:
-            for w in aux[v]:
+            ends = [x for x in divmod(v, n) if x not in scanned]
+            scanned.update(ends)
+            for w in sorted(k for x in ends for k in at[x]):
                 if w not in tree:
                     tree[w] = v
                     fringe[side].append(w)
-                if w in other:
-                    return _tree_path(pred, w)[::-1] + _tree_path(succ, w)[1:]
+                if w in other:  # back up the pred tree, on down succ's
+                    path = [w]
+                    while pred[path[0]] is not None:
+                        path.insert(0, pred[path[0]])
+                    while succ[path[-1]] is not None:
+                        path.append(succ[path[-1]])
+                    return [frozenset(divmod(k, n)) for k in path]
     return None
-
-
-def _tree_path(tree: dict, w) -> list:
-    """w, its parent, and so on up to the root of a BFS tree."""
-    path = []
-    while w is not None:
-        path.append(w)
-        w = tree[w]
-    return path
 
 
 def _shift_gadget(h: TargetGraph, pair, reflexive_private: bool) -> tuple:
@@ -707,22 +714,24 @@ def _shift_gadget(h: TargetGraph, pair, reflexive_private: bool) -> tuple:
 def _move_chain(h: TargetGraph, pair1, pair2) -> list:
     """Primitive forcing moves composing to a move from pair1 to pair2."""
     p1, p2 = frozenset(pair1), frozenset(pair2)
-    _check_incomparable(h, p1)
-    _check_incomparable(h, p2)
+    for p in (p1, p2):
+        if len(p) != 2:
+            raise GadgetError(f"pair {sorted(p)} is not two distinct vertices")
+        _check_incomparable(h, p)
     strong = analysis.is_strong_split(h)
     variant = "star" if strong else "good"
-    aux = build_aux(h, variant)
+    refl = h.reflexive_mask()
     chain, start, end, endchain = [], p1, p2, []
-    if not _in_variant(h, p1, variant):
+    if not _in_variant(h, variant, refl, *sorted(p1)):
         g, start = _shift_gadget(h, p1, reflexive_private=not strong)
         chain.append(g)
-    if not _in_variant(h, p2, variant):
+    if not _in_variant(h, variant, refl, *sorted(p2)):
         # the shift's one edge forces a->a' and b->b', so its ED table is 0
         # at (a, a') and (b, b') and 1 at (a, b') and (b, a'): reversed, it
         # forces a'->a and b'->b
         g, end = _shift_gadget(h, p2, reflexive_private=not strong)
         endchain.append(_reversed(g))
-    nodes = _aux_path(aux, start, end)
+    nodes = _aux_path(pair_graph(h, variant), start, end)
     if nodes is None:
         raise GadgetError(
             f"pairs not connected in Aux-{variant}: is H undecomposable?")

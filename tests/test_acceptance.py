@@ -304,13 +304,16 @@ def test_criterion_10_aux_connectivity_and_moves():
         if analysis.is_decomposable(h):
             continue
         variant = "star" if analysis.is_strong_split(h) else "good"
-        aux = gadgets.build_aux(h, variant)
-        if len(aux) > 0:
-            assert nx.is_connected(nx.Graph(aux))
+        # Aux is the line graph of the pair graph P: connected exactly
+        # when P's edges are
+        p = nx.Graph(divmod(k, h.n) for ks in gadgets.pair_graph(h, variant)
+                     for k in ks)
+        if p.number_of_edges() > 0:
+            assert nx.is_connected(p)
         targets += 1
-        if moves < 50 and len(aux) >= 2:
-            nodes = sorted(aux, key=sorted)
-            p1, p2 = rng.sample(nodes, 2)
+        if moves < 50 and p.number_of_edges() >= 2:
+            nodes = sorted(sorted(e) for e in p.edges)
+            p1, p2 = map(frozenset, rng.sample(nodes, 2))
             g = gadgets.move_between_pairs(h, p1, p2)
             rep = gadgets.move_report(h, g)
             imgs = [rep.forced[u] for u in sorted(p1)]

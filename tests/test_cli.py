@@ -653,6 +653,11 @@ GADGET_VERIFY_SHA256 = {
         "5ba8079bca4bea89353ac950c74b13280b3ce5ee4b73ef5d4ae9fbfbcf3e7410",
     ("random-7-0", "indicator --set 1 2 3 --dest 6 7"):
         "9d4a1ce99c16b75cadc57fe119307b967d83d9310ab925e85c1e94d5510495b7",
+    ("random-16-0", "move --pair 1 2 --dest 3 4"):
+        "37ceaa89252511374b78113f613d89feae89da4b6379fc8d4b7bbea6ce418fa8",
+    # each of the two submoves is a chain of four forcing moves
+    ("windowed3", "indicator --set 1 2 --dest 2 3"):
+        "3fa111eb526e90c6d829ce95d977d4a6a5e9cc30a266919a2ef79f09cd57eb5a",
 }
 
 
@@ -664,7 +669,10 @@ def test_gadget_verify_outputs_are_pinned(tmp_path, capsys):
                "refl-cycle6": families.reflexive_cycle(6),
                "random-10-1": families.random_target(
                    random.Random("target_analysis:10:1"), 10),
-               "random-7-0": families.random_target(random.Random(0), 7)}
+               "random-7-0": families.random_target(random.Random(0), 7),
+               "random-16-0": families.random_target(
+                   random.Random("target_analysis:16:0"), 16),
+               "windowed3": families.windowed_family(3)}
     for (name, args), want in GADGET_VERIFY_SHA256.items():
         t = _write(tmp_path, f"{name}.hg", format_target(targets[name]))
         kind, *rest = args.split()
@@ -820,11 +828,11 @@ def test_internal_error_exit_code(tmp_path, capsys, monkeypatch):
 _UNDER_MEMORY_LIMIT = """
 import resource, sys
 from lhomdel import cli
-# the address space the interpreter holds now, plus 64 MiB
+# the address space the interpreter holds now, plus argv[1] MiB
 pages = int(open("/proc/self/statm").read().split()[0])
-limit = pages * resource.getpagesize() + (64 << 20)
+limit = pages * resource.getpagesize() + (int(sys.argv[1]) << 20)
 resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
-sys.exit(cli.main(sys.argv[1:]))
+sys.exit(cli.main(sys.argv[2:]))
 """
 
 
@@ -841,9 +849,11 @@ def _python(*args, **kw):
     return out, time.perf_counter() - start
 
 
-def _under_memory_limit(*argv, **kw):
-    """_python running `lhomdel <argv>` under the address-space limit."""
-    return _python("-c", _UNDER_MEMORY_LIMIT, *argv, **kw)
+def _under_memory_limit(*argv, mib=64, **kw):
+    """_python running `lhomdel <argv>` under the address-space limit:
+    mib MiB above what the interpreter holds once it has imported the
+    cli."""
+    return _python("-c", _UNDER_MEMORY_LIMIT, str(mib), *argv, **kw)
 
 
 def test_memory_error_exit_code(tmp_path):
@@ -877,6 +887,30 @@ def test_classify_size_ladder(tmp_path, name):
     out, elapsed = _under_memory_limit("classify", t,
                                        stdout=subprocess.DEVNULL)
     assert out.returncode == cli.EXIT_OK, out.stderr
+    assert elapsed < seconds, elapsed
+
+
+# size-ladder rungs for the Aux search: a gadget over random_target(
+# Random(0), n) in a child process with a wall-time bound; the gadget
+# tables import numpy on first use, and its OpenBLAS cannot start within
+# 64 MiB, so these children get 256 MiB above the interpreter
+GADGET_RUNGS = {
+    "move-1000": (1000, "move --pair 1 2 --dest 999 1000", 10.0),
+    "indicator-200": (200, "indicator --set 1 2 3 --dest 199 200", 5.0),
+}
+
+
+@pytest.mark.parametrize("name", list(GADGET_RUNGS))
+def test_gadget_size_ladder(tmp_path, name):
+    # Aux has about n^2 / 2 pairs, each meeting about 2n others, so its
+    # adjacency is never built: a search scans each vertex's pairs once
+    n, args, seconds = GADGET_RUNGS[name]
+    t = _write(tmp_path, "h.hg", format_target(
+        families.random_target(random.Random(0), n)))
+    kind, *rest = args.split()
+    out, elapsed = _under_memory_limit("gadget", kind, t, *rest, mib=256)
+    assert out.returncode == cli.EXIT_OK, out.stderr
+    assert json.loads(out.stdout)["kind"] == kind
     assert elapsed < seconds, elapsed
 
 
@@ -1181,6 +1215,21 @@ def test_gadget_argument_errors(tmp_path, capsys):
         code, out = _run(capsys, ["gadget"] + argv)
         assert code == cli.EXIT_PRECONDITION, argv
         assert json.loads(out)["error"] == "precondition"
+
+
+def test_gadget_pair_of_one_repeated_vertex(tmp_path, capsys):
+    # a pair that names one vertex twice is refused by name, whichever
+    # pair of the move it is
+    t = _write(tmp_path, "h.hg", "h 4\ne 1 1\ne 2 2\ne 1 3\ne 2 4\ne 3 4\n")
+    for argv, pair in ((["move", "--pair", "1", "1", "--dest", "1", "2"], 0),
+                       (["move", "--pair", "1", "2", "--dest", "3", "3"], 2),
+                       (["indicator", "--set", "1", "2", "--dest", "1", "1"],
+                        0)):
+        code, out = _run(capsys, ["gadget", argv[0], t] + argv[1:])
+        assert code == cli.EXIT_PRECONDITION, argv
+        assert json.loads(out) == {
+            "error": "precondition",
+            "detail": f"pair [{pair}] is not two distinct vertices"}, argv
 
 
 def test_long_ladder_dp_solve(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import heapq
 import random
 import time
 from itertools import product
@@ -303,46 +304,148 @@ def test_neq_on_irreflexive_edge():
 
 
 def test_aux_variants():
+    # three independent reflexive vertices: every pair is in both
+    # variants, and P is a triangle
     h = families.independent_reflexive(3)
-    full = gadgets.build_aux(h, "full")
-    assert set(full) == set(gadgets.incomparable_pairs(h))
-    assert nx.is_connected(nx.Graph(gadgets.build_aux(h, "star")))
-    with pytest.raises(ValueError):
-        gadgets.build_aux(h, "bogus")
+    for variant in ("star", "good"):
+        assert gadgets.pair_graph(h, variant) == [[1, 2], [1, 5], [2, 5]]
+    # irreflexive a = 0 and b = 1 with reflexive private neighbors r1 = 2
+    # and r2 = 3: {a, b} is bad, so neither variant keeps it; star keeps
+    # only {r1, r2} (key 2·4 + 3), good also {a, r2} and {b, r1}
+    h = graphs.TargetGraph.from_edges(4, [(0, 2), (1, 3), (2, 2), (3, 3)])
+    assert gadgets.incomparable_pairs(h) == [
+        frozenset(p) for p in ((0, 1), (0, 3), (1, 2), (2, 3))]
+    assert gadgets.pair_graph(h, "star") == [[], [], [11], [11]]
+    assert gadgets.pair_graph(h, "good") == [[3], [6], [6, 11], [3, 11]]
+
+
+def _reference_aux(h, variant):
+    """Aux-variant materialised as an adjacency dict {pair: [intersecting
+    pairs]}, keys and lists in incomparable_pairs order, with the good
+    test read per private neighbor: the form the pair-graph search
+    replaced."""
+    def keep(a, b):
+        if variant == "star":
+            return h.has_loop(a) and h.has_loop(b)
+        return (h.has_loop(a) or h.has_loop(b) or h.has_edge(a, b)
+                or not all(h.has_loop(x)
+                           for x in graphs.bits(h.nbhd[a] ^ h.nbhd[b])))
+    return _line_graph([p for p in gadgets.incomparable_pairs(h)
+                        if keep(*sorted(p))])
+
+
+def _line_graph(pairs):
+    """{pair: [the other pairs it meets]}, in the order of pairs."""
+    return {p: [q for q in pairs if q != p and p & q] for p in pairs}
+
+
+def _reference_path(aux, s, t):
+    """The two-ended BFS over the materialised adjacency dict."""
+    if s not in aux or t not in aux:
+        return None
+    if s == t:
+        return [s]
+    pred, succ = {s: None}, {t: None}
+    fringe = [[s], [t]]
+    while fringe[0] and fringe[1]:
+        side = 0 if len(fringe[0]) <= len(fringe[1]) else 1
+        tree, other = (pred, succ) if side == 0 else (succ, pred)
+        level, fringe[side] = fringe[side], []
+        for v in level:
+            for w in aux[v]:
+                if w not in tree:
+                    tree[w] = v
+                    fringe[side].append(w)
+                if w in other:
+                    return _tree_path(pred, w)[::-1] + _tree_path(succ, w)[1:]
+    return None
+
+
+def _tree_path(tree, w):
+    """w, its parent, and so on up to the root of a BFS tree."""
+    path = []
+    while w is not None:
+        path.append(w)
+        w = tree[w]
+    return path
+
+
+def test_aux_path_matches_the_materialised_search():
+    rng = random.Random(31)
+    checked = outside = 0
+    for _ in range(150):
+        h = families.random_target(rng, rng.randint(2, 10))
+        for variant in ("star", "good"):
+            aux = _reference_aux(h, variant)
+            at = gadgets.pair_graph(h, variant)
+            pairs = list(aux)
+            for s, t in product(pairs, repeat=2):
+                want = _reference_path(aux, s, t)
+                assert gadgets._aux_path(at, s, t) == want
+                checked += 1
+            # an incomparable pair the variant drops, and one out of range
+            missing = [p for p in gadgets.incomparable_pairs(h)
+                       if p not in aux][:1] + [frozenset((h.n, h.n + 1))]
+            outside += len(missing) > 1
+            for q in missing:
+                assert gadgets._aux_path(at, q, q) is None
+                for p in pairs[:1]:
+                    assert gadgets._aux_path(at, p, q) is None
+                    assert gadgets._aux_path(at, q, p) is None
+    assert checked > 50000 and outside > 100
+    # P drawn as a sparse graph on up to 20 vertices, where shortest paths
+    # in Aux run to 10 pairs
+    longest = 0
+    for _ in range(100):
+        n = rng.randint(3, 20)
+        edges = [(a, b) for a in range(n) for b in range(a + 1, n)
+                 if rng.random() < 0.12]
+        at = [[] for _ in range(n)]
+        for a, b in edges:
+            at[a].append(a * n + b)
+            at[b].append(a * n + b)
+        aux = _line_graph([frozenset(e) for e in edges])
+        for s, t in product(aux, repeat=2):
+            want = _reference_path(aux, s, t)
+            assert gadgets._aux_path(at, s, t) == want
+            longest = max(longest, len(want or ()))
+    assert longest >= 10
 
 
 def test_aux_path_matches_networkx():
-    # the reference graph is built as an nx.Graph over the pairs in
+    # the reference graph is Aux as an nx.Graph, with its pairs added in
     # incomparable_pairs order, so its adjacency order is that order too;
-    # with this seed a one-way BFS picks another shortest path on 8 pairs
+    # with this seed a one-way BFS picks another shortest path for 4 of
+    # the (s, t)
     rng = random.Random(63)
     checked = 0
     for _ in range(300):
         h = families.random_target(rng, rng.randint(2, 10))
-        order = gadgets.incomparable_pairs(h)
-        for variant in ("full", "star", "good"):
-            aux = gadgets.build_aux(h, variant)
-            pairs = list(aux)
-            assert pairs == [p for p in order if p in aux]
+        for variant in ("star", "good"):
+            at = gadgets.pair_graph(h, variant)
+            keys = sorted(set().union(*at))
+            pairs = [frozenset(divmod(k, h.n)) for k in keys]
             ref = nx.Graph()
             ref.add_nodes_from(pairs)
             for i, p in enumerate(pairs):
                 for q in pairs[i + 1:]:
                     if p & q:
                         ref.add_edge(p, q)
-            assert all(aux[p] == list(ref.adj[p]) for p in pairs)
+            # Aux is P's line graph: a pair's neighbors, in order, are
+            # the merged incidence lists of its two ends
+            for k, p in zip(keys, pairs):
+                a, b = divmod(k, h.n)
+                assert [frozenset(divmod(x, h.n))
+                        for x in heapq.merge(at[a], at[b]) if x != k] \
+                    == list(ref.adj[p])
             for s, t in product(pairs, repeat=2):
                 try:
                     want = nx.shortest_path(ref, s, t)
                 except nx.NetworkXNoPath:
                     want = None
-                assert gadgets._aux_path(aux, s, t) == want
+                assert gadgets._aux_path(at, s, t) == want
                 checked += 1
-            missing = frozenset((h.n, h.n + 1))
-            for p in pairs[:1]:
-                assert gadgets._aux_path(aux, p, missing) is None
-                assert gadgets._aux_path(aux, missing, p) is None
-    assert checked > 200000
+    assert checked > 100000
 
 
 def parse_gadget(text: str, h) -> gadgets.Gadget:
