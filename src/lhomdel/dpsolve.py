@@ -1,6 +1,6 @@
 """Dynamic programming over nice tree decompositions for both deletion
-modes, the decomposition-splitting recursion for ED over vertex masks of
-the target, and the auto dispatchers."""
+modes, the decomposition-splitting walk for ED over vertex masks of the
+target, and the auto dispatchers."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ import math
 from dataclasses import dataclass, replace
 from typing import Optional
 
-from . import analysis, polysolve
+from . import _kernels, analysis, polysolve
 from ._kernels import DELETED, INF, edge_penalty
 from .graphs import (Infeasible, Instance, Solution, TargetGraph,
                      is_incomparable_set, reduce_lists)
@@ -209,20 +209,14 @@ def split_by_decomposition(h: TargetGraph, dec: analysis.Decomposition,
         side.append("a" if lst <= a else "bc")
     verts_a = tuple(v for v in range(red.n) if side[v] == "a")
     verts_bc = tuple(v for v in range(red.n) if side[v] == "bc")
-    pos_a = {v: i for i, v in enumerate(verts_a)}
-    pos_bc = {v: i for i, v in enumerate(verts_bc)}
+    pos = {v: i for vs in (verts_a, verts_bc) for i, v in enumerate(vs)}
     ea, ebc, forced = [], [], []
     for u, v in red.edges:
         if side[u] == side[v]:
-            (ea if side[u] == "a" else ebc).append(
-                (pos_a[u], pos_a[v]) if side[u] == "a"
-                else (pos_bc[u], pos_bc[v]))
-        else:
-            x = u if side[u] == "a" else v  # A-side endpoint
-            y = v if x == u else u
-            if red.lists[y] <= c:
-                forced.append(tuple(sorted((u, v))))
-            # A–B pairs are always compatible (full join): drop the edge
+            (ea if side[u] == "a" else ebc).append((pos[u], pos[v]))
+        elif red.lists[v if side[u] == "a" else u] <= c:  # the B∪C end
+            forced.append(tuple(sorted((u, v))))
+        # A–B pairs are always compatible (full join): drop the edge
     sub_a = Instance(len(verts_a), sorted(tuple(sorted(e)) for e in ea),
                      [red.lists[v] for v in verts_a], None)
     sub_bc = Instance(len(verts_bc), sorted(tuple(sorted(e)) for e in ebc),
@@ -245,40 +239,49 @@ def solve_ed_auto(h: TargetGraph, inst: Instance,
     decomposition tree down to parts that are obstruction-free (poly
     solver) or undecomposable (DP).  A part is a vertex mask S of H,
     solved over h.restricted(S), so every part keeps H's vertex ids.
-    A `td` goes to a DP at the root; the other paths only validate it."""
-    return replace(_solve_ed_part(h, (1 << h.n) - 1, inst, td),
-                   algorithm="auto")
-
-
-def _solve_ed_part(h: TargetGraph, S: int, inst: Instance,
-                   td: Optional[TreeDecomposition]) -> Solution:
-    """solve_ed_auto on the part H[S] of h.  The poly and DP solvers check
-    their own solutions.  A merged one is checked against (h, inst) at the
-    root only: each inner merge's hom and cost are composed into the
-    root's, so the root's check covers them."""
-    root = S == (1 << h.n) - 1
-    part = h if root else h.restricted(S)
-    if analysis.classify_ed(part)[0] == "poly":
-        if td is not None:
-            validate_td(inst, td)
-        return polysolve.solve_ed_poly(part, inst, classified=True)
-    dec = analysis.find_decomposition(h, S)
-    if dec is None:
-        return solve_ed_dp(part, inst, td)
-    if td is not None:
-        validate_td(inst, td)
-    if any(not lst for lst in inst.lists):
-        raise Infeasible("vertex with an empty list")
-    sp = split_by_decomposition(part, dec, inst)
-    sol_a = _solve_ed_part(h, sum(1 << v for v in dec.a), sp.sub_a, None)
-    sol_bc = _solve_ed_part(h, sum(1 << v for v in dec.b + dec.c),
-                            sp.sub_bc, None)
-    hom = {v: sol_a.hom[i] for i, v in enumerate(sp.verts_a)}
-    hom.update((v, sol_bc.hom[i]) for i, v in enumerate(sp.verts_bc))
+    The tree is walked with a stack, A before B∪C.  A part with no
+    instance vertex is skipped, and one that holds its parent's
+    obstruction (vertices and witnesses) is hard without a search, as
+    obstructions are closed upward.  Each leaf's solver checks it; its
+    cost and hom go into the root's, checked against (h, inst) once.  A
+    `td` goes to a DP at the root; the other paths only validate it."""
+    full, refl = (1 << h.n) - 1, h.reflexive_mask()
+    cost, hom, stats = 0, {}, {}
+    stack = [(full, inst, range(inst.n), td, None)]
+    while stack:
+        S, sub, verts, td, ob = stack.pop()
+        part = h if S == full else h.restricted(S)
+        if ob is None or ob & ~S:
+            found = _kernels.first_obstruction(h.nbhd, refl, S)
+            ob = found and sum(1 << v for v in found[1] + found[2])
+        if not ob:
+            if td is not None:
+                validate_td(sub, td)
+            sol = polysolve.solve_ed_poly(part, sub, classified=True)
+        elif (dec := analysis.find_decomposition(h, S, refl)) is None:
+            sol = solve_ed_dp(part, sub, td)
+        else:
+            if td is not None:
+                validate_td(sub, td)
+            if any(not lst for lst in sub.lists):
+                raise Infeasible("vertex with an empty list")
+            sp = split_by_decomposition(part, dec, sub)
+            cost += len(sp.forced)
+            if S == full:  # the root's hom lists A's vertices first
+                stats = {"parts": 2, "forced": len(sp.forced)}
+                hom = dict.fromkeys(sp.verts_a + sp.verts_bc)
+            for side, sub_s, vs in ((dec.b + dec.c, sp.sub_bc, sp.verts_bc),
+                                    (dec.a, sp.sub_a, sp.verts_a)):
+                if sub_s.n:
+                    stack.append((sum(1 << v for v in side), sub_s,
+                                  [verts[i] for i in vs], None, ob))
+            continue
+        if S == full:
+            return replace(sol, algorithm="auto")
+        cost += sol.cost
+        hom.update((v, sol.hom[i]) for i, v in enumerate(verts))
     deleted = sorted(tuple(sorted((u, v))) for u, v in inst.edges
                      if not h.has_edge(hom[u], hom[v]))
-    sol = Solution("ed", sol_a.cost + sol_bc.cost + len(sp.forced), deleted,
-                   hom, "auto", {"parts": 2, "forced": len(sp.forced)})
-    if root:
-        sol.check(h, inst)
+    sol = Solution("ed", cost, deleted, hom, "auto", stats)
+    sol.check(h, inst)
     return sol

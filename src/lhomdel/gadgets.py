@@ -269,7 +269,8 @@ def _outside(h: TargetGraph, v: int) -> frozenset:
 
 def _check_incomparable(h: TargetGraph, s) -> None:
     if not is_incomparable_set(h, s):
-        raise GadgetError(f"{sorted(s)} is not an incomparable set")
+        raise GadgetError(
+            f"{sorted(v + 1 for v in s)} is not an incomparable set")
 
 
 def build_splitter(h: TargetGraph, s, v: int,
@@ -716,7 +717,8 @@ def _move_chain(h: TargetGraph, pair1, pair2) -> list:
     p1, p2 = frozenset(pair1), frozenset(pair2)
     for p in (p1, p2):
         if len(p) != 2:
-            raise GadgetError(f"pair {sorted(p)} is not two distinct vertices")
+            raise GadgetError(f"pair {sorted(v + 1 for v in p)} "
+                              "is not two distinct vertices")
         _check_incomparable(h, p)
     strong = analysis.is_strong_split(h)
     variant = "star" if strong else "good"

@@ -188,9 +188,11 @@ def is_incomparable_set(h: TargetGraph, verts: Iterable[int]) -> bool:
 def max_incomparable(h: TargetGraph) -> tuple[int, list[int]]:
     """Maximum-cardinality incomparable set: i(H) and a witness.
 
-    Max clique in the incomparability graph by branch and bound; |V(H)| is a
-    small constant so exact search is fine.  Deterministic: the first maximum
-    found in lexicographic expansion order.
+    Max clique in the incomparability graph by branch and bound, exact but
+    exponential in the worst case: at the target cap of 1000 vertices some
+    targets do not finish (one took 19 s at 90 vertices and did not finish
+    in 120 s at 130).  Deterministic: the first maximum found in
+    lexicographic expansion order.
     """
     size, mask = _kernels.max_incomparable_mask(h.nbhd, (1 << h.n) - 1)
     return size, list(bits(mask))

@@ -109,6 +109,23 @@ def crossing_family(k):
     return TargetGraph.from_edges(2 * m + k + 2, edges)
 
 
+def peeled_family(k):
+    """H_k: a reflexive triangle 0, 1, 2, irreflexive vertices 3, 4, 5,
+    each j + 3 adjacent only to j, and k reflexive vertices 6..k+5
+    adjacent to every vertex.
+
+    The triangle and its pendants hold a private triple.  Each split
+    peels one universal vertex, so the split tree is k levels deep, and
+    an instance whose lists lie inside 0..5 leaves each peeled vertex's
+    part with no instance vertex.
+    """
+    n = k + 6
+    edges = [(u, v) for u in range(3) for v in range(u, 3)]
+    edges += [(j, j + 3) for j in range(3)]
+    edges += [(u, v) for u in range(6, n) for v in range(n) if v <= u or v < 6]
+    return TargetGraph.from_edges(n, edges)
+
+
 DICHOTOMY_CORPUS = [
     # (name, target, vd verdict, ed verdict)
     ("loopless-K1", loopless_k1(), "np-hard", "poly"),

@@ -355,14 +355,20 @@ def test_split_trees_copy_no_target(monkeypatch):
         out = analysis.classification_json(h)
         assert out["decomposition_tree"]["decomposition"] is not None
     assert built == []
+    # a visited part is a poly leaf or asks for its decomposition
     parts = []
-    solve_part = dpsolve._solve_ed_part
+    find, poly = analysis.find_decomposition, polysolve.solve_ed_poly
 
-    def counted_part(h, S, inst, td):
+    def counted_find(h, S=None, refl=None):
         parts.append(S)
-        return solve_part(h, S, inst, td)
+        return find(h, S, refl)
 
-    monkeypatch.setattr(dpsolve, "_solve_ed_part", counted_part)
+    def counted_poly(h, inst, classified=False):
+        parts.append(h)
+        return poly(h, inst, classified)
+
+    monkeypatch.setattr(analysis, "find_decomposition", counted_find)
+    monkeypatch.setattr(polysolve, "solve_ed_poly", counted_poly)
     h = families.windowed_family(3)
     rng = random.Random(31)
     for _ in range(5):
@@ -390,24 +396,34 @@ def test_decomposition_tree_computes_the_reflexive_mask_once(monkeypatch):
 
 
 def test_ed_split_classifies_each_part_once(monkeypatch):
-    # an obstruction-free part goes to the poly solver with its verdict
-    seen = []
-    classify = analysis.classify_ed
+    # each part's mask is searched for an obstruction at most once, and an
+    # obstruction-free part goes to the poly solver with its verdict
+    searched, poly_parts = [], []
+    first, poly = _kernels.first_obstruction, polysolve.solve_ed_poly
 
-    def counted(h):
-        seen.append(h.nbhd)
-        return classify(h)
+    def counted(nb, refl, S):
+        searched.append(S)
+        return first(nb, refl, S)
 
-    monkeypatch.setattr(analysis, "classify_ed", counted)
+    def counted_poly(h, inst, classified=False):
+        assert classified
+        assert first(h.nbhd, h.reflexive_mask(), (1 << h.n) - 1) is None
+        poly_parts.append(h)
+        return poly(h, inst, classified)
+
+    monkeypatch.setattr(_kernels, "first_obstruction", counted)
+    monkeypatch.setattr(polysolve, "solve_ed_poly", counted_poly)
     h = families.windowed_family(3)
     rng = random.Random(32)
     for _ in range(5):
-        del seen[:]
+        del searched[:], poly_parts[:]
         inst = families.random_instance(rng, h, 8)
         assert dpsolve.solve_ed_auto(h, inst).stats["parts"] == 2
-        assert len(seen) > 2 and len(set(seen)) == len(seen), seen
+        assert len(searched) > 2 and len(set(searched)) == len(searched), \
+            searched
+        assert poly_parts
     with pytest.raises(ValueError):  # a direct call still checks
-        polysolve.solve_ed_poly(h, inst)
+        poly(h, inst)
 
 
 def _tree_nodes(tree):

@@ -930,6 +930,21 @@ def test_poly_solve_of_1000_singleton_lists(tmp_path):
     assert rep["homomorphism"] == {str(v): v for v in range(1, n + 1)}
 
 
+def test_ed_split_of_a_1000_vertex_target(tmp_path):
+    # H_994's split tree peels one universal vertex per level, about 1000
+    # levels deep, and every peeled part holds no instance vertex: the
+    # walk must not recurse, and must not search each part over all of H.
+    # The DP leaf imports numpy, whose OpenBLAS cannot start within 64 MiB
+    t = _write(tmp_path, "h.hg", format_target(families.peeled_family(994)))
+    i = _write(tmp_path, "g.lhi",
+               "p lhom 2 1\ne 1 2\nl 1 3 4 5 6\nl 2 3 4 5 6\n")
+    out, elapsed = _under_memory_limit("solve", "ed", t, i, mib=256)
+    assert out.returncode == cli.EXIT_OK, out.stderr
+    assert elapsed < 5.0, elapsed
+    rep = json.loads(out.stdout)
+    assert rep["opt"] == 1 and rep["stats"] == {"forced": 0, "parts": 2}
+
+
 def test_header_counts_above_the_caps_exit_3(tmp_path, capsys):
     # each parser checks its header's count before it allocates anything
     # per vertex, so these one-line files are refused at once, with no
@@ -1219,17 +1234,24 @@ def test_gadget_argument_errors(tmp_path, capsys):
 
 def test_gadget_pair_of_one_repeated_vertex(tmp_path, capsys):
     # a pair that names one vertex twice is refused by name, whichever
-    # pair of the move it is
+    # pair of the move it is; the detail names vertices 1-based, as the
+    # command line does
     t = _write(tmp_path, "h.hg", "h 4\ne 1 1\ne 2 2\ne 1 3\ne 2 4\ne 3 4\n")
-    for argv, pair in ((["move", "--pair", "1", "1", "--dest", "1", "2"], 0),
-                       (["move", "--pair", "1", "2", "--dest", "3", "3"], 2),
+    for argv, pair in ((["move", "--pair", "1", "1", "--dest", "1", "2"], 1),
+                       (["move", "--pair", "1", "2", "--dest", "3", "3"], 3),
                        (["indicator", "--set", "1", "2", "--dest", "1", "1"],
-                        0)):
+                        1)):
         code, out = _run(capsys, ["gadget", argv[0], t] + argv[1:])
         assert code == cli.EXIT_PRECONDITION, argv
         assert json.loads(out) == {
             "error": "precondition",
             "detail": f"pair [{pair}] is not two distinct vertices"}, argv
+    t = _write(tmp_path, "h3.hg", "h 3\ne 1 2\ne 2 2\n")
+    code, out = _run(capsys, ["gadget", "move", t, "--pair", "1", "3",
+                              "--dest", "1", "2"])
+    assert code == cli.EXIT_PRECONDITION
+    assert json.loads(out) == {"error": "precondition",
+                               "detail": "[1, 3] is not an incomparable set"}
 
 
 def test_long_ladder_dp_solve(tmp_path, capsys):

@@ -131,6 +131,18 @@ def test_cli_fuzz(tmp_path, capsys):
                         lines[j + 1:]
                     run(["reduce", put("c.cls", "\n".join(edited) + "\n")])
             run(["reduce", put("c.cls", _mutate(rng, "\n".join(lines)))])
+    # H_3, whose ED split tree is three levels deep: lists kept inside its
+    # first six vertices leave every peeled part without an instance vertex
+    h = families.peeled_family(3)
+    t = put("h.hg", format_target(h))
+    for _ in range(30):
+        inst = families.random_instance(rng, h, rng.randint(0, 6))
+        if rng.random() < 0.7:
+            inst.lists = [lst & frozenset(range(6)) or frozenset({3})
+                          for lst in inst.lists]
+        text = format_instance(inst)
+        i = put("g.lhi", _mutate(rng, text) if rng.random() < 0.2 else text)
+        run(["solve", "ed", t, i, "--algo", rng.choice(["auto", "dp"])])
     assert sum(seen.values()) > 450
     # each command both succeeds and fails
     for command in ("classify", "solve", "gadget", "reduce"):

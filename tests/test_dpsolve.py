@@ -1,12 +1,14 @@
 import random
+from dataclasses import replace
 from itertools import combinations
 
 import pytest
 
-from lhomdel import _kernels, analysis, dpsolve, oracle
+from lhomdel import _kernels, analysis, dpsolve, oracle, polysolve
 from lhomdel.graphs import (Infeasible, Instance, Solution, TargetGraph,
                             max_incomparable, reduce_lists)
-from lhomdel.treewidth import TreeDecomposition, build_td, make_nice
+from lhomdel.treewidth import (TreeDecomposition, build_td, make_nice,
+                               validate_td)
 
 import families
 
@@ -126,6 +128,113 @@ def test_split_matches_direct_dp():
         total = cost_a + cost_bc + len(sp.forced)
         assert total == dpsolve.solve_ed_dp(h, inst).cost
         done += 1
+
+
+
+def _reference_ed_auto(h, inst, td=None):
+    """solve_ed_auto as a recursion, one call per part of H's split
+    tree: each part classified over h.restricted(S), then solved by the
+    poly solver, a DP, or a split whose two sides' solutions are merged;
+    only the root's merge is checked."""
+    full = (1 << h.n) - 1
+
+    def solve(S, inst, td):
+        part = h if S == full else h.restricted(S)
+        if analysis.classify_ed(part)[0] == "poly":
+            if td is not None:
+                validate_td(inst, td)
+            return polysolve.solve_ed_poly(part, inst, classified=True)
+        dec = analysis.find_decomposition(h, S)
+        if dec is None:
+            return dpsolve.solve_ed_dp(part, inst, td)
+        if td is not None:
+            validate_td(inst, td)
+        if any(not lst for lst in inst.lists):
+            raise Infeasible("vertex with an empty list")
+        sp = dpsolve.split_by_decomposition(part, dec, inst)
+        sol_a = solve(sum(1 << v for v in dec.a), sp.sub_a, None)
+        sol_bc = solve(sum(1 << v for v in dec.b + dec.c), sp.sub_bc, None)
+        hom = {v: sol_a.hom[i] for i, v in enumerate(sp.verts_a)}
+        hom.update((v, sol_bc.hom[i]) for i, v in enumerate(sp.verts_bc))
+        deleted = sorted(tuple(sorted((u, v))) for u, v in inst.edges
+                         if not h.has_edge(hom[u], hom[v]))
+        sol = Solution("ed", sol_a.cost + sol_bc.cost + len(sp.forced),
+                       deleted, hom, "auto",
+                       {"parts": 2, "forced": len(sp.forced)})
+        if S == full:
+            sol.check(h, inst)
+        return sol
+
+    return replace(solve(full, inst, td), algorithm="auto")
+
+
+def _ed_auto_outcome(solve, h, inst, td):
+    """(cost, hom items in order, deleted, stats, algorithm), or the
+    exception's type and message."""
+    try:
+        sol = solve(h, inst, td)
+    except Exception as e:
+        return type(e), str(e)
+    return (sol.cost, list(sol.hom.items()), sol.deleted, sol.stats,
+            sol.algorithm)
+
+
+def test_ed_auto_walk_matches_the_recursion(monkeypatch):
+    # random targets of 1-9 vertices, then the named split families and
+    # H_k, whose split tree peels one universal vertex per level; some
+    # instances get an empty list or a `td`, valid or not, so the error
+    # paths are compared too
+    rng = random.Random(68)
+    cases = []
+    for _ in range(3000):
+        h = families.random_target(rng, rng.randint(1, 9),
+                                   loop_p=rng.random(), edge_p=rng.random())
+        cases.append((h, families.random_instance(rng, h, rng.randint(0, 6))))
+    peeled = [families.peeled_family(k) for k in range(1, 9)]
+    for h in peeled:  # the size rung's instance: opt 1, every part empty
+        cases.append((h, Instance(2, [(0, 1)], [frozenset({3, 4, 5})] * 2)))
+    named = [families.windowed_family(k) for k in (1, 2, 3)]
+    named += [families.crossing_family(k) for k in (1, 2, 3)]
+    # A an irreflexive triangle, B a reflexive triangle joined to it, C
+    # three irreflexive pendants of B: both sides are hard leaves
+    named.append(TargetGraph.from_edges(9, [
+        (0, 1), (0, 2), (1, 2), (3, 6), (4, 7), (5, 8)]
+        + [(u, v) for u in range(3, 6) for v in range(6) if v < 3 or v >= u]))
+    for h in named + peeled:
+        for _ in range(15):
+            cases.append((h, families.random_instance(rng, h,
+                                                      rng.randint(1, 7))))
+    splits = errors = 0
+    for h, inst in cases:
+        r = rng.random()
+        if inst.n and r < 0.05:
+            inst.lists[rng.randrange(inst.n)] = frozenset()
+        td = (build_td(inst) if 0.05 <= r < 0.15 else
+              TreeDecomposition((frozenset(),), ()) if r >= 0.95 else None)
+        want = _ed_auto_outcome(_reference_ed_auto, h, inst, td)
+        assert _ed_auto_outcome(dpsolve.solve_ed_auto, h, inst, td) == want, \
+            (h, inst, td)
+        splits += len(want) == 5 and "parts" in want[3]
+        errors += len(want) == 2
+    assert splits > 500 and errors > 100, (splits, errors)
+    # with every DP leaf that has an instance vertex raising an error that
+    # names its part, the first one raised is the same: A's subtree is
+    # solved before B∪C's
+    dp = dpsolve.solve_ed_dp
+
+    def refuse(h, inst, td=None):
+        if inst.n:
+            raise dpsolve.TableTooLarge(str(h.nbhd))
+        return dp(h, inst, td)
+
+    monkeypatch.setattr(dpsolve, "solve_ed_dp", refuse)
+    raised = set()
+    for h, inst in cases:
+        want = _ed_auto_outcome(_reference_ed_auto, h, inst, None)
+        assert _ed_auto_outcome(dpsolve.solve_ed_auto, h, inst, None) == \
+            want, (h, inst)
+        raised.add(want[1] if len(want) == 2 else None)
+    assert len(raised) > 10, raised
 
 
 def test_state_bounds_in_stats():
