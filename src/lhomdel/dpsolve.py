@@ -12,7 +12,8 @@ from . import _kernels, analysis, polysolve
 from ._kernels import DELETED, INF, edge_penalty
 from .graphs import (Infeasible, Instance, Solution, TargetGraph,
                      is_incomparable_set, reduce_lists)
-from .treewidth import TreeDecomposition, build_td, make_nice, validate_td
+from .treewidth import (TreeDecomposition, build_td, make_nice, restrict_td,
+                        validate_td)
 
 # Largest DP table (entries) a solve may allocate; 2^24 int64 entries take
 # 128 MiB, and a join holds two tables of its size.
@@ -23,7 +24,8 @@ class TableTooLarge(ValueError):
     """A bag's DP table would exceed MAX_TABLE_ENTRIES entries."""
 
 
-def _run_dp(h: TargetGraph, inst: Instance, td: TreeDecomposition, mode: str):
+def _run_dp(h: TargetGraph, inst: Instance, td: TreeDecomposition, mode: str,
+            charge=None):
     """Bottom-up DP; returns (cost, hom, max_states) with hom omitting
     deleted vertices.
 
@@ -35,31 +37,28 @@ def _run_dp(h: TargetGraph, inst: Instance, td: TreeDecomposition, mode: str):
     into one new table, and adds the penalty of each G edge it completes
     over the edge's ends' axes: in VD an edge makes states with kept
     non-adjacent images infeasible, and the result, like every VD sum, is
-    clamped at INF; in ED an edge pays 1.  A VD deletion is charged where
-    its vertex is forgotten; a join just adds its children.  ED tables
-    never hold INF (an entry counts deleted edges), so ED clamps nothing.
+    clamped at INF; in ED an edge pays 1.  A VD deletion, and the vector
+    charge[v] over v's states if given, are charged where v is forgotten,
+    before the argmin; a join just adds its children.  ED tables never
+    hold INF (an entry counts deleted edges), so ED clamps nothing.
     max_states counts finite entries, the states a sparse table would
     hold, of the tables that introducing each payload vertex by vertex
     would build, each before its edges' penalties.  The witness is read
-    off top-down, at the forget nodes alone.
+    off top-down, at the forget nodes alone.  The table-size cap is
+    _solve_dp's to check, on the decomposition it validated.
     """
     import numpy as np
 
     vd = mode == "vd"
-    # a pairwise incomparable list has at most i(H) members, so no table
-    # exceeds (i(H) + vd) ** len(bag); each distinct list is checked once
+    # the table bounds rest on every list being pairwise incomparable;
+    # each distinct list is checked once
     states = {}
     for lst in set(inst.lists):
         if not is_incomparable_set(h, lst):
             raise AssertionError(f"list {sorted(lst)} is not incomparable")
         states[lst] = tuple(sorted(lst)) + ((DELETED,) if vd else ())
     choices = [states[lst] for lst in inst.lists]
-    for bag in td.bags:
-        size = math.prod(len(choices[v]) for v in bag)
-        if size > MAX_TABLE_ENTRIES:
-            raise TableTooLarge(
-                f"a bag of {len(bag)} vertices needs a table of {size} "
-                f"entries, above the cap of {MAX_TABLE_ENTRIES}")
+    charge = charge or {}
     nodes = make_nice(td, inst.edges)
     penalties = {}  # (list u, list v) -> edge penalty matrix
     # an edge penalty applied to a table: VD's are 0 or INF, so on a
@@ -118,6 +117,9 @@ def _run_dp(h: TargetGraph, inst: Instance, td: TreeDecomposition, mode: str):
             at = sorted(nodes[nd.children[0]].bag).index(v)
             if vd:  # DELETED is the last index on v's axis
                 child[(slice(None),) * at + (-1,)] += 1
+            if v in charge:  # on v's axis, broadcast over the others
+                tail = (1,) * (child.ndim - 1 - at)
+                child += charge[v].reshape((-1,) + tail)
             argmins[idx] = child.argmin(axis=at).astype(pick_type)
             # an array even once the bag is empty (min gives a scalar
             # there), as a join adds into its first child's table in place
@@ -152,14 +154,69 @@ def _run_dp(h: TargetGraph, inst: Instance, td: TreeDecomposition, mode: str):
 
 def _solve_dp(h: TargetGraph, inst: Instance,
               td: Optional[TreeDecomposition], mode: str) -> Solution:
-    if mode == "ed" and any(not lst for lst in inst.lists):
+    """The lists are reduced, and td (min-fill's if not given) is
+    validated on the whole reduced instance, so stats.width is its width
+    and no bag whose table would pass MAX_TABLE_ENTRIES reaches the DP.
+    Then each vertex with one DP state is fixed: in ED one whose reduced
+    list is a singleton, mapped to its vertex; in VD one whose list is
+    empty, deleted.  The DP runs on the instance induced by the other
+    vertices, over td restricted to them.  In ED the penalties a kept
+    vertex pays against its fixed neighbours sum to one vector over its
+    states, charged where it is forgotten; fixed–fixed ED edges and VD
+    deletions of fixed vertices add a constant.  Each axis removed had
+    size 1, and each moved penalty depends only on the state of the
+    vertex that now pays it, so at each forget node the two DPs' tables
+    differ by a function of the rest of the bag, which the argmin along
+    the forgotten axis does not see: the witness, ties included, is that
+    of the DP over every vertex.  A fixed vertex multiplies no table's
+    size, so max_bag_states and its bound (i(H) + vd) ** (width + 1) are
+    unchanged too.  With nothing to fix, the DP runs on red over td."""
+    vd = mode == "vd"
+    if not vd and any(not lst for lst in inst.lists):
         raise Infeasible("vertex with an empty list")
     red = reduce_lists(h, inst)
     if td is None:
         td = build_td(red)
     width = validate_td(red, td)
-    cost, hom, max_states = _run_dp(h, red, td, mode)
-    if mode == "vd":
+    # a pairwise incomparable list has at most i(H) members, so no table
+    # exceeds (i(H) + vd) ** len(bag)
+    for bag in td.bags:
+        size = math.prod(len(red.lists[v]) + vd for v in bag)
+        if size > MAX_TABLE_ENTRIES:
+            raise TableTooLarge(
+                f"a bag of {len(bag)} vertices needs a table of {size} "
+                f"entries, above the cap of {MAX_TABLE_ENTRIES}")
+    fixed = [len(lst) + vd == 1 for lst in red.lists]
+    keep, sub, small = range(red.n), red, td
+    hom, cost, charge = {}, 0, {}
+    if any(fixed):  # else the restriction is the identity
+        keep = [v for v in range(red.n) if not fixed[v]]
+        pos = {v: i for i, v in enumerate(keep)}
+        if vd:
+            cost = red.n - len(keep)
+        else:
+            hom = {v: min(red.lists[v]) for v in range(red.n) if fixed[v]}
+        edges, rows = [], {}
+        for u, w in red.edges:
+            if not (fixed[u] or fixed[w]):
+                edges.append((pos[u], pos[w]))
+            elif vd:  # a deleted vertex's edges cost nothing
+                continue
+            elif fixed[u] and fixed[w]:
+                cost += not h.has_edge(hom[u], hom[w])
+            else:
+                k, img = (w, hom[u]) if fixed[u] else (u, hom[w])
+                key = red.lists[k], img
+                if key not in rows:  # the edge's penalty over k's states
+                    rows[key] = edge_penalty(h.nbhd, sorted(key[0]), (img,),
+                                             1)[:, 0]
+                charge[pos[k]] = charge.get(pos[k], 0) + rows[key]
+        sub = Instance(len(keep), edges, [red.lists[v] for v in keep])
+        small = restrict_td(td, keep)
+    dp_cost, dp_hom, max_states = _run_dp(h, sub, small, mode, charge)
+    cost += dp_cost
+    hom.update((keep[i], img) for i, img in dp_hom.items())
+    if vd:
         deleted = sorted(v for v in range(inst.n) if v not in hom)
     else:
         deleted = sorted((u, v) for u, v in inst.edges
@@ -244,7 +301,9 @@ def solve_ed_auto(h: TargetGraph, inst: Instance,
     obstruction (vertices and witnesses) is hard without a search, as
     obstructions are closed upward.  Each leaf's solver checks it; its
     cost and hom go into the root's, checked against (h, inst) once.  A
-    `td` goes to a DP at the root; the other paths only validate it."""
+    given `td` is validated on every part it reaches, and a split hands
+    each side `td` restricted to that side's vertices (restrict_td), so
+    no DP leaf is wider than `td`."""
     full, refl = (1 << h.n) - 1, h.reflexive_mask()
     cost, hom, stats = 0, {}, {}
     stack = [(full, inst, range(inst.n), td, None)]
@@ -274,7 +333,8 @@ def solve_ed_auto(h: TargetGraph, inst: Instance,
                                     (dec.a, sp.sub_a, sp.verts_a)):
                 if sub_s.n:
                     stack.append((sum(1 << v for v in side), sub_s,
-                                  [verts[i] for i in vs], None, ob))
+                                  [verts[i] for i in vs],
+                                  td and restrict_td(td, vs), ob))
             continue
         if S == full:
             return replace(sol, algorithm="auto")

@@ -87,6 +87,17 @@ def validate_td(g: Instance, td: TreeDecomposition) -> int:
     return td.width
 
 
+def restrict_td(td: TreeDecomposition, keep) -> TreeDecomposition:
+    """td on the subgraph induced by `keep` (ascending vertices), with
+    keep[i] renamed i: each bag ∩ keep, on the same tree.  A kept
+    vertex's bags and a kept edge's shared bag are those of td, so this
+    is a decomposition of the induced subgraph, no wider than td."""
+    pos = {v: i for i, v in enumerate(keep)}
+    return TreeDecomposition(
+        tuple(frozenset([pos[v] for v in bag if v in pos])
+              for bag in td.bags), td.edges)
+
+
 def make_nice(td: TreeDecomposition, edges) -> list[NiceNode]:
     """Rooted nice form: list of NiceNode in bottom-up (post-) order, root
     last with an empty bag.  A forget node drops one vertex; an introduce

@@ -1,3 +1,4 @@
+import math
 import random
 from dataclasses import replace
 from itertools import combinations
@@ -7,7 +8,8 @@ import pytest
 from lhomdel import _kernels, analysis, dpsolve, oracle, polysolve
 from lhomdel.graphs import (Infeasible, Instance, Solution, TargetGraph,
                             max_incomparable, reduce_lists)
-from lhomdel.treewidth import (TreeDecomposition, build_td, make_nice,
+from lhomdel.treewidth import (HubCore, TreeDecomposition, build_td,
+                               core_to_td, make_nice, restrict_td,
                                validate_td)
 
 import families
@@ -134,8 +136,9 @@ def test_split_matches_direct_dp():
 def _reference_ed_auto(h, inst, td=None):
     """solve_ed_auto as a recursion, one call per part of H's split
     tree: each part classified over h.restricted(S), then solved by the
-    poly solver, a DP, or a split whose two sides' solutions are merged;
-    only the root's merge is checked."""
+    poly solver, a DP, or a split whose two sides' solutions are merged,
+    each side given a `td` restricted to its vertices; only the root's
+    merge is checked."""
     full = (1 << h.n) - 1
 
     def solve(S, inst, td):
@@ -152,8 +155,10 @@ def _reference_ed_auto(h, inst, td=None):
         if any(not lst for lst in inst.lists):
             raise Infeasible("vertex with an empty list")
         sp = dpsolve.split_by_decomposition(part, dec, inst)
-        sol_a = solve(sum(1 << v for v in dec.a), sp.sub_a, None)
-        sol_bc = solve(sum(1 << v for v in dec.b + dec.c), sp.sub_bc, None)
+        sol_a = solve(sum(1 << v for v in dec.a), sp.sub_a,
+                      td and restrict_td(td, sp.verts_a))
+        sol_bc = solve(sum(1 << v for v in dec.b + dec.c), sp.sub_bc,
+                       td and restrict_td(td, sp.verts_bc))
         hom = {v: sol_a.hom[i] for i, v in enumerate(sp.verts_a)}
         hom.update((v, sol_bc.hom[i]) for i, v in enumerate(sp.verts_bc))
         deleted = sorted(tuple(sorted((u, v))) for u, v in inst.edges
@@ -166,6 +171,15 @@ def _reference_ed_auto(h, inst, td=None):
         return sol
 
     return replace(solve(full, inst, td), algorithm="auto")
+
+
+def _two_hard_leaves():
+    """A = {0, 1, 2} an irreflexive triangle, B = {3, 4, 5} a reflexive
+    triangle joined to it, C = {6, 7, 8} three irreflexive pendants of B:
+    both sides of its split are hard leaves."""
+    return TargetGraph.from_edges(9, [
+        (0, 1), (0, 2), (1, 2), (3, 6), (4, 7), (5, 8)]
+        + [(u, v) for u in range(3, 6) for v in range(6) if v < 3 or v >= u])
 
 
 def _ed_auto_outcome(solve, h, inst, td):
@@ -195,11 +209,7 @@ def test_ed_auto_walk_matches_the_recursion(monkeypatch):
         cases.append((h, Instance(2, [(0, 1)], [frozenset({3, 4, 5})] * 2)))
     named = [families.windowed_family(k) for k in (1, 2, 3)]
     named += [families.crossing_family(k) for k in (1, 2, 3)]
-    # A an irreflexive triangle, B a reflexive triangle joined to it, C
-    # three irreflexive pendants of B: both sides are hard leaves
-    named.append(TargetGraph.from_edges(9, [
-        (0, 1), (0, 2), (1, 2), (3, 6), (4, 7), (5, 8)]
-        + [(u, v) for u in range(3, 6) for v in range(6) if v < 3 or v >= u]))
+    named.append(_two_hard_leaves())
     for h in named + peeled:
         for _ in range(15):
             cases.append((h, families.random_instance(rng, h,
@@ -235,6 +245,42 @@ def test_ed_auto_walk_matches_the_recursion(monkeypatch):
             want, (h, inst)
         raised.add(want[1] if len(want) == 2 else None)
     assert len(raised) > 10, raised
+
+
+def test_ed_auto_restricts_a_given_td_to_each_part(monkeypatch):
+    # a given min-fill or hub-core decomposition reaches both hard leaves
+    # of the split, restricted to their vertices: no leaf is wider than
+    # it, and the optimum is the oracle's
+    h = _two_hard_leaves()
+    dp = dpsolve.solve_ed_dp
+    leaves = []
+
+    def spy(h, inst, td=None):
+        sol = dp(h, inst, td)
+        leaves.append((td, sol.stats["width"]))
+        return sol
+
+    monkeypatch.setattr(dpsolve, "solve_ed_dp", spy)
+    rng = random.Random(70)
+    both = 0
+    for trial in range(40):
+        inst = families.random_instance(rng, h, rng.randint(2, 7))
+        for v in range(inst.n):  # each list inside A, B or C
+            a = 3 * rng.randrange(3)
+            inst.lists[v] = frozenset(rng.sample(range(a, a + 3),
+                                                 rng.randint(1, 3)))
+        q = frozenset(rng.sample(range(inst.n), rng.randint(0, inst.n)))
+        td = (build_td(inst) if trial % 2 else
+              core_to_td(inst, HubCore(q, inst.n, inst.n)))
+        width = validate_td(inst, td)
+        leaves.clear()
+        sol = dpsolve.solve_ed_auto(h, inst, td)
+        assert sol.cost == oracle.oracle_ed(h, inst).cost
+        assert sol.stats["parts"] == 2
+        assert leaves and all(t is not None and w <= width
+                              for t, w in leaves), (leaves, width)
+        both += len(leaves) == 2
+    assert both > 20, both
 
 
 def test_state_bounds_in_stats():
@@ -520,3 +566,107 @@ def test_long_grid_solves_without_recursion_error():
     sol = dpsolve.solve_vd_dp(h, Instance(n, edges, [frozenset(range(3))] * n))
     assert sol.cost == 0 and sol.stats["width"] == 3
 
+
+# ---------------------------------------------------------------------------
+# reference: _solve_dp with every vertex in the DP
+
+
+def _reference_solve_dp(h, inst, td, mode):
+    """_solve_dp as it was before one-state vertices were fixed: the DP
+    runs on the whole reduced instance over td, after the table-size cap
+    that _run_dp checked then."""
+    if mode == "ed" and any(not lst for lst in inst.lists):
+        raise Infeasible("vertex with an empty list")
+    red = reduce_lists(h, inst)
+    if td is None:
+        td = build_td(red)
+    width = validate_td(red, td)
+    for bag in td.bags:
+        size = math.prod(len(red.lists[v]) + (mode == "vd") for v in bag)
+        if size > dpsolve.MAX_TABLE_ENTRIES:
+            raise dpsolve.TableTooLarge(
+                f"a bag of {len(bag)} vertices needs a table of {size} "
+                f"entries, above the cap of {dpsolve.MAX_TABLE_ENTRIES}")
+    cost, hom, max_states = dpsolve._run_dp(h, red, td, mode)
+    if mode == "vd":
+        deleted = sorted(v for v in range(inst.n) if v not in hom)
+    else:
+        deleted = sorted((u, v) for u, v in inst.edges
+                         if not h.has_edge(hom[u], hom[v]))
+    sol = Solution(mode, cost, deleted, hom, "dp",
+                   {"width": width, "max_bag_states": max_states})
+    sol.check(h, inst)
+    return sol
+
+
+def _dp_outcome(solve, h, inst, td, mode):
+    """(cost, hom, deleted, stats), or the exception's type and message."""
+    try:
+        sol = solve(h, inst, td, mode)
+    except Exception as e:
+        return type(e), str(e)
+    return sol.cost, sol.hom, sol.deleted, sol.stats
+
+
+def test_fixing_one_state_vertices_changes_no_output(monkeypatch):
+    # seeded instances in both modes, many of whose vertices have one DP
+    # state (ed lists that are or reduce to singletons, vd empty lists),
+    # sometimes all of them; some come with a min-fill or hub-core
+    # decomposition or an invalid one, some ed ones with an empty list
+    rng = random.Random(71)
+    named = (families.irreflexive_kq(3), families.independent_reflexive(3),
+             families.reflexive_cycle(5), families.windowed_family(2))
+    seen = dict.fromkeys(("singleton", "reduced", "empty", "all", "pair",
+                          "td", "core", "error"), 0)
+    for trial in range(1100):
+        h = (rng.choice(named) if trial % 3 == 0
+             else families.random_target(rng, rng.randint(1, 6)))
+        g = families.random_instance(rng, h, rng.randint(0, 10),
+                                     rng.choice((0.2, 0.4, 0.7)))
+        fix = rng.choice((0.0, 0.3, 0.6, 1.0))
+        r = rng.random()
+        q = frozenset(rng.sample(range(g.n), rng.randint(0, g.n)))
+        td = (build_td(g) if r < 0.2 else
+              core_to_td(g, HubCore(q, g.n, g.n)) if r < 0.35 else
+              TreeDecomposition((frozenset(),), ()) if r < 0.4 else None)
+        seen["td"] += r < 0.2
+        seen["core"] += 0.2 <= r < 0.35
+        for mode in ("vd", "ed"):
+            lists = [(frozenset() if mode == "vd" else
+                      frozenset(rng.sample(sorted(lst), 1)))
+                     if rng.random() < fix else lst for lst in g.lists]
+            if mode == "ed" and g.n and rng.random() < 0.03:
+                lists[rng.randrange(g.n)] = frozenset()
+            inst = Instance(g.n, g.edges, lists)
+            red = reduce_lists(h, inst).lists
+            one = [len(lst) == (mode == "ed") for lst in red]
+            seen["singleton"] += mode == "ed" and any(
+                len(lst) == 1 for lst in lists)
+            seen["reduced"] += mode == "ed" and any(
+                len(a) > 1 and len(b) == 1 for a, b in zip(lists, red))
+            seen["empty"] += mode == "vd" and not all(lists)
+            seen["all"] += g.n > 0 and all(one)
+            seen["pair"] += any(one[u] and one[v] for u, v in g.edges)
+            want = _dp_outcome(_reference_solve_dp, h, inst, td, mode)
+            assert _dp_outcome(dpsolve._solve_dp, h, inst, td, mode) == \
+                want, (trial, mode, h, inst, td)
+            seen["error"] += len(want) == 2
+    assert min(seen.values()) > 50, seen
+    # a clique whose one bag needs more entries than the cap, three of its
+    # vertices fixed: refused naming the whole bag, before the DP starts
+    h = families.irreflexive_kq(3)
+
+    def no_dp(*args):
+        raise AssertionError("the DP ran")
+
+    for mode, free in (("ed", 16), ("vd", 13)):
+        n = free + 3
+        inst = Instance(n, list(combinations(range(n), 2)),
+                        [frozenset(range(3))] * free
+                        + [frozenset({0} if mode == "ed" else ())] * 3)
+        want = _dp_outcome(_reference_solve_dp, h, inst, None, mode)
+        assert want[0] is dpsolve.TableTooLarge
+        assert want[1].startswith(f"a bag of {n} vertices")
+        with monkeypatch.context() as m:
+            m.setattr(dpsolve, "_run_dp", no_dp)
+            assert _dp_outcome(dpsolve._solve_dp, h, inst, None, mode) == want

@@ -12,8 +12,9 @@ import pytest
 from lhomdel.graphs import Instance, ParseError
 from lhomdel.treewidth import (HubCore, TreeDecomposition, build_td,
                                core_to_td, format_core, format_td, make_nice,
-                               parse_core, parse_td, validate_core,
-                               validate_td, _link, _min_fill_order)
+                               parse_core, parse_td, restrict_td,
+                               validate_core, validate_td, _link,
+                               _min_fill_order)
 
 import families
 
@@ -182,53 +183,89 @@ def test_build_td_is_exact_on_small_graphs():
         assert width == best
 
 
+def _check_nice(nodes, edges):
+    """The nice form's invariants: post-order, node kinds and bags, each
+    edge listed once at the first node holding both ends, one tree."""
+    assert nodes[-1].bag == frozenset()
+    edges_seen = []
+    for i, nd in enumerate(nodes):
+        for c in nd.children:
+            assert c < i  # post-order: children precede parents
+        if nd.kind != "introduce":
+            assert nd.edges == ()  # only introduce nodes carry edges
+        if nd.kind == "leaf":
+            assert nd.bag == frozenset() and not nd.children
+        elif nd.kind == "introduce":
+            child = nodes[nd.children[0]]
+            assert child.kind != "introduce"
+            assert nd.payload and len(set(nd.payload)) == len(nd.payload)
+            assert nd.bag == child.bag | set(nd.payload)
+            assert child.bag.isdisjoint(nd.payload)
+            assert list(nd.edges) == sorted(nd.edges)
+            for u, v in nd.edges:
+                assert u < v and {u, v} & set(nd.payload)
+                # the first node in post-order whose bag holds both ends
+                assert i == min(j for j, x in enumerate(nodes)
+                                if {u, v} <= x.bag)
+                edges_seen.append((u, v))
+        elif nd.kind == "forget":
+            child = nodes[nd.children[0]]
+            assert nd.bag == child.bag - {nd.payload}
+            assert nd.payload in child.bag
+        else:
+            assert nd.kind == "join"
+            c1, c2 = nd.children
+            assert nodes[c1].bag == nodes[c2].bag == nd.bag
+    want = sorted(tuple(sorted(e)) for e in edges)
+    assert sorted(edges_seen) == want  # each edge exactly once
+    # every node but the root (the last) is the child of one node
+    refs = [0] * len(nodes)
+    for nd in nodes:
+        for c in nd.children:
+            refs[c] += 1
+    assert refs == [1] * (len(nodes) - 1) + [0]
+
+
 def test_make_nice_invariants():
     rng = random.Random(52)
     for _ in range(25):
         g = _random_graph(rng, rng.randint(1, 7))
-        td = build_td(g)
-        nodes = make_nice(td, g.edges)
-        assert nodes[-1].bag == frozenset()
-        edges_seen = []
-        for i, nd in enumerate(nodes):
-            for c in nd.children:
-                assert c < i  # post-order: children precede parents
-            if nd.kind != "introduce":
-                assert nd.edges == ()  # only introduce nodes carry edges
-            if nd.kind == "leaf":
-                assert nd.bag == frozenset() and not nd.children
-            elif nd.kind == "introduce":
-                child = nodes[nd.children[0]]
-                assert child.kind != "introduce"
-                assert nd.payload and len(set(nd.payload)) == len(nd.payload)
-                assert nd.bag == child.bag | set(nd.payload)
-                assert child.bag.isdisjoint(nd.payload)
-                assert list(nd.edges) == sorted(nd.edges)
-                for u, v in nd.edges:
-                    assert u < v and {u, v} & set(nd.payload)
-                    # the first node in post-order whose bag holds both ends
-                    assert i == min(j for j, x in enumerate(nodes)
-                                    if {u, v} <= x.bag)
-                    edges_seen.append((u, v))
-            elif nd.kind == "forget":
-                child = nodes[nd.children[0]]
-                assert nd.bag == child.bag - {nd.payload}
-                assert nd.payload in child.bag
-            else:
-                assert nd.kind == "join"
-                c1, c2 = nd.children
-                assert nodes[c1].bag == nodes[c2].bag == nd.bag
-        want = sorted(tuple(sorted(e)) for e in g.edges)
-        assert sorted(edges_seen) == want  # each edge exactly once
-        # every node but the root (the last) is the child of one node
-        refs = [0] * len(nodes)
-        for nd in nodes:
-            for c in nd.children:
-                refs[c] += 1
-        assert refs == [1] * (len(nodes) - 1) + [0]
+        _check_nice(make_nice(build_td(g), g.edges), g.edges)
     with pytest.raises(ValueError):  # a cycle of bags
         make_nice(TreeDecomposition((frozenset({0}),) * 3,
                                     ((0, 1), (1, 2), (2, 0))), [])
+
+
+def test_restrict_td_decomposes_the_induced_subgraph():
+    # min-fill and hub-core decompositions of random graphs, each
+    # restricted to no vertex, every vertex and a random subset: bags that
+    # become empty or equal to a neighbour's must leave a valid nice form
+    rng = random.Random(56)
+    emptied = merged = 0
+    for _ in range(200):
+        g = _random_graph(rng, rng.randint(0, 10),
+                          rng.choice((0.15, 0.3, 0.6)))
+        q = frozenset(rng.sample(range(g.n), rng.randint(0, g.n // 2)))
+        for td in (build_td(g), core_to_td(g, HubCore(q, g.n, g.n))):
+            width = validate_td(g, td)
+            for keep in ([], list(range(g.n)),
+                         sorted(rng.sample(range(g.n), rng.randint(0, g.n)))):
+                pos = {v: i for i, v in enumerate(keep)}
+                sub = Instance(len(keep), [
+                    (pos[u], pos[v]) for u, v in g.edges
+                    if u in pos and v in pos], [frozenset({0})] * len(keep))
+                small = restrict_td(td, keep)
+                assert small.edges == td.edges
+                assert [{keep[x] for x in b} for b in small.bags] == \
+                    [b & set(keep) for b in td.bags]
+                assert validate_td(sub, small) <= width
+                _check_nice(make_nice(small, sub.edges), sub.edges)
+                emptied += sum(bool(b) and not s
+                               for b, s in zip(td.bags, small.bags))
+                merged += sum(td.bags[a] != td.bags[b] and
+                              small.bags[a] == small.bags[b]
+                              for a, b in td.edges)
+    assert emptied > 100 and merged > 100, (emptied, merged)
 
 
 def test_make_nice_node_counts_are_pinned():
