@@ -12,10 +12,13 @@ They serve classify and the polynomial solvers, which never load numpy;
 subset_scan, which computes the i* invariant over all 2^n induced
 subgraphs, is the tests' reference only.
 
-Min-plus over lists has one state encoding: a vertex's sorted list, with
-DELETED last in vd mode.  edge_penalty, an edge's cost matrix over two
-state tuples, serves the tree-decomposition DP (dpsolve) and scan_table,
-the gadget cost tables by bucket elimination.  scan_best, a mixed-radix
+Min-plus over lists has one state encoding, a vertex's sorted list with
+DELETED last in vd mode, and one cost convention: costs are only added,
+and a violated vd edge costs big, one more than the number of variables,
+so entries >= big are the infeasible ones.  edge_penalty, an edge's cost
+matrix over two state tuples, serves both users of that convention: the
+tree-decomposition DP (dpsolve) and scan_table, the gadget cost tables
+by bucket elimination.  scan_best, a mixed-radix
 assignment scan, serves only the brute-force oracles.  The numpy
 functions import it when called.
 """

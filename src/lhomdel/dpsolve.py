@@ -24,24 +24,24 @@ class TableTooLarge(ValueError):
     """A bag's DP table would exceed MAX_TABLE_ENTRIES entries."""
 
 
-def _run_dp(h: TargetGraph, inst: Instance, td: TreeDecomposition, mode: str,
+def _run_dp(h: TargetGraph, lists, edges, td: TreeDecomposition, mode: str,
             charge=None):
-    """Bottom-up DP; returns (cost, hom, max_states) with hom omitting
-    deleted vertices.
+    """Bottom-up DP over the vertices in td's bags, with lists[v] the
+    list of vertex v and `edges` the edges among them; returns (cost, hom,
+    max_states) with hom omitting deleted vertices.
 
     Each node's table is an int64 array with one axis per vertex of
     sorted(bag), indexed by position in the vertex's sorted list; VD adds
-    the DELETED symbol as the last index.  Entries >= INF are infeasible.
-    Each cost is charged once, at one kind of node.  An introduce node
-    gives its child's table a size-1 axis per payload vertex, broadcast
-    into one new table, and adds the penalty of each G edge it completes
-    over the edge's ends' axes: in VD an edge makes states with kept
-    non-adjacent images infeasible, and the result, like every VD sum, is
-    clamped at INF; in ED an edge pays 1.  A VD deletion, and the vector
-    charge[v] over v's states if given, are charged where v is forgotten,
-    before the argmin; a join just adds its children.  ED tables never
-    hold INF (an entry counts deleted edges), so ED clamps nothing.
-    max_states counts finite entries, the states a sparse table would
+    the DELETED symbol as the last index.  Each cost is charged once, at
+    one kind of node, and added.  An introduce node gives its child's
+    table a size-1 axis per payload vertex, broadcast into one new table,
+    and adds the penalty of each G edge it completes over the edge's
+    ends' axes: in ED an edge pays 1; in VD a kept pair of non-adjacent
+    images pays big = len(lists) + 1, more than any assignment deletes,
+    so entries >= big are the infeasible ones.  A VD deletion, and the
+    vector charge[v] over v's states if given, are charged where v is
+    forgotten, before the argmin; a join just adds its children.
+    max_states counts feasible entries, the states a sparse table would
     hold, of the tables that introducing each payload vertex by vertex
     would build, each before its edges' penalties.  The witness is read
     off top-down, at the forget nodes alone.  The table-size cap is
@@ -53,17 +53,17 @@ def _run_dp(h: TargetGraph, inst: Instance, td: TreeDecomposition, mode: str,
     # the table bounds rest on every list being pairwise incomparable;
     # each distinct list is checked once
     states = {}
-    for lst in set(inst.lists):
+    for lst in set(lists):
         if not is_incomparable_set(h, lst):
             raise AssertionError(f"list {sorted(lst)} is not incomparable")
         states[lst] = tuple(sorted(lst)) + ((DELETED,) if vd else ())
-    choices = [states[lst] for lst in inst.lists]
+    choices = [states[lst] for lst in lists]
     charge = charge or {}
-    nodes = make_nice(td, inst.edges)
+    nodes = make_nice(td, edges)
+    # no entry exceeds big * |E| + n <= (n + 1) * n(n - 1)/2 + n, which
+    # stays below 2^63 for n up to graphs.MAX_INSTANCE_VERTICES
+    big = len(lists) + 1
     penalties = {}  # (list u, list v) -> edge penalty matrix
-    # an edge penalty applied to a table: VD's are 0 or INF, so on a
-    # table clamped at INF their maximum is their sum clamped at INF
-    apply = np.maximum if vd else np.add
     longest = max(map(len, states.values()), default=1)
     pick_type = np.min_scalar_type(longest - 1)  # holds any list index
     tables = [None] * len(nodes)
@@ -80,36 +80,31 @@ def _run_dp(h: TargetGraph, inst: Instance, td: TreeDecomposition, mode: str,
             full = [len(choices[v]) for v in bag]
             shape = [1 if v in new else k for v, k in zip(bag, full)]
             table = np.empty(full, dtype=np.int64)
-            if vd and nd.edges:  # the child is at most INF plus the
-                # deletions charged since its last clamp; clamped, each
-                # 0/INF penalty is applied by a maximum: no sum overflows
-                np.minimum(child.reshape(shape), INF, out=table)
-            else:
-                table[...] = child.reshape(shape)
+            table[...] = child.reshape(shape)
             for u, w in nd.edges:
                 cu, cw = choices[u], choices[w]
                 p = penalties.get((cu, cw))
                 if p is None:  # one matrix per pair of lists, either way
                     q = penalties.get((cw, cu))
                     p = penalties[cu, cw] = q.T if q is not None else \
-                        edge_penalty(h.nbhd, cu, cw, INF if vd else 1)
+                        edge_penalty(h.nbhd, cu, cw, big if vd else 1)
                 ps = [1] * len(bag)
                 ps[bag.index(u)], ps[bag.index(w)] = p.shape  # u < w
-                apply(table, p.reshape(ps), out=table)
+                table += p.reshape(ps)
             # introduced one at a time, new[j] would meet `size` entries;
-            # in vd the finite ones are the child's, or this table's at
+            # in vd the feasible ones are the child's, or this table's at
             # DELETED on new[j:] (no edge penalizes a deleted vertex)
             size = child.size
             for j, v in enumerate(new):
                 k = len(choices[v])
                 if size * k > max_states:  # else they cannot raise it
-                    finite = size
+                    feasible = size
                     if vd:
                         before = child if not j else table[tuple(
                             [-1 if x in new[j:] else slice(None)
                              for x in bag])]
-                        finite = int(np.count_nonzero(before < INF))
-                    max_states = max(max_states, finite * k)
+                        feasible = int(np.count_nonzero(before < big))
+                    max_states = max(max_states, feasible * k)
                 size *= k
         elif kind == "forget":
             v = nd.payload
@@ -128,14 +123,12 @@ def _run_dp(h: TargetGraph, inst: Instance, td: TreeDecomposition, mode: str,
             c1, c2 = nd.children
             table = tables[c1]
             table += tables[c2]
-            if vd:
-                np.minimum(table, INF, out=table)
         for c in nd.children:
             tables[c] = None
         tables[idx] = table
     root = len(nodes) - 1
     cost = int(tables[root][()])
-    if cost >= INF:
+    if cost >= (big if vd else INF):
         raise Infeasible("no feasible assignment")
     # top-down traceback: a vertex's image is picked where it is forgotten,
     # below the nodes that forget the rest of that node's bag
@@ -159,18 +152,18 @@ def _solve_dp(h: TargetGraph, inst: Instance,
     and no bag whose table would pass MAX_TABLE_ENTRIES reaches the DP.
     Then each vertex with one DP state is fixed: in ED one whose reduced
     list is a singleton, mapped to its vertex; in VD one whose list is
-    empty, deleted.  The DP runs on the instance induced by the other
-    vertices, over td restricted to them.  In ED the penalties a kept
-    vertex pays against its fixed neighbours sum to one vector over its
-    states, charged where it is forgotten; fixed–fixed ED edges and VD
-    deletions of fixed vertices add a constant.  Each axis removed had
-    size 1, and each moved penalty depends only on the state of the
-    vertex that now pays it, so at each forget node the two DPs' tables
-    differ by a function of the rest of the bag, which the argmin along
-    the forgotten axis does not see: the witness, ties included, is that
-    of the DP over every vertex.  A fixed vertex multiplies no table's
-    size, so max_bag_states and its bound (i(H) + vd) ** (width + 1) are
-    unchanged too.  With nothing to fix, the DP runs on red over td."""
+    empty, deleted.  The DP runs over td with the fixed vertices dropped
+    from each bag, on the edges between the other vertices.  In ED the
+    penalties a kept vertex pays against its fixed neighbours sum to one
+    vector over its states, charged where it is forgotten; fixed–fixed ED
+    edges and VD deletions of fixed vertices add a constant.  Each axis
+    dropped had size 1, and each moved penalty depends only on the state
+    of the vertex that now pays it, so at each forget node the two DPs'
+    tables differ by a function of the rest of the bag, which the argmin
+    along the forgotten axis does not see: the witness, ties included, is
+    that of the DP over every vertex.  A fixed vertex multiplies no
+    table's size, so max_bag_states and its bound (i(H) + vd) **
+    (width + 1) are unchanged too."""
     vd = mode == "vd"
     if not vd and any(not lst for lst in inst.lists):
         raise Infeasible("vertex with an empty list")
@@ -186,36 +179,30 @@ def _solve_dp(h: TargetGraph, inst: Instance,
             raise TableTooLarge(
                 f"a bag of {len(bag)} vertices needs a table of {size} "
                 f"entries, above the cap of {MAX_TABLE_ENTRIES}")
-    fixed = [len(lst) + vd == 1 for lst in red.lists]
-    keep, sub, small = range(red.n), red, td
-    hom, cost, charge = {}, 0, {}
-    if any(fixed):  # else the restriction is the identity
-        keep = [v for v in range(red.n) if not fixed[v]]
-        pos = {v: i for i, v in enumerate(keep)}
-        if vd:
-            cost = red.n - len(keep)
+    fixed = frozenset(v for v, lst in enumerate(red.lists)
+                      if len(lst) + vd == 1)
+    cost = len(fixed) if vd else 0
+    hom = {} if vd else {v: min(red.lists[v]) for v in sorted(fixed)}
+    edges, rows, charge = [], {}, {}
+    for u, w in red.edges:
+        if not (u in fixed or w in fixed):
+            edges.append((u, w))
+        elif vd:  # a deleted vertex's edges cost nothing
+            continue
+        elif u in fixed and w in fixed:
+            cost += not h.has_edge(hom[u], hom[w])
         else:
-            hom = {v: min(red.lists[v]) for v in range(red.n) if fixed[v]}
-        edges, rows = [], {}
-        for u, w in red.edges:
-            if not (fixed[u] or fixed[w]):
-                edges.append((pos[u], pos[w]))
-            elif vd:  # a deleted vertex's edges cost nothing
-                continue
-            elif fixed[u] and fixed[w]:
-                cost += not h.has_edge(hom[u], hom[w])
-            else:
-                k, img = (w, hom[u]) if fixed[u] else (u, hom[w])
-                key = red.lists[k], img
-                if key not in rows:  # the edge's penalty over k's states
-                    rows[key] = edge_penalty(h.nbhd, sorted(key[0]), (img,),
-                                             1)[:, 0]
-                charge[pos[k]] = charge.get(pos[k], 0) + rows[key]
-        sub = Instance(len(keep), edges, [red.lists[v] for v in keep])
-        small = restrict_td(td, keep)
-    dp_cost, dp_hom, max_states = _run_dp(h, sub, small, mode, charge)
+            k, img = (w, hom[u]) if u in fixed else (u, hom[w])
+            key = red.lists[k], img
+            if key not in rows:  # the edge's penalty over k's states
+                rows[key] = edge_penalty(h.nbhd, sorted(key[0]), (img,),
+                                         1)[:, 0]
+            charge[k] = charge.get(k, 0) + rows[key]
+    kept = TreeDecomposition(tuple(bag - fixed for bag in td.bags), td.edges)
+    dp_cost, dp_hom, max_states = _run_dp(h, red.lists, edges, kept, mode,
+                                          charge)
     cost += dp_cost
-    hom.update((keep[i], img) for i, img in dp_hom.items())
+    hom.update(dp_hom)
     if vd:
         deleted = sorted(v for v in range(inst.n) if v not in hom)
     else:

@@ -6,8 +6,9 @@ from itertools import combinations
 import pytest
 
 from lhomdel import _kernels, analysis, dpsolve, oracle, polysolve
-from lhomdel.graphs import (Infeasible, Instance, Solution, TargetGraph,
-                            max_incomparable, reduce_lists)
+from lhomdel.graphs import (MAX_INSTANCE_VERTICES, Infeasible, Instance,
+                            Solution, TargetGraph, max_incomparable,
+                            reduce_lists)
 from lhomdel.treewidth import (HubCore, TreeDecomposition, build_td,
                                core_to_td, make_nice, restrict_td,
                                validate_td)
@@ -390,12 +391,13 @@ def _dict_dp(h, inst, td, mode):
 
 
 def _per_edge_dp(h, inst, td, mode):
-    """(cost, hom, max_states) of _run_dp's dense DP done one vertex and
-    one edge at a time: an introduce node adds its payload vertex by
-    vertex, in payload order, each time counting the table's finite entries,
-    repeating it along the new axis, then adding the penalty of each edge
-    whose later end the vertex is to the whole table and clamping it at
-    INF; every node sorts its bag again, and no table is freed."""
+    """(cost, hom, max_states) of a dense DP over every vertex of inst,
+    done one vertex and one edge at a time: an introduce node adds its
+    payload vertex by vertex, in payload order, each time counting the
+    table's finite entries, repeating it along the new axis, then adding
+    the penalty of each edge whose later end the vertex is to the whole
+    table and clamping it at INF, a VD violation's penalty; joins clamp
+    too.  Every node sorts its bag again, and no table is freed."""
     import numpy as np
 
     INF, DELETED = dpsolve.INF, dpsolve.DELETED
@@ -497,7 +499,8 @@ def test_dense_dp_matches_dict_reference():
             td = build_td(red)
             widths.add(td.width)
             for mode in ("vd", "ed"):
-                cost, hom, states = dpsolve._run_dp(h, red, td, mode)
+                cost, hom, states = dpsolve._run_dp(h, red.lists, red.edges,
+                                                    td, mode)
                 assert (cost, states) == _dict_dp(h, red, td, mode)
                 assert (cost, hom, states) == \
                     _per_edge_dp(h, red, td, mode)  # witness ties too
@@ -513,7 +516,8 @@ def test_dense_dp_matches_dict_reference():
 def test_vd_clique_clips_each_edge_penalty():
     # K12 over three independent reflexive vertices, vertex v listed at
     # v mod 3: the one 12-vertex bag's last introduce completes 11 edges,
-    # up to 8 of them violated, and 8 INF penalties overflow int64
+    # up to 8 of them violated: one entry sums 8 infeasible penalties,
+    # which must stay infeasible and in range (8 INF would overflow int64)
     h = families.independent_reflexive(3)
     n = 12
     inst = Instance(n, list(combinations(range(n), 2)),
@@ -522,8 +526,15 @@ def test_vd_clique_clips_each_edge_penalty():
     assert sol.cost == oracle.oracle_vd(h, inst).cost == 8
     td = build_td(inst)
     for mode in ("vd", "ed"):
-        assert dpsolve._run_dp(h, inst, td, mode) == \
+        assert dpsolve._run_dp(h, inst.lists, inst.edges, td, mode) == \
             _per_edge_dp(h, inst, td, mode)
+
+
+def test_vd_penalties_cannot_overflow_int64():
+    # _run_dp charges a violated VD edge big = n + 1, so no entry exceeds
+    # big * |E| + n; at the instance cap that must still fit in an int64
+    n = MAX_INSTANCE_VERTICES
+    assert (n + 1) * (n * (n - 1) // 2) + n < 2 ** 63
 
 
 def test_dense_dp_matches_per_edge_reference():
@@ -553,7 +564,7 @@ def test_dense_dp_matches_per_edge_reference():
         td = build_td(red)
         widths.add(td.width)
         for mode in ("vd", "ed"):
-            assert dpsolve._run_dp(h, red, td, mode) == \
+            assert dpsolve._run_dp(h, red.lists, red.edges, td, mode) == \
                 _per_edge_dp(h, red, td, mode), (trial, mode)
     assert max(widths) >= 5
 
@@ -574,7 +585,8 @@ def test_long_grid_solves_without_recursion_error():
 def _reference_solve_dp(h, inst, td, mode):
     """_solve_dp as it was before one-state vertices were fixed: the DP
     runs on the whole reduced instance over td, after the table-size cap
-    that _run_dp checked then."""
+    that _run_dp checked then.  The DP is _per_edge_dp, which keeps every
+    vertex and clamps VD costs at INF."""
     if mode == "ed" and any(not lst for lst in inst.lists):
         raise Infeasible("vertex with an empty list")
     red = reduce_lists(h, inst)
@@ -587,7 +599,7 @@ def _reference_solve_dp(h, inst, td, mode):
             raise dpsolve.TableTooLarge(
                 f"a bag of {len(bag)} vertices needs a table of {size} "
                 f"entries, above the cap of {dpsolve.MAX_TABLE_ENTRIES}")
-    cost, hom, max_states = dpsolve._run_dp(h, red, td, mode)
+    cost, hom, max_states = _per_edge_dp(h, red, td, mode)
     if mode == "vd":
         deleted = sorted(v for v in range(inst.n) if v not in hom)
     else:

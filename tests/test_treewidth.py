@@ -239,7 +239,8 @@ def test_make_nice_invariants():
 def test_restrict_td_decomposes_the_induced_subgraph():
     # min-fill and hub-core decompositions of random graphs, each
     # restricted to no vertex, every vertex and a random subset: bags that
-    # become empty or equal to a neighbour's must leave a valid nice form
+    # become empty or equal to a neighbour's must leave a valid nice form,
+    # renumbered or in the graph's own ids with the rest dropped from bags
     rng = random.Random(56)
     emptied = merged = 0
     for _ in range(200):
@@ -260,6 +261,11 @@ def test_restrict_td_decomposes_the_induced_subgraph():
                     [b & set(keep) for b in td.bags]
                 assert validate_td(sub, small) <= width
                 _check_nice(make_nice(small, sub.edges), sub.edges)
+                drop = frozenset(range(g.n)) - set(keep)
+                inner = [(u, v) for u, v in g.edges
+                         if u not in drop and v not in drop]
+                _check_nice(make_nice(TreeDecomposition(
+                    tuple(b - drop for b in td.bags), td.edges), inner), inner)
                 emptied += sum(bool(b) and not s
                                for b, s in zip(td.bags, small.bags))
                 merged += sum(td.bags[a] != td.bags[b] and
