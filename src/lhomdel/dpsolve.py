@@ -145,40 +145,46 @@ def _run_dp(h: TargetGraph, lists, edges, td: TreeDecomposition, mode: str,
     return cost, hom, max_states
 
 
-def _solve_dp(h: TargetGraph, inst: Instance,
-              td: Optional[TreeDecomposition], mode: str) -> Solution:
-    """The lists are reduced, and td (min-fill's if not given) is
-    validated on the whole reduced instance, so stats.width is its width
-    and no bag whose table would pass MAX_TABLE_ENTRIES reaches the DP.
-    Then each vertex with one DP state is fixed: in ED one whose reduced
-    list is a singleton, mapped to its vertex; in VD one whose list is
-    empty, deleted.  The DP runs over td with the fixed vertices dropped
-    from each bag, on the edges between the other vertices.  In ED the
-    penalties a kept vertex pays against its fixed neighbours sum to one
-    vector over its states, charged where it is forgotten; fixed–fixed ED
-    edges and VD deletions of fixed vertices add a constant.  Each axis
-    dropped had size 1, and each moved penalty depends only on the state
-    of the vertex that now pays it, so at each forget node the two DPs'
-    tables differ by a function of the rest of the bag, which the argmin
-    along the forgotten axis does not see: the witness, ties included, is
-    that of the DP over every vertex.  A fixed vertex multiplies no
-    table's size, so max_bag_states and its bound (i(H) + vd) **
-    (width + 1) are unchanged too."""
-    vd = mode == "vd"
-    if not vd and any(not lst for lst in inst.lists):
-        raise Infeasible("vertex with an empty list")
-    red = reduce_lists(h, inst)
-    if td is None:
-        td = build_td(red)
-    width = validate_td(red, td)
-    # a pairwise incomparable list has at most i(H) members, so no table
-    # exceeds (i(H) + vd) ** len(bag)
-    for bag in td.bags:
+def _check_table_sizes(red: Instance, bags, vd: bool) -> None:
+    """Refuse a bag whose table would exceed MAX_TABLE_ENTRIES: a pairwise
+    incomparable list has at most i(H) members, so no table exceeds
+    (i(H) + vd) ** len(bag)."""
+    for bag in bags:
         size = math.prod(len(red.lists[v]) + vd for v in bag)
         if size > MAX_TABLE_ENTRIES:
             raise TableTooLarge(
                 f"a bag of {len(bag)} vertices needs a table of {size} "
                 f"entries, above the cap of {MAX_TABLE_ENTRIES}")
+
+
+def _solve_dp(h: TargetGraph, inst: Instance,
+              td: Optional[TreeDecomposition], mode: str) -> Solution:
+    """The lists are reduced and each vertex with one DP state is fixed:
+    in ED one whose reduced list is a singleton, mapped to its vertex; in
+    VD one whose list is empty, deleted.  A fixed vertex multiplies no
+    table, so without a given td the min-fill decomposition is built and
+    validated on the instance induced by the other, kept vertices,
+    renumbered in ascending order so that ties still go to the smallest
+    vertex, and its bags are mapped back to the reduced instance's ids.  A
+    given td is validated on the whole reduced instance, and the fixed
+    vertices are then dropped from its bags.  Either way stats.width is
+    the width of the decomposition validated, and no bag whose table would
+    pass MAX_TABLE_ENTRIES reaches the DP, which runs over the kept bags
+    on the edges between kept vertices.  In ED the penalties a kept vertex
+    pays against its fixed neighbours sum to one vector over its states,
+    charged where it is forgotten; fixed–fixed ED edges and VD deletions
+    of fixed vertices add a constant.  Each axis dropped had size 1, and
+    each moved penalty depends only on the state of the vertex that now
+    pays it, so at each forget node the two DPs' tables differ by a
+    function of the rest of the bag, which the argmin along the forgotten
+    axis does not see: the witness, ties included, and max_bag_states are
+    those of the DP over every vertex on the same tree with each fixed
+    vertex added to every bag, and max_bag_states stays within
+    (i(H) + vd) ** (width + 1)."""
+    vd = mode == "vd"
+    if not vd and any(not lst for lst in inst.lists):
+        raise Infeasible("vertex with an empty list")
+    red = reduce_lists(h, inst)
     fixed = frozenset(v for v, lst in enumerate(red.lists)
                       if len(lst) + vd == 1)
     cost = len(fixed) if vd else 0
@@ -198,8 +204,29 @@ def _solve_dp(h: TargetGraph, inst: Instance,
                 rows[key] = edge_penalty(h.nbhd, sorted(key[0]), (img,),
                                          1)[:, 0]
             charge[k] = charge.get(k, 0) + rows[key]
-    kept = TreeDecomposition(tuple(bag - fixed for bag in td.bags), td.edges)
-    dp_cost, dp_hom, max_states = _run_dp(h, red.lists, edges, kept, mode,
+    if td is not None:
+        width = validate_td(red, td)
+        _check_table_sizes(red, td.bags, vd)
+        if fixed:
+            td = TreeDecomposition(tuple(bag - fixed for bag in td.bags),
+                                   td.edges)
+    else:
+        g = red
+        if fixed:  # the kept instance, built as parse_instance builds one:
+            # its edges are red's, renumbered, so they need no second check
+            keep = [v for v in range(red.n) if v not in fixed]
+            pos = {v: i for i, v in enumerate(keep)}
+            g = Instance.__new__(Instance)
+            g.n, g.budget = len(keep), None
+            g.edges = [(pos[u], pos[w]) for u, w in edges]
+            g.lists = [red.lists[v] for v in keep]
+        td = build_td(g)
+        width = validate_td(g, td)
+        if fixed:
+            td = TreeDecomposition(tuple(frozenset([keep[i] for i in bag])
+                                         for bag in td.bags), td.edges)
+        _check_table_sizes(red, td.bags, vd)
+    dp_cost, dp_hom, max_states = _run_dp(h, red.lists, edges, td, mode,
                                           charge)
     cost += dp_cost
     hom.update(dp_hom)

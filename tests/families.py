@@ -1,10 +1,12 @@
 """Named target-graph families used across the tests, the seeded random
-targets and instances of lhomdel.graphs, instance graphs of bounded
-treewidth as (n, edges), and seeded cut instances for the poly solvers."""
+targets and instances of lhomdel.graphs, targets composed along the
+paper's decomposition, instance graphs of bounded treewidth as
+(n, edges), and seeded cut instances for the poly solvers."""
 
 import random
 from itertools import combinations
 
+from lhomdel import _kernels, analysis
 from lhomdel.graphs import (Instance, TargetGraph, bits,  # noqa: F401
                             random_instance, random_target)
 
@@ -124,6 +126,46 @@ def peeled_family(k):
     edges += [(j, j + 3) for j in range(3)]
     edges += [(u, v) for u in range(6, n) for v in range(n) if v <= u or v < 6]
     return TargetGraph.from_edges(n, edges)
+
+
+def _is_hard(h, S):
+    return _kernels.first_obstruction(h.nbhd, h.reflexive_mask(), S) \
+        is not None
+
+
+def split_composed_target(rng, depth=1):
+    """A target whose split tree has two or more hard leaves, as
+    (h, sides): a hard undecomposable random target A of 2-5 vertices,
+    wrapped `depth` times by a reflexive clique B of 2-4 vertices fully
+    joined to everything so far and an irreflexive independent set C of
+    2-4 vertices with no edge to it, with random B–C edges, each B∪C
+    redrawn until it is hard.  Each wrap is a valid decomposition (so far,
+    B, C); a leaf holding A and a wrap vertex would split, so A is a leaf
+    and each B∪C holds another hard one.  Vertex ids are shuffled; sides
+    lists A and each B∪C in h's ids."""
+    while True:
+        a = random_target(rng, rng.randint(2, 5), rng.random(), rng.random())
+        full = (1 << a.n) - 1
+        if _is_hard(a, full) and analysis.find_decomposition(a) is None:
+            break
+    n, edges = a.n, list(a.edges())
+    sides = [list(range(n))]
+    for _ in range(depth):
+        while True:
+            b = list(range(n, n + rng.randint(2, 4)))
+            c = list(range(b[-1] + 1, b[-1] + 1 + rng.randint(2, 4)))
+            bc = [(u, v) for u in b for v in c if rng.random() < 0.5]
+            wrap = TargetGraph.from_edges(c[-1] + 1, bc + [
+                (u, v) for u in b for v in range(u, b[-1] + 1)])
+            if _is_hard(wrap, sum(1 << v for v in b + c)):
+                break
+        edges += bc + [(u, v) for u in b for v in range(u + 1)]
+        sides.append(b + c)
+        n = c[-1] + 1
+    perm = list(range(n))
+    rng.shuffle(perm)
+    h = TargetGraph.from_edges(n, [(perm[u], perm[v]) for u, v in edges])
+    return h, [sorted(perm[v] for v in side) for side in sides]
 
 
 DICHOTOMY_CORPUS = [

@@ -337,13 +337,13 @@ def test_solve_output_matches_json_dumps(tmp_path, capsys):
 
 
 # SHA-256 of `solve <mode> ... --algo dp` stdout on four fixed instances
-# of width 4-6: any change to the optimum, to the witness chosen among
+# of width 3-6: any change to the optimum, to the witness chosen among
 # tied optima or to stats.max_bag_states shows here
 DP_OUTPUT_SHA256 = {
     ("k3-grid5x8", "vd"):
         "c13e2ed47462faa91efe31e1d6ff9cb6f35e566666b0357dd150fd8fbc89ec85",
     ("k3-grid5x8", "ed"):
-        "db2e03e93797d49f07ed708df43c0401873b750c71a2dc90985908398be57ed3",
+        "1c0fefd3e96d330ffc0522600c9746ce51b9a36bd291916915506534e1795022",
     ("indep3-ktree5", "vd"):
         "df33f739d542afbf41c4f69b76f37b109c8ac4e9865d810f926a47aaa93d15de",
     ("indep3-ktree5", "ed"):
@@ -351,11 +351,11 @@ DP_OUTPUT_SHA256 = {
     ("c5-trigrid4x10", "vd"):
         "66fb202a91c9330dbcf7550532f031359591a4d808e655daf8fbfadde44af7c4",
     ("c5-trigrid4x10", "ed"):
-        "8f1998c5836d4c83c7f20301f7de976b7bd2a459fc279c870e605d3e73bcdb69",
+        "37b06f0543d32a01b8329f9bb8c4597e9d85d1ea55e83e0d2854df116166c4eb",
     ("k3-ktree6", "vd"):
         "04d7706cc15e3f3db50ba50eb0e243e8ea8c8ed3bfb0e133c678c0c54fb51bbd",
     ("k3-ktree6", "ed"):
-        "51c133a3ecd78c30902bf796803f72984661afb740aae30978cd376959d26b4f",
+        "23eb806c7f2f8de853acf812ee83769b3473b916fff46616813fb2d5ff8cac6c",
 }
 
 
@@ -385,7 +385,7 @@ def test_dp_solve_outputs_are_pinned(tmp_path, capsys):
             widths.add(json.loads(out)["stats"]["width"])
             digest = hashlib.sha256(out.encode()).hexdigest()
             assert digest == DP_OUTPUT_SHA256[name, mode], (name, mode)
-    assert widths == {4, 5, 6}
+    assert widths == {3, 4, 5, 6}
 
 
 # SHA-256 of `lhomdel solve <mode> --algo poly` stdout on

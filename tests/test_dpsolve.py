@@ -1,3 +1,5 @@
+import contextlib
+import io
 import math
 import random
 from dataclasses import replace
@@ -5,13 +7,13 @@ from itertools import combinations
 
 import pytest
 
-from lhomdel import _kernels, analysis, dpsolve, oracle, polysolve
+from lhomdel import _kernels, analysis, cli, dpsolve, oracle, polysolve
 from lhomdel.graphs import (MAX_INSTANCE_VERTICES, Infeasible, Instance,
-                            Solution, TargetGraph, max_incomparable,
-                            reduce_lists)
+                            Solution, TargetGraph, format_instance,
+                            format_target, max_incomparable, reduce_lists)
 from lhomdel.treewidth import (HubCore, TreeDecomposition, build_td,
-                               core_to_td, make_nice, restrict_td,
-                               validate_td)
+                               core_to_td, format_core, format_td, make_nice,
+                               restrict_td, validate_td)
 
 import families
 
@@ -284,6 +286,49 @@ def test_ed_auto_restricts_a_given_td_to_each_part(monkeypatch):
     assert both > 20, both
 
 
+def test_ed_auto_matches_the_oracle_on_split_composed_targets(monkeypatch):
+    # 500 targets of 9-16 vertices whose split tree has two or more hard
+    # leaves, each instance list inside A or one wrap's B∪C, half of them
+    # with a min-fill decomposition: the optimum is the oracle's, a given
+    # decomposition reaches every DP leaf no wider, and most solves reach
+    # two or more DP leaves, each with its own decomposition
+    dp = dpsolve.solve_ed_dp
+    leaves = []
+
+    def spy(h, inst, td=None):
+        sol = dp(h, inst, td)
+        if inst.n:
+            leaves.append((td, sol.stats["width"]))
+        return sol
+
+    monkeypatch.setattr(dpsolve, "solve_ed_dp", spy)
+    rng = random.Random(72)
+    multi = 0
+    for trial in range(500):
+        h = None
+        while h is None or not 9 <= h.n <= 16:
+            h, sides = families.split_composed_target(rng,
+                                                      rng.choice((1, 1, 2)))
+        n = rng.randint(2, 6)
+        edges = [(u, v) for u, v in combinations(range(n), 2)
+                 if rng.random() < 0.4]
+        lists = []
+        for _ in range(n):
+            side = rng.choice(sides)
+            lists.append(frozenset(rng.sample(
+                side, rng.randint(1, min(3, len(side))))))
+        inst = Instance(n, edges, lists)
+        td = build_td(inst) if trial % 2 else None
+        leaves.clear()
+        sol = dpsolve.solve_ed_auto(h, inst, td)
+        assert sol.cost == oracle.oracle_ed(h, inst).cost, (h, inst)
+        if td is not None:
+            width = validate_td(inst, td)
+            assert all(t is not None and w <= width for t, w in leaves)
+        multi += len(leaves) >= 2
+    assert multi > 300, multi
+
+
 def test_state_bounds_in_stats():
     rng = random.Random(65)
     for _ in range(60):
@@ -292,6 +337,16 @@ def test_state_bounds_in_stats():
         i = max_incomparable(h)[0]
         sol = dpsolve.solve_vd_dp(h, inst)
         assert sol.stats["max_bag_states"] <= (i + 1) ** (sol.stats["width"] + 1)
+        sol = dpsolve.solve_ed_dp(h, inst)
+        assert sol.stats["max_bag_states"] <= i ** (sol.stats["width"] + 1)
+    # ed instances with singleton lists, whose width is that of the
+    # decomposition of the other vertices
+    for _ in range(60):
+        h = families.random_target(rng, rng.randint(2, 5))
+        inst = families.random_instance(rng, h, rng.randint(1, 12), 0.6)
+        for v in rng.sample(range(inst.n), rng.randint(1, inst.n)):
+            inst.lists[v] = frozenset([min(inst.lists[v])])
+        i = max_incomparable(h)[0]
         sol = dpsolve.solve_ed_dp(h, inst)
         assert sol.stats["max_bag_states"] <= i ** (sol.stats["width"] + 1)
 
@@ -620,16 +675,41 @@ def _dp_outcome(solve, h, inst, td, mode):
     return sol.cost, sol.hom, sol.deleted, sol.stats
 
 
-def test_fixing_one_state_vertices_changes_no_output(monkeypatch):
+def _kept_td(h, inst, mode):
+    """(width, T+) of the decomposition the default path runs over,
+    min-fill's on the instance induced by the vertices with more than one
+    DP state, renumbered in ascending order: T+ is its tree, with its bags
+    in the reduced instance's ids and every fixed vertex added to every
+    bag, a decomposition of the whole reduced instance."""
+    red = reduce_lists(h, inst)
+    fixed = frozenset(v for v, lst in enumerate(red.lists)
+                      if len(lst) + (mode == "vd") == 1)
+    keep = [v for v in range(red.n) if v not in fixed]
+    pos = {v: i for i, v in enumerate(keep)}
+    sub = Instance(len(keep), [(pos[u], pos[v]) for u, v in red.edges
+                               if u in pos and v in pos],
+                   [red.lists[v] for v in keep])
+    td = build_td(sub)
+    return td.width, TreeDecomposition(
+        tuple(frozenset(keep[i] for i in bag) | fixed for bag in td.bags),
+        td.edges)
+
+
+def test_fixing_one_state_vertices_matches_the_dp_over_every_vertex(
+        monkeypatch):
     # seeded instances in both modes, many of whose vertices have one DP
     # state (ed lists that are or reduce to singletons, vd empty lists),
     # sometimes all of them; some come with a min-fill or hub-core
-    # decomposition or an invalid one, some ed ones with an empty list
+    # decomposition or an invalid one, some ed ones with an empty list.
+    # A given decomposition gives exactly the reference's output over it.
+    # Without one, the DP runs over min-fill's decomposition of the kept
+    # vertices: cost, witness (ties too), deletions and max_bag_states
+    # are the reference's over T+, and stats.width is the kept width
     rng = random.Random(71)
     named = (families.irreflexive_kq(3), families.independent_reflexive(3),
              families.reflexive_cycle(5), families.windowed_family(2))
     seen = dict.fromkeys(("singleton", "reduced", "empty", "all", "pair",
-                          "td", "core", "error"), 0)
+                          "td", "core", "error", "narrower"), 0)
     for trial in range(1100):
         h = (rng.choice(named) if trial % 3 == 0
              else families.random_target(rng, rng.randint(1, 6)))
@@ -659,13 +739,23 @@ def test_fixing_one_state_vertices_changes_no_output(monkeypatch):
             seen["empty"] += mode == "vd" and not all(lists)
             seen["all"] += g.n > 0 and all(one)
             seen["pair"] += any(one[u] and one[v] for u, v in g.edges)
-            want = _dp_outcome(_reference_solve_dp, h, inst, td, mode)
-            assert _dp_outcome(dpsolve._solve_dp, h, inst, td, mode) == \
-                want, (trial, mode, h, inst, td)
+            got = _dp_outcome(dpsolve._solve_dp, h, inst, td, mode)
+            if td is not None:
+                want = _dp_outcome(_reference_solve_dp, h, inst, td, mode)
+                assert got == want, (trial, mode, h, inst, td)
+            else:
+                width, plus = _kept_td(h, inst, mode)
+                want = _dp_outcome(_reference_solve_dp, h, inst, plus, mode)
+                if len(want) == 4:
+                    want = want[:3] + ({"width": width, "max_bag_states":
+                                        want[3]["max_bag_states"]},)
+                    seen["narrower"] += width < build_td(
+                        reduce_lists(h, inst)).width
+                assert got == want, (trial, mode, h, inst)
             seen["error"] += len(want) == 2
     assert min(seen.values()) > 50, seen
     # a clique whose one bag needs more entries than the cap, three of its
-    # vertices fixed: refused naming the whole bag, before the DP starts
+    # vertices fixed: refused naming the kept bag, before the DP starts
     h = families.irreflexive_kq(3)
 
     def no_dp(*args):
@@ -676,9 +766,56 @@ def test_fixing_one_state_vertices_changes_no_output(monkeypatch):
         inst = Instance(n, list(combinations(range(n), 2)),
                         [frozenset(range(3))] * free
                         + [frozenset({0} if mode == "ed" else ())] * 3)
-        want = _dp_outcome(_reference_solve_dp, h, inst, None, mode)
-        assert want[0] is dpsolve.TableTooLarge
-        assert want[1].startswith(f"a bag of {n} vertices")
+        size = (3 + (mode == "vd")) ** free
         with monkeypatch.context() as m:
             m.setattr(dpsolve, "_run_dp", no_dp)
-            assert _dp_outcome(dpsolve._solve_dp, h, inst, None, mode) == want
+            assert _dp_outcome(dpsolve._solve_dp, h, inst, None, mode) == (
+                dpsolve.TableTooLarge,
+                f"a bag of {free} vertices needs a table of {size} entries, "
+                f"above the cap of {dpsolve.MAX_TABLE_ENTRIES}")
+
+
+def test_default_decomposition_sees_only_the_kept_vertices(monkeypatch,
+                                                           tmp_path):
+    # an ed solve of a 4 x 6 grid over K3 with k singleton lists, each a
+    # colour of a proper colouring, builds min-fill on the n - k other
+    # vertices, renumbered in ascending order, and the edges among them;
+    # a given --td or --core builds none
+    h = families.irreflexive_kq(3)
+    n, edges = families.grid(4, 6)
+    seen = []
+
+    def spy(g):
+        seen.append((g.n, sorted(g.edges)))
+        return build_td(g)
+
+    monkeypatch.setattr(dpsolve, "build_td", spy)
+    rng = random.Random(73)
+    insts = {}
+    for k in (0, 1, 5, 12, n):
+        fixed = set(rng.sample(range(n), k))
+        keep = [v for v in range(n) if v not in fixed]
+        pos = {v: i for i, v in enumerate(keep)}
+        inst = insts[k] = Instance(n, edges, [
+            frozenset({sum(divmod(v, 6)) % 3}) if v in fixed
+            else frozenset(range(3)) for v in range(n)])
+        seen.clear()
+        sol = dpsolve.solve_ed_dp(h, inst)
+        assert sol.cost == 0
+        assert seen == [(n - k, sorted((pos[u], pos[v]) for u, v in edges
+                                       if u in pos and v in pos))]
+    t = tmp_path / "k3.hg"
+    t.write_text(format_target(h))
+    i = tmp_path / "grid.lhi"
+    i.write_text(format_instance(insts[5]))
+    d = tmp_path / "grid.td"
+    d.write_text(format_td(build_td(insts[5]), n))
+    c = tmp_path / "grid.core"  # the black squares: G - Q has no edge
+    c.write_text(format_core(HubCore(
+        frozenset(v for v in range(n) if sum(divmod(v, 6)) % 2), 1, 4)))
+    for given in (["--td", str(d)], ["--core", str(c)]):
+        seen.clear()
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(["solve", "ed", str(t), str(i), "--algo", "dp",
+                             *given])
+        assert code == cli.EXIT_OK and seen == [], given
