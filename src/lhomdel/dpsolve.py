@@ -45,7 +45,7 @@ def _run_dp(h: TargetGraph, lists, edges, td: TreeDecomposition, mode: str,
     hold, of the tables that introducing each payload vertex by vertex
     would build, each before its edges' penalties.  The witness is read
     off top-down, at the forget nodes alone.  The table-size cap is
-    _solve_dp's to check, on the decomposition it validated.
+    _solve_dp's to check, on the bags it hands over.
     """
     import numpy as np
 
@@ -145,16 +145,32 @@ def _run_dp(h: TargetGraph, lists, edges, td: TreeDecomposition, mode: str,
     return cost, hom, max_states
 
 
-def _check_table_sizes(red: Instance, bags, vd: bool) -> None:
+def _check_table_sizes(g: Instance, bags, vd: bool) -> None:
     """Refuse a bag whose table would exceed MAX_TABLE_ENTRIES: a pairwise
     incomparable list has at most i(H) members, so no table exceeds
     (i(H) + vd) ** len(bag)."""
     for bag in bags:
-        size = math.prod(len(red.lists[v]) + vd for v in bag)
+        size = math.prod(len(g.lists[v]) + vd for v in bag)
         if size > MAX_TABLE_ENTRIES:
             raise TableTooLarge(
                 f"a bag of {len(bag)} vertices needs a table of {size} "
                 f"entries, above the cap of {MAX_TABLE_ENTRIES}")
+
+
+def _induced(red: Instance, keep) -> Instance:
+    """red's sub-instance induced by the ascending vertices `keep`, keep[i]
+    renamed i, its edges sorted and each (lower, higher).  It is built as
+    parse_instance builds one, without __post_init__: red's edges were
+    checked when red was built.  Each per-vertex and per-edge container
+    is built whole by one call or comprehension, so a MemoryError midway
+    frees what it held, and cli.main has the memory to report it."""
+    pos = dict(zip(keep, range(len(keep))))
+    edges = sorted([(pos[u], pos[w]) if u < w else (pos[w], pos[u])
+                    for u, w in red.edges if u in pos and w in pos])
+    sub = Instance.__new__(Instance)
+    sub.n, sub.edges, sub.budget = len(keep), edges, None
+    sub.lists = [red.lists[v] for v in keep]
+    return sub
 
 
 def _solve_dp(h: TargetGraph, inst: Instance,
@@ -162,15 +178,14 @@ def _solve_dp(h: TargetGraph, inst: Instance,
     """The lists are reduced and each vertex with one DP state is fixed:
     in ED one whose reduced list is a singleton, mapped to its vertex; in
     VD one whose list is empty, deleted.  A fixed vertex multiplies no
-    table, so without a given td the min-fill decomposition is built and
-    validated on the instance induced by the other, kept vertices,
-    renumbered in ascending order so that ties still go to the smallest
-    vertex, and its bags are mapped back to the reduced instance's ids.  A
-    given td is validated on the whole reduced instance, and the fixed
-    vertices are then dropped from its bags.  Either way stats.width is
-    the width of the decomposition validated, and no bag whose table would
-    pass MAX_TABLE_ENTRIES reaches the DP, which runs over the kept bags
-    on the edges between kept vertices.  In ED the penalties a kept vertex
+    table, so the DP runs on one instance, the one induced by the other,
+    kept vertices, renumbered in ascending order so that ties still go to
+    the smallest vertex; only its hom is mapped back.  Its decomposition
+    is min-fill's, built and validated on the kept instance, or a given
+    td, validated on the whole reduced instance and narrowed to the kept
+    vertices by restrict_td.  Either way stats.width is the width of the
+    decomposition validated, and no bag whose table would pass
+    MAX_TABLE_ENTRIES reaches the DP.  In ED the penalties a kept vertex
     pays against its fixed neighbours sum to one vector over its states,
     charged where it is forgotten; fixed–fixed ED edges and VD deletions
     of fixed vertices add a constant.  Each axis dropped had size 1, and
@@ -185,51 +200,37 @@ def _solve_dp(h: TargetGraph, inst: Instance,
     if not vd and any(not lst for lst in inst.lists):
         raise Infeasible("vertex with an empty list")
     red = reduce_lists(h, inst)
-    fixed = frozenset(v for v, lst in enumerate(red.lists)
-                      if len(lst) + vd == 1)
-    cost = len(fixed) if vd else 0
-    hom = {} if vd else {v: min(red.lists[v]) for v in sorted(fixed)}
-    edges, rows, charge = [], {}, {}
-    for u, w in red.edges:
-        if not (u in fixed or w in fixed):
-            edges.append((u, w))
-        elif vd:  # a deleted vertex's edges cost nothing
-            continue
-        elif u in fixed and w in fixed:
-            cost += not h.has_edge(hom[u], hom[w])
-        else:
-            k, img = (w, hom[u]) if u in fixed else (u, hom[w])
-            key = red.lists[k], img
-            if key not in rows:  # the edge's penalty over k's states
-                rows[key] = edge_penalty(h.nbhd, sorted(key[0]), (img,),
-                                         1)[:, 0]
-            charge[k] = charge.get(k, 0) + rows[key]
-    if td is not None:
-        width = validate_td(red, td)
-        _check_table_sizes(red, td.bags, vd)
-        if fixed:
-            td = TreeDecomposition(tuple(bag - fixed for bag in td.bags),
-                                   td.edges)
-    else:
-        g = red
-        if fixed:  # the kept instance, built as parse_instance builds one:
-            # its edges are red's, renumbered, so they need no second check
-            keep = [v for v in range(red.n) if v not in fixed]
-            pos = {v: i for i, v in enumerate(keep)}
-            g = Instance.__new__(Instance)
-            g.n, g.budget = len(keep), None
-            g.edges = [(pos[u], pos[w]) for u, w in edges]
-            g.lists = [red.lists[v] for v in keep]
+    keep = [v for v, lst in enumerate(red.lists) if len(lst) + vd > 1]
+    g = _induced(red, keep)
+    # a fixed vd vertex is deleted, and its edges cost nothing
+    cost = red.n - g.n if vd else 0
+    hom = {} if vd else {v: min(lst) for v, lst in enumerate(red.lists)
+                         if len(lst) == 1}
+    charge = {}
+    if hom:  # the ed edges at a fixed vertex
+        rows = {}
+        for u, w in red.edges:
+            if u in hom and w in hom:
+                cost += not h.has_edge(hom[u], hom[w])
+            elif u in hom or w in hom:
+                k, img = (w, hom[u]) if u in hom else (u, hom[w])
+                key = red.lists[k], img
+                if key not in rows:  # the edge's penalty over k's states
+                    rows[key] = edge_penalty(h.nbhd, sorted(key[0]), (img,),
+                                             1)[:, 0]
+                charge[k] = charge.get(k, 0) + rows[key]
+        charge = {i: charge[v] for i, v in enumerate(keep) if v in charge}
+    if td is None:
         td = build_td(g)
         width = validate_td(g, td)
-        if fixed:
-            td = TreeDecomposition(tuple(frozenset([keep[i] for i in bag])
-                                         for bag in td.bags), td.edges)
-        _check_table_sizes(red, td.bags, vd)
-    dp_cost, dp_hom, max_states = _run_dp(h, red.lists, edges, td, mode,
+    else:
+        width = validate_td(red, td)
+        td = restrict_td(td, keep)
+    _check_table_sizes(g, td.bags, vd)
+    dp_cost, dp_hom, max_states = _run_dp(h, g.lists, g.edges, td, mode,
                                           charge)
     cost += dp_cost
-    hom.update(dp_hom)
+    hom.update((keep[v], img) for v, img in dp_hom.items())
     if vd:
         deleted = sorted(v for v in range(inst.n) if v not in hom)
     else:
@@ -280,19 +281,13 @@ def split_by_decomposition(h: TargetGraph, dec: analysis.Decomposition,
         side.append("a" if lst <= a else "bc")
     verts_a = tuple(v for v in range(red.n) if side[v] == "a")
     verts_bc = tuple(v for v in range(red.n) if side[v] == "bc")
-    pos = {v: i for vs in (verts_a, verts_bc) for i, v in enumerate(vs)}
-    ea, ebc, forced = [], [], []
-    for u, v in red.edges:
-        if side[u] == side[v]:
-            (ea if side[u] == "a" else ebc).append((pos[u], pos[v]))
-        elif red.lists[v if side[u] == "a" else u] <= c:  # the B∪C end
-            forced.append(tuple(sorted((u, v))))
-        # A–B pairs are always compatible (full join): drop the edge
-    sub_a = Instance(len(verts_a), sorted(tuple(sorted(e)) for e in ea),
-                     [red.lists[v] for v in verts_a], None)
-    sub_bc = Instance(len(verts_bc), sorted(tuple(sorted(e)) for e in ebc),
-                      [red.lists[v] for v in verts_bc], None)
-    return Split(tuple(sorted(forced)), sub_a, sub_bc, verts_a, verts_bc)
+    # an A–C edge (its B∪C end's list inside C) is always deleted; A–B
+    # pairs are always compatible (full join), so their edges are dropped
+    forced = sorted(tuple(sorted((u, v))) for u, v in red.edges
+                    if side[u] != side[v]
+                    and red.lists[v if side[u] == "a" else u] <= c)
+    return Split(tuple(forced), _induced(red, verts_a),
+                 _induced(red, verts_bc), verts_a, verts_bc)
 
 
 def solve_vd_auto(h: TargetGraph, inst: Instance,

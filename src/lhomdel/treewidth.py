@@ -91,7 +91,10 @@ def restrict_td(td: TreeDecomposition, keep) -> TreeDecomposition:
     """td on the subgraph induced by `keep` (ascending vertices), with
     keep[i] renamed i: each bag ∩ keep, on the same tree.  A kept
     vertex's bags and a kept edge's shared bag are those of td, so this
-    is a decomposition of the induced subgraph, no wider than td."""
+    is a decomposition of the induced subgraph, no wider than td.  It is
+    the one way a decomposition is narrowed: dpsolve._solve_dp narrows a
+    given one to the vertices with more than one DP state, and
+    dpsolve.solve_ed_auto narrows one to each side of a split."""
     pos = {v: i for i, v in enumerate(keep)}
     return TreeDecomposition(
         tuple(frozenset([pos[v] for v in bag if v in pos])

@@ -529,22 +529,53 @@ def test_i_bullet_rejects_a_witness_that_fails_its_check(monkeypatch):
         analysis.i_bullet(families.reflexive_cycle(4))
 
 
+def _split_tree_leaves(h):
+    """The vertex masks of the leaves of h's decomposition tree, after
+    checking it: each internal node's (a, b, c) is a valid decomposition
+    that partitions its vertices, with children A and B∪C, and each leaf
+    is undecomposable."""
+    tree = analysis.decomposition_tree(h)
+    assert tree["vertices"] == list(range(1, h.n + 1))
+    leaves = []
+    for node in _tree_nodes(tree):
+        d = node["decomposition"]
+        if d is None:
+            assert not node["children"]
+            S = sum(1 << (v - 1) for v in node["vertices"])
+            assert analysis.find_decomposition(h, S) is None
+            leaves.append(S)
+            continue
+        assert analysis.is_valid_decomposition(
+            h, *([v - 1 for v in d[k]] for k in "abc"))
+        assert sorted(d["a"] + d["b"] + d["c"]) == node["vertices"]
+        assert [ch["vertices"] for ch in node["children"]] == [
+            d["a"], sorted(d["b"] + d["c"])]
+    return leaves
+
+
 def test_decomposition_tree_partitions():
+    # random targets of 1-6 vertices, and split-composed targets of 9-16
+    # vertices, about a fifth of them above EXHAUSTIVE_DECOMP_LIMIT, where
+    # _kernels.find_split finds the splits; each of the latter has two or
+    # more leaves that hold an obstruction
     rng = random.Random(24)
     for _ in range(40):
         h = families.random_target(rng, rng.randint(1, 6))
-        tree = analysis.decomposition_tree(h)
-        assert tree["vertices"] == list(range(1, h.n + 1))
+        _split_tree_leaves(h)
         for sub in _leaf_targets(h):
             assert not analysis.is_decomposable(sub)
-        for node in _tree_nodes(tree):
-            d = node["decomposition"]
-            if d is None:
-                assert not node["children"]
-                continue
-            assert sorted(d["a"] + d["b"] + d["c"]) == node["vertices"]
-            assert [ch["vertices"] for ch in node["children"]] == [
-                d["a"], sorted(d["b"] + d["c"])]
+    rng = random.Random(81)
+    large = 0
+    for _ in range(200):
+        h = None
+        while h is None or not 9 <= h.n <= 16:
+            h, _ = families.split_composed_target(rng, rng.choice((1, 1, 2)))
+        large += h.n > analysis.EXHAUSTIVE_DECOMP_LIMIT
+        refl = h.reflexive_mask()
+        hard = [S for S in _split_tree_leaves(h)
+                if _kernels.first_obstruction(h.nbhd, refl, S) is not None]
+        assert len(hard) >= 2, h
+    assert large >= 20, large
 
 
 def test_classification_json_shape():

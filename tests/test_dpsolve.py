@@ -755,7 +755,8 @@ def test_fixing_one_state_vertices_matches_the_dp_over_every_vertex(
             seen["error"] += len(want) == 2
     assert min(seen.values()) > 50, seen
     # a clique whose one bag needs more entries than the cap, three of its
-    # vertices fixed: refused naming the kept bag, before the DP starts
+    # vertices fixed: refused naming the kept bag, before the DP starts,
+    # whether min-fill builds the bag or it is given
     h = families.irreflexive_kq(3)
 
     def no_dp(*args):
@@ -767,12 +768,15 @@ def test_fixing_one_state_vertices_matches_the_dp_over_every_vertex(
                         [frozenset(range(3))] * free
                         + [frozenset({0} if mode == "ed" else ())] * 3)
         size = (3 + (mode == "vd")) ** free
-        with monkeypatch.context() as m:
-            m.setattr(dpsolve, "_run_dp", no_dp)
-            assert _dp_outcome(dpsolve._solve_dp, h, inst, None, mode) == (
-                dpsolve.TableTooLarge,
-                f"a bag of {free} vertices needs a table of {size} entries, "
-                f"above the cap of {dpsolve.MAX_TABLE_ENTRIES}")
+        one_bag = TreeDecomposition((frozenset(range(n)),), ())
+        for td in (None, one_bag):
+            with monkeypatch.context() as m:
+                m.setattr(dpsolve, "_run_dp", no_dp)
+                assert _dp_outcome(dpsolve._solve_dp, h, inst, td,
+                                   mode) == (
+                    dpsolve.TableTooLarge,
+                    f"a bag of {free} vertices needs a table of {size} "
+                    f"entries, above the cap of {dpsolve.MAX_TABLE_ENTRIES}")
 
 
 def test_default_decomposition_sees_only_the_kept_vertices(monkeypatch,
@@ -780,18 +784,31 @@ def test_default_decomposition_sees_only_the_kept_vertices(monkeypatch,
     # an ed solve of a 4 x 6 grid over K3 with k singleton lists, each a
     # colour of a proper colouring, builds min-fill on the n - k other
     # vertices, renumbered in ascending order, and the edges among them;
-    # a given --td or --core builds none
+    # a given --td or --core builds none.  Either way the DP runs on the
+    # kept vertices alone: their reduced lists in ascending vertex order,
+    # the edges among them and bags in their ids
     h = families.irreflexive_kq(3)
     n, edges = families.grid(4, 6)
-    seen = []
+    seen, dps = [], []
 
     def spy(g):
         seen.append((g.n, sorted(g.edges)))
         return build_td(g)
 
+    run_dp = dpsolve._run_dp
+
+    def dp_spy(h, lists, edges, td, mode, charge=None):
+        dps.append((list(lists), sorted(edges), td.bags))
+        return run_dp(h, lists, edges, td, mode, charge)
+
+    def kept_only(k, want):
+        assert [d[:2] for d in dps] == [want]
+        assert all(v in range(n - k) for bag in dps[0][2] for v in bag)
+
     monkeypatch.setattr(dpsolve, "build_td", spy)
+    monkeypatch.setattr(dpsolve, "_run_dp", dp_spy)
     rng = random.Random(73)
-    insts = {}
+    insts, kept = {}, {}
     for k in (0, 1, 5, 12, n):
         fixed = set(rng.sample(range(n), k))
         keep = [v for v in range(n) if v not in fixed]
@@ -799,11 +816,16 @@ def test_default_decomposition_sees_only_the_kept_vertices(monkeypatch,
         inst = insts[k] = Instance(n, edges, [
             frozenset({sum(divmod(v, 6)) % 3}) if v in fixed
             else frozenset(range(3)) for v in range(n)])
+        red = reduce_lists(h, inst)
+        kept[k] = ([red.lists[v] for v in keep],
+                   sorted((pos[u], pos[v]) for u, v in edges
+                          if u in pos and v in pos))
         seen.clear()
+        dps.clear()
         sol = dpsolve.solve_ed_dp(h, inst)
         assert sol.cost == 0
-        assert seen == [(n - k, sorted((pos[u], pos[v]) for u, v in edges
-                                       if u in pos and v in pos))]
+        assert seen == [(n - k, kept[k][1])]
+        kept_only(k, kept[k])
     t = tmp_path / "k3.hg"
     t.write_text(format_target(h))
     i = tmp_path / "grid.lhi"
@@ -815,7 +837,9 @@ def test_default_decomposition_sees_only_the_kept_vertices(monkeypatch,
         frozenset(v for v in range(n) if sum(divmod(v, 6)) % 2), 1, 4)))
     for given in (["--td", str(d)], ["--core", str(c)]):
         seen.clear()
+        dps.clear()
         with contextlib.redirect_stdout(io.StringIO()):
             code = cli.main(["solve", "ed", str(t), str(i), "--algo", "dp",
                              *given])
         assert code == cli.EXIT_OK and seen == [], given
+        kept_only(5, kept[5])
