@@ -407,13 +407,17 @@ def main(argv=None) -> int:
         _emit({"error": "precondition", "detail": str(exc)})
         return EXIT_PRECONDITION
     except MemoryError:  # an input too large for this process's memory
-        _emit({"error": "precondition", "detail": "out of memory"})
-        return EXIT_PRECONDITION
+        pass
     except Exception as exc:
         traceback.print_exc()
         _emit({"error": "internal",
                "detail": f"{type(exc).__name__}: {exc}"})
         return EXIT_INTERNAL
+    # only a MemoryError gets here; it is reported once its handler has
+    # ended, which drops the traceback and with it the failed call's
+    # frames and whatever they held
+    _emit({"error": "precondition", "detail": "out of memory"})
+    return EXIT_PRECONDITION
 
 
 if __name__ == "__main__":

@@ -30,17 +30,22 @@ def _run_dp(h: TargetGraph, lists, edges, td: TreeDecomposition, mode: str,
     list of vertex v and `edges` the edges among them; returns (cost, hom,
     max_states) with hom omitting deleted vertices.
 
-    Each node's table is an int64 array with one axis per vertex of
-    sorted(bag), indexed by position in the vertex's sorted list; VD adds
-    the DELETED symbol as the last index.  Each cost is charged once, at
-    one kind of node, and added.  An introduce node gives its child's
-    table a size-1 axis per payload vertex, broadcast into one new table,
-    and adds the penalty of each G edge it completes over the edge's
-    ends' axes: in ED an edge pays 1; in VD a kept pair of non-adjacent
-    images pays big = len(lists) + 1, more than any assignment deletes,
-    so entries >= big are the infeasible ones.  A VD deletion, and the
-    vector charge[v] over v's states if given, are charged where v is
-    forgotten, before the argmin; a join just adds its children.
+    Each node's table is an int64 array with one axis per bag vertex,
+    indexed by position in the vertex's sorted list; VD adds the DELETED
+    symbol as the last index.  The axes follow reverse forget order: the
+    vertex whose forget node comes last in make_nice's post-order is
+    first.  Every vertex of a forget node's child bag but the one it drops
+    is forgotten above it, so that vertex is the child's last axis, and
+    each node keeps its axis order, so no forget node, join or traceback
+    step sorts a bag.  Each cost is charged once, at one kind of node, and
+    added.  An introduce node sorts its bag once, gives its child's table
+    a size-1 axis per payload vertex, broadcast into one new table, and
+    adds the penalty of each G edge it completes over the edge's ends'
+    axes: in ED an edge pays 1; in VD a kept pair of non-adjacent images
+    pays big = len(lists) + 1, more than any assignment deletes, so
+    entries >= big are the infeasible ones.  A VD deletion, and the vector
+    charge[v] over v's states if given, are charged where v is forgotten,
+    before the argmin along the last axis; a join just adds its children.
     max_states counts feasible entries, the states a sparse table would
     hold, of the tables that introducing each payload vertex by vertex
     would build, each before its edges' penalties.  The witness is read
@@ -57,75 +62,106 @@ def _run_dp(h: TargetGraph, lists, edges, td: TreeDecomposition, mode: str,
         if not is_incomparable_set(h, lst):
             raise AssertionError(f"list {sorted(lst)} is not incomparable")
         states[lst] = tuple(sorted(lst)) + ((DELETED,) if vd else ())
-    choices = [states[lst] for lst in lists]
+    sizes = [len(states[lst]) for lst in lists]
     charge = charge or {}
     nodes = make_nice(td, edges)
+    # a vertex's rank is the index of its forget node; a bag's axes are
+    # its vertices by falling rank
+    rank = [0] * len(lists)
+    for idx, nd in enumerate(nodes):
+        if nd.kind == "forget":
+            rank[nd.payload] = idx
+    by_rank = rank.__getitem__
     # no entry exceeds big * |E| + n <= (n + 1) * n(n - 1)/2 + n, which
     # stays below 2^63 for n up to graphs.MAX_INSTANCE_VERTICES
     big = len(lists) + 1
-    penalties = {}  # (list u, list v) -> edge penalty matrix
+    bad = big if vd else 1
+    penalties = {}  # (list u, list w), u < w -> edge penalty matrix
     longest = max(map(len, states.values()), default=1)
     pick_type = np.min_scalar_type(longest - 1)  # holds any list index
     tables = [None] * len(nodes)
-    argmins = {}  # forget node -> index of the forgotten vertex's image
+    axes = [None] * len(nodes)
+    forgets = []  # (vertex, its forget node's axes, argmin along it)
+    rows = {}  # a forget child's shape -> the flat index of each row
     max_states = 1  # the leaf's table {(): 0}
     for idx, nd in enumerate(nodes):
         kind = nd.kind
         if kind == "leaf":
+            ax = []
             table = np.zeros((), dtype=np.int64)
         elif kind == "introduce":
             new = nd.payload
             child = tables[nd.children[0]]
-            bag = sorted(nd.bag)
-            full = [len(choices[v]) for v in bag]
-            shape = [1 if v in new else k for v, k in zip(bag, full)]
+            ax = sorted(nd.bag, key=by_rank, reverse=True)
+            full = [sizes[v] for v in ax]
             table = np.empty(full, dtype=np.int64)
+            shape = full.copy()
+            for v in new:
+                shape[ax.index(v)] = 1
             table[...] = child.reshape(shape)
             for u, w in nd.edges:
-                cu, cw = choices[u], choices[w]
-                p = penalties.get((cu, cw))
+                key = lists[u], lists[w]
+                p = penalties.get(key)
                 if p is None:  # one matrix per pair of lists, either way
-                    q = penalties.get((cw, cu))
-                    p = penalties[cu, cw] = q.T if q is not None else \
-                        edge_penalty(h.nbhd, cu, cw, big if vd else 1)
-                ps = [1] * len(bag)
-                ps[bag.index(u)], ps[bag.index(w)] = p.shape  # u < w
+                    q = penalties.get(key[::-1])
+                    p = penalties[key] = q.T if q is not None else \
+                        edge_penalty(h.nbhd, states[key[0]],
+                                     states[key[1]], bad)
+                i, j = ax.index(u), ax.index(w)
+                if i > j:  # w's axis comes first
+                    i, j, p = j, i, p.T
+                ps = [1] * len(ax)
+                ps[i], ps[j] = p.shape
                 table += p.reshape(ps)
             # introduced one at a time, new[j] would meet `size` entries;
             # in vd the feasible ones are the child's, or this table's at
             # DELETED on new[j:] (no edge penalizes a deleted vertex)
             size = child.size
             for j, v in enumerate(new):
-                k = len(choices[v])
+                k = sizes[v]
                 if size * k > max_states:  # else they cannot raise it
                     feasible = size
                     if vd:
                         before = child if not j else table[tuple(
                             [-1 if x in new[j:] else slice(None)
-                             for x in bag])]
+                             for x in ax])]
                         feasible = int(np.count_nonzero(before < big))
                     max_states = max(max_states, feasible * k)
                 size *= k
         elif kind == "forget":
             v = nd.payload
-            child = tables[nd.children[0]]
-            at = sorted(nodes[nd.children[0]].bag).index(v)
+            c = nd.children[0]
+            ax = axes[c]
+            if ax[-1] != v:
+                raise AssertionError(f"forget node {idx} drops vertex {v}, "
+                                     f"not its child's last axis")
+            ax = ax[:-1]
+            child = tables[c]
             if vd:  # DELETED is the last index on v's axis
-                child[(slice(None),) * at + (-1,)] += 1
-            if v in charge:  # on v's axis, broadcast over the others
-                tail = (1,) * (child.ndim - 1 - at)
-                child += charge[v].reshape((-1,) + tail)
-            argmins[idx] = child.argmin(axis=at).astype(pick_type)
-            # an array even once the bag is empty (min gives a scalar
-            # there), as a join adds into its first child's table in place
-            table = np.asarray(child.min(axis=at))
-        else:  # join
+                child[..., -1] += 1
+            if v in charge:  # over v's states, broadcast over the rest
+                child += charge[v]
+            best = child.argmin(-1)
+            forgets.append((v, ax, best.astype(pick_type)))
+            # the minima, taken at the argmins: row r of the child starts
+            # at flat index r * len(v's states).  Once the bag is empty
+            # this is a numpy scalar, which a join, an introduce node's
+            # reshape and the root's [()] read as they read a 0-d array
+            shape = child.shape
+            starts = rows.get(shape)
+            if starts is None:
+                starts = rows[shape] = np.arange(
+                    0, child.size, shape[-1]).reshape(shape[:-1])
+            table = child.take(starts + best)
+        else:  # join: both children's bags, so their axes, are its own
             c1, c2 = nd.children
+            ax = axes[c1]
             table = tables[c1]
             table += tables[c2]
         for c in nd.children:
             tables[c] = None
         tables[idx] = table
+        axes[idx] = ax
     root = len(nodes) - 1
     cost = int(tables[root][()])
     if cost >= (big if vd else INF):
@@ -134,14 +170,11 @@ def _run_dp(h: TargetGraph, lists, edges, td: TreeDecomposition, mode: str,
     # below the nodes that forget the rest of that node's bag
     hom = {}
     pick = {}
-    for idx in range(root, -1, -1):
-        nd = nodes[idx]
-        if nd.kind == "forget":
-            v = nd.payload
-            p = pick[v] = int(argmins[idx][tuple(
-                [pick[x] for x in sorted(nd.bag)])])
-            if choices[v][p] != DELETED:
-                hom[v] = choices[v][p]
+    for v, ax, am in reversed(forgets):
+        p = pick[v] = int(am[tuple([pick[x] for x in ax])])
+        img = states[lists[v]][p]
+        if img != DELETED:
+            hom[v] = img
     return cost, hom, max_states
 
 
@@ -149,8 +182,9 @@ def _check_table_sizes(g: Instance, bags, vd: bool) -> None:
     """Refuse a bag whose table would exceed MAX_TABLE_ENTRIES: a pairwise
     incomparable list has at most i(H) members, so no table exceeds
     (i(H) + vd) ** len(bag)."""
+    sizes = [len(lst) + vd for lst in g.lists]
     for bag in bags:
-        size = math.prod(len(g.lists[v]) + vd for v in bag)
+        size = math.prod([sizes[v] for v in bag])
         if size > MAX_TABLE_ENTRIES:
             raise TableTooLarge(
                 f"a bag of {len(bag)} vertices needs a table of {size} "
@@ -208,18 +242,25 @@ def _solve_dp(h: TargetGraph, inst: Instance,
                          if len(lst) == 1}
     charge = {}
     if hom:  # the ed edges at a fixed vertex
-        rows = {}
+        nb = h.nbhd
+        images = {}  # kept vertex -> the images of its fixed neighbours
         for u, w in red.edges:
-            if u in hom and w in hom:
-                cost += not h.has_edge(hom[u], hom[w])
-            elif u in hom or w in hom:
-                k, img = (w, hom[u]) if u in hom else (u, hom[w])
-                key = red.lists[k], img
-                if key not in rows:  # the edge's penalty over k's states
-                    rows[key] = edge_penalty(h.nbhd, sorted(key[0]), (img,),
-                                             1)[:, 0]
-                charge[k] = charge.get(k, 0) + rows[key]
-        charge = {i: charge[v] for i, v in enumerate(keep) if v in charge}
+            if u in hom:
+                if w in hom:
+                    cost += not nb[hom[u]] >> hom[w] & 1
+                else:
+                    images.setdefault(w, []).append(hom[u])
+            elif w in hom:
+                images.setdefault(u, []).append(hom[w])
+        rows = {}  # (list, images) -> the edges' summed penalty vector
+        for i, v in enumerate(keep):
+            imgs = images.get(v)
+            if imgs:
+                key = red.lists[v], tuple(sorted(imgs))
+                if key not in rows:  # over v's states, one column per edge
+                    rows[key] = edge_penalty(nb, sorted(key[0]), key[1],
+                                             1).sum(axis=1)
+                charge[i] = rows[key]
     if td is None:
         td = build_td(g)
         width = validate_td(g, td)
@@ -234,8 +275,9 @@ def _solve_dp(h: TargetGraph, inst: Instance,
     if vd:
         deleted = sorted(v for v in range(inst.n) if v not in hom)
     else:
-        deleted = sorted((u, v) for u, v in inst.edges
-                         if not h.has_edge(hom[u], hom[v]))
+        nb = h.nbhd
+        deleted = sorted([(u, v) for u, v in inst.edges
+                          if not nb[hom[u]] >> hom[v] & 1])
     sol = Solution(mode, cost, deleted, hom, "dp",
                    {"width": width, "max_bag_states": max_states})
     sol.check(h, inst)
@@ -349,8 +391,9 @@ def solve_ed_auto(h: TargetGraph, inst: Instance,
             return replace(sol, algorithm="auto")
         cost += sol.cost
         hom.update((v, sol.hom[i]) for i, v in enumerate(verts))
-    deleted = sorted(tuple(sorted((u, v))) for u, v in inst.edges
-                     if not h.has_edge(hom[u], hom[v]))
+    nb = h.nbhd
+    deleted = sorted([(u, v) if u < v else (v, u) for u, v in inst.edges
+                      if not nb[hom[u]] >> hom[v] & 1])
     sol = Solution("ed", cost, deleted, hom, "auto", stats)
     sol.check(h, inst)
     return sol

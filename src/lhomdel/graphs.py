@@ -148,18 +148,19 @@ class Solution:
             kept = [(u, v) for u, v in inst.edges
                     if u not in gone and v not in gone]
         else:
-            gone = {(min(u, v), max(u, v)) for u, v in self.deleted}
+            gone = {(u, v) if u < v else (v, u) for u, v in self.deleted}
             mapped = range(inst.n)
             kept = [(u, v) for u, v in inst.edges
-                    if (min(u, v), max(u, v)) not in gone]
+                    if ((u, v) if u < v else (v, u)) not in gone]
         if self.cost != len(gone):
             raise AssertionError(
                 f"cost {self.cost} but {len(gone)} distinct deletions")
+        hom, nb = self.hom, h.nbhd
         for v in mapped:
-            if v not in self.hom or self.hom[v] not in inst.lists[v]:
+            if v not in hom or hom[v] not in inst.lists[v]:
                 raise AssertionError(f"vertex {v} is not mapped into its list")
         for u, v in kept:
-            if not h.has_edge(self.hom[u], self.hom[v]):
+            if not nb[hom[u]] >> hom[v] & 1:
                 raise AssertionError(
                     f"edge ({u}, {v}) is mapped onto a non-edge of H")
 

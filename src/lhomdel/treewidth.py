@@ -5,6 +5,7 @@ elimination-order builder (min-fill, ties to the smallest vertex)."""
 from __future__ import annotations
 
 import heapq
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -115,57 +116,62 @@ def make_nice(td: TreeDecomposition, edges) -> list[NiceNode]:
     node shrinks its child's bag and a join repeats its children's), and
     one end of each edge it lists is in its payload."""
     nodes: list[NiceNode] = []
-    pending = {}  # vertex -> its neighbours no bag has held it with yet
+    append = nodes.append
+    # vertex -> its neighbours no bag has held it with yet
+    pending = defaultdict(set)
     for u, w in edges:
-        pending.setdefault(u, set()).add(w)
-        pending.setdefault(w, set()).add(u)
-
-    def emit(kind, bag, payload, children, done=()):
-        nodes.append(NiceNode(kind, frozenset(bag), payload, children, done))
-        return len(nodes) - 1
+        pending[u].add(w)
+        pending[w].add(u)
 
     def chain_to(top, have, want):
         """Forget have∖want one vertex per node, then introduce want∖have,
         ascending, in one node listing every edge it completes."""
-        cur = set(have)
+        cur = have
         for v in sorted(have - want):
-            cur.discard(v)
-            top = emit("forget", cur, v, [top])
-        new = sorted(want - have)
-        if new:
-            cur.update(new)
-            done = []
-            for v in new:
-                nbrs = pending.get(v)
-                if nbrs:
-                    hit = nbrs & cur
-                    if hit:
-                        nbrs -= hit
-                        for w in hit:
-                            pending[w].discard(v)
-                        done += [(w, v) if w < v else (v, w) for w in hit]
-            new, kids = tuple(new), [top]
-            if top == len(nodes) - 1 and nodes[top].kind == "introduce":
-                # nothing was forgotten: extend the introduce node below,
-                # its vertices first, so that none is another's child
-                prev = nodes.pop()
-                new, kids = prev.payload + new, prev.children
-                done += prev.edges
-            top = emit("introduce", cur, new, kids, tuple(sorted(done)))
-        return top
+            cur = cur.difference((v,))
+            append(NiceNode("forget", cur, v, [top]))
+            top = len(nodes) - 1
+        new = want - have
+        if not new:
+            return top
+        new = sorted(new)
+        cur = cur.union(new)
+        done = []
+        for v in new:
+            nbrs = pending.get(v)
+            if nbrs:
+                hit = nbrs & cur
+                if hit:
+                    nbrs -= hit
+                    for w in hit:
+                        pending[w].discard(v)
+                        done.append((w, v) if w < v else (v, w))
+        new, kids = tuple(new), [top]
+        if top == len(nodes) - 1 and nodes[top].kind == "introduce":
+            # nothing was forgotten: extend the introduce node below,
+            # its vertices first, so that none is another's child
+            prev = nodes.pop()
+            new, kids = prev.payload + new, prev.children
+            done += prev.edges
+        done.sort()
+        append(NiceNode("introduce", cur, new, kids, tuple(done)))
+        return len(nodes) - 1
 
     nb = len(td.bags)
+    bags = [frozenset(b) for b in td.bags]
     adj = {i: [] for i in range(nb)}
     for a, b in td.edges:
         adj[a].append(b)
         adj[b].append(a)
+    for kids in adj.values():
+        kids.sort()
 
     def build(root) -> int:
         """Post-order over the tree from `root` (explicit stack): a bag's
         subtrees are emitted in sorted child order, each followed by its
         chain up to the bag, then the joins; returns the top node."""
         seen = {root}
-        stack = [(root, iter(sorted(adj[root])), [])]  # bag, kids, tops
+        stack = [(root, iter(adj[root]), [])]  # bag, kids, tops
         while True:
             i, kids, tops = stack[-1]
             c = next(kids, None)
@@ -173,28 +179,27 @@ def make_nice(td: TreeDecomposition, edges) -> list[NiceNode]:
                 if c in seen:
                     raise ValueError("bag graph is not a tree")
                 seen.add(c)
-                stack.append((c, iter([x for x in sorted(adj[c]) if x != i]),
-                               []))
+                stack.append((c, iter([x for x in adj[c] if x != i]), []))
                 continue
-            bag = td.bags[i]
+            bag = bags[i]
             if not tops:
-                top = chain_to(emit("leaf", frozenset(), None, []),
-                               frozenset(), bag)
+                append(NiceNode("leaf", frozenset(), None, []))
+                top = chain_to(len(nodes) - 1, frozenset(), bag)
             else:
                 top = tops[0]
                 for other in tops[1:]:
-                    top = emit("join", bag, None, [top, other])
+                    append(NiceNode("join", bag, None, [top, other]))
+                    top = len(nodes) - 1
             stack.pop()
             if not stack:
                 return top
             parent, _, parent_tops = stack[-1]
-            parent_tops.append(chain_to(top, bag, td.bags[parent]))
+            parent_tops.append(chain_to(top, bag, bags[parent]))
 
     if nb == 0:
-        emit("leaf", frozenset(), None, [])
+        append(NiceNode("leaf", frozenset(), None, []))
     else:
-        root = build(0)
-        chain_to(root, td.bags[0], frozenset())
+        chain_to(build(0), bags[0], frozenset())
     left = [(u, w) for u, nbrs in pending.items() for w in nbrs if u <= w]
     if left:
         u, v = min(left)

@@ -869,6 +869,48 @@ def test_memory_error_exit_code(tmp_path):
                                       "detail": "out of memory"}
 
 
+# a solver that fills a local list in a loop until memory runs out; the
+# report notes on stderr if that list is still alive when it is written
+_HOG = """
+import sys, weakref
+from lhomdel import cli
+
+class Held(list):  # a list a weak reference can watch
+    pass
+
+held = None
+
+def hog(h, inst):
+    global held
+    fill = Held()
+    held = weakref.ref(fill)
+    for i in range(1 << 62):
+        fill.append(i)
+
+def emit(obj, write=cli._emit):
+    if held is not None and held() is not None:
+        sys.stderr.write("the failed call's list is alive\\n")
+    write(obj)
+
+cli._SOLVERS["vd", "oracle"] = hog
+cli._emit = emit
+"""
+
+
+def test_memory_error_report_frees_the_failed_call(tmp_path):
+    # the out-of-memory report is written after the handler has dropped
+    # the traceback, so the memory the failed call's frames held is free
+    # again, however the call built its containers
+    t = _write(tmp_path, "h.hg", "h 1\n")
+    i = _write(tmp_path, "g.lhi", "p lhom 1 0\n")
+    out, elapsed = _python("-c", _HOG + _UNDER_MEMORY_LIMIT, "64", "solve",
+                           "vd", t, i, "--algo", "oracle", timeout=60)
+    assert out.returncode == cli.EXIT_PRECONDITION, out.stderr
+    assert json.loads(out.stdout) == {"error": "precondition",
+                                      "detail": "out of memory"}
+    assert out.stderr == "" and elapsed < 30, (out.stderr, elapsed)
+
+
 # size-ladder rungs: `classify` in a child process under the address-space
 # limit above, stdout to /dev/null, with a wall-time bound
 CLASSIFY_RUNGS = {

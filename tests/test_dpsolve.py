@@ -594,8 +594,13 @@ def test_vd_penalties_cannot_overflow_int64():
 
 def test_dense_dp_matches_per_edge_reference():
     # seeded random instances with lists of 1-3 vertices, on random,
-    # grid and partial k-tree graphs, over random and named targets
+    # grid and partial k-tree graphs, over random and named targets; each
+    # runs over min-fill's tree as built and with its bag list reversed,
+    # which roots make_nice at the other end, so that edges meet their
+    # ends' axes in both orders (_run_dp lays a table's axes out by when
+    # each vertex is forgotten; _per_edge_dp sorts every bag)
     rng = random.Random(68)
+    orders = [0, 0]  # edges completed with u's axis first, w's first
     named = (families.irreflexive_kq(3), families.independent_reflexive(3),
              families.reflexive_cycle(5), families.windowed_family(2))
     widths = set()
@@ -618,10 +623,22 @@ def test_dense_dp_matches_per_edge_reference():
         red = reduce_lists(h, inst)
         td = build_td(red)
         widths.add(td.width)
-        for mode in ("vd", "ed"):
-            assert dpsolve._run_dp(h, red.lists, red.edges, td, mode) == \
-                _per_edge_dp(h, red, td, mode), (trial, mode)
+        nb = len(td.bags)
+        flipped = TreeDecomposition(
+            td.bags[::-1], tuple((nb - 1 - a, nb - 1 - b) for a, b in td.edges))
+        for tree in (td, flipped):
+            nodes = make_nice(tree, red.edges)
+            forgot = {nd.payload: i for i, nd in enumerate(nodes)
+                      if nd.kind == "forget"}
+            for nd in nodes:
+                for u, w in nd.edges:  # u < w; later-forgotten axes first
+                    orders[forgot[u] < forgot[w]] += 1
+            for mode in ("vd", "ed"):
+                assert dpsolve._run_dp(h, red.lists, red.edges, tree,
+                                       mode) == \
+                    _per_edge_dp(h, red, tree, mode), (trial, mode)
     assert max(widths) >= 5
+    assert min(orders) > 300, orders
 
 
 def test_long_grid_solves_without_recursion_error():

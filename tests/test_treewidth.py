@@ -224,6 +224,18 @@ def _check_nice(nodes, edges):
         for c in nd.children:
             refs[c] += 1
     assert refs == [1] * (len(nodes) - 1) + [0]
+    # each vertex any bag holds is forgotten once, after every node whose
+    # bag holds it: the DP lays its axes out by that forget node's index
+    forgotten = {}
+    for i, nd in enumerate(nodes):
+        if nd.kind == "forget":
+            assert nd.payload not in forgotten
+            forgotten[nd.payload] = i
+    held = set().union(*(nd.bag for nd in nodes))
+    assert set(forgotten) == held
+    for i, nd in enumerate(nodes):
+        for v in nd.bag:
+            assert i < forgotten[v]
 
 
 def test_make_nice_invariants():
