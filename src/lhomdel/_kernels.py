@@ -7,10 +7,11 @@ held in plain Python ints: nb[v] is the neighborhood of v
 (TargetGraph.nbhd, bit v set iff v has a loop), refl the mask of looped
 vertices and S the vertex mask of H[S].  Each is the package's only
 implementation of its test: analysis and graphs call them on the whole
-target (S = every vertex), and analysis.i_bullet on split-tree leaves.
-They serve classify and the polynomial solvers, which never load numpy;
-subset_scan, which computes the i* invariant over all 2^n induced
-subgraphs, is the tests' reference only.
+target (S = every vertex), analysis.i_bullet on split-tree leaves, and
+dpsolve.solve_ed_auto, directly and through analysis.find_decomposition,
+on each part of a split.  They serve classify and the polynomial
+solvers, which never load numpy; subset_scan, which computes the i*
+invariant over all 2^n induced subgraphs, is the tests' reference only.
 
 Min-plus over lists has one state encoding, a vertex's sorted list with
 DELETED last in vd mode, and one cost convention: costs are only added,
@@ -18,9 +19,10 @@ and a violated vd edge costs big, one more than the number of variables,
 so entries >= big are the infeasible ones.  edge_penalty, an edge's cost
 matrix over two state tuples, serves both users of that convention: the
 tree-decomposition DP (dpsolve) and scan_table, the gadget cost tables
-by bucket elimination.  scan_best, a mixed-radix
-assignment scan, serves only the brute-force oracles.  The numpy
-functions import it when called.
+by bucket elimination.  Both place an edge alike: in the bucket, or at
+the forget node, of whichever end is eliminated first.  scan_best, a
+mixed-radix assignment scan, serves only the brute-force oracles.  The
+numpy functions import it when called.
 """
 
 from __future__ import annotations

@@ -27,8 +27,8 @@ class TableTooLarge(ValueError):
 def _run_dp(h: TargetGraph, lists, edges, td: TreeDecomposition, mode: str,
             charge=None):
     """Bottom-up DP over the vertices in td's bags, with lists[v] the
-    list of vertex v and `edges` the edges among them; returns (cost, hom,
-    max_states) with hom omitting deleted vertices.
+    list of vertex v and `edges` the edges among them; returns (cost, hom)
+    with hom omitting deleted vertices.
 
     Each node's table is an int64 array with one axis per bag vertex,
     indexed by position in the vertex's sorted list; VD adds the DELETED
@@ -37,19 +37,19 @@ def _run_dp(h: TargetGraph, lists, edges, td: TreeDecomposition, mode: str,
     first.  Every vertex of a forget node's child bag but the one it drops
     is forgotten above it, so that vertex is the child's last axis, and
     each node keeps its axis order, so no forget node, join or traceback
-    step sorts a bag.  Each cost is charged once, at one kind of node, and
-    added.  An introduce node sorts its bag once, gives its child's table
-    a size-1 axis per payload vertex, broadcast into one new table, and
-    adds the penalty of each G edge it completes over the edge's ends'
-    axes: in ED an edge pays 1; in VD a kept pair of non-adjacent images
-    pays big = len(lists) + 1, more than any assignment deletes, so
-    entries >= big are the infeasible ones.  A VD deletion, and the vector
-    charge[v] over v's states if given, are charged where v is forgotten,
-    before the argmin along the last axis; a join just adds its children.
-    max_states counts feasible entries, the states a sparse table would
-    hold, of the tables that introducing each payload vertex by vertex
-    would build, each before its edges' penalties.  The witness is read
-    off top-down, at the forget nodes alone.  The table-size cap is
+    step sorts a bag.  Every cost is charged at a forget node, as a bucket
+    of variable elimination charges it: where v is forgotten, its VD
+    deletion, the vector charge[v] over its states if given, and the
+    penalty of each edge from v to a neighbour w forgotten later, over
+    w's axis and the last.  w is in that node's child bag, as both ends'
+    subtrees of nodes meet and v's forget node tops v's, so each G edge is
+    charged once, at the forget node of its first-forgotten end.  In ED
+    an edge pays 1; in VD a kept pair of non-adjacent images pays big =
+    len(lists) + 1, more than any assignment deletes, so entries >= big
+    are the infeasible ones.  The argmin along the last axis follows.  An
+    introduce node broadcasts its child's table along a size-1 axis per
+    payload vertex, and a join adds its children.  The witness is read off
+    top-down, at the forget nodes alone.  The table-size cap is
     _solve_dp's to check, on the bags it hands over.
     """
     import numpy as np
@@ -64,26 +64,38 @@ def _run_dp(h: TargetGraph, lists, edges, td: TreeDecomposition, mode: str,
         states[lst] = tuple(sorted(lst)) + ((DELETED,) if vd else ())
     sizes = [len(states[lst]) for lst in lists]
     charge = charge or {}
-    nodes = make_nice(td, edges)
+    nodes = make_nice(td)
     # a vertex's rank is the index of its forget node; a bag's axes are
     # its vertices by falling rank
-    rank = [0] * len(lists)
+    rank = [-1] * len(lists)
     for idx, nd in enumerate(nodes):
         if nd.kind == "forget":
             rank[nd.payload] = idx
     by_rank = rank.__getitem__
+    # each edge goes to its first-forgotten end, whose forget node's child
+    # bag holds the other end exactly when some bag holds both
+    later = [[] for _ in lists]  # v -> its neighbours forgotten after it
+    missing = []
+    for u, w in edges:
+        if rank[u] > rank[w]:
+            u, w = w, u
+        if rank[u] < 0 or w not in nodes[nodes[rank[u]].children[0]].bag:
+            missing.append((u, w) if u < w else (w, u))
+        later[u].append(w)
+    if missing:
+        u, w = min(missing)
+        raise ValueError(f"edge ({u}, {w}) is in no bag")
     # no entry exceeds big * |E| + n <= (n + 1) * n(n - 1)/2 + n, which
     # stays below 2^63 for n up to graphs.MAX_INSTANCE_VERTICES
     big = len(lists) + 1
     bad = big if vd else 1
-    penalties = {}  # (list u, list w), u < w -> edge penalty matrix
+    penalties = {}  # (list w, list v) -> edge penalty matrix, v's axis last
     longest = max(map(len, states.values()), default=1)
     pick_type = np.min_scalar_type(longest - 1)  # holds any list index
     tables = [None] * len(nodes)
     axes = [None] * len(nodes)
     forgets = []  # (vertex, its forget node's axes, argmin along it)
     rows = {}  # a forget child's shape -> the flat index of each row
-    max_states = 1  # the leaf's table {(): 0}
     for idx, nd in enumerate(nodes):
         kind = nd.kind
         if kind == "leaf":
@@ -91,43 +103,12 @@ def _run_dp(h: TargetGraph, lists, edges, td: TreeDecomposition, mode: str,
             table = np.zeros((), dtype=np.int64)
         elif kind == "introduce":
             new = nd.payload
-            child = tables[nd.children[0]]
             ax = sorted(nd.bag, key=by_rank, reverse=True)
             full = [sizes[v] for v in ax]
             table = np.empty(full, dtype=np.int64)
-            shape = full.copy()
             for v in new:
-                shape[ax.index(v)] = 1
-            table[...] = child.reshape(shape)
-            for u, w in nd.edges:
-                key = lists[u], lists[w]
-                p = penalties.get(key)
-                if p is None:  # one matrix per pair of lists, either way
-                    q = penalties.get(key[::-1])
-                    p = penalties[key] = q.T if q is not None else \
-                        edge_penalty(h.nbhd, states[key[0]],
-                                     states[key[1]], bad)
-                i, j = ax.index(u), ax.index(w)
-                if i > j:  # w's axis comes first
-                    i, j, p = j, i, p.T
-                ps = [1] * len(ax)
-                ps[i], ps[j] = p.shape
-                table += p.reshape(ps)
-            # introduced one at a time, new[j] would meet `size` entries;
-            # in vd the feasible ones are the child's, or this table's at
-            # DELETED on new[j:] (no edge penalizes a deleted vertex)
-            size = child.size
-            for j, v in enumerate(new):
-                k = sizes[v]
-                if size * k > max_states:  # else they cannot raise it
-                    feasible = size
-                    if vd:
-                        before = child if not j else table[tuple(
-                            [-1 if x in new[j:] else slice(None)
-                             for x in ax])]
-                        feasible = int(np.count_nonzero(before < big))
-                    max_states = max(max_states, feasible * k)
-                size *= k
+                full[ax.index(v)] = 1
+            table[...] = tables[nd.children[0]].reshape(full)
         elif kind == "forget":
             v = nd.payload
             c = nd.children[0]
@@ -141,6 +122,16 @@ def _run_dp(h: TargetGraph, lists, edges, td: TreeDecomposition, mode: str,
                 child[..., -1] += 1
             if v in charge:  # over v's states, broadcast over the rest
                 child += charge[v]
+            for w in later[v]:
+                key = lists[w], lists[v]
+                p = penalties.get(key)
+                if p is None:  # one matrix per ordered pair of lists
+                    p = penalties[key] = edge_penalty(
+                        h.nbhd, states[key[0]], states[key[1]], bad)
+                ps = [1] * len(ax)
+                ps[ax.index(w)] = p.shape[0]
+                ps.append(p.shape[1])
+                child += p.reshape(ps)
             best = child.argmin(-1)
             forgets.append((v, ax, best.astype(pick_type)))
             # the minima, taken at the argmins: row r of the child starts
@@ -175,20 +166,24 @@ def _run_dp(h: TargetGraph, lists, edges, td: TreeDecomposition, mode: str,
         img = states[lists[v]][p]
         if img != DELETED:
             hom[v] = img
-    return cost, hom, max_states
+    return cost, hom
 
 
-def _check_table_sizes(g: Instance, bags, vd: bool) -> None:
-    """Refuse a bag whose table would exceed MAX_TABLE_ENTRIES: a pairwise
-    incomparable list has at most i(H) members, so no table exceeds
-    (i(H) + vd) ** len(bag)."""
+def _check_table_sizes(g: Instance, bags, vd: bool) -> int:
+    """The largest table over `bags`, the product of its vertices' state
+    counts (1 for an empty bag, the leaf's); refuse a bag whose table would
+    exceed MAX_TABLE_ENTRIES.  A pairwise incomparable list has at most
+    i(H) members, so no table exceeds (i(H) + vd) ** len(bag)."""
     sizes = [len(lst) + vd for lst in g.lists]
+    most = 1
     for bag in bags:
         size = math.prod([sizes[v] for v in bag])
         if size > MAX_TABLE_ENTRIES:
             raise TableTooLarge(
                 f"a bag of {len(bag)} vertices needs a table of {size} "
                 f"entries, above the cap of {MAX_TABLE_ENTRIES}")
+        most = max(most, size)
+    return most
 
 
 def _induced(red: Instance, keep) -> Instance:
@@ -218,18 +213,19 @@ def _solve_dp(h: TargetGraph, inst: Instance,
     is min-fill's, built and validated on the kept instance, or a given
     td, validated on the whole reduced instance and narrowed to the kept
     vertices by restrict_td.  Either way stats.width is the width of the
-    decomposition validated, and no bag whose table would pass
-    MAX_TABLE_ENTRIES reaches the DP.  In ED the penalties a kept vertex
-    pays against its fixed neighbours sum to one vector over its states,
-    charged where it is forgotten; fixed–fixed ED edges and VD deletions
-    of fixed vertices add a constant.  Each axis dropped had size 1, and
-    each moved penalty depends only on the state of the vertex that now
-    pays it, so at each forget node the two DPs' tables differ by a
-    function of the rest of the bag, which the argmin along the forgotten
-    axis does not see: the witness, ties included, and max_bag_states are
-    those of the DP over every vertex on the same tree with each fixed
-    vertex added to every bag, and max_bag_states stays within
-    (i(H) + vd) ** (width + 1)."""
+    decomposition validated, stats.max_bag_states is the largest dense
+    table over the bags the DP runs on, within (i(H) + vd) ** (width + 1),
+    and no bag whose table would pass MAX_TABLE_ENTRIES reaches the DP.
+    In ED the penalties a kept vertex pays against its fixed neighbours
+    sum to one vector over its states, charged where it is forgotten with
+    its other edges; fixed–fixed ED edges and VD deletions of fixed
+    vertices add a constant.  Each axis dropped had size 1, and each moved
+    penalty depends only on the state of the vertex that now pays it, so
+    at each forget node the two DPs' tables differ by a function of the
+    rest of the bag, which the argmin along the forgotten axis does not
+    see: the witness, ties included, and max_bag_states are those of the
+    DP over every vertex on the same tree with each fixed vertex added to
+    every bag."""
     vd = mode == "vd"
     if not vd and any(not lst for lst in inst.lists):
         raise Infeasible("vertex with an empty list")
@@ -267,9 +263,8 @@ def _solve_dp(h: TargetGraph, inst: Instance,
     else:
         width = validate_td(red, td)
         td = restrict_td(td, keep)
-    _check_table_sizes(g, td.bags, vd)
-    dp_cost, dp_hom, max_states = _run_dp(h, g.lists, g.edges, td, mode,
-                                          charge)
+    max_states = _check_table_sizes(g, td.bags, vd)
+    dp_cost, dp_hom = _run_dp(h, g.lists, g.edges, td, mode, charge)
     cost += dp_cost
     hom.update((keep[v], img) for v, img in dp_hom.items())
     if vd:

@@ -1,11 +1,11 @@
-"""Tree decompositions: validation, nice form (each G edge listed at the
-introduce node that completes it), PACE-format I/O, hub cores, and one
-elimination-order builder (min-fill, ties to the smallest vertex)."""
+"""Tree decompositions: validation, nice form (the tree alone: the DP
+charges each G edge where its first-forgotten end is forgotten), PACE-format
+I/O, hub cores, and one elimination-order builder (min-fill, ties to the
+smallest vertex)."""
 
 from __future__ import annotations
 
 import heapq
-from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -28,7 +28,6 @@ class NiceNode:
     bag: frozenset
     payload: object  # forgotten vertex, tuple of introduced ones, or None
     children: list = field(default_factory=list)
-    edges: tuple = ()  # introduce: the sorted G edges it completes
 
 
 @dataclass(frozen=True)
@@ -102,30 +101,19 @@ def restrict_td(td: TreeDecomposition, keep) -> TreeDecomposition:
               for bag in td.bags), td.edges)
 
 
-def make_nice(td: TreeDecomposition, edges) -> list[NiceNode]:
+def make_nice(td: TreeDecomposition) -> list[NiceNode]:
     """Rooted nice form: list of NiceNode in bottom-up (post-) order, root
     last with an empty bag.  A forget node drops one vertex; an introduce
     node adds every vertex its bag has and its child's lacks, and no
     introduce node's child is another.  Its payload lists them bottom-up,
     ascending within each decomposition edge (or leaf bag) they enter on:
-    the order in which a one-vertex-per-node form would introduce them.
-    Each edge of `edges` is listed, in the sorted `edges` of one node, at
-    the first node whose bag holds both endpoints.
-
-    That first node is always an introduce node (a leaf is empty, a forget
-    node shrinks its child's bag and a join repeats its children's), and
-    one end of each edge it lists is in its payload."""
+    the order in which a one-vertex-per-node form would introduce them."""
     nodes: list[NiceNode] = []
     append = nodes.append
-    # vertex -> its neighbours no bag has held it with yet
-    pending = defaultdict(set)
-    for u, w in edges:
-        pending[u].add(w)
-        pending[w].add(u)
 
     def chain_to(top, have, want):
         """Forget have∖want one vertex per node, then introduce want∖have,
-        ascending, in one node listing every edge it completes."""
+        ascending, in one node."""
         cur = have
         for v in sorted(have - want):
             cur = cur.difference((v,))
@@ -134,27 +122,13 @@ def make_nice(td: TreeDecomposition, edges) -> list[NiceNode]:
         new = want - have
         if not new:
             return top
-        new = sorted(new)
-        cur = cur.union(new)
-        done = []
-        for v in new:
-            nbrs = pending.get(v)
-            if nbrs:
-                hit = nbrs & cur
-                if hit:
-                    nbrs -= hit
-                    for w in hit:
-                        pending[w].discard(v)
-                        done.append((w, v) if w < v else (v, w))
-        new, kids = tuple(new), [top]
+        new, kids = tuple(sorted(new)), [top]
         if top == len(nodes) - 1 and nodes[top].kind == "introduce":
             # nothing was forgotten: extend the introduce node below,
             # its vertices first, so that none is another's child
             prev = nodes.pop()
             new, kids = prev.payload + new, prev.children
-            done += prev.edges
-        done.sort()
-        append(NiceNode("introduce", cur, new, kids, tuple(done)))
+        append(NiceNode("introduce", cur.union(new), new, kids))
         return len(nodes) - 1
 
     nb = len(td.bags)
@@ -200,10 +174,6 @@ def make_nice(td: TreeDecomposition, edges) -> list[NiceNode]:
         append(NiceNode("leaf", frozenset(), None, []))
     else:
         chain_to(build(0), bags[0], frozenset())
-    left = [(u, w) for u, nbrs in pending.items() for w in nbrs if u <= w]
-    if left:
-        u, v = min(left)
-        raise ValueError(f"edge ({u}, {v}) is in no bag")
     refs = [0] * len(nodes)
     for nd in nodes:
         for c in nd.children:
@@ -453,8 +423,9 @@ def format_td(td: TreeDecomposition, n: int) -> str:
 
 
 def parse_core(text: str) -> HubCore:
-    """`q <p> <sigma> <delta>` followed by p vertex ids (1-indexed)."""
-    toks = []
+    """`q <p> <sigma> <delta>` followed by p distinct vertex ids
+    (1-indexed); a negative count or a repeated id is a ParseError."""
+    toks = set()
     header = None
     for ln, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
@@ -468,11 +439,16 @@ def parse_core(text: str) -> HubCore:
         except ValueError:
             raise ParseError(f"line {ln}: malformed line") from None
         if header is None:
+            if min(nums) < 0:
+                raise ParseError(f"line {ln}: negative count")
             header = tuple(nums)
         elif min(nums) < 1:
             raise ParseError(f"line {ln}: vertex ids start at 1")
         else:
-            toks.extend(v - 1 for v in nums)
+            for v in nums:
+                if v - 1 in toks:
+                    raise ParseError(f"line {ln}: core vertex {v} repeated")
+                toks.add(v - 1)
     if header is None:
         raise ParseError("missing core header")
     p, sigma, delta = header

@@ -181,6 +181,13 @@ def test_parse_error_exit_codes(tmp_path, capsys):
     code, out = _run(capsys, ["reduce", c])
     assert code == cli.EXIT_PARSE
     assert json.loads(out)["detail"] == "line 1: negative count"
+    for text, detail in (("q 1 -2 -5\n1\n", "line 1: negative count"),
+                         ("q 2 3 1\nc x\n1 1\n",
+                          "line 3: core vertex 1 repeated")):
+        core = _write(tmp_path, "g.core", text)
+        code, out = _run(capsys, ["solve", "vd", t, i, "--core", core])
+        assert code == cli.EXIT_PARSE
+        assert json.loads(out)["detail"] == detail
 
 
 def test_malformed_edge_lines_exit_code(tmp_path, capsys):
@@ -349,11 +356,11 @@ DP_OUTPUT_SHA256 = {
     ("indep3-ktree5", "ed"):
         "661f1f9ac033454eb35dbb2b99c8332aa17008702a2014d6841b74d273a01f2c",
     ("c5-trigrid4x10", "vd"):
-        "66fb202a91c9330dbcf7550532f031359591a4d808e655daf8fbfadde44af7c4",
+        "6083e7f0f9a5498e8abdc6ac905606f357fa899a5c20b9afd6e0186a97fe777f",
     ("c5-trigrid4x10", "ed"):
         "37b06f0543d32a01b8329f9bb8c4597e9d85d1ea55e83e0d2854df116166c4eb",
     ("k3-ktree6", "vd"):
-        "04d7706cc15e3f3db50ba50eb0e243e8ea8c8ed3bfb0e133c678c0c54fb51bbd",
+        "cfbb8f19db7e2d71599bae077b05cc456059164b12d9c888eec44ceeb01e29a7",
     ("k3-ktree6", "ed"):
         "23eb806c7f2f8de853acf812ee83769b3473b916fff46616813fb2d5ff8cac6c",
 }

@@ -329,15 +329,27 @@ def test_ed_auto_matches_the_oracle_on_split_composed_targets(monkeypatch):
     assert multi > 300, multi
 
 
+def _largest_table(h, inst, mode):
+    """The largest product of reduced-list sizes (plus deletion in VD)
+    over the bags of the decomposition the default path runs on, with
+    each fixed vertex in every bag, where it counts 1."""
+    red = reduce_lists(h, inst)
+    return max([math.prod([len(red.lists[v]) + (mode == "vd") for v in bag])
+                for bag in _kept_td(h, inst, mode)[1].bags], default=1)
+
+
 def test_state_bounds_in_stats():
+    # max_bag_states is the largest dense table, within the paper's bound
     rng = random.Random(65)
     for _ in range(60):
         h = families.random_target(rng, rng.randint(1, 5))
         inst = families.random_instance(rng, h, rng.randint(1, 8))
         i = max_incomparable(h)[0]
         sol = dpsolve.solve_vd_dp(h, inst)
+        assert sol.stats["max_bag_states"] == _largest_table(h, inst, "vd")
         assert sol.stats["max_bag_states"] <= (i + 1) ** (sol.stats["width"] + 1)
         sol = dpsolve.solve_ed_dp(h, inst)
+        assert sol.stats["max_bag_states"] == _largest_table(h, inst, "ed")
         assert sol.stats["max_bag_states"] <= i ** (sol.stats["width"] + 1)
     # ed instances with singleton lists, whose width is that of the
     # decomposition of the other vertices
@@ -348,6 +360,7 @@ def test_state_bounds_in_stats():
             inst.lists[v] = frozenset([min(inst.lists[v])])
         i = max_incomparable(h)[0]
         sol = dpsolve.solve_ed_dp(h, inst)
+        assert sol.stats["max_bag_states"] == _largest_table(h, inst, "ed")
         assert sol.stats["max_bag_states"] <= i ** (sol.stats["width"] + 1)
 
 
@@ -380,15 +393,30 @@ def _later_end(edge, payload):
     return max((v for v in edge if v in payload), key=payload.index)
 
 
+def _first_holders(nodes, edges):
+    """node index -> the sorted edges first held by its bag: each edge
+    placed at the first node in post-order whose bag holds both ends, an
+    introduce node with one end in its payload.  The references charge
+    each edge there, not where _run_dp does, at the forget node of its
+    first-forgotten end."""
+    at = {}
+    for u, w in sorted((u, w) if u < w else (w, u) for u, w in edges):
+        i = next(i for i, nd in enumerate(nodes) if u in nd.bag
+                 and w in nd.bag)
+        at.setdefault(i, []).append((u, w))
+    return at
+
+
 def _dict_dp(h, inst, td, mode):
-    """(cost, max_states) of the dict-of-tuples DP: states are tuples of
-    images aligned with sorted(bag), VD adds the DELETED symbol; every
-    state present has finite cost.  Unlike _run_dp, a deletion is charged
-    where its vertex is introduced and subtracted again at each join."""
-    nodes = make_nice(td, inst.edges)
+    """The cost of the dict-of-tuples DP: states are tuples of images
+    aligned with sorted(bag), VD adds the DELETED symbol; every state
+    present has finite cost.  Unlike _run_dp, an edge is charged at the
+    introduce node that completes it, and a deletion where its vertex is
+    introduced and subtracted again at each join."""
+    nodes = make_nice(td)
+    placed = _first_holders(nodes, inst.edges)
     tables = []
-    most = 1  # the leaf's; forgets and joins never grow a table
-    for nd in nodes:
+    for i, nd in enumerate(nodes):
         if nd.kind == "leaf":
             table = {(): 0}
         elif nd.kind == "introduce":
@@ -412,8 +440,7 @@ def _dict_dp(h, inst, td, mode):
                         cost = ccost + (1 if img == dpsolve.DELETED else 0)
                         grown[st] = min(cost, grown.get(st, dpsolve.INF))
                 table = grown
-                most = max(most, len(table))  # before x's edges
-                for edge in nd.edges:
+                for edge in placed.get(i, ()):
                     if _later_end(edge, nd.payload) != x:
                         continue
                     iu, iv = (bag.index(y) for y in edge)
@@ -438,7 +465,7 @@ def _dict_dp(h, inst, td, mode):
         tables.append(table)
     if () not in tables[-1]:
         raise Infeasible("no feasible assignment")
-    return tables[-1][()], most
+    return tables[-1][()]
 
 
 # ---------------------------------------------------------------------------
@@ -446,13 +473,13 @@ def _dict_dp(h, inst, td, mode):
 
 
 def _per_edge_dp(h, inst, td, mode):
-    """(cost, hom, max_states) of a dense DP over every vertex of inst,
-    done one vertex and one edge at a time: an introduce node adds its
-    payload vertex by vertex, in payload order, each time counting the
-    table's finite entries, repeating it along the new axis, then adding
-    the penalty of each edge whose later end the vertex is to the whole
-    table and clamping it at INF, a VD violation's penalty; joins clamp
-    too.  Every node sorts its bag again, and no table is freed."""
+    """(cost, hom) of a dense DP over every vertex of inst, done one
+    vertex and one edge at a time: an introduce node adds its payload
+    vertex by vertex, in payload order, each time repeating the table
+    along the new axis, then adding the penalty of each edge it completes
+    whose later end the vertex is to the whole table and clamping it at
+    INF, a VD violation's penalty; joins clamp too.  Every node sorts its
+    bag again, and no table is freed."""
     import numpy as np
 
     INF, DELETED = dpsolve.INF, dpsolve.DELETED
@@ -471,10 +498,10 @@ def _per_edge_dp(h, inst, td, mode):
             bad = [[0 if h.has_edge(a, b) else 1 for b in lv] for a in lu]
         return np.array(bad, dtype=np.int64)
 
-    nodes = make_nice(td, inst.edges)
+    nodes = make_nice(td)
+    placed = _first_holders(nodes, inst.edges)
     tables = []
     argmins = {}
-    max_states = 1
     for idx, nd in enumerate(nodes):
         if nd.kind == "leaf":
             table = np.zeros((), dtype=np.int64)
@@ -487,11 +514,9 @@ def _per_edge_dp(h, inst, td, mode):
                 cur.add(x)
                 bag = sorted(cur)
                 at = bag.index(x)
-                max_states = max(max_states, int(np.count_nonzero(
-                    table < INF)) * len(choices[x]))
                 table = np.repeat(np.expand_dims(table, at), len(choices[x]),
                                   axis=at)
-                for u, w in nd.edges:
+                for u, w in placed.get(idx, ()):
                     if _later_end((u, w), nd.payload) != x:
                         continue
                     pen = penalty(choices[u], choices[w])
@@ -533,7 +558,7 @@ def _per_edge_dp(h, inst, td, mode):
         else:
             for c in nd.children:
                 chosen[c] = st
-    return cost, hom, max_states
+    return cost, hom
 
 
 def test_dense_dp_matches_dict_reference():
@@ -554,10 +579,10 @@ def test_dense_dp_matches_dict_reference():
             td = build_td(red)
             widths.add(td.width)
             for mode in ("vd", "ed"):
-                cost, hom, states = dpsolve._run_dp(h, red.lists, red.edges,
-                                                    td, mode)
-                assert (cost, states) == _dict_dp(h, red, td, mode)
-                assert (cost, hom, states) == \
+                cost, hom = dpsolve._run_dp(h, red.lists, red.edges, td,
+                                            mode)
+                assert cost == _dict_dp(h, red, td, mode)
+                assert (cost, hom) == \
                     _per_edge_dp(h, red, td, mode)  # witness ties too
                 if mode == "vd":
                     deleted = [v for v in range(n) if v not in hom]
@@ -570,9 +595,10 @@ def test_dense_dp_matches_dict_reference():
 
 def test_vd_clique_clips_each_edge_penalty():
     # K12 over three independent reflexive vertices, vertex v listed at
-    # v mod 3: the one 12-vertex bag's last introduce completes 11 edges,
-    # up to 8 of them violated: one entry sums 8 infeasible penalties,
-    # which must stay infeasible and in range (8 INF would overflow int64)
+    # v mod 3: the first vertex forgotten from the one 12-vertex bag pays
+    # 11 edges, up to 8 of them violated: one entry sums 8 infeasible
+    # penalties, which must stay infeasible and in range (8 INF would
+    # overflow int64)
     h = families.independent_reflexive(3)
     n = 12
     inst = Instance(n, list(combinations(range(n), 2)),
@@ -583,6 +609,28 @@ def test_vd_clique_clips_each_edge_penalty():
     for mode in ("vd", "ed"):
         assert dpsolve._run_dp(h, inst.lists, inst.edges, td, mode) == \
             _per_edge_dp(h, inst, td, mode)
+
+
+def test_run_dp_names_the_least_edge_in_no_bag():
+    # validate_td reports a missing edge first on every solve path, so
+    # _run_dp's own check is reached only by a direct call; the bags
+    # {0,1}-{1,2}-{2,3} miss (0, 2) and (1, 3), given in either order
+    h = families.irreflexive_kq(3)
+    td = TreeDecomposition(
+        (frozenset({0, 1}), frozenset({1, 2}), frozenset({2, 3})),
+        ((0, 1), (1, 2)))
+    lists = [frozenset(range(3))] * 4
+    edges = [(0, 1), (3, 1), (1, 2), (2, 0), (2, 3)]
+    for mode in ("vd", "ed"):
+        for given in (edges, edges[::-1]):
+            with pytest.raises(ValueError,
+                               match=r"^edge \(0, 2\) is in no bag$"):
+                dpsolve._run_dp(h, lists, given, td, mode)
+        # the held edges alone pass; an edge to a vertex in no bag fails
+        assert dpsolve._run_dp(h, lists, [(0, 1), (2, 1), (3, 2)], td,
+                               mode)[0] == 0
+        with pytest.raises(ValueError, match=r"^edge \(3, 4\) is in no bag$"):
+            dpsolve._run_dp(h, lists + lists[:1], [(4, 3)], td, mode)
 
 
 def test_vd_penalties_cannot_overflow_int64():
@@ -596,11 +644,12 @@ def test_dense_dp_matches_per_edge_reference():
     # seeded random instances with lists of 1-3 vertices, on random,
     # grid and partial k-tree graphs, over random and named targets; each
     # runs over min-fill's tree as built and with its bag list reversed,
-    # which roots make_nice at the other end, so that edges meet their
-    # ends' axes in both orders (_run_dp lays a table's axes out by when
-    # each vertex is forgotten; _per_edge_dp sorts every bag)
+    # which roots make_nice at the other end, so that each edge's smaller
+    # end is forgotten first on some and last on others (_run_dp charges
+    # an edge where its first-forgotten end is, that end's axis last;
+    # _per_edge_dp charges it where it is completed, and sorts every bag)
     rng = random.Random(68)
-    orders = [0, 0]  # edges completed with u's axis first, w's first
+    orders = [0, 0]  # edges (u, w), u < w, with w forgotten first, u first
     named = (families.irreflexive_kq(3), families.independent_reflexive(3),
              families.reflexive_cycle(5), families.windowed_family(2))
     widths = set()
@@ -627,12 +676,10 @@ def test_dense_dp_matches_per_edge_reference():
         flipped = TreeDecomposition(
             td.bags[::-1], tuple((nb - 1 - a, nb - 1 - b) for a, b in td.edges))
         for tree in (td, flipped):
-            nodes = make_nice(tree, red.edges)
-            forgot = {nd.payload: i for i, nd in enumerate(nodes)
+            forgot = {nd.payload: i for i, nd in enumerate(make_nice(tree))
                       if nd.kind == "forget"}
-            for nd in nodes:
-                for u, w in nd.edges:  # u < w; later-forgotten axes first
-                    orders[forgot[u] < forgot[w]] += 1
+            for u, w in red.edges:
+                orders[forgot[u] < forgot[w]] += 1
             for mode in ("vd", "ed"):
                 assert dpsolve._run_dp(h, red.lists, red.edges, tree,
                                        mode) == \
@@ -658,20 +705,23 @@ def _reference_solve_dp(h, inst, td, mode):
     """_solve_dp as it was before one-state vertices were fixed: the DP
     runs on the whole reduced instance over td, after the table-size cap
     that _run_dp checked then.  The DP is _per_edge_dp, which keeps every
-    vertex and clamps VD costs at INF."""
+    vertex and clamps VD costs at INF; max_bag_states is the largest
+    product of state counts over td's bags, 1 with none."""
     if mode == "ed" and any(not lst for lst in inst.lists):
         raise Infeasible("vertex with an empty list")
     red = reduce_lists(h, inst)
     if td is None:
         td = build_td(red)
     width = validate_td(red, td)
+    max_states = 1
     for bag in td.bags:
         size = math.prod(len(red.lists[v]) + (mode == "vd") for v in bag)
         if size > dpsolve.MAX_TABLE_ENTRIES:
             raise dpsolve.TableTooLarge(
                 f"a bag of {len(bag)} vertices needs a table of {size} "
                 f"entries, above the cap of {dpsolve.MAX_TABLE_ENTRIES}")
-    cost, hom, max_states = _per_edge_dp(h, red, td, mode)
+        max_states = max(max_states, size)
+    cost, hom = _per_edge_dp(h, red, td, mode)
     if mode == "vd":
         deleted = sorted(v for v in range(inst.n) if v not in hom)
     else:

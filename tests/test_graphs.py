@@ -233,14 +233,16 @@ def test_restricted_parts_are_induced_subgraphs(monkeypatch):
 
 
 # Under python -O: two valid witnesses, then one corruption per check;
-# then a decomposition split that the instance's lists straddle; last,
-# the vd oracle given a scan that finds no feasible assignment.
+# then a decomposition split that the instance's lists straddle; then
+# the DP over bags that miss an edge; last, the vd oracle given a scan
+# that finds no feasible assignment.
 _CHECK_UNDER_O = """\
 import json
 from lhomdel import _kernels, oracle
 from lhomdel.analysis import Decomposition
-from lhomdel.dpsolve import split_by_decomposition
+from lhomdel.dpsolve import _run_dp, split_by_decomposition
 from lhomdel.graphs import Instance, Solution, TargetGraph
+from lhomdel.treewidth import TreeDecomposition
 h = TargetGraph.from_edges(2, [(0, 0), (1, 1)])  # two loops, no edge
 inst = Instance(2, [(0, 1)], [frozenset({0, 1}), frozenset({1})])
 cases = [
@@ -264,6 +266,12 @@ try:  # the list {0, 1} of vertex 0 straddles A = {0}, B = {1}
     raised.append(False)
 except ValueError:
     raised.append(True)
+try:  # the bags {0}, {1} hold no edge (0, 1)
+    _run_dp(h, inst.lists, inst.edges, TreeDecomposition(
+        (frozenset({0}), frozenset({1})), ((0, 1),)), "vd")
+    raised.append(False)
+except ValueError:
+    raised.append(True)
 _kernels.scan_best = lambda *args: (_kernels.INF, None)
 try:
     oracle.oracle_vd(h, inst)
@@ -283,4 +291,4 @@ def test_check_survives_optimize_flag():
     got = json.loads(out.stdout)
     assert got["debug"] is False
     assert got["raised"] == [False, False, True, True, True, True, True,
-                             True, True]
+                             True, True, True]

@@ -184,15 +184,13 @@ def test_build_td_is_exact_on_small_graphs():
 
 
 def _check_nice(nodes, edges):
-    """The nice form's invariants: post-order, node kinds and bags, each
-    edge listed once at the first node holding both ends, one tree."""
+    """The nice form's invariants: post-order, node kinds and bags, one
+    tree, and for each edge the placement the DP reads: the end forgotten
+    first has the other end in its forget node's child bag."""
     assert nodes[-1].bag == frozenset()
-    edges_seen = []
     for i, nd in enumerate(nodes):
         for c in nd.children:
             assert c < i  # post-order: children precede parents
-        if nd.kind != "introduce":
-            assert nd.edges == ()  # only introduce nodes carry edges
         if nd.kind == "leaf":
             assert nd.bag == frozenset() and not nd.children
         elif nd.kind == "introduce":
@@ -201,13 +199,6 @@ def _check_nice(nodes, edges):
             assert nd.payload and len(set(nd.payload)) == len(nd.payload)
             assert nd.bag == child.bag | set(nd.payload)
             assert child.bag.isdisjoint(nd.payload)
-            assert list(nd.edges) == sorted(nd.edges)
-            for u, v in nd.edges:
-                assert u < v and {u, v} & set(nd.payload)
-                # the first node in post-order whose bag holds both ends
-                assert i == min(j for j, x in enumerate(nodes)
-                                if {u, v} <= x.bag)
-                edges_seen.append((u, v))
         elif nd.kind == "forget":
             child = nodes[nd.children[0]]
             assert nd.bag == child.bag - {nd.payload}
@@ -216,8 +207,6 @@ def _check_nice(nodes, edges):
             assert nd.kind == "join"
             c1, c2 = nd.children
             assert nodes[c1].bag == nodes[c2].bag == nd.bag
-    want = sorted(tuple(sorted(e)) for e in edges)
-    assert sorted(edges_seen) == want  # each edge exactly once
     # every node but the root (the last) is the child of one node
     refs = [0] * len(nodes)
     for nd in nodes:
@@ -236,16 +225,19 @@ def _check_nice(nodes, edges):
     for i, nd in enumerate(nodes):
         for v in nd.bag:
             assert i < forgotten[v]
+    for u, v in edges:
+        first, other = (u, v) if forgotten[u] < forgotten[v] else (v, u)
+        assert other in nodes[nodes[forgotten[first]].children[0]].bag
 
 
 def test_make_nice_invariants():
     rng = random.Random(52)
     for _ in range(25):
         g = _random_graph(rng, rng.randint(1, 7))
-        _check_nice(make_nice(build_td(g), g.edges), g.edges)
+        _check_nice(make_nice(build_td(g)), g.edges)
     with pytest.raises(ValueError):  # a cycle of bags
         make_nice(TreeDecomposition((frozenset({0}),) * 3,
-                                    ((0, 1), (1, 2), (2, 0))), [])
+                                    ((0, 1), (1, 2), (2, 0))))
 
 
 def test_restrict_td_decomposes_the_induced_subgraph():
@@ -272,12 +264,12 @@ def test_restrict_td_decomposes_the_induced_subgraph():
                 assert [{keep[x] for x in b} for b in small.bags] == \
                     [b & set(keep) for b in td.bags]
                 assert validate_td(sub, small) <= width
-                _check_nice(make_nice(small, sub.edges), sub.edges)
+                _check_nice(make_nice(small), sub.edges)
                 drop = frozenset(range(g.n)) - set(keep)
                 inner = [(u, v) for u, v in g.edges
                          if u not in drop and v not in drop]
                 _check_nice(make_nice(TreeDecomposition(
-                    tuple(b - drop for b in td.bags), td.edges), inner), inner)
+                    tuple(b - drop for b in td.bags), td.edges)), inner)
                 emptied += sum(bool(b) and not s
                                for b, s in zip(td.bags, small.bags))
                 merged += sum(td.bags[a] != td.bags[b] and
@@ -289,24 +281,10 @@ def test_restrict_td_decomposes_the_induced_subgraph():
 def test_make_nice_node_counts_are_pinned():
     # at most one introduce node per decomposition edge and leaf
     g = _grid(6, 18)
-    assert len(make_nice(build_td(g), g.edges)) == 331
+    assert len(make_nice(build_td(g))) == 331
     g = _partial_ktree(random.Random(54), 100, 6)
     td = build_td(g)
-    assert td.width == 6 and len(make_nice(td, g.edges)) == 359
-
-
-def test_make_nice_names_the_least_edge_in_no_bag():
-    # validate_td reports a missing edge first on every solve path, so
-    # make_nice's own check is reached only by a direct call; the bags
-    # {0,1}-{1,2}-{2,3} miss (0, 2) and (1, 3), given in either order
-    td = TreeDecomposition(
-        (frozenset({0, 1}), frozenset({1, 2}), frozenset({2, 3})),
-        ((0, 1), (1, 2)))
-    edges = [(0, 1), (3, 1), (1, 2), (2, 0), (2, 3)]
-    for given in (edges, edges[::-1]):
-        with pytest.raises(ValueError, match=r"^edge \(0, 2\) is in no bag$"):
-            make_nice(td, given)
-    make_nice(td, [(0, 1), (2, 1), (3, 2)])  # the held edges alone pass
+    assert td.width == 6 and len(make_nice(td)) == 359
 
 
 def test_td_roundtrip():
@@ -353,6 +331,11 @@ def test_td_parse_errors():
         parse_core("q 2 s 1\n1 2")
     with pytest.raises(ParseError, match="start at 1"):  # core id 0
         parse_core("q 2 1 1\n0 1")
+    with pytest.raises(ParseError, match="^line 2: core vertex 1 repeated$"):
+        parse_core("q 2 3 1\n1 1")
+    for text in ("q 1 -2 -5\n1", "q -1 1 1\n"):  # negative sigma, delta, p
+        with pytest.raises(ParseError, match="^line 1: negative count$"):
+            parse_core(text)
 
 
 def test_core_roundtrip_and_validation():
