@@ -13,14 +13,13 @@ on each part of a split.  They serve classify and the polynomial
 solvers, which never load numpy; subset_scan, which computes the i*
 invariant over all 2^n induced subgraphs, is the tests' reference only.
 
-Min-plus over lists has one state encoding, a vertex's sorted list with
-DELETED last in vd mode, and one cost convention: costs are only added,
-and a violated vd edge costs big, one more than the number of variables,
-so entries >= big are the infeasible ones.  edge_penalty, an edge's cost
-matrix over two state tuples, serves both users of that convention: the
-tree-decomposition DP (dpsolve) and scan_table, the gadget cost tables
-by bucket elimination.  Both place an edge alike: in the bucket, or at
-the forget node, of whichever end is eliminated first.  scan_best, a
+Min-plus over lists has one engine, eliminate: bucket elimination in a
+given order, with one state encoding (a vertex's sorted list, DELETED
+last in vd mode) and one cost convention: costs are only added, and a
+violated vd edge costs big, one more than the number of variables, so
+entries >= big are the infeasible ones.  Both of its users call it: the
+tree-decomposition DP (dpsolve), in forget order with no portals, and
+scan_table, the gadget cost tables over their portals.  scan_best, a
 mixed-radix assignment scan, serves only the brute-force oracles.  The
 numpy functions import it when called.
 """
@@ -125,7 +124,7 @@ def scan_best(radix, val, base, eu, ev, adj, ed_mode):
 
 
 # ---------------------------------------------------------------------------
-# edge penalties and cost tables over state tuples
+# edge penalties and min-plus elimination over state tuples
 
 
 def edge_penalty(nb, lu, lv, bad):
@@ -140,55 +139,89 @@ def edge_penalty(nb, lu, lv, bad):
                     dtype=np.int64).reshape(len(lu), len(lv))
 
 
+def eliminate(nb, states, edges, order, nportal, vd, charge=None):
+    """Min-plus bucket elimination (Dechter 1999) of the variables in
+    `order`, leaving the portals 0..nportal-1; returns (out, records).
+
+    states[j] is variable j's state tuple, in vd mode with DELETED last.
+    A variable's rank is its place in `order`; the portals rank above it,
+    portal 0 highest.  A scope's axes run by falling rank, so a bucket's
+    variable x is its last axis.  Each edge's penalty matrix (one per
+    pair of state tuples) goes to the bucket of its lower-ranked end.  A
+    bucket sums its factors over their joint scope, charges x its vd
+    deletion and charge[x] (a vector over its states) if given, and takes
+    the argmin along x, then the minima at it by a take at cached row
+    starts: a factor over the scope without x, sent to the bucket of its
+    lowest-ranked variable.  records[i] is (that scope, the argmin) for
+    x = order[i]; out sums the factors left over the portals, in portal
+    order.  A violated vd edge costs big = len(states) + 1, more than any
+    assignment deletes, so entries >= big are the infeasible ones."""
+    import numpy as np
+
+    big = len(states) + 1
+    size = [len(st) for st in states]
+    rank = [-1] * len(states)
+    for i, x in enumerate(order):
+        rank[x] = i
+    for p in range(nportal):
+        rank[p] = len(order) + nportal - 1 - p
+    buckets = [[] for _ in order]
+    rest = []  # factors over portals only
+
+    def place(scope, t):
+        r = rank[scope[-1]] if scope else len(order)
+        (buckets[r] if r < len(order) else rest).append((scope, t))
+
+    penalties = {}
+    for u, w in edges:
+        if rank[u] < rank[w]:
+            u, w = w, u
+        key = states[u], states[w]
+        if key not in penalties:
+            penalties[key] = edge_penalty(nb, *key, big if vd else 1)
+        place((u, w), penalties[key])
+    pick_type = np.min_scalar_type(max(size, default=1) - 1)
+    records = []
+    rows = {}  # a bucket's shape -> the flat index of each row
+    charge = charge or {}
+    for x, hit in zip(order, buckets):
+        scope = sorted({v for s, _ in hit for v in s} | {x},
+                       key=rank.__getitem__, reverse=True)
+        acc = np.zeros([size[v] for v in scope], dtype=np.int64)
+        for s, t in hit:
+            acc += t.reshape([size[v] if v in s else 1 for v in scope])
+        if vd:  # DELETED is the last index on x's axis
+            acc[..., -1] += 1
+        if x in charge:
+            acc += charge[x]
+        best = acc.argmin(-1)
+        # row r of acc starts at flat index r * size[x]; once the scope is
+        # x alone the minimum is a numpy scalar, read as a 0-d array
+        starts = rows.get(acc.shape)
+        if starts is None:
+            starts = rows[acc.shape] = np.arange(
+                0, acc.size, size[x]).reshape(acc.shape[:-1])
+        scope = tuple(scope[:-1])
+        records.append((scope, best.astype(pick_type)))
+        place(scope, acc.take(starts + best))
+    out = np.zeros(size[:nportal], dtype=np.int64)
+    for s, t in rest:
+        out += t.reshape([size[v] if v in s else 1 for v in range(nportal)])
+    return out, records
+
+
 def scan_table(nb, states, edges, nportal, vd, order):
     """Min cost per portal state tuple; portals are variables 0..nportal-1.
 
     states[j] is variable j's tuple of target vertices, in vd mode with
     DELETED last; deleting a non-portal costs 1, a portal nothing.  A
     violated edge costs 1 in ed mode and kills the assignment in vd mode.
-    Exact min-plus bucket elimination (Dechter 1999) in `order`, which
-    lists every non-portal once: each edge penalty goes to the bucket of
-    its first variable in the order; a bucket sums its factors, charges
-    the vd deletion of its variable x and takes the min along x's axis,
-    and the result goes to the bucket of its next variable.  The factors
-    left over the portals are summed and raveled with the leftmost portal
-    most significant.  A violated vd edge costs big, more than any
-    feasible assignment, and entries >= big become INF once at the end,
-    so no sum can overflow."""
-    import numpy as np
-
-    big = len(states) + 1
-    pos = {x: i for i, x in enumerate(order)}
-    buckets = [[] for _ in order]
-    rest = []  # factors over portals only
-
-    def place(scope, t):
-        first = min((pos[v] for v in scope if v in pos), default=None)
-        (rest if first is None else buckets[first]).append((scope, t))
-
-    for u, v in edges:
-        u, v = min(u, v), max(u, v)
-        place((u, v), edge_penalty(nb, states[u], states[v],
-                                   big if vd else 1))
-    for x, hit in zip(order, buckets):
-        if not hit:  # x has no edges left: keeping it costs nothing
-            continue
-        # scopes stay sorted, so each factor lines up with the sorted union
-        # by a reshape that gives its missing variables length-1 axes
-        scope = sorted(set().union(*(s for s, _ in hit)))
-        acc = sum(t.reshape([len(states[v]) if v in s else 1 for v in scope])
-                  for s, t in hit)
-        at = scope.index(x)
-        if vd:  # DELETED is the last index on x's axis
-            acc[(slice(None),) * at + (-1,)] += 1
-        place(tuple(v for v in scope if v != x), acc.min(axis=at))
-    out = np.zeros([len(states[v]) for v in range(nportal)], dtype=np.int64)
-    for s, t in rest:
-        out += t.reshape([len(states[v]) if v in s else 1
-                          for v in range(nportal)])
-    out = out.ravel()
+    The non-portals, each listed once in `order`, are eliminated in that
+    order by `eliminate`; its table over the portals is raveled with the
+    leftmost portal most significant, and entries >= big become INF."""
+    out = eliminate(nb, states, edges, order, nportal, vd)[0].ravel()
     if vd:
-        out[out >= big] = INF
+        out[out >= len(states) + 1] = INF
     return out
 
 

@@ -1,6 +1,6 @@
-"""Dynamic programming over nice tree decompositions for both deletion
-modes, the decomposition-splitting walk for ED over vertex masks of the
-target, and the auto dispatchers."""
+"""The tree-decomposition DP for both deletion modes (one bucket-elimination
+engine, _kernels.eliminate, in forget order), the decomposition-splitting
+walk for ED over vertex masks of the target, and the auto dispatchers."""
 
 from __future__ import annotations
 
@@ -16,7 +16,7 @@ from .treewidth import (TreeDecomposition, build_td, make_nice, restrict_td,
                         validate_td)
 
 # Largest DP table (entries) a solve may allocate; 2^24 int64 entries take
-# 128 MiB, and a join holds two tables of its size.
+# 128 MiB, and a bucket holds its table beside the factors it sums.
 MAX_TABLE_ENTRIES = 1 << 24
 
 
@@ -26,34 +26,30 @@ class TableTooLarge(ValueError):
 
 def _run_dp(h: TargetGraph, lists, edges, td: TreeDecomposition, mode: str,
             charge=None):
-    """Bottom-up DP over the vertices in td's bags, with lists[v] the
-    list of vertex v and `edges` the edges among them; returns (cost, hom)
+    """Min-plus DP over the vertices in td's bags, with lists[v] the list
+    of vertex v and `edges` the edges among them; returns (cost, hom)
     with hom omitting deleted vertices.
 
-    Each node's table is an int64 array with one axis per bag vertex,
-    indexed by position in the vertex's sorted list; VD adds the DELETED
-    symbol as the last index.  The axes follow reverse forget order: the
-    vertex whose forget node comes last in make_nice's post-order is
-    first.  Every vertex of a forget node's child bag but the one it drops
-    is forgotten above it, so that vertex is the child's last axis, and
-    each node keeps its axis order, so no forget node, join or traceback
-    step sorts a bag.  Every cost is charged at a forget node, as a bucket
-    of variable elimination charges it: where v is forgotten, its VD
-    deletion, the vector charge[v] over its states if given, and the
-    penalty of each edge from v to a neighbour w forgotten later, over
-    w's axis and the last.  w is in that node's child bag, as both ends'
-    subtrees of nodes meet and v's forget node tops v's, so each G edge is
-    charged once, at the forget node of its first-forgotten end.  In ED
-    an edge pays 1; in VD a kept pair of non-adjacent images pays big =
-    len(lists) + 1, more than any assignment deletes, so entries >= big
-    are the infeasible ones.  The argmin along the last axis follows.  An
-    introduce node broadcasts its child's table along a size-1 axis per
-    payload vertex, and a join adds its children.  The witness is read off
-    top-down, at the forget nodes alone.  The table-size cap is
-    _solve_dp's to check, on the bags it hands over.
-    """
-    import numpy as np
+    A vertex's states are its sorted list, in VD with DELETED last.  The
+    DP is _kernels.eliminate with no portals, in forget order: the order
+    in which make_nice(td)'s forget nodes drop the vertices.  An ED edge
+    pays 1 and a violated VD edge big = len(lists) + 1, more than any
+    assignment deletes, so a VD cost >= big is infeasible; charge[v], if
+    given, is a vector over v's states.  The witness is read back in
+    reverse order, each vertex's state the argmin its bucket kept at the
+    states of the later vertices of its scope.
 
+    This is the nice-form DP, witness and ties included.  x's bucket
+    holds the edges from x to vertices forgotten later, which lie in the
+    child bag of x's forget node (checked below), and the messages from
+    vertices forgotten below that node, whose scopes lie there too.  So
+    the bucket's scope is a subset of that child bag, and no bucket
+    exceeds the largest product of state counts over the bags, which
+    _check_table_sizes caps before any table is allocated.  The bucket
+    sums every cost charged in x's subtree of the nice form that involves
+    x, so it and the nice table at x's forget node differ by a function
+    of the other vertices only, which the argmin along x does not see.
+    """
     vd = mode == "vd"
     # the table bounds rest on every list being pairwise incomparable;
     # each distinct list is checked once
@@ -62,116 +58,36 @@ def _run_dp(h: TargetGraph, lists, edges, td: TreeDecomposition, mode: str,
         if not is_incomparable_set(h, lst):
             raise AssertionError(f"list {sorted(lst)} is not incomparable")
         states[lst] = tuple(sorted(lst)) + ((DELETED,) if vd else ())
-    sizes = [len(states[lst]) for lst in lists]
-    charge = charge or {}
-    nodes = make_nice(td)
-    # a vertex's rank is the index of its forget node; a bag's axes are
-    # its vertices by falling rank
-    rank = [-1] * len(lists)
-    for idx, nd in enumerate(nodes):
-        if nd.kind == "forget":
-            rank[nd.payload] = idx
-    by_rank = rank.__getitem__
-    # each edge goes to its first-forgotten end, whose forget node's child
-    # bag holds the other end exactly when some bag holds both
-    later = [[] for _ in lists]  # v -> its neighbours forgotten after it
-    missing = []
-    for u, w in edges:
-        if rank[u] > rank[w]:
-            u, w = w, u
-        if rank[u] < 0 or w not in nodes[nodes[rank[u]].children[0]].bag:
-            missing.append((u, w) if u < w else (w, u))
-        later[u].append(w)
+    states = [states[lst] for lst in lists]
+    # each vertex -> its forget node's bag, which holds the vertices
+    # forgotten later that share a bag with it
+    forgets = {nd.payload: nd.bag for nd in make_nice(td)
+               if nd.kind == "forget"}
+    missing = [(u, w) if u < w else (w, u) for u, w in edges
+               if w not in forgets.get(u, ()) and u not in forgets.get(w, ())]
     if missing:
         u, w = min(missing)
         raise ValueError(f"edge ({u}, {w}) is in no bag")
+    order = list(forgets)
     # no entry exceeds big * |E| + n <= (n + 1) * n(n - 1)/2 + n, which
     # stays below 2^63 for n up to graphs.MAX_INSTANCE_VERTICES
-    big = len(lists) + 1
-    bad = big if vd else 1
-    penalties = {}  # (list w, list v) -> edge penalty matrix, v's axis last
-    longest = max(map(len, states.values()), default=1)
-    pick_type = np.min_scalar_type(longest - 1)  # holds any list index
-    tables = [None] * len(nodes)
-    axes = [None] * len(nodes)
-    forgets = []  # (vertex, its forget node's axes, argmin along it)
-    rows = {}  # a forget child's shape -> the flat index of each row
-    for idx, nd in enumerate(nodes):
-        kind = nd.kind
-        if kind == "leaf":
-            ax = []
-            table = np.zeros((), dtype=np.int64)
-        elif kind == "introduce":
-            new = nd.payload
-            ax = sorted(nd.bag, key=by_rank, reverse=True)
-            full = [sizes[v] for v in ax]
-            table = np.empty(full, dtype=np.int64)
-            for v in new:
-                full[ax.index(v)] = 1
-            table[...] = tables[nd.children[0]].reshape(full)
-        elif kind == "forget":
-            v = nd.payload
-            c = nd.children[0]
-            ax = axes[c]
-            if ax[-1] != v:
-                raise AssertionError(f"forget node {idx} drops vertex {v}, "
-                                     f"not its child's last axis")
-            ax = ax[:-1]
-            child = tables[c]
-            if vd:  # DELETED is the last index on v's axis
-                child[..., -1] += 1
-            if v in charge:  # over v's states, broadcast over the rest
-                child += charge[v]
-            for w in later[v]:
-                key = lists[w], lists[v]
-                p = penalties.get(key)
-                if p is None:  # one matrix per ordered pair of lists
-                    p = penalties[key] = edge_penalty(
-                        h.nbhd, states[key[0]], states[key[1]], bad)
-                ps = [1] * len(ax)
-                ps[ax.index(w)] = p.shape[0]
-                ps.append(p.shape[1])
-                child += p.reshape(ps)
-            best = child.argmin(-1)
-            forgets.append((v, ax, best.astype(pick_type)))
-            # the minima, taken at the argmins: row r of the child starts
-            # at flat index r * len(v's states).  Once the bag is empty
-            # this is a numpy scalar, which a join, an introduce node's
-            # reshape and the root's [()] read as they read a 0-d array
-            shape = child.shape
-            starts = rows.get(shape)
-            if starts is None:
-                starts = rows[shape] = np.arange(
-                    0, child.size, shape[-1]).reshape(shape[:-1])
-            table = child.take(starts + best)
-        else:  # join: both children's bags, so their axes, are its own
-            c1, c2 = nd.children
-            ax = axes[c1]
-            table = tables[c1]
-            table += tables[c2]
-        for c in nd.children:
-            tables[c] = None
-        tables[idx] = table
-        axes[idx] = ax
-    root = len(nodes) - 1
-    cost = int(tables[root][()])
-    if cost >= (big if vd else INF):
+    out, records = _kernels.eliminate(h.nbhd, states, edges, order, 0, vd,
+                                      charge)
+    cost = int(out)
+    if cost >= (len(lists) + 1 if vd else INF):
         raise Infeasible("no feasible assignment")
-    # top-down traceback: a vertex's image is picked where it is forgotten,
-    # below the nodes that forget the rest of that node's bag
     hom = {}
     pick = {}
-    for v, ax, am in reversed(forgets):
-        p = pick[v] = int(am[tuple([pick[x] for x in ax])])
-        img = states[lists[v]][p]
-        if img != DELETED:
-            hom[v] = img
+    for v, (scope, best) in zip(reversed(order), reversed(records)):
+        p = pick[v] = int(best[tuple([pick[x] for x in scope])])
+        if states[v][p] != DELETED:
+            hom[v] = states[v][p]
     return cost, hom
 
 
 def _check_table_sizes(g: Instance, bags, vd: bool) -> int:
     """The largest table over `bags`, the product of its vertices' state
-    counts (1 for an empty bag, the leaf's); refuse a bag whose table would
+    counts (1 for an empty bag); refuse a bag whose table would
     exceed MAX_TABLE_ENTRIES.  A pairwise incomparable list has at most
     i(H) members, so no table exceeds (i(H) + vd) ** len(bag)."""
     sizes = [len(lst) + vd for lst in g.lists]

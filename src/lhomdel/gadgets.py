@@ -81,8 +81,10 @@ def path_gadget(lists) -> Gadget:
 
 
 def enumerate_cost_table(h: TargetGraph, gadget: Gadget, mode: str) -> dict:
-    """Exact table from the gadget graph alone, by bucket elimination over
-    its lists (portals first) in the DP's min-fill order, portals skipped.
+    """Exact table from the gadget graph alone, by the DP's one
+    bucket-elimination engine (_kernels.eliminate, through scan_table)
+    over its lists, portals first and left uneliminated, the others in
+    min-fill order.
 
     The name stays because the benchmark tracer wraps it by name, and
     gadgets with more than ENUM_BOUND assignments still raise GadgetError,

@@ -1,7 +1,8 @@
-"""Tree decompositions: validation, nice form (the tree alone: the DP
-charges each G edge where its first-forgotten end is forgotten), PACE-format
-I/O, hub cores, and one elimination-order builder (min-fill, ties to the
-smallest vertex)."""
+"""Tree decompositions: validation, nice form (the tree alone; the DP, one
+bucket-elimination engine, in forget order, reads only its forget order
+and checks each G edge against the bag where its first end is forgotten),
+PACE-format I/O, hub cores, and one elimination-order builder (min-fill,
+ties to the smallest vertex)."""
 
 from __future__ import annotations
 

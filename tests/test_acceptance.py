@@ -121,7 +121,10 @@ def test_criterion_06_dp_state_bounds():
         inst = _random_small_lists_instance(rng, h, rng.randint(1, 8),
                                             cap=h.n)
         i = max_incomparable(h)[0]
-        sol = dpsolve.solve_vd_dp(h, inst)  # _run_dp asserts internally too
+        # _run_dp asserts each list incomparable too; its one
+        # bucket-elimination engine, in forget order, fills no bucket
+        # above max_bag_states (test_no_bucket_exceeds_the_largest_bag_table)
+        sol = dpsolve.solve_vd_dp(h, inst)
         assert sol.stats["max_bag_states"] <= \
             (i + 1) ** (sol.stats["width"] + 1)
         # ED: the bound holds per dispatched subtarget

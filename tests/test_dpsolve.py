@@ -688,6 +688,64 @@ def test_dense_dp_matches_per_edge_reference():
     assert min(orders) > 300, orders
 
 
+def test_no_bucket_exceeds_the_largest_bag_table(monkeypatch):
+    # each bucket the engine fills for _run_dp holds len(states[x]) entries
+    # per entry of the argmin it records for x; none may hold more than
+    # _check_table_sizes allows over the same bags, on seeded instances
+    # over min-fill's decomposition, the same with its bag list reversed
+    # (make_nice roots it at the other end) and a hub-core one
+    eliminate = _kernels.eliminate
+    sizes = []
+
+    def spy(nb, states, edges, order, nportal, vd, charge=None):
+        out, records = eliminate(nb, states, edges, order, nportal, vd,
+                                 charge)
+        sizes.extend(best.size * len(states[x])
+                     for x, (_, best) in zip(order, records))
+        return out, records
+
+    monkeypatch.setattr(_kernels, "eliminate", spy)
+    rng = random.Random(72)
+    named = (families.irreflexive_kq(3), families.independent_reflexive(3),
+             families.reflexive_cycle(5), families.windowed_family(2))
+    tight = dict.fromkeys(("min-fill", "reversed", "hub-core"), 0)
+    for trial in range(90):
+        h = (rng.choice(named) if trial % 2
+             else families.random_target(rng, rng.randint(2, 6)))
+        if trial % 3 == 0:
+            g = families.random_instance(rng, h, rng.randint(1, 9),
+                                         rng.choice((0.2, 0.5, 0.8)))
+            n, edges = g.n, g.edges
+        elif trial % 3 == 1:
+            n, edges = families.grid(rng.randint(1, 3), rng.randint(1, 3),
+                                     rng.random() < 0.5)
+        else:
+            n, edges = families.partial_ktree(rng, rng.randint(6, 9),
+                                              rng.randint(2, 5))
+        red = reduce_lists(h, Instance(n, edges, [
+            frozenset(rng.sample(range(h.n), rng.randint(1, min(3, h.n))))
+            for _ in range(n)]))
+        td = build_td(red)
+        nb = len(td.bags)
+        q = frozenset(rng.sample(range(n), rng.randint(0, n)))
+        trees = {"min-fill": td,
+                 "reversed": TreeDecomposition(
+                     td.bags[::-1],
+                     tuple((nb - 1 - a, nb - 1 - b) for a, b in td.edges)),
+                 "hub-core": core_to_td(red, HubCore(q, n, n))}
+        for kind, tree in trees.items():
+            for mode in ("vd", "ed"):
+                if mode == "ed" and not all(red.lists):
+                    continue  # the ed DP needs a state per vertex
+                sizes.clear()
+                dpsolve._run_dp(h, red.lists, red.edges, tree, mode)
+                cap = dpsolve._check_table_sizes(red, tree.bags,
+                                                 mode == "vd")
+                assert len(sizes) == n and max(sizes) <= cap, (trial, kind)
+                tight[kind] += max(sizes) == cap
+    assert min(tight.values()) > 20, tight
+
+
 def test_long_grid_solves_without_recursion_error():
     # 3 x 400 grid (1200 vertices): the nice form is far deeper than the
     # interpreter's recursion limit
