@@ -17,9 +17,10 @@ Min-plus over lists has one engine, eliminate: bucket elimination in a
 given order, with one state encoding (a vertex's sorted list, DELETED
 last in vd mode) and one cost convention: costs are only added, and a
 violated vd edge costs big, one more than the number of variables, so
-entries >= big are the infeasible ones.  Both of its users call it: the
-tree-decomposition DP (dpsolve), in forget order with no portals, and
-scan_table, the gadget cost tables over their portals.  scan_best, a
+a sum >= big is infeasible; eliminate returns every such entry as INF,
+and its users read INF alone as infeasible.  Both of its users call it:
+the tree-decomposition DP (dpsolve), in forget order with no portals,
+and scan_table, the gadget cost tables over their portals.  scan_best, a
 mixed-radix assignment scan, serves only the brute-force oracles.  The
 numpy functions import it when called.
 """
@@ -154,8 +155,12 @@ def eliminate(nb, states, edges, order, nportal, vd, charge=None):
     starts: a factor over the scope without x, sent to the bucket of its
     lowest-ranked variable.  records[i] is (that scope, the argmin) for
     x = order[i]; out sums the factors left over the portals, in portal
-    order.  A violated vd edge costs big = len(states) + 1, more than any
-    assignment deletes, so entries >= big are the infeasible ones."""
+    order.  A bucket's list is dropped once it is read, so no message
+    outlives the bucket that sums it.  A violated vd edge costs big =
+    len(states) + 1, more than any assignment deletes, so in vd mode
+    out's entries >= big are infeasible, and are returned as INF.  No sum
+    exceeds big * |E| + n <= (n + 1) * n(n - 1)/2 + n, with n =
+    len(states), below 2^63 for n up to graphs.MAX_INSTANCE_VERTICES."""
     import numpy as np
 
     big = len(states) + 1
@@ -184,7 +189,8 @@ def eliminate(nb, states, edges, order, nportal, vd, charge=None):
     records = []
     rows = {}  # a bucket's shape -> the flat index of each row
     charge = charge or {}
-    for x, hit in zip(order, buckets):
+    for i, x in enumerate(order):
+        hit, buckets[i] = buckets[i], None
         scope = sorted({v for s, _ in hit for v in s} | {x},
                        key=rank.__getitem__, reverse=True)
         acc = np.zeros([size[v] for v in scope], dtype=np.int64)
@@ -207,6 +213,8 @@ def eliminate(nb, states, edges, order, nportal, vd, charge=None):
     out = np.zeros(size[:nportal], dtype=np.int64)
     for s, t in rest:
         out += t.reshape([size[v] if v in s else 1 for v in range(nportal)])
+    if vd:
+        out[out >= big] = INF
     return out, records
 
 
@@ -215,14 +223,11 @@ def scan_table(nb, states, edges, nportal, vd, order):
 
     states[j] is variable j's tuple of target vertices, in vd mode with
     DELETED last; deleting a non-portal costs 1, a portal nothing.  A
-    violated edge costs 1 in ed mode and kills the assignment in vd mode.
-    The non-portals, each listed once in `order`, are eliminated in that
-    order by `eliminate`; its table over the portals is raveled with the
-    leftmost portal most significant, and entries >= big become INF."""
-    out = eliminate(nb, states, edges, order, nportal, vd)[0].ravel()
-    if vd:
-        out[out >= len(states) + 1] = INF
-    return out
+    violated edge costs 1 in ed mode and kills the assignment (INF) in vd
+    mode.  The non-portals, each listed once in `order`, are eliminated
+    in that order by `eliminate`, whose table over the portals is raveled
+    with the leftmost portal most significant."""
+    return eliminate(nb, states, edges, order, nportal, vd)[0].ravel()
 
 
 # ---------------------------------------------------------------------------

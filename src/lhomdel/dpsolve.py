@@ -33,11 +33,12 @@ def _run_dp(h: TargetGraph, lists, edges, td: TreeDecomposition, mode: str,
     A vertex's states are its sorted list, in VD with DELETED last.  The
     DP is _kernels.eliminate with no portals, in forget order: the order
     in which make_nice(td)'s forget nodes drop the vertices.  An ED edge
-    pays 1 and a violated VD edge big = len(lists) + 1, more than any
-    assignment deletes, so a VD cost >= big is infeasible; charge[v], if
-    given, is a vector over v's states.  The witness is read back in
-    reverse order, each vertex's state the argmin its bucket kept at the
-    states of the later vertices of its scope.
+    pays 1 and a violated VD edge more than any assignment deletes; the
+    engine returns an infeasible VD optimum as INF, and Infeasible is
+    raised on it.  charge[v], if given, is a vector over v's states.
+    The witness is read back in reverse order, each vertex's state the
+    argmin its bucket kept at the states of the later vertices of its
+    scope.
 
     This is the nice-form DP, witness and ties included.  x's bucket
     holds the edges from x to vertices forgotten later, which lie in the
@@ -69,12 +70,10 @@ def _run_dp(h: TargetGraph, lists, edges, td: TreeDecomposition, mode: str,
         u, w = min(missing)
         raise ValueError(f"edge ({u}, {w}) is in no bag")
     order = list(forgets)
-    # no entry exceeds big * |E| + n <= (n + 1) * n(n - 1)/2 + n, which
-    # stays below 2^63 for n up to graphs.MAX_INSTANCE_VERTICES
     out, records = _kernels.eliminate(h.nbhd, states, edges, order, 0, vd,
                                       charge)
     cost = int(out)
-    if cost >= (len(lists) + 1 if vd else INF):
+    if cost >= INF:
         raise Infeasible("no feasible assignment")
     hom = {}
     pick = {}
@@ -181,18 +180,9 @@ def _solve_dp(h: TargetGraph, inst: Instance,
         td = restrict_td(td, keep)
     max_states = _check_table_sizes(g, td.bags, vd)
     dp_cost, dp_hom = _run_dp(h, g.lists, g.edges, td, mode, charge)
-    cost += dp_cost
     hom.update((keep[v], img) for v, img in dp_hom.items())
-    if vd:
-        deleted = sorted(v for v in range(inst.n) if v not in hom)
-    else:
-        nb = h.nbhd
-        deleted = sorted([(u, v) for u, v in inst.edges
-                          if not nb[hom[u]] >> hom[v] & 1])
-    sol = Solution(mode, cost, deleted, hom, "dp",
-                   {"width": width, "max_bag_states": max_states})
-    sol.check(h, inst)
-    return sol
+    return Solution.of(h, inst, mode, cost + dp_cost, hom, "dp",
+                       {"width": width, "max_bag_states": max_states})
 
 
 def solve_vd_dp(h: TargetGraph, inst: Instance,
@@ -302,9 +292,4 @@ def solve_ed_auto(h: TargetGraph, inst: Instance,
             return replace(sol, algorithm="auto")
         cost += sol.cost
         hom.update((v, sol.hom[i]) for i, v in enumerate(verts))
-    nb = h.nbhd
-    deleted = sorted([(u, v) if u < v else (v, u) for u, v in inst.edges
-                      if not nb[hom[u]] >> hom[v] & 1])
-    sol = Solution("ed", cost, deleted, hom, "auto", stats)
-    sol.check(h, inst)
-    return sol
+    return Solution.of(h, inst, "ed", cost, hom, "auto", stats)

@@ -139,6 +139,25 @@ class Solution:
     algorithm: str
     stats: dict = field(default_factory=dict)
 
+    @classmethod
+    def of(cls, h: TargetGraph, inst: Instance, mode: str, cost: int,
+           hom: dict, algorithm: str, stats: Optional[dict] = None):
+        """The checked solution whose witness is hom, with the deletion
+        set hom fixes: in vd the vertices hom leaves unmapped, ascending;
+        in ed the edges hom maps onto non-edges of h, each (lower,
+        higher), ascending.  check holds cost, the solver's own figure,
+        against that set."""
+        if mode == "vd":
+            deleted = [v for v in range(inst.n) if v not in hom]
+        else:
+            nb = h.nbhd
+            deleted = sorted([(u, v) if u < v else (v, u)
+                              for u, v in inst.edges
+                              if not nb[hom[u]] >> hom[v] & 1])
+        sol = cls(mode, cost, deleted, hom, algorithm, stats or {})
+        sol.check(h, inst)
+        return sol
+
     def check(self, h: TargetGraph, inst: Instance) -> None:
         """Raise AssertionError unless the recorded homomorphism is a valid
         witness.  The raises are explicit, so python -O keeps the check."""

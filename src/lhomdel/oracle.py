@@ -68,14 +68,7 @@ def _oracle(h: TargetGraph, inst: Instance, mode: str) -> Solution:
         d = int(digits[v])
         if d < len(lst):  # d == len(lst) is the vd deletion symbol
             hom[v] = lst[d]
-    if ed:
-        deleted = [(u, v) for u, v in inst.edges
-                   if not h.has_edge(hom[u], hom[v])]
-    else:
-        deleted = [v for v in range(inst.n) if v not in hom]
-    sol = Solution(mode, int(cost), deleted, hom, "oracle")
-    sol.check(h, inst)
-    return sol
+    return Solution.of(h, inst, mode, int(cost), hom, "oracle")
 
 
 def oracle_vd(h: TargetGraph, inst: Instance) -> Solution:

@@ -38,7 +38,6 @@ def solve_vd_poly(h: TargetGraph, inst: Instance) -> Solution:
     if cover is None:
         raise ValueError("solve_vd_poly requires a Poly-classified target")
     red = reduce_lists(h, inst)
-    forced = [v for v in range(inst.n) if not red.lists[v]]
     alive = [v for v in range(inst.n) if red.lists[v]]
     pos = {v: i for i, v in enumerate(alive)}
     n = len(alive)
@@ -73,17 +72,15 @@ def solve_vd_poly(h: TargetGraph, inst: Instance) -> Solution:
             if x in lelem and y in relem and not h.has_edge(lelem[x], relem[y]):
                 arcs.append((pos[x], pos[y]))
     value, sep, reach = min_vertex_separator(n + 2, arcs, s, t)
-    deleted = forced + sorted(alive[i] for i in sep)
-    # reachable from s avoiding the separator -> left clique
+    # reachable from s avoiding the separator -> left clique; the cost
+    # counts the separator and the inst.n - n empty-list vertices
     hom = {}
     for v in alive:
         if pos[v] in sep:
             continue
         hom[v] = lelem[v] if pos[v] in reach else relem[v]
-    sol = Solution("vd", len(deleted), deleted, hom, "poly",
-                   {"flow_value": value})
-    sol.check(h, inst)
-    return sol
+    return Solution.of(h, inst, "vd", inst.n - n + value, hom, "poly",
+                       {"flow_value": value})
 
 
 # ---------------------------------------------------------------------------
@@ -283,8 +280,5 @@ def solve_ed_poly(h: TargetGraph, inst: Instance,
         trans = next(i for i in range(1, len(order) + 1)
                      if s_side[node[v][i]])
         hom[v] = order[trans - 1]
-    deleted = [(u, w) for u, w in inst.edges
-               if not h.has_edge(hom[u], hom[w])]
-    sol = Solution("ed", value, deleted, hom, "poly", {"flow_value": value})
-    sol.check(h, inst)
-    return sol
+    return Solution.of(h, inst, "ed", value, hom, "poly",
+                       {"flow_value": value})

@@ -81,6 +81,21 @@ def test_solve_algorithms_agree(tmp_path, capsys):
         assert code == cli.EXIT_OK
         opts.add(json.loads(out)["opt"])
     assert len(opts) == 1
+    # two looped vertices, no edge; each optimum is unique, so every
+    # algorithm prints one deletion set, ascending, each edge [lower,
+    # higher]: an empty-list vertex and a separator vertex in vd, edges
+    # written higher end first in ed
+    t = _write(tmp_path, "two.hg", "h 2\ne 1 1\ne 2 2\n")
+    cases = {"vd": ("p lhom 4 2\ne 1 2\ne 2 3\nl 1 1 1\nl 2 1 2\n"
+                    "l 3 1 1\nl 4 0\n", [2, 4]),
+             "ed": ("p lhom 3 2\ne 3 1\ne 2 1\nl 1 1 1\nl 3 1 2\n"
+                    "l 2 1 2\n", [[1, 2], [1, 3]])}
+    for mode, (text, deleted) in cases.items():
+        i = _write(tmp_path, f"{mode}.lhi", text)
+        for algo in ("auto", "poly", "dp", "oracle"):
+            code, out = _run(capsys, ["solve", mode, t, i, "--algo", algo])
+            assert code == cli.EXIT_OK
+            assert json.loads(out)["deleted"] == deleted, (mode, algo)
 
 
 def test_poly_precondition_exit_code(tmp_path, capsys):

@@ -634,7 +634,7 @@ def test_run_dp_names_the_least_edge_in_no_bag():
 
 
 def test_vd_penalties_cannot_overflow_int64():
-    # _run_dp charges a violated VD edge big = n + 1, so no entry exceeds
+    # the engine charges a violated VD edge big = n + 1, so no entry exceeds
     # big * |E| + n; at the instance cap that must still fit in an int64
     n = MAX_INSTANCE_VERTICES
     assert (n + 1) * (n * (n - 1) // 2) + n < 2 ** 63
@@ -744,6 +744,41 @@ def test_no_bucket_exceeds_the_largest_bag_table(monkeypatch):
                 assert len(sizes) == n and max(sizes) <= cap, (trial, kind)
                 tight[kind] += max(sizes) == cap
     assert min(tight.values()) > 20, tight
+
+
+def test_engine_frees_each_bucket_once_it_is_summed(monkeypatch):
+    # ED over K3 with full lists on a 9 x 40 grid: width 13, and the
+    # largest bucket is a 3^14 int64 table (36.5 MiB).  Besides the uint8
+    # records, the engine holds at its peak that bucket, its argmin, row
+    # starts and minima (a third of it each), and the messages still
+    # waiting for their bucket: within three largest buckets.  Keeping
+    # every consumed bucket's messages until the engine returns held
+    # about five.
+    import tracemalloc
+
+    eliminate = _kernels.eliminate
+    seen = {}
+
+    def spy(nb, states, edges, order, nportal, vd, charge=None):
+        out, records = eliminate(nb, states, edges, order, nportal, vd,
+                                 charge)
+        seen["records"] = sum(best.nbytes for _, best in records)
+        seen["bucket"] = 8 * max(best.size * len(states[x])
+                                 for x, (_, best) in zip(order, records))
+        return out, records
+
+    monkeypatch.setattr(_kernels, "eliminate", spy)
+    n, edges = families.grid(9, 40)
+    inst = Instance(n, edges, [frozenset(range(3))] * n)
+    tracemalloc.start()
+    try:
+        sol = dpsolve.solve_ed_dp(families.irreflexive_kq(3), inst)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sol.cost == 0 and sol.stats["width"] == 13
+    assert seen["bucket"] == 8 * 3 ** 14
+    assert peak <= seen["records"] + 3 * seen["bucket"], (peak, seen)
 
 
 def test_long_grid_solves_without_recursion_error():
