@@ -25,9 +25,10 @@ class Obstruction:
 
 @dataclass(frozen=True)
 class Decomposition:
-    a: tuple[int, ...]
-    b: tuple[int, ...]
-    c: tuple[int, ...]
+    """A decomposition (A, B, C) as three vertex masks of H."""
+    a: int
+    b: int
+    c: int
 
 
 @dataclass(frozen=True)
@@ -155,7 +156,8 @@ def is_decomposable(h: TargetGraph) -> bool:
 def _lex_first_split(nb, refl, S):
     """The first decomposition of H[S] in oracle_decompositions order (on
     H[S] with its vertices in ascending order), as three vertex masks
-    (A, B, C), or None; polynomial time.
+    (A, B, C) of H, or None; polynomial time.  find_decomposition wraps
+    the masks in a Decomposition as they are.
 
     Let x_v mean v ∈ A; otherwise a looped v goes to B and an irreflexive
     one to C.  Every pair rule of is_valid_decomposition is then a unit
@@ -212,9 +214,10 @@ def _lex_first_split(nb, refl, S):
 
 def find_decomposition(h: TargetGraph, S: Optional[int] = None,
                        refl: Optional[int] = None) -> Optional[Decomposition]:
-    """A valid decomposition (A,B,C) of H[S] in H's vertex ids, or None,
-    its validity checked; S is a vertex mask, every vertex by default.
-    refl is h.reflexive_mask(), for a caller that asks about many masks.
+    """A valid decomposition (A,B,C) of H[S] as vertex masks of H, or
+    None: the search's three masks, their validity checked.  S is a vertex
+    mask, every vertex by default.  refl is h.reflexive_mask(), for a
+    caller that asks about many masks.
 
     Up to EXHAUSTIVE_DECOMP_LIMIT vertices in S, the first one in
     lexicographic order (oracle.oracle_decomposition's answer on H[S]) by
@@ -229,33 +232,26 @@ def find_decomposition(h: TargetGraph, S: Optional[int] = None,
     split = search(h.nbhd, refl, S)
     if split is None:
         return None
-    dec = Decomposition(*(tuple(bits(m)) for m in split))
-    if not is_valid_decomposition(h, dec.a, dec.b, dec.c):
+    dec = Decomposition(*split)
+    if not is_valid_decomposition(h, *split):
         raise AssertionError(f"decomposition search gave an invalid {dec}")
     return dec
 
 
-def is_valid_decomposition(h: TargetGraph, a, b, c) -> bool:
-    """(A,B,C): A nonempty, B a reflexive clique fully joined to A, C an
-    irreflexive independent set with no edges to A, B or C nonempty."""
+def is_valid_decomposition(h: TargetGraph, a: int, b: int, c: int) -> bool:
+    """Whether the vertex masks (A,B,C) are a decomposition: A nonempty,
+    B a reflexive clique fully joined to A, C an irreflexive independent
+    set with no edges to A, B or C nonempty.  So each B vertex's
+    neighbourhood covers A∪B, its own loop included, and each C vertex's
+    misses A∪C, its own loop included."""
     if not a or not (b or c):
         return False
-    for u in b:
-        for v in b:
-            if not h.has_edge(u, v):  # u == v checks the loop
-                return False
-        for v in a:
-            if not h.has_edge(u, v):
-                return False
-    for u in c:
-        if h.has_loop(u):
+    for u in bits(b):
+        if (a | b) & ~h.nbhd[u]:
             return False
-        for v in c:
-            if u != v and h.has_edge(u, v):
-                return False
-        for v in a:
-            if h.has_edge(u, v):
-                return False
+    for u in bits(c):
+        if (a | c) & h.nbhd[u]:
+            return False
     return True
 
 
@@ -330,13 +326,12 @@ def decomposition_tree(h: TargetGraph) -> dict:
         dec = find_decomposition(h, S, refl)
         node["vertices"] = [v + 1 for v in bits(S)]
         node["decomposition"] = None if dec is None else {
-            k: [v + 1 for v in part]
+            k: [v + 1 for v in bits(part)]
             for k, part in zip("abc", (dec.a, dec.b, dec.c))}
         node["children"] = [] if dec is None else [{}, {}]
         if dec is not None:
             a, bc = node["children"]
-            stack += ((bc, sum(1 << v for v in dec.b + dec.c)),
-                      (a, sum(1 << v for v in dec.a)))
+            stack += ((bc, dec.b | dec.c), (a, dec.a))
     return root
 
 

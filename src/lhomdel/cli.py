@@ -256,8 +256,7 @@ def cmd_gadget(args) -> int:
     report["vertices"] = g.n
     if args.verify:
         try:
-            table = gadgets.enumerate_cost_table(h, gadgets.Gadget(
-                g.n, g.edges, g.lists, g.portals), mode)
+            table = gadgets.enumerate_cost_table(h, g, mode)
             cached = g.tables.get(mode)
             report["verified"] = cached is None or cached == table
         except gadgets.GadgetError:
@@ -295,26 +294,19 @@ def cmd_selftest(args) -> int:
     for _ in range(args.count):
         h = random_target(rng, rng.randint(1, 4))
         inst = random_instance(rng, h, rng.randint(1, 6))
-        want = oracle.oracle_vd(h, inst)
-        for solver in (dpsolve.solve_vd_dp, dpsolve.solve_vd_auto):
-            got = solver(h, inst)
-            if got.cost != want.cost:
-                raise AssertionError(
-                    f"{solver.__name__} cost {got.cost} but the vd "
-                    f"oracle gives {want.cost}")
-        counts["vd"] += 1
-        try:
-            want = oracle.oracle_ed(h, inst)
-        except Infeasible:
-            counts["ed_infeasible"] += 1
-            continue
-        for solver in (dpsolve.solve_ed_dp, dpsolve.solve_ed_auto):
-            got = solver(h, inst)
-            if got.cost != want.cost:
-                raise AssertionError(
-                    f"{solver.__name__} cost {got.cost} but the ed "
-                    f"oracle gives {want.cost}")
-        counts["ed"] += 1
+        for mode in ("vd", "ed"):
+            try:  # only ed is infeasible: vd can delete every vertex
+                want = _SOLVERS[mode, "oracle"](h, inst)
+            except Infeasible:
+                counts["ed_infeasible"] += 1
+                break
+            for solver in (_SOLVERS[mode, "dp"], _SOLVERS[mode, "auto"]):
+                got = solver(h, inst)
+                if got.cost != want.cost:
+                    raise AssertionError(
+                        f"{solver.__name__} cost {got.cost} but the {mode} "
+                        f"oracle gives {want.cost}")
+            counts[mode] += 1
     for _ in range(max(1, args.count // 4)):
         n = rng.randint(2, 4)
         edges = [(u, v) for u in range(n) for v in range(u + 1, n)

@@ -10,7 +10,7 @@ from typing import Optional
 
 from . import _kernels, analysis, polysolve
 from ._kernels import DELETED, INF, edge_penalty
-from .graphs import (Infeasible, Instance, Solution, TargetGraph,
+from .graphs import (Infeasible, Instance, Solution, TargetGraph, bits,
                      is_incomparable_set, reduce_lists)
 from .treewidth import (TreeDecomposition, build_td, make_nice, restrict_td,
                         validate_td)
@@ -214,7 +214,7 @@ def split_by_decomposition(h: TargetGraph, dec: analysis.Decomposition,
     """A–B edges of G are discarded, A–C edges forced-deleted; the two
     sides become independent subinstances over H[A] and H[B∪C]."""
     red = reduce_lists(h, inst)
-    a, b, c = set(dec.a), set(dec.b), set(dec.c)
+    a, b, c = (set(bits(m)) for m in (dec.a, dec.b, dec.c))
     side = []
     for v in range(red.n):
         lst = red.lists[v]
@@ -281,11 +281,10 @@ def solve_ed_auto(h: TargetGraph, inst: Instance,
             if S == full:  # the root's hom lists A's vertices first
                 stats = {"parts": 2, "forced": len(sp.forced)}
                 hom = dict.fromkeys(sp.verts_a + sp.verts_bc)
-            for side, sub_s, vs in ((dec.b + dec.c, sp.sub_bc, sp.verts_bc),
+            for side, sub_s, vs in ((dec.b | dec.c, sp.sub_bc, sp.verts_bc),
                                     (dec.a, sp.sub_a, sp.verts_a)):
                 if sub_s.n:
-                    stack.append((sum(1 << v for v in side), sub_s,
-                                  [verts[i] for i in vs],
+                    stack.append((side, sub_s, [verts[i] for i in vs],
                                   td and restrict_td(td, vs), ob))
             continue
         if S == full:

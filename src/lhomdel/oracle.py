@@ -80,18 +80,21 @@ def oracle_ed(h: TargetGraph, inst: Instance) -> Solution:
 
 
 def oracle_decompositions(h: TargetGraph):
-    """All valid decompositions (A, B, C), lexicographic in the assignment
-    (A=0, B=1, C=2 per vertex, vertex 0 most significant)."""
-    for assign in product((0, 1, 2), repeat=h.n):
-        a = [v for v in range(h.n) if assign[v] == 0]
-        b = [v for v in range(h.n) if assign[v] == 1]
-        c = [v for v in range(h.n) if assign[v] == 2]
+    """All valid decompositions (A, B, C), each as three vertex masks,
+    lexicographic in the assignment (A=0, B=1, C=2 per vertex, vertex 0
+    most significant).  An assignment is one int, the masks of A, B and
+    C in its low, middle and high n bits: the sum of one bit per vertex."""
+    n, full = h.n, (1 << h.n) - 1
+    for assign in product(*((1 << v, 1 << v + n, 1 << v + 2 * n)
+                            for v in range(n))):
+        x = sum(assign)
+        a, b, c = x & full, x >> n & full, x >> 2 * n
         if is_valid_decomposition(h, a, b, c):
-            yield (a, b, c)
+            yield a, b, c
 
 
 def oracle_decomposition(h: TargetGraph):
-    """First valid decomposition, or None: the reference that
-    analysis.find_decomposition matches in polynomial time."""
+    """First valid decomposition (three vertex masks) or None: the
+    reference that analysis.find_decomposition matches in polynomial time."""
     return next(oracle_decompositions(h), None)
 

@@ -280,13 +280,11 @@ def _substitute_edges(g_n: int, g_edges, gadget: gadgets.Gadget, s):
     return Instance(nxt, edges, lists, None)
 
 
-def coloring_vd_to_lhomvd(h: TargetGraph, g_n: int, g_edges, k: int,
-                          s=None):
+def coloring_vd_to_lhomvd(h: TargetGraph, g_n: int, g_edges, k: int):
     """q-coloring with k vertex deletions -> LHomVD at budget
-    k + alpha * |E|, where alpha is the S-prohibitor base cost."""
-    if s is None:
-        _, s = max_incomparable(h)
-    s = frozenset(s)
+    k + alpha * |E|, where alpha is the S-prohibitor base cost and S is
+    max_incomparable(h)'s witness."""
+    s = frozenset(max_incomparable(h)[1])
     spro = gadgets.build_s_prohibitor(h, s)
     alpha = spro.meta["alpha"]
     inst = _substitute_edges(g_n, list(g_edges), spro, s)

@@ -7,7 +7,7 @@ import networkx as nx
 
 from lhomdel import (_kernels, analysis, dpsolve, gadgets, oracle, polysolve,
                      reductions)
-from lhomdel.graphs import Instance, TargetGraph, bits, max_incomparable
+from lhomdel.graphs import Instance, TargetGraph, max_incomparable
 
 import families
 import test_reductions as rb  # classic brute-force oracles
@@ -94,8 +94,7 @@ def test_criterion_05_split_detectors_vs_bruteforce():
                                     (1 << h.n) - 1)
         assert (split is None) == (found is None)
         if split is not None:
-            a, b, c = (list(bits(m)) for m in split)
-            assert analysis.is_valid_decomposition(h, a, b, c)
+            assert analysis.is_valid_decomposition(h, *split)
 
     strong = 0
     while strong < 100:
@@ -135,8 +134,8 @@ def test_criterion_06_dp_state_bounds():
                 i ** (sol.stats["width"] + 1)
         else:
             sp = dpsolve.split_by_decomposition(h, dec, inst)
-            for part, sub in ((dec.a, sp.sub_a), (dec.b + dec.c, sp.sub_bc)):
-                sub_h = h.restricted(sum(1 << v for v in part))
+            for part, sub in ((dec.a, sp.sub_a), (dec.b | dec.c, sp.sub_bc)):
+                sub_h = h.restricted(part)
                 if not sub.n:
                     continue
                 sub_i = max_incomparable(sub_h)[0]
@@ -289,8 +288,8 @@ def test_criterion_09_split_then_solve_matches_dp():
         want = dpsolve.solve_ed_dp(h, inst).cost
         sp = dpsolve.split_by_decomposition(h, dec, inst)
         cost = len(sp.forced)
-        for part, sub in ((dec.a, sp.sub_a), (dec.b + dec.c, sp.sub_bc)):
-            sub_h = h.restricted(sum(1 << v for v in part))
+        for part, sub in ((dec.a, sp.sub_a), (dec.b | dec.c, sp.sub_bc)):
+            sub_h = h.restricted(part)
             cost += dpsolve.solve_ed_dp(sub_h, sub).cost
         assert cost == want
         assert dpsolve.solve_ed_auto(h, inst).cost == want

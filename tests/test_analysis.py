@@ -278,7 +278,7 @@ def test_decomposition_detectors_vs_oracle(monkeypatch):
             assert (dec is None) == (found is None), limit
             if dec is not None:
                 assert analysis.is_valid_decomposition(
-                    h, list(dec.a), list(dec.b), list(dec.c)), limit
+                    h, dec.a, dec.b, dec.c), limit
             assert analysis.is_decomposable(h) == (found is not None), limit
 
 
@@ -291,10 +291,58 @@ def test_find_decomposition_is_the_oracles():
         h = families.random_target(rng, rng.randint(1, 10),
                                    loop_p=rng.random(), edge_p=rng.random())
         dec = analysis.find_decomposition(h)
-        got = None if dec is None else (list(dec.a), list(dec.b), list(dec.c))
+        got = None if dec is None else (dec.a, dec.b, dec.c)
         assert got == oracle.oracle_decomposition(h), h.nbhd
         decomposable += dec is not None
     assert 100 < decomposable < 400
+
+
+def _tuple_is_valid_decomposition(h, a, b, c):
+    """The decomposition check on vertex tuples, one has_edge test per
+    pair: the reference for analysis.is_valid_decomposition's masks."""
+    if not a or not (b or c):
+        return False
+    for u in b:
+        for v in b:
+            if not h.has_edge(u, v):  # u == v checks the loop
+                return False
+        for v in a:
+            if not h.has_edge(u, v):
+                return False
+    for u in c:
+        if h.has_loop(u):
+            return False
+        for v in c:
+            if u != v and h.has_edge(u, v):
+                return False
+        for v in a:
+            if h.has_edge(u, v):
+                return False
+    return True
+
+
+def test_mask_decomposition_check_is_the_tuple_loops():
+    """20000 seeded triples over random targets of 1-8 vertices, ten per
+    target: half three independent random masks (so empty and overlapping
+    parts), half a random partition of V(H), so valid triples occur too."""
+    rng = random.Random(27)
+    valid = 0
+    for _ in range(2000):
+        h = families.random_target(rng, rng.randint(1, 8),
+                                   loop_p=rng.random(), edge_p=rng.random())
+        for _ in range(10):
+            if rng.random() < 0.5:
+                masks = [rng.getrandbits(h.n) for _ in range(3)]
+            else:
+                masks = [0, 0, 0]
+                for v in range(h.n):
+                    masks[rng.randrange(3)] |= 1 << v
+            want = _tuple_is_valid_decomposition(
+                h, *(tuple(bits(m)) for m in masks))
+            assert analysis.is_valid_decomposition(h, *masks) == want, (
+                h.nbhd, masks)
+            valid += want
+    assert 300 < valid < 19000
 
 
 def test_decomposition_tree_json_unchanged_under_oracle(monkeypatch):
@@ -313,7 +361,8 @@ def test_decomposition_tree_json_unchanged_under_oracle(monkeypatch):
             families.induced(TargetGraph(len(nb), nb), verts))
         if found is None:
             return None
-        return tuple(sum(1 << verts[i] for i in part) for part in found)
+        return tuple(sum(1 << verts[i] for i in bits(part))
+                     for part in found)
 
     monkeypatch.setattr(analysis, "_lex_first_split", brute_force)
     assert [analysis.decomposition_tree(h) for h in targets] == want
@@ -546,7 +595,7 @@ def _split_tree_leaves(h):
             leaves.append(S)
             continue
         assert analysis.is_valid_decomposition(
-            h, *([v - 1 for v in d[k]] for k in "abc"))
+            h, *(sum(1 << (v - 1) for v in d[k]) for k in "abc"))
         assert sorted(d["a"] + d["b"] + d["c"]) == node["vertices"]
         assert [ch["vertices"] for ch in node["children"]] == [
             d["a"], sorted(d["b"] + d["c"])]

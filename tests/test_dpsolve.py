@@ -126,10 +126,9 @@ def test_split_matches_direct_dp():
             continue
         inst = families.random_instance(rng, h, rng.randint(1, 7))
         sp = dpsolve.split_by_decomposition(h, dec, inst)
-        cost_a = dpsolve.solve_ed_dp(
-            h.restricted(sum(1 << v for v in dec.a)), sp.sub_a).cost
+        cost_a = dpsolve.solve_ed_dp(h.restricted(dec.a), sp.sub_a).cost
         cost_bc = dpsolve.solve_ed_dp(
-            h.restricted(sum(1 << v for v in dec.b + dec.c)), sp.sub_bc).cost
+            h.restricted(dec.b | dec.c), sp.sub_bc).cost
         total = cost_a + cost_bc + len(sp.forced)
         assert total == dpsolve.solve_ed_dp(h, inst).cost
         done += 1
@@ -158,9 +157,8 @@ def _reference_ed_auto(h, inst, td=None):
         if any(not lst for lst in inst.lists):
             raise Infeasible("vertex with an empty list")
         sp = dpsolve.split_by_decomposition(part, dec, inst)
-        sol_a = solve(sum(1 << v for v in dec.a), sp.sub_a,
-                      td and restrict_td(td, sp.verts_a))
-        sol_bc = solve(sum(1 << v for v in dec.b + dec.c), sp.sub_bc,
+        sol_a = solve(dec.a, sp.sub_a, td and restrict_td(td, sp.verts_a))
+        sol_bc = solve(dec.b | dec.c, sp.sub_bc,
                        td and restrict_td(td, sp.verts_bc))
         hom = {v: sol_a.hom[i] for i, v in enumerate(sp.verts_a)}
         hom.update((v, sol_bc.hom[i]) for i, v in enumerate(sp.verts_bc))

@@ -262,7 +262,7 @@ for mode, cost, deleted, hom in cases:
     except AssertionError:
         raised.append(True)
 try:  # the list {0, 1} of vertex 0 straddles A = {0}, B = {1}
-    split_by_decomposition(h, Decomposition((0,), (1,), ()), inst)
+    split_by_decomposition(h, Decomposition(0b01, 0b10, 0), inst)
     raised.append(False)
 except ValueError:
     raised.append(True)
