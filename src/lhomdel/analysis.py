@@ -3,9 +3,8 @@ and the i* invariant."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import _kernels
 from .graphs import TargetGraph, bits, max_incomparable
@@ -16,23 +15,20 @@ from .graphs import TargetGraph, bits, max_incomparable
 EXHAUSTIVE_DECOMP_LIMIT = 12
 
 
-@dataclass(frozen=True)
-class Obstruction:
+class Obstruction(NamedTuple):
     kind: str          # "irreflexive_edge" | "private_triple" | "co_private_triple"
     vertices: tuple[int, ...]
     witnesses: tuple[int, ...]  # per-vertex (private) or per-pair (co-private)
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(NamedTuple):
     """A decomposition (A, B, C) as three vertex masks of H."""
     a: int
     b: int
     c: int
 
 
-@dataclass(frozen=True)
-class VDWitness:
+class VDWitness(NamedTuple):
     kind: str  # "irreflexive_vertex" | "three_independent" | "induced_c4" | "induced_c5"
     vertices: tuple[int, ...]
 
@@ -65,8 +61,7 @@ def _induced_cycle(h: TargetGraph, size: int) -> Optional[tuple[int, ...]]:
     return None
 
 
-@dataclass(frozen=True)
-class TwoCliqueCover:
+class TwoCliqueCover(NamedTuple):
     left: frozenset[int]
     right: frozenset[int]
 

@@ -18,7 +18,6 @@ import argparse
 import os
 import random
 import sys
-import traceback
 from json.encoder import encode_basestring_ascii as _json_str
 
 from . import analysis, dpsolve, gadgets, oracle, polysolve, reductions
@@ -401,6 +400,7 @@ def main(argv=None) -> int:
     except MemoryError:  # an input too large for this process's memory
         pass
     except Exception as exc:
+        import traceback  # only a bug pays for this import
         traceback.print_exc()
         _emit({"error": "internal",
                "detail": f"{type(exc).__name__}: {exc}"})

@@ -5,8 +5,7 @@ walk for ED over vertex masks of the target, and the auto dispatchers."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import _kernels, analysis, polysolve
 from ._kernels import DELETED, INF, edge_penalty
@@ -18,10 +17,14 @@ from .treewidth import (TreeDecomposition, build_td, make_nice, restrict_td,
 # Largest DP table (entries) a solve may allocate; 2^24 int64 entries take
 # 128 MiB, and a bucket holds its table beside the factors it sums.
 MAX_TABLE_ENTRIES = 1 << 24
+# Most bytes of argmin records a DP may keep for its back-substitution: a
+# constant, not the free memory, so that a refusal is deterministic.
+MAX_RECORD_BYTES = 1 << 30
 
 
 class TableTooLarge(ValueError):
-    """A bag's DP table would exceed MAX_TABLE_ENTRIES entries."""
+    """A bag's DP table would exceed MAX_TABLE_ENTRIES entries, or the
+    DP's argmin records MAX_RECORD_BYTES bytes."""
 
 
 def _run_dp(h: TargetGraph, lists, edges, td: TreeDecomposition, mode: str,
@@ -69,6 +72,16 @@ def _run_dp(h: TargetGraph, lists, edges, td: TreeDecomposition, mode: str,
     if missing:
         u, w = min(missing)
         raise ValueError(f"edge ({u}, {w}) is in no bag")
+    # x's record is its bucket's argmin over the bucket's scope without x,
+    # a subset of x's forget-node bag, in the dtype eliminate stores it in
+    import numpy as np
+    sizes = [len(st) for st in states]
+    size = sum(math.prod([sizes[u] for u in bag]) for bag in forgets.values())
+    size *= np.min_scalar_type(max(sizes, default=1) - 1).itemsize
+    if size > MAX_RECORD_BYTES:
+        raise TableTooLarge(
+            f"the DP would keep {size} bytes of argmin records, above the "
+            f"cap of {MAX_RECORD_BYTES}")
     order = list(forgets)
     out, records = _kernels.eliminate(h.nbhd, states, edges, order, 0, vd,
                                       charge)
@@ -104,10 +117,11 @@ def _check_table_sizes(g: Instance, bags, vd: bool) -> int:
 def _induced(red: Instance, keep) -> Instance:
     """red's sub-instance induced by the ascending vertices `keep`, keep[i]
     renamed i, its edges sorted and each (lower, higher).  It is built as
-    parse_instance builds one, without __post_init__: red's edges were
-    checked when red was built.  Each per-vertex and per-edge container
-    is built whole by one call or comprehension, so a MemoryError midway
-    frees what it held, and cli.main has the memory to report it."""
+    parse_instance builds one, without running Instance.__init__: red's
+    edges were checked when red was built.  Each per-vertex and per-edge
+    container is built whole by one call or comprehension, so a
+    MemoryError midway frees what it held, and cli.main has the memory to
+    report it."""
     pos = dict(zip(keep, range(len(keep))))
     edges = sorted([(pos[u], pos[w]) if u < w else (pos[w], pos[u])
                     for u, w in red.edges if u in pos and w in pos])
@@ -199,8 +213,7 @@ def solve_ed_dp(h: TargetGraph, inst: Instance,
 # decomposition splitting
 
 
-@dataclass(frozen=True)
-class Split:
+class Split(NamedTuple):
     """The two sides of a split instance, their lists in H's vertex ids."""
     forced: tuple           # G edges always deleted (A–C pairs)
     sub_a: Instance         # lists inside A
@@ -238,8 +251,11 @@ def solve_vd_auto(h: TargetGraph, inst: Instance,
     if analysis.two_clique_cover(h) is not None:
         if td is not None:  # unused here, but a bad file fails on every path
             validate_td(inst, td)
-        return replace(polysolve.solve_vd_poly(h, inst), algorithm="auto")
-    return replace(solve_vd_dp(h, inst, td), algorithm="auto")
+        sol = polysolve.solve_vd_poly(h, inst)
+    else:
+        sol = solve_vd_dp(h, inst, td)
+    sol.algorithm = "auto"
+    return sol
 
 
 def solve_ed_auto(h: TargetGraph, inst: Instance,
@@ -288,7 +304,8 @@ def solve_ed_auto(h: TargetGraph, inst: Instance,
                                   td and restrict_td(td, vs), ob))
             continue
         if S == full:
-            return replace(sol, algorithm="auto")
+            sol.algorithm = "auto"
+            return sol
         cost += sol.cost
         hom.update((v, sol.hom[i]) for i, v in enumerate(verts))
     return Solution.of(h, inst, "ed", cost, hom, "auto", stats)

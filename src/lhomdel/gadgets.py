@@ -17,7 +17,6 @@ so a glued gadget needs no elimination of its own.  The tests and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import product
 from math import prod
 from typing import Optional
@@ -35,16 +34,16 @@ class GadgetError(ValueError):
     """Construction precondition or verification failure."""
 
 
-@dataclass
 class Gadget:
-    n: int
-    edges: tuple
-    lists: tuple      # frozensets over V(H)
-    portals: tuple    # distinct vertex indices
-    tables: dict = field(default_factory=dict)  # mode -> {tuple: cost}
-    meta: dict = field(default_factory=dict)
+    __slots__ = ("n", "edges", "lists", "portals", "tables", "meta")
 
-    def __post_init__(self):
+    def __init__(self, n: int, edges: tuple, lists: tuple, portals: tuple,
+                 tables: Optional[dict] = None, meta: Optional[dict] = None):
+        self.n, self.edges = n, edges
+        self.lists = lists  # frozensets over V(H)
+        self.portals = portals  # distinct vertex indices
+        self.tables = {} if tables is None else tables  # mode -> {tuple: cost}
+        self.meta = {} if meta is None else meta
         if len(set(self.portals)) != len(self.portals):
             raise GadgetError("portals must be distinct")
         for p in self.portals:
@@ -64,10 +63,12 @@ class Gadget:
         return tuple(self.lists[p] for p in self.portals)
 
 
-@dataclass
 class MoveReport:
-    jmap: dict          # input value -> frozenset of min-cost outputs
-    forced: dict        # input value -> output, where forced
+    __slots__ = ("jmap", "forced")
+
+    def __init__(self, jmap: dict, forced: dict):
+        self.jmap = jmap  # input value -> frozenset of min-cost outputs
+        self.forced = forced  # input value -> output, where forced
 
 
 def path_gadget(lists) -> Gadget:

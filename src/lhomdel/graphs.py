@@ -7,8 +7,6 @@ the enumeration kernels cheap.
 
 from __future__ import annotations
 
-import copy
-from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Iterable, Optional
 
@@ -37,20 +35,28 @@ def check_vertex_count(lineno: int, n: int, cap: int) -> None:
                               f"vertices, above the cap of {cap}")
 
 
-@dataclass(frozen=True)
 class TargetGraph:
-    """The fixed target graph H.  adj(v, v) being true denotes a loop."""
+    """The fixed target graph H.  adj(v, v) being true denotes a loop.
+    Treated as immutable: equal targets hash alike."""
 
-    n: int
-    nbhd: tuple[int, ...]  # nbhd[v] = bitmask of Gamma(v), includes v iff loop
+    __slots__ = ("n", "nbhd")  # nbhd[v]: mask of Gamma(v), has v iff loop
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __init__(self, n: int, nbhd: tuple[int, ...]):
+        self.n, self.nbhd = n, nbhd
+        if n < 1:
             raise ValueError("target graph needs at least one vertex")
-        for v, m in enumerate(self.nbhd):
+        for v, m in enumerate(nbhd):
             for u in bits(m):
-                if not self.nbhd[u] >> v & 1:
+                if not nbhd[u] >> v & 1:
                     raise ValueError("adjacency is not symmetric")
+
+    def __eq__(self, other):
+        if type(other) is not TargetGraph:
+            return NotImplemented
+        return self.n == other.n and self.nbhd == other.nbhd
+
+    def __hash__(self):
+        return hash((self.n, self.nbhd))
 
     @staticmethod
     def from_masks(n: int, nbhd) -> "TargetGraph":
@@ -59,9 +65,8 @@ class TargetGraph:
         symmetry pass."""
         if n < 1:
             raise ValueError("target graph needs at least one vertex")
-        h = object.__new__(TargetGraph)
-        object.__setattr__(h, "n", n)
-        object.__setattr__(h, "nbhd", tuple(nbhd))
+        h = TargetGraph.__new__(TargetGraph)
+        h.n, h.nbhd = n, tuple(nbhd)
         return h
 
     @staticmethod
@@ -106,38 +111,40 @@ def bits(mask: int):
         mask ^= low
 
 
-@dataclass
 class Instance:
     """An instance graph G (simple, loopless) with per-vertex lists over V(H)."""
 
-    n: int
-    edges: list[tuple[int, int]]
-    lists: list[frozenset[int]]
-    budget: Optional[int] = None
+    __slots__ = ("n", "edges", "lists", "budget")
 
-    def __post_init__(self):
+    def __init__(self, n: int, edges: list[tuple[int, int]],
+                 lists: list[frozenset[int]], budget: Optional[int] = None):
+        self.n, self.edges, self.lists, self.budget = n, edges, lists, budget
         seen = set()
-        for u, v in self.edges:
+        for u, v in edges:
             if u == v:
                 raise ValueError("instance graphs are loopless")
-            if not (0 <= u < self.n and 0 <= v < self.n):
+            if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u},{v}) out of range")
             key = (min(u, v), max(u, v))
             if key in seen:
                 raise ValueError(f"parallel edge ({u},{v})")
             seen.add(key)
-        if len(self.lists) != self.n:
+        if len(lists) != n:
             raise ValueError("need one list per vertex")
 
 
-@dataclass
 class Solution:
-    mode: str                      # "vd" or "ed"
-    cost: int
-    deleted: list                  # vertices (vd) or edges (ed)
-    hom: dict[int, int]            # surviving vertex of G -> vertex of H
-    algorithm: str
-    stats: dict = field(default_factory=dict)
+    """mode "vd" or "ed"; deleted: vertices (vd) or edges (ed); hom:
+    surviving vertex of G -> vertex of H."""
+
+    __slots__ = ("mode", "cost", "deleted", "hom", "algorithm", "stats")
+
+    def __init__(self, mode: str, cost: int, deleted: list,
+                 hom: dict[int, int], algorithm: str,
+                 stats: Optional[dict] = None):
+        self.mode, self.cost, self.deleted = mode, cost, deleted
+        self.hom, self.algorithm = hom, algorithm
+        self.stats = {} if stats is None else stats
 
     @classmethod
     def of(cls, h: TargetGraph, inst: Instance, mode: str, cost: int,
@@ -241,8 +248,9 @@ def reduce_list(h: TargetGraph, lst: frozenset[int]) -> frozenset[int]:
 def reduce_lists(h: TargetGraph, inst: Instance) -> Instance:
     """inst with every list reduced; each distinct list is reduced once.
 
-    copy.copy skips __post_init__: inst's edges were checked when it was
-    built, and the reduced lists are as many as inst's.
+    It is built as parse_instance builds one, without running
+    Instance.__init__: inst's edges were checked when it was built, and
+    the reduced lists are as many as inst's.
     """
     reduced: dict[frozenset[int], frozenset[int]] = {}
     lists = []
@@ -251,8 +259,8 @@ def reduce_lists(h: TargetGraph, inst: Instance) -> Instance:
         if red is None:
             red = reduced[lst] = reduce_list(h, lst)
         lists.append(red)
-    out = copy.copy(inst)
-    out.edges = list(inst.edges)
+    out = Instance.__new__(Instance)
+    out.n, out.edges, out.budget = inst.n, list(inst.edges), inst.budget
     out.lists = lists
     return out
 
@@ -319,7 +327,7 @@ def parse_instance(text: str, h: TargetGraph) -> Instance:
     same element tokens share one checked frozenset.
 
     The line-numbered checks here are the only ones the returned Instance
-    gets: it is built without Instance.__post_init__, whose edge checks
+    gets: it is built without running Instance.__init__, whose edge checks
     (range, loops, parallel edges) and list count these checks cover.
     """
     n = m = None

@@ -22,9 +22,8 @@ however many vertices and edges share it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import permutations
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import analysis
 from .graphs import (Infeasible, Instance, Solution, TargetGraph,
@@ -126,8 +125,7 @@ def staircase_params(m) -> Optional[tuple[int, int, int, int]]:
     return i1, j1, i2, j2
 
 
-@dataclass(frozen=True)
-class RectangleCover:
+class RectangleCover(NamedTuple):
     """Zero cells of an interaction matrix as up to three rectangles.
 
     r1 touches the top-right corner region, r3 the bottom-left, r2 is a

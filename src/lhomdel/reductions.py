@@ -4,7 +4,6 @@ and the coloring-deletion hardness pipelines."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 from typing import Optional
 
@@ -31,20 +30,17 @@ class _EdgeError(ValueError):
         self.what, self.index = what, index
 
 
-@dataclass
 class ClassicInstance:
-    kind: str
-    n: int
-    edges: list
-    terminals: tuple = ()
-    source: Optional[int] = None
-    sink: Optional[int] = None
-    left: tuple = ()
-    right: tuple = ()
-    q: Optional[int] = None
-    budget: Optional[int] = None
+    __slots__ = ("kind", "n", "edges", "terminals", "source", "sink", "left",
+                 "right", "q", "budget")
 
-    def __post_init__(self):
+    def __init__(self, kind: str, n: int, edges: list, terminals: tuple = (),
+                 source: Optional[int] = None, sink: Optional[int] = None,
+                 left: tuple = (), right: tuple = (), q: Optional[int] = None,
+                 budget: Optional[int] = None):
+        self.kind, self.n, self.edges = kind, n, edges
+        self.terminals, self.source, self.sink = terminals, source, sink
+        self.left, self.right, self.q, self.budget = left, right, q, budget
         if self.kind not in KINDS:
             raise ValueError(f"unknown problem kind {self.kind!r}")
         seen = set()

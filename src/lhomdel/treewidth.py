@@ -7,14 +7,12 @@ ties to the smallest vertex)."""
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .graphs import Instance, ParseError
 
 
-@dataclass(frozen=True)
-class TreeDecomposition:
+class TreeDecomposition(NamedTuple):
     bags: tuple  # tuple of frozensets of G vertices
     edges: tuple  # tree edges over bag indices
 
@@ -23,16 +21,19 @@ class TreeDecomposition:
         return max((len(b) - 1 for b in self.bags if b), default=0)
 
 
-@dataclass
 class NiceNode:
-    kind: str  # "leaf" | "introduce" | "forget" | "join"
-    bag: frozenset
-    payload: object  # forgotten vertex, tuple of introduced ones, or None
-    children: list = field(default_factory=list)
+    __slots__ = ("kind", "bag", "payload", "children")
+
+    def __init__(self, kind: str, bag: frozenset, payload: object,
+                 children: Optional[list] = None):
+        self.kind = kind  # "leaf" | "introduce" | "forget" | "join"
+        self.bag = bag
+        # forgotten vertex, tuple of introduced ones, or None
+        self.payload = payload
+        self.children = [] if children is None else children
 
 
-@dataclass(frozen=True)
-class HubCore:
+class HubCore(NamedTuple):
     q: frozenset
     sigma: int
     delta: int

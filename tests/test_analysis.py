@@ -390,16 +390,16 @@ def test_split_trees_copy_no_target(monkeypatch):
     classification builds no TargetGraph, and an ED auto solve builds at
     most one, h.restricted(S), per part it visits."""
     built = []
-    check = TargetGraph.__post_init__
+    init = TargetGraph.__init__
 
-    def counted(self):
-        built.append(self.n)
-        check(self)
+    def counted(self, n, nbhd):
+        built.append(n)
+        init(self, n, nbhd)
 
     targets = [families.windowed_family(k) for k in (2, 3)]
     targets += [families.crossing_family(2), families.reflexive_clique(30),
                 TargetGraph(30, (0,) * 30)]
-    monkeypatch.setattr(TargetGraph, "__post_init__", counted)
+    monkeypatch.setattr(TargetGraph, "__init__", counted)
     for h in targets:
         out = analysis.classification_json(h)
         assert out["decomposition_tree"]["decomposition"] is not None

@@ -884,6 +884,24 @@ def _under_memory_limit(*argv, mib=64, **kw):
     return _python("-c", _UNDER_MEMORY_LIMIT, str(mib), *argv, **kw)
 
 
+_HEAVY_IMPORTS = """
+import sys
+from lhomdel import cli
+print(sorted({"dataclasses", "inspect", "traceback"} & set(sys.modules)))
+"""
+
+
+def test_cli_imports_no_dataclasses_inspect_or_traceback(monkeypatch):
+    # dataclasses (which loads inspect) and traceback cost start-up time
+    # in every CLI process, with or without a bytecode cache; traceback
+    # is imported by the internal-error handler alone, which
+    # test_internal_error_exit_code runs
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    out, _ = _python("-c", _HEAVY_IMPORTS)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "[]\n"
+
+
 def test_memory_error_exit_code(tmp_path):
     # a one-line instance at the vertex cap passes the header check, and
     # its DP solve over a one-vertex target needs far more than 64 MiB;

@@ -2,7 +2,6 @@ import contextlib
 import io
 import math
 import random
-from dataclasses import replace
 from itertools import combinations
 
 import pytest
@@ -171,7 +170,9 @@ def _reference_ed_auto(h, inst, td=None):
             sol.check(h, inst)
         return sol
 
-    return replace(solve(full, inst, td), algorithm="auto")
+    sol = solve(full, inst, td)
+    sol.algorithm = "auto"
+    return sol
 
 
 def _two_hard_leaves():
@@ -777,6 +778,30 @@ def test_engine_frees_each_bucket_once_it_is_summed(monkeypatch):
     assert sol.cost == 0 and sol.stats["width"] == 13
     assert seen["bucket"] == 8 * 3 ** 14
     assert peak <= seen["records"] + 3 * seen["bucket"], (peak, seen)
+
+
+def test_dp_refuses_argmin_records_above_the_cap(monkeypatch):
+    # ED over K3 with full lists on an 800-vertex 13-tree: each bag's
+    # table has at most 3^14 entries, under MAX_TABLE_ENTRIES, but all
+    # but the last 14 vertices are forgotten beside 13 others, so the
+    # uint8 argmin records would take about 800 * 3^13 bytes, above
+    # MAX_RECORD_BYTES.  The solve is refused before the engine runs.
+    def no_engine(*args):
+        raise AssertionError("the engine ran")
+
+    monkeypatch.setattr(_kernels, "eliminate", no_engine)
+    n, edges = families.partial_ktree(random.Random(13), 800, 13, 1.0)
+    inst = Instance(n, edges, [frozenset(range(3))] * n)
+    td = build_td(inst)
+    size = sum(3 ** len(nd.bag) for nd in make_nice(td)
+               if nd.kind == "forget")
+    assert dpsolve._check_table_sizes(inst, td.bags, False) == 3 ** 14
+    assert size > dpsolve.MAX_RECORD_BYTES
+    with pytest.raises(dpsolve.TableTooLarge) as exc:
+        dpsolve.solve_ed_dp(families.irreflexive_kq(3), inst, td)
+    assert str(exc.value) == (
+        f"the DP would keep {size} bytes of argmin records, above the cap "
+        f"of {dpsolve.MAX_RECORD_BYTES}")
 
 
 def test_long_grid_solves_without_recursion_error():

@@ -187,16 +187,16 @@ def test_instance_validation():
 
 
 def test_parse_instance_checks_edges_once(monkeypatch):
-    # parse_instance's own line-numbered checks replace __post_init__'s;
-    # a direct Instance(...) is still checked
+    # parse_instance's own line-numbered checks replace __init__'s; a
+    # direct Instance(...) is still checked
     calls = []
-    post_init = Instance.__post_init__
+    init = Instance.__init__
 
-    def counted(self):
-        calls.append(self.n)
-        post_init(self)
+    def counted(self, n, edges, lists, budget=None):
+        calls.append(n)
+        init(self, n, edges, lists, budget)
 
-    monkeypatch.setattr(Instance, "__post_init__", counted)
+    monkeypatch.setattr(Instance, "__init__", counted)
     h = families.reflexive_clique(2)
     inst = parse_instance("p lhom 3 2\ne 1 2\ne 3 2\nl 1 1 2\nk 4\n", h)
     assert calls == []
@@ -211,13 +211,13 @@ def test_restricted_parts_are_induced_subgraphs(monkeypatch):
     # restricted() skips the constructor's symmetry check; each part is
     # still symmetric and is the target of H's edges inside the mask
     checks = []
-    post_init = TargetGraph.__post_init__
+    init = TargetGraph.__init__
 
-    def counted(self):
-        checks.append(self.n)
-        post_init(self)
+    def counted(self, n, nbhd):
+        checks.append(n)
+        init(self, n, nbhd)
 
-    monkeypatch.setattr(TargetGraph, "__post_init__", counted)
+    monkeypatch.setattr(TargetGraph, "__init__", counted)
     rng = random.Random(77)
     for _ in range(200):
         h = families.random_target(rng, rng.randint(1, 9))
