@@ -20,7 +20,8 @@ violated vd edge costs big, one more than the number of variables, so
 a sum >= big is infeasible; eliminate returns every such entry as INF,
 and its users read INF alone as infeasible.  Both of its users call it:
 the tree-decomposition DP (dpsolve), in forget order with no portals,
-and scan_table, the gadget cost tables over their portals.  scan_best, a
+and scan_table, the cost tables over their portals of the gadgets that
+are neither paths nor glued and of `gadget --verify`.  scan_best, a
 mixed-radix assignment scan, serves only the brute-force oracles.  The
 numpy functions import it when called.
 """

@@ -20,7 +20,7 @@ import random
 import sys
 from json.encoder import encode_basestring_ascii as _json_str
 
-from . import analysis, dpsolve, gadgets, oracle, polysolve, reductions
+from . import analysis, dpsolve, gadgets, oracle, polysolve
 from .graphs import (Infeasible, ParseError, format_instance, format_target,
                      parse_instance, parse_target, random_instance,
                      random_target)
@@ -267,6 +267,8 @@ def cmd_gadget(args) -> int:
 
 
 def cmd_reduce(args) -> int:
+    from . import reductions  # only reduce and selftest load it
+
     classic = reductions.parse_classic(_read(args.input))
     h, inst = reductions.encode_classic(classic)
     target_text = format_target(h)
@@ -288,6 +290,8 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_selftest(args) -> int:
+    from . import reductions
+
     rng = random.Random(args.seed)
     counts = {"vd": 0, "ed": 0, "ed_infeasible": 0, "roundtrip": 0}
     for _ in range(args.count):

@@ -7,18 +7,20 @@ Aux-graph routing, indicators, and bounded synthesis of NEQ realizers.
 Aux is searched as the line graph of the pair graph P on V(H), from P's
 incidence lists, so it is never built.
 
-Small gadgets get exact cost tables from min-plus bucket elimination over
-the gadget's own lists (_kernels.scan_table).  The glue operations compose
-tables: when both parts carry a table, serial_glue takes the min-plus
-product over the junction's values and parallel_glue the pointwise sum,
-so a glued gadget needs no elimination of its own.  The tests and
-`gadget --verify` cross-check composed tables against the elimination.
+Tables are composed: serial_table, the min-plus product over one
+junction's values, folds a path gadget's edge tables into its table and
+gives serial_glue its table, and parallel_glue sums its parts' tables
+pointwise, so neither a path nor a glued gadget needs an elimination of
+its own.  Bucket elimination over the gadget's own lists
+(_kernels.scan_table) builds the tables of the other gadgets, and the
+tests and `gadget --verify` cross-check every table against it.
 """
 
 from __future__ import annotations
 
 from itertools import product
 from math import prod
+from operator import add
 from typing import Optional
 
 from . import _kernels, analysis
@@ -85,7 +87,9 @@ def enumerate_cost_table(h: TargetGraph, gadget: Gadget, mode: str) -> dict:
     """Exact table from the gadget graph alone, by the DP's one
     bucket-elimination engine (_kernels.eliminate, through scan_table)
     over its lists, portals first and left uneliminated, the others in
-    min-fill order.
+    min-fill order.  cost_table uses it for gadgets that are not paths,
+    and `gadget --verify` for every gadget, path tables included, so it
+    checks each composed table independently.
 
     The name stays because the benchmark tracer wraps it by name, and
     gadgets with more than ENUM_BOUND assignments still raise GadgetError,
@@ -107,13 +111,43 @@ def enumerate_cost_table(h: TargetGraph, gadget: Gadget, mode: str) -> dict:
     return dict(zip(product(*states[:nportal]), flat.tolist()))
 
 
+def _is_path(gadget: Gadget) -> bool:
+    """Whether the gadget's graph is the path 0-1-...-(n-1) between its
+    portals 0 and n-1 (Gadget admits no repeated edge, so n-1 edges that
+    each join consecutive vertices are that path)."""
+    n = gadget.n
+    return (gadget.portals == (0, n - 1) and len(gadget.edges) == n - 1
+            and all(abs(u - v) == 1 for u, v in gadget.edges))
+
+
+def _path_table(h: TargetGraph, gadget: Gadget, mode: str) -> dict:
+    """A path gadget's table: the left fold of serial_table over its
+    edges' tables.  An edge costs 0 where its ends' images are adjacent
+    or either is DELETED, and otherwise INF in vd and 1 in ed."""
+    nb, bad = h.nbhd, INF if mode == "vd" else 1
+    states = [sorted(lst) + [DELETED] if mode == "vd" else sorted(lst)
+              for lst in gadget.lists]
+
+    def edge(lu, lv):
+        return {(a, b): 0 if a == DELETED or b == DELETED or nb[a] >> b & 1
+                else bad for a in lu for b in lv}
+
+    t = edge(states[0], states[1])
+    for i in range(1, gadget.n - 1):
+        t = serial_table(t, edge(states[i], states[i + 1]), states[i], mode)
+    return t
+
+
 def cost_table(h: TargetGraph, gadget: Gadget, mode: str) -> dict:
     """The gadget's cached table for mode (portal-value tuple, DELETED
-    allowed in vd -> cost), computed by elimination on first use."""
+    allowed in vd -> cost), made on first use: composed from its edges
+    if the gadget is a path (_is_path), else by elimination."""
     if mode not in ("vd", "ed"):
         raise ValueError("mode must be 'vd' or 'ed'")
     if mode not in gadget.tables:
-        gadget.tables[mode] = enumerate_cost_table(h, gadget, mode)
+        gadget.tables[mode] = (
+            _path_table(h, gadget, mode) if _is_path(gadget)
+            else enumerate_cost_table(h, gadget, mode))
     return gadget.tables[mode]
 
 
@@ -231,20 +265,16 @@ def _reversed(g: Gadget) -> Gadget:
 
 def serial_table(t1: dict, t2: dict, junction, mode: str) -> dict:
     """Min-plus composition at one shared junction vertex; in VD mode a
-    deleted junction vertex costs 1 (it is interior to the composition)."""
-    keys1 = sorted({k[0] for k in t1})
-    keys2 = sorted({k[1] for k in t2})
-    out = {}
-    for a in keys1:
-        for b in keys2:
-            best = INF
-            for c in junction:
-                cost = t1[(a, c)] + t2[(c, b)]
-                if mode == "vd" and c == DELETED:
-                    cost += 1
-                best = min(best, cost)
-            out[(a, b)] = min(best, INF)
-    return out
+    deleted junction vertex costs 1 (it is interior to the composition).
+    Keys run over t1's first and t2's second portal values, each sorted;
+    costs are capped at INF."""
+    charge = [1 if mode == "vd" and c == DELETED else 0 for c in junction]
+    rows = [(a, [t1[a, c] for c in junction])
+            for a in sorted({k[0] for k in t1})]
+    cols = [(b, [t2[c, b] + x for c, x in zip(junction, charge)])
+            for b in sorted({k[1] for k in t2})]
+    return {(a, b): min(INF, *map(add, row, col))
+            for a, row in rows for b, col in cols}
 
 
 def parallel_table(t1: dict, t2: dict) -> dict:

@@ -9,7 +9,7 @@ import types
 
 import pytest
 
-from lhomdel import analysis, cli, dpsolve, polysolve
+from lhomdel import _kernels, analysis, cli, dpsolve, gadgets, polysolve
 from lhomdel.graphs import (MAX_INSTANCE_VERTICES, MAX_TARGET_VERTICES,
                             Instance, TargetGraph, format_instance,
                             format_target, parse_instance, parse_target)
@@ -902,6 +902,16 @@ def test_cli_imports_no_dataclasses_inspect_or_traceback(monkeypatch):
     assert out.stdout == "[]\n"
 
 
+def test_cli_import_does_not_load_reductions(monkeypatch):
+    # only reduce and selftest import the reductions module, so no other
+    # command compiles it
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    out, _ = _python("-c", "import sys, lhomdel.cli; "
+                     "print('lhomdel.reductions' in sys.modules)")
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "False\n"
+
+
 def test_memory_error_exit_code(tmp_path):
     # a one-line instance at the vertex cap passes the header check, and
     # its DP solve over a one-vertex target needs far more than 64 MiB;
@@ -1153,6 +1163,55 @@ def test_gadget_verify_keeps_the_enumeration_bound(tmp_path, capsys):
                               "2", "3", "--verify"])
     assert code == cli.EXIT_OK
     assert json.loads(out)["verified"] == "table too large to enumerate"
+
+
+_S_PROHIBITOR = """
+import contextlib, io, sys
+from lhomdel import cli
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    code = cli.main(["gadget", "s-prohibitor", sys.argv[1], "--set", "1",
+                     "2", "3", "--verify"])
+print(code, "table too large" in out.getvalue(), "numpy" in sys.modules)
+"""
+
+
+def test_s_prohibitor_process_does_not_load_numpy(tmp_path):
+    # every table of an s-prohibitor is a path's, composed from its edges,
+    # or a glue of such tables, and --verify refuses it before eliminating
+    t = _write(tmp_path, "h.hg",
+               format_target(families.independent_reflexive(3)))
+    out, _ = _python("-c", _S_PROHIBITOR, t, check=True)
+    assert out.stdout.strip() == "0 True False"
+
+
+def test_gadget_verify_cross_checks_a_composed_path_table(
+        tmp_path, capsys, monkeypatch):
+    # a splitter is a path gadget, so its table is composed and the one
+    # elimination --verify runs checks it; a wrong composed table fails
+    t = _write(tmp_path, "h.hg", format_target(families.reflexive_cycle(6)))
+    argv = ["gadget", "splitter", t, "--set", "1", "3", "5", "--vertex", "1",
+            "--verify"]
+    calls, eliminate = [], _kernels.eliminate
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return eliminate(*args, **kwargs)
+
+    monkeypatch.setattr(_kernels, "eliminate", counted)
+    code, out = _run(capsys, argv)
+    assert code == cli.EXIT_OK and json.loads(out)["verified"] is True
+    assert len(calls) == 1
+    path_table = gadgets._path_table
+
+    def corrupted(h, g, mode):
+        t = path_table(h, g, mode)
+        t[_kernels.DELETED, _kernels.DELETED] += 1  # the splitter checks pass
+        return t
+
+    monkeypatch.setattr(gadgets, "_path_table", corrupted)
+    code, out = _run(capsys, argv)
+    assert code == cli.EXIT_OK and json.loads(out)["verified"] is False
 
 
 def test_reduce_command(tmp_path, capsys):

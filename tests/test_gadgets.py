@@ -243,6 +243,83 @@ def test_glued_tables_match_elimination(build):
     assert g.tables[mode] == _eliminated(h, g, mode)
 
 
+def test_path_tables_are_the_elimination():
+    # cost_table composes a path gadget's table from its edges' tables;
+    # the engine's table over the same gadget has the same keys and costs
+    rng = random.Random(44)
+    for _ in range(2000):
+        h = graphs.random_target(rng, rng.randint(2, 10))
+        lists = [rng.sample(range(h.n), rng.randint(1, min(4, h.n)))
+                 for _ in range(rng.randint(2, 8))]
+        for mode in ("vd", "ed"):
+            g = gadgets.path_gadget(lists)
+            assert gadgets.cost_table(h, g, mode) == \
+                gadgets.enumerate_cost_table(h, g, mode), (h.nbhd, lists)
+
+
+def _serial_reference(t1, t2, junction, mode):
+    """serial_table as a triple loop over both portals and the junction."""
+    out = {}
+    for a in sorted({k[0] for k in t1}):
+        for b in sorted({k[1] for k in t2}):
+            best = _kernels.INF
+            for c in junction:
+                cost = t1[(a, c)] + t2[(c, b)]
+                if mode == "vd" and c == X:
+                    cost += 1
+                best = min(best, cost)
+            out[(a, b)] = min(best, _kernels.INF)
+    return out
+
+
+def test_serial_table_is_the_triple_loop():
+    # tables holding INF, keys inserted in random order: the same items
+    # in the same order
+    rng = random.Random(45)
+    costs = (0, 1, 2, 3, _kernels.INF)
+    for _ in range(500):
+        mode = rng.choice(("vd", "ed"))
+        ends = [rng.sample(range(6), rng.randint(1, 4)) for _ in range(3)]
+        if mode == "vd":
+            ends = [vals + [X] for vals in ends]
+        left, junction, right = ends
+        t1 = {(a, c): rng.choice(costs) for a in rng.sample(left, len(left))
+              for c in junction}
+        t2 = {(c, b): rng.choice(costs) for c in junction
+              for b in rng.sample(right, len(right))}
+        got = gadgets.serial_table(t1, t2, junction, mode)
+        assert list(got.items()) == list(
+            _serial_reference(t1, t2, junction, mode).items())
+
+
+def _no_engine(*args, **kwargs):
+    raise AssertionError("construction ran the elimination engine")
+
+
+def test_construction_runs_no_elimination(monkeypatch):
+    # every table these builders make is a path's, composed from its
+    # edges, or a glue of such tables; an AssertionError is not a
+    # GadgetError, so no builder's retry loop can swallow an engine call
+    monkeypatch.setattr(_kernels, "eliminate", _no_engine)
+    targets = [(name, h) for name, h, vd, _ in families.DICHOTOMY_CORPUS
+               if vd == "np-hard" and h.n > 1]
+    targets += [("windowed3", families.windowed_family(3)),
+                ("crossing2", families.crossing_family(2)),
+                ("refl-cycle6", families.reflexive_cycle(6))]
+    moves = {"windowed3": ((0, 1), (1, 2)), "crossing2": ((1, 5), (8, 9))}
+    for name, h in targets:
+        s = sorted(max_incomparable(h)[1])
+        pairs = [tuple(sorted(p)) for p in gadgets.incomparable_pairs(h)]
+        gadgets.build_splitter(h, s, s[0])
+        gadgets.build_matcher(h, *pairs[0])
+        gadgets.build_prohibitor(h, s, s[0])
+        gadgets.build_s_prohibitor(h, s)
+        gadgets.move_between_pairs(h, *moves.get(name, (pairs[0], pairs[-1])))
+        if h.is_reflexive():
+            dest = next(q for q in pairs if not h.has_edge(*q))
+            gadgets.build_translator(h, *pairs[0], *dest)
+
+
 def test_check_costs_relations():
     t = {(0, 0): 3, (0, 1): 2, (1, 0): 2, (1, 1): 2}
     cells = list(t)
