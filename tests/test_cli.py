@@ -12,7 +12,8 @@ import pytest
 from lhomdel import _kernels, analysis, cli, dpsolve, gadgets, polysolve
 from lhomdel.graphs import (MAX_INSTANCE_VERTICES, MAX_TARGET_VERTICES,
                             Instance, TargetGraph, format_instance,
-                            format_target, parse_instance, parse_target)
+                            format_target, max_incomparable, parse_instance,
+                            parse_target)
 from lhomdel.reductions import parse_classic
 
 import families
@@ -709,6 +710,72 @@ def test_gadget_verify_outputs_are_pinned(tmp_path, capsys):
             assert json.loads(out)["verified"] is True
         got[name, args] = hashlib.sha256(out.encode()).hexdigest()
     assert got == GADGET_VERIFY_SHA256  # names every changed pin at once
+
+
+def _gadget_sweep(tmp_path):
+    """(kind, argv) for every `gadget` kind, with and without --verify, on
+    80 seeded random targets of 3-9 vertices with random loop and edge
+    densities: S is max_incomparable's set (its first three vertices for
+    an indicator, whose joint table has 2^(|S|(|S|-1)) rows per input),
+    the pairs are random incomparable pairs.  Targets with no
+    incomparable pair are skipped."""
+    rng = random.Random(46)
+    for i in range(80):
+        h = families.random_target(rng, rng.randint(3, 9),
+                                   loop_p=rng.random(), edge_p=rng.random())
+        pairs = [[str(v + 1) for v in sorted(p)]
+                 for p in gadgets.incomparable_pairs(h)]
+        if not pairs:
+            continue
+        s = [str(v + 1) for v in sorted(max_incomparable(h)[1])]
+        p, q = rng.choice(pairs), rng.choice(pairs)
+        t = _write(tmp_path, f"sweep{i}.hg", format_target(h))
+        for kind, rest in (
+                ("splitter", ["--set", *s, "--vertex", s[0]]),
+                ("matcher", ["--pair", *p]),
+                ("translator", ["--pair", *p, "--dest", *q]),
+                ("prohibitor", ["--set", *s, "--vertex", s[-1]]),
+                ("s-prohibitor", ["--set", *s]),
+                ("neq", ["--pair", *p]),
+                ("move", ["--pair", *p, "--dest", *q]),
+                ("indicator", ["--set", *s[:3], "--dest", *q])):
+            for verify in ([], ["--verify"]):
+                yield kind, ["gadget", kind, t, *rest, *verify]
+
+
+# SHA-256 per kind over the exit code and stdout of its _gadget_sweep ops
+# (1152 in all; 112 of the 144 neq ops and 124 of the translator ops exit
+# 3, as their pair lies in no obstruction or the target is not reflexive)
+GADGET_KIND_SHA256 = {
+    "splitter":
+        "77f4dcf1ba5bb3cfd56e2c1940cf3e38ee594a929bfe3e436824b423a235b988",
+    "matcher":
+        "4661a50e3dab7f7c8b9f16c9d7cbe44dc3622de541bef4e19edd700b5ff40abc",
+    "translator":
+        "ff02f727bc404172c53f47531f95f97f326c51fdb0fd754f92d246ed9f336495",
+    "prohibitor":
+        "4c7fcfb5b4261c67f64b91a6e368e1c9fcb233c897d233d966b27823501db709",
+    "s-prohibitor":
+        "02bf03060fb38438118163e8d20eb3cbc1783f5aefec89f82475f2e57c06290c",
+    "neq":
+        "271cd4c89590cc84ce9efe3f0b06878867a25ae1c12609da8794a4d4d70be37f",
+    "move":
+        "415e90b23dc416132f56933a62176aee866467db9ca5c79bd289f5bb2d324cce",
+    "indicator":
+        "50e576d57ff9dff43e6b1d88abb5423664e6cd51c733198e3587fa187848e89d",
+}
+
+
+def test_every_gadget_kind_is_pinned(tmp_path, capsys):
+    """Every kind's stdout and exit codes over the sweep, so a change to
+    how any gadget is built shows here, named by kind."""
+    digests = {}
+    for kind, argv in _gadget_sweep(tmp_path):
+        code, out = _run(capsys, argv)
+        digests.setdefault(kind, hashlib.sha256()).update(
+            f"{code}\n{out}".encode())
+    got = {kind: d.hexdigest() for kind, d in digests.items()}
+    assert got == GADGET_KIND_SHA256  # names every changed kind at once
 
 
 def test_repeated_record_exit_code(tmp_path, capsys):
