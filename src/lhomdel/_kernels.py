@@ -390,16 +390,13 @@ def max_incomparable_mask(nb, S):
     return best
 
 
-def _lowest(masks):
-    return tuple((m & -m).bit_length() - 1 for m in masks)
-
-
 def first_obstruction(nb, refl, S):
     """H[S]'s lexicographically first obstruction as (kind, vertices,
     witnesses), or None: irreflexive edges first, then triples, each tried
     for private neighbours (one per member) before co-private ones (one
     per pair, in pair order); each witness is the lowest qualifying vertex
-    of S.  Both kinds of triple are pairwise incomparable."""
+    of S.  Both kinds of triple are pairwise incomparable.  Vertices and
+    witnesses are one-bit masks; a witness may be one of the vertices."""
     I = S & ~refl
     t = I
     while t:
@@ -407,7 +404,7 @@ def first_obstruction(nb, refl, S):
         t ^= low
         m = nb[low.bit_length() - 1] & I
         if m:  # the first such u: its partners all lie above it
-            return "irreflexive_edge", _lowest((low, m)), ()
+            return "irreflexive_edge", (low, m & -m), ()
     inc = _incomparability(nb, S)
     t = S
     while t:
@@ -429,10 +426,12 @@ def first_obstruction(nb, refl, S):
                 gc = nb[c] & S
                 private = (ga & ~gb & ~gc, gb & ~ga & ~gc, gc & ~ga & ~gb)
                 if all(private):
-                    return "private_triple", (a, b, c), _lowest(private)
+                    return ("private_triple", (low, lb, lc),
+                            tuple(p & -p for p in private))
                 co = (ga & gb & ~gc, ga & gc & ~gb, gb & gc & ~ga)
                 if all(co):
-                    return "co_private_triple", (a, b, c), _lowest(co)
+                    return ("co_private_triple", (low, lb, lc),
+                            tuple(p & -p for p in co))
     return None
 
 

@@ -37,7 +37,8 @@ def find_obstruction(h: TargetGraph) -> Optional[Obstruction]:
     """Lexicographically first LHomED hardness witness, or None."""
     found = _kernels.first_obstruction(h.nbhd, h.reflexive_mask(),
                                        (1 << h.n) - 1)
-    return None if found is None else Obstruction(*found)
+    return None if found is None else Obstruction(found[0], *(
+        tuple(m.bit_length() - 1 for m in ms) for ms in found[1:]))
 
 
 def classify_ed(h: TargetGraph):

@@ -280,7 +280,7 @@ def solve_ed_auto(h: TargetGraph, inst: Instance,
         part = h if S == full else h.restricted(S)
         if ob is None or ob & ~S:
             found = _kernels.first_obstruction(h.nbhd, refl, S)
-            ob = found and sum(1 << v for v in found[1] + found[2])
+            ob = found and sum(set(found[1] + found[2]))  # bits may repeat
         if not ob:
             if td is not None:
                 validate_td(sub, td)
@@ -294,9 +294,8 @@ def solve_ed_auto(h: TargetGraph, inst: Instance,
                 raise Infeasible("vertex with an empty list")
             sp = split_by_decomposition(part, dec, sub)
             cost += len(sp.forced)
-            if S == full:  # the root's hom lists A's vertices first
+            if S == full:
                 stats = {"parts": 2, "forced": len(sp.forced)}
-                hom = dict.fromkeys(sp.verts_a + sp.verts_bc)
             for side, sub_s, vs in ((dec.b | dec.c, sp.sub_bc, sp.verts_bc),
                                     (dec.a, sp.sub_a, sp.verts_a)):
                 if sub_s.n:

@@ -10,10 +10,11 @@ incidence lists, so it is never built.
 Tables are composed: serial_table, the min-plus product over one
 junction's values, folds a path gadget's edge tables into its table and
 gives serial_glue its table, and parallel_glue sums its parts' tables
-pointwise, so neither a path nor a glued gadget needs an elimination of
-its own.  Bucket elimination over the gadget's own lists
-(_kernels.scan_table) builds the tables of the other gadgets, and the
-tests and `gadget --verify` cross-check every table against it.
+pointwise.  A glue composes the table of the mode it is given, so no
+path or glued gadget needs an elimination of its own, and it skips
+Gadget's checks, which its parts passed.  Bucket elimination over the
+gadget's own lists (_kernels.scan_table) builds the tables of the other
+gadgets, and the tests and `gadget --verify` check every table by it.
 """
 
 from __future__ import annotations
@@ -207,9 +208,20 @@ def move_report(h: TargetGraph, gadget: Gadget) -> MoveReport:
 # gluing
 
 
-def _glue(g1: Gadget, g2: Gadget, ident: dict) -> tuple:
-    """Union of g1 and g2 with g2-vertex -> g1-vertex identifications;
-    returns (n, edges, lists, map2) with map2 taking g2 ids to new ids."""
+def _prechecked(n: int, edges: tuple, lists: tuple, portals: tuple,
+                tables: dict) -> Gadget:
+    """A Gadget of parts that passed Gadget.__init__'s checks already."""
+    g = Gadget.__new__(Gadget)
+    g.n, g.edges, g.lists, g.portals = n, edges, lists, portals
+    g.tables, g.meta = tables, {}
+    return g
+
+
+def _glue(g1: Gadget, g2: Gadget, ident: dict, portals1: tuple,
+          portals2: tuple) -> Gadget:
+    """Union of g1 and g2 with g2-vertex -> g1-vertex identifications,
+    with portals g1's portals1 then g2's portals2, and no table yet.  Its
+    parts are checked, so it checks only glued lists and parallel edges."""
     for b, a in ident.items():
         if g1.lists[a] != g2.lists[b]:
             raise GadgetError("glued vertices must carry equal lists")
@@ -229,38 +241,40 @@ def _glue(g1: Gadget, g2: Gadget, ident: dict) -> tuple:
         if e in edges:
             raise GadgetError("gluing would create a parallel edge")
         edges.add(e)
-    return nxt, tuple(sorted(edges)), tuple(lists), map2
+    return _prechecked(nxt, tuple(sorted(edges)), tuple(lists),
+                       portals1 + tuple(map2[v] for v in portals2), {})
 
 
-def serial_glue(g1: Gadget, g2: Gadget) -> Gadget:
-    """Identify g1's second portal with g2's first.  Each table mode that
-    both carry composes by min-plus over the junction's values."""
-    n, edges, lists, map2 = _glue(g1, g2, {g2.portals[0]: g1.portals[1]})
-    g = Gadget(n, edges, lists, (g1.portals[0], map2[g2.portals[1]]))
+def serial_glue(h: TargetGraph, g1: Gadget, g2: Gadget, mode: str) -> Gadget:
+    """Identify g1's second portal with g2's first; the mode's table is
+    the min-plus composition of the parts' tables over the junction's
+    values."""
+    g = _glue(g1, g2, {g2.portals[0]: g1.portals[1]}, g1.portals[:1],
+              g2.portals[1:])
     junction = sorted(g1.lists[g1.portals[1]])
-    for mode in sorted(g1.tables.keys() & g2.tables.keys()):
-        g.tables[mode] = serial_table(
-            g1.tables[mode], g2.tables[mode],
-            junction + [DELETED] if mode == "vd" else junction, mode)
+    g.tables[mode] = serial_table(
+        cost_table(h, g1, mode), cost_table(h, g2, mode),
+        junction + [DELETED] if mode == "vd" else junction, mode)
     return g
 
 
-def parallel_glue(g1: Gadget, g2: Gadget) -> Gadget:
-    """Identify both portal pairs.  Each table mode that both carry
-    composes by a pointwise sum."""
-    n, edges, lists, _ = _glue(g1, g2, {g2.portals[0]: g1.portals[0],
-                                        g2.portals[1]: g1.portals[1]})
-    g = Gadget(n, edges, lists, g1.portals)
-    for mode in sorted(g1.tables.keys() & g2.tables.keys()):
-        g.tables[mode] = parallel_table(g1.tables[mode], g2.tables[mode])
+def parallel_glue(h: TargetGraph, g1: Gadget, g2: Gadget,
+                  mode: str) -> Gadget:
+    """Identify both portal pairs; the mode's table is the pointwise sum
+    of the parts' tables."""
+    g = _glue(g1, g2, {g2.portals[0]: g1.portals[0],
+                       g2.portals[1]: g1.portals[1]}, g1.portals, ())
+    g.tables[mode] = parallel_table(cost_table(h, g1, mode),
+                                    cost_table(h, g2, mode))
     return g
 
 
-def _reversed(g: Gadget) -> Gadget:
-    """A binary gadget with its portals swapped and its tables transposed."""
-    return Gadget(g.n, g.edges, g.lists, g.portals[::-1],
-                  {mode: {key[::-1]: c for key, c in t.items()}
-                   for mode, t in g.tables.items()})
+def _reversed(h: TargetGraph, g: Gadget, mode: str) -> Gadget:
+    """A binary gadget with its portals swapped and the mode's table
+    transposed."""
+    t = cost_table(h, g, mode)
+    return _prechecked(g.n, g.edges, g.lists, g.portals[::-1],
+                       {mode: {key[::-1]: c for key, c in t.items()}})
 
 
 def serial_table(t1: dict, t2: dict, junction, mode: str) -> dict:
@@ -468,7 +482,8 @@ def build_matcher(h: TargetGraph, vp: int, wp: int,
         a, b = verts[0], verts[2]
     tr, (c, d) = build_translator(h, vp, wp, a, b, v, w)
     mat = _ab_matcher(h, witness, c, d)
-    g = serial_glue(serial_glue(tr, mat), _reversed(tr))
+    g = serial_glue(h, serial_glue(h, tr, mat, "vd"), _reversed(h, tr, "vd"),
+                    "vd")
     alpha = 2 * tr.meta["alpha"] + mat.meta["alpha"]
     g.meta = {"alpha": alpha, "p": vp, "q": wp}
     _verify_matcher(g.tables["vd"], vp, wp, alpha)
@@ -495,7 +510,8 @@ def build_prohibitor(h: TargetGraph, s, v: int) -> Gadget:
             last_err = exc
     else:
         raise last_err
-    g = serial_glue(serial_glue(spl, mat), _reversed(spl))
+    g = serial_glue(h, serial_glue(h, spl, mat, "vd"),
+                    _reversed(h, spl, "vd"), "vd")
     alpha = 2 * spl.meta["alpha"] + mat.meta["alpha"]
     _check_costs(g.tables["vd"], product(sorted(s) + [DELETED], repeat=2),
                  alpha, "prohibitor", above={(v, v)})
@@ -510,7 +526,7 @@ def build_s_prohibitor(h: TargetGraph, s) -> Gadget:
     parts = [build_prohibitor(h, s, v) for v in sorted(s)]
     g = parts[0]
     for other in parts[1:]:
-        g = parallel_glue(g, other)
+        g = parallel_glue(h, g, other, "vd")
     alpha = sum(p.meta["alpha"] for p in parts)
     _check_costs(g.tables["vd"], product(sorted(s) + [DELETED], repeat=2),
                  alpha, "S-prohibitor", above={(u, u) for u in s})
@@ -534,14 +550,9 @@ def add_cost_pendants(h: TargetGraph, gadget: Gadget, portal_index: int,
     if not pend:
         raise GadgetError("no pendant list available: Γ(a) = V(H)")
     t = cost_table(h, gadget, "ed")
-    lists = list(gadget.lists)
-    edges = list(gadget.edges)
-    n = gadget.n
-    for _ in range(k):
-        lists.append(pend)
-        edges.append((p, n))
-        n += 1
-    g = Gadget(n, tuple(edges), tuple(lists), gadget.portals,
+    new = range(gadget.n, gadget.n + k)
+    g = Gadget(gadget.n + k, tuple(gadget.edges) + tuple((p, v) for v in new),
+               tuple(gadget.lists) + (pend,) * k, gadget.portals,
                meta=dict(gadget.meta))
     g.tables["ed"] = {key: c + (k if key[portal_index] == a else 0)
                       for key, c in t.items()}
@@ -563,19 +574,8 @@ def normalize_move(h: TargetGraph, move: Gadget) -> Gadget:
     _check_costs(tn, product(lin, lout), min(tn.values()), "normalized move",
                  above={(u, v) for u in lin for v in lout
                         if t[(u, v)] != mins[u]})
-    g.meta = dict(move.meta)
-    g.meta["normalized"] = True
+    g.meta = {**move.meta, "normalized": True}
     return g
-
-
-def compose_moves(h: TargetGraph, m1: Gadget, m2: Gadget) -> Gadget:
-    """Serial gluing of two normalized moves.  Both tables are made first,
-    since the glue composes only tables that both parts carry."""
-    if m1.lists[m1.portals[1]] != m2.lists[m2.portals[0]]:
-        raise GadgetError("junction lists differ")
-    cost_table(h, m1, "ed")
-    cost_table(h, m2, "ed")
-    return serial_glue(m1, m2)
 
 
 def force_from_allow(h: TargetGraph, move: Gadget) -> Gadget:
@@ -609,8 +609,7 @@ def force_from_allow(h: TargetGraph, move: Gadget) -> Gadget:
         lists = list(g.lists) + [frozenset({ap, bp}), frozenset(lin)]
         edges += [(x, g.n), (g.n, g.n + 1), (g.n + 1, y)]
         g = Gadget(g.n + 2, tuple(edges), tuple(lists), g.portals)
-    cost_table(h, g, "ed")  # so that parallel_glue doubles it
-    out = add_cost_pendants(h, parallel_glue(g, g), 0, b, 1)
+    out = add_cost_pendants(h, parallel_glue(h, g, g, "ed"), 0, b, 1)
     out = add_cost_pendants(h, out, 1, c, 1)
     rep2 = move_report(h, out)
     if rep2.forced.get(a) != c or rep2.forced.get(b) != d:
@@ -634,12 +633,10 @@ def adjacent_pair_move(h: TargetGraph, pair1, pair2) -> Gadget:
     free = _private(h, a, b) & _private(h, a, c)
     if free:
         g = path_gadget([p1, {_low(free), bp}, p2])
-        g = _ensure_forced(h, g, {a: a, b: c})
-    else:
-        ap, app = _low(_private(h, a, b)), _low(_private(h, a, c))
-        g = path_gadget([p1, {ap, bp}, {c, b}, {cp, app}, p2])
-        g = _ensure_forced(h, g, {a: c, b: a})
-    return g
+        return _ensure_forced(h, g, {a: a, b: c})
+    ap, app = _low(_private(h, a, b)), _low(_private(h, a, c))
+    g = path_gadget([p1, {ap, bp}, {c, b}, {cp, app}, p2])
+    return _ensure_forced(h, g, {a: c, b: a})
 
 
 def _ensure_forced(h: TargetGraph, g: Gadget, want: dict) -> Gadget:
@@ -745,16 +742,24 @@ def _shift_gadget(h: TargetGraph, pair, reflexive_private: bool) -> tuple:
     return g, frozenset((ap, bp))
 
 
-def _move_chain(h: TargetGraph, pair1, pair2) -> list:
-    """Primitive forcing moves composing to a move from pair1 to pair2."""
+def _aux_context(h: TargetGraph) -> tuple:
+    """What every move chain of a build shares: whether H is a strong
+    split, the Aux variant that follows, and its pair graph."""
+    strong = analysis.is_strong_split(h)
+    variant = "star" if strong else "good"
+    return strong, variant, pair_graph(h, variant)
+
+
+def _move_chain(h: TargetGraph, aux: tuple, pair1, pair2) -> list:
+    """Primitive forcing moves composing to a move from pair1 to pair2,
+    routed through Aux as given by aux (_aux_context)."""
     p1, p2 = frozenset(pair1), frozenset(pair2)
     for p in (p1, p2):
         if len(p) != 2:
             raise GadgetError(f"pair {sorted(v + 1 for v in p)} "
                               "is not two distinct vertices")
         _check_incomparable(h, p)
-    strong = analysis.is_strong_split(h)
-    variant = "star" if strong else "good"
+    strong, variant, at = aux
     refl = h.reflexive_mask()
     chain, start, end, endchain = [], p1, p2, []
     if not _in_variant(h, variant, refl, *sorted(p1)):
@@ -765,8 +770,8 @@ def _move_chain(h: TargetGraph, pair1, pair2) -> list:
         # at (a, a') and (b, b') and 1 at (a, b') and (b, a'): reversed, it
         # forces a'->a and b'->b
         g, end = _shift_gadget(h, p2, reflexive_private=not strong)
-        endchain.append(_reversed(g))
-    nodes = _aux_path(pair_graph(h, variant), start, end)
+        endchain.append(_reversed(h, g, "ed"))
+    nodes = _aux_path(at, start, end)
     if nodes is None:
         raise GadgetError(
             f"pairs not connected in Aux-{variant}: is H undecomposable?")
@@ -782,13 +787,13 @@ def _compose_chain(h: TargetGraph, chain) -> Gadget:
     parts = [normalize_move(h, m) for m in chain]
     g = parts[0]
     for m in parts[1:]:
-        g = compose_moves(h, g, m)
+        g = serial_glue(h, g, m, "ed")
     return g
 
 
 def move_between_pairs(h: TargetGraph, pair1, pair2) -> Gadget:
     """Composed move forcing a bijection from pair1 onto pair2."""
-    g = _compose_chain(h, _move_chain(h, pair1, pair2))
+    g = _compose_chain(h, _move_chain(h, _aux_context(h), pair1, pair2))
     rep = move_report(h, g)
     vals = [rep.jmap[u] for u in sorted(frozenset(pair1))]
     if (any(len(s) != 1 for s in vals) or vals[0] == vals[1]
@@ -817,16 +822,20 @@ def relax_input_list(h: TargetGraph, move: Gadget, s) -> Gadget:
 
 def build_indicator(h: TargetGraph, s, a: int, b: int) -> tuple:
     """Indicator of S over {a,b}: one normalized forcing move per ordered
-    pair of S, glued at a shared input portal.  Returns (gadget, I)."""
+    pair of S, glued at a shared input portal.  Returns (gadget, I), I
+    being the joint table's minimum entries: every submove is normalized,
+    so these are the tuples each of whose submoves takes a least-cost
+    output."""
     s = sorted(frozenset(s))
     if len(s) < 2:
         raise GadgetError("need |S| >= 2")
-    moves, reps = [], []
+    aux = _aux_context(h)
+    moves = []
     for x in s:
         for y in s:
             if x == y:
                 continue
-            chain = _move_chain(h, frozenset((x, y)), frozenset((a, b)))
+            chain = _move_chain(h, aux, frozenset((x, y)), frozenset((a, b)))
             if chain[0].lists[chain[0].portals[0]] != frozenset(s):
                 chain[0] = relax_input_list(h, chain[0], frozenset(s))
             m = normalize_move(h, _compose_chain(h, chain))
@@ -835,34 +844,23 @@ def build_indicator(h: TargetGraph, s, a: int, b: int) -> tuple:
                     or rep.jmap[x] == rep.jmap[y]):
                 raise GadgetError("indicator submove is not forcing")
             moves.append(m)
-            reps.append(rep)
-    # glue all submoves at the shared input portal
     g = moves[0]
     for m in moves[1:]:
-        n, edges, lists, map2 = _glue(g, m, {m.portals[0]: g.portals[0]})
-        g = Gadget(n, edges, lists, g.portals + (map2[m.portals[1]],))
+        g = _glue(g, m, {m.portals[0]: g.portals[0]}, g.portals,
+                  m.portals[1:])
     # joint table: submoves are independent given the shared input
     tabs = [cost_table(h, m, "ed") for m in moves]
-    joint = {}
-    for u in s:
-        for outs in product((a, b), repeat=len(moves)):
-            joint[(u,) + outs] = sum(t[(u, o)] for t, o in zip(tabs, outs))
-    g.tables["ed"] = joint
-    relation = set()
-    for u in s:
-        for outs in product((a, b), repeat=len(moves)):
-            if all(o in r.jmap[u] for r, o in zip(reps, outs)):
-                relation.add((u,) + outs)
-    _check_costs(joint, joint, min(joint.values()), "indicator",
-                 above=joint.keys() - relation)
-    for i, u in enumerate(s):
-        iu = {key[1:] for key in relation if key[0] == u}
+    g.tables["ed"] = joint = {
+        (u,) + outs: sum(t[(u, o)] for t, o in zip(tabs, outs))
+        for u in s for outs in product((a, b), repeat=len(moves))}
+    k = min(joint.values())
+    relation = {key for key, c in joint.items() if c == k}
+    rows = [{key[1:] for key in relation if key[0] == u} for u in s]
+    for i, iu in enumerate(rows):
         if not iu:
             raise GadgetError("indicator axiom: I(u) empty")
-        for v in s[i + 1:]:
-            iv = {key[1:] for key in relation if key[0] == v}
-            if iu & iv:
-                raise GadgetError("indicator axiom: I(u), I(v) intersect")
+        if any(iu & iv for iv in rows[i + 1:]):
+            raise GadgetError("indicator axiom: I(u), I(v) intersect")
     g.meta = {"s": tuple(s), "pair": (a, b)}
     return g, frozenset(relation)
 
@@ -935,7 +933,7 @@ def synthesize_neq(h: TargetGraph, a: int, b: int,
             ts = {k2: t[k2] + t[(k2[1], k2[0])] for k2 in t}
             if neq_ok(ts):
                 g1 = path_gadget(lists)
-                g = parallel_glue(g1, _reversed(g1))
+                g = parallel_glue(h, g1, _reversed(h, g1, "ed"), "ed")
                 if verify_realizes(h, g, {(a, b), (b, a)}):
                     return g
     return None

@@ -81,15 +81,16 @@ def test_obstruction_search_matches_the_triple_loop():
         assert got == want, h.nbhd
         kinds[None if want is None else want[0]] += 1
         # an induced subgraph keeps its vertices' order, so its first
-        # obstruction is the relabelled mask search's
+        # obstruction is the relabelled mask search's, each vertex and
+        # witness given as a one-bit mask
         S = rng.getrandbits(h.n) | 1 << rng.randrange(h.n)
         verts = list(bits(S))
         want = _obstruction_by_triple_loop(families.induced(h, verts))
         got = _kernels.first_obstruction(h.nbhd, h.reflexive_mask(), S)
         if want is not None:
             kind, vs, ws = want
-            want = (kind, tuple(verts[v] for v in vs),
-                    tuple(verts[w] for w in ws))
+            want = (kind, tuple(1 << verts[v] for v in vs),
+                    tuple(1 << verts[w] for w in ws))
         assert got == want, (h.nbhd, S)
     assert min(kinds.values()) > 100, kinds
 

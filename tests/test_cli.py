@@ -766,9 +766,21 @@ GADGET_KIND_SHA256 = {
 }
 
 
-def test_every_gadget_kind_is_pinned(tmp_path, capsys):
+def test_every_gadget_kind_is_pinned(tmp_path, capsys, monkeypatch):
     """Every kind's stdout and exit codes over the sweep, so a change to
-    how any gadget is built shows here, named by kind."""
+    how any gadget is built shows here, named by kind.  A glue or a
+    reversal skips Gadget's checks, so each gadget they return in the
+    sweep must pass them."""
+    made = []
+
+    def kept(build):
+        def wrapped(*args):
+            made.append(build(*args))
+            return made[-1]
+        return wrapped
+
+    monkeypatch.setattr(gadgets, "_glue", kept(gadgets._glue))
+    monkeypatch.setattr(gadgets, "_reversed", kept(gadgets._reversed))
     digests = {}
     for kind, argv in _gadget_sweep(tmp_path):
         code, out = _run(capsys, argv)
@@ -776,6 +788,9 @@ def test_every_gadget_kind_is_pinned(tmp_path, capsys):
             f"{code}\n{out}".encode())
     got = {kind: d.hexdigest() for kind, d in digests.items()}
     assert got == GADGET_KIND_SHA256  # names every changed kind at once
+    assert len(made) > 1000
+    for g in made:
+        gadgets.Gadget(g.n, g.edges, g.lists, g.portals)
 
 
 def test_repeated_record_exit_code(tmp_path, capsys):
@@ -1062,6 +1077,8 @@ def test_classify_size_ladder(tmp_path, name):
 GADGET_RUNGS = {
     "move-1000": (1000, "move --pair 1 2 --dest 999 1000", 10.0),
     "indicator-200": (200, "indicator --set 1 2 3 --dest 199 200", 5.0),
+    # twelve move chains over one pair graph of about 500,000 pairs
+    "indicator-1000": (1000, "indicator --set 1 2 3 4 --dest 999 1000", 2.0),
 }
 
 

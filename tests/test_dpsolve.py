@@ -185,13 +185,14 @@ def _two_hard_leaves():
 
 
 def _ed_auto_outcome(solve, h, inst, td):
-    """(cost, hom items in order, deleted, stats, algorithm), or the
-    exception's type and message."""
+    """(cost, hom items sorted, deleted, stats, algorithm), or the
+    exception's type and message.  The CLI prints hom by sorted key, so
+    no output reads the order in which the walk fills it."""
     try:
         sol = solve(h, inst, td)
     except Exception as e:
         return type(e), str(e)
-    return (sol.cost, list(sol.hom.items()), sol.deleted, sol.stats,
+    return (sol.cost, sorted(sol.hom.items()), sol.deleted, sol.stats,
             sol.algorithm)
 
 

@@ -1,7 +1,7 @@
 import heapq
 import random
 import time
-from itertools import product
+from itertools import permutations, product
 from math import prod
 
 import networkx as nx
@@ -151,7 +151,7 @@ def test_normalize_and_compose_moves():
     lout = sorted(m1.lists[m1.portals[1]])
     mins = {u: min(t[(u, v)] for v in lout) for u in lin}
     assert len(set(mins.values())) == 1  # row minima equalized
-    g = gadgets.compose_moves(h, m1, m2)
+    g = gadgets.serial_glue(h, m1, m2, "ed")
     rep = gadgets.move_report(h, g)
     assert all(len(rep.jmap[u]) == 1 for u in rep.jmap)
     vals = set().union(*rep.jmap.values())
@@ -222,9 +222,7 @@ def _junction_deleted_path():
     # out, so the minimum at (0, 2) is the one that charges its deletion
     h = families.independent_reflexive(3)
     parts = [gadgets.path_gadget(lists) for lists in ([{0}, {1}], [{1}, {2}])]
-    for part in parts:
-        gadgets.cost_table(h, part, "vd")
-    g = gadgets.serial_glue(*parts)
+    g = gadgets.serial_glue(h, *parts, "vd")
     assert g.tables["vd"][(0, 2)] == 1
     return h, g, "vd"
 
@@ -298,9 +296,11 @@ def _no_engine(*args, **kwargs):
 
 def test_construction_runs_no_elimination(monkeypatch):
     # every table these builders make is a path's, composed from its
-    # edges, or a glue of such tables; an AssertionError is not a
-    # GadgetError, so no builder's retry loop can swallow an engine call
+    # edges, or a glue of such tables, NEQ's mirror-doubled path included;
+    # an AssertionError is not a GadgetError, so no builder's retry loop
+    # can swallow an engine call
     monkeypatch.setattr(_kernels, "eliminate", _no_engine)
+    mirrored = 0
     targets = [(name, h) for name, h, vd, _ in families.DICHOTOMY_CORPUS
                if vd == "np-hard" and h.n > 1]
     targets += [("windowed3", families.windowed_family(3)),
@@ -318,6 +318,10 @@ def test_construction_runs_no_elimination(monkeypatch):
         if h.is_reflexive():
             dest = next(q for q in pairs if not h.has_edge(*q))
             gadgets.build_translator(h, *pairs[0], *dest)
+        ob = analysis.find_obstruction(h)
+        g = ob and gadgets.synthesize_neq(h, *ob.vertices[:2])
+        mirrored += bool(g) and not gadgets._is_path(g)
+    assert mirrored >= 3  # reflexive C5 and C6, three independent
 
 
 def test_check_costs_relations():
@@ -360,6 +364,38 @@ def test_indicator():
     k = min(g.tables["ed"].values())
     for key, c in g.tables["ed"].items():
         assert (c == k) == (key in relation)
+
+
+def test_indicator_relation_is_the_product_of_its_submoves():
+    # the relation is read off the joint table's minimum entries; the
+    # reference rebuilds each normalized submove as build_indicator does
+    # and takes, per input, the product of its least-cost outputs
+    rng = random.Random(47)
+    built = 0
+    while built < 30:
+        h = families.random_target(rng, rng.randint(3, 7),
+                                   loop_p=rng.random(), edge_p=rng.random())
+        pairs = gadgets.incomparable_pairs(h)
+        if not pairs:
+            continue
+        s = sorted(max_incomparable(h)[1])[:3]
+        a, b = sorted(rng.choice(pairs))
+        try:
+            _, relation = gadgets.build_indicator(h, s, a, b)
+        except gadgets.GadgetError:
+            continue
+        aux, jmaps = gadgets._aux_context(h), []
+        for x, y in permutations(s, 2):
+            chain = gadgets._move_chain(h, aux, {x, y}, {a, b})
+            if chain[0].lists[chain[0].portals[0]] != frozenset(s):
+                chain[0] = gadgets.relax_input_list(h, chain[0], s)
+            m = gadgets.normalize_move(h, gadgets._compose_chain(h, chain))
+            jmaps.append(gadgets.move_report(h, m).jmap)
+        assert relation == {
+            (u,) + outs for u in s
+            for outs in product((a, b), repeat=len(jmaps))
+            if all(o in jmap[u] for jmap, o in zip(jmaps, outs))}
+        built += 1
 
 
 def test_neq_synthesis_worked_example():
@@ -549,10 +585,12 @@ def test_gadget_roundtrip():
 
 
 def test_glue_rejects_mismatched_lists():
+    h = families.independent_reflexive(3)
     g1 = gadgets.path_gadget([frozenset({0}), frozenset({1})])
     g2 = gadgets.path_gadget([frozenset({2}), frozenset({0})])
-    with pytest.raises(gadgets.GadgetError):
-        gadgets.serial_glue(g1, g2)
+    for mode in ("vd", "ed"):
+        with pytest.raises(gadgets.GadgetError):
+            gadgets.serial_glue(h, g1, g2, mode)
 
 
 def test_relax_input_list():
