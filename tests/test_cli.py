@@ -413,34 +413,45 @@ def test_dp_solve_outputs_are_pinned(tmp_path, capsys):
 
 
 # SHA-256 of `lhomdel solve <mode> --algo poly` stdout on
-# families.poly_cut_cases(400): any change to a flow network that moves a
-# minimum cut, its least source side or a witness shows here
+# families.poly_cut_cases(400) and (900): any change to a flow network
+# that moves a minimum cut, its least source side or a witness shows here
 POLY_OUTPUT_SHA256 = {
-    ("stcut", "ed"):
+    (400, "stcut", "ed"):
         "798cfbddbf1bb879e574fe2b13a4ab4da6790ddc7eb252aaf8f7443315a365de",
-    ("multiway", "vd"):
+    (400, "multiway", "vd"):
         "45252486d5010728e9d884b3de82f8c6ac49792a5d57915ac36d2eaa7e40eb9f",
-    ("p4tree", "vd"):
+    (400, "p4tree", "vd"):
         "d8178cb85cccc1f50be45369060cc0f44756dc9786d7e6a90f53f821c4c97e84",
-    ("p4tree", "ed"):
+    (400, "p4tree", "ed"):
         "a5a5bf2f2c1220dbb83b4dc2175a68fad7c14ad1c7e172c0960b6c8f36eadfff",
-    ("ladder", "ed"):
+    (400, "ladder", "ed"):
         "9c4c20b6fd548a722d5d5998edfadebfd4df59d8735078139a6c4e84b0e82b65",
-    ("ladder", "vd"):
+    (400, "ladder", "vd"):
         "4516eb83cfe211b1f3343f2d5c6cc224d61be8ae5ed3183facd15690832b77f7",
+    (900, "stcut", "ed"):
+        "03549fd248cdb3448d6a821ee2f5e11ac62751dffa1d5bbefe460842aa20cf73",
+    (900, "multiway", "vd"):
+        "885d01b2a35dc7c49977d2b385e5d0fb80cf5517ccfdeedd577be2dd57a3cf2e",
+    (900, "p4tree", "vd"):
+        "9c0bb90e91b041b4a1b6a2315a4b4fa24f7184d3422c1051af4be99c596f6d02",
+    (900, "p4tree", "ed"):
+        "bdb4b19d9a3e71e0495c567eacf5179564f68803f48effd2dafb6a3f533861c4",
+    (900, "ladder", "ed"):
+        "f3b117358434f864b3e4033b7fa7d13a52b417d88b8e39b3ac3ef058ab08d8ff",
+    (900, "ladder", "vd"):
+        "5334bbfb0442a3dd58a1007b5fd8b03239d107d1194a72ba0ee54793f95e78ff",
 }
 
 
 def test_poly_solve_outputs_are_pinned(tmp_path, capsys):
-    cases = families.poly_cut_cases(400)
-    assert set(cases) == set(POLY_OUTPUT_SHA256)
     got = {}
-    for (name, mode), (h, inst) in cases.items():
-        t = _write(tmp_path, f"{name}-{mode}.hg", format_target(h))
-        i = _write(tmp_path, f"{name}-{mode}.lhi", format_instance(inst))
-        code, out = _run(capsys, ["solve", mode, t, i, "--algo", "poly"])
-        assert code == cli.EXIT_OK
-        got[name, mode] = hashlib.sha256(out.encode()).hexdigest()
+    for size in (400, 900):
+        for (name, mode), (h, inst) in families.poly_cut_cases(size).items():
+            t = _write(tmp_path, f"{name}-{mode}.hg", format_target(h))
+            i = _write(tmp_path, f"{name}-{mode}.lhi", format_instance(inst))
+            code, out = _run(capsys, ["solve", mode, t, i, "--algo", "poly"])
+            assert code == cli.EXIT_OK
+            got[size, name, mode] = hashlib.sha256(out.encode()).hexdigest()
     assert got == POLY_OUTPUT_SHA256  # names every changed pin at once
 
 

@@ -4,7 +4,7 @@ from itertools import permutations, product
 import pytest
 
 from lhomdel import analysis, dpsolve, graphs, mincut, oracle, polysolve
-from lhomdel.graphs import Instance, reduce_list
+from lhomdel.graphs import Infeasible, Instance, Solution, reduce_list
 
 import families
 
@@ -268,3 +268,179 @@ def test_vd_network_has_no_nodes_that_every_cut_fixes(monkeypatch):
         assert all(v != source and u != sink for u, v, _ in net), name
         assert sol.stats["flow_value"] + sum(
             not lst for lst in graphs.reduce_lists(h, inst).lists) == sol.cost
+
+
+# ---------------------------------------------------------------------------
+# the solver bodies as they were before their networks were numbered on
+# flat per-vertex arrays: node lists, dicts and has_edge per vertex and
+# edge.  Each calls the cut through polysolve, so one spy sees both sides.
+
+
+def _reference_solve_vd_poly(h, inst):
+    cover = analysis.two_clique_cover(h)
+    if cover is None:
+        raise ValueError("solve_vd_poly requires a Poly-classified target")
+    red = graphs.reduce_lists(h, inst)
+    alive = [v for v in range(inst.n) if red.lists[v]]
+    pos = {v: i for i, v in enumerate(alive)}
+    n = len(alive)
+    s, t = n, n + 1
+    lelem, relem, parts = {}, {}, {}
+    for v in alive:
+        lst = red.lists[v]
+        if lst not in parts:
+            ls = sorted(lst & cover.left)
+            rs = sorted(lst & cover.right)
+            if len(ls) > 1 or len(rs) > 1:
+                raise AssertionError(
+                    f"reduced list of vertex {v} meets a cover part twice")
+            parts[lst] = ls, rs
+        ls, rs = parts[lst]
+        if ls:
+            lelem[v] = ls[0]
+        if rs:
+            relem[v] = rs[0]
+    arcs = []
+    for v in alive:
+        if v not in relem:
+            arcs.append((s, pos[v]))
+        if v not in lelem:
+            arcs.append((pos[v], t))
+    for u, v in inst.edges:
+        if u not in pos or v not in pos:
+            continue
+        for x, y in ((u, v), (v, u)):
+            if x in lelem and y in relem and not h.has_edge(lelem[x], relem[y]):
+                arcs.append((pos[x], pos[y]))
+    value, sep, reach = polysolve.min_vertex_separator(n + 2, arcs, s, t)
+    hom = {}
+    for v in alive:
+        if pos[v] in sep:
+            continue
+        hom[v] = lelem[v] if pos[v] in reach else relem[v]
+    return Solution.of(h, inst, "vd", inst.n - n + value, hom, "poly",
+                       {"flow_value": value})
+
+
+def _reference_solve_ed_poly(h, inst):
+    if analysis.classify_ed(h)[0] != "poly":
+        raise ValueError("solve_ed_poly requires a Poly-classified target")
+    if any(not lst for lst in inst.lists):
+        raise Infeasible("vertex with an empty list")
+    red = graphs.reduce_lists(h, inst)
+    orders = polysolve.staircase_orders(h, red.lists)
+    order_of = [orders[frozenset(red.lists[v])] for v in range(inst.n)]
+    s, t = 0, 1
+    node, n = [], 2
+    arcs = []
+    for order in order_of:
+        ln = len(order)
+        node.append([t, *range(n, n + ln - 1), s])
+        arcs += [(x, x + 1, False) for x in range(n, n + ln - 2)]
+        n += ln - 1
+    covers = {}
+    for u, w in inst.edges:
+        v, w = (u, w) if u < w else (w, u)
+        key = order_of[v], order_of[w]
+        rc = covers.get(key)
+        if rc is None:
+            rc = covers[key] = polysolve.rectangle_cover(
+                polysolve.interaction_matrix(h, *key))
+        if rc.r1 is not None:
+            _, rhi, clo, _ = rc.r1
+            arcs.append((node[v][rhi], node[w][clo - 1], True))
+        if rc.r3 is not None:
+            rlo, _, _, chi = rc.r3
+            arcs.append((node[w][chi], node[v][rlo - 1], True))
+        if rc.r2 is not None:
+            rlo, rhi, _, _ = rc.r2
+            arcs.append((node[v][rhi], node[v][rlo - 1], True))
+    value, s_side = polysolve.min_cut(n, arcs, s, t)
+    hom = {}
+    for v, order in enumerate(order_of):
+        trans = next(i for i in range(1, len(order) + 1)
+                     if s_side[node[v][i]])
+        hom[v] = order[trans - 1]
+    return Solution.of(h, inst, "ed", value, hom, "poly",
+                       {"flow_value": value})
+
+
+_REFERENCE = {"vd": _reference_solve_vd_poly, "ed": _reference_solve_ed_poly}
+_SOLVER = {"vd": polysolve.solve_vd_poly, "ed": polysolve.solve_ed_poly}
+
+
+def _spy_cuts(monkeypatch):
+    """Every network handed to polysolve's cuts, as (n, arcs, s, t)."""
+    nets = []
+    for name in ("min_cut", "min_vertex_separator"):
+        def spy(n, arcs, s, t, real=getattr(mincut, name)):
+            arcs = list(arcs)
+            nets.append((n, arcs, s, t))
+            return real(n, arcs, s, t)
+        monkeypatch.setattr(polysolve, name, spy)
+    return nets
+
+
+def _outcome(solve, h, inst, nets):
+    """The network solve cuts and what it returns or raises."""
+    try:
+        sol = solve(h, inst)
+    except Infeasible as e:
+        got = "infeasible", str(e)
+    else:
+        got = (sol.cost, list(sol.hom.items()), sol.deleted, sol.stats,
+               sol.algorithm)
+    net = nets[:]
+    nets.clear()
+    return net, got
+
+
+def _assert_same_as_reference(mode, h, inst, nets, label):
+    want = _outcome(_REFERENCE[mode], h, inst, nets)
+    assert _outcome(_SOLVER[mode], h, inst, nets) == want, label
+
+
+def test_poly_solvers_cut_the_reference_networks(monkeypatch):
+    nets = _spy_cuts(monkeypatch)
+    for size in (120, 400, 900):
+        for (name, mode), (h, inst) in families.poly_cut_cases(size).items():
+            _assert_same_as_reference(mode, h, inst, nets, (size, name))
+
+
+def _small_poly_cases(rng, mode, count):
+    """count seeded instances of 0-9 vertices over 40 random targets that
+    mode classifies poly; vd lists may be empty, and sparse edge draws
+    leave isolated vertices."""
+    classify = {"vd": analysis.classify_vd, "ed": analysis.classify_ed}[mode]
+    targets = []
+    while len(targets) < 40:
+        h = families.random_target(
+            rng, rng.randint(1, 6),
+            loop_p=1.0 if rng.random() < 0.7 else rng.random(),
+            edge_p=rng.random())
+        if classify(h)[0] == "poly":
+            targets.append(h)
+    low = 0 if mode == "vd" else 1
+    for _ in range(count):
+        h = rng.choice(targets)
+        n, p = rng.randint(0, 9), rng.random() * 0.6
+        edges = [(u, v) if rng.random() < 0.5 else (v, u)
+                 for u in range(n) for v in range(u + 1, n)
+                 if rng.random() < p]
+        lists = [frozenset(rng.sample(range(h.n), rng.randint(low, h.n)))
+                 for _ in range(n)]
+        yield h, Instance(n, edges, lists)
+
+
+def test_poly_solvers_match_the_reference_on_small_cases(monkeypatch):
+    nets = _spy_cuts(monkeypatch)
+    rng = random.Random(4747)
+    seen = {"empty": 0, "single": 0, "isolated": 0}
+    for mode in ("vd", "ed"):
+        for k, (h, inst) in enumerate(_small_poly_cases(rng, mode, 600)):
+            _assert_same_as_reference(mode, h, inst, nets, (mode, k))
+            ends = {x for e in inst.edges for x in e}
+            seen["empty"] += sum(not lst for lst in inst.lists)
+            seen["single"] += sum(len(lst) == 1 for lst in inst.lists)
+            seen["isolated"] += inst.n - len(ends)
+    assert min(seen.values()) > 100, seen
