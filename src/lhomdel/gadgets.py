@@ -24,7 +24,7 @@ from math import prod
 from operator import add
 from typing import Optional
 
-from . import _kernels, analysis
+from . import _kernels, analysis, dpsolve
 from ._kernels import DELETED, INF
 from .graphs import (Instance, TargetGraph, bits, format_instance,
                      incomparable, is_incomparable_set)
@@ -829,6 +829,11 @@ def build_indicator(h: TargetGraph, s, a: int, b: int) -> tuple:
     s = sorted(frozenset(s))
     if len(s) < 2:
         raise GadgetError("need |S| >= 2")
+    entries = len(s) << len(s) * (len(s) - 1)  # |S| rows of 2^(moves)
+    if entries > dpsolve.MAX_TABLE_ENTRIES:
+        raise GadgetError(f"the indicator's joint table has {entries} "
+                          f"entries, above the cap of "
+                          f"{dpsolve.MAX_TABLE_ENTRIES}")
     aux = _aux_context(h)
     moves = []
     for x in s:

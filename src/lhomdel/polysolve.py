@@ -10,19 +10,21 @@ order, interaction matrices decompose into at most three zero rectangles,
 and one min cut over per-vertex paths pays exactly one unit per deleted
 edge.  A vertex's path runs over the positions 0..len of its order; every
 finite cut puts position 0 on the sink side and the last position on the
-source side, so these are t and s themselves and only the positions in
-between get nodes (a vertex with a one-element list gets none).
+source side, so these are t and s themselves, and positions 1..len-1 of
+vertex v are the nodes first[v]..first[v] + len - 2 (a vertex with a
+one-element list gets none).
 
 Work that depends only on a list or on a pair of orders is done once per
 distinct key within a solve: each distinct list is reduced once (and, for
-VD, split between the two cliques once), and each distinct pair of
-staircase orders gets one interaction matrix and one rectangle cover,
-however many vertices and edges share it.
+VD, split once into its (left, right) clique elements), and each distinct
+pair of staircase orders gets one rectangle cover and one arc plan, whose
+ends are t, s or offsets from an edge end's first node.  Per vertex and
+per edge the network is then numbered on flat int lists.
 """
 
 from __future__ import annotations
 
-from itertools import permutations
+from itertools import accumulate, pairwise, permutations
 from typing import NamedTuple, Optional
 
 from . import analysis
@@ -36,48 +38,42 @@ def solve_vd_poly(h: TargetGraph, inst: Instance) -> Solution:
     cover = analysis.two_clique_cover(h)
     if cover is None:
         raise ValueError("solve_vd_poly requires a Poly-classified target")
-    red = reduce_lists(h, inst)
-    alive = [v for v in range(inst.n) if red.lists[v]]
-    pos = {v: i for i, v in enumerate(alive)}
+    lists = reduce_lists(h, inst).lists
+    split = {}  # one (left, right) element pair per list, -1 where absent
+    for lst in dict.fromkeys(lists):  # in first-occurrence order
+        ls, rs = lst & cover.left, lst & cover.right
+        if len(ls) > 1 or len(rs) > 1:  # chain parts, reduced lists
+            raise AssertionError(f"reduced list of vertex {lists.index(lst)}"
+                                 " meets a cover part twice")
+        split[lst] = min(ls, default=-1), min(rs, default=-1)
+    left = [split[lst][0] for lst in lists]
+    right = [split[lst][1] for lst in lists]
+    alive = [v for v, lst in enumerate(lists) if lst]
     n = len(alive)
     s, t = n, n + 1
-    lelem: dict[int, int] = {}
-    relem: dict[int, int] = {}
-    parts: dict[frozenset, tuple[list, list]] = {}  # one split per list
-    for v in alive:
-        lst = red.lists[v]
-        if lst not in parts:
-            ls = sorted(lst & cover.left)
-            rs = sorted(lst & cover.right)
-            if len(ls) > 1 or len(rs) > 1:  # chain parts, reduced lists
-                raise AssertionError(
-                    f"reduced list of vertex {v} meets a cover part twice")
-            parts[lst] = ls, rs
-        ls, rs = parts[lst]
-        if ls:
-            lelem[v] = ls[0]
-        if rs:
-            relem[v] = rs[0]
+    pos = [-1] * inst.n
     arcs = []
-    for v in alive:
-        if v not in relem:
-            arcs.append((s, pos[v]))
-        if v not in lelem:
-            arcs.append((pos[v], t))
+    for i, v in enumerate(alive):
+        pos[v] = i
+        if right[v] < 0:
+            arcs.append((s, i))
+        if left[v] < 0:
+            arcs.append((i, t))
+    nb = h.nbhd  # an empty-list vertex has neither element, so no arc
     for u, v in inst.edges:
-        if u not in pos or v not in pos:
-            continue
-        for x, y in ((u, v), (v, u)):
-            if x in lelem and y in relem and not h.has_edge(lelem[x], relem[y]):
-                arcs.append((pos[x], pos[y]))
+        x, y = left[u], right[v]
+        if x >= 0 and y >= 0 and not nb[x] >> y & 1:
+            arcs.append((pos[u], pos[v]))
+        x, y = left[v], right[u]
+        if x >= 0 and y >= 0 and not nb[x] >> y & 1:
+            arcs.append((pos[v], pos[u]))
     value, sep, reach = min_vertex_separator(n + 2, arcs, s, t)
     # reachable from s avoiding the separator -> left clique; the cost
     # counts the separator and the inst.n - n empty-list vertices
     hom = {}
-    for v in alive:
-        if pos[v] in sep:
-            continue
-        hom[v] = lelem[v] if pos[v] in reach else relem[v]
+    for i, v in enumerate(alive):
+        if i not in sep:
+            hom[v] = left[v] if i in reach else right[v]
     return Solution.of(h, inst, "vd", inst.n - n + value, hom, "poly",
                        {"flow_value": value})
 
@@ -238,45 +234,49 @@ def solve_ed_poly(h: TargetGraph, inst: Instance,
         raise ValueError("solve_ed_poly requires a Poly-classified target")
     if any(not lst for lst in inst.lists):
         raise Infeasible("vertex with an empty list")
-    red = reduce_lists(h, inst)
-    orders = staircase_orders(h, red.lists)
-    order_of = [orders[frozenset(red.lists[v])] for v in range(inst.n)]
+    lists = reduce_lists(h, inst).lists
+    orders = staircase_orders(h, lists)
+    order_of = [orders[lst] for lst in lists]
     # position i of v's order (0..len) is on the source side iff v maps to
     # one of the first i elements of its order, and unbreakable arcs run
     # from position i - 1 to i.  So position 0 is always on the sink side
-    # and position len always on the source side: node[v][0] is t and
-    # node[v][len] is s, and only positions 1..len-1 get nodes of their own
+    # and position len always on the source side: they are t and s, and
+    # positions 1..len-1 are nodes first[v]..first[v + 1] - 1
     s, t = 0, 1
-    node, n = [], 2
-    arcs = []
-    for order in order_of:
-        ln = len(order)
-        node.append([t, *range(n, n + ln - 1), s])
-        arcs += [(x, x + 1, False) for x in range(n, n + ln - 2)]
-        n += ln - 1
+    first = list(accumulate([len(order) - 1 for order in order_of],
+                            initial=2))
+    arcs = [(x, x + 1, False) for a, b in pairwise(first) if b - a > 1
+            for x in range(a, b - 1)]
+    # a plan end is (0, i) for v's node i, (1, i) for w's, (2, s or t);
     # a corner arc runs from a position >= 1 to one below its order's
     # length, so none leaves t, enters s or becomes a loop
-    covers: dict[tuple, RectangleCover] = {}  # one per pair of orders
+    plans: dict[tuple, list] = {}  # one per pair of orders
+
+    def end(side, i, order):
+        return (side, i - 1) if 0 < i < len(order) else (2, s if i else t)
+
     for u, w in inst.edges:
         v, w = (u, w) if u < w else (w, u)
         key = order_of[v], order_of[w]
-        rc = covers.get(key)
-        if rc is None:
-            rc = covers[key] = rectangle_cover(interaction_matrix(h, *key))
-        if rc.r1 is not None:
-            _, rhi, clo, _ = rc.r1   # bottom-left corner (rhi, clo)
-            arcs.append((node[v][rhi], node[w][clo - 1], True))
-        if rc.r3 is not None:
-            rlo, _, _, chi = rc.r3   # top-right corner (rlo, chi)
-            arcs.append((node[w][chi], node[v][rlo - 1], True))
-        if rc.r2 is not None:
-            rlo, rhi, _, _ = rc.r2
-            arcs.append((node[v][rhi], node[v][rlo - 1], True))
-    value, s_side = min_cut(n, arcs, s, t)
+        plan = plans.get(key)
+        if plan is None:
+            r1, r2, r3 = rectangle_cover(interaction_matrix(h, *key))
+            plan = plans[key] = []
+            if r1 is not None:  # bottom-left corner (rhi, clo)
+                plan.append(end(0, r1[1], key[0]) + end(1, r1[2] - 1, key[1]))
+            if r3 is not None:  # top-right corner (rlo, chi)
+                plan.append(end(1, r3[3], key[1]) + end(0, r3[0] - 1, key[0]))
+            if r2 is not None:
+                plan.append(end(0, r2[1], key[0]) + end(0, r2[0] - 1, key[0]))
+        base = first[v], first[w], 0
+        for a, x, b, y in plan:
+            arcs.append((base[a] + x, base[b] + y, True))
+    value, s_side = min_cut(first[-1], arcs, s, t)
     hom = {}
-    for v, order in enumerate(order_of):
-        trans = next(i for i in range(1, len(order) + 1)
-                     if s_side[node[v][i]])
-        hom[v] = order[trans - 1]
+    for v, (a, b) in enumerate(pairwise(first)):
+        x = a  # the first position on the source side; s is position len
+        while x < b and not s_side[x]:
+            x += 1
+        hom[v] = order_of[v][x - a]
     return Solution.of(h, inst, "ed", value, hom, "poly",
                        {"flow_value": value})

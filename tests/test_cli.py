@@ -1260,6 +1260,26 @@ def test_gadget_verify_keeps_the_enumeration_bound(tmp_path, capsys):
     assert json.loads(out)["verified"] == "table too large to enumerate"
 
 
+def test_indicator_refuses_a_joint_table_above_the_cap(
+        tmp_path, capsys, monkeypatch):
+    # a 6-vertex S has 30 submoves, so 6 * 2^30 joint entries: refused
+    # before any move chain is searched
+    def no_chain(*args):
+        raise AssertionError("a move chain was searched")
+
+    monkeypatch.setattr(gadgets, "_move_chain", no_chain)
+    t = _write(tmp_path, "h.hg", format_target(families.reflexive_cycle(6)))
+    start = time.perf_counter()
+    code, out = _run(capsys, ["gadget", "indicator", t, "--set", "1", "2",
+                              "3", "4", "5", "6", "--dest", "1", "2"])
+    assert time.perf_counter() - start < 1.0
+    assert code == cli.EXIT_PRECONDITION
+    assert json.loads(out) == {
+        "error": "precondition",
+        "detail": f"the indicator's joint table has {6 << 30} entries, "
+                  f"above the cap of {dpsolve.MAX_TABLE_ENTRIES}"}
+
+
 _S_PROHIBITOR = """
 import contextlib, io, sys
 from lhomdel import cli
