@@ -829,7 +829,7 @@ def build_indicator(h: TargetGraph, s, a: int, b: int) -> tuple:
     s = sorted(frozenset(s))
     if len(s) < 2:
         raise GadgetError("need |S| >= 2")
-    entries = len(s) << len(s) * (len(s) - 1)  # |S| rows of 2^(moves)
+    entries = len(s) << len(s) * (len(s) - 1)  # 2 outputs per submove
     if entries > dpsolve.MAX_TABLE_ENTRIES:
         raise GadgetError(f"the indicator's joint table has {entries} "
                           f"entries, above the cap of "
