@@ -126,19 +126,7 @@ def scan_best(radix, val, base, eu, ev, adj, ed_mode):
 
 
 # ---------------------------------------------------------------------------
-# edge penalties and min-plus elimination over state tuples
-
-
-def edge_penalty(nb, lu, lv, bad):
-    """One instance edge's cost matrix over the states lu x lv: entry
-    (i, j) is 0 if lu[i] and lv[j] are adjacent in the target (nb[a] is
-    a's neighbourhood mask) or either is DELETED, and bad otherwise."""
-    import numpy as np
-
-    # one flat list, reshaped: numpy reads it faster than nested rows
-    return np.array([0 if a == DELETED or b == DELETED or nb[a] >> b & 1
-                     else bad for a in lu for b in lv],
-                    dtype=np.int64).reshape(len(lu), len(lv))
+# min-plus elimination over state tuples
 
 
 def eliminate(nb, states, edges, order, nportal, vd, charge=None):
@@ -149,14 +137,16 @@ def eliminate(nb, states, edges, order, nportal, vd, charge=None):
     A variable's rank is its place in `order`; the portals rank above it,
     portal 0 highest.  A scope's axes run by falling rank, so a bucket's
     variable x is its last axis.  Each edge's penalty matrix (one per
-    pair of state tuples) goes to the bucket of its lower-ranked end.  A
-    bucket sums its factors over their joint scope, charges x its vd
-    deletion and charge[x] (a vector over its states) if given, and takes
-    the argmin along x, then the minima at it by a take at cached row
-    starts: a factor over the scope without x, sent to the bucket of its
-    lowest-ranked variable.  records[i] is (that scope, the argmin) for
+    pair of state tuples) goes to the bucket of its lower-ranked end x, in
+    vd the first one as a copy with x's deletion added.  A bucket sums its
+    factors over their joint scope, with x's vd deletion if it has no
+    edge and charge[x] (a vector over its states) if given, into its
+    message over the whole scope if it has one, else into one new table;
+    it takes the argmin along x, then the minima at it by a take at cached
+    row starts: a factor over the scope without x, sent to the bucket of
+    its lowest-ranked variable.  records[i] is (that scope, the argmin) for
     x = order[i]; out sums the factors left over the portals, in portal
-    order.  A bucket's list is dropped once it is read, so no message
+    order.  A bucket's lists are dropped once read, so no message
     outlives the bucket that sums it.  A violated vd edge costs big =
     len(states) + 1, more than any assignment deletes, so in vd mode
     out's entries >= big are infeasible, and are returned as INF.  No sum
@@ -165,42 +155,74 @@ def eliminate(nb, states, edges, order, nportal, vd, charge=None):
     import numpy as np
 
     big = len(states) + 1
+    bad = big if vd else 1
     size = [len(st) for st in states]
     rank = [-1] * len(states)
     for i, x in enumerate(order):
         rank[x] = i
     for p in range(nportal):
         rank[p] = len(order) + nportal - 1 - p
-    buckets = [[] for _ in order]
+    ends = [[] for _ in order]  # bucket -> its edges as (other end, penalty)
+    messages = [[] for _ in order]  # bucket -> its messages as (scope, t)
     rest = []  # factors over portals only
-
-    def place(scope, t):
-        r = rank[scope[-1]] if scope else len(order)
-        (buckets[r] if r < len(order) else rest).append((scope, t))
-
     penalties = {}
+    deletion = {}  # vd: a penalty key or a state count -> deletion added
     for u, w in edges:
         if rank[u] < rank[w]:
             u, w = w, u
         key = states[u], states[w]
-        if key not in penalties:
-            penalties[key] = edge_penalty(nb, *key, big if vd else 1)
-        place((u, w), penalties[key])
+        if key not in penalties:  # 0 where adjacent in nb or DELETED
+            penalties[key] = np.array(
+                [0 if a == DELETED or b == DELETED or nb[a] >> b & 1 else bad
+                 for a in key[0] for b in key[1]],
+                dtype=np.int64).reshape(size[u], size[w])
+        t, r = penalties[key], rank[w]
+        if r >= len(order):
+            rest.append(((u, w), t))
+            continue
+        if vd and not ends[r]:  # the first edge charges w's deletion
+            if key not in deletion:
+                deletion[key] = t + np.eye(size[w], dtype=np.int64)[-1]
+            t = deletion[key]
+        ends[r].append((u, t))
     pick_type = np.min_scalar_type(max(size, default=1) - 1)
     records = []
     rows = {}  # a bucket's shape -> the flat index of each row
     charge = charge or {}
     for i, x in enumerate(order):
-        hit, buckets[i] = buckets[i], None
-        scope = sorted({v for s, _ in hit for v in s} | {x},
-                       key=rank.__getitem__, reverse=True)
-        acc = np.zeros([size[v] for v in scope], dtype=np.int64)
-        for s, t in hit:
-            acc += t.reshape([size[v] if v in s else 1 for v in scope])
-        if vd:  # DELETED is the last index on x's axis
-            acc[..., -1] += 1
+        edge, msg = ends[i], messages[i]
+        ends[i] = messages[i] = None
+        scope = {u for u, _ in edge}
+        scope.add(x)
+        for s, _ in msg:
+            scope.update(s)
+        scope = sorted(scope, key=rank.__getitem__, reverse=True)
+        k = len(scope)
+        acc = None  # a message over the whole scope: no other bucket reads it
+        terms = []  # the other factors; a suffix of the scope broadcasts
+        for s, t in msg:
+            if len(s) == k and acc is None:
+                acc = t
+            else:
+                terms.append(t if scope[k - len(s)] == s[0] else t.reshape(
+                    [size[v] if v in s else 1 for v in scope]))
+        for u, t in edge:
+            terms.append(t if scope[-2] == u else t.reshape(
+                [size[v] if v == u or v == x else 1 for v in scope]))
+        if vd and not edge:  # DELETED is the last index on x's axis
+            if size[x] not in deletion:
+                deletion[size[x]] = np.eye(size[x], dtype=np.int64)[-1]
+            terms.append(deletion[size[x]])
         if x in charge:
-            acc += charge[x]
+            terms.append(charge[x])
+        if acc is None and len(terms) > 1:  # messages first: the largest
+            acc = np.add(terms[0], terms[1], out=np.empty(
+                [size[v] for v in scope], dtype=np.int64))
+            del terms[:2]
+        elif acc is None:  # one factor or none: read, never written
+            acc = terms.pop() if terms else np.zeros(size[x], dtype=np.int64)
+        for t in terms:
+            acc += t
         best = acc.argmin(-1)
         # row r of acc starts at flat index r * size[x]; once the scope is
         # x alone the minimum is a numpy scalar, read as a 0-d array
@@ -210,7 +232,9 @@ def eliminate(nb, states, edges, order, nportal, vd, charge=None):
                 0, acc.size, size[x]).reshape(acc.shape[:-1])
         scope = tuple(scope[:-1])
         records.append((scope, best.astype(pick_type)))
-        place(scope, acc.take(starts + best))
+        r = rank[scope[-1]] if scope else len(order)
+        (messages[r] if r < len(order) else rest).append(
+            (scope, acc.take(starts + best)))
     out = np.zeros(size[:nportal], dtype=np.int64)
     for s, t in rest:
         out += t.reshape([size[v] if v in s else 1 for v in range(nportal)])

@@ -8,7 +8,7 @@ import math
 from typing import NamedTuple, Optional
 
 from . import _kernels, analysis, polysolve
-from ._kernels import DELETED, INF, edge_penalty
+from ._kernels import DELETED, INF
 from .graphs import (Infeasible, Instance, Solution, TargetGraph, bits,
                      is_incomparable_set, reduce_lists)
 from .treewidth import (TreeDecomposition, build_td, make_nice, restrict_td,
@@ -63,35 +63,36 @@ def _run_dp(h: TargetGraph, lists, edges, td: TreeDecomposition, mode: str,
             raise AssertionError(f"list {sorted(lst)} is not incomparable")
         states[lst] = tuple(sorted(lst)) + ((DELETED,) if vd else ())
     states = [states[lst] for lst in lists]
-    # each vertex -> its forget node's bag, which holds the vertices
-    # forgotten later that share a bag with it
-    forgets = {nd.payload: nd.bag for nd in make_nice(td)
-               if nd.kind == "forget"}
+    # one pass over the forget nodes: the order, each vertex's forget-node
+    # bag (the vertices forgotten later that share a bag with it), and the
+    # record bytes: x's record spans at most its bag, in eliminate's dtype
+    import numpy as np
+    sizes = [len(st) for st in states]
+    order, bags, size = [], [()] * len(states), 0
+    for nd in make_nice(td):
+        if nd.kind == "forget":
+            order.append(nd.payload)
+            bags[nd.payload] = nd.bag
+            size += math.prod(map(sizes.__getitem__, nd.bag))
     missing = [(u, w) if u < w else (w, u) for u, w in edges
-               if w not in forgets.get(u, ()) and u not in forgets.get(w, ())]
+               if w not in bags[u] and u not in bags[w]]
     if missing:
         u, w = min(missing)
         raise ValueError(f"edge ({u}, {w}) is in no bag")
-    # x's record is its bucket's argmin over the bucket's scope without x,
-    # a subset of x's forget-node bag, in the dtype eliminate stores it in
-    import numpy as np
-    sizes = [len(st) for st in states]
-    size = sum(math.prod([sizes[u] for u in bag]) for bag in forgets.values())
     size *= np.min_scalar_type(max(sizes, default=1) - 1).itemsize
     if size > MAX_RECORD_BYTES:
         raise TableTooLarge(
             f"the DP would keep {size} bytes of argmin records, above the "
             f"cap of {MAX_RECORD_BYTES}")
-    order = list(forgets)
     out, records = _kernels.eliminate(h.nbhd, states, edges, order, 0, vd,
                                       charge)
     cost = int(out)
     if cost >= INF:
         raise Infeasible("no feasible assignment")
     hom = {}
-    pick = {}
+    pick = [0] * len(states)
     for v, (scope, best) in zip(reversed(order), reversed(records)):
-        p = pick[v] = int(best[tuple([pick[x] for x in scope])])
+        p = pick[v] = best.item(tuple([pick[x] for x in scope]))
         if states[v][p] != DELETED:
             hom[v] = states[v][p]
     return cost, hom
@@ -177,14 +178,16 @@ def _solve_dp(h: TargetGraph, inst: Instance,
                     images.setdefault(w, []).append(hom[u])
             elif w in hom:
                 images.setdefault(u, []).append(hom[w])
+        import numpy as np
         rows = {}  # (list, images) -> the edges' summed penalty vector
         for i, v in enumerate(keep):
             imgs = images.get(v)
             if imgs:
                 key = red.lists[v], tuple(sorted(imgs))
-                if key not in rows:  # over v's states, one column per edge
-                    rows[key] = edge_penalty(nb, sorted(key[0]), key[1],
-                                             1).sum(axis=1)
+                if key not in rows:  # per state of v, the edges it violates
+                    rows[key] = np.array(
+                        [sum(not nb[a] >> b & 1 for b in key[1])
+                         for a in sorted(key[0])], dtype=np.int64)
                 charge[i] = rows[key]
     if td is None:
         td = build_td(g)

@@ -172,10 +172,24 @@ def min_vertex_separator(n: int, arcs, s: int, t: int):
     crosses, are dropped.  Returns (value, separator, reach), where reach
     is the set of vertices reachable from s in the digraph minus the
     separator: exactly those whose out-node is on the least source side.
+    With no arc out of s or none into t, nothing separates and reach is
+    found by a search from s, with no network.
     """
     arcs = list(arcs)
     fed = {v for u, v in arcs if u == s}
+    if not fed:
+        return 0, set(), {s}
     drained = {u for u, v in arcs if v == t}
+    if not drained:
+        succ = {}
+        for u, v in arcs:
+            succ.setdefault(u, []).append(v)
+        reach, stack = {s}, [s]
+        while stack:
+            new = set(succ.get(stack.pop(), ())) - reach
+            reach |= new
+            stack += new
+        return 0, set(), reach
     on_arc = {x for arc in arcs for x in arc} - {s, t}
     # t's nodes are the sink; so are those of a vertex on no arc, which
     # the source never reaches

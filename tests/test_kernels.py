@@ -3,7 +3,8 @@ from itertools import product
 
 import numpy as np
 
-from lhomdel import _kernels, oracle
+from lhomdel import _kernels, dpsolve, oracle
+from lhomdel.graphs import Instance
 
 import families
 
@@ -160,6 +161,205 @@ def test_scan_table_paths_agree():
     # entries (exactly INF) and all-feasible tables
     assert {(True, True, True), (False, True, True), (False, True, False),
             (False, False, False), (True, False, False)} <= seen
+
+
+# ---------------------------------------------------------------------------
+# reference: the engine that zero-filled each bucket, added every factor
+# reshaped to the bucket's scope, then x's vd deletion and charge[x]
+
+
+def _reference_edge_penalty(nb, lu, lv, bad):
+    return np.array([0 if a == _kernels.DELETED or b == _kernels.DELETED
+                     or nb[a] >> b & 1 else bad for a in lu for b in lv],
+                    dtype=np.int64).reshape(len(lu), len(lv))
+
+
+def _reference_eliminate(nb, states, edges, order, nportal, vd, charge=None):
+    big = len(states) + 1
+    size = [len(st) for st in states]
+    rank = [-1] * len(states)
+    for i, x in enumerate(order):
+        rank[x] = i
+    for p in range(nportal):
+        rank[p] = len(order) + nportal - 1 - p
+    buckets = [[] for _ in order]
+    rest = []  # factors over portals only
+
+    def place(scope, t):
+        r = rank[scope[-1]] if scope else len(order)
+        (buckets[r] if r < len(order) else rest).append((scope, t))
+
+    penalties = {}
+    for u, w in edges:
+        if rank[u] < rank[w]:
+            u, w = w, u
+        key = states[u], states[w]
+        if key not in penalties:
+            penalties[key] = _reference_edge_penalty(nb, *key,
+                                                     big if vd else 1)
+        place((u, w), penalties[key])
+    pick_type = np.min_scalar_type(max(size, default=1) - 1)
+    records = []
+    rows = {}
+    charge = charge or {}
+    for i, x in enumerate(order):
+        hit, buckets[i] = buckets[i], None
+        scope = sorted({v for s, _ in hit for v in s} | {x},
+                       key=rank.__getitem__, reverse=True)
+        acc = np.zeros([size[v] for v in scope], dtype=np.int64)
+        for s, t in hit:
+            acc += t.reshape([size[v] if v in s else 1 for v in scope])
+        if vd:
+            acc[..., -1] += 1
+        if x in charge:
+            acc += charge[x]
+        best = acc.argmin(-1)
+        starts = rows.get(acc.shape)
+        if starts is None:
+            starts = rows[acc.shape] = np.arange(
+                0, acc.size, size[x]).reshape(acc.shape[:-1])
+        scope = tuple(scope[:-1])
+        records.append((scope, best.astype(pick_type)))
+        place(scope, acc.take(starts + best))
+    out = np.zeros(size[:nportal], dtype=np.int64)
+    for s, t in rest:
+        out += t.reshape([size[v] if v in s else 1 for v in range(nportal)])
+    if vd:
+        out[out >= big] = INF
+    return out, records
+
+
+def _bucket_kinds(edges, order, nportal, records):
+    """{(edges in x's bucket, messages in it)} over the call's buckets,
+    each count capped at 2."""
+    rank = {x: i for i, x in enumerate(order)}
+    rank.update((p, len(order) + nportal - 1 - p) for p in range(nportal))
+    ends = [0] * len(order)
+    for u, w in edges:
+        if min(rank[u], rank[w]) < len(order):
+            ends[min(rank[u], rank[w])] += 1
+    msgs = [0] * len(order)
+    for scope, _ in records:
+        if scope and rank[scope[-1]] < len(order):
+            msgs[rank[scope[-1]]] += 1
+    return {(min(e, 2), min(m, 2)) for e, m in zip(ends, msgs)}
+
+
+def _same_elimination(args, kinds):
+    """The engine's (out, records) equal the reference's exactly, and the
+    charge vectors it was given, which callers share, are unchanged."""
+    nb, states, edges, order, nportal, vd, charge = args
+    shared = {x: t.copy() for x, t in (charge or {}).items()}
+    out, records = _kernels.eliminate(*args)
+    for x, t in shared.items():
+        assert np.array_equal(charge[x], t) and charge[x].dtype == t.dtype
+    ref_out, ref_records = _reference_eliminate(*args)
+    assert out.dtype == ref_out.dtype and out.shape == ref_out.shape
+    assert np.array_equal(out, ref_out)
+    assert len(records) == len(ref_records)
+    for (scope, best), (ref_scope, ref_best) in zip(records, ref_records):
+        assert scope == ref_scope
+        assert best.dtype == ref_best.dtype and best.shape == ref_best.shape
+        assert np.array_equal(best, ref_best)
+    kinds |= _bucket_kinds(edges, order, nportal, records)
+    return out, records
+
+
+def _dp_cases(rng):
+    """(target, instance, mode): the dp_wide pool's graph shapes over its
+    three targets, 3 x n ladders over K3 with full lists, and partial
+    3- and 4-trees over the windowed and crossing targets; lists of 1-3
+    vertices, so that ED fixes singleton vertices and charges their
+    neighbours."""
+    named = {"k3": families.irreflexive_kq(3),
+             "indep3": families.independent_reflexive(3),
+             "refl-c5": families.reflexive_cycle(5)}
+    shapes = (("vd", "grid", 5, 10), ("vd", "trigrid", 5, 9),
+              ("vd", "ktree", 5, 50), ("vd", "grid", 6, 8),
+              ("ed", "grid", 6, 18), ("ed", "trigrid", 5, 20),
+              ("ed", "ktree", 6, 100), ("ed", "ktree", 7, 90))
+    for mode, kind, a, b in shapes:
+        for h in named.values():
+            if kind == "ktree":
+                n, edges = families.partial_ktree(rng, b, a, 0.7)
+            else:
+                n, edges = families.grid(a, b, kind == "trigrid")
+            yield h, Instance(n, edges, [
+                frozenset(rng.sample(range(h.n), rng.choice((1, 2, 2, 3))))
+                for _ in range(n)]), mode
+    k3 = named["k3"]
+    for mode, cols in (("vd", 140), ("ed", 100), ("vd", 70)):
+        n, edges = families.grid(3, cols)
+        yield k3, Instance(n, edges, [frozenset(range(3))] * n), mode
+    for h in (families.windowed_family(2), families.crossing_family(2)):
+        for mode in ("vd", "ed"):
+            for _ in range(3):
+                n, edges = families.partial_ktree(
+                    rng, rng.randint(20, 60), rng.choice((3, 4)), 0.6)
+                yield h, Instance(n, edges, [
+                    frozenset(rng.sample(range(h.n), rng.randint(1, 3)))
+                    for _ in range(n)]), mode
+
+
+def test_engine_matches_the_reference_on_dp_calls(monkeypatch):
+    eliminate = _kernels.eliminate
+    calls = []
+    kinds = set()
+
+    def spy(nb, states, edges, order, nportal, vd, charge=None):
+        monkeypatch.setattr(_kernels, "eliminate", eliminate)
+        try:
+            args = nb, states, edges, order, nportal, vd, charge
+            calls.append((vd, bool(charge)))
+            return _same_elimination(args, kinds)
+        finally:
+            monkeypatch.setattr(_kernels, "eliminate", spy)
+
+    monkeypatch.setattr(_kernels, "eliminate", spy)
+    for h, inst, mode in _dp_cases(random.Random(48)):
+        solve = dpsolve.solve_vd_dp if mode == "vd" else dpsolve.solve_ed_dp
+        solve(h, inst)
+    assert len(calls) == 39
+    assert {(True, False), (False, False), (False, True)} <= set(calls)
+    # buckets with edges, with edges and messages, and with messages only
+    assert {(1, 0), (2, 0), (1, 1), (2, 2), (0, 1), (0, 2)} <= kinds
+
+
+def test_engine_matches_the_reference_on_portal_and_edge_cases():
+    # portals (scan_table's calls), charges shared between variables, a
+    # star whose centre's bucket holds only messages, and variables on no
+    # edge whose buckets hold nothing at all
+    rng = random.Random(49)
+    kinds = set()
+    shapes = list(_shapes()) + [
+        (6, [(0, v) for v in range(1, 6)]),   # a star, centre 0
+        (5, [(1, 2)]),                        # 0, 3 and 4 on no edge
+    ]
+    for nv, edges in shapes:
+        for npr in range(min(3, nv) + 1):
+            for vd in (True, False):
+                for _ in range(3):
+                    nb, states = _table_states(rng, nv, vd)
+                    order = list(range(npr, nv))
+                    rng.shuffle(order)
+                    charge = None
+                    if not vd and rng.random() < 0.5:
+                        vecs = {}  # one vector per state tuple, shared
+                        charge = {x: vecs.setdefault(states[x], np.array(
+                            [rng.randint(0, 2) for _ in states[x]],
+                            dtype=np.int64)) for x in order
+                            if rng.random() < 0.7}
+                    out, _ = _same_elimination(
+                        (nb, states, edges, order, npr, vd, charge), kinds)
+                    if npr and charge is None:
+                        assert np.array_equal(
+                            out.ravel(), _kernels.scan_table(
+                                nb, states, edges, npr, vd, order))
+        # the centre last: every leaf's message goes to its bucket
+        nb, states = _table_states(rng, 6, True)
+        _same_elimination((nb, states, [(0, v) for v in range(1, 6)],
+                           [1, 2, 3, 4, 5, 0], 0, True, None), kinds)
+    assert {(0, 0), (0, 1), (0, 2)} <= kinds
 
 
 def test_subset_scan_matches_python():

@@ -128,6 +128,34 @@ def test_separator_side_is_reachability():
         assert t not in reach and not reach & sep
 
 
+def test_separator_without_an_arc_out_of_s_or_into_t(monkeypatch):
+    # no path from s to t: the answer is read off the digraph, with no
+    # network and no min_cut call, and it is the references' answer
+    def no_cut(*args):
+        raise AssertionError("min_cut ran")
+
+    monkeypatch.setattr(mincut, "min_cut", no_cut)
+    rng = random.Random(48)
+    seen = set()
+    for trial in range(300):
+        n = rng.randint(2, 10)
+        s, t = rng.sample(range(n), 2)
+        arcs = [(u, v) for u in range(n) for v in range(n)
+                if u != v and rng.random() < rng.choice((0.2, 0.4))]
+        if trial % 2:  # no arc into t
+            arcs = [(u, v) for u, v in arcs if v != t]
+        else:  # no arc out of s
+            arcs = [(u, v) for u, v in arcs if u != s]
+        value, sep, reach = min_vertex_separator(n, arcs, s, t)
+        assert value == _brute_separator(n, arcs, s, t) == 0
+        assert sep == set()
+        assert reach == _reach(n, arcs, s, set())
+        assert t not in reach
+        seen.add((trial % 2, len(reach) > 1))
+    # reach is more than s itself whenever s has an arc out
+    assert seen == {(0, False), (1, False), (1, True)}
+
+
 def _full_bfs_min_cut(n, arcs, s, t, phases=None):
     """Dinic whose every BFS labels the whole residual reach of s: the
     reference min_cut's two-ended BFS must agree with.  Each BFS appends
