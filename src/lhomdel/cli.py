@@ -254,10 +254,10 @@ def cmd_gadget(args) -> int:
     report["gadget"] = text
     report["vertices"] = g.n
     if args.verify:
+        cached = g.tables[mode]  # every builder leaves its mode's table
         try:
-            table = gadgets.enumerate_cost_table(h, g, mode)
-            cached = g.tables.get(mode)
-            report["verified"] = cached is None or cached == table
+            report["verified"] = cached == gadgets.enumerate_cost_table(
+                h, g, mode)
         except gadgets.GadgetError:
             report["verified"] = "table too large to enumerate"
     if args.out:

@@ -7,9 +7,11 @@ Aux-graph routing, indicators, and bounded synthesis of NEQ realizers.
 Aux is searched as the line graph of the pair graph P on V(H), from P's
 incidence lists, so it is never built.
 
-Tables are composed: serial_table, the min-plus product over one
-junction's values, folds a path gadget's edge tables into its table and
-gives serial_glue its table, and parallel_glue sums its parts' tables
+Tables are composed by one list kernel, _min_plus, whose rows and
+columns are cost lists over one junction's values: an entry is the least
+row-plus-column sum, capped at INF.  serial_table lays two tables out as
+such lists for serial_glue, _path_table folds a path gadget's edges,
+0/bad lists, through it, and parallel_glue sums its parts' tables
 pointwise.  A glue composes the table of the mode it is given, so no
 path or glued gadget needs an elimination of its own, and it skips
 Gadget's checks, which its parts passed.  Bucket elimination over the
@@ -98,14 +100,14 @@ def enumerate_cost_table(h: TargetGraph, gadget: Gadget, mode: str) -> dict:
     enumerate" for them (every s-prohibitor of the benchmark corpus).
     """
     vd = mode == "vd"
+    if prod(len(lst) + vd for lst in gadget.lists) > ENUM_BOUND:
+        raise GadgetError("gadget too large for exhaustive enumeration")
     nportal = len(gadget.portals)
     order = list(gadget.portals) + [v for v in range(gadget.n)
                                     if v not in gadget.portals]
     pos = {v: i for i, v in enumerate(order)}
     states = [tuple(sorted(gadget.lists[v])) + ((DELETED,) if vd else ())
               for v in order]
-    if prod(len(st) for st in states) > ENUM_BOUND:
-        raise GadgetError("gadget too large for exhaustive enumeration")
     edges = [(pos[u], pos[v]) for u, v in gadget.edges]
     elim = [v for v in _min_fill_order(gadget.n, edges)[0] if v >= nportal]
     flat = _kernels.scan_table(h.nbhd, states, edges, nportal, vd, elim)
@@ -122,21 +124,28 @@ def _is_path(gadget: Gadget) -> bool:
 
 
 def _path_table(h: TargetGraph, gadget: Gadget, mode: str) -> dict:
-    """A path gadget's table: the left fold of serial_table over its
-    edges' tables.  An edge costs 0 where its ends' images are adjacent
-    or either is DELETED, and otherwise INF in vd and 1 in ed."""
-    nb, bad = h.nbhd, INF if mode == "vd" else 1
-    states = [sorted(lst) + [DELETED] if mode == "vd" else sorted(lst)
+    """A path gadget's table: its edges folded left through _min_plus.
+    An edge costs 0 where its ends' images are adjacent or either is
+    DELETED, and otherwise INF in vd and 1 in ed; a deleted interior
+    vertex costs 1, charged in the column of the edge leaving it."""
+    vd = mode == "vd"
+    nb, bad = h.nbhd, INF if vd else 1
+    states = [[DELETED, *sorted(lst)] if vd else sorted(lst)
               for lst in gadget.lists]
 
-    def edge(lu, lv):
-        return {(a, b): 0 if a == DELETED or b == DELETED or nb[a] >> b & 1
-                else bad for a in lu for b in lv}
+    def column(junction, b, charge):
+        # the costs of the edges from each junction value into b
+        if b == DELETED:
+            return [charge if c == DELETED else 0 for c in junction]
+        m = nb[b]
+        return [charge if c == DELETED else 0 if m >> c & 1 else bad
+                for c in junction]
 
-    t = edge(states[0], states[1])
-    for i in range(1, gadget.n - 1):
-        t = serial_table(t, edge(states[i], states[i + 1]), states[i], mode)
-    return t
+    rows = [column(states[1], a, 0) for a in states[0]]  # nb is symmetric
+    for junction, right in zip(states[1:-1], states[2:]):
+        rows = _min_plus(rows, [column(junction, b, 1) for b in right])
+    return {(a, b): cost for a, row in zip(states[0], rows)
+            for b, cost in zip(states[-1], row)}
 
 
 def cost_table(h: TargetGraph, gadget: Gadget, mode: str) -> dict:
@@ -235,12 +244,12 @@ def _glue(g1: Gadget, g2: Gadget, ident: dict, portals1: tuple,
             map2[v] = nxt
             lists.append(g2.lists[v])
             nxt += 1
-    edges = {tuple(sorted(e)) for e in g1.edges}
+    edges = {(u, v) if u < v else (v, u) for u, v in g1.edges}
     for u, v in g2.edges:
-        e = tuple(sorted((map2[u], map2[v])))
-        if e in edges:
-            raise GadgetError("gluing would create a parallel edge")
-        edges.add(e)
+        u, v = map2[u], map2[v]
+        edges.add((u, v) if u < v else (v, u))
+    if len(edges) < len(g1.edges) + len(g2.edges):
+        raise GadgetError("gluing would create a parallel edge")
     return _prechecked(nxt, tuple(sorted(edges)), tuple(lists),
                        portals1 + tuple(map2[v] for v in portals2), {})
 
@@ -277,18 +286,26 @@ def _reversed(h: TargetGraph, g: Gadget, mode: str) -> Gadget:
                        {mode: {key[::-1]: c for key, c in t.items()}})
 
 
+def _min_plus(rows: list, cols: list) -> list:
+    """The min-plus product of cost lists over one junction's values: for
+    each row, the least row[j] + col[j] over the junction for each column,
+    capped at INF."""
+    return [[m if (m := min(map(add, row, col))) < INF else INF
+             for col in cols] for row in rows]
+
+
 def serial_table(t1: dict, t2: dict, junction, mode: str) -> dict:
     """Min-plus composition at one shared junction vertex; in VD mode a
     deleted junction vertex costs 1 (it is interior to the composition).
     Keys run over t1's first and t2's second portal values, each sorted;
     costs are capped at INF."""
     charge = [1 if mode == "vd" and c == DELETED else 0 for c in junction]
-    rows = [(a, [t1[a, c] for c in junction])
-            for a in sorted({k[0] for k in t1})]
-    cols = [(b, [t2[c, b] + x for c, x in zip(junction, charge)])
-            for b in sorted({k[1] for k in t2})]
-    return {(a, b): min(INF, *map(add, row, col))
-            for a, row in rows for b, col in cols}
+    left = sorted({k[0] for k in t1})
+    right = sorted({k[1] for k in t2})
+    rows = [[t1[a, c] for c in junction] for a in left]
+    cols = [[t2[c, b] + x for c, x in zip(junction, charge)] for b in right]
+    return {(a, b): cost for a, row in zip(left, _min_plus(rows, cols))
+            for b, cost in zip(right, row)}
 
 
 def parallel_table(t1: dict, t2: dict) -> dict:
@@ -950,6 +967,7 @@ def synthesize_neq(h: TargetGraph, a: int, b: int,
 
 def format_gadget(g: Gadget) -> str:
     body = format_instance(Instance(
-        g.n, sorted(tuple(sorted(e)) for e in g.edges), list(g.lists)))
+        g.n, sorted((u, v) if u < v else (v, u) for u, v in g.edges),
+        list(g.lists)))
     return body + "portal " + " ".join(str(p + 1) for p in g.portals) + "\n"
 

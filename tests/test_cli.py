@@ -590,9 +590,17 @@ def test_classify_writer_is_json_dumps(tmp_path, capsys):
                                  sort_keys=True, indent=2) + "\n", h.nbhd
 
 
+# SHA-256 of json.dumps(tree, sort_keys=True, indent=2) for the tree
+# below (17,423,538 characters), made once with the recursion limit
+# raised to 10^4: the pure-Python indenting encoder takes a second or
+# more over that text, so the test compares digests instead
+DEEP_TREE_DUMPS_SHA256 = (
+    "382922c9ff58d36f48487cd88203f99d09c77f8fe80c74c0e7eb6d4948e4a6d1")
+
+
 def test_tree_writer_has_no_depth_limit(monkeypatch):
     """A tree 600 levels deep, beyond json.dumps's recursion, written as
-    json.dumps would write it."""
+    json.dumps would write it (DEEP_TREE_DUMPS_SHA256)."""
     tree = node = {}
     for d in range(1, 601):
         leaf = {"vertices": [d], "decomposition": None, "children": []}
@@ -603,17 +611,14 @@ def test_tree_writer_has_no_depth_limit(monkeypatch):
     node.update(vertices=[601], decomposition=None, children=[])
     with pytest.raises(RecursionError):
         json.dumps(tree, sort_keys=True, indent=2)
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(10000)
-    try:
-        want = json.dumps(tree, sort_keys=True, indent=2)
-    finally:
-        sys.setrecursionlimit(limit)
     chunks = []
     monkeypatch.setattr(sys, "stdout", types.SimpleNamespace(
         write=chunks.append))
     cli._emit(tree)
-    assert "".join(chunks) == want + "\n"
+    text = "".join(chunks)
+    assert text.endswith("\n")
+    assert hashlib.sha256(text[:-1].encode()).hexdigest() == \
+        DEEP_TREE_DUMPS_SHA256
     assert len(chunks) > 2 * 600  # written node by node
 
 
@@ -1327,6 +1332,31 @@ def test_gadget_verify_cross_checks_a_composed_path_table(
     monkeypatch.setattr(gadgets, "_path_table", corrupted)
     code, out = _run(capsys, argv)
     assert code == cli.EXIT_OK and json.loads(out)["verified"] is False
+
+
+def test_gadget_verify_without_a_table_is_an_internal_error(
+        tmp_path, capsys, monkeypatch):
+    # every builder leaves its mode's table on the gadget, so --verify
+    # compares that table itself; a builder that left none is a bug, and
+    # it shows even where the table is too large to enumerate
+    def tableless(build):
+        def wrapped(*args):
+            g = build(*args)
+            g.tables.clear()
+            return g
+        return wrapped
+
+    for name in ("build_splitter", "build_s_prohibitor"):
+        monkeypatch.setattr(gadgets, name, tableless(getattr(gadgets, name)))
+    t = _write(tmp_path, "h.hg",
+               format_target(families.independent_reflexive(3)))
+    for kind, rest in (("splitter", ["--vertex", "1"]), ("s-prohibitor", [])):
+        code = cli.main(["gadget", kind, t, "--set", "1", "2", "3", *rest,
+                         "--verify"])
+        out = capsys.readouterr().out
+        assert code == cli.EXIT_INTERNAL, kind
+        assert json.loads(out) == {"error": "internal",
+                                   "detail": "KeyError: 'vd'"}
 
 
 def test_reduce_command(tmp_path, capsys):

@@ -255,6 +255,63 @@ def test_path_tables_are_the_elimination():
                 gadgets.enumerate_cost_table(h, g, mode), (h.nbhd, lists)
 
 
+def _path_fold_reference(h, gadget, mode):
+    """A path gadget's table as the left fold of serial_table over one
+    (value, value)-keyed dict per edge."""
+    nb, bad = h.nbhd, _kernels.INF if mode == "vd" else 1
+    states = [sorted(lst) + [X] if mode == "vd" else sorted(lst)
+              for lst in gadget.lists]
+
+    def edge(lu, lv):
+        return {(a, b): 0 if a == X or b == X or nb[a] >> b & 1
+                else bad for a in lu for b in lv}
+
+    t = edge(states[0], states[1])
+    for i in range(1, gadget.n - 1):
+        t = gadgets.serial_table(t, edge(states[i], states[i + 1]),
+                                 states[i], mode)
+    return t
+
+
+def test_path_table_is_the_fold_of_serial_table():
+    # the one-kernel fold against one serial_table per edge; sparse
+    # targets give vd edge rows that are INF on every value but DELETED
+    rng = random.Random(46)
+    isolated = 0
+    for _ in range(1500):
+        h = graphs.random_target(rng, rng.randint(2, 9), rng.random(),
+                                 rng.random())
+        lists = [rng.sample(range(h.n), rng.randint(1, min(4, h.n)))
+                 for _ in range(rng.randint(2, 9))]
+        g = gadgets.path_gadget(lists)
+        isolated += any(not h.nbhd[a] & sum(1 << b for b in nxt)
+                        for lst, nxt in zip(lists, lists[1:]) for a in lst)
+        for mode in ("vd", "ed"):
+            assert gadgets._path_table(h, g, mode) == \
+                _path_fold_reference(h, g, mode), (h.nbhd, lists, mode)
+    assert isolated > 100
+
+
+def test_min_plus_is_the_least_sum_over_the_junction():
+    # rows and columns holding INF, whole INF rows and columns among them
+    rng = random.Random(47)
+    inf = _kernels.INF
+    costs = (0, 1, 2, 3, inf)
+    for _ in range(500):
+        k = rng.randint(1, 5)
+
+        def cost_list():
+            if rng.random() < 0.2:
+                return [inf] * k
+            return [rng.choice(costs) for _ in range(k)]
+
+        rows = [cost_list() for _ in range(rng.randint(1, 4))]
+        cols = [cost_list() for _ in range(rng.randint(1, 4))]
+        want = [[min(inf, *(r[j] + c[j] for j in range(k))) for c in cols]
+                for r in rows]
+        assert gadgets._min_plus(rows, cols) == want
+
+
 def _serial_reference(t1, t2, junction, mode):
     """serial_table as a triple loop over both portals and the junction."""
     out = {}
@@ -582,6 +639,29 @@ def test_gadget_roundtrip():
     assert (back.n, tuple(sorted(back.edges)), back.lists, back.portals) == \
         (g.n, tuple(sorted(tuple(sorted(e)) for e in g.edges)), g.lists,
          g.portals)
+
+
+def test_glue_rejects_a_parallel_edge_stored_either_way():
+    h = families.independent_reflexive(3)
+    lists = (frozenset({0, 1}), frozenset({1, 2}))
+    forward = gadgets.Gadget(2, ((0, 1),), lists, (0, 1))
+    backward = gadgets.Gadget(2, ((1, 0),), lists, (0, 1))
+    for g1, g2 in ((forward, backward), (backward, forward),
+                   (backward, backward), (forward, forward)):
+        for mode in ("vd", "ed"):
+            with pytest.raises(gadgets.GadgetError,
+                               match="gluing would create a parallel edge"):
+                gadgets.parallel_glue(h, g1, g2, mode)
+
+
+def test_format_gadget_normalises_reversed_edges():
+    lists = (frozenset({0}), frozenset({0, 1}), frozenset({2}),
+             frozenset({1, 2}))
+    want = ("p lhom 4 3\ne 1 2\ne 1 4\ne 3 4\n"
+            "l 1 1 1\nl 2 2 1 2\nl 3 1 3\nl 4 2 2 3\nportal 1 4\n")
+    for edges in (((0, 1), (0, 3), (2, 3)), ((3, 2), (1, 0), (3, 0))):
+        g = gadgets.Gadget(4, edges, lists, (0, 3))
+        assert gadgets.format_gadget(g) == want
 
 
 def test_glue_rejects_mismatched_lists():
