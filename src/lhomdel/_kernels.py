@@ -21,19 +21,15 @@ a sum >= big is infeasible; eliminate returns every such entry as INF,
 and its users read INF alone as infeasible.  Both of its users call it:
 the tree-decomposition DP (dpsolve), in forget order with no portals,
 and scan_table, the cost tables over their portals of the gadgets that
-are neither paths nor glued and of `gadget --verify`.  scan_best, a
-mixed-radix assignment scan, serves only the brute-force oracles.  The
-numpy functions import it when called.
+are neither paths nor glued and of `gadget --verify`; they import numpy
+when called.  scan_best, a depth-first search over the assignments of a
+mixed-radix encoding on plain lists, serves only the brute-force oracles.
 """
 
 from __future__ import annotations
 
 INF = 1 << 60
 DELETED = -1  # the vd state of a deleted vertex, last in its state tuple
-
-# assignment indices costed per numpy pass of scan_best; bounds the
-# temporaries
-_CHUNK = 1 << 18
 
 
 def using_numba() -> bool:
@@ -47,82 +43,59 @@ def using_numba() -> bool:
 
 
 # ---------------------------------------------------------------------------
-# assignment scans (the oracles' brute force)
+# assignment search (the oracles' brute force)
 #
-# Variables 0..nv-1 each pick a digit < radix[j]; val[j, d] is the H-vertex
-# (or nh = deleted) for that digit.  base[j, d] is the digit's own cost.
-# Edge e joins the distinct variables eu[e] and ev[e].  adj is (nh+1) x
-# (nh+1) with the deletion row/column all-True, so a deleted endpoint never
-# violates an edge.  In vd mode a violated edge kills the assignment; in ed
-# mode it costs 1.  Assignment index i enumerates the digits with the
-# leftmost variable most significant.
-
-
-def _arrays(radix, val, base, eu, ev, adj):
-    import numpy as np
-
-    return (np.asarray(radix, dtype=np.int64),
-            np.asarray(val, dtype=np.int64),
-            np.asarray(base, dtype=np.int64),
-            np.asarray(eu, dtype=np.int64),
-            np.asarray(ev, dtype=np.int64),
-            np.asarray(adj, dtype=np.bool_))
-
-
-def _places(radix):
-    import numpy as np
-
-    nv = radix.shape[0]
-    place = np.ones(nv, dtype=np.int64)
-    for j in range(nv - 2, -1, -1):
-        place[j] = place[j + 1] * radix[j + 1]
-    return place
-
-
-def _chunk_costs(idx, radix, val, base, eu, ev, adj, ed_mode, place):
-    """Cost of each assignment index in idx (INF for vd violations)."""
-    import numpy as np
-
-    nv = radix.shape[0]
-    digits = (idx[:, None] // place[None, :]) % radix[None, :]
-    cost = base[np.arange(nv)[None, :], digits].sum(axis=1)
-    if eu.shape[0]:
-        hs = val[np.arange(nv)[None, :], digits]
-        viol = ~adj[hs[:, eu], hs[:, ev]]
-        if ed_mode:
-            cost = cost + viol.sum(axis=1)
-        else:
-            cost = np.where(viol.any(axis=1), INF, cost)
-    return cost
+# Variables 0..nv-1 each pick a digit < radix[j]; val[j][d] is the H-vertex
+# (or nh = deleted) for that digit, base[j][d] its own cost.  Edge e joins
+# the distinct variables eu[e] and ev[e].  adj is (nh+1) x (nh+1) with the
+# deletion row/column all-True, so a deleted endpoint never violates an
+# edge.  In vd mode a violated edge kills the assignment; in ed it costs 1.
 
 
 def scan_best(radix, val, base, eu, ev, adj, ed_mode):
-    """Min-cost assignment over the full mixed-radix space.
-
-    Returns (cost, digits); digits is the lexicographically first minimizer
-    (leftmost variable most significant).  cost == INF means no feasible
-    assignment (vd mode with every assignment violating some edge, or an
-    empty radix).  Assignments are costed _CHUNK consecutive indices at a
-    time, so the temporaries stay bounded however large the space is.
-    """
-    import numpy as np
-
-    radix, val, base, eu, ev, adj = _arrays(radix, val, base, eu, ev, adj)
-    place = _places(radix)
-    total = int(np.prod(radix, dtype=np.int64))
-    best = INF
-    best_idx = -1
-    for lo in range(0, total, _CHUNK):
-        idx = np.arange(lo, min(lo + _CHUNK, total), dtype=np.int64)
-        cost = _chunk_costs(idx, radix, val, base, eu, ev, adj, ed_mode,
-                            place)
-        j = int(np.argmin(cost))
-        if cost[j] < best:
-            best = cost[j]
-            best_idx = lo + j
-    if best_idx < 0:
-        return INF, np.zeros(radix.shape[0], dtype=np.int64)
-    return best, (best_idx // place) % radix
+    """Min-cost assignment by depth-first search: (cost, digits), digits
+    the lexicographically first minimizer (leftmost variable most
+    significant).  cost == INF means no feasible assignment (vd mode with
+    every assignment violating some edge, or a zero radix); no variables
+    is one assignment, of cost 0.  Variables go in index order, digits
+    ascending, each edge charged at its later end; a digit is skipped once
+    its partial cost reaches the best complete cost so far, so, as costs
+    only grow, the first assignment found at the least cost is kept.  The
+    search keeps a digit and a partial cost per variable, not a call
+    stack: one-state variables do not count against oracle.ENUM_BOUND,
+    and an instance can hold 10^6 of them."""
+    nv = len(radix)
+    back = [[] for _ in radix]  # per variable, its earlier neighbours
+    for u, w in zip(eu, ev):
+        if u < w:
+            u, w = w, u
+        back[u].append(w)
+    bad = 1 if ed_mode else INF
+    best, best_digits = INF, [0] * nv
+    digit, pick = [0] * nv, [0] * nv  # pick[j]: the H-vertex of digit[j]
+    cost = [0] * (nv + 1)  # cost[j]: the partial cost of variables < j
+    j = d = 0  # digit d of variable j is tried next
+    while True:
+        if j < nv and d < radix[j]:
+            c = cost[j] + base[j][d]
+            row = adj[val[j][d]]
+            for i in back[j]:
+                if not row[pick[i]]:
+                    c += bad
+                    if c >= best:
+                        break
+            if c < best:
+                digit[j], pick[j], cost[j + 1] = d, val[j][d], c
+                j, d = j + 1, 0
+            else:
+                d += 1
+            continue
+        if j == nv:  # a complete assignment, cheaper than best
+            best, best_digits = cost[j], digit[:]
+        if not j:
+            return best, best_digits
+        j -= 1
+        d = digit[j] + 1
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 """Brute-force reference solvers.
 
 Everything here is exhaustive enumeration with deterministic (lexicographic)
-witness selection; the fast solvers are tested against these.
+witness selection; the fast solvers are tested against these.  The
+deletion oracles search the assignments with _kernels.scan_best over plain
+lists, so they never load numpy.
 """
 
 from __future__ import annotations
@@ -17,39 +19,30 @@ ENUM_BOUND = 10 ** 8
 
 
 def _scan_arrays(h: TargetGraph, inst: Instance, mode: str):
-    """Mixed-radix encoding of an instance for the oracles' scan_best.
+    """Mixed-radix encoding of an instance for the oracles' scan_best, as
+    plain lists.
 
     Variable j's digits enumerate sorted(L(j)) and, in vd mode, the deletion
-    symbol h.n last, at cost 1.  The adjacency matrix is h's, in vd mode
-    with an all-True row and column for h.n.
+    symbol h.n last, at cost 1; its val and base rows, padded to the largest
+    radix, are shared by every variable with the same list.  The adjacency
+    matrix is h's, in vd mode with an all-True row and column for h.n.
     """
-    import numpy as np
-
     vd = mode == "vd"
-    radix = np.array([len(inst.lists[v]) + (1 if vd else 0)
-                      for v in range(inst.n)], dtype=np.int64)
-    rmax = max(1, int(radix.max(initial=0)))
-    val = np.zeros((inst.n, rmax), dtype=np.int64)
-    base = np.zeros((inst.n, rmax), dtype=np.int64)
-    for v in range(inst.n):
-        lst = sorted(inst.lists[v])
-        for d, x in enumerate(lst):
-            val[v, d] = x
-        if vd:
-            val[v, len(lst)] = h.n
-            base[v, len(lst)] = 1
-    eu = np.array([e[0] for e in inst.edges], dtype=np.int64)
-    ev = np.array([e[1] for e in inst.edges], dtype=np.int64)
-    size = h.n + 1 if vd else h.n
-    adj = np.ones((size, size), dtype=np.bool_)
-    adj[:h.n, :h.n] = [[h.has_edge(u, v) for v in range(h.n)]
-                       for u in range(h.n)]
+    radix = [len(lst) + vd for lst in inst.lists]
+    rmax = max(radix, default=1)
+    rows = {}  # a list -> its (val, base) rows
+    for lst in inst.lists:
+        if lst not in rows:
+            pad = [0] * (rmax - len(lst) - vd)
+            rows[lst] = (sorted(lst) + [h.n] * vd + pad,
+                         [0] * len(lst) + [1] * vd + pad)
+    val = [rows[lst][0] for lst in inst.lists]
+    base = [rows[lst][1] for lst in inst.lists]
+    eu = [u for u, _ in inst.edges]
+    ev = [v for _, v in inst.edges]
+    adj = [[h.has_edge(u, v) for v in range(h.n)] + [True] * vd
+           for u in range(h.n)] + [[True] * (h.n + 1)] * vd
     return radix, val, base, eu, ev, adj
-
-
-def _check_bound(radix) -> None:
-    if prod(int(r) for r in radix) > ENUM_BOUND:
-        raise ValueError("instance too large for exhaustive enumeration")
 
 
 def _oracle(h: TargetGraph, inst: Instance, mode: str) -> Solution:
@@ -58,17 +51,14 @@ def _oracle(h: TargetGraph, inst: Instance, mode: str) -> Solution:
     if ed and any(not lst for lst in inst.lists):
         raise Infeasible("vertex with an empty list")
     radix, val, base, eu, ev, adj = _scan_arrays(h, inst, mode)
-    _check_bound(radix)
+    if prod(radix) > ENUM_BOUND:
+        raise ValueError("instance too large for exhaustive enumeration")
     cost, digits = _kernels.scan_best(radix, val, base, eu, ev, adj, ed)
     if cost >= _kernels.INF:  # deleting everything is always feasible
         raise AssertionError(f"{mode} scan found no feasible assignment")
-    hom = {}
-    for v in range(inst.n):
-        lst = sorted(inst.lists[v])
-        d = int(digits[v])
-        if d < len(lst):  # d == len(lst) is the vd deletion symbol
-            hom[v] = lst[d]
-    return Solution.of(h, inst, mode, int(cost), hom, "oracle")
+    hom = {v: val[v][d] for v, d in enumerate(digits)
+           if d < len(inst.lists[v])}  # len(L(v)) is the vd deletion digit
+    return Solution.of(h, inst, mode, cost, hom, "oracle")
 
 
 def oracle_vd(h: TargetGraph, inst: Instance) -> Solution:

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import time
 import types
+from itertools import product
 
 import pytest
 
@@ -410,6 +411,140 @@ def test_dp_solve_outputs_are_pinned(tmp_path, capsys):
             got[name, mode] = hashlib.sha256(out.encode()).hexdigest()
     assert widths == {3, 4, 5, 6}
     assert got == DP_OUTPUT_SHA256  # names every changed pin at once
+
+
+def _optima(h, inst, mode):
+    """(least cost, number of assignments at it) by brute force over the
+    lists, None a deleted vertex (vd); (None, 0) if there is no assignment
+    (an empty ed list)."""
+    costs = []
+    for a in product(*(sorted(lst) + [None] * (mode == "vd")
+                       for lst in inst.lists)):
+        bad = sum(not (a[u] is None or a[v] is None or h.has_edge(a[u], a[v]))
+                  for u, v in inst.edges)
+        if mode == "ed":
+            costs.append(bad)
+        elif not bad:
+            costs.append(a.count(None))
+    return (min(costs), costs.count(min(costs))) if costs else (None, 0)
+
+
+# SHA-256 of `solve <mode> ... --algo oracle` exit code and stdout on the
+# empty instance and 20 seeded ones whose optimum is tied in every mode
+# that has one, and positive in vd: any change to the witness the oracle
+# picks shows here
+ORACLE_OUTPUT_SHA256 = {
+    (0, "ed"):
+        "accff84b05fd6d0c9acb34b141ca9051ae2de1476e3c7788e7a307e64bac4ef0",
+    (0, "vd"):
+        "826fcec7ad46229eddf2d717b88a41343c924305cdc649cf91bf445d92fbf5d6",
+    (1, "ed"):
+        "1d3e77069c8cf16d77c1cbe18a4455cff5f7a6542eb404192b2f1236054be02f",
+    (1, "vd"):
+        "0ae6771d9ce199687549855460202fea3b1b3e5ebd3ce523fa9658b59db01a74",
+    (2, "ed"):
+        "ea1aa4e3a28da3984a87e51f595dbb5ba53110445603c35339c68a989b28f6c9",
+    (2, "vd"):
+        "c6af291b5d2ef13913e74dc2f0db9c94ee0f5a9526a179103d3148a94878934d",
+    (3, "ed"):
+        "f9b9f35f0fdc54e39bc73642073194ba10c9d154d0ae5f69fad86fba317dfb0f",
+    (3, "vd"):
+        "6b06421e62fb84f2e380056db8146393e8288d5c408ce96ab556bf828ca7d608",
+    (4, "ed"):
+        "57dc0716fce3a9e1efa0409da922cccd88eabc4706d9a65450f2b6e4082756f2",
+    (4, "vd"):
+        "9e46fe0091a62aaf279c420f61e435f8401c2e0bbfbfeba160360f442675dcc5",
+    (5, "ed"):
+        "8f2ad5642a4ca62f4671e1152b803edb7e5c29511f6b514fbd6c16ed28c113fe",
+    (5, "vd"):
+        "94bb2c624ea0f6fc1a5aa1fb454bdb9259ff5e4e2831639cfab7a846f7704cb0",
+    (6, "ed"):
+        "f9b9f35f0fdc54e39bc73642073194ba10c9d154d0ae5f69fad86fba317dfb0f",
+    (6, "vd"):
+        "408cda234fb3baafc7f3ffff474968bc3c00fdef3a5e832fb70307b9e2b76eaa",
+    (7, "ed"):
+        "f9b9f35f0fdc54e39bc73642073194ba10c9d154d0ae5f69fad86fba317dfb0f",
+    (7, "vd"):
+        "86804a98c1c5535b8b7d0c52418e1882b8a1750ba0c0599dc12afe8bd33e05ba",
+    (8, "ed"):
+        "9609b552980609732cb4a52fe1b4d7554ba214ec2c258da51a338d8465889e62",
+    (8, "vd"):
+        "dd284497391ca4fdd48025fb99363478d5657ca79a7dc1613b93ed54880b74cb",
+    (9, "ed"):
+        "7c66230dd0ce1220ade3c2cd05f4134cf135bf88de5d6c7d6422ad1ea923352e",
+    (9, "vd"):
+        "9adf1238e2a2f61b02d2df5766c1a620f4b0ec4812e9c2c62acd13041b941e46",
+    (10, "ed"):
+        "13e0b22813983e5e838a43a72ca3dc4c80efe72cbc05a9fa14d7417053ff2f92",
+    (10, "vd"):
+        "d5e737e2b635c7c4e640d0dcc5907b59e62f1cabf420d1bbc266b0d2770a5606",
+    (11, "ed"):
+        "765a42c217a72a89fff80906f153b20685b9306d923f3379db01b166ed5245ab",
+    (11, "vd"):
+        "2cc4659aab1195d49f0158edbc74ef80d69ba237676d5e2989fc39980a0e60eb",
+    (12, "ed"):
+        "82094411b7ff1b8800d3aa74bee8acf87dcf2d399eb0643bb3c8c920d43fecf1",
+    (12, "vd"):
+        "b97d5e6daa271cd7ba8351d075b6fe5f5d28917efc1da7c3dcb99fb3836c3322",
+    (13, "ed"):
+        "f9b9f35f0fdc54e39bc73642073194ba10c9d154d0ae5f69fad86fba317dfb0f",
+    (13, "vd"):
+        "7df8b05c9efb7019f5700ab07c387aadc084a355bb45a44080c5c3a6a96ee914",
+    (14, "ed"):
+        "463edb140b70de19e1ac3ecc268dfda17d285ed733caa6fa565d01f5165b9806",
+    (14, "vd"):
+        "918b43f6c80c219ccba57a47610e5fa560d5ada9afb98fbf8d3c71d5dd130372",
+    (15, "ed"):
+        "0f0e5356f26d5a0f846916272d2562dbad57d80d2a756c8ac09bbb21df18b5e1",
+    (15, "vd"):
+        "622f18a60dc5b1c3a488b3721e0f951009e47ad7a2a0c8f1e45d749d5234725b",
+    (16, "ed"):
+        "3f2dc357057ae9fa90779b1e80f5ea1f219211b37202c6daae9196709be974a5",
+    (16, "vd"):
+        "c6af291b5d2ef13913e74dc2f0db9c94ee0f5a9526a179103d3148a94878934d",
+    (17, "ed"):
+        "86fd45bc682cbbd49445ab91fe9dc3e17293c1301025d98a41ad1649bace75c4",
+    (17, "vd"):
+        "97342226d66ec72e8e849b4605507c789f03c6b457d48608011e90e97b9898d5",
+    (18, "ed"):
+        "0b9c93e804bdb19b54a9768474d864df15987ce320736dadb72d61530b9c5c01",
+    (18, "vd"):
+        "cdf35faed1a201fccbd3c130e44df849339cdb8181867043c0c0bc3f8026e0aa",
+    (19, "ed"):
+        "3c52d7493bcc44ec81d94a5135b8bba9b08035521162000cb527038573e0aec7",
+    (19, "vd"):
+        "42d30ba9838809c55bcf600104d4a840370791884722af53bcb46a44cb726612",
+    (20, "ed"):
+        "f0f58485f5af70fcfd3f3a9792409ee9d7c35ac9decbd35a7a89bed45ada291e",
+    (20, "vd"):
+        "14eb95737d182aa9c5ec06e67a76616003111fa432385577affe8a3709b7eb90",
+}
+
+
+def test_oracle_solve_outputs_are_pinned(tmp_path, capsys):
+    rng = random.Random(29)
+    cases = [(families.reflexive_clique(2), Instance(0, [], []))]
+    while len(cases) < 21:
+        h = families.random_target(rng, rng.randint(2, 4), rng.random(),
+                                   rng.random())
+        inst = families.random_instance(rng, h, rng.randint(2, 6),
+                                        rng.random())
+        inst.lists = [frozenset() if rng.random() < 1 / 40 else lst
+                      for lst in inst.lists]
+        (vd_opt, vd_ties), (_, ed_ties) = (_optima(h, inst, mode)
+                                           for mode in ("vd", "ed"))
+        if vd_opt and vd_ties > 1 and (ed_ties > 1 or not all(inst.lists)):
+            cases.append((h, inst))
+    got = {}
+    for k, (h, inst) in enumerate(cases):
+        t = _write(tmp_path, f"{k}.hg", format_target(h))
+        i = _write(tmp_path, f"{k}.lhi", format_instance(inst))
+        for mode in ("vd", "ed"):
+            code, out = _run(capsys, ["solve", mode, t, i, "--algo", "oracle"])
+            got[k, mode] = hashlib.sha256(
+                f"{code}\n{out}".encode()).hexdigest()
+    assert sum(not all(inst.lists) for _, inst in cases) >= 3
+    assert got == ORACLE_OUTPUT_SHA256  # names every changed pin at once
 
 
 # SHA-256 of `lhomdel solve <mode> --algo poly` stdout on
@@ -1207,7 +1342,9 @@ t, i = sys.argv[1:]
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [cli.main(["classify", t]),
              cli.main(["solve", "vd", t, i, "--algo", "auto"]),
-             cli.main(["solve", "ed", t, i, "--algo", "auto"])]
+             cli.main(["solve", "ed", t, i, "--algo", "auto"]),
+             cli.main(["solve", "vd", t, i, "--algo", "oracle"]),
+             cli.main(["solve", "ed", t, i, "--algo", "oracle"])]
     before = "numpy" in sys.modules
     codes.append(cli.main(["solve", "vd", t, i, "--algo", "dp"]))
 print(codes, before, "numpy" in sys.modules)
@@ -1216,11 +1353,12 @@ print(codes, before, "numpy" in sys.modules)
 
 def test_classify_and_poly_solves_do_not_load_numpy(tmp_path):
     # a reflexive clique is polynomial in both modes, so classify and both
-    # auto solves run on plain ints; only the DP needs numpy
+    # auto solves run on plain ints, as do the oracles; only the DP needs
+    # numpy
     t = _write(tmp_path, "h.hg", format_target(families.reflexive_clique(3)))
     i = _write(tmp_path, "g.lhi", INSTANCE)
     out, _ = _python("-c", _NUMPY_PATHS, t, i, check=True)
-    assert out.stdout.strip() == "[0, 0, 0, 0] False True"
+    assert out.stdout.strip() == "[0, 0, 0, 0, 0, 0] False True"
 
 
 def test_gadget_command(tmp_path, capsys):

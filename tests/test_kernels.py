@@ -22,7 +22,8 @@ def _cases(seed, count):
 
 
 # Reference scans: one assignment at a time in odometer order (rightmost
-# digit fastest), the order in which the numpy scans index assignments.
+# digit fastest), the lexicographic order in which scan_best's depth-first
+# search meets assignments.
 
 
 def _scan_best_loop(radix, val, base, eu, ev, adj, ed_mode):
@@ -81,14 +82,34 @@ def _scan_table_loop(nb, states, edges, nportal, vd):
 
 
 def test_scan_best_paths_agree():
-    for h, inst in _cases(11, 30):
-        for mode in ("vd", "ed"):
-            arrays = oracle._scan_arrays(h, inst, mode)
-            cost_a, dig_a = _scan_best_loop(*arrays, mode == "ed")
-            cost_b, dig_b = _kernels.scan_best(*arrays, mode == "ed")
-            assert int(cost_a) == int(cost_b)
-            if int(cost_a) < int(INF):
-                assert list(dig_a) == list(dig_b)
+    # random loop, edge and instance densities, edges stored either way,
+    # one list in eight empty (in ed a zero radix, no assignment), and a
+    # path of 3000 one-state variables that the search walks to its end
+    rng = random.Random(11)
+    cases = []
+    for _ in range(300):
+        h = families.random_target(rng, rng.randint(1, 4), rng.random(),
+                                   rng.random())
+        inst = families.random_instance(rng, h, rng.randint(1, 7),
+                                        rng.random())
+        inst.lists = [frozenset() if rng.random() < 1 / 8 else lst
+                      for lst in inst.lists]
+        inst.edges = [(v, u) if rng.random() < 0.5 else (u, v)
+                      for u, v in inst.edges]
+        cases += [(h, inst, "vd"), (h, inst, "ed")]
+    h = families.random_target(rng, 3)
+    cases.append((h, Instance(3000, [(v, v + 1) for v in range(2999)], [
+        frozenset({rng.randrange(3)}) for _ in range(3000)]), "ed"))
+    empty = 0
+    for h, inst, mode in cases:
+        lists = oracle._scan_arrays(h, inst, mode)
+        cost_a, dig_a = _scan_best_loop(*map(np.asarray, lists), mode == "ed")
+        cost_b, dig_b = _kernels.scan_best(*lists, mode == "ed")
+        assert int(cost_a) == cost_b
+        if cost_b < INF:
+            assert list(dig_a) == dig_b
+        empty += mode == "vd" and not all(inst.lists)
+    assert empty > 50
 
 
 def _table_states(rng, nv, vd):

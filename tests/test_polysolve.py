@@ -16,6 +16,12 @@ def test_staircase_params_units():
     assert polysolve.staircase_params([[1, 0], [1, 1]]) is not None
     # anti-diagonal ones are not a staircase
     assert polysolve.staircase_params([[0, 1], [1, 0]]) is None
+    # a middle row band (row 2) with a zero between its ones, and the
+    # transpose's middle column band
+    assert polysolve.staircase_params(
+        [[1, 0, 0], [1, 0, 1], [0, 0, 1]]) is None
+    assert polysolve.staircase_params(
+        [[1, 1, 0], [0, 0, 0], [0, 1, 1]]) is None
 
 
 def _staircase_case(seed):
