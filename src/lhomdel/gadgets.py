@@ -599,14 +599,19 @@ def force_from_allow(h: TargetGraph, move: Gadget) -> Gadget:
     """Turn a move that forces a->c and allows b->d into one forcing both:
     parallel doubling (detouring a portal edge if present) plus +1 pendants
     on input b and output c."""
-    rep = move_report(h, move)
+    return _force_from_allow(h, move, move_report(h, move))[0]
+
+
+def _force_from_allow(h: TargetGraph, move: Gadget,
+                      rep: MoveReport) -> tuple[Gadget, MoveReport]:
+    """force_from_allow(h, move) and its report, given move's report rep."""
     lin = sorted(move.lists[move.portals[0]])
     lout = sorted(move.lists[move.portals[1]])
     if len(lin) != 2 or len(lout) != 2:
         raise GadgetError("force_from_allow expects a pair-to-pair move")
     forced = [u for u in lin if len(rep.jmap[u]) == 1]
     if len(forced) == 2 and rep.forced[lin[0]] != rep.forced[lin[1]]:
-        return move
+        return move, rep
     if len(forced) != 1:
         raise GadgetError("move must force exactly one input")
     a = forced[0]
@@ -631,7 +636,7 @@ def force_from_allow(h: TargetGraph, move: Gadget) -> Gadget:
     rep2 = move_report(h, out)
     if rep2.forced.get(a) != c or rep2.forced.get(b) != d:
         raise GadgetError("force_from_allow verification failed")
-    return out
+    return out, rep2
 
 
 def adjacent_pair_move(h: TargetGraph, pair1, pair2) -> Gadget:
@@ -660,8 +665,7 @@ def _ensure_forced(h: TargetGraph, g: Gadget, want: dict) -> Gadget:
     rep = move_report(h, g)
     if all(rep.forced.get(u) == v for u, v in want.items()):
         return g
-    g2 = force_from_allow(h, g)
-    rep2 = move_report(h, g2)
+    g2, rep2 = _force_from_allow(h, g, rep)
     if not all(rep2.forced.get(u) == v for u, v in want.items()):
         raise GadgetError("pair move fails to force the intended bijection")
     return g2

@@ -7,7 +7,8 @@ the enumeration kernels cheap.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, islice, repeat
+from operator import sub
 from typing import Iterable, Optional
 
 from . import _kernels
@@ -324,19 +325,73 @@ def parse_instance(text: str, h: TargetGraph) -> Instance:
 
     Vertices with no `l` line get the full list V(H).  A second `l` line
     for a vertex, or a second `k` line, is a parse error.  Lines with the
-    same element tokens share one checked frozenset.
+    same element tokens share one checked frozenset.  The writers' layout
+    is read by blocks, any other text line by line, with the same result.
+    The readers' checks are the only ones the returned Instance gets: it
+    is built without running Instance.__init__, whose edge checks (range,
+    loops, parallel edges) and list count these checks cover."""
+    lines = text.splitlines()
+    return _read_blocks(lines, h) or _parse_lines(lines, h)
 
-    The line-numbered checks here are the only ones the returned Instance
-    gets: it is built without running Instance.__init__, whose edge checks
-    (range, loops, parallel edges) and list count these checks cover.
-    """
+
+def _read_blocks(lines: list[str], h: TargetGraph) -> Optional[Instance]:
+    """The instance if lines are `p lhom n m`, m `e u v` lines, then only
+    `l v k x1 .. xk` lines, single-spaced and valid; else None.  A chunk of
+    edge lines that each start with `e ` and hold three tokens per line in
+    all holds three on each, as int() refuses an `e` out of its place."""
+    try:
+        p, lhom, n, m = lines[0].split(" ")
+        n, m = int(n), int(m)
+        if (p, lhom) != ("p", "lhom") or not 0 <= m < len(lines) \
+                or not 0 <= n <= MAX_INSTANCE_VERTICES:
+            return None
+        edges: list[tuple[int, int]] = []
+        seen = set()  # edges; a loop or a parallel edge meets its reverse
+        for i in range(1, m + 1, 4096):
+            chunk = lines[i:min(i + 4096, m + 1)]
+            text = "\n".join(chunk)
+            tok = text.replace("\n", " ").split(" ")
+            us = list(map(sub, map(int, tok[1::3]), repeat(1)))
+            vs = list(map(sub, map(int, tok[2::3]), repeat(1)))
+            edges += zip(us, vs)
+            seen.update(edges[i - 1:])
+            if (text[:2] != "e " or text.count("\ne ") != len(chunk) - 1
+                    or len(tok) != 3 * len(chunk) or min(us + vs) < 0
+                    or max(us + vs) >= n or len(seen) != len(edges)
+                    or not seen.isdisjoint(zip(vs, us))):
+                return None
+        full = frozenset(range(h.n))
+        lists = [full] * n
+        checked = {}  # list text, or element tokens -> checked frozenset
+        for line in islice(lines, m + 1, None):  # one split, one lookup
+            tag, v, rest = line.split(" ", 2)
+            v = int(v) - 1
+            lst = checked.get(rest)
+            if lst is None:
+                tok = rest.split()
+                lst = frozenset([int(x) - 1 for x in tok[1:]])
+                if len(tok) != int(tok[0]) + 1 or not lst <= full:
+                    return None
+                lst = checked[rest] = checked.setdefault(tuple(tok[1:]), lst)
+            if tag != "l" or not 0 <= v < n or lists[v] is not full:
+                return None
+            lists[v] = lst
+    except (ValueError, IndexError):
+        return None
+    inst = Instance.__new__(Instance)
+    inst.n, inst.edges, inst.lists, inst.budget = n, edges, lists, None
+    return inst
+
+
+def _parse_lines(lines: list[str], h: TargetGraph) -> Instance:
+    """parse_instance's reader for any text, line by line."""
     n = m = None
     edges: list[tuple[int, int]] = []
     lists: dict[int, frozenset[int]] = {}
     checked: dict[tuple[str, ...], frozenset[int]] = {}
     budget = None
     seen = set()
-    for lineno, raw in enumerate(text.splitlines(), 1):
+    for lineno, raw in enumerate(lines, 1):
         tok = raw.split()
         if not tok or tok[0][0] == "c":
             continue

@@ -8,8 +8,8 @@ lists, so they never load numpy.
 
 from __future__ import annotations
 
-from itertools import product
-from math import prod
+from itertools import accumulate, product
+from operator import mul
 
 from . import _kernels
 from .analysis import is_valid_decomposition
@@ -51,7 +51,7 @@ def _oracle(h: TargetGraph, inst: Instance, mode: str) -> Solution:
     if ed and any(not lst for lst in inst.lists):
         raise Infeasible("vertex with an empty list")
     radix, val, base, eu, ev, adj = _scan_arrays(h, inst, mode)
-    if prod(radix) > ENUM_BOUND:
+    if any(size > ENUM_BOUND for size in accumulate(radix, mul)):  # radix >= 1
         raise ValueError("instance too large for exhaustive enumeration")
     cost, digits = _kernels.scan_best(radix, val, base, eu, ev, adj, ed)
     if cost >= _kernels.INF:  # deleting everything is always feasible

@@ -10,7 +10,8 @@ from itertools import product
 
 import pytest
 
-from lhomdel import _kernels, analysis, cli, dpsolve, gadgets, polysolve
+from lhomdel import (_kernels, analysis, cli, dpsolve, gadgets, oracle,
+                     polysolve)
 from lhomdel.graphs import (MAX_INSTANCE_VERTICES, MAX_TARGET_VERTICES,
                             Instance, TargetGraph, format_instance,
                             format_target, max_incomparable, parse_instance,
@@ -122,6 +123,28 @@ def test_table_cap_exit_code(tmp_path, capsys):
     assert code == cli.EXIT_PRECONDITION
     assert json.loads(out)["error"] == "precondition"
 
+
+def test_oracle_refusal_stops_past_the_bound(tmp_path, capsys, monkeypatch):
+    # a path whose every variable has two states, in vd (one-vertex lists
+    # and the deletion) and in ed (full lists), has 2^n assignments: the
+    # oracles refuse it with exit 3 once the running product of the
+    # radixes passes ENUM_BOUND, at the 27th variable, not at the last
+    factors = []
+    monkeypatch.setattr(oracle, "mul",
+                        lambda a, b: factors.append(b) or a * b)
+    t = _write(tmp_path, "h.hg", "h 2\ne 1 1\ne 2 2\n")
+    n = 10 ** 4
+    lines = [f"p lhom {n} {n - 1}"] + [f"e {v} {v + 1}" for v in range(1, n)]
+    for mode, lists in (("vd", [f"l {v} 1 1" for v in range(1, n + 1)]),
+                        ("ed", [])):
+        i = _write(tmp_path, f"{mode}.lhi", "\n".join(lines + lists) + "\n")
+        factors.clear()
+        code, out = _run(capsys, ["solve", mode, t, i, "--algo", "oracle"])
+        assert code == cli.EXIT_PRECONDITION
+        assert json.loads(out) == {
+            "error": "precondition",
+            "detail": "instance too large for exhaustive enumeration"}
+        assert factors == [2] * 26 and 2 ** 26 <= oracle.ENUM_BOUND < 2 ** 27
 
 def test_long_path_poly_solve(tmp_path, capsys):
     # two loops, no edge: a path from list {1} to list {2} loses one vertex;

@@ -200,6 +200,17 @@ def _forced_pair_move():
     return h, out, "ed"
 
 
+def test_pair_move_reports_each_gadget_once(monkeypatch):
+    # the path does not force the bijection, so _ensure_forced hands its
+    # report on to force_from_allow's body, which reports the doubled move
+    reported = []
+    report = gadgets.move_report
+    monkeypatch.setattr(gadgets, "move_report",
+                        lambda h, g: reported.append(g) or report(h, g))
+    h = families.independent_reflexive(3)
+    g = gadgets.adjacent_pair_move(h, {0, 1}, {0, 2})
+    assert len(reported) == 2 and reported[0] is not g and reported[1] is g
+
 def test_force_from_allow_detours_a_portal_edge():
     # the move is one edge between its portals; it forces 0->0 and
     # allows 1->2, and the portal edge becomes a two-vertex detour

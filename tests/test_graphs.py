@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -205,6 +206,159 @@ def test_parse_instance_checks_edges_once(monkeypatch):
                               frozenset({0, 1})], 4)
     Instance(1, [], [frozenset({0})])
     assert calls == [1]
+
+
+def _writer_text(rng, h):
+    """A random instance over h in the layout one of the writers uses:
+    format_instance's, or the benchmark generator's (list elements in any
+    order, `l v 0 ` with a trailing space); edges either way round, and
+    the generator's `l` lines shuffled or left out."""
+    n = rng.choice([0, 1, 2, 3, 5, 8, 12])
+    inst = families.random_instance(rng, h, n, rng.random())
+    inst.edges = [e[::-1] if rng.random() < 0.5 else e for e in inst.edges]
+    inst.lists = [frozenset() if rng.random() < 0.1 else lst
+                  for lst in inst.lists]
+    if rng.random() < 0.5:
+        return format_instance(inst)
+    lines = [f"p lhom {n} {len(inst.edges)}"]
+    lines += [f"e {u + 1} {v + 1}" for u, v in inst.edges]
+    lists = [f"l {v + 1} {len(lst)} "
+             + " ".join(str(x + 1) for x in rng.sample(sorted(lst), len(lst)))
+             for v, lst in enumerate(inst.lists)]
+    rng.shuffle(lists)
+    return "\n".join(lines + lists[:rng.choice([0, n])]) + "\n"
+
+
+def _mutated(rng, text):
+    """text with one seeded fault or layout change."""
+    lines = text.splitlines()
+    i = rng.randrange(len(lines))
+    tok = lines[i].split(" ")
+    j = rng.randrange(1, len(tok)) if len(tok) > 1 else 0
+    kind = rng.randrange(15)
+    if kind == 0:
+        lines[i] += " " + rng.choice(["1", "2", "x"])
+    elif kind == 1:
+        lines[i] = " ".join(tok[:-1])
+    elif kind == 2:
+        lines[i] = lines[i].replace(" ", "  ", 1)
+    elif kind == 3:
+        tok[j] = rng.choice(["0", "+", " ", "\t"]) + tok[j]
+        lines[i] = " ".join(tok)
+    elif kind == 4:
+        tok[j] = rng.choice(["0", "-1", "9", "13", "x", ""])
+        lines[i] = " ".join(tok)
+    elif kind == 5 and tok[0] == "e":
+        lines[i] = f"e {tok[1]} {tok[1]}"
+    elif kind == 6 and tok[0] == "e":
+        head = lines[0].split(" ")
+        lines[0] = " ".join(head[:3] + [str(int(head[3]) + 1)])
+        lines.insert(rng.randrange(1, len(lines) + 1),
+                     rng.choice([lines[i], f"e {tok[2]} {tok[1]}"]))
+    elif kind == 7 and tok[0] == "l":
+        lines.insert(rng.randrange(len(lines) + 1), rng.choice(
+            [lines[i], f"l {tok[1]} 1 1", f"l {tok[1]} 0"]))
+    elif kind == 8:
+        k = rng.randrange(len(lines))
+        lines[i], lines[k] = lines[k], lines[i]
+    elif kind == 9:
+        lines.insert(rng.randrange(len(lines) + 1), lines[i])
+    elif kind == 10:
+        del lines[i]
+    elif kind == 11:
+        lines.insert(rng.randrange(len(lines) + 1),
+                     rng.choice(["k 3", "c note", "", "k x"]))
+    elif kind == 13:
+        tok[0] = rng.choice(["e", "l", "k", "c", "x"])
+        lines[i] = " ".join(tok)
+    elif kind == 14 and i + 1 < len(lines):  # move a line break
+        tok = (lines[i] + " " + lines[i + 1]).split(" ")
+        j = rng.randrange(1, len(tok))
+        lines[i:i + 2] = [" ".join(tok[:j]), " ".join(tok[j:])]
+    eol = "\r\n" if kind == 12 else "\n"
+    return eol.join(lines) + eol + ("\n" if rng.random() < 0.1 else "")
+
+
+def _outcome(parse, text, h):
+    """(n, edges, lists, budget, sharing) of parse's Instance, sharing
+    naming for each list the first vertex with the same list object; or
+    the type and message of what it raised."""
+    try:
+        inst = parse(text, h)
+    except (ParseError, graphs.TooManyVertices) as exc:
+        return type(exc), str(exc)
+    first = {}
+    sharing = [first.setdefault(id(lst), v)
+               for v, lst in enumerate(inst.lists)]
+    return inst.n, inst.edges, inst.lists, inst.budget, sharing
+
+
+def test_block_reader_matches_the_line_loop():
+    """parse_instance returns the line loop's Instance, or raises its
+    error, on writer-layout texts, each also with one fault or layout
+    change; the block reader reads every unchanged one."""
+    def loop(text, h):
+        return graphs._parse_lines(text.splitlines(), h)
+
+    rng = random.Random(53)
+    read = 0  # mutated texts that the block reader reads
+    for _ in range(2000):
+        h = families.random_target(rng, rng.randint(1, 5))
+        text = _writer_text(rng, h)
+        mutated = _mutated(rng, text)
+        assert graphs._read_blocks(text.splitlines(), h) is not None, text
+        for t in (text, mutated):
+            assert _outcome(parse_instance, t, h) == _outcome(loop, t, h), t
+        read += graphs._read_blocks(mutated.splitlines(), h) is not None
+    assert 200 < read < 1800, read
+    # edges past the first chunk: a reversed parallel edge in a later
+    # chunk, and a header above the cap
+    h = families.reflexive_path(3)
+    path = [f"e {v} {v + 1}" for v in range(1, 9001)]
+    for extra in ([], ["e 2 1"], ["e 9001 9000"], ["e 5000 5000"]):
+        text = "\n".join([f"p lhom 9001 {9000 + len(extra)}"] + path + extra
+                         + ["l 7 2 1 3"])
+        assert _outcome(parse_instance, text, h) == _outcome(loop, text, h)
+    text = f"p lhom {graphs.MAX_INSTANCE_VERTICES + 1} 0\n"
+    assert _outcome(parse_instance, text, h) == _outcome(loop, text, h)
+
+
+def test_writer_layout_is_read_without_the_line_loop(monkeypatch):
+    def refused(lines, h):
+        raise AssertionError("read line by line")
+
+    monkeypatch.setattr(graphs, "_parse_lines", refused)
+    h = families.reflexive_clique(3)
+    inst = Instance(4, [(0, 1), (3, 1), (2, 3)],
+                    [frozenset({0, 2}), frozenset(), frozenset({0, 2}),
+                     frozenset({1})])
+    back = parse_instance(format_instance(inst), h)
+    assert (back.n, back.edges, back.lists, back.budget) == \
+        (4, inst.edges, inst.lists, None)
+    assert back.lists[0] is back.lists[2]
+    with pytest.raises(AssertionError, match="line by line"):
+        parse_instance("c comment\n" + format_instance(inst), h)
+
+
+def test_block_reader_peaks_no_higher_than_the_line_loop(tmp_path):
+    # a reader that kept a split list per `l` line would peak far higher
+    from test_ladder import _tree_instance
+    h = families.reflexive_path(3)
+    text = open(_tree_instance(tmp_path / "tree.lhi", 10 ** 5,
+                               lambda v: f"l {v} 2 1 3\n")).read()
+    peaks = []
+    for parse in (parse_instance,
+                  lambda text, h: graphs._parse_lines(text.splitlines(), h)):
+        tracemalloc.start()
+        try:
+            inst = parse(text, h)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert inst.n == 10 ** 5 and len(inst.edges) == 10 ** 5 - 1
+        del inst
+    assert graphs._read_blocks(text.splitlines(), h) is not None
+    assert peaks[0] <= peaks[1], peaks
 
 
 def test_restricted_parts_are_induced_subgraphs(monkeypatch):

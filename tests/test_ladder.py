@@ -64,12 +64,11 @@ def _tree_instance(path, n, list_line):
 
 # (mode, list_line, limit MiB, peak RSS MB, wall s) for `solve <mode>
 # --algo poly` of the 10^6-vertex tree over the reflexive P3, with full
-# lists or the lists {1, 3}; measured on 20 October 2026, vd-ends again
-# once min_vertex_separator stopped building a network with no arc out of
-# s, which is every vd-ends separator (each vertex has both elements)
+# lists or the lists {1, 3}; measured on 21 October 2026, once the
+# writers' layout was read by blocks (2.8 and 3.8 s before, measured alongside)
 POLY_RUNGS = {
-    "ed-full": ("ed", None, 3072, 463, 4.8),
-    "vd-ends": ("vd", lambda v: f"l {v} 2 1 3\n", 4096, 566, 7.6),
+    "ed-full": ("ed", None, 3072, 463, 2.7),
+    "vd-ends": ("vd", lambda v: f"l {v} 2 1 3\n", 4096, 565, 3.2),
 }
 
 
