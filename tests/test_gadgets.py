@@ -1,3 +1,4 @@
+import hashlib
 import heapq
 import random
 import time
@@ -464,6 +465,46 @@ def test_indicator_relation_is_the_product_of_its_submoves():
             for outs in product((a, b), repeat=len(jmaps))
             if all(o in jmap[u] for jmap, o in zip(jmaps, outs))}
         built += 1
+
+
+def _sweep_digest(count):
+    """SHA-256 over count seeded builds on random targets of 3-10
+    vertices, alternately move_between_pairs and build_indicator: each
+    adds the gadget's bytes, relation and table, or the error's type and
+    message.  One indicator S in five is a random 2- or 3-set, so
+    comparable sets are refused among them."""
+    rng = random.Random(56)
+    digest = hashlib.sha256()
+    for i in range(count):
+        pairs = []
+        while not pairs:
+            h = graphs.random_target(rng, rng.randint(3, 10), rng.random(),
+                                     rng.random())
+            pairs = [tuple(sorted(p)) for p in gadgets.incomparable_pairs(h)]
+        a, b = rng.choice(pairs)
+        try:
+            if i % 2:
+                g = gadgets.move_between_pairs(h, rng.choice(pairs), (a, b))
+                relation = ()
+            else:
+                if rng.random() < 0.2:
+                    s = rng.sample(range(h.n), rng.randint(2, 3))
+                else:
+                    s = sorted(max_incomparable(h)[1])[:3]
+                g, relation = gadgets.build_indicator(h, s, a, b)
+            out = (gadgets.format_gadget(g), sorted(relation),
+                   sorted(g.tables["ed"].items()))
+        except gadgets.GadgetError as exc:
+            out = (type(exc).__name__, str(exc))
+        digest.update(repr(out).encode())
+    return digest.hexdigest()
+
+
+def test_move_and_indicator_builds_are_pinned():
+    # recorded before the indicator's first moves were built on S: every
+    # gadget, relation, table and refusal message, in order of precedence
+    assert _sweep_digest(800) == \
+        "6875263c96eaf18e2e43c37770913dc6d05e249028296814fa08c2b7c4438ff6"
 
 
 def test_neq_synthesis_worked_example():
