@@ -20,9 +20,9 @@ violated vd edge costs big, one more than the number of variables, so
 a sum >= big is infeasible; eliminate returns every such entry as INF,
 and its users read INF alone as infeasible.  Both of its users call it:
 the tree-decomposition DP (dpsolve), in forget order with no portals,
-and scan_table, the cost tables over their portals of the gadgets that
-are neither paths nor glued and of `gadget --verify`; they import numpy
-when called.  scan_best, a depth-first search over the assignments of a
+and scan_table, the cost tables over their portals of `gadget --verify`
+and of gadgets made by hand that are not paths (no gadget builder calls
+it); they import numpy when called.  scan_best, a depth-first search over the assignments of a
 mixed-radix encoding on plain lists, serves only the brute-force oracles.
 """
 

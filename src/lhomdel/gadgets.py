@@ -12,11 +12,13 @@ columns are cost lists over one junction's values: an entry is the least
 row-plus-column sum, capped at INF.  serial_table lays two tables out as
 such lists for serial_glue, _path_table folds a path gadget's edges,
 0/bad lists, through it, and parallel_glue sums its parts' tables
-pointwise.  A glue composes the table of the mode it is given, so no
-path or glued gadget needs an elimination of its own, and it skips
-Gadget's checks, which its parts passed.  Bucket elimination over the
-gadget's own lists (_kernels.scan_table) builds the tables of the other
-gadgets, and the tests and `gadget --verify` check every table by it.
+pointwise.  A glue composes the table of the mode it is given and cost
+pendants shift it, so no gadget a builder makes needs an elimination of
+its own, and neither re-runs Gadget's checks, which the parts passed.
+Bucket elimination over the gadget's own lists (_kernels.scan_table)
+builds the table of a gadget made by hand that is not a path, such as a
+caller's NEQ gadget, and the tests and `gadget --verify` check every
+table by it.
 """
 
 from __future__ import annotations
@@ -151,7 +153,9 @@ def _path_table(h: TargetGraph, gadget: Gadget, mode: str) -> dict:
 def cost_table(h: TargetGraph, gadget: Gadget, mode: str) -> dict:
     """The gadget's cached table for mode (portal-value tuple, DELETED
     allowed in vd -> cost), made on first use: composed from its edges
-    if the gadget is a path (_is_path), else by elimination."""
+    if the gadget is a path (_is_path), else by elimination, which only
+    a gadget made by hand needs: every builder's gadget carries the table
+    of the mode it was built in."""
     if mode not in ("vd", "ed"):
         raise ValueError("mode must be 'vd' or 'ed'")
     if mode not in gadget.tables:
@@ -558,7 +562,8 @@ def build_s_prohibitor(h: TargetGraph, s) -> Gadget:
 def add_cost_pendants(h: TargetGraph, gadget: Gadget, portal_index: int,
                       a: int, k: int) -> Gadget:
     """k pendant vertices with list V(H)∖Γ(a) on one portal: +k exactly on
-    table entries where that portal takes value a."""
+    table entries where that portal takes value a.  The pendants are new
+    vertices on a checked gadget, so Gadget's checks are not re-run."""
     p = gadget.portals[portal_index]
     if a not in gadget.lists[p]:
         raise GadgetError("a must be in the portal's list")
@@ -568,11 +573,12 @@ def add_cost_pendants(h: TargetGraph, gadget: Gadget, portal_index: int,
         raise GadgetError("no pendant list available: Γ(a) = V(H)")
     t = cost_table(h, gadget, "ed")
     new = range(gadget.n, gadget.n + k)
-    g = Gadget(gadget.n + k, tuple(gadget.edges) + tuple((p, v) for v in new),
-               tuple(gadget.lists) + (pend,) * k, gadget.portals,
-               meta=dict(gadget.meta))
-    g.tables["ed"] = {key: c + (k if key[portal_index] == a else 0)
-                      for key, c in t.items()}
+    g = _prechecked(gadget.n + k,
+                    tuple(gadget.edges) + tuple((p, v) for v in new),
+                    tuple(gadget.lists) + (pend,) * k, gadget.portals,
+                    {"ed": {key: c + (k if key[portal_index] == a else 0)
+                            for key, c in t.items()}})
+    g.meta = dict(gadget.meta)
     return g
 
 
@@ -595,53 +601,13 @@ def normalize_move(h: TargetGraph, move: Gadget) -> Gadget:
     return g
 
 
-def force_from_allow(h: TargetGraph, move: Gadget) -> Gadget:
-    """Turn a move that forces a->c and allows b->d into one forcing both:
-    parallel doubling (detouring a portal edge if present) plus +1 pendants
-    on input b and output c."""
-    return _force_from_allow(h, move, move_report(h, move))[0]
-
-
-def _force_from_allow(h: TargetGraph, move: Gadget,
-                      rep: MoveReport) -> tuple[Gadget, MoveReport]:
-    """force_from_allow(h, move) and its report, given move's report rep."""
-    lin = sorted(move.lists[move.portals[0]])
-    lout = sorted(move.lists[move.portals[1]])
-    if len(lin) != 2 or len(lout) != 2:
-        raise GadgetError("force_from_allow expects a pair-to-pair move")
-    forced = [u for u in lin if len(rep.jmap[u]) == 1]
-    if len(forced) == 2 and rep.forced[lin[0]] != rep.forced[lin[1]]:
-        return move, rep
-    if len(forced) != 1:
-        raise GadgetError("move must force exactly one input")
-    a = forced[0]
-    (c,) = rep.jmap[a]
-    b = next(u for u in lin if u != a)
-    d = next(v for v in lout if v != c)
-    if rep.jmap[b] != frozenset(lout):
-        raise GadgetError("move does not allow b->d")
-    _check_incomparable(h, frozenset(lin))
-    _check_incomparable(h, frozenset(lout))
-    g = move
-    x, y = g.portals
-    pe = tuple(sorted((x, y)))
-    if pe in {tuple(sorted(e)) for e in g.edges}:
-        ap, bp = _low(_private(h, a, b)), _low(_private(h, b, a))
-        edges = [e for e in g.edges if tuple(sorted(e)) != pe]
-        lists = list(g.lists) + [frozenset({ap, bp}), frozenset(lin)]
-        edges += [(x, g.n), (g.n, g.n + 1), (g.n + 1, y)]
-        g = Gadget(g.n + 2, tuple(edges), tuple(lists), g.portals)
-    out = add_cost_pendants(h, parallel_glue(h, g, g, "ed"), 0, b, 1)
-    out = add_cost_pendants(h, out, 1, c, 1)
-    rep2 = move_report(h, out)
-    if rep2.forced.get(a) != c or rep2.forced.get(b) != d:
-        raise GadgetError("force_from_allow verification failed")
-    return out, rep2
-
-
-def adjacent_pair_move(h: TargetGraph, pair1, pair2) -> Gadget:
-    """Forcing move between intersecting (or equal) incomparable pairs."""
+def adjacent_pair_move(h: TargetGraph, pair1, pair2,
+                       inputs=None) -> Gadget:
+    """Forcing move between intersecting (or equal) incomparable pairs,
+    its input portal's list being inputs (pair1 by default), an
+    incomparable set that contains pair1."""
     p1, p2 = frozenset(pair1), frozenset(pair2)
+    lst = p1 if inputs is None else frozenset(inputs)
     _check_incomparable(h, p1)
     _check_incomparable(h, p2)
     shared = sorted(p1 & p2)
@@ -654,21 +620,43 @@ def adjacent_pair_move(h: TargetGraph, pair1, pair2) -> Gadget:
     bp, cp = _low(_private(h, b, a)), _low(_private(h, c, a))
     free = _private(h, a, b) & _private(h, a, c)
     if free:
-        g = path_gadget([p1, {_low(free), bp}, p2])
+        g = path_gadget([lst, {_low(free), bp}, p2])
         return _ensure_forced(h, g, {a: a, b: c})
     ap, app = _low(_private(h, a, b)), _low(_private(h, a, c))
-    g = path_gadget([p1, {ap, bp}, {c, b}, {cp, app}, p2])
+    g = path_gadget([lst, {ap, bp}, {c, b}, {cp, app}, p2])
     return _ensure_forced(h, g, {a: c, b: a})
 
 
 def _ensure_forced(h: TargetGraph, g: Gadget, want: dict) -> Gadget:
+    """g if it forces the bijection want from the input pair onto its
+    output list.  Else, where g forces one input a -> c and allows the
+    other, b, either output, g doubled in parallel with +1 pendants on
+    input b and output c, which forces a -> c and b -> d.  Doubling and
+    the pendants' shifts are the same on every input of an incomparable
+    input list, so g's may be any such set that contains the pair."""
     rep = move_report(h, g)
     if all(rep.forced.get(u) == v for u, v in want.items()):
         return g
-    g2, rep2 = _force_from_allow(h, g, rep)
-    if not all(rep2.forced.get(u) == v for u, v in want.items()):
+    lin, lout = sorted(want), sorted(g.lists[g.portals[1]])
+    forced = [u for u in lin if len(rep.jmap[u]) == 1]
+    if len(forced) == 2 and rep.forced[lin[0]] != rep.forced[lin[1]]:
         raise GadgetError("pair move fails to force the intended bijection")
-    return g2
+    if len(forced) != 1:
+        raise GadgetError("move must force exactly one input")
+    a = forced[0]
+    (c,) = rep.jmap[a]
+    b = next(u for u in lin if u != a)
+    d = next(v for v in lout if v != c)
+    if rep.jmap[b] != frozenset(lout):
+        raise GadgetError("move does not allow b->d")
+    g = add_cost_pendants(h, parallel_glue(h, g, g, "ed"), 0, b, 1)
+    g = add_cost_pendants(h, g, 1, c, 1)
+    rep = move_report(h, g)
+    if rep.forced.get(a) != c or rep.forced.get(b) != d:
+        raise GadgetError("force_from_allow verification failed")
+    if not all(rep.forced.get(u) == v for u, v in want.items()):
+        raise GadgetError("pair move fails to force the intended bijection")
+    return g
 
 
 # ---------------------------------------------------------------------------
@@ -748,15 +736,16 @@ def _aux_path(at: list, s, t) -> Optional[list]:
     return None
 
 
-def _shift_gadget(h: TargetGraph, pair, reflexive_private: bool) -> tuple:
-    """Path {a,b} - {a',b'} forcing each element to a private neighbor;
-    returns (gadget, new pair)."""
+def _shift_gadget(h: TargetGraph, pair, reflexive_private: bool,
+                  inputs=None) -> tuple:
+    """Path {a,b} - {a',b'} forcing each element to a private neighbor,
+    its input list being inputs if given; returns (gadget, new pair)."""
     a, b = sorted(pair)
     pa = _private(h, a, b)
     if reflexive_private:
         pa &= h.reflexive_mask()
     ap, bp = _low(pa), _low(_private(h, b, a))
-    g = path_gadget([{a, b}, {ap, bp}])
+    g = path_gadget([{a, b} if inputs is None else inputs, {ap, bp}])
     rep = move_report(h, g)
     if rep.forced.get(a) != ap or rep.forced.get(b) != bp:
         raise GadgetError("pair shift fails to force private neighbors")
@@ -771,9 +760,12 @@ def _aux_context(h: TargetGraph) -> tuple:
     return strong, variant, pair_graph(h, variant)
 
 
-def _move_chain(h: TargetGraph, aux: tuple, pair1, pair2) -> list:
+def _move_chain(h: TargetGraph, aux: tuple, pair1, pair2,
+                inputs=None) -> list:
     """Primitive forcing moves composing to a move from pair1 to pair2,
-    routed through Aux as given by aux (_aux_context)."""
+    routed through Aux as given by aux (_aux_context).  The first move's
+    input list is inputs (pair1 by default), an incomparable set that
+    contains pair1."""
     p1, p2 = frozenset(pair1), frozenset(pair2)
     for p in (p1, p2):
         if len(p) != 2:
@@ -784,7 +776,8 @@ def _move_chain(h: TargetGraph, aux: tuple, pair1, pair2) -> list:
     refl = h.reflexive_mask()
     chain, start, end, endchain = [], p1, p2, []
     if not _in_variant(h, variant, refl, *sorted(p1)):
-        g, start = _shift_gadget(h, p1, reflexive_private=not strong)
+        g, start = _shift_gadget(h, p1, reflexive_private=not strong,
+                                  inputs=inputs)
         chain.append(g)
     if not _in_variant(h, variant, refl, *sorted(p2)):
         # the shift's one edge forces a->a' and b->b', so its ED table is 0
@@ -796,10 +789,9 @@ def _move_chain(h: TargetGraph, aux: tuple, pair1, pair2) -> list:
     if nodes is None:
         raise GadgetError(
             f"pairs not connected in Aux-{variant}: is H undecomposable?")
-    if len(nodes) == 1:
-        chain.append(adjacent_pair_move(h, nodes[0], nodes[0]))
-    for u, v in zip(nodes, nodes[1:]):
-        chain.append(adjacent_pair_move(h, u, v))
+    steps = list(zip(nodes, nodes[1:])) or [(nodes[0], nodes[0])]
+    for u, v in steps:
+        chain.append(adjacent_pair_move(h, u, v, u if chain else inputs))
     return chain + endchain
 
 
@@ -823,24 +815,6 @@ def move_between_pairs(h: TargetGraph, pair1, pair2) -> Gadget:
     return g
 
 
-def relax_input_list(h: TargetGraph, move: Gadget, s) -> Gadget:
-    """Widen the input portal's list to S; re-verify the original forcing."""
-    s = frozenset(s)
-    old = move.lists[move.portals[0]]
-    if not old <= s:
-        raise GadgetError("S must contain the input list")
-    _check_incomparable(h, s)
-    rep_before = move_report(h, move)
-    lists = list(move.lists)
-    lists[move.portals[0]] = s
-    g = Gadget(move.n, move.edges, tuple(lists), move.portals)
-    rep_after = move_report(h, g)
-    for u in sorted(old):
-        if rep_after.jmap[u] != rep_before.jmap[u]:
-            raise GadgetError("list relaxation changed the forcing")
-    return g
-
-
 def build_indicator(h: TargetGraph, s, a: int, b: int) -> tuple:
     """Indicator of S over {a,b}: one normalized forcing move per ordered
     pair of S, glued at a shared input portal.  Returns (gadget, I), I
@@ -861,9 +835,9 @@ def build_indicator(h: TargetGraph, s, a: int, b: int) -> tuple:
         for y in s:
             if x == y:
                 continue
-            chain = _move_chain(h, aux, frozenset((x, y)), frozenset((a, b)))
-            if chain[0].lists[chain[0].portals[0]] != frozenset(s):
-                chain[0] = relax_input_list(h, chain[0], frozenset(s))
+            chain = _move_chain(h, aux, frozenset((x, y)), frozenset((a, b)),
+                                frozenset(s))
+            _check_incomparable(h, s)  # each chain's first input list
             m = normalize_move(h, _compose_chain(h, chain))
             rep = move_report(h, m)
             if (len(rep.jmap[x]) != 1 or len(rep.jmap[y]) != 1

@@ -1245,9 +1245,8 @@ def test_classify_size_ladder(tmp_path, name):
 
 
 # size-ladder rungs for the Aux search: a gadget over random_target(
-# Random(0), n) in a child process with a wall-time bound; the gadget
-# tables import numpy on first use, and its OpenBLAS cannot start within
-# 64 MiB, so these children get 256 MiB above the interpreter
+# Random(0), n) in a child process with a wall-time bound, within 64 MiB
+# above the interpreter
 GADGET_RUNGS = {
     "move-1000": (1000, "move --pair 1 2 --dest 999 1000", 10.0),
     "indicator-200": (200, "indicator --set 1 2 3 --dest 199 200", 5.0),
@@ -1264,7 +1263,7 @@ def test_gadget_size_ladder(tmp_path, name):
     t = _write(tmp_path, "h.hg", format_target(
         families.random_target(random.Random(0), n)))
     kind, *rest = args.split()
-    out, elapsed = _under_memory_limit("gadget", kind, t, *rest, mib=256)
+    out, elapsed = _under_memory_limit("gadget", kind, t, *rest)
     assert out.returncode == cli.EXIT_OK, out.stderr
     assert json.loads(out.stdout)["kind"] == kind
     assert elapsed < seconds, elapsed
@@ -1464,6 +1463,28 @@ def test_s_prohibitor_process_does_not_load_numpy(tmp_path):
                format_target(families.independent_reflexive(3)))
     out, _ = _python("-c", _S_PROHIBITOR, t, check=True)
     assert out.stdout.strip() == "0 True False"
+
+
+_MOVE_AND_INDICATOR = """
+import contextlib, io, sys
+from lhomdel import cli
+codes = []
+with contextlib.redirect_stdout(io.StringIO()):
+    for kind, *args in (("indicator", "--set", "1", "2", "3", "--dest", "2",
+                         "3"), ("move", "--pair", "1", "2", "--dest", "2",
+                                "3")):
+        codes.append(cli.main(["gadget", kind, sys.argv[1], *args]))
+print(codes, "numpy" in sys.modules)
+"""
+
+
+def test_move_and_indicator_processes_do_not_load_numpy(tmp_path):
+    # an indicator's first moves are built on S, so every table of a move
+    # or an indicator is composed; only --verify eliminates
+    t = _write(tmp_path, "h.hg",
+               format_target(families.independent_reflexive(3)))
+    out, _ = _python("-c", _MOVE_AND_INDICATOR, t, check=True)
+    assert out.stdout.strip() == "[0, 0] False"
 
 
 def test_gadget_verify_cross_checks_a_composed_path_table(

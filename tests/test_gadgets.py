@@ -2,7 +2,7 @@ import hashlib
 import heapq
 import random
 import time
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 from math import prod
 
 import networkx as nx
@@ -194,16 +194,17 @@ def _reflexive_matcher(k):
 
 
 def _forced_pair_move():
+    # the 3-vertex path forces 0->0 and allows 1->either, so the move is
+    # the path doubled in parallel, with a pendant on each portal
     h = families.independent_reflexive(3)
-    move = gadgets.path_gadget([{0, 1}, {0, 1}, {0, 2}])
-    out = gadgets.force_from_allow(h, move)
-    assert out is not move  # the move is doubled and padded, not kept
+    out = gadgets.adjacent_pair_move(h, {0, 1}, {0, 2})
+    assert out.n == 6 and not gadgets._is_path(out)
     return h, out, "ed"
 
 
 def test_pair_move_reports_each_gadget_once(monkeypatch):
-    # the path does not force the bijection, so _ensure_forced hands its
-    # report on to force_from_allow's body, which reports the doubled move
+    # the path does not force the bijection, so _ensure_forced reads its
+    # report to force it and reports the doubled move once
     reported = []
     report = gadgets.move_report
     monkeypatch.setattr(gadgets, "move_report",
@@ -211,16 +212,6 @@ def test_pair_move_reports_each_gadget_once(monkeypatch):
     h = families.independent_reflexive(3)
     g = gadgets.adjacent_pair_move(h, {0, 1}, {0, 2})
     assert len(reported) == 2 and reported[0] is not g and reported[1] is g
-
-def test_force_from_allow_detours_a_portal_edge():
-    # the move is one edge between its portals; it forces 0->0 and
-    # allows 1->2, and the portal edge becomes a two-vertex detour
-    h = families.independent_reflexive(3)
-    g = gadgets.force_from_allow(h, gadgets.path_gadget([{0, 1}, {0, 2}]))
-    assert g.n == 8
-    assert gadgets.move_report(h, g).forced == {0: 0, 1: 2}
-    assert g.tables["ed"] == _eliminated(h, g, "ed")
-
 
 def _three_way_s_prohibitor():
     # 52 vertices: far above ENUM_BOUND, so `gadget --verify` cannot check
@@ -365,7 +356,8 @@ def _no_engine(*args, **kwargs):
 
 def test_construction_runs_no_elimination(monkeypatch):
     # every table these builders make is a path's, composed from its
-    # edges, or a glue of such tables, NEQ's mirror-doubled path included;
+    # edges, a glue of such tables, or one shifted by pendants, NEQ's
+    # mirror-doubled path and the indicator's moves built on S included;
     # an AssertionError is not a GadgetError, so no builder's retry loop
     # can swallow an engine call
     monkeypatch.setattr(_kernels, "eliminate", _no_engine)
@@ -383,7 +375,9 @@ def test_construction_runs_no_elimination(monkeypatch):
         gadgets.build_matcher(h, *pairs[0])
         gadgets.build_prohibitor(h, s, s[0])
         gadgets.build_s_prohibitor(h, s)
-        gadgets.move_between_pairs(h, *moves.get(name, (pairs[0], pairs[-1])))
+        move = moves.get(name, (pairs[0], pairs[-1]))
+        gadgets.move_between_pairs(h, *move)
+        gadgets.build_indicator(h, s[:3], *move[1])
         if h.is_reflexive():
             dest = next(q for q in pairs if not h.has_edge(*q))
             gadgets.build_translator(h, *pairs[0], *dest)
@@ -435,10 +429,22 @@ def test_indicator():
         assert (c == k) == (key in relation)
 
 
+def _widened(h, g, s):
+    """g with its input portal's list replaced by s, and the ED table of
+    that gadget by elimination."""
+    lists = list(g.lists)
+    lists[g.portals[0]] = frozenset(s)
+    wide = gadgets.Gadget(g.n, g.edges, tuple(lists), g.portals)
+    wide.tables["ed"] = _eliminated(h, wide, "ed")
+    return wide
+
+
 def test_indicator_relation_is_the_product_of_its_submoves():
     # the relation is read off the joint table's minimum entries; the
-    # reference rebuilds each normalized submove as build_indicator does
-    # and takes, per input, the product of its least-cost outputs
+    # reference composes each submove's chain on its own pair, widens the
+    # input list to S and eliminates, and takes, per input, the product
+    # of its least-cost outputs (shifting a row of the first move, as
+    # normalizing it does, moves no least-cost output)
     rng = random.Random(47)
     built = 0
     while built < 30:
@@ -456,9 +462,7 @@ def test_indicator_relation_is_the_product_of_its_submoves():
         aux, jmaps = gadgets._aux_context(h), []
         for x, y in permutations(s, 2):
             chain = gadgets._move_chain(h, aux, {x, y}, {a, b})
-            if chain[0].lists[chain[0].portals[0]] != frozenset(s):
-                chain[0] = gadgets.relax_input_list(h, chain[0], s)
-            m = gadgets.normalize_move(h, gadgets._compose_chain(h, chain))
+            m = _widened(h, gadgets._compose_chain(h, chain), s)
             jmaps.append(gadgets.move_report(h, m).jmap)
         assert relation == {
             (u,) + outs for u in s
@@ -725,12 +729,40 @@ def test_glue_rejects_mismatched_lists():
             gadgets.serial_glue(h, g1, g2, mode)
 
 
-def test_relax_input_list():
-    h = families.independent_reflexive(3)
-    g = gadgets.move_between_pairs(h, frozenset({0, 1}), frozenset({0, 1}))
-    wide = gadgets.relax_input_list(h, g, {0, 1, 2})
-    assert wide.lists[wide.portals[0]] == frozenset({0, 1, 2})
-    rep0 = gadgets.move_report(h, g)
-    rep1 = gadgets.move_report(h, wide)
-    for u in (0, 1):
-        assert rep0.jmap[u] == rep1.jmap[u]
+def test_chains_built_on_s_keep_the_pair_rows():
+    # a chain whose first move is built on S is the chain built on the
+    # pair with that move's input list widened to S: its other moves are
+    # the same, the widened move's rows at the pair keep their least-cost
+    # outputs, and its composed table is the elimination's.  A pair
+    # outside the Aux variant, whose first move is a shift, is taken
+    # where one exists; such S are rare among random targets
+    rng = random.Random(57)
+    kinds = {"shift": 0, "path": 0, "forced": 0}
+    while min(kinds["shift"] * 2, kinds["path"], kinds["forced"]) < 10:
+        h = families.random_target(rng, rng.randint(3, 9),
+                                   loop_p=rng.random(), edge_p=rng.random())
+        aux = gadgets._aux_context(h)
+        refl = h.reflexive_mask()
+        choices = [(s, (x, y)) for s in combinations(range(h.n), 3)
+                   if graphs.is_incomparable_set(h, s)
+                   for x, y in permutations(s, 2)]
+        if not choices:
+            continue
+        s, (x, y) = next(
+            (c for c in choices
+             if not gadgets._in_variant(h, aux[1], refl, *sorted(c[1]))),
+            rng.choice(choices))
+        dest = rng.choice(gadgets.incomparable_pairs(h))
+        narrow = gadgets._move_chain(h, aux, {x, y}, dest)
+        wide = gadgets._move_chain(h, aux, {x, y}, dest, frozenset(s))
+        assert [gadgets.format_gadget(m) for m in wide[1:]] == \
+            [gadgets.format_gadget(m) for m in narrow[1:]]
+        first, ref = wide[0], _widened(h, narrow[0], s)
+        assert gadgets.format_gadget(first) == gadgets.format_gadget(ref)
+        assert first.tables["ed"] == ref.tables["ed"]
+        rows = gadgets.move_report(h, narrow[0]).jmap
+        assert {u: gadgets.move_report(h, first).jmap[u] for u in rows} == rows
+        g = gadgets._compose_chain(h, wide)
+        assert g.tables["ed"] == _eliminated(h, g, "ed")
+        kinds["shift" if first.n == 2 else "path" if gadgets._is_path(first)
+              else "forced"] += 1
