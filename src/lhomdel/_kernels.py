@@ -13,17 +13,18 @@ on each part of a split.  They serve classify and the polynomial
 solvers, which never load numpy; subset_scan, which computes the i*
 invariant over all 2^n induced subgraphs, is the tests' reference only.
 
-Min-plus over lists has one engine, eliminate: bucket elimination in a
-given order, with one state encoding (a vertex's sorted list, DELETED
-last in vd mode) and one cost convention: costs are only added, and a
-violated vd edge costs big, one more than the number of variables, so
-a sum >= big is infeasible; eliminate returns every such entry as INF,
-and its users read INF alone as infeasible.  Both of its users call it:
-the tree-decomposition DP (dpsolve), in forget order with no portals,
-and scan_table, the cost tables over their portals of `gadget --verify`
-and of gadgets made by hand that are not paths (no gadget builder calls
-it); they import numpy when called.  scan_best, a depth-first search over the assignments of a
-mixed-radix encoding on plain lists, serves only the brute-force oracles.
+Min-plus over lists has one state encoding, states_of (a vertex's sorted
+list, DELETED last in vd mode), and two searches over it.  eliminate is
+bucket elimination in a given order, with one cost convention: costs are
+only added, and a violated vd edge costs big, one more than the number
+of variables, so a sum >= big is infeasible; eliminate returns every
+such entry as INF, and its users read INF alone as infeasible.  Both of
+its users call it: the tree-decomposition DP (dpsolve), in forget order
+with no portals, and scan_table, the cost tables over their portals of
+`gadget --verify` and of gadgets made by hand that are not paths (no
+gadget builder calls it); they import numpy when called.  scan_best, a
+depth-first search over the same tuples on plain lists, serves only the
+brute-force oracles.
 """
 
 from __future__ import annotations
@@ -43,49 +44,63 @@ def using_numba() -> bool:
 
 
 # ---------------------------------------------------------------------------
-# assignment search (the oracles' brute force)
-#
-# Variables 0..nv-1 each pick a digit < radix[j]; val[j][d] is the H-vertex
-# (or nh = deleted) for that digit, base[j][d] its own cost.  Edge e joins
-# the distinct variables eu[e] and ev[e].  adj is (nh+1) x (nh+1) with the
-# deletion row/column all-True, so a deleted endpoint never violates an
-# edge.  In vd mode a violated edge kills the assignment; in ed it costs 1.
+# state tuples and the assignment search (the oracles' brute force)
 
 
-def scan_best(radix, val, base, eu, ev, adj, ed_mode):
-    """Min-cost assignment by depth-first search: (cost, digits), digits
-    the lexicographically first minimizer (leftmost variable most
-    significant).  cost == INF means no feasible assignment (vd mode with
-    every assignment violating some edge, or a zero radix); no variables
-    is one assignment, of cost 0.  Variables go in index order, digits
-    ascending, each edge charged at its later end; a digit is skipped once
-    its partial cost reaches the best complete cost so far, so, as costs
-    only grow, the first assignment found at the least cost is kept.  The
-    search keeps a digit and a partial cost per variable, not a call
-    stack: one-state variables do not count against oracle.ENUM_BOUND,
-    and an instance can hold 10^6 of them."""
-    nv = len(radix)
-    back = [[] for _ in radix]  # per variable, its earlier neighbours
-    for u, w in zip(eu, ev):
+def states_of(lists, vd):
+    """Each list's state tuple: its members ascending, then DELETED in vd
+    mode; the vertices that hold equal lists share one tuple."""
+    tuples = {}
+    for lst in lists:
+        if lst not in tuples:
+            tuples[lst] = tuple(sorted(lst)) + (DELETED,) * vd
+    return [tuples[lst] for lst in lists]
+
+
+def scan_best(nb, states, edges, vd):
+    """Min-cost assignment by depth-first search: (cost, digits), digits[j]
+    the index of variable j's state in states[j].  The problem is the one
+    eliminate reads with no portals, in the one encoding: states[j] from
+    states_of (the sorted list, DELETED last in vd), edges stored either
+    way, adjacency from the masks nb.  DELETED costs 1 and meets every
+    state; a violated edge costs 1 in ed mode and kills the assignment in
+    vd.  cost == INF means no feasible assignment (an empty tuple, or in
+    vd every assignment violating some edge); no variables is one
+    assignment, of cost 0.  digits is the lexicographically first
+    minimizer (leftmost variable most significant): variables go in index
+    order, states in tuple order, each edge charged at its later end, and
+    a state is skipped once its partial cost reaches the best complete
+    cost so far, so, as costs only grow, the first assignment found at
+    the least cost is kept.  The search keeps a digit and a partial cost
+    per variable, not a call stack: one-state variables do not count
+    against oracle.ENUM_BOUND, and an instance can hold 10^6 of them."""
+    nv = len(states)
+    back = [[] for _ in states]  # per variable, its earlier neighbours
+    for u, w in edges:
         if u < w:
             u, w = w, u
         back[u].append(w)
-    bad = 1 if ed_mode else INF
+    # per state: its own cost, the vertex bits it is not adjacent to and
+    # its own bit; DELETED misses none and has none
+    rows = {st: [(1, 0, 0) if a == DELETED else (0, ~nb[a], 1 << a)
+                 for a in st] for st in set(states)}
+    rows = [rows[st] for st in states]
+    bad = INF if vd else 1
     best, best_digits = INF, [0] * nv
-    digit, pick = [0] * nv, [0] * nv  # pick[j]: the H-vertex of digit[j]
+    digit, bit = [0] * nv, [0] * nv  # bit[j]: the vertex bit of digit[j]
     cost = [0] * (nv + 1)  # cost[j]: the partial cost of variables < j
     j = d = 0  # digit d of variable j is tried next
     while True:
-        if j < nv and d < radix[j]:
-            c = cost[j] + base[j][d]
-            row = adj[val[j][d]]
+        if j < nv and d < len(rows[j]):
+            base, miss, own = rows[j][d]
+            c = cost[j] + base
             for i in back[j]:
-                if not row[pick[i]]:
+                if bit[i] & miss:
                     c += bad
                     if c >= best:
                         break
             if c < best:
-                digit[j], pick[j], cost[j + 1] = d, val[j][d], c
+                digit[j], bit[j], cost[j + 1] = d, own, c
                 j, d = j + 1, 0
             else:
                 d += 1
@@ -106,7 +121,7 @@ def eliminate(nb, states, edges, order, nportal, vd, charge=None):
     """Min-plus bucket elimination (Dechter 1999) of the variables in
     `order`, leaving the portals 0..nportal-1; returns (out, records).
 
-    states[j] is variable j's state tuple, in vd mode with DELETED last.
+    states[j] is variable j's tuple from states_of (DELETED last in vd).
     A variable's rank is its place in `order`; the portals rank above it,
     portal 0 highest.  A scope's axes run by falling rank, so a bucket's
     variable x is its last axis.  Each edge's penalty matrix (one per
@@ -219,12 +234,12 @@ def eliminate(nb, states, edges, order, nportal, vd, charge=None):
 def scan_table(nb, states, edges, nportal, vd, order):
     """Min cost per portal state tuple; portals are variables 0..nportal-1.
 
-    states[j] is variable j's tuple of target vertices, in vd mode with
-    DELETED last; deleting a non-portal costs 1, a portal nothing.  A
-    violated edge costs 1 in ed mode and kills the assignment (INF) in vd
-    mode.  The non-portals, each listed once in `order`, are eliminated
-    in that order by `eliminate`, whose table over the portals is raveled
-    with the leftmost portal most significant."""
+    states[j] is variable j's tuple from states_of (DELETED last in vd);
+    deleting a non-portal costs 1, a portal nothing.  A violated edge
+    costs 1 in ed mode and kills the assignment (INF) in vd mode.  The
+    non-portals, each listed once in `order`, are eliminated in that
+    order by `eliminate`, whose table over the portals is raveled with
+    the leftmost portal most significant."""
     return eliminate(nb, states, edges, order, nportal, vd)[0].ravel()
 
 

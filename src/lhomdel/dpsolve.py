@@ -33,15 +33,15 @@ def _run_dp(h: TargetGraph, lists, edges, td: TreeDecomposition, mode: str,
     of vertex v and `edges` the edges among them; returns (cost, hom)
     with hom omitting deleted vertices.
 
-    A vertex's states are its sorted list, in VD with DELETED last.  The
-    DP is _kernels.eliminate with no portals, in forget order: the order
-    in which make_nice(td)'s forget nodes drop the vertices.  An ED edge
-    pays 1 and a violated VD edge more than any assignment deletes; the
-    engine returns an infeasible VD optimum as INF, and Infeasible is
-    raised on it.  charge[v], if given, is a vector over v's states.
-    The witness is read back in reverse order, each vertex's state the
-    argmin its bucket kept at the states of the later vertices of its
-    scope.
+    A vertex's states are its tuple from _kernels.states_of (its sorted
+    list, in VD with DELETED last).  The DP is _kernels.eliminate with no
+    portals, in forget order: the order in which make_nice(td)'s forget
+    nodes drop the vertices.  An ED edge pays 1 and a violated VD edge
+    more than any assignment deletes; the engine returns an infeasible VD
+    optimum as INF, and Infeasible is raised on it.  charge[v], if given,
+    is a vector over v's states.  The witness is read back in reverse
+    order, each vertex's state the argmin its bucket kept at the states of
+    the later vertices of its scope.
 
     This is the nice-form DP, witness and ties included.  x's bucket
     holds the edges from x to vertices forgotten later, which lie in the
@@ -57,12 +57,10 @@ def _run_dp(h: TargetGraph, lists, edges, td: TreeDecomposition, mode: str,
     vd = mode == "vd"
     # the table bounds rest on every list being pairwise incomparable;
     # each distinct list is checked once
-    states = {}
     for lst in set(lists):
         if not is_incomparable_set(h, lst):
             raise AssertionError(f"list {sorted(lst)} is not incomparable")
-        states[lst] = tuple(sorted(lst)) + ((DELETED,) if vd else ())
-    states = [states[lst] for lst in lists]
+    states = _kernels.states_of(lists, vd)
     # one pass over the forget nodes: the order, each vertex's forget-node
     # bag (the vertices forgotten later that share a bag with it), and the
     # record bytes: x's record spans at most its bag, in eliminate's dtype
@@ -179,15 +177,16 @@ def _solve_dp(h: TargetGraph, inst: Instance,
             elif w in hom:
                 images.setdefault(u, []).append(hom[w])
         import numpy as np
-        rows = {}  # (list, images) -> the edges' summed penalty vector
+        states = _kernels.states_of(g.lists, False)
+        rows = {}  # (states, images) -> the edges' summed penalty vector
         for i, v in enumerate(keep):
             imgs = images.get(v)
             if imgs:
-                key = red.lists[v], tuple(sorted(imgs))
+                key = states[i], tuple(sorted(imgs))
                 if key not in rows:  # per state of v, the edges it violates
                     rows[key] = np.array(
                         [sum(not nb[a] >> b & 1 for b in key[1])
-                         for a in sorted(key[0])], dtype=np.int64)
+                         for a in key[0]], dtype=np.int64)
                 charge[i] = rows[key]
     if td is None:
         td = build_td(g)

@@ -108,8 +108,7 @@ def enumerate_cost_table(h: TargetGraph, gadget: Gadget, mode: str) -> dict:
     order = list(gadget.portals) + [v for v in range(gadget.n)
                                     if v not in gadget.portals]
     pos = {v: i for i, v in enumerate(order)}
-    states = [tuple(sorted(gadget.lists[v])) + ((DELETED,) if vd else ())
-              for v in order]
+    states = _kernels.states_of([gadget.lists[v] for v in order], vd)
     edges = [(pos[u], pos[v]) for u, v in gadget.edges]
     elim = [v for v in _min_fill_order(gadget.n, edges)[0] if v >= nportal]
     flat = _kernels.scan_table(h.nbhd, states, edges, nportal, vd, elim)
@@ -132,8 +131,7 @@ def _path_table(h: TargetGraph, gadget: Gadget, mode: str) -> dict:
     vertex costs 1, charged in the column of the edge leaving it."""
     vd = mode == "vd"
     nb, bad = h.nbhd, INF if vd else 1
-    states = [[DELETED, *sorted(lst)] if vd else sorted(lst)
-              for lst in gadget.lists]
+    states = _kernels.states_of(gadget.lists, vd)
 
     def column(junction, b, charge):
         # the costs of the edges from each junction value into b
@@ -264,10 +262,9 @@ def serial_glue(h: TargetGraph, g1: Gadget, g2: Gadget, mode: str) -> Gadget:
     values."""
     g = _glue(g1, g2, {g2.portals[0]: g1.portals[1]}, g1.portals[:1],
               g2.portals[1:])
-    junction = sorted(g1.lists[g1.portals[1]])
-    g.tables[mode] = serial_table(
-        cost_table(h, g1, mode), cost_table(h, g2, mode),
-        junction + [DELETED] if mode == "vd" else junction, mode)
+    (junction,) = _kernels.states_of([g1.lists[g1.portals[1]]], mode == "vd")
+    g.tables[mode] = serial_table(cost_table(h, g1, mode),
+                                  cost_table(h, g2, mode), junction, mode)
     return g
 
 
@@ -534,8 +531,9 @@ def build_prohibitor(h: TargetGraph, s, v: int) -> Gadget:
     g = serial_glue(h, serial_glue(h, spl, mat, "vd"),
                     _reversed(h, spl, "vd"), "vd")
     alpha = 2 * spl.meta["alpha"] + mat.meta["alpha"]
-    _check_costs(g.tables["vd"], product(sorted(s) + [DELETED], repeat=2),
-                 alpha, "prohibitor", above={(v, v)})
+    (states,) = _kernels.states_of([s], True)
+    _check_costs(g.tables["vd"], product(states, repeat=2), alpha,
+                 "prohibitor", above={(v, v)})
     g.meta = {"alpha": alpha, "v": v, "s": s}
     return g
 
@@ -549,8 +547,9 @@ def build_s_prohibitor(h: TargetGraph, s) -> Gadget:
     for other in parts[1:]:
         g = parallel_glue(h, g, other, "vd")
     alpha = sum(p.meta["alpha"] for p in parts)
-    _check_costs(g.tables["vd"], product(sorted(s) + [DELETED], repeat=2),
-                 alpha, "S-prohibitor", above={(u, u) for u in s})
+    (states,) = _kernels.states_of([s], True)
+    _check_costs(g.tables["vd"], product(states, repeat=2), alpha,
+                 "S-prohibitor", above={(u, u) for u in s})
     g.meta = {"alpha": alpha, "s": s}
     return g
 

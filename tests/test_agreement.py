@@ -6,18 +6,25 @@ oracle's reach:
   over targets of 2-9 vertices from random_target;
 - on a split-composed target (families.split_composed_target), the ED
   auto solver, which splits the target and solves each part, and the ED
-  DP over the whole target, on 200-600 vertices of the same graphs.
+  DP over the whole target, on 200-600 vertices of the same graphs;
+- on the poly-target cases, the DP under min-fill's decomposition and
+  under a second one of the same instance: min-fill's bags in reverse
+  order, and a hub core where one is narrow enough to solve.
 
 Each family has a tier-1 slice and a full run marked slow
 (`pytest -m slow`)."""
 
+import math
 import random
 
 import pytest
 
 import families
 from lhomdel import analysis, dpsolve, polysolve
-from lhomdel.graphs import Instance, max_incomparable, random_target
+from lhomdel.graphs import (Instance, max_incomparable, random_target,
+                            reduce_lists)
+from lhomdel.treewidth import (HubCore, TreeDecomposition, build_td,
+                               core_to_td, validate_core)
 
 CLASSIFY = {"vd": analysis.classify_vd, "ed": analysis.classify_ed}
 DP = {"vd": dpsolve.solve_vd_dp, "ed": dpsolve.solve_ed_dp}
@@ -85,6 +92,74 @@ def test_dp_and_poly_solvers_agree_on_large_instances(mode):
 def test_dp_and_poly_solvers_agree_full_run(mode):
     # 2400 cases per mode: about 95 s in vd, 45 s in ed
     assert _dp_poly_mismatches(range(11, 19), mode, 300) == []
+
+
+def _hub_core(red, mode, cap=1 << 20, picks=14):
+    """A hub core of the reduced instance red whose bags' DP tables stay
+    within cap entries, or None.  It starts from the vertices with one DP
+    state, which the DP fixes, so they widen no table; while some bag Q ∪
+    C (C a component of G − Q) has a larger table, the vertex of C with
+    the most neighbours in C joins Q, at most `picks` times.  In VD only
+    an empty list gives one state, so Q starts empty and a core seldom
+    fits."""
+    sizes = [len(lst) + (mode == "vd") for lst in red.lists]
+    q = {v for v, size in enumerate(sizes) if size == 1}
+    nbrs = [[] for _ in range(red.n)]
+    for u, w in red.edges:
+        nbrs[u].append(w)
+        nbrs[w].append(u)
+    for _ in range(picks + 1):
+        comps = validate_core(red, HubCore(frozenset(q), red.n, red.n))
+        hub = math.prod(sizes[v] for v in q)
+        widest = max(comps, default=(), key=lambda c: math.prod(
+            sizes[v] for v in c))
+        if hub * math.prod(sizes[v] for v in widest) <= cap:
+            return HubCore(frozenset(q), red.n, red.n)
+        c = set(widest)
+        q.add(max(widest, key=lambda v: sum(w in c for w in nbrs[v])))
+    return None
+
+
+def _second_td_mismatches(seeds, count):
+    """(label, decomposition, its cost, min-fill's) of each case where the
+    DP's optimum under a second decomposition differs from its optimum
+    under min-fill's (built on the kept vertices); also the number of
+    cases a hub core reached with a table of more than one entry."""
+    wrong, cores = [], 0
+    for seed in seeds:
+        for mode in ("vd", "ed"):
+            for label, h, inst in agreement_cases(seed, mode, count):
+                want = DP[mode](h, inst).cost
+                red = reduce_lists(h, inst)
+                td = build_td(red)
+                k = len(td.bags)
+                trees = {"reversed": TreeDecomposition(
+                    td.bags[::-1],
+                    tuple((k - 1 - a, k - 1 - b) for a, b in td.edges))}
+                core = _hub_core(red, mode)
+                if core is not None:
+                    trees["hub-core"] = core_to_td(red, core)
+                for kind, tree in trees.items():
+                    got = DP[mode](h, inst, tree)
+                    cores += kind == "hub-core" and got.stats[
+                        "max_bag_states"] > 1
+                    if got.cost != want:
+                        wrong.append((label, kind, got.cost, want))
+    return wrong, cores
+
+
+def test_dp_optimum_is_the_same_under_a_second_decomposition():
+    # the bag list reversed makes make_nice root the tree at its other
+    # end, so the DP forgets the vertices in another order
+    wrong, cores = _second_td_mismatches([3], 12)
+    assert wrong == [] and cores >= 3
+
+
+@pytest.mark.slow
+def test_dp_optimum_is_the_same_under_a_second_decomposition_full_run():
+    # 800 cases, about 50 s
+    wrong, cores = _second_td_mismatches(range(21, 25), 100)
+    assert wrong == [] and cores >= 100
 
 
 def split_cases(seed, count):

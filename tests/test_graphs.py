@@ -340,6 +340,7 @@ def test_writer_layout_is_read_without_the_line_loop(monkeypatch):
         parse_instance("c comment\n" + format_instance(inst), h)
 
 
+@pytest.mark.slow
 def test_block_reader_peaks_no_higher_than_the_line_loop(tmp_path):
     # a reader that kept a split list per `l` line would peak far higher
     from test_ladder import _tree_instance

@@ -64,6 +64,28 @@ def _scan_best_loop(radix, val, base, eu, ev, adj, ed_mode):
     return best, best_digits
 
 
+def _loop_arrays(h, inst, mode):
+    """_scan_best_loop's mixed-radix arrays: variable j's digits are
+    sorted(L(j)) and, in vd mode, the deletion symbol h.n last, at cost 1;
+    adj is h's adjacency, in vd mode with an all-True row and column for
+    h.n."""
+    vd = mode == "vd"
+    radix = [len(lst) + vd for lst in inst.lists]
+    rmax = max(radix, default=1)
+    val = np.zeros((len(radix), rmax), dtype=np.int64)
+    base = np.zeros((len(radix), rmax), dtype=np.int64)
+    for j, lst in enumerate(inst.lists):
+        val[j, :radix[j]] = sorted(lst) + [h.n] * vd
+        base[j, len(lst):radix[j]] = 1
+    eu = np.array([u for u, _ in inst.edges], dtype=np.int64)
+    ev = np.array([v for _, v in inst.edges], dtype=np.int64)
+    adj = np.ones((h.n + vd, h.n + vd), dtype=bool)
+    for u in range(h.n):
+        for v in range(h.n):
+            adj[u, v] = h.has_edge(u, v)
+    return np.array(radix, dtype=np.int64), val, base, eu, ev, adj
+
+
 def _scan_table_loop(nb, states, edges, nportal, vd):
     """Min cost per portal state tuple by brute force over
     product(*states), the cells in product order of the portals."""
@@ -102,14 +124,52 @@ def test_scan_best_paths_agree():
         frozenset({rng.randrange(3)}) for _ in range(3000)]), "ed"))
     empty = 0
     for h, inst, mode in cases:
-        lists = oracle._scan_arrays(h, inst, mode)
-        cost_a, dig_a = _scan_best_loop(*map(np.asarray, lists), mode == "ed")
-        cost_b, dig_b = _kernels.scan_best(*lists, mode == "ed")
+        cost_a, dig_a = _scan_best_loop(*_loop_arrays(h, inst, mode),
+                                        mode == "ed")
+        cost_b, dig_b = _kernels.scan_best(
+            h.nbhd, _kernels.states_of(inst.lists, mode == "vd"),
+            inst.edges, mode == "vd")
         assert int(cost_a) == cost_b
         if cost_b < INF:
             assert list(dig_a) == dig_b
         empty += mode == "vd" and not all(inst.lists)
     assert empty > 50
+
+
+def test_scan_best_and_eliminate_agree_on_one_encoding():
+    # 400 seeded problems over states_of's tuples: random loop and edge
+    # densities, random lists (one in eight empty), vd DELETED states,
+    # edges stored either way.  The depth-first search finds the optimum
+    # the engine finds with every variable eliminated (in a random
+    # order), and its digits, read back through the tuples, cost that
+    # optimum.  An ed problem with an empty tuple goes to scan_best
+    # alone: the DP raises Infeasible on it first
+    rng = random.Random(57)
+    empty = 0
+    for trial in range(400):
+        vd = trial % 2 == 0
+        h = families.random_target(rng, rng.randint(1, 4), rng.random(),
+                                   rng.random())
+        nv = rng.randint(0, 7)
+        lists = [frozenset() if rng.random() < 1 / 8 else frozenset(
+            rng.sample(range(h.n), rng.randint(1, h.n))) for _ in range(nv)]
+        p = rng.random()
+        edges = [(w, u) if rng.random() < 0.5 else (u, w)
+                 for u in range(nv) for w in range(u + 1, nv)
+                 if rng.random() < p]
+        states = _kernels.states_of(lists, vd)
+        cost, digits = _kernels.scan_best(h.nbhd, states, edges, vd)
+        if not all(states):
+            assert not vd and cost == INF
+            empty += 1
+            continue
+        order = rng.sample(range(nv), nv)
+        out = _kernels.eliminate(h.nbhd, states, edges, order, 0, vd)[0]
+        assert cost == int(out), trial
+        if cost < INF:  # the one assignment of one-state tuples
+            picked = [(st[d],) for st, d in zip(states, digits)]
+            assert _scan_table_loop(h.nbhd, picked, edges, 0, vd)[0] == cost
+    assert empty > 20
 
 
 def _table_states(rng, nv, vd):
