@@ -115,19 +115,16 @@ def _check_table_sizes(g: Instance, bags, vd: bool) -> int:
 
 def _induced(red: Instance, keep) -> Instance:
     """red's sub-instance induced by the ascending vertices `keep`, keep[i]
-    renamed i, its edges sorted and each (lower, higher).  It is built as
-    parse_instance builds one, without running Instance.__init__: red's
-    edges were checked when red was built.  Each per-vertex and per-edge
-    container is built whole by one call or comprehension, so a
-    MemoryError midway frees what it held, and cli.main has the memory to
-    report it."""
+    renamed i, its edges sorted and each (lower, higher).  It is built by
+    Instance.from_checked: red's edges were checked when red was built.
+    Each per-vertex and per-edge container is built whole by one call or
+    comprehension, so a MemoryError midway frees what it held, and
+    cli.main has the memory to report it."""
     pos = dict(zip(keep, range(len(keep))))
     edges = sorted([(pos[u], pos[w]) if u < w else (pos[w], pos[u])
                     for u, w in red.edges if u in pos and w in pos])
-    sub = Instance.__new__(Instance)
-    sub.n, sub.edges, sub.budget = len(keep), edges, None
-    sub.lists = [red.lists[v] for v in keep]
-    return sub
+    return Instance.from_checked(len(keep), edges,
+                                 [red.lists[v] for v in keep])
 
 
 def _solve_dp(h: TargetGraph, inst: Instance,

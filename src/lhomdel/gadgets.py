@@ -652,7 +652,8 @@ def _ensure_forced(h: TargetGraph, g: Gadget, want: dict) -> Gadget:
     g = add_cost_pendants(h, g, 1, c, 1)
     rep = move_report(h, g)
     if rep.forced.get(a) != c or rep.forced.get(b) != d:
-        raise GadgetError("force_from_allow verification failed")
+        raise GadgetError(f"the doubled move does not force "
+                          f"{a + 1}->{c + 1} and {b + 1}->{d + 1}")
     if not all(rep.forced.get(u) == v for u, v in want.items()):
         raise GadgetError("pair move fails to force the intended bijection")
     return g

@@ -2,7 +2,10 @@
 
 Vertices are 0-indexed internally; the file formats are 1-indexed.
 Neighborhoods are kept as bitmasks (int), which keeps domination tests and
-the enumeration kernels cheap.
+the enumeration kernels cheap.  The text formats share one record
+grammar, `records`: every reader in this module, treewidth and
+reductions iterates it, except `_read_blocks`, whose strict .lhi layout
+(the writers') holds no blank or comment line.
 """
 
 from __future__ import annotations
@@ -16,6 +19,17 @@ from . import _kernels
 
 class ParseError(ValueError):
     pass
+
+
+def records(lines: Iterable[str]):
+    """(line number, tokens) for each record of a line-based file: each
+    line split on whitespace, skipping a line with no token and one whose
+    first token starts with `c` (a comment).  Skipped lines still count
+    toward the 1-based line numbers."""
+    for lineno, raw in enumerate(lines, 1):
+        tok = raw.split()
+        if tok and tok[0][0] != "c":
+            yield lineno, tok
 
 
 # The most vertices a file header may announce.  Each parser checks its
@@ -133,6 +147,17 @@ class Instance:
         if len(lists) != n:
             raise ValueError("need one list per vertex")
 
+    @staticmethod
+    def from_checked(n: int, edges: list[tuple[int, int]],
+                     lists: list[frozenset[int]],
+                     budget: Optional[int] = None) -> "Instance":
+        """The instance over parts its caller has already checked (edges
+        in range, loopless, without parallels; one list per vertex),
+        without the constructor's O(|E|) pass."""
+        inst = Instance.__new__(Instance)
+        inst.n, inst.edges, inst.lists, inst.budget = n, edges, lists, budget
+        return inst
+
 
 class Solution:
     """mode "vd" or "ed"; deleted: vertices (vd) or edges (ed); hom:
@@ -248,11 +273,8 @@ def reduce_list(h: TargetGraph, lst: frozenset[int]) -> frozenset[int]:
 
 def reduce_lists(h: TargetGraph, inst: Instance) -> Instance:
     """inst with every list reduced; each distinct list is reduced once.
-
-    It is built as parse_instance builds one, without running
-    Instance.__init__: inst's edges were checked when it was built, and
-    the reduced lists are as many as inst's.
-    """
+    It is built by Instance.from_checked: inst's edges were checked when
+    it was built, and the reduced lists are as many as inst's."""
     reduced: dict[frozenset[int], frozenset[int]] = {}
     lists = []
     for lst in inst.lists:
@@ -260,10 +282,7 @@ def reduce_lists(h: TargetGraph, inst: Instance) -> Instance:
         if red is None:
             red = reduced[lst] = reduce_list(h, lst)
         lists.append(red)
-    out = Instance.__new__(Instance)
-    out.n, out.edges, out.budget = inst.n, list(inst.edges), inst.budget
-    out.lists = lists
-    return out
+    return Instance.from_checked(inst.n, list(inst.edges), lists, inst.budget)
 
 
 # ---------------------------------------------------------------------------
@@ -274,11 +293,7 @@ def parse_target(text: str) -> TargetGraph:
     Each edge sets its two bits of the masks as it is read; a repeated
     edge finds its bit already set."""
     n = None
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        tok = line.split()
+    for lineno, tok in records(text.splitlines()):
         if tok[0] == "h":
             if n is not None:
                 raise ParseError(f"line {lineno}: duplicate header")
@@ -328,8 +343,8 @@ def parse_instance(text: str, h: TargetGraph) -> Instance:
     same element tokens share one checked frozenset.  The writers' layout
     is read by blocks, any other text line by line, with the same result.
     The readers' checks are the only ones the returned Instance gets: it
-    is built without running Instance.__init__, whose edge checks (range,
-    loops, parallel edges) and list count these checks cover."""
+    is built by Instance.from_checked, as these checks cover those of
+    Instance.__init__ (edge range, loops, parallel edges, list count)."""
     lines = text.splitlines()
     return _read_blocks(lines, h) or _parse_lines(lines, h)
 
@@ -378,9 +393,7 @@ def _read_blocks(lines: list[str], h: TargetGraph) -> Optional[Instance]:
             lists[v] = lst
     except (ValueError, IndexError):
         return None
-    inst = Instance.__new__(Instance)
-    inst.n, inst.edges, inst.lists, inst.budget = n, edges, lists, None
-    return inst
+    return Instance.from_checked(n, edges, lists)
 
 
 def _parse_lines(lines: list[str], h: TargetGraph) -> Instance:
@@ -391,10 +404,7 @@ def _parse_lines(lines: list[str], h: TargetGraph) -> Instance:
     checked: dict[tuple[str, ...], frozenset[int]] = {}
     budget = None
     seen = set()
-    for lineno, raw in enumerate(lines, 1):
-        tok = raw.split()
-        if not tok or tok[0][0] == "c":
-            continue
+    for lineno, tok in records(lines):
         try:
             if tok[0] == "e":
                 if n is None:
@@ -461,10 +471,8 @@ def _parse_lines(lines: list[str], h: TargetGraph) -> Instance:
     if m is not None and m != len(edges):
         raise ParseError(f"header announces {m} edges, found {len(edges)}")
     full = frozenset(range(h.n))
-    inst = Instance.__new__(Instance)
-    inst.n, inst.edges, inst.budget = n, edges, budget
-    inst.lists = [lists.get(v, full) for v in range(n)]
-    return inst
+    return Instance.from_checked(
+        n, edges, [lists.get(v, full) for v in range(n)], budget)
 
 
 def format_instance(inst: Instance) -> str:

@@ -1,6 +1,7 @@
 """Encoders from classic optimization problems into list-homomorphism
 deletion instances, decoders back for the independent-reflexive targets,
-and the coloring-deletion hardness pipelines."""
+the coloring-deletion hardness pipelines, and the classic problem file
+format (read by graphs.records, the formats' one record grammar)."""
 
 from __future__ import annotations
 
@@ -10,7 +11,7 @@ from typing import Optional
 from . import gadgets
 from .graphs import (MAX_INSTANCE_VERTICES, Infeasible, Instance,
                      ParseError, TargetGraph, TooManyVertices,
-                     check_vertex_count, max_incomparable)
+                     check_vertex_count, max_incomparable, records)
 from .treewidth import HubCore
 
 # each problem kind, with the record letters its files hold besides `p`,
@@ -333,11 +334,7 @@ def parse_classic(text: str) -> ClassicInstance:
     terminals = []
     left, right = [], []
     once = {}  # s, q, k and st-min-cut's t: letter -> value
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        tok = line.split()
+    for lineno, tok in records(text.splitlines()):
         if len(tok) != _CLASSIC_TOKENS.get(tok[0], len(tok)):
             raise ParseError(f"line {lineno}: malformed line")
         try:

@@ -1,15 +1,16 @@
 """Tree decompositions: validation, nice form (the tree alone; the DP, one
 bucket-elimination engine, in forget order, reads only its forget order
 and checks each G edge against the bag where its first end is forgotten),
-PACE-format I/O, hub cores, and one elimination-order builder (min-fill,
-ties to the smallest vertex)."""
+PACE-format I/O, hub cores and their format (both read with
+graphs.records, the formats' one record grammar), and one
+elimination-order builder (min-fill, ties to the smallest vertex)."""
 
 from __future__ import annotations
 
 import heapq
 from typing import NamedTuple, Optional
 
-from .graphs import Instance, ParseError
+from .graphs import Instance, ParseError, records
 
 
 class TreeDecomposition(NamedTuple):
@@ -349,11 +350,7 @@ def parse_td(text: str, n: Optional[int] = None) -> TreeDecomposition:
     bags = {}
     tedges = []
     tlines = []  # the line of each tree edge
-    for ln, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        toks = line.split()
+    for ln, toks in records(text.splitlines()):
         try:
             if toks[0] == "s":
                 if counts is not None or len(toks) != 5 or toks[1] != "td":
@@ -429,11 +426,7 @@ def parse_core(text: str) -> HubCore:
     (1-indexed); a negative count or a repeated id is a ParseError."""
     toks = set()
     header = None
-    for ln, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        parts = line.split()
+    for ln, parts in records(text.splitlines()):
         if header is None and (parts[0] != "q" or len(parts) != 4):
             raise ParseError(f"line {ln}: bad core header")
         try:

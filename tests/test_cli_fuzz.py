@@ -14,9 +14,10 @@ import families
 
 
 def _mutate(rng, text):
-    """text with up to two edits, each dropping or repeating a line or
-    setting one of its number tokens to 0, -1, a neighbour of its value,
-    7 or "x"."""
+    """text with up to two edits, each inserting a line every reader
+    skips (blank, whitespace only or a comment), dropping or repeating a
+    line or setting one of its number tokens to 0, -1, a neighbour of its
+    value, 7 or "x"."""
     lines = text.splitlines()
     for _ in range(rng.randint(0, 2)):
         if not lines:
@@ -25,9 +26,11 @@ def _mutate(rng, text):
         toks = lines[i].split()
         nums = [j for j, t in enumerate(toks) if t.lstrip("-").isdigit()]
         r = rng.random()
-        if r < 0.2 or not nums:
+        if r < 0.15:
+            lines.insert(i, rng.choice(["", " \t", "c", "c note", "cx 1 2"]))
+        elif r < 0.35 or not nums:
             del lines[i]
-        elif r < 0.35:
+        elif r < 0.5:
             lines.insert(i, lines[i])
         else:
             j = rng.choice(nums)

@@ -10,12 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lhomdel import graphs
+from lhomdel import graphs, reductions
 from lhomdel.graphs import (Instance, ParseError, TargetGraph, dominates,
                             format_instance, format_target, incomparable,
                             is_incomparable_set, max_incomparable,
                             parse_instance, parse_target, reduce_list,
                             reduce_lists)
+from lhomdel.treewidth import (HubCore, build_td, format_core, format_td,
+                               parse_core, parse_td)
 
 import families
 
@@ -143,6 +145,97 @@ def test_instance_parse_errors(text):
     h = families.reflexive_clique(2)
     with pytest.raises(ParseError):
         parse_instance(text, h)
+
+
+# lines the record grammar skips: blank, whitespace only (tabs included)
+# and comments, a token that starts with `c` included
+_SKIPPED = ["", " ", "\t", " \t  ", "c", "c note", "cx 1 2", "  c",
+            "\tc 9"]
+
+
+def _padded(rng, lines):
+    """lines with skipped lines inserted before, between and after them,
+    and each record's tokens re-spaced with blanks and tabs; and the index
+    of each record in the result."""
+    out, where = [], []
+    for line in lines + [None]:
+        out += rng.choices(_SKIPPED, k=rng.choice([0, 0, 1, 3]))
+        if line is not None:
+            gap = rng.choice([" ", "  ", "\t", " \t"])
+            where.append(len(out))
+            out.append(rng.choice(["", " ", "\t"]) + gap.join(line.split())
+                       + rng.choice(["", " ", "\t "]))
+    return out, where
+
+
+def _readers(rng):
+    """(name, reader, faults, clean texts) for each of the five text
+    formats: reader maps a text to a comparable value, and each fault is
+    a record that fails on its own line wherever it follows the header."""
+    hs = [families.random_target(rng, rng.randint(1, 5)) for _ in range(6)]
+    insts = [Instance(0, [], [])]
+    for _ in range(6):
+        inst = families.random_instance(rng, hs[0], rng.randint(1, 6))
+        inst.budget = rng.choice([None, rng.randint(0, 5)])
+        insts.append(inst)
+
+    def instance(text):
+        g = parse_instance(text, hs[0])
+        return g.n, g.edges, g.lists, g.budget
+
+    def classic(text):
+        c = reductions.parse_classic(text)
+        return [getattr(c, a) for a in type(c).__slots__]
+
+    classics = [
+        "p vertex-cover 4 2\ne 1 2\ne 3 4\nk 2",
+        "p max-cut 3 1\ne 1 2\nl 1\nr 2",
+        "p st-min-cut 3 2\ne 1 2\ne 2 3\ns 1\nt 3",
+        "p edge-multiway 4 2\ne 1 2\ne 2 3\nt 1\nt 3\nk 1",
+        "p coloring-vd 3 1\ne 1 2\nq 3\nk 1"]
+    return [
+        ("target", parse_target, ["z 1", "e 1", "h 2"],
+         [format_target(h) for h in hs]),
+        ("instance", instance, ["z 1", "e 1", "l 1", "k -1"],
+         [format_instance(g) for g in insts]),
+        ("td", parse_td, ["z 1", "1 2 3", "b 0 1"],
+         [format_td(build_td(g), g.n) for g in insts]),
+        ("core", parse_core, ["z", "0", "1 x"],
+         [format_core(HubCore(frozenset(rng.sample(range(9), k)),
+                              rng.randint(0, 4), rng.randint(0, 4)))
+          for k in (0, 1, 4, 9)]),
+        ("classic", classic, ["z 1", "e 1", "p max-cut 2 0"], classics)]
+
+
+def test_five_readers_share_one_record_grammar():
+    """Blank, whitespace-only and comment lines anywhere, and records
+    re-spaced with blanks and tabs, parse as the clean text does in every
+    format; a fault after them names its line in the padded text."""
+    assert list(graphs.records(["", "c", " e 1  2", "\t", "cx 1", "h\t3 "])) \
+        == [(3, ["e", "1", "2"]), (6, ["h", "3"])]
+    rng = random.Random(58)
+    for name, read, faults, texts in _readers(rng):
+        for text in texts:
+            lines = text.splitlines()
+            want = read(text)
+            for _ in range(6):
+                padded, where = _padded(rng, lines)
+                assert read("\n".join(padded)) == want, (name, padded)
+                # the same fault after the header, in the clean text and
+                # in the padded one: one message, its line number shifted
+                fault = rng.choice(faults)
+                j = rng.randint(1, len(lines))
+                with pytest.raises(ParseError) as clean:
+                    read("\n".join(lines[:j] + [fault] + lines[j:]))
+                cut = where[j - 1] + 1
+                faulty = padded[:cut] + rng.choices(_SKIPPED, k=2) + [fault] \
+                    + padded[cut:]
+                with pytest.raises(ParseError) as shifted:
+                    read("\n".join(faulty))
+                head, _, detail = str(clean.value).partition(": ")
+                assert head == f"line {j + 1}", (name, str(clean.value))
+                assert str(shifted.value) == \
+                    f"line {cut + 3}: {detail}", (name, faulty)
 
 
 def test_repeated_list_tokens_share_one_set():

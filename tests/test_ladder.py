@@ -107,6 +107,36 @@ def test_dp_solve_of_a_million_vertex_tree(tmp_path, mode):
     assert elapsed < 3 * seconds, elapsed
 
 
+# (rows, cols, exit code, limit MiB, peak RSS MB, wall s) for `solve ed
+# --algo dp` of the rows x cols grid over K3 with full lists: the 9 x 1000
+# grid is solved, and the 10 x 3000 grid is refused before its tables
+# because its argmin records would pass dpsolve.MAX_RECORD_BYTES;
+# measured on 22 October 2026
+GRID_RUNGS = {"9x1000": (9, 1000, cli.EXIT_OK, 2048, 634, 9.7),
+              "10x3000": (10, 3000, cli.EXIT_PRECONDITION, 2048, 142, 2.2)}
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("name", list(GRID_RUNGS))
+def test_dp_solve_of_a_grid(tmp_path, name):
+    rows, cols, exit_code, limit, rss, seconds = GRID_RUNGS[name]
+    h = tmp_path / "k3.hg"
+    h.write_text(format_target(families.irreflexive_kq(3)))
+    n, edges = families.grid(rows, cols)
+    g = tmp_path / "grid.lhi"  # no `l` lines: full lists
+    g.write_text(f"p lhom {n} {len(edges)}\n"
+                 + "".join(f"e {u + 1} {v + 1}\n" for u, v in edges))
+    with open(tmp_path / "out.json", "w") as out:
+        code, peak, elapsed = run_cli(
+            ["solve", "ed", str(h), str(g), "--algo", "dp"], limit, out)
+    assert code == exit_code
+    if code == cli.EXIT_PRECONDITION:
+        detail = json.loads((tmp_path / "out.json").read_text())["detail"]
+        assert "bytes of argmin records, above the cap" in detail, detail
+    assert peak < 1.5 * rss, peak
+    assert elapsed < 3 * seconds, elapsed
+
+
 # runs each command line of the JSON list argv[1] in turn, and prints
 # each exit code to stderr
 _CLI_LINES = ("import json, sys; from lhomdel import cli\n"
